@@ -77,8 +77,14 @@ def certify_op(rec: dict) -> str | None:
 
 def check(workload: str, spec: dict, records: list[dict]) -> list[str | None]:
     """Reason of failure (or None) for every operation, in order."""
-    if workload == "grid-map":
-        return [grid_op(r, spec["windows"][r["k"]], spec) for r in records]
-    if workload == "expansion":
-        return [expansion_op(r, spec["ops"][r["k"]]) for r in records]
-    return [certify_op(r) for r in records]
+    reasons = []
+    for r in records:
+        if "error" in r:
+            reasons.append(f"raised {r['error']}")
+        elif workload == "grid-map":
+            reasons.append(grid_op(r, spec["windows"][r["k"]], spec))
+        elif workload == "expansion":
+            reasons.append(expansion_op(r, spec["ops"][r["k"]]))
+        else:
+            reasons.append(certify_op(r))
+    return reasons

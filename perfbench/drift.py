@@ -1,15 +1,15 @@
 """How well the reference kernel cancels host drift, per kind of work.
 
-    python3 perfbench/drift.py [--seconds 200] [--window 20]
+    python3 perfbench/drift.py [--seconds 200]
 
 Runs five probes in turn for --seconds, each bracketed by the reference
 kernel: two real operations of the program (one grid-map op and one
 expansion op, Python-bound today) and three numpy probes (array code over
 one grid window, a fit-sized least-squares solve, and a memory-bound
-kernel on arrays far larger than any input of the benchmark).  For
-windows of --window seconds it prints, per probe, the spread of the window
-medians (max - min over their median) of the raw time and of the time
-corrected as run.py corrects it.  A corrected spread well below the raw
+kernel on arrays far larger than any input of the benchmark).  Over
+20-second windows it prints, per probe, the spread of the window medians
+(max - min over their median) of the raw time and of the time corrected
+as run.py corrects it.  A corrected spread well below the raw
 one shows the drift cancelled for that kind of work.
 """
 
@@ -25,12 +25,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+WINDOW_S = 20.0
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 import numpy as np  # noqa: E402
 
 import inputs  # noqa: E402
-from reference import NOMINAL_S, Reference  # noqa: E402
+from reference import Reference, corrected  # noqa: E402
 from worker import expansion_round, grid_round  # noqa: E402
 
 
@@ -73,7 +74,6 @@ def probes(tmpdir: str) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=200.0)
-    parser.add_argument("--window", type=float, default=20.0)
     args = parser.parse_args()
     tmpdir = os.path.join(os.path.dirname(HERE), ".perfbench_out", f"drift-{os.getpid()}")
     os.makedirs(tmpdir, exist_ok=True)
@@ -88,18 +88,18 @@ def main() -> int:
             fn()
             dt = time.perf_counter() - t0
             after = ref.seconds()
-            samples[name].append((t0 - t_start, dt, dt * NOMINAL_S / ((before + after) / 2)))
+            samples[name].append((t0 - t_start, dt, corrected(dt, before, after)))
             before = after
     for f in os.listdir(tmpdir):
         os.remove(os.path.join(tmpdir, f))
     os.rmdir(tmpdir)
 
-    print(f"# {args.seconds:.0f} s, windows of {args.window:.0f} s; spread = (max - min) / median of window medians")
+    print(f"# {args.seconds:.0f} s, windows of {WINDOW_S:.0f} s; spread = (max - min) / median of window medians")
     print(f"{'probe':22s} {'raw p50 ms':>11s} {'raw spread':>11s} {'corrected spread':>17s}")
     for name, rows in samples.items():
         windows = {}
         for t, raw, corr in rows:
-            windows.setdefault(int(t // args.window), []).append((raw, corr))
+            windows.setdefault(int(t // WINDOW_S), []).append((raw, corr))
         full = [w for w in windows.values() if len(w) >= 3]
         raw_m = [statistics.median(r for r, _ in w) for w in full]
         cor_m = [statistics.median(c for _, c in w) for w in full]

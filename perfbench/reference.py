@@ -16,11 +16,21 @@ least-squares solve (what `fit_boundary` does through LAPACK).
 from __future__ import annotations
 
 import math
+import statistics
 import time
 
 import numpy as np
 
 NOMINAL_S = 0.005
+
+
+def corrected(dt: float, *refs: float) -> float:
+    """`dt` as on a host where the kernel takes NOMINAL_S.
+
+    `refs` are the kernel times taken next to `dt`: the one before and the
+    one after an operation, or those right after a set-up.
+    """
+    return dt * NOMINAL_S / statistics.median(refs)
 
 
 def _scalar(n: int) -> float:

@@ -24,13 +24,13 @@ import time
 
 import checks
 import inputs
-from reference import NOMINAL_S
+from reference import NOMINAL_S, corrected
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 WORKLOADS = ("grid-map", "expansion", "certify")
-SETUP_SAMPLES = 6  # fresh interpreters that only set up; the main worker adds one
+SETUP_SAMPLES = 10  # fresh interpreters that only set up; the main worker adds one
 OUT_DIR = os.path.join(ROOT, ".perfbench_out")
 VERIFY_GROUPS = (
     "trig_identity_checks", "derivative_checks", "series_identity_checks",
@@ -82,7 +82,7 @@ def measure_setup(rundir: str, workload: str) -> list[float]:
         with open(os.path.join(rundir, name), encoding="utf-8") as fh:
             rec = json.load(fh)
         os.remove(os.path.join(rundir, name))
-        samples.append((rec["ready"] - t_spawn) * NOMINAL_S / statistics.median(rec["refs"]))
+        samples.append(corrected(rec["ready"] - t_spawn, *rec["refs"]))
     return samples
 
 
@@ -196,9 +196,10 @@ def run(workload: str, seed: int, seconds: int, traced: bool) -> dict:
     ops, refs = timings["ops"], timings["refs"]
     if len(ops) != len(records):
         raise SystemExit("worker timings and outputs disagree")
-    # each op is corrected by the reference kernel timed just before and after it
-    factors = [NOMINAL_S / ((refs[i] + refs[i + 1]) / 2) for i in range(len(ops))]
-    corrected = [op[1] * f for op, f in zip(ops, factors)]
+    # each op is corrected by the kernel bursts timed just before and after it
+    factors = [corrected(1.0, *refs[i], *refs[i + 1]) for i in range(len(ops))]
+    kernel_s = [r for burst in refs for r in burst]
+    op_s = [op[1] * f for op, f in zip(ops, factors)]
     failed = [i for i, r in enumerate(reasons) if r is not None]
     # only the known-fault slice of expansion may fail
     correct = all(workload == "expansion" and spec["ops"][ops[i][0]]["label"] == inputs.FAULT_LABEL
@@ -206,29 +207,29 @@ def run(workload: str, seed: int, seconds: int, traced: bool) -> dict:
     for i in failed[:3]:
         print(f"# op {i} failed: {reasons[i]}")
 
-    plain = [c for c, op in zip(corrected, ops) if not op[2]]
+    plain = [c for c, op in zip(op_s, ops) if not op[2]]
     print(f"# {workload} seed {seed}: {len(ops)} ops, {len(failed)} failed, "
           f"{'correct' if correct else 'INCORRECT'}")
     print(f"# op time (corrected): p50 {statistics.median(plain) * 1e3:.3f} ms; tail {_tail(plain)}")
     raw = [op[1] for op in ops if not op[2]]
     print(f"# op time (raw): p50 {statistics.median(raw) * 1e3:.3f} ms; "
-          f"reference kernel p50 {statistics.median(refs) * 1e3:.3f} ms, "
-          f"range {min(refs) * 1e3:.3f}-{max(refs) * 1e3:.3f} ms (nominal {NOMINAL_S * 1e3:.3f} ms)")
+          f"reference kernel p50 {statistics.median(kernel_s) * 1e3:.3f} ms, "
+          f"range {min(kernel_s) * 1e3:.3f}-{max(kernel_s) * 1e3:.3f} ms (nominal {NOMINAL_S * 1e3:.3f} ms)")
 
     if traced:
         traced_ops = [i for i, op in enumerate(ops) if op[2]]
         t_factor = statistics.median(factors[i] for i in traced_ops)
-        overhead = (statistics.median(corrected[i] for i in traced_ops) / statistics.median(plain) - 1) * 100
+        overhead = (statistics.median(op_s[i] for i in traced_ops) / statistics.median(plain) - 1) * 100
         print(f"# tracing: {timings['trace']['spans']} spans over {len(traced_ops)} traced ops, "
               f"overhead {overhead:.1f}% of the untraced op p50")
         metrics = per_layer(timings["trace"], len(traced_ops), t_factor, overhead, imports)
     else:
-        setups.append((timings["ready"] - t_spawn) * NOMINAL_S / statistics.median(refs[:3]))
+        setups.append(corrected(timings["ready"] - t_spawn, *timings["setup_refs"]))
         print(f"# setup (corrected) samples: {', '.join(f'{s:.4f}' for s in setups)} s")
         metrics = {
             "setup_s": {"value": statistics.median(setups), "unit": "s"},
-            "ops_per_s": {"value": len(corrected) / sum(corrected), "unit": "1/s"},
-            "op_p50_ms": {"value": statistics.median(corrected) * 1e3, "unit": "ms"},
+            "ops_per_s": {"value": len(op_s) / sum(op_s), "unit": "1/s"},
+            "op_p50_ms": {"value": statistics.median(op_s) * 1e3, "unit": "ms"},
             "peak_rss_mb": {"value": timings["peak_rss_kb"] / 1024.0, "unit": "MB"},
         }
     return {"correct": correct, "attempted": len(ops), "failed": len(failed), "metrics": metrics}

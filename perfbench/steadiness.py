@@ -1,14 +1,15 @@
 """The benchmark's own steadiness check: two sets of runs of one commit.
 
-    python3 perfbench/steadiness.py [--runs 10] [--sets 2] [--workloads a,b]
+    python3 perfbench/steadiness.py [--runs 10] [--workloads a,b]
 
-Runs run.py --runs times per workload and set, each run with its own seed,
-then prints per workload and end-to-end metric: each set's median and
-spread (distance between the quartiles over the median), the change of the
-second set's median in the metric's worse direction, and each set's share
-of failed operations.  A metric fails the check when a spread other than
-setup_s's, or the change, exceeds the bound in BENCHMARK.json, or when the
-failed shares of the sets differ.  The report also goes to
+Runs run.py --runs times per workload in each of two sets, each run with
+its own seed, then prints per workload and end-to-end metric: each set's
+median and spread (distance between the quartiles over the median), the
+change of the second set's median against the first (positive in the
+metric's worse direction), and each set's share of failed operations.  A
+metric fails the check when either spread, or the size of the change in
+either direction, exceeds the metric's bound in BENCHMARK.json, or when
+the failed shares of the sets differ.  The report also goes to
 .perfbench_out/steadiness.json.
 """
 
@@ -42,13 +43,12 @@ def main() -> int:
         bench = json.load(fh)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--sets", type=int, default=2)
     parser.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
     parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     args = parser.parse_args()
 
     results = {}  # workload -> list of sets -> list of results
-    for set_no in range(args.sets):
+    for set_no in range(2):
         for workload in args.workloads.split(","):
             runs = []
             for i in range(args.runs):
@@ -62,7 +62,7 @@ def main() -> int:
     ok = True
     report = {}
     print(f"\n{'workload':10s} {'metric':12s} {'bound':>6s} "
-          + " ".join(f"{'median' + str(s + 1):>11s} {'spread' + str(s + 1):>8s}" for s in range(args.sets))
+          + " ".join(f"{'median' + str(s + 1):>11s} {'spread' + str(s + 1):>8s}" for s in range(2))
           + f" {'change':>8s}  verdict")
     for workload, sets in results.items():
         shares = [sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs) for runs in sets]
@@ -76,8 +76,8 @@ def main() -> int:
             medians = [statistics.median(v) for v in values]
             spreads = [spread(v) for v in values]
             sign = 1 if metric["better"] == "lower" else -1
-            change = sign * (medians[-1] - medians[0]) / medians[0]
-            good = change <= bound and (name == "setup_s" or max(spreads) <= bound)
+            change = sign * (medians[1] - medians[0]) / medians[0]
+            good = abs(change) <= bound and max(spreads) <= bound
             ok &= good
             report[workload]["metrics"][name] = {
                 "medians": medians, "spreads": spreads, "change": change, "bound": bound, "ok": good,

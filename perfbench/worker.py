@@ -10,7 +10,9 @@ untimed warm-up round, then whole rounds of operations until S seconds
 have passed, timing each operation and the reference kernel between
 operations, and writes RUNDIR/timings.json.  With --trace 1 the rounds
 alternate between untraced and traced, so the tracing overhead is measured
-in the same run.  Outputs go to files in RUNDIR/out for run.py to check.
+in the same run.  Outputs go to files in RUNDIR/out for run.py to check;
+an operation that raises has its exception recorded as its output, and
+run.py counts it as failed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ SRC = os.path.join(ROOT, "src")
 # A traced run stops early once it holds this many spans, to bound its memory
 # and its span file; per-op averages need no more.
 SPAN_CAP = 300_000
+# Reference kernel timings between two operations.  One 5 ms timing of the
+# host's speed varies by ~10 %, so a long op is corrected by the median of
+# several; a burst stays a few percent of a grid-map or certify op.
+REF_BURST = {"grid-map": 3, "expansion": 1, "certify": 9}
 
 
 def _import_program():
@@ -101,6 +107,14 @@ def certify_round(spec: dict, rundir: str, cli) -> list:
     return [(0, op, ".json")]
 
 
+def call(op, path):
+    """One operation's outputs; an exception it raises is its output too."""
+    try:
+        return op(path)
+    except Exception as exc:  # counted as a failed operation by checks.py
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def _cache_info():
     """Counters of legendre's per-mu coefficient cache, while it exists."""
     from sosharmonics import legendre
@@ -130,10 +144,10 @@ def main(argv: list[str]) -> int:
     from reference import Reference
 
     ref = Reference()
+    setup_refs = [ref.seconds() for _ in range(3)]
     if setup_only:
-        refs = [ref.seconds() for _ in range(3)]
         with open(os.path.join(rundir, f"setup-{os.getpid()}.json"), "w", encoding="utf-8") as fh:
-            json.dump({"ready": ready, "refs": refs}, fh)
+            json.dump({"ready": ready, "refs": setup_refs}, fh)
         return 0
 
     seconds = float(argv[argv.index("--seconds") + 1])
@@ -148,11 +162,14 @@ def main(argv: list[str]) -> int:
     os.makedirs(outdir, exist_ok=True)
     warm = os.path.join(outdir, "warm-up")
     for k, op, suffix in ops:
-        op(warm + (suffix or ""))
+        call(op, warm + (suffix or ""))
     cache_before = _cache_info()
 
+    def burst():
+        return [ref.seconds() for _ in range(REF_BURST[workload])]
+
     records = []  # [op index in the round, seconds, traced]
-    refs = [ref.seconds()]
+    refs = [burst()]  # refs[i] and refs[i + 1] bracket op i
     n = 0
     round_no = 0
     t_end = time.perf_counter() + seconds
@@ -164,9 +181,9 @@ def main(argv: list[str]) -> int:
             for k, op, suffix in ops:
                 path = os.path.join(outdir, f"op-{n}{suffix}") if suffix else None
                 t0 = time.perf_counter()
-                out = op(path)
+                out = call(op, path)
                 dt = time.perf_counter() - t0
-                refs.append(ref.seconds())
+                refs.append(burst())
                 records.append([k, dt, in_trace])
                 out.update({"n": n, "k": k, "path": path})
                 results.write(json.dumps(out) + "\n")
@@ -180,7 +197,7 @@ def main(argv: list[str]) -> int:
                 break
 
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    payload = {"ready": ready, "ops": records, "refs": refs, "peak_rss_kb": peak_kb}
+    payload = {"ready": ready, "setup_refs": setup_refs, "ops": records, "refs": refs, "peak_rss_kb": peak_kb}
     if tracer is not None:
         payload["trace"] = tracer.aggregate()
         payload["trace"]["spans"] = len(tracer.spans)
