@@ -25,6 +25,7 @@ from .errors import (
 from .harmonic import (
     FitDiagnostics,
     HarmonicSolution,
+    cartesian_R_s,
     eval_V,
     eval_V_at,
     eval_V_cartesian,

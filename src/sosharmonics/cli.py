@@ -32,10 +32,10 @@ from .coords import (
 from .errors import SosError
 from .harmonic import (
     HarmonicSolution,
+    cartesian_R_s,
     eval_V,
     fit_boundary,
     load_solution,
-    s_at_point,
     solution_to_dict,
 )
 from .series import region_of
@@ -149,34 +149,39 @@ def cmd_eval(args) -> int:
             raise UsageError("need both --x and --z")
         p = cartesian_to_sos(CartesianPoint(x=args.x, y=0.0, z=args.z), cfg)
     record = _point_record(cfg, p, sol)
-    print(json.dumps(record))
+    try:
+        text = json.dumps(record, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"non-finite result at R={p.R!r}, nu={p.nu!r}") from exc
+    print(text)
     return EXIT_OK
 
 
 def _grid_value(cfg, quantity, sol, x, z):
-    """One grid sample through the full inverse-transform pipeline.
+    """One grid sample from the closed-form R and s = (1+mu) z / R.
 
-    Returns None for points with no value (origin; divergent quantities on
-    the axis)."""
+    Returns None for points with no value: the origin, W on the axis or
+    beyond the float range, and V with second-kind terms on the axis."""
+    mu = cfg.mu
     try:
-        p = cartesian_to_sos(CartesianPoint(x=x, y=0.0, z=z), cfg)
+        R, s = cartesian_R_s(x, 0.0, z, mu)
         if quantity == "V":
-            return eval_V(sol, p.R, s_at_point(p.R, p.nu, cfg))
-        if abs(p.nu) >= _HALF_PI:
-            if quantity == "s":
-                return math.copysign(s_limit(cfg.mu), p.nu)
-            if quantity == "hR":
-                return 1.0 / math.sqrt(1.0 + cfg.mu)
-            return None  # W diverges on the axis
-        W = compute_W(p.R, p.nu, cfg)
-        if quantity == "W":
-            return W
-        tb = trig_auto(abs(W), cfg.mu)
-        if quantity == "s":
-            return math.copysign(tb.s, p.nu) if p.nu else tb.s
-        return tb.h_R
+            return eval_V(sol, R, s)
     except SosError:
         return None
+    if quantity == "s":
+        return s
+    if quantity == "hR":
+        return math.sqrt((1.0 + mu) / ((1.0 + mu) + mu * s * s))
+    if x == 0.0:
+        return None  # W diverges on the axis
+    # W = sqrt(t)/(1-t)^((1+mu)/2) with t = s^2/(1+mu) = (1+mu) z^2/R^2 and
+    # 1 - t = x^2/R^2, written without the cancellation in 1 - t
+    try:
+        W = math.sqrt(1.0 + mu) * z / R * (R / x) ** (1.0 + mu)
+    except OverflowError:
+        return None
+    return W if math.isfinite(W) else None
 
 
 def grid_values(cfg: SystemConfig, spec: GridSpec, quantity: str, sol=None):
@@ -348,6 +353,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (SosError, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ArithmeticError as exc:  # float overflow or division by zero at extreme inputs
+        print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -21,8 +21,14 @@ from .series import DEFAULT_TOL, Region, eval_series, quantity_series, region_of
 from .trig import trig_auto, trig_from_W_robust, w_from_s
 
 _HALF_PI = math.pi / 2
-_NU_STEP_TOL = 1e-15
+# Newton stops on a step below this share of nu.  For tiny nu the log-form
+# residual carries rounding noise of about eps * |target|, so the share
+# grows with |target| there.
+_NU_STEP_RTOL = 1e-15
 _NU_MAX_ITER = 80
+# Below this log target sin(nu) ~ nu and cos(nu) ~ 1, so exp(target) seeds
+# Newton next to the root however small nu is
+_SMALL_NU_LOG = math.log(1e-3)
 
 
 @dataclass(frozen=True)
@@ -53,9 +59,9 @@ class SosPoint:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.R > 0.0:
-            raise ValueError("R must be positive")
-        if abs(self.nu) > _HALF_PI:
+        if not (self.R > 0.0 and math.isfinite(self.R)):
+            raise ValueError("R must be finite and positive")
+        if not abs(self.nu) <= _HALF_PI:
             raise ValueError("nu must lie in [-pi/2, pi/2]")
 
 
@@ -211,7 +217,9 @@ def _invert_nu(W: float, R: float, cfg: SystemConfig) -> float:
     """Solve (R/R0)^mu sin(nu)/cos(nu)^(1+mu) = W for nu in (0, pi/2).
 
     Solved in log form: monotone with derivative
-    (1 + mu sin^2 nu)/(sin nu cos nu).
+    (1 + mu sin^2 nu)/(sin nu cos nu).  Newton, kept inside a bracket that
+    every residual narrows, starts from exp(target) for tiny nu and from
+    a bisection otherwise, and stops on a relative step.
     """
     mu = cfg.mu
     target = math.log(W) - mu * math.log(R / cfg.R0)
@@ -220,27 +228,32 @@ def _invert_nu(W: float, R: float, cfg: SystemConfig) -> float:
         return math.log(math.sin(nu)) - (1.0 + mu) * math.log(math.cos(nu)) - target
 
     lo, hi = 0.0, _HALF_PI
-    # bisect on the open interval: g -> -inf at 0+, +inf at pi/2-
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    nu = 0.5 * (lo + hi)
+    if target < _SMALL_NU_LOG:
+        nu = math.exp(target)
+        if nu == 0.0:
+            return 0.0  # below the smallest positive float
+    else:
+        # bisect on the open interval: g -> -inf at 0+, +inf at pi/2-
+        for _ in range(20):
+            mid = 0.5 * (lo + hi)
+            if g(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        nu = 0.5 * (lo + hi)
+    tol = _NU_STEP_RTOL * max(1.0, -target)
     for _ in range(_NU_MAX_ITER):
+        gv = g(nu)
+        if gv > 0.0:
+            hi = nu
+        else:
+            lo = nu
         sn = math.sin(nu)
         cs = math.cos(nu)
-        step = g(nu) * sn * cs / (1.0 + mu * sn * sn)
-        nu_new = nu - step
-        if not lo < nu_new < hi:
-            if g(nu) > 0.0:
-                hi = nu
-            else:
-                lo = nu
-            nu_new = 0.5 * (lo + hi)
-        if abs(nu_new - nu) <= _NU_STEP_TOL:
-            nu = nu_new
-            break
-        nu = nu_new
+        step = gv * sn * cs / (1.0 + mu * sn * sn)
+        if abs(step) <= tol * nu:
+            return nu - step
+        nu -= step
+        if not lo < nu < hi:
+            nu = 0.5 * (lo + hi)
     return nu

@@ -22,7 +22,6 @@ from .coords import (
     CartesianPoint,
     SosPoint,
     SystemConfig,
-    cartesian_to_sos,
     compute_W,
     metrics_at,
 )
@@ -70,6 +69,23 @@ class FitDiagnostics:
 def separation_check(K_d: float) -> float:
     """Radial-angular coupling of the separation constants: K_b = K_d (K_d - 2)."""
     return K_d * (K_d - 2.0)
+
+
+def cartesian_R_s(x: float, y: float, z: float, mu: float) -> tuple[float, float]:
+    """R and s = (1+mu) z / R of a Cartesian point, in closed form.
+
+    R comes from the member-spheroid equation x^2 + y^2 + (1+mu) z^2 = R^2;
+    no nu root finding and no series are involved.  Axis points get the
+    exact endpoint +-sqrt(1+mu), and rounding elsewhere is clamped into
+    [-sqrt(1+mu), sqrt(1+mu)].
+    """
+    R = math.hypot(x, y, math.sqrt(1.0 + mu) * z)
+    if R == 0.0:
+        raise DegenerateOriginError("the origin has no SOS image")
+    lim = s_limit(mu)
+    if x == 0.0 and y == 0.0:
+        return R, math.copysign(lim, z)
+    return R, max(-lim, min(lim, (1.0 + mu) * z / R))
 
 
 def s_at_point(R: float, nu: float, cfg: SystemConfig) -> float:
@@ -124,16 +140,15 @@ def eval_V_at(sol: HarmonicSolution, p: SosPoint) -> float:
 
 
 def eval_V_cartesian(sol: HarmonicSolution, c: CartesianPoint) -> float:
-    """Potential at a Cartesian point."""
-    p = cartesian_to_sos(c, sol.cfg)
-    return eval_V(sol, p.R, s_at_point(p.R, p.nu, sol.cfg))
+    """Potential at a Cartesian point, through the closed-form R and s."""
+    return eval_V(sol, *cartesian_R_s(c.x, c.y, c.z, sol.cfg.mu))
 
 
 def laplacian_residual_fd(sol: HarmonicSolution, c: CartesianPoint, h: float) -> float:
     """7-point central finite-difference Laplacian at c with step h.
 
     Entirely independent of the SOS-form metric factors: the stencil works in
-    Cartesian coordinates and each value goes through the inverse transform.
+    Cartesian coordinates and each value takes R and s in closed form.
     For a true solution the result converges to 0 as O(h^2).
     """
     if h <= 0.0:

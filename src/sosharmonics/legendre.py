@@ -48,7 +48,9 @@ class SecondKindFn:
     mu: float
 
 
-@lru_cache(maxsize=None)
+# Keyed on float mu, so a scan over many mu needs the bound; 1024 entries
+# hold P_n and T_n of degrees 0..24 for 20 values of mu at once.
+@lru_cache(maxsize=1024)
 def _recursion_coeffs(n: int, mu: float, t_seed: bool) -> tuple[float, ...]:
     if n == 0:
         return (0.0,) if t_seed else (1.0,)

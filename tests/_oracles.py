@@ -58,3 +58,39 @@ FS_REF_MU2_NU30 = 0.70710678118654752
 Q0_AT_1_MU2 = 0.39768273061195282  # q0(1, mu=2)
 Q3_CLASSICAL_HALF = -0.19865477147948233  # classical Q_3(0.5)
 Z_REF_MU2_NU30 = 0.28867513459481288  # sin(pi/6)/sqrt(3)
+
+
+def mp_cartesian_R_s(x, y, z, mu):
+    """40-digit closed forms R = sqrt(x^2 + y^2 + (1+mu) z^2), s = (1+mu) z/R.
+
+    Inputs are taken as the exact binary values of the floats given.
+    """
+    with mpmath.workdps(40):
+        x, y, z, mu = (mpmath.mpf(v) for v in (x, y, z, mu))
+        R = mpmath.sqrt(x * x + y * y + (1 + mu) * z * z)
+        return R, (1 + mu) * z / R
+
+
+def mp_potential(a, b, R, s, mu):
+    """(V, scale) of sum a_n R^n P_n(s) + b_n R^n Q_n(s), R0 = 1, in 40 digits.
+
+    P_n and T_n come from the Bonnet-like value recursion (no power basis),
+    Q_n = P_n q0 - T_n sqrt((1+mu)^2 - mu s^2).  scale is the sum of the
+    absolute terms, which bounds the size of every partial sum.
+    """
+    with mpmath.workdps(40):
+        R, s, mu = (mpmath.mpf(v) for v in (R, s, mu))
+        e = 1 + mu
+        n_max = max(len(a), len(b), 2)
+        p, t = [mpmath.mpf(1), s / e], [mpmath.mpf(0), 1 / e]
+        for m in range(1, n_max):
+            c1 = mpmath.mpf(2 * m + 1) / (m + 1) * s / e
+            c0 = mpmath.mpf(m) / (m + 1) * (1 - mu * s * s / (e * e))
+            p.append(c1 * p[m] - c0 * p[m - 1])
+            t.append(c1 * t[m] - c0 * t[m - 1])
+        terms = [an * R**n * p[n] for n, an in enumerate(a)]
+        if b:
+            g = mpmath.sqrt(e * e - mu * s * s)
+            q0 = mpmath.log((s + g) ** 2 / (e * (e - s * s))) / 2
+            terms += [bn * R**n * (p[n] * q0 - t[n] * g) for n, bn in enumerate(b)]
+        return float(mpmath.fsum(terms)), float(mpmath.fsum(abs(v) for v in terms))

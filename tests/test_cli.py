@@ -105,6 +105,51 @@ class TestEval:
         assert main(["wibble"]) == 2
 
 
+def config(tmp_path, mu):
+    path = tmp_path / f"cfg-{mu}.json"
+    path.write_text(json.dumps({"mu": mu, "R0": 1.0}))
+    return str(path)
+
+
+class TestDomainExits:
+    """Overflow and non-finite results are domain errors (exit 3), never a
+    traceback with exit 1 ("verification failed") and never non-standard JSON."""
+
+    def expect_domain(self, capsys, argv):
+        rc, out, err = run(capsys, argv)
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("domain error") and "Traceback" not in err
+
+    @pytest.mark.parametrize("mu", [0.0, 2.0])
+    def test_huge_R(self, capsys, tmp_path, mu):
+        self.expect_domain(capsys, ["eval", "--config", config(tmp_path, mu), "--R", "1e300", "--nu", "0.5"])
+
+    @pytest.mark.parametrize("mu", [200.0, 1e6])
+    def test_huge_mu(self, capsys, tmp_path, mu):
+        # w_border's mu**mu overflows at mu = 200; mu = 1e6 divides by zero
+        self.expect_domain(capsys, ["eval", "--config", config(tmp_path, mu), "--R", "1", "--nu", "0.5"])
+
+    def test_huge_mu_verify(self, capsys, tmp_path):
+        self.expect_domain(capsys, ["verify", "--config", config(tmp_path, 200.0), "--level", "quick"])
+
+    @pytest.mark.parametrize("R, nu", [("1", "nan"), ("inf", "0.5"), ("nan", "0.5")])
+    def test_non_finite_point(self, capsys, cfg2, R, nu):
+        self.expect_domain(capsys, ["eval", "--config", cfg2, "--R", R, "--nu", nu])
+
+    def test_overflowing_potential(self, capsys, cfg0, tmp_path):
+        coeffs = tmp_path / "c.json"
+        coeffs.write_text(
+            '{"mu": 0.0, "R0": 1.0, "convention": "R_over_R0", "a": [1e308, 1e308], "b": []}'
+        )
+        argv = ["eval", "--config", cfg0, "--R", "0.9", "--coeffs", str(coeffs), "--nu"]
+        self.expect_domain(capsys, argv + ["1.5"])
+        # the same file stays finite, and valid JSON, where the sum does
+        rc, out, _ = run(capsys, argv + ["0.1"])
+        assert rc == 0
+        assert json.loads(out)["V"] < 1.8e308
+
+
 class TestGrid:
     def test_constant_potential(self, capsys, cfg2, tmp_path):
         coeffs = tmp_path / "c.json"
@@ -231,6 +276,13 @@ class TestGrid:
 
 
 class TestVerify:
+    def test_large_mu_quick_passes(self, capsys, tmp_path):
+        # the finite-difference harmonicity checks go through the closed-form
+        # Cartesian path; the nu round trip failed them at mu = 20
+        rc, out, _ = run(capsys, ["verify", "--config", config(tmp_path, 20.0), "--level", "quick"])
+        assert rc == 0
+        assert "FAIL" not in out
+
     def test_spherical_quick_passes(self, capsys, cfg0, tmp_path):
         report = tmp_path / "report.json"
         rc, out, _ = run(

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from sosharmonics.coords import (
     sos_to_cartesian,
 )
 from sosharmonics.errors import DegenerateOriginError, PoleLimitError
+from sosharmonics.harmonic import s_at_point
 from sosharmonics.series import w_border
 from sosharmonics.trig import trig_auto
 
@@ -39,6 +41,11 @@ class TestConfig:
             SosPoint(R=-1.0, nu=0.0)
         with pytest.raises(ValueError):
             SosPoint(R=1.0, nu=2.0)
+
+    @pytest.mark.parametrize("R, nu", [(math.inf, 0.5), (math.nan, 0.5), (1.0, math.nan)])
+    def test_point_rejects_non_finite(self, R, nu):
+        with pytest.raises(ValueError):
+            SosPoint(R=R, nu=nu)
 
 
 class TestComputeW:
@@ -221,6 +228,41 @@ class TestInverseTransform:
         assert p1.R == pytest.approx(p0.R, rel=1e-9)
         assert p1.nu == pytest.approx(p0.nu, abs=1e-9)
         assert p1.lam == pytest.approx(p0.lam, abs=1e-9)
+
+
+class TestTinyNu:
+    """The inverse transform keeps full relative accuracy down to nu ~ 1e-40.
+
+    The reference nu solves (R/R0)^mu sin(nu)/cos(nu)^(1+mu) = W(s) in 40
+    digits, with R and s = (1+mu) z / R in closed form; s_at_point must give
+    back that s.
+    """
+
+    CFG20 = SystemConfig(mu=20.0, R0=1.0)
+
+    @pytest.mark.parametrize("z", [0.0362, 3.62e-7, 3.62e-12, 3.62e-22, 3.62e-25])
+    def test_nu_and_s_match_closed_inversion(self, z):
+        c = CartesianPoint(5.936, 0.0, z)
+        p = cartesian_to_sos(c, self.CFG20)
+        with mpmath.workdps(40):
+            R = mpmath.sqrt(mpmath.mpf(c.x) ** 2 + 21 * mpmath.mpf(z) ** 2)
+            s = 21 * mpmath.mpf(z) / R
+            t = s * s / 21
+            log_target = mpmath.log(mpmath.sqrt(t) / (1 - t) ** 10.5) - 20 * mpmath.log(R)
+
+            def g(u):
+                nu = mpmath.exp(u)
+                return mpmath.log(mpmath.sin(nu)) - 21 * mpmath.log(mpmath.cos(nu)) - log_target
+
+            nu_ref = float(mpmath.exp(mpmath.findroot(g, log_target)))
+            s_ref = float(s)
+        assert p.nu == pytest.approx(nu_ref, rel=1e-12)
+        assert s_at_point(p.R, p.nu, self.CFG20) == pytest.approx(s_ref, rel=1e-12)
+
+    def test_below_float_range_is_zero(self):
+        # nu ~ 1e-330 is not representable: the equator value comes back
+        p = cartesian_to_sos(CartesianPoint(1e15, 0.0, 1e-20), self.CFG20)
+        assert p.nu == 0.0
 
 
 class TestGeometricInvariants:

@@ -1,0 +1,161 @@
+"""The closed-form Cartesian path of `grid` and `eval_V_cartesian`.
+
+Every grid quantity is compared with a 40-digit mpmath evaluation of the
+closed forms R = sqrt(x^2 + (1+mu) z^2), s = (1+mu) z / R,
+h_R = sqrt((1+mu)/((1+mu) + mu s^2)), W = sqrt(t)/(1-t)^((1+mu)/2) with
+t = s^2/(1+mu), and V by the value recursion of P_n and T_n.
+"""
+
+import math
+
+import mpmath
+import pytest
+
+from sosharmonics import cli, harmonic
+from sosharmonics.cli import GridSpec, grid_values, main
+from sosharmonics.coords import CartesianPoint, SystemConfig
+from sosharmonics.errors import DegenerateOriginError
+from sosharmonics.harmonic import HarmonicSolution, cartesian_R_s, eval_V_cartesian
+from sosharmonics.trig import s_limit
+
+from _oracles import mp_cartesian_R_s, mp_potential
+
+MUS = [0.0, 0.5, 2.0, 20.0]
+REL = 1e-12
+A = (0.7, -1.3, 0.4, 0.25, -0.6)
+B = (0.3, -0.2, 0.15)
+# nx = 15 puts the first column off the axis at x = X/14; the first row is z = 0
+SPEC = GridSpec(x_min=0.0, x_max=2.0, z_min=0.0, z_max=1.3, nx=15, nz=9)
+
+
+def grid(mu, quantity):
+    cfg = SystemConfig(mu=mu, R0=1.0)
+    sol = HarmonicSolution(a=A, b=B, cfg=cfg) if quantity == "V" else None
+    return list(grid_values(cfg, SPEC, quantity, sol))
+
+
+@mpmath.workdps(40)
+def oracle(quantity, x, z, mu):
+    """(value, scale) of one cell; the error is measured relative to scale."""
+    R, s = mp_cartesian_R_s(x, 0.0, z, mu)
+    e = 1 + mpmath.mpf(mu)
+    if quantity == "s":
+        return float(s), abs(float(s))
+    if quantity == "hR":
+        v = float(mpmath.sqrt(e / (e + mu * s * s)))
+        return v, v
+    if quantity == "W":
+        t = s * s / e
+        v = float(mpmath.sqrt(t) / (1 - t) ** (e / 2))
+        return v, v
+    return mp_potential(A, B, R, s, mu)
+
+
+@pytest.mark.parametrize("mu", MUS)
+@pytest.mark.parametrize("quantity", ["s", "hR", "W", "V"])
+def test_grid_matches_mpmath_closed_form(mu, quantity):
+    # on the z = 0 row s and W are 0 and so is their scale: they must be exact
+    checked = 0
+    for x, z, value in grid(mu, quantity):
+        if x == 0.0 and (z == 0.0 or quantity in ("W", "V")):
+            continue  # empty cells, pinned below
+        ref, scale = oracle(quantity, x, z, mu)
+        assert value is not None
+        assert abs(value - ref) <= REL * scale, (x, z, value, ref)
+        checked += 1
+    assert checked == (SPEC.nx - 1) * SPEC.nz + (SPEC.nz - 1 if quantity in ("s", "hR") else 0)
+
+
+@pytest.mark.parametrize("mu", MUS)
+def test_empty_cells_origin_and_axis(mu):
+    lim = s_limit(mu)
+    for quantity in ("s", "hR", "W", "V"):
+        cells = {(x, z): v for x, z, v in grid(mu, quantity)}
+        assert cells[(0.0, 0.0)] is None
+        for (x, z), v in cells.items():
+            if x == 0.0 and z > 0.0:
+                if quantity in ("W", "V"):
+                    assert v is None  # W diverges; V has second-kind terms
+                elif quantity == "s":
+                    assert v == lim
+                else:
+                    assert v == pytest.approx(1.0 / math.sqrt(1.0 + mu), rel=1e-15)
+            elif (x, z) != (0.0, 0.0):
+                assert v is not None
+    # without second-kind terms V is finite on the axis
+    cfg = SystemConfig(mu=mu, R0=1.0)
+    sol = HarmonicSolution(a=A, b=(), cfg=cfg)
+    axis = [v for x, z, v in grid_values(cfg, SPEC, "V", sol) if x == 0.0 and z > 0.0]
+    assert all(v is not None for v in axis)
+
+
+def test_W_overflow_is_an_empty_cell(tmp_path):
+    # near the axis at mu = 200, (R/x)^(1+mu) leaves the float range
+    cfg = SystemConfig(mu=200.0, R0=1.0)
+    spec = GridSpec(x_min=0.0, x_max=1e-3, z_min=0.0, z_max=1.0, nx=3, nz=3)
+    values = {(x, z): v for x, z, v in grid_values(cfg, spec, "W")}
+    assert values[(5e-4, 1.0)] is None
+    assert values[(1e-3, 0.0)] == 0.0
+    config = tmp_path / "cfg.json"
+    config.write_text('{"mu": 200.0, "R0": 1.0}')
+    out = tmp_path / "w.csv"
+    argv = ["grid", "--config", str(config), "--x-min", "0", "--x-max", "1e-3",
+            "--z-min", "0", "--z-max", "1", "--nx", "3", "--nz", "3",
+            "--quantity", "W", "-o", str(out)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert all(v == "" or math.isfinite(float(v)) for _, _, v in rows)
+    assert rows[-2][2] == ""
+
+
+def test_no_root_finding_or_series_on_the_cartesian_path(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed-form Cartesian path took the nu round trip")
+
+    for module, name in [
+        (cli, "cartesian_to_sos"), (cli, "compute_W"), (cli, "trig_auto"),
+        (harmonic, "s_at_point"), (harmonic, "compute_W"), (harmonic, "trig_auto"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    for quantity in ("s", "hR", "W", "V"):
+        assert sum(v is not None for _, _, v in grid(2.0, quantity)) > 0
+    sol = HarmonicSolution(a=A, b=B, cfg=SystemConfig(mu=2.0, R0=1.0))
+    assert math.isfinite(eval_V_cartesian(sol, CartesianPoint(0.4, -0.3, 0.5)))
+
+
+class TestCartesianRS:
+    def test_origin_raises(self):
+        with pytest.raises(DegenerateOriginError):
+            cartesian_R_s(0.0, 0.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_axis_is_exact(self, mu):
+        lim = s_limit(mu)
+        assert cartesian_R_s(0.0, 0.0, 0.7, mu)[1] == lim
+        assert cartesian_R_s(0.0, 0.0, -0.7, mu)[1] == -lim
+
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 2.0, 3.0, 7.0, 20.0, 99.0])
+    def test_near_axis_stays_in_range(self, mu):
+        lim = s_limit(mu)
+        for z in (1e-3, 0.3, 1.0, 7.0, 1e5):
+            for x in (1e-300, 1e-200, 1e-17 * z):
+                _, s = cartesian_R_s(x, 0.0, z, mu)
+                assert 0.0 < s <= lim
+                _, s = cartesian_R_s(x, 0.0, -z, mu)
+                assert -lim <= s < 0.0
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_off_plane_matches_mpmath(self, mu):
+        for x, y, z in [(0.3, 0.4, 0.5), (-1.2, 0.1, -0.05), (1e-3, -2e-3, 3.0), (5.0, 0.0, 1e-9)]:
+            R, s = cartesian_R_s(x, y, z, mu)
+            R_ref, s_ref = mp_cartesian_R_s(x, y, z, mu)
+            assert R == pytest.approx(float(R_ref), rel=REL)
+            assert s == pytest.approx(float(s_ref), rel=REL)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_eval_V_cartesian_matches_mpmath(self, mu):
+        sol = HarmonicSolution(a=A, b=B, cfg=SystemConfig(mu=mu, R0=1.0))
+        for x, y, z in [(0.3, 0.4, 0.5), (-1.2, 0.1, -0.05), (0.05, 0.0, 0.9), (1.7, 0.0, 0.0)]:
+            R, s = mp_cartesian_R_s(x, y, z, mu)
+            ref, scale = mp_potential(A, B, R, s, mu)
+            assert abs(eval_V_cartesian(sol, CartesianPoint(x, y, z)) - ref) <= REL * scale

@@ -6,7 +6,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosharmonics import verify
+from sosharmonics import legendre, verify
 from sosharmonics.errors import PoleDivergenceError
 from sosharmonics.legendre import (
     d2q0_ds2,
@@ -94,6 +94,18 @@ class TestFirstKind:
         assert eval_poly(p_poly(2, mu), lim) == pytest.approx(
             1.0 / (1.0 + mu), rel=1e-12
         )
+
+
+class TestCoefficientCache:
+    def test_bounded_over_a_mu_scan(self):
+        cache = legendre._recursion_coeffs
+        assert cache.cache_info().maxsize >= 1024
+        ref = p_poly(20, 0.7).coeffs
+        for k in range(2000):
+            p_poly(20, 1.0 + k * 1e-3)
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize
+        # entries evicted and rebuilt give the same coefficients
+        assert p_poly(20, 0.7).coeffs == ref
 
 
 class TestTPolynomials:
