@@ -39,7 +39,6 @@ from .harmonic import (
 )
 from .legendre import (
     GenLegendrePoly,
-    SecondKindFn,
     eval_poly,
     eval_poly_deriv,
     eval_q,

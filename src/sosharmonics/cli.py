@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import verify as verify_mod
 from .coords import (
+    _HALF_PI,
     CartesianPoint,
     SosPoint,
     SystemConfig,
@@ -45,8 +46,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-_HALF_PI = math.pi / 2
 
 
 class UsageError(Exception):
@@ -160,13 +159,14 @@ def cmd_eval(args) -> int:
 def _grid_value(cfg, quantity, sol, x, z):
     """One grid sample from the closed-form R and s = (1+mu) z / R.
 
-    Returns None for points with no value: the origin, W on the axis or
-    beyond the float range, and V with second-kind terms on the axis."""
+    Returns None for points with no value: the origin, W on the axis, W or
+    V beyond the float range, and V with second-kind terms on the axis."""
     mu = cfg.mu
     try:
         R, s = cartesian_R_s(x, 0.0, z, mu)
         if quantity == "V":
-            return eval_V(sol, R, s)
+            V = eval_V(sol, R, s)
+            return V if math.isfinite(V) else None
     except SosError:
         return None
     if quantity == "s":

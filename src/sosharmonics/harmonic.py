@@ -3,9 +3,11 @@
     V(R, s) = sum_n a_n R^n P_n(s) + sum_n b_n R^n Q_n(s)
 
 with the generalized Legendre functions P_n, Q_n of the legendre module and
-s = f_S/h_R obtained from the position.  Degrees are dense 0..N; radial
-factors are computed as (R/R0)^n with R0^n folded into scaled coefficients,
-which is also the convention of the JSON coefficient file
+s = f_S/h_R obtained from the position.  P_n and Q_n come from one run of
+the value recursion (over all samples at once in `fit_boundary`), never
+from power-basis coefficients.  Degrees are dense 0..N; radial factors are
+computed as (R/R0)^n with R0^n folded into scaled coefficients, which is
+also the convention of the JSON coefficient file
 ({"mu", "R0", "convention": "R_over_R0", "a", "b"}).
 """
 
@@ -14,11 +16,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from . import legendre
 from .coords import (
+    _HALF_PI,
     CartesianPoint,
     SosPoint,
     SystemConfig,
@@ -33,8 +37,6 @@ from .errors import (
     StencilOutOfDomainError,
 )
 from .trig import s_limit, s_on_reference, trig_auto
-
-_HALF_PI = math.pi / 2
 
 FILE_CONVENTION = "R_over_R0"
 
@@ -106,31 +108,24 @@ def eval_V(sol: HarmonicSolution, R: float, s: float) -> float:
         raise ValueError("s outside [-sqrt(1+mu), sqrt(1+mu)]")
     if R <= 0.0:
         raise ValueError("R must be positive")
+    p, t = legendre.values(max(len(sol.a), len(sol.b), 1) - 1, s, mu)
+    if sol.has_second_kind:
+        # the q0 logarithm is shared by every degree; it raises on the axis
+        q0 = legendre.q0(s, mu)
+        g = math.sqrt((1.0 + mu) ** 2 - mu * s * s)
     rr = R / sol.cfg.R0
     total = 0.0
     pw = 1.0
     scale = 1.0
-    for n, an in enumerate(sol.a):
+    for n, (an, bn) in enumerate(zip_longest(sol.a, sol.b, fillvalue=0.0)):
         if n > 0:
             pw *= rr
             scale *= sol.cfg.R0
+        # zero coefficients are skipped, so an overflowing R^n cannot give NaN
         if an != 0.0:
-            total += an * scale * pw * legendre.eval_poly(legendre.p_poly(n, mu), s)
-    if sol.has_second_kind:
-        # the q0 logarithm is shared by every degree
-        q0 = legendre.q0(s, mu)
-        g = math.sqrt((1.0 + mu) ** 2 - mu * s * s)
-        pw = 1.0
-        scale = 1.0
-        for n, bn in enumerate(sol.b):
-            if n > 0:
-                pw *= rr
-                scale *= sol.cfg.R0
-            if bn != 0.0:
-                qn = legendre.eval_poly(legendre.p_poly(n, mu), s) * q0 - legendre.eval_poly(
-                    legendre.t_poly(n, mu), s
-                ) * g
-                total += bn * scale * pw * qn
+            total += an * scale * pw * p[n]
+        if bn != 0.0:
+            total += bn * scale * pw * (p[n] * q0 - t[n] * g)
     return total
 
 
@@ -242,13 +237,12 @@ def fit_boundary(
     ):
         raise PoleDivergenceError("second-kind fit cannot use samples at |nu| = pi/2")
 
-    design = np.empty((len(nus), n_cols))
-    for n in range(N + 1):
-        poly = legendre.p_poly(n, mu)
-        design[:, n] = [legendre.eval_poly(poly, s) for s in svals]
+    p, t = legendre.values(N, svals, mu)
     if include_second_kind:
-        for n in range(N + 1):
-            design[:, N + 1 + n] = [legendre.eval_q(n, s, mu) for s in svals]
+        q0 = np.array([legendre.q0(s, mu) for s in svals])
+        g = np.sqrt((1.0 + mu) ** 2 - mu * svals * svals)
+        p += [pn * q0 - tn * g for pn, tn in zip(p, t)]
+    design = np.column_stack(p)
 
     coef, _, rank, sv = np.linalg.lstsq(design, vals, rcond=None)
     if rank < n_cols:

@@ -13,16 +13,17 @@ where T_n follows the same recursion from T_0 = 0, T_1 = 1/(1+mu), and Q_0
 is a logarithm with a singularity on the rotation axis |s| = sqrt(1+mu).
 At mu = 0 everything reduces to the classical Legendre P_n and Q_n.
 
-Closed reference forms for n <= 6 (exact bracket polynomials in mu with
-rational normalizers) are kept separate from the recursion so the two can
-certify each other.
+Every evaluation runs this recursion on values (`values`, `value_derivs`),
+which stays accurate at high degree, where power-basis coefficients cancel.
+The coefficients (`p_poly`, `t_poly`) are kept only as the witness checked
+against closed reference forms for n <= 6 (exact bracket polynomials in mu
+with rational normalizers), kept separate so the two certify each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import PoleDivergenceError
 
@@ -38,55 +39,77 @@ class GenLegendrePoly:
     mu: float
 
 
-@dataclass(frozen=True)
-class SecondKindFn:
-    """Q_n as the pair (P_n, T_n) entering the log/sqrt composition."""
-
-    degree: int
-    p_part: GenLegendrePoly
-    t_part: GenLegendrePoly
-    mu: float
+def _step(m: int, mu: float) -> tuple[float, float]:
+    """(c_s, c_0) of the step F_(m+1) = c_s s F_m - c_0 (1 - mu s^2/(1+mu)^2) F_(m-1)."""
+    return (2.0 * m + 1.0) / (m + 1.0) / (1.0 + mu), m / (m + 1.0)
 
 
-# Keyed on float mu, so a scan over many mu needs the bound; 1024 entries
-# hold P_n and T_n of degrees 0..24 for 20 values of mu at once.
-@lru_cache(maxsize=1024)
-def _recursion_coeffs(n: int, mu: float, t_seed: bool) -> tuple[float, ...]:
-    if n == 0:
-        return (0.0,) if t_seed else (1.0,)
-    if n == 1:
-        return (1.0 / (1.0 + mu), 0.0) if t_seed else (0.0, 1.0 / (1.0 + mu))
-    prev2 = _recursion_coeffs(n - 2, mu, t_seed)
-    prev1 = _recursion_coeffs(n - 1, mu, t_seed)
-    m = n - 1
-    out = [0.0] * (n + 1)
-    c_s = (2.0 * m + 1.0) / (m + 1.0) / (1.0 + mu)
-    c_0 = m / (m + 1.0)
-    c_2 = c_0 * mu / (1.0 + mu) ** 2
-    for j, c in enumerate(prev1):
-        out[j + 1] += c_s * c
-    for j, c in enumerate(prev2):
-        out[j] -= c_0 * c
-        out[j + 2] += c_2 * c
-    return tuple(out)
+def values(N: int, s, mu: float) -> tuple[list, list]:
+    """[P_0..P_N] and [T_0..T_N] at s, a float or a numpy array; every
+    value has the type and shape of s."""
+    if N < 0:
+        raise ValueError("degree must be non-negative")
+    e = 1.0 + mu
+    damp = 1.0 - mu * s * s / (e * e)
+    zero = 0.0 * s  # a float or an array, like s
+    p, t = [zero + 1.0, s / e], [zero, zero + 1.0 / e]
+    for m in range(1, N):
+        c_s, c_0 = _step(m, mu)
+        u, v = c_s * s, c_0 * damp
+        p.append(u * p[m] - v * p[m - 1])
+        t.append(u * t[m] - v * t[m - 1])
+    return p[: N + 1], t[: N + 1]
+
+
+def value_derivs(N: int, s: float, mu: float) -> tuple[list, list]:
+    """(F, F', F'') triples of P_0..P_N and of T_0..T_N at s, by the value
+    recursion differentiated once and twice."""
+    if N < 0:
+        raise ValueError("degree must be non-negative")
+    e = 1.0 + mu
+    # the damping factor of the step and its first two s-derivatives
+    damp = 1.0 - mu * s * s / (e * e)
+    damp1, damp2 = -2.0 * mu * s / (e * e), -2.0 * mu / (e * e)
+
+    def run(f):
+        for m in range(1, N):
+            c_s, c_0 = _step(m, mu)
+            (f0, df0, d2f0), (f1, df1, d2f1) = f[m - 1], f[m]
+            f.append((
+                c_s * s * f1 - c_0 * damp * f0,
+                c_s * (f1 + s * df1) - c_0 * (damp * df0 + damp1 * f0),
+                c_s * (2.0 * df1 + s * d2f1) - c_0 * (damp * d2f0 + 2.0 * damp1 * df0 + damp2 * f0),
+            ))
+        return f[: N + 1]
+
+    return run([(1.0, 0.0, 0.0), (s / e, 1.0 / e, 0.0)]), run([(0.0,) * 3, (1.0 / e, 0.0, 0.0)])
+
+
+def _witness(n: int, mu: float, prev: list, cur: list) -> GenLegendrePoly:
+    """Power-basis coefficients of the degree-n member seeded with prev, cur."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    for m in range(1, n):
+        c_s, c_0 = _step(m, mu)
+        c_2 = c_0 * mu / (1.0 + mu) ** 2
+        nxt = [0.0] * (m + 2)
+        for j, c in enumerate(cur):
+            nxt[j + 1] += c_s * c
+        for j, c in enumerate(prev):
+            nxt[j] -= c_0 * c
+            nxt[j + 2] += c_2 * c
+        prev, cur = cur, nxt
+    return GenLegendrePoly(degree=n, coeffs=tuple(cur if n else prev), mu=mu)
 
 
 def p_poly(n: int, mu: float) -> GenLegendrePoly:
-    """First-kind polynomial P_n by the three-term recursion."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    return GenLegendrePoly(degree=n, coeffs=_recursion_coeffs(n, mu, False), mu=mu)
+    """Power-basis witness of P_n, for the closed-table checks."""
+    return _witness(n, mu, [1.0], [0.0, 1.0 / (1.0 + mu)])
 
 
 def t_poly(n: int, mu: float) -> GenLegendrePoly:
-    """Polynomial part T_n of the second-kind composition (same recursion)."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    return GenLegendrePoly(degree=n, coeffs=_recursion_coeffs(n, mu, True), mu=mu)
-
-
-def second_kind(n: int, mu: float) -> SecondKindFn:
-    return SecondKindFn(degree=n, p_part=p_poly(n, mu), t_part=t_poly(n, mu), mu=mu)
+    """Power-basis witness of T_n, the polynomial part of Q_n."""
+    return _witness(n, mu, [0.0], [1.0 / (1.0 + mu), 0.0])
 
 
 def eval_poly(p: GenLegendrePoly, s: float) -> float:
@@ -152,25 +175,19 @@ def d2q0_ds2(s: float, mu: float) -> float:
 def eval_q(n: int, s: float, mu: float) -> float:
     """Second-kind function Q_n(s) via the P/T composition."""
     _check_q_domain(s, mu)
-    fn = second_kind(n, mu)
+    p, t = values(n, s, mu)
     g = math.sqrt((1.0 + mu) ** 2 - mu * s * s)
-    return eval_poly(fn.p_part, s) * q0(s, mu) - eval_poly(fn.t_part, s) * g
+    return p[n] * q0(s, mu) - t[n] * g
 
 
 def eval_q_derivs(n: int, s: float, mu: float) -> tuple[float, float, float]:
     """(Q_n, Q_n', Q_n'') by the product rule with analytic q0 derivatives."""
     _check_q_domain(s, mu)
-    fn = second_kind(n, mu)
+    (P, dP, d2P), (T, dT, d2T) = (f[n] for f in value_derivs(n, s, mu))
     g2 = (1.0 + mu) ** 2 - mu * s * s
     g = math.sqrt(g2)
     dg = -mu * s / g
     d2g = -mu / g - mu * mu * s * s / (g2 * g)
-    P = eval_poly(fn.p_part, s)
-    dP = eval_poly_deriv(fn.p_part, s, 1)
-    d2P = eval_poly_deriv(fn.p_part, s, 2)
-    T = eval_poly(fn.t_part, s)
-    dT = eval_poly_deriv(fn.t_part, s, 1)
-    d2T = eval_poly_deriv(fn.t_part, s, 2)
     q = q0(s, mu)
     dq = dq0_ds(s, mu)
     d2q = d2q0_ds2(s, mu)

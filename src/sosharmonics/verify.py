@@ -432,13 +432,10 @@ def ode_checks(mu: float, n_max: int = 10, n_s: int = 50) -> list[CheckResult]:
     lim = s_limit(mu)
     svals = np.linspace(0.05, 0.95, n_s) * lim
     worst_p = worst_q = 0.0
-    for n in range(n_max + 1):
-        poly = legendre.p_poly(n, mu)
-        for s in svals:
-            s = float(s)
-            F = legendre.eval_poly(poly, s)
-            dF = legendre.eval_poly_deriv(poly, s, 1)
-            d2F = legendre.eval_poly_deriv(poly, s, 2)
+    for s in svals:
+        s = float(s)
+        p, _ = legendre.value_derivs(n_max, s, mu)
+        for n, (F, dF, d2F) in enumerate(p):
             res = legendre.ode_residual(F, dF, d2F, s, n, mu)
             worst_p = max(worst_p, abs(res) / (1.0 + abs(F) + abs(dF) + abs(d2F)))
             Q, dQ, d2Q = legendre.eval_q_derivs(n, s, mu)
@@ -454,26 +451,20 @@ def structure_checks(mu: float) -> list[CheckResult]:
     """Parity, pole values and the non-orthogonality witness."""
     r_parity = 0.0
     for n in range(9):
-        poly = legendre.p_poly(n, mu)
-        for j, c in enumerate(poly.coeffs):
+        for j, c in enumerate(legendre.p_poly(n, mu).coeffs):
             if (j - n) % 2 != 0:
                 r_parity = max(r_parity, abs(c))
-        for s in (0.3, 0.7):
-            r_parity = max(
-                r_parity,
-                abs(
-                    legendre.eval_poly(poly, -s)
-                    - (-1.0) ** n * legendre.eval_poly(poly, s)
-                ),
-            )
+    for s in (0.3, 0.7):
+        pos, _ = legendre.values(8, s, mu)
+        neg, _ = legendre.values(8, -s, mu)
+        for n in range(9):
+            r_parity = max(r_parity, abs(neg[n] - (-1.0) ** n * pos[n]))
     r_parity = max(r_parity, abs(legendre.q0(0.2, mu) + legendre.q0(-0.2, mu)))
 
     lim = s_limit(mu)
-    r_pole = abs(legendre.eval_poly(legendre.p_poly(2, mu), lim) - 1.0 / (1.0 + mu))
-    finite_ok = all(
-        math.isfinite(legendre.eval_poly(legendre.p_poly(n, mu), lim)) for n in range(11)
-    )
-    if not finite_ok:
+    pole, _ = legendre.values(10, lim, mu)
+    r_pole = abs(pole[2] - 1.0 / (1.0 + mu))
+    if not all(math.isfinite(v) for v in pole):
         r_pole = math.inf
 
     # negative control: for oblate families P1 and P3 are NOT orthogonal
@@ -483,9 +474,8 @@ def structure_checks(mu: float) -> list[CheckResult]:
         # np.trapezoid is numpy >= 2.0; np.trapz (gone in 2.4) only as fallback
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
         ss = np.linspace(-lim, lim, 4001)
-        p1 = np.array([legendre.eval_poly(legendre.p_poly(1, mu), float(s)) for s in ss])
-        p3 = np.array([legendre.eval_poly(legendre.p_poly(3, mu), float(s)) for s in ss])
-        overlap = float(trapezoid(p1 * p3, ss))
+        p, _ = legendre.values(3, ss, mu)
+        overlap = float(trapezoid(p[1] * p[3], ss))
         r_witness = 0.0 if (mu == 0.0) == (abs(overlap) < 1e-3) else 1.0
     else:
         r_witness = 0.0

@@ -71,26 +71,40 @@ def mp_cartesian_R_s(x, y, z, mu):
         return R, (1 + mu) * z / R
 
 
-def mp_potential(a, b, R, s, mu):
-    """(V, scale) of sum a_n R^n P_n(s) + b_n R^n Q_n(s), R0 = 1, in 40 digits.
+def mp_legendre(n_max, s, mu):
+    """(P, T, Q) lists of degrees 0..n_max at s, as 60-digit mpf values.
 
     P_n and T_n come from the Bonnet-like value recursion (no power basis),
-    Q_n = P_n q0 - T_n sqrt((1+mu)^2 - mu s^2).  scale is the sum of the
-    absolute terms, which bounds the size of every partial sum.
+    Q_n = P_n q0 - T_n sqrt((1+mu)^2 - mu s^2); Q is None on the axis
+    |s| = sqrt(1+mu), where q0 diverges.  Inputs are taken as the exact
+    binary values of the floats given.
     """
-    with mpmath.workdps(40):
-        R, s, mu = (mpmath.mpf(v) for v in (R, s, mu))
+    with mpmath.workdps(60):
+        s, mu = mpmath.mpf(s), mpmath.mpf(mu)
         e = 1 + mu
-        n_max = max(len(a), len(b), 2)
         p, t = [mpmath.mpf(1), s / e], [mpmath.mpf(0), 1 / e]
         for m in range(1, n_max):
             c1 = mpmath.mpf(2 * m + 1) / (m + 1) * s / e
             c0 = mpmath.mpf(m) / (m + 1) * (1 - mu * s * s / (e * e))
             p.append(c1 * p[m] - c0 * p[m - 1])
             t.append(c1 * t[m] - c0 * t[m - 1])
+        p, t = p[: n_max + 1], t[: n_max + 1]
+        if s * s >= e:
+            return p, t, None
+        g = mpmath.sqrt(e * e - mu * s * s)
+        q0 = mpmath.log((s + g) ** 2 / (e * (e - s * s))) / 2
+        return p, t, [pn * q0 - tn * g for pn, tn in zip(p, t)]
+
+
+def mp_potential(a, b, R, s, mu):
+    """(V, scale) of sum a_n R^n P_n(s) + b_n R^n Q_n(s), R0 = 1, in 40 digits.
+
+    P_n and Q_n come from `mp_legendre`.  scale is the sum of the absolute
+    terms, which bounds the size of every partial sum.
+    """
+    p, _, q = mp_legendre(max(len(a), len(b), 2), s, mu)
+    with mpmath.workdps(40):
+        R = mpmath.mpf(R)
         terms = [an * R**n * p[n] for n, an in enumerate(a)]
-        if b:
-            g = mpmath.sqrt(e * e - mu * s * s)
-            q0 = mpmath.log((s + g) ** 2 / (e * (e - s * s))) / 2
-            terms += [bn * R**n * (p[n] * q0 - t[n] * g) for n, bn in enumerate(b)]
+        terms += [bn * R**n * q[n] for n, bn in enumerate(b)]
         return float(mpmath.fsum(terms)), float(mpmath.fsum(abs(v) for v in terms))

@@ -283,6 +283,13 @@ class TestVerify:
         assert rc == 0
         assert "FAIL" not in out
 
+    def test_large_mu_full_passes(self, capsys, tmp_path):
+        # with P_n and Q_n evaluated from power-basis coefficients the full
+        # sweep failed harmonic.fd_decay_ratio here (0.82 > 0.5)
+        rc, out, _ = run(capsys, ["verify", "--config", config(tmp_path, 20.0), "--level", "full"])
+        assert rc == 0
+        assert "FAIL" not in out
+
     def test_spherical_quick_passes(self, capsys, cfg0, tmp_path):
         report = tmp_path / "report.json"
         rc, out, _ = run(

@@ -108,6 +108,36 @@ def test_W_overflow_is_an_empty_cell(tmp_path):
     assert rows[-2][2] == ""
 
 
+@pytest.mark.parametrize("extent", ["1e200", "2e154"])
+def test_V_beyond_float_range_is_an_empty_cell(tmp_path, extent):
+    # R^2 P_2 leaves the float range; at extent 2e154 only some cells do
+    config = tmp_path / "cfg.json"
+    config.write_text('{"mu": 2.0, "R0": 1.0}')
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text('{"mu": 2.0, "R0": 1.0, "convention": "R_over_R0", "a": [1, 0, 1], "b": [0.5]}')
+    out = tmp_path / "v.csv"
+    argv = ["grid", "--config", str(config), "--coeffs", str(coeffs),
+            "--x-min", "0", "--x-max", extent, "--z-min", "0", "--z-max", extent,
+            "--nx", "5", "--nz", "5", "--quantity", "V", "-o", str(out)]
+    assert main(argv) == 0
+    text = out.read_text()
+    assert "inf" not in text and "nan" not in text
+    sol = harmonic.load_solution(coeffs)
+    finite = 0
+    for line in text.splitlines()[1:]:
+        x, z, value = (float(v) if v else None for v in line.split(","))
+        if x == 0.0:
+            assert value is None  # origin, or second-kind terms on the axis
+            continue
+        V = harmonic.eval_V(sol, *cartesian_R_s(x, 0.0, z, 2.0))
+        if math.isfinite(V):
+            finite += 1
+            assert value == V
+        else:
+            assert value is None
+    assert finite == (4 if extent == "2e154" else 0)  # of 20 cells off the axis
+
+
 def test_no_root_finding_or_series_on_the_cartesian_path(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the closed-form Cartesian path took the nu round trip")

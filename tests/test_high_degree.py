@@ -1,0 +1,98 @@
+"""High-degree accuracy of the value recursion against 60-digit mpmath.
+
+The power basis (p_poly/t_poly evaluated by Horner) cancels at these
+degrees; every evaluation path has to stay at rounding level here.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from sosharmonics.coords import SystemConfig
+from sosharmonics.harmonic import HarmonicSolution, eval_V, fit_boundary
+from sosharmonics.legendre import eval_q, eval_q_derivs, ode_residual, value_derivs, values
+from sosharmonics.trig import s_limit
+
+from _oracles import mp_legendre, mp_potential
+
+MU_GRID = [0.0, 0.5, 2.0, 20.0]
+S_FRACS = [-0.999, -0.7, -0.31, 0.0, 0.05, 0.5, 0.93, 0.999]
+
+
+def _rel(got, ref):
+    return abs(got - float(ref)) / max(1.0, abs(float(ref)))
+
+
+@pytest.mark.parametrize("mu", MU_GRID)
+def test_values_to_degree_100(mu):
+    for frac in S_FRACS:
+        s = frac * s_limit(mu)
+        p, t = values(100, s, mu)
+        P, T, _ = mp_legendre(100, s, mu)
+        assert len(p) == len(t) == 101
+        assert max(_rel(g, r) for g, r in zip(p, P)) <= 1e-13
+        assert max(_rel(g, r) for g, r in zip(t, T)) <= 1e-13
+
+
+@pytest.mark.parametrize("mu", MU_GRID)
+def test_values_of_an_array_match_the_scalars(mu):
+    ss = np.array(S_FRACS) * s_limit(mu)
+    p, t = values(100, ss, mu)
+    for k, s in enumerate(ss):
+        ps, ts = values(100, float(s), mu)
+        assert [v[k] for v in p] == ps
+        assert [v[k] for v in t] == ts
+
+
+@pytest.mark.parametrize("mu", MU_GRID)
+def test_eval_q_to_degree_100(mu):
+    for frac in S_FRACS:
+        s = frac * s_limit(mu)
+        _, _, Q = mp_legendre(100, s, mu)
+        assert max(_rel(eval_q(n, s, mu), Q[n]) for n in range(101)) <= 1e-13
+
+
+@pytest.mark.parametrize("mu", MU_GRID)
+def test_eval_V_degree_60(mu):
+    rng = random.Random(60)
+    a = [rng.uniform(-1.0, 1.0) for _ in range(61)]
+    b = [rng.uniform(-1.0, 1.0) for _ in range(61)]
+    sol = HarmonicSolution(a=a, b=b, cfg=SystemConfig(mu=mu, R0=1.0))
+    for R in (0.5, 1.0):
+        for frac in (-0.95, -0.4, 0.0, 0.2, 0.7, 0.95):
+            s = frac * s_limit(mu)
+            ref, scale = mp_potential(a, b, R, s, mu)
+            assert abs(eval_V(sol, R, s) - ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("mu", MU_GRID)
+def test_ode_residual_degree_60(mu):
+    for frac in np.linspace(0.05, 0.95, 23):
+        s = float(frac * s_limit(mu))
+        p, _ = value_derivs(60, s, mu)
+        for F in (p[60], eval_q_derivs(60, s, mu)):
+            res = ode_residual(*F, s, 60, mu)
+            assert abs(res) / (1.0 + sum(abs(v) for v in F)) <= 1e-10
+
+
+@pytest.mark.parametrize("mu", MU_GRID)
+def test_value_derivs_values_match_values(mu):
+    s = 0.43 * s_limit(mu)
+    p, t = values(30, s, mu)
+    dp, dt = value_derivs(30, s, mu)
+    assert [f[0] for f in dp] == p
+    assert [f[0] for f in dt] == t
+
+
+def test_fit_degree_60_chebyshev_nodes():
+    # mu = 0: s = sin(nu) on the reference sphere, nodes at Chebyshev points
+    rng = random.Random(61)
+    a = [rng.uniform(-1.0, 1.0) for _ in range(61)]
+    m = 2 * len(a) + 8
+    nus = [math.asin(math.cos(math.pi * (k + 0.5) / m)) for k in range(m)]
+    samples = [(nu, mp_potential(a, [], 1.0, math.sin(nu), 0.0)[0]) for nu in nus]
+    sol, diag = fit_boundary(samples, 60, SystemConfig(mu=0.0, R0=1.0))
+    assert diag.rank == 61
+    assert max(abs(g - t) for g, t in zip(sol.a, a)) <= 1e-6

@@ -6,7 +6,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosharmonics import legendre, verify
+from sosharmonics import verify
 from sosharmonics.errors import PoleDivergenceError
 from sosharmonics.legendre import (
     d2q0_ds2,
@@ -19,7 +19,6 @@ from sosharmonics.legendre import (
     p_poly,
     p_reference,
     q0,
-    second_kind,
     t_poly,
     t_reference,
 )
@@ -94,18 +93,6 @@ class TestFirstKind:
         assert eval_poly(p_poly(2, mu), lim) == pytest.approx(
             1.0 / (1.0 + mu), rel=1e-12
         )
-
-
-class TestCoefficientCache:
-    def test_bounded_over_a_mu_scan(self):
-        cache = legendre._recursion_coeffs
-        assert cache.cache_info().maxsize >= 1024
-        ref = p_poly(20, 0.7).coeffs
-        for k in range(2000):
-            p_poly(20, 1.0 + k * 1e-3)
-        assert cache.cache_info().currsize <= cache.cache_info().maxsize
-        # entries evicted and rebuilt give the same coefficients
-        assert p_poly(20, 0.7).coeffs == ref
 
 
 class TestTPolynomials:
@@ -243,12 +230,6 @@ class TestSecondKind:
             )
             q3 = eval_poly(p_reference(3, mu), s) * lq - t3 * g
             assert eval_q(3, s, mu) == pytest.approx(q3, rel=1e-12, abs=1e-12)
-
-    def test_composition_object(self):
-        fn = second_kind(4, 2.0)
-        assert fn.degree == 4
-        assert fn.p_part.coeffs == p_poly(4, 2.0).coeffs
-        assert fn.t_part.coeffs == t_poly(4, 2.0).coeffs
 
     def test_pole_refused(self):
         with pytest.raises(PoleDivergenceError):
