@@ -61,7 +61,6 @@ from .trig import (
     TrigBundle,
     s_limit,
     s_on_reference,
-    trig_auto,
     trig_from_W,
     trig_from_W_robust,
     w_from_s,

@@ -27,8 +27,8 @@ from .coords import (
     SosPoint,
     SystemConfig,
     cartesian_to_sos,
+    closed_point,
     compute_W,
-    metrics_at,
 )
 from .errors import SosError
 from .harmonic import (
@@ -40,7 +40,7 @@ from .harmonic import (
     solution_to_dict,
 )
 from .series import region_of
-from .trig import s_limit, trig_auto
+from .trig import s_limit
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -113,8 +113,7 @@ def _point_record(cfg: SystemConfig, p: SosPoint, sol: HarmonicSolution | None) 
         )
     else:
         W = compute_W(p.R, p.nu, cfg)
-        tb = trig_auto(abs(W), mu)
-        mb = metrics_at(p.R, p.nu, cfg)
+        s, f_C, mb = closed_point(p.R, p.nu, cfg)
         record.update(
             {
                 "W": W,
@@ -122,9 +121,9 @@ def _point_record(cfg: SystemConfig, p: SosPoint, sol: HarmonicSolution | None) 
                 "h_R": mb.h_R,
                 "h_nu": mb.h_nu,
                 "jacobian": mb.jacobian,
-                "f_S": math.copysign(tb.f_S, p.nu) if p.nu else tb.f_S,
-                "f_C": tb.f_C,
-                "s": math.copysign(tb.s, p.nu) if p.nu else tb.s,
+                "f_S": s * mb.h_R,
+                "f_C": f_C,
+                "s": s,
             }
         )
     if sol is not None:

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateOriginError, PoleLimitError
-from .series import DEFAULT_TOL, Region, eval_series, quantity_series, region_of
-from .trig import trig_auto, trig_from_W_robust, w_from_s
+from .trig import closed_trig, solve_logit, w_from_s
 
 _HALF_PI = math.pi / 2
 # Newton stops on a step below this share of nu.  For tiny nu the log-form
@@ -83,14 +82,18 @@ class MetricBundle:
     jac_over_hnu2: float
 
 
-def compute_W(R: float, nu: float, cfg: SystemConfig) -> float:
-    """Cone parameter W; odd in nu, divergent at the poles."""
+def _check_off_pole(R: float, nu: float) -> None:
     if R <= 0.0:
         raise ValueError("R must be positive")
     if abs(nu) > _HALF_PI:
         raise ValueError("nu must lie in [-pi/2, pi/2]")
     if abs(nu) >= _HALF_PI:
         raise PoleLimitError("W diverges at |nu| = pi/2; use the pole closed forms")
+
+
+def compute_W(R: float, nu: float, cfg: SystemConfig) -> float:
+    """Cone parameter W; odd in nu, divergent at the poles."""
+    _check_off_pole(R, nu)
     c = math.cos(nu)
     return (R / cfg.R0) ** cfg.mu * math.sin(nu) / c ** (1.0 + cfg.mu)
 
@@ -114,62 +117,48 @@ def dW(R: float, nu: float, cfg: SystemConfig) -> tuple[float, float, float, flo
     return dw_dnu, dw_dR, d2w_dnu2, d2w_dR2
 
 
-def metrics_at(
-    R: float, nu: float, cfg: SystemConfig, tol: float = DEFAULT_TOL
-) -> MetricBundle:
-    """Scale factors h_R, h_nu, the Jacobian and its h^2 ratios.
+def closed_point(
+    R: float, nu: float, cfg: SystemConfig
+) -> tuple[float, float, MetricBundle]:
+    """(s, f_C, metrics) at R > 0, |nu| < pi/2: the closed-form point kernel.
 
-    Uses the region-appropriate series; inside the border guard band all
-    members are rebuilt from the robust bundle, with h_nu obtained from
+    log W = mu log(R/R0) + log sin nu - (1+mu) log cos nu is solved for the
+    logit of t = s^2/(1+mu) (`trig.solve_logit`), so W itself is never
+    formed.  With (dW/dnu)/W = (1 + mu sin^2 nu)/(sin nu cos nu),
 
-        h_R h_nu (1+mu) = f_C f_S (R/W) dW/dnu
+        h_nu = R (1 + mu sin^2 nu) f_C (s/sin nu) / ((1+mu) cos nu),
+        J = R h_nu f_C,
+
+    where s/sin nu takes its limit sqrt(1+mu) (R/R0)^mu on the equator.
+    s is odd in nu; f_C and the metrics are even.
     """
+    _check_off_pole(R, nu)
     mu = cfg.mu
-    W = compute_W(R, nu, cfg)
-    w = abs(W)
-    dw_dnu = dW(R, nu, cfg)[0]
-    sq = math.sqrt(1.0 + mu)
-
-    region = region_of(w, mu)
-    if region is Region.NEAR_BORDER:
-        tb = trig_from_W_robust(w, mu)
-        h_R = tb.h_R
-        h_nu = R * dw_dnu * tb.f_S * tb.f_C / ((1.0 + mu) * w * h_R)
-        h_lam = R * tb.f_C / h_R
-        jac = h_R * h_nu * h_lam
-        return MetricBundle(
-            h_R=h_R,
-            h_nu=h_nu,
-            jacobian=jac,
-            jac_over_hR2=jac / h_R**2,
-            jac_over_hnu2=jac / h_nu**2,
-        )
-
-    h_R = math.sqrt(eval_series(quantity_series("hR2", mu, region), w, tol).value)
-    s_nu = eval_series(quantity_series("Snu", mu, region), w, tol).value
-    h_nu = R / sq * dw_dnu * math.sqrt(s_nu)
-    jac = R * R / sq * dw_dnu * eval_series(
-        quantity_series("jac", mu, region), w, tol
-    ).value
-    jac_hR2 = R * R / sq * dw_dnu * eval_series(
-        quantity_series("jac_hR2", mu, region), w, tol
-    ).value
-    jac_hnu2 = sq / dw_dnu * eval_series(
-        quantity_series("jac_hnu2", mu, region), w, tol
-    ).value
-    return MetricBundle(
+    sn = math.sin(abs(nu))
+    cs = math.cos(nu)
+    log_w_over_sn = mu * math.log(R / cfg.R0) - (1.0 + mu) * math.log(cs)
+    x = solve_logit(log_w_over_sn + math.log(sn) if sn > 0.0 else -math.inf, mu)
+    h_R, f_C, s = closed_trig(x, mu)
+    s_over_sn = s / sn if sn > 0.0 else math.sqrt(1.0 + mu) * math.exp(log_w_over_sn)
+    h_nu = R * (1.0 + mu * sn * sn) * f_C * s_over_sn / ((1.0 + mu) * cs)
+    jac = R * h_nu * f_C
+    metrics = MetricBundle(
         h_R=h_R,
         h_nu=h_nu,
         jacobian=jac,
-        jac_over_hR2=jac_hR2,
-        jac_over_hnu2=jac_hnu2,
+        jac_over_hR2=jac / h_R**2,
+        jac_over_hnu2=jac / h_nu**2,
     )
+    return (-s if nu < 0.0 else s), f_C, metrics
 
 
-def sos_to_cartesian(
-    p: SosPoint, cfg: SystemConfig, tol: float = DEFAULT_TOL
-) -> CartesianPoint:
-    """Forward transform; pole and equator use closed endpoint values.
+def metrics_at(R: float, nu: float, cfg: SystemConfig) -> MetricBundle:
+    """Scale factors h_R, h_nu, the Jacobian and its h^2 ratios (`closed_point`)."""
+    return closed_point(R, nu, cfg)[2]
+
+
+def sos_to_cartesian(p: SosPoint, cfg: SystemConfig) -> CartesianPoint:
+    """Forward transform; the poles take closed endpoint values.
 
     z = R s/(1+mu) and the axis distance is rho = R f_C/h_R.
     """
@@ -177,14 +166,10 @@ def sos_to_cartesian(
     if abs(p.nu) >= _HALF_PI:
         rho = 0.0
         z = math.copysign(p.R / math.sqrt(1.0 + mu), p.nu)
-    elif p.nu == 0.0:
-        rho = p.R
-        z = 0.0
     else:
-        W = compute_W(p.R, abs(p.nu), cfg)
-        tb = trig_auto(W, mu, tol)
-        z = math.copysign(p.R * tb.s / (1.0 + mu), p.nu)
-        rho = p.R * tb.f_C / tb.h_R
+        s, f_C, mb = closed_point(p.R, p.nu, cfg)
+        z = p.R * s / (1.0 + mu)
+        rho = p.R * f_C / mb.h_R
     return CartesianPoint(x=rho * math.cos(p.lam), y=rho * math.sin(p.lam), z=z)
 
 

@@ -26,7 +26,7 @@ from .coords import (
     CartesianPoint,
     SosPoint,
     SystemConfig,
-    compute_W,
+    closed_point,
     metrics_at,
 )
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
     RankDeficientError,
     StencilOutOfDomainError,
 )
-from .trig import s_limit, s_on_reference, trig_auto
+from .trig import s_limit, s_on_reference
 
 FILE_CONVENTION = "R_over_R0"
 
@@ -94,10 +94,7 @@ def s_at_point(R: float, nu: float, cfg: SystemConfig) -> float:
     """Signed s at (R, nu); poles use the closed endpoint value."""
     if abs(nu) >= _HALF_PI:
         return math.copysign(s_limit(cfg.mu), nu)
-    if nu == 0.0:
-        return 0.0
-    W = compute_W(R, abs(nu), cfg)
-    return math.copysign(trig_auto(W, cfg.mu).s, nu)
+    return closed_point(R, nu, cfg)[0]
 
 
 def eval_V(sol: HarmonicSolution, R: float, s: float) -> float:
@@ -130,7 +127,7 @@ def eval_V(sol: HarmonicSolution, R: float, s: float) -> float:
 
 
 def eval_V_at(sol: HarmonicSolution, p: SosPoint) -> float:
-    """Potential at an SOS point (robust s evaluation near the border)."""
+    """Potential at an SOS point, with s from the closed point kernel."""
     return eval_V(sol, p.R, s_at_point(p.R, p.nu, sol.cfg))
 
 
@@ -169,8 +166,9 @@ def laplacian_residual_sos(sol: HarmonicSolution, p: SosPoint, h: float) -> floa
     """Second witness: divergence-form Laplacian in SOS coordinates.
 
     Differences (1/J) [d/dR (J/h_R^2 dV/dR) + d/dnu (J/h_nu^2 dV/dnu)] with
-    nested central steps dR = h R, dnu = h, so the metric-ratio series enter
-    the check directly (the Cartesian witness above never touches them).
+    nested central steps dR = h R, dnu = h, so the metric ratios of
+    `metrics_at` enter the check directly (the Cartesian witness above never
+    touches them).
     Converges to 0 as O(h^2) for a true solution.
     """
     if h <= 0.0:

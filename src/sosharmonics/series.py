@@ -14,9 +14,10 @@ the returned value the full physical quantity:
 
     S_A(large) = W^(2a)/(1+mu) * sum(...),   S_C(large) = W^(2a) * sum(...)
 
-Convergence switches sides at W_border = sqrt(mu^mu / (1+mu)^(1+mu)); a
-guard band around the border is refused so callers can fall back to the
-series-free path (see gen-trig module).
+Convergence switches sides at W_border = sqrt(mu^mu / (1+mu)^(1+mu)), and a
+guard band around the border is refused.  Every evaluation path takes the
+closed forms of the trig and coords modules; these series are the witness
+that `verify` checks those closed forms against.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def w_border(mu: float) -> float:
     """Border value of W separating the two convergence regions."""
     if mu == 0.0:
         return 1.0
-    return math.sqrt(mu**mu / (1.0 + mu) ** (1.0 + mu))
+    # sqrt(mu^mu/(1+mu)^(1+mu)) in a form that cannot overflow
+    return math.exp(-0.5 * mu * math.log1p(1.0 / mu)) / math.sqrt(1.0 + mu)
 
 
 def region_of(W: float, mu: float, guard: float = BORDER_GUARD) -> Region:

@@ -6,10 +6,12 @@ ratio s = f_S/h_R is the argument of the harmonic angular functions; it runs
 from 0 on the equator to sqrt(1+mu) on the rotation axis and satisfies the
 closed inversion
 
-    W^2 = (s^2/(1+mu)) / (1 - s^2/(1+mu))^(1+mu)
+    W^2 = t / (1 - t)^(1+mu),   t = s^2/(1+mu)
 
-which gives a root-finding evaluation path valid for every W, including the
-series guard band.
+Every member of the bundle follows from its one root, which `solve_logit`
+finds in log space for every W, the border band included.  The Polya-Szego
+series bundle `trig_from_W` is kept as the witness that `verify` checks the
+closed forms against.
 """
 
 from __future__ import annotations
@@ -25,11 +27,6 @@ from .series import (
     quantity_series,
     region_of,
 )
-
-_S_BRACKET_MARGIN = 1e-12
-_BISECT_WIDTH = 1e-3
-_NEWTON_STEP_TOL = 1e-15
-_NEWTON_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -67,19 +64,44 @@ def w_from_s(s: float, mu: float) -> float:
     return math.sqrt(t) * (1.0 - t) ** (-(1.0 + mu) / 2.0)
 
 
-def _log_w_from_s(s: float, mu: float) -> float:
-    # log form of the inversion; stable arbitrarily close to the s limit
-    t = s * s / (1.0 + mu)
-    return 0.5 * math.log(t) - 0.5 * (1.0 + mu) * math.log1p(-t)
+def _softplus(x: float) -> float:
+    """log(1 + e^x) without overflow or cancellation."""
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
 
 
-def _bundle_from_s(W: float, s: float, mu: float) -> TrigBundle:
-    # h_R^2 = (1+mu)/((1+mu) + mu s^2); cancellation-free companions
-    denom = (1.0 + mu) + mu * s * s
-    h_R = math.sqrt((1.0 + mu) / denom)
-    f_S = s * h_R
-    f_C = math.sqrt(max((1.0 + mu) - s * s, 0.0) / denom)
-    return TrigBundle(W=W, h_R=h_R, f_S=f_S, f_C=f_C, s=s, mu=mu)
+def solve_logit(log_w: float, mu: float) -> float:
+    """Logit x = log(t/(1-t)) of t = s^2/(1+mu) at W = exp(log_w).
+
+    In x the closed inversion reads F(x) = x/2 + (mu/2) log(1 + e^x) = log W.
+    F is convex and increasing, and F(x) >= x/2, F(x) >= (1+mu) x/2 put the
+    seed min(2 log W, 2 log W/(1+mu)) right of the root, so plain Newton
+    descends monotonically; it stops when rounding stalls the descent.
+    log W = -inf gives x = -inf (the equator), +inf gives +inf (the axis).
+    """
+    x = min(2.0 * log_w, 2.0 * log_w / (1.0 + mu))
+    while True:
+        # F'(x) = (1 + mu t)/2 with t = exp(-softplus(-x))
+        step = (0.5 * x + 0.5 * mu * _softplus(x) - log_w) / (
+            0.5 + 0.5 * mu * math.exp(-_softplus(-x))
+        )
+        if not x - step < x:
+            return x
+        x -= step
+
+
+def closed_trig(x: float, mu: float) -> tuple[float, float, float]:
+    """(h_R, f_C, s) at logit x.
+
+    h_R = (1 + mu t)^(-1/2), f_C = sqrt((1-t)/(1 + mu t)) and
+    s = sqrt((1+mu) t), taken from log t = -softplus(-x) and
+    log(1-t) = -softplus(x), so without cancellation at the equator or the
+    axis.
+    """
+    log_t = -_softplus(-x)
+    h_R = 1.0 / math.sqrt(1.0 + mu * math.exp(log_t))
+    f_C = math.exp(-0.5 * _softplus(x)) * h_R
+    s = math.sqrt(1.0 + mu) * math.exp(0.5 * log_t)
+    return h_R, f_C, s
 
 
 def _spherical_bundle(W: float) -> TrigBundle:
@@ -89,7 +111,7 @@ def _spherical_bundle(W: float) -> TrigBundle:
 
 
 def trig_from_W(W: float, mu: float, tol: float = DEFAULT_TOL) -> TrigBundle:
-    """Series evaluation of the bundle; refuses the border guard band."""
+    """Series evaluation of the bundle (the witness); refuses the guard band."""
     if W < 0:
         raise ValueError("W must be non-negative")
     if mu == 0.0:
@@ -112,59 +134,12 @@ def trig_from_W(W: float, mu: float, tol: float = DEFAULT_TOL) -> TrigBundle:
 
 
 def trig_from_W_robust(W: float, mu: float) -> TrigBundle:
-    """Series-free bundle: solves the closed W(s) inversion for s.
-
-    Valid for every finite W >= 0, including the guard band.  Bisection
-    narrows the bracket, then Newton (analytic derivative of log W(s))
-    polishes the root.
-    """
+    """Series-free bundle from the closed inversion, for every W >= 0."""
     if W < 0:
         raise ValueError("W must be non-negative")
-    if mu == 0.0:
-        return _spherical_bundle(W)
-    if W == 0.0:
-        return TrigBundle(W=0.0, h_R=1.0, f_S=0.0, f_C=1.0, s=0.0, mu=mu)
-
-    lim = s_limit(mu)
-    target = math.log(W)
-    lo, hi = 0.0, lim - _S_BRACKET_MARGIN
-    if _log_w_from_s(hi, mu) < target:
-        s = hi  # W beyond the bracket ceiling: clamp to the axis limit
-        return _bundle_from_s(W, s, mu)
-    # bisection: g is -inf at s=0+, so the low end never needs evaluating
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if _log_w_from_s(mid, mu) < target:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_MAX_ITER):
-        g = _log_w_from_s(s, mu) - target
-        dg = 1.0 / s + s * (1.0 + mu) / ((1.0 + mu) - s * s)
-        step = g / dg
-        s_new = s - step
-        if not lo < s_new < hi:
-            # fall back to bisection inside the bracket
-            if g > 0.0:
-                hi = s
-            else:
-                lo = s
-            s_new = 0.5 * (lo + hi)
-        if abs(s_new - s) <= _NEWTON_STEP_TOL:
-            s = s_new
-            break
-        s = s_new
-    return _bundle_from_s(W, s, mu)
-
-
-def trig_auto(W: float, mu: float, tol: float = DEFAULT_TOL) -> TrigBundle:
-    """Series bundle where the series converge fast, robust path otherwise."""
-    if mu == 0.0 or W == 0.0:
-        return trig_from_W_robust(W, mu)
-    if region_of(W, mu) is Region.NEAR_BORDER:
-        return trig_from_W_robust(W, mu)
-    return trig_from_W(W, mu, tol)
+    x = solve_logit(math.log(W) if W > 0.0 else -math.inf, mu)
+    h_R, f_C, s = closed_trig(x, mu)
+    return TrigBundle(W=W, h_R=h_R, f_S=s * h_R, f_C=f_C, s=s, mu=mu)
 
 
 # --- analytic W-derivatives of bundle members -------------------------------

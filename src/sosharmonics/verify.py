@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import legendre
 from .coords import (
     CartesianPoint,
+    MetricBundle,
     SosPoint,
     SystemConfig,
     cartesian_to_sos,
@@ -41,6 +43,7 @@ from .series import (
     SeriesSpec,
     eval_series,
     gen_binom,
+    quantity_series,
     region_of,
     w_border,
 )
@@ -52,7 +55,6 @@ from .trig import (
     d_s_dW,
     s_limit,
     s_on_reference,
-    trig_auto,
     trig_from_W,
     trig_from_W_robust,
     w_from_s,
@@ -239,9 +241,36 @@ def spherical_series_checks() -> list[CheckResult]:
 # --- metric identities -------------------------------------------------------
 
 
+def _series_metrics(
+    R: float, W: float, dw_dnu: float, mu: float
+) -> MetricBundle | None:
+    """The metrics from their five series with the R and dW/dnu factors.
+
+    None inside the guard band, and where a series value leaves the normal
+    float range: far from the border the large-nu prefactor W^(2a)
+    underflows or overflows.
+    """
+    region = region_of(W, mu)
+    if region is Region.NEAR_BORDER:
+        return None
+    parts = [
+        eval_series(quantity_series(name, mu, region), W).value
+        for name in ("hR2", "Snu", "jac", "jac_hR2", "jac_hnu2")
+    ]
+    if not all(sys.float_info.min <= abs(v) < math.inf for v in parts):
+        return None
+    hR2, Snu, jac, jac_hR2, jac_hnu2 = parts
+    k = R / math.sqrt(1.0 + mu) * dw_dnu
+    return MetricBundle(
+        math.sqrt(hR2), k * math.sqrt(Snu), R * k * jac, R * k * jac_hR2, R / k * jac_hnu2
+    )
+
+
 def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
+    """Closed-form metrics: cross-checks, the h_R h_nu link to dW/dnu, and
+    the series witness outside the guard band."""
     mu = cfg.mu
-    r_cross = r_link = r_bounds = r_sphere = 0.0
+    r_cross = r_link = r_bounds = r_sphere = r_series = 0.0
     nus = np.linspace(0.03, math.pi / 2 - 0.05, n_nu)
     for R in (0.5 * cfg.R0, cfg.R0, 2.2 * cfg.R0):
         for nu in nus:
@@ -253,10 +282,14 @@ def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
             )
             W = compute_W(R, float(nu), cfg)
             dw_dnu = dW(R, float(nu), cfg)[0]
-            tb = trig_auto(abs(W), mu)
+            tb = trig_from_W_robust(W, mu)
             lhs = mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2
-            rhs = tb.f_C**2 * tb.f_S**2 * R**2 * dw_dnu**2 / W**2
+            # dW/dnu enters only through dW/dnu / W, which cannot overflow
+            rhs = (tb.f_C * tb.f_S * R * (dw_dnu / W)) ** 2
             r_link = max(r_link, _rel(lhs, rhs))
+            ser = _series_metrics(R, W, dw_dnu, mu)
+            if ser is not None:
+                r_series = max(r_series, *map(_rel, astuple(ser), astuple(mb)))
             eps = 1e-12
             if not (1.0 / math.sqrt(1.0 + mu) - eps <= mb.h_R <= 1.0 + eps):
                 r_bounds = max(r_bounds, 1.0)
@@ -271,6 +304,7 @@ def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
         CheckResult("metric.jacobian_ratios", r_cross, 1e-9),
         CheckResult("metric.hR_hnu_link", r_link, 1e-9),
         CheckResult("metric.hR_bounds", r_bounds, 0.5),
+        CheckResult("metric.series_vs_closed", r_series, 1e-10),
     ]
     if mu == 0.0:
         checks.append(CheckResult("metric.spherical_reduction", r_sphere, 1e-12))
@@ -314,8 +348,8 @@ def transform_checks(
             w1 = compute_W(p.R, abs(p.nu), cfg)
             w2 = compute_W(p2.R, abs(p2.nu), cfg)
             r_cone = max(r_cone, _rel(w2, w1))
-            t1 = trig_auto(w1, mu)
-            t2 = trig_auto(w2, mu)
+            t1 = trig_from_W_robust(w1, mu)
+            t2 = trig_from_W_robust(w2, mu)
             for f in ("s", "h_R", "f_S", "f_C"):
                 r_cone = max(r_cone, abs(getattr(t1, f) - getattr(t2, f)))
     return [
@@ -338,7 +372,7 @@ def anchor_checks(cfg: SystemConfig, n_nu: int = 20) -> list[CheckResult]:
     ends = max(
         abs(s_at_point(cfg.R0, 0.0, cfg)),
         abs(s_at_point(cfg.R0, math.pi / 2, cfg) - lim),
-        abs(trig_auto(0.0, mu).h_R - 1.0),
+        abs(trig_from_W_robust(0.0, mu).h_R - 1.0),
     )
     pole = sos_to_cartesian(SosPoint(R=cfg.R0, nu=math.pi / 2), cfg)
     ends = max(ends, abs(pole.z - cfg.R0 / lim), abs(pole.x), abs(pole.y))

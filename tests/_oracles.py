@@ -108,3 +108,39 @@ def mp_potential(a, b, R, s, mu):
         terms = [an * R**n * p[n] for n, an in enumerate(a)]
         terms += [bn * R**n * q[n] for n, bn in enumerate(b)]
         return float(mpmath.fsum(terms)), float(mpmath.fsum(abs(v) for v in terms))
+
+
+def mp_point(R, nu, mu):
+    """50-digit (s, rho, z, h_R, h_nu, J) at (R, nu) with R0 = 1.
+
+    t = s^2/(1+mu) solves the closed inversion t/(1-t)^(1+mu) = W^2 with
+    W = R^mu sin(nu)/cos(nu)^(1+mu), found by `mp.findroot` on its logit,
+    both sides in log form.  The position is rho = R sqrt(1-t),
+    z = R sqrt(t/(1+mu)); h_R and h_nu are the norms of its R and nu
+    derivatives (`mp.diff`) and J = h_R h_nu rho.  Inputs are taken as the
+    exact binary values of the floats given.
+    """
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(mu)
+
+        def position(R, nu):
+            log_w = mu * mpmath.log(R) + mpmath.log(mpmath.sin(nu)) - (1 + mu) * mpmath.log(mpmath.cos(nu))
+            # x/2 + (mu/2) log(1 + e^x) = log W lies between these bounds
+            hi = min(2 * log_w, 2 * log_w / (1 + mu))
+            lo = min(2 * log_w - mu, (2 * log_w - mu) / (1 + mu)) - 1
+            x = mpmath.findroot(
+                lambda x: x / 2 + mu / 2 * mpmath.log1p(mpmath.exp(x)) - log_w,
+                (lo, hi),
+                solver="anderson",
+            )
+            t = 1 / (1 + mpmath.exp(-x))
+            return R * mpmath.sqrt(1 - t), R * mpmath.sqrt(t / (1 + mu)), t
+
+        R, nu = mpmath.mpf(R), mpmath.mpf(nu)
+        rho, z, t = position(R, nu)
+        d_R = [mpmath.diff(lambda r: position(r, nu)[k], R) for k in (0, 1)]
+        d_nu = [mpmath.diff(lambda n: position(R, n)[k], nu) for k in (0, 1)]
+        h_R = mpmath.sqrt(d_R[0] ** 2 + d_R[1] ** 2)
+        h_nu = mpmath.sqrt(d_nu[0] ** 2 + d_nu[1] ** 2)
+        s = mpmath.sqrt((1 + mu) * t)
+        return tuple(float(v) for v in (s, rho, z, h_R, h_nu, h_R * h_nu * rho))

@@ -40,7 +40,6 @@ from sosharmonics.trig import (
     d_hR2_dW,
     s_limit,
     s_on_reference,
-    trig_auto,
     trig_from_W,
     trig_from_W_robust,
     w_from_s,
@@ -204,7 +203,8 @@ def test_c5_closed_form_anchors():
             worst_end,
             abs(s_at_point(1.0, 0.0, cfg)),
             abs(s_at_point(1.0, math.pi / 2, cfg) - lim),
-            abs(trig_auto(0.0, mu).h_R - 1.0),
+            abs(trig_from_W_robust(0.0, mu).h_R - 1.0),
+            abs(trig_from_W(0.0, mu).h_R - 1.0),
             abs(sos_to_cartesian(SosPoint(1.0, math.pi / 2), cfg).z - 1.0 / lim),
         )
     report(5, "equator/pole endpoint values", worst_end, 1e-12)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -18,13 +19,22 @@ from sosharmonics.coords import (
 )
 from sosharmonics.errors import DegenerateOriginError, PoleLimitError
 from sosharmonics.harmonic import s_at_point
-from sosharmonics.series import w_border
-from sosharmonics.trig import trig_auto
+from sosharmonics.verify import metric_checks
+from sosharmonics.series import Region, region_of, w_border
+from sosharmonics.trig import trig_from_W, trig_from_W_robust
 
-from _oracles import W_REF_MU2_NU30, Z_REF_MU2_NU30
+from _oracles import W_REF_MU2_NU30, Z_REF_MU2_NU30, mp_point
 
 CFG2 = SystemConfig(mu=2.0, R0=1.0)
 CFG0 = SystemConfig(mu=0.0, R0=1.0)
+
+
+def bundles(W, mu):
+    """The closed-form bundle at W and, outside the guard band, the series one."""
+    out = [trig_from_W_robust(W, mu)]
+    if region_of(W, mu) is not Region.NEAR_BORDER:
+        out.append(trig_from_W(W, mu))
+    return out
 
 
 class TestConfig:
@@ -136,13 +146,13 @@ class TestMetrics:
         # scale-factor product link
         W = compute_W(R, nu, cfg)
         dw_dnu = dW(R, nu, cfg)[0]
-        tb = trig_auto(abs(W), mu)
-        lhs = mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2
-        rhs = tb.f_C**2 * tb.f_S**2 * R**2 * dw_dnu**2 / W**2
-        assert lhs == pytest.approx(rhs, rel=1e-9)
-        # jacobian equals product of the three scale factors (h_lam = R fC/hR)
-        h_lam = R * tb.f_C / tb.h_R
-        assert mb.jacobian == pytest.approx(mb.h_R * mb.h_nu * h_lam, rel=1e-9)
+        for tb in bundles(abs(W), mu):
+            lhs = mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2
+            rhs = tb.f_C**2 * tb.f_S**2 * R**2 * dw_dnu**2 / W**2
+            assert lhs == pytest.approx(rhs, rel=1e-9)
+            # jacobian equals product of the three scale factors (h_lam = R fC/hR)
+            h_lam = R * tb.f_C / tb.h_R
+            assert mb.jacobian == pytest.approx(mb.h_R * mb.h_nu * h_lam, rel=1e-9)
 
     def test_guard_band_fallback(self):
         # place W exactly on the border by scaling R
@@ -281,9 +291,9 @@ class TestGeometricInvariants:
             w1 = compute_W(p.R, abs(p.nu), cfg)
             w2 = compute_W(p2.R, abs(p2.nu), cfg)
             assert w2 == pytest.approx(w1, rel=1e-9)
-            t1, t2 = trig_auto(w1, mu), trig_auto(w2, mu)
-            for f in ("s", "h_R", "f_S", "f_C"):
-                assert getattr(t2, f) == pytest.approx(getattr(t1, f), abs=1e-9)
+            for t1, t2 in zip(bundles(w1, mu), bundles(w2, mu)):
+                for f in ("s", "h_R", "f_S", "f_C"):
+                    assert getattr(t2, f) == pytest.approx(getattr(t1, f), abs=1e-9)
 
     @pytest.mark.parametrize("mu", [0.5, 2.0])
     def test_position_magnitude(self, mu):
@@ -294,6 +304,92 @@ class TestGeometricInvariants:
                 p = SosPoint(R=R, nu=nu, lam=1.1)
                 c = sos_to_cartesian(p, cfg)
                 W = compute_W(R, abs(nu), cfg)
-                s = trig_auto(W, mu).s
-                ref = R * R * (1.0 - mu * s * s / (1.0 + mu) ** 2)
-                assert c.x**2 + c.y**2 + c.z**2 == pytest.approx(ref, rel=1e-10)
+                for tb in bundles(W, mu):
+                    ref = R * R * (1.0 - mu * tb.s * tb.s / (1.0 + mu) ** 2)
+                    assert c.x**2 + c.y**2 + c.z**2 == pytest.approx(ref, rel=1e-10)
+
+
+class TestClosedPointOracle:
+    """The closed point kernel against the 50-digit `mp_point` oracle, from
+    the equator to pi/2 - 1e-12 and up to mu = 200, R0 = 1."""
+
+    NUS = [1e-12, 1e-6, 0.03, 0.7, 1.3, 1.57, 1.5707, 1.570796, 1.5707963, math.pi / 2 - 1e-12]
+    RS = [0.5, 1.0, 2.2]
+    MUS = [0.0, 0.5, 2.0, 20.0, 200.0]
+    REL = 1e-12
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def oracle(R, nu, mu):
+        return mp_point(R, nu, mu)
+
+    def points(self, mu):
+        for R in self.RS:
+            for nu in self.NUS:
+                yield R, nu, self.oracle(R, nu, mu)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_metrics_at(self, mu):
+        cfg = SystemConfig(mu=mu, R0=1.0)
+        for R, nu, (_, _, _, h_R, h_nu, jac) in self.points(mu):
+            for sign in (1.0, -1.0):
+                mb = metrics_at(R, sign * nu, cfg)
+                assert mb.h_R == pytest.approx(h_R, rel=self.REL)
+                assert mb.h_nu == pytest.approx(h_nu, rel=self.REL)
+                assert mb.jacobian == pytest.approx(jac, rel=self.REL)
+                assert mb.jac_over_hR2 == pytest.approx(jac / h_R**2, rel=self.REL)
+                assert mb.jac_over_hnu2 == pytest.approx(jac / h_nu**2, rel=self.REL)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_sos_to_cartesian(self, mu):
+        cfg = SystemConfig(mu=mu, R0=1.0)
+        for R, nu, (_, rho, z, _, _, _) in self.points(mu):
+            c = sos_to_cartesian(SosPoint(R=R, nu=-nu, lam=0.0), cfg)
+            assert c.x == pytest.approx(rho, rel=self.REL)
+            assert c.z == pytest.approx(-z, rel=self.REL)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_s_at_point(self, mu):
+        cfg = SystemConfig(mu=mu, R0=1.0)
+        for R, nu, (s, _, _, _, _, _) in self.points(mu):
+            assert s_at_point(R, nu, cfg) == pytest.approx(s, rel=self.REL)
+            assert s_at_point(R, -nu, cfg) == pytest.approx(-s, rel=self.REL)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_equator(self, mu):
+        # t = 0 there: h_R = 1, h_nu = R (R/R0)^mu / sqrt(1+mu), J = R h_nu
+        cfg = SystemConfig(mu=mu, R0=1.0)
+        for R in self.RS:
+            with mpmath.workdps(50):
+                h_nu = float(mpmath.mpf(R) ** (1 + mpmath.mpf(mu)) / mpmath.sqrt(1 + mpmath.mpf(mu)))
+            mb = metrics_at(R, 0.0, cfg)
+            assert mb.h_R == 1.0
+            assert mb.h_nu == pytest.approx(h_nu, rel=self.REL)
+            assert mb.jacobian == pytest.approx(R * h_nu, rel=self.REL)
+            assert s_at_point(R, 0.0, cfg) == 0.0
+            assert sos_to_cartesian(SosPoint(R=R, nu=0.0), cfg) == CartesianPoint(R, 0.0, 0.0)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_trig_from_W_robust(self, mu):
+        # wherever W itself is a finite float
+        cfg = SystemConfig(mu=mu, R0=1.0)
+        checked = 0
+        for R, nu, (s, rho, _, h_R, _, _) in self.points(mu):
+            try:
+                W = compute_W(R, nu, cfg)
+            except ArithmeticError:
+                continue
+            if not math.isfinite(W):
+                continue
+            tb = trig_from_W_robust(W, mu)
+            assert tb.s == pytest.approx(s, rel=self.REL)
+            assert tb.h_R == pytest.approx(h_R, rel=self.REL)
+            assert tb.f_S == pytest.approx(s * h_R, rel=self.REL)
+            assert tb.f_C == pytest.approx(rho / R * h_R, rel=self.REL)
+            checked += 1
+        assert checked >= 10
+
+    def test_metric_checks_at_mu_100(self):
+        # dW/dnu^2 / W^2 overflowed in metric.hR_hnu_link here
+        checks = metric_checks(SystemConfig(mu=100.0, R0=1.0))
+        assert [c.name for c in checks if not c.passed] == []

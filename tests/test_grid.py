@@ -143,8 +143,8 @@ def test_no_root_finding_or_series_on_the_cartesian_path(monkeypatch):
         raise AssertionError("the closed-form Cartesian path took the nu round trip")
 
     for module, name in [
-        (cli, "cartesian_to_sos"), (cli, "compute_W"), (cli, "trig_auto"),
-        (harmonic, "s_at_point"), (harmonic, "compute_W"), (harmonic, "trig_auto"),
+        (cli, "cartesian_to_sos"), (cli, "compute_W"), (cli, "closed_point"),
+        (harmonic, "s_at_point"), (harmonic, "closed_point"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
     for quantity in ("s", "hR", "W", "V"):

@@ -14,7 +14,6 @@ from sosharmonics.trig import (
     d_s_dW,
     s_limit,
     s_on_reference,
-    trig_auto,
     trig_from_W,
     trig_from_W_robust,
     w_from_s,
@@ -168,25 +167,28 @@ class TestIdentities:
     def test_ratio_identity(self, mu):
         # f_S^2/f_C^2 = (1+mu) s^2 / ((1+mu) - s^2)
         for W in w_grid(mu):
-            tb = trig_auto(W, mu)
-            lhs = tb.f_S**2 / tb.f_C**2
-            rhs = (1.0 + mu) * tb.s**2 / ((1.0 + mu) - tb.s**2)
-            assert lhs == pytest.approx(rhs, rel=1e-10)
+            for bundle in (trig_from_W_robust, trig_from_W):
+                tb = bundle(W, mu)
+                lhs = tb.f_S**2 / tb.f_C**2
+                rhs = (1.0 + mu) * tb.s**2 / ((1.0 + mu) - tb.s**2)
+                assert lhs == pytest.approx(rhs, rel=1e-10)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_power_form_identity(self, mu):
         # W^(-1/mu) (f_S/f_C)^((mu+1)/mu) = sqrt(1+mu)^(1/mu) * s, in logs
         for W in w_grid(mu):
-            tb = trig_auto(W, mu)
-            lhs = (-math.log(W) + (mu + 1.0) * math.log(tb.f_S / tb.f_C)) / mu
-            rhs = 0.5 * math.log(1.0 + mu) / mu + math.log(tb.s)
-            assert lhs == pytest.approx(rhs, abs=1e-8)
+            for bundle in (trig_from_W_robust, trig_from_W):
+                tb = bundle(W, mu)
+                lhs = (-math.log(W) + (mu + 1.0) * math.log(tb.f_S / tb.f_C)) / mu
+                rhs = 0.5 * math.log(1.0 + mu) / mu + math.log(tb.s)
+                assert lhs == pytest.approx(rhs, abs=1e-8)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_roundtrip_w_of_s(self, mu):
         for W in w_grid(mu):
-            tb = trig_auto(W, mu)
-            assert w_from_s(tb.s, mu) == pytest.approx(W, rel=1e-10)
+            for bundle in (trig_from_W_robust, trig_from_W):
+                tb = bundle(W, mu)
+                assert w_from_s(tb.s, mu) == pytest.approx(W, rel=1e-10)
 
 
 class TestDerivatives:
