@@ -233,7 +233,10 @@ def cmd_verify(args) -> int:
                 tables = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"bad fixtures file {args.fixtures}: {exc}") from exc
-    checks = verify_mod.run_suite(cfg, level=args.level, reference_tables=tables)
+    timings: list[tuple[str, float]] = []
+    checks = verify_mod.run_suite(
+        cfg, level=args.level, reference_tables=tables, timings=timings
+    )
     all_passed = all(c.passed for c in checks)
     print(f"# verification suite  mu={_fmt(cfg.mu)}  R0={_fmt(cfg.R0)}  level={args.level}")
     for c in checks:
@@ -256,6 +259,7 @@ def cmd_verify(args) -> int:
                 }
                 for c in checks
             ],
+            "suites": [{"name": name, "seconds": sec} for name, sec in timings],
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)

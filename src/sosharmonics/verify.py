@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+import time
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -638,30 +639,44 @@ def fit_checks(cfg: SystemConfig, seed: int = 20240903) -> list[CheckResult]:
 
 
 def run_suite(
-    cfg: SystemConfig, level: str = "quick", reference_tables=None
+    cfg: SystemConfig, level: str = "quick", reference_tables=None, timings=None
 ) -> list[CheckResult]:
-    """All identity suites at the configured mu; `full` widens every sweep."""
+    """All identity suites at the configured mu; `full` widens every sweep.
+
+    If `timings` is a list, one (suite name, seconds) pair is appended to it
+    per suite, in the order run.
+    """
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     full = level == "full"
     mu = cfg.mu
-    checks: list[CheckResult] = []
-    checks += trig_identity_checks(mu, per_region=12 if full else 6)
-    checks += derivative_checks(mu, per_region=6 if full else 3)
-    checks += series_identity_checks(mu)
-    checks += spherical_series_checks()
-    checks += metric_checks(cfg, n_nu=11 if full else 5)
-    checks += transform_checks(cfg, n_points=160 if full else 40)
-    checks += anchor_checks(cfg)
-    checks += table_checks([mu], reference_tables)
-    checks += spherical_reduction_checks(n_max=12 if full else 8)
-    checks += ode_checks(mu, n_max=10 if full else 6, n_s=50 if full else 15)
-    checks += structure_checks(mu)
-    checks += harmonicity_checks(
-        cfg,
-        a_max=6 if full else 3,
-        b_max=3 if full else 1,
-        points_per_mode=20 if full else 4,
+    suites = (
+        ("trig_identity_checks", lambda: trig_identity_checks(mu, per_region=12 if full else 6)),
+        ("derivative_checks", lambda: derivative_checks(mu, per_region=6 if full else 3)),
+        ("series_identity_checks", lambda: series_identity_checks(mu)),
+        ("spherical_series_checks", spherical_series_checks),
+        ("metric_checks", lambda: metric_checks(cfg, n_nu=11 if full else 5)),
+        ("transform_checks", lambda: transform_checks(cfg, n_points=160 if full else 40)),
+        ("anchor_checks", lambda: anchor_checks(cfg)),
+        ("table_checks", lambda: table_checks([mu], reference_tables)),
+        ("spherical_reduction_checks", lambda: spherical_reduction_checks(n_max=12 if full else 8)),
+        ("ode_checks", lambda: ode_checks(mu, n_max=10 if full else 6, n_s=50 if full else 15)),
+        ("structure_checks", lambda: structure_checks(mu)),
+        (
+            "harmonicity_checks",
+            lambda: harmonicity_checks(
+                cfg,
+                a_max=6 if full else 3,
+                b_max=3 if full else 1,
+                points_per_mode=20 if full else 4,
+            ),
+        ),
+        ("fit_checks", lambda: fit_checks(cfg)),
     )
-    checks += fit_checks(cfg)
+    checks: list[CheckResult] = []
+    for name, run in suites:
+        start = time.perf_counter()
+        checks += run()
+        if timings is not None:
+            timings.append((name, time.perf_counter() - start))
     return checks

@@ -144,3 +144,65 @@ def mp_point(R, nu, mu):
         h_nu = mpmath.sqrt(d_nu[0] ** 2 + d_nu[1] ** 2)
         s = mpmath.sqrt((1 + mu) * t)
         return tuple(float(v) for v in (s, rho, z, h_R, h_nu, h_R * h_nu * rho))
+
+
+def _series_setup(a, mu, large, W):
+    """(a, b, x, rho) of a series family member as mpf values, at the working
+    precision: b and x as in `sosharmonics.series`, rho the limiting ratio of
+    successive terms, (W/W_border)^2 or (W_border/W)^(2/(1+mu))."""
+    a, mu, W = mpmath.mpf(a), mpmath.mpf(mu), mpmath.mpf(W)
+    border = mpmath.sqrt(mu**mu / (1 + mu) ** (1 + mu))
+    if large:
+        return a, mu / (1 + mu), W ** (-2 / (1 + mu)), (border / W) ** (2 / (1 + mu))
+    return a, -mu, W * W, (W / border) ** 2
+
+
+def _large_prefactor(a, mu, W, cauchy):
+    pref = mpmath.mpf(W) ** (2 * mpmath.mpf(a))
+    return pref if cauchy else pref / (1 + mpmath.mpf(mu))
+
+
+def mp_series(a, mu, large, cauchy, W, dps=40):
+    """S_A (or, with cauchy, S_C) summed term by term in `dps` digits.
+
+    The number of terms is fixed before summing, from the limiting ratio
+    rho of successive terms, so that rho^n is below 10^-(dps-5): no term,
+    exact zeros included, ends the sum.  The large-nu value carries the
+    W^(2a) (and 1/(1+mu) for S_A) prefactor.  Inputs are taken as the exact
+    binary values of the floats given.
+    """
+    with mpmath.workdps(dps):
+        a, b, x, rho = _series_setup(a, mu, large, W)
+        n = int((dps - 5) * mpmath.log(10) / -mpmath.log(rho)) + 50
+        terms = [mpmath.mpf(1)]
+        for k in range(1, n + 1):
+            if cauchy:
+                c = a / k * mpmath.binomial(a + b * k - 1, k - 1)
+            else:
+                c = mpmath.binomial(a + b * k, k)
+            terms.append(c * x**k)
+        total = mpmath.fsum(terms)
+        return total * _large_prefactor(a, mu, W, cauchy) if large else total
+
+
+def mp_series_closed(a, mu, large, cauchy, W, dps=40):
+    """The same sum from its closed form, with no summation at all.
+
+    With B the root of B = 1 + x B^b that tends to 1 as x -> 0,
+    S_C = B^a and S_A = B^a / (1 - b + b/B) (Graham, Knuth and Patashnik,
+    Concrete Mathematics, 2nd ed., eq. 5.58-5.61).  It is found in log form,
+    y = log B solving y = log1p(x e^(b y)), whose left side minus right side
+    increases from -log1p(x) at y = 0 and is positive at log1p(x) (b < 0)
+    or at log1p(x)/(1-b) (0 <= b < 1).
+    """
+    with mpmath.workdps(dps + 10):
+        a, b, x, _ = _series_setup(a, mu, large, W)
+        hi = mpmath.log1p(x) if b < 0 else mpmath.log1p(x) / (1 - b)
+        y = mpmath.findroot(
+            lambda y: y - mpmath.log1p(x * mpmath.exp(b * y)), (mpmath.mpf(0), hi), solver="anderson"
+        )
+        B = mpmath.exp(y)
+        total = B**a if cauchy else B**a / (1 - b + b / B)
+        if large:
+            total *= _large_prefactor(a, mu, W, cauchy)
+        return +total

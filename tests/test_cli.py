@@ -307,6 +307,30 @@ class TestVerify:
         assert rc == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_mu50_passes(self, capsys, tmp_path, level):
+        # the series stopped on three small terms and ignored the tail, so
+        # trig.pythagorean and trig.scale_factor_relations were 2e-12 off here
+        rc, out, _ = run(capsys, ["verify", "--config", config(tmp_path, 50.0), "--level", level])
+        assert rc == 0
+        assert "FAIL" not in out
+
+    def test_json_reports_seconds_per_suite(self, capsys, cfg2, tmp_path):
+        report = tmp_path / "report.json"
+        rc, out, _ = run(capsys, ["verify", "--config", cfg2, "--level", "quick", "--json", str(report)])
+        assert rc == 0
+        assert "suites" not in out and "seconds" not in out
+        payload = json.loads(report.read_text())
+        names = [s["name"] for s in payload["suites"]]
+        assert names == [
+            "trig_identity_checks", "derivative_checks", "series_identity_checks",
+            "spherical_series_checks", "metric_checks", "transform_checks", "anchor_checks",
+            "table_checks", "spherical_reduction_checks", "ode_checks", "structure_checks",
+            "harmonicity_checks", "fit_checks",
+        ]
+        assert all(set(s) == {"name", "seconds"} and s["seconds"] >= 0.0 for s in payload["suites"])
+        assert all(set(c) == {"name", "max_residual", "tolerance", "passed"} for c in payload["checks"])
+
     def test_spherical_quick_passes(self, capsys, cfg0, tmp_path):
         report = tmp_path / "report.json"
         rc, out, _ = run(

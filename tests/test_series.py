@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,15 @@ from sosharmonics.series import (
     SeriesSpec,
     eval_series,
     gen_binom,
+    quantity_series,
     region_of,
     w_border,
 )
 from sosharmonics.trig import trig_from_W_robust
 
-from _oracles import W_BORDER_MU2, mp_binom
+from _oracles import W_BORDER_MU2, mp_binom, mp_series, mp_series_closed
+
+QUANTITIES = ("hR2", "fC2", "fS2", "Snu", "jac", "jac_hR2", "jac_hnu2")
 
 
 def sa(a, mu, region=Region.SMALL_NU):
@@ -179,3 +183,72 @@ class TestDeepTerms:
             t = series._term(a=-1.5, b=-2.0, x=0.04, k=k, cauchy=False)
             ref = mp_binom(-1.5 - 2.0 * k, k) * 0.04**k
             assert t == pytest.approx(ref, rel=1e-11)
+
+
+class TestTermKernel:
+    def test_exact_zero_at_integer_alpha(self):
+        # 0 <= alpha <= k-1 with alpha an integer: C(2, 4) and C(1, 2) vanish
+        assert series._term(a=0.0, b=0.5, x=0.7, k=4, cauchy=False) == 0.0
+        assert series._term(a=0.5, b=0.5, x=0.7, k=3, cauchy=True) == 0.0
+
+    @pytest.mark.parametrize(
+        "a, b, k, cauchy",
+        [
+            (-1.0, 50.0 / 51.0, 52, False),  # sine-reflected, 0 <= alpha <= k-1
+            (0.5, 2.0 / 3.0, 2, False),  # alpha > k-1
+            (-26.5, -50.0, 3, True),  # reflection, alpha < 0
+            (1.5, 0.0, 7, False),  # mu = 0, alpha fixed
+        ],
+    )
+    def test_each_case_matches_mpmath(self, a, b, k, cauchy):
+        x = 0.37
+        got = series._term(a=a, b=b, x=x, k=k, cauchy=cauchy)
+        with mpmath.workdps(40):
+            al = mpmath.mpf(a) + mpmath.mpf(b) * k
+            c = a / mpmath.mpf(k) * mpmath.binomial(al - 1, k - 1) if cauchy else mpmath.binomial(al, k)
+            ref = float(c * mpmath.mpf(x) ** k)
+        assert got == pytest.approx(ref, rel=1e-13)
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("mu", [2.0, 20.0, 50.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("frac", [0.3, 0.85, 0.89])
+    def test_small_nu_sums_within_1e14(self, mu, frac):
+        # lgamma(alpha+1) - lgamma(k+1) - lgamma(alpha-k+1) cancels large
+        # log-gammas: 2.6e-14 off at mu = 20, 4.2e-12 at mu = 1000
+        W = frac * w_border(mu)
+        for name in QUANTITIES:
+            spec = quantity_series(name, mu, Region.SMALL_NU)
+            ref = mp_series(spec.a, mu, False, spec.kind is SeriesKind.SC, W)
+            got = eval_series(spec, W).value
+            assert abs(mpmath.mpf(got) - ref) <= 1e-14 * abs(ref), name
+
+    @pytest.mark.parametrize("mu", [2.0, 20.0, 50.0])
+    @pytest.mark.parametrize("frac", [0.85, 0.89, 1 / 0.89, 1 / 0.85])
+    def test_est_rel_error_bounds_the_true_error(self, mu, frac):
+        # a stop on three small terms ignored the tail: at mu = 50 and
+        # border/0.85, hR2 was 1.9e-12 off with an estimate of 7.4e-15
+        W = frac * w_border(mu)
+        region = Region.LARGE_NU if frac > 1 else Region.SMALL_NU
+        for name in QUANTITIES:
+            spec = quantity_series(name, mu, region)
+            res = eval_series(spec, W)
+            ref = mp_series_closed(spec.a, mu, frac > 1, spec.kind is SeriesKind.SC, W)
+            err = abs(mpmath.mpf(res.value) - ref) / abs(ref)
+            assert err <= res.est_rel_error, name
+            assert res.est_rel_error < 1e-12, name
+
+    @pytest.mark.parametrize(
+        "name, mu, frac",
+        [("fS2", 50.0, 1 / 0.6), ("jac_hR2", 2.0, 0.89), ("jac_hnu2", 2.0, 1 / 0.85)],
+    )
+    def test_term_sum_oracle_matches_closed_form(self, name, mu, frac):
+        # the large-nu fS2 terms at mu = 50 are exact zeros at k = 51, 102, ...
+        # (alpha = 49 at k = 51); the term sum must run past them
+        large = frac > 1
+        spec = quantity_series(name, mu, Region.LARGE_NU if large else Region.SMALL_NU)
+        W = frac * w_border(mu)
+        cauchy = spec.kind is SeriesKind.SC
+        summed = mp_series(spec.a, mu, large, cauchy, W)
+        closed = mp_series_closed(spec.a, mu, large, cauchy, W)
+        assert abs(summed - closed) <= mpmath.mpf(10) ** -30 * abs(closed)
