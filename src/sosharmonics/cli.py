@@ -20,6 +20,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import verify as verify_mod
 from .coords import (
     _HALF_PI,
@@ -38,7 +40,9 @@ from .harmonic import (
     fit_boundary,
     load_solution,
     solution_to_dict,
+    sum_V,
 )
+from .legendre import pole_band
 from .series import region_of
 from .trig import s_limit
 
@@ -46,6 +50,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+# Cells per array pass of `grid`: bounds its memory on a large grid
+_BLOCK_CELLS = 65536
 
 
 class UsageError(Exception):
@@ -155,45 +162,64 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _grid_value(cfg, quantity, sol, x, z):
-    """One grid sample from the closed-form R and s = (1+mu) z / R.
+def _grid_block(cfg, quantity, sol, x, z):
+    """Values of a block of cells at x, z (arrays, in length units) in one
+    array pass over the closed-form R and s = (1+mu) z / R.
 
-    Returns None for points with no value: the origin, W on the axis, W or
-    V beyond the float range, and V with second-kind terms on the axis."""
+    NaN marks a cell with no value: the origin, W on the axis, W or V beyond
+    the float range, and V with second-kind terms in the axis `pole_band`.
+    A V cell has the bits of `eval_V` at `cartesian_R_s` of that cell."""
     mu = cfg.mu
-    try:
+    with np.errstate(all="ignore"):  # overflow and the axis become NaN cells
         R, s = cartesian_R_s(x, 0.0, z, mu)
-        if quantity == "V":
-            V = eval_V(sol, R, s)
-            return V if math.isfinite(V) else None
-    except SosError:
-        return None
-    if quantity == "s":
-        return s
-    if quantity == "hR":
-        return math.sqrt((1.0 + mu) / ((1.0 + mu) + mu * s * s))
-    if x == 0.0:
-        return None  # W diverges on the axis
-    # W = sqrt(t)/(1-t)^((1+mu)/2) with t = s^2/(1+mu) = (1+mu) z^2/R^2 and
-    # 1 - t = x^2/R^2, written without the cancellation in 1 - t
-    try:
-        W = math.sqrt(1.0 + mu) * z / R * (R / x) ** (1.0 + mu)
-    except OverflowError:
-        return None
-    return W if math.isfinite(W) else None
+        empty = R == 0.0
+        if quantity == "s":
+            value = s
+        elif quantity == "hR":
+            value = np.sqrt((1.0 + mu) / ((1.0 + mu) + mu * s * s))
+        elif quantity == "W":
+            # W = sqrt(t)/(1-t)^((1+mu)/2) with t = s^2/(1+mu) = (1+mu) z^2/R^2
+            # and 1 - t = x^2/R^2, written without the cancellation in 1 - t
+            empty = empty | (x == 0.0)  # W diverges on the axis
+            value = math.sqrt(1.0 + mu) * z / R * (R / x) ** (1.0 + mu)
+        else:
+            if sol.has_second_kind:
+                empty = empty | pole_band(s, mu)
+            value = sum_V(sol, R, np.where(empty, 0.0, s))
+        return np.where(empty | ~np.isfinite(value), np.nan, value)
 
 
-def grid_values(cfg: SystemConfig, spec: GridSpec, quantity: str, sol=None):
-    """Row-major (z outer) iterator of (x, z, value or None), in units of R0."""
+def _grid_axes(spec: GridSpec) -> tuple[list[float], list[float]]:
+    """The x and the z coordinates of the grid, in units of R0."""
+    xs = [spec.x_min + (spec.x_max - spec.x_min) * i / (spec.nx - 1) for i in range(spec.nx)]
+    zs = [spec.z_min + (spec.z_max - spec.z_min) * j / (spec.nz - 1) for j in range(spec.nz)]
+    return xs, zs
+
+
+def _grid_rows(cfg: SystemConfig, spec: GridSpec, quantity: str, sol):
+    """(z, values along x) per z-row, z outer; NaN marks an empty value.
+
+    Whole rows are evaluated together, at most _BLOCK_CELLS cells or one
+    row at a time, so memory stays bounded however large the grid."""
     if quantity not in ("s", "V", "hR", "W"):
         raise ValueError("quantity must be one of s, V, hR, W")
     if quantity == "V" and sol is None:
         raise ValueError("quantity V needs a coefficient file")
-    for j in range(spec.nz):
-        z = spec.z_min + (spec.z_max - spec.z_min) * j / (spec.nz - 1)
-        for i in range(spec.nx):
-            x = spec.x_min + (spec.x_max - spec.x_min) * i / (spec.nx - 1)
-            yield x, z, _grid_value(cfg, quantity, sol, x * cfg.R0, z * cfg.R0)
+    xs, zs = _grid_axes(spec)
+    x = np.array(xs) * cfg.R0
+    rows = max(1, _BLOCK_CELLS // spec.nx)
+    for j in range(0, spec.nz, rows):
+        block = zs[j : j + rows]
+        values = _grid_block(cfg, quantity, sol, x, np.array(block)[:, None] * cfg.R0)
+        yield from zip(block, values.tolist())
+
+
+def grid_values(cfg: SystemConfig, spec: GridSpec, quantity: str, sol=None):
+    """Row-major (z outer) iterator of (x, z, value or None), in units of R0."""
+    xs = _grid_axes(spec)[0]
+    for z, row in _grid_rows(cfg, spec, quantity, sol):
+        for x, value in zip(xs, row):
+            yield x, z, (None if math.isnan(value) else value)
 
 
 def cmd_grid(args) -> int:
@@ -215,9 +241,14 @@ def cmd_grid(args) -> int:
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         out.write("x,z,value\n")
-        for x, z, value in grid_values(cfg, spec, args.quantity, sol):
-            sval = "" if value is None else _fmt(value)
-            out.write(f"{_fmt(x)},{_fmt(z)},{sval}\n")
+        # each x and z is formatted once; only the values are per cell
+        x_text = [_fmt(x) + "," for x in _grid_axes(spec)[0]]
+        for z, row in _grid_rows(cfg, spec, args.quantity, sol):
+            z_text = _fmt(z) + ","
+            out.write("".join([
+                f"{xt}{z_text}\n" if math.isnan(v) else f"{xt}{z_text}{v:.17g}\n"
+                for xt, v in zip(x_text, row)
+            ]))
     finally:
         if args.output:
             out.close()
@@ -281,16 +312,17 @@ def cmd_fit(args) -> int:
         samples, args.degree, cfg, include_second_kind=args.second_kind
     )
     payload = json.dumps(solution_to_dict(sol), indent=2)
+    summary = (
+        f"residual_norm={_fmt(diag.residual_norm)} condition={_fmt(diag.condition)}"
+        f" rank={diag.rank}"
+    )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
-        print(f"residual_norm={_fmt(diag.residual_norm)} condition={_fmt(diag.condition)}")
+        print(summary)
     else:
         print(payload)
-        print(
-            f"residual_norm={_fmt(diag.residual_norm)} condition={_fmt(diag.condition)}",
-            file=sys.stderr,
-        )
+        print(summary, file=sys.stderr)
     return EXIT_OK
 
 

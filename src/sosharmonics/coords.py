@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateOriginError, PoleLimitError
-from .trig import closed_trig, solve_logit, w_from_s
+from .trig import closed_trig, solve_logit
 
 _HALF_PI = math.pi / 2
 # Newton stops on a step below this share of nu.  For tiny nu the log-form
@@ -176,10 +176,15 @@ def sos_to_cartesian(p: SosPoint, cfg: SystemConfig) -> CartesianPoint:
 def cartesian_to_sos(c: CartesianPoint, cfg: SystemConfig) -> SosPoint:
     """Inverse transform.
 
-    R comes from the member-spheroid equation, s = (1+mu) z / R, W from the
-    closed inversion of s, and nu from 1-D root finding on the strictly
-    increasing W(nu) (bisection bracket, Newton polish).  Points on the
-    rotation axis map to nu = +-pi/2 with lam = 0.
+    R comes from the member-spheroid equation and nu from 1-D root finding
+    on the strictly increasing log W(nu) (bisection bracket, Newton polish),
+    with W taken in log form from sqrt(t) = sqrt(1+mu)|z|/R and
+    sqrt(1-t) = rho/R, t = s^2/(1+mu):
+
+        log W = log(sqrt(1+mu)|z|/R) + (1+mu) log(R/rho),
+
+    so it cannot overflow at large mu.  Points on the rotation axis map to
+    nu = +-pi/2 with lam = 0.
     """
     mu = cfg.mu
     R = math.sqrt(c.x * c.x + c.y * c.y + (1.0 + mu) * c.z * c.z)
@@ -188,26 +193,24 @@ def cartesian_to_sos(c: CartesianPoint, cfg: SystemConfig) -> SosPoint:
     if c.x == 0.0 and c.y == 0.0:
         return SosPoint(R=R, nu=math.copysign(_HALF_PI, c.z), lam=0.0)
     lam = math.atan2(c.y, c.x)
-    if c.z == 0.0:
-        return SosPoint(R=R, nu=0.0, lam=lam)
-    s = (1.0 + mu) * abs(c.z) / R
-    W = w_from_s(s, mu)
-    if W == 0.0:  # s so small that the inversion underflows
+    sqrt_t = math.sqrt(1.0 + mu) * abs(c.z) / R
+    if sqrt_t == 0.0:  # z so small against R that sqrt(t) underflows
         return SosPoint(R=R, nu=math.copysign(0.0, c.z), lam=lam)
-    nu = _invert_nu(W, R, cfg)
+    log_w = math.log(sqrt_t) + (1.0 + mu) * math.log(R / math.hypot(c.x, c.y))
+    nu = _invert_nu(log_w, R, cfg)
     return SosPoint(R=R, nu=math.copysign(nu, c.z), lam=lam)
 
 
-def _invert_nu(W: float, R: float, cfg: SystemConfig) -> float:
-    """Solve (R/R0)^mu sin(nu)/cos(nu)^(1+mu) = W for nu in (0, pi/2).
+def _invert_nu(log_w: float, R: float, cfg: SystemConfig) -> float:
+    """Solve log((R/R0)^mu sin(nu)/cos(nu)^(1+mu)) = log_w for nu in (0, pi/2).
 
-    Solved in log form: monotone with derivative
-    (1 + mu sin^2 nu)/(sin nu cos nu).  Newton, kept inside a bracket that
-    every residual narrows, starts from exp(target) for tiny nu and from
-    a bisection otherwise, and stops on a relative step.
+    Monotone in nu with derivative (1 + mu sin^2 nu)/(sin nu cos nu).
+    Newton, kept inside a bracket that every residual narrows, starts from
+    exp(target) for tiny nu and from a bisection otherwise, and stops on a
+    relative step.
     """
     mu = cfg.mu
-    target = math.log(W) - mu * math.log(R / cfg.R0)
+    target = log_w - mu * math.log(R / cfg.R0)
 
     def g(nu: float) -> float:
         return math.log(math.sin(nu)) - (1.0 + mu) * math.log(math.cos(nu)) - target

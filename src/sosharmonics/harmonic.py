@@ -4,8 +4,10 @@
 
 with the generalized Legendre functions P_n, Q_n of the legendre module and
 s = f_S/h_R obtained from the position.  P_n and Q_n come from one run of
-the value recursion (over all samples at once in `fit_boundary`), never
-from power-basis coefficients.  Degrees are dense 0..N; radial factors are
+the value recursion (over all samples at once in `fit_boundary`, over a
+whole array of points in `sum_V`), never from power-basis coefficients.
+`cartesian_R_s` and `sum_V` take floats or numpy arrays and give an array
+the bits of its elements one by one.  Degrees are dense 0..N; radial factors are
 computed as (R/R0)^n with R0^n folded into scaled coefficients, which is
 also the convention of the JSON coefficient file
 ({"mu", "R0", "convention": "R_over_R0", "a", "b"}).
@@ -73,21 +75,42 @@ def separation_check(K_d: float) -> float:
     return K_d * (K_d - 2.0)
 
 
-def cartesian_R_s(x: float, y: float, z: float, mu: float) -> tuple[float, float]:
-    """R and s = (1+mu) z / R of a Cartesian point, in closed form.
+def cartesian_R_s(x, y, z, mu: float):
+    """R and s = (1+mu) z / R of Cartesian points, in closed form.
 
-    R comes from the member-spheroid equation x^2 + y^2 + (1+mu) z^2 = R^2;
-    no nu root finding and no series are involved.  Axis points get the
-    exact endpoint +-sqrt(1+mu), and rounding elsewhere is clamped into
+    R comes from the member-spheroid equation x^2 + y^2 + (1+mu) z^2 = R^2,
+    as m sqrt((x/m)^2 + (y/m)^2 + (sqrt(1+mu) z/m)^2) with m the largest of
+    |x|, |y|, sqrt(1+mu)|z|, so it neither overflows nor underflows; no nu
+    root finding and no series are involved.  Axis points get the exact
+    endpoint +-sqrt(1+mu), and rounding elsewhere is clamped into
     [-sqrt(1+mu), sqrt(1+mu)].
+
+    x, y, z are floats, or floats and numpy arrays that broadcast together.
+    Both take only correctly rounded operations, so an array gives the same
+    bits as its elements one by one.  A float origin raises
+    DegenerateOriginError; in an array the origin gets R = 0, for the
+    caller to mask.
     """
-    R = math.hypot(x, y, math.sqrt(1.0 + mu) * z)
-    if R == 0.0:
-        raise DegenerateOriginError("the origin has no SOS image")
     lim = s_limit(mu)
-    if x == 0.0 and y == 0.0:
-        return R, math.copysign(lim, z)
-    return R, max(-lim, min(lim, (1.0 + mu) * z / R))
+    u, v, w = abs(x), abs(y), abs(lim * z)
+    array = isinstance(u + v + w, np.ndarray)
+    if array:
+        m = np.maximum(np.maximum(u, v), w)
+        m = np.where(m == 0.0, 1.0, m)  # the origin: R = 0 below
+    else:
+        m = max(u, v, w)
+        if m == 0.0:
+            raise DegenerateOriginError("the origin has no SOS image")
+    u, v, w = u / m, v / m, w / m
+    R = m * (np.sqrt if array else math.sqrt)(u * u + v * v + w * w)
+    if not array:
+        if x == 0.0 and y == 0.0:
+            return R, math.copysign(lim, z)
+        return R, max(-lim, min(lim, (1.0 + mu) * z / R))
+    axis = (x == 0.0) & (y == 0.0)
+    with np.errstate(invalid="ignore"):  # 0/0 at the origin, an axis cell
+        s = np.clip((1.0 + mu) * z / R, -lim, lim)
+    return R, np.where(axis, np.copysign(lim, z), s)
 
 
 def s_at_point(R: float, nu: float, cfg: SystemConfig) -> float:
@@ -99,17 +122,27 @@ def s_at_point(R: float, nu: float, cfg: SystemConfig) -> float:
 
 def eval_V(sol: HarmonicSolution, R: float, s: float) -> float:
     """Potential at radial coordinate R and angular argument s."""
-    mu = sol.cfg.mu
-    lim = s_limit(mu)
-    if abs(s) > lim * (1.0 + 1e-12):
+    if abs(s) > s_limit(sol.cfg.mu) * (1.0 + 1e-12):
         raise ValueError("s outside [-sqrt(1+mu), sqrt(1+mu)]")
     if R <= 0.0:
         raise ValueError("R must be positive")
+    return sum_V(sol, R, s)
+
+
+def sum_V(sol: HarmonicSolution, R, s):
+    """The expansion's sum at R and s, floats or numpy arrays of one shape.
+
+    No range checks (`eval_V` makes them for a point); the second-kind terms
+    raise PoleDivergenceError if some s lies in `legendre.pole_band`.
+    Arrays take the same operations in the same order as floats, so each
+    element gets the bits of the float sum.
+    """
+    mu = sol.cfg.mu
     p, t = legendre.values(max(len(sol.a), len(sol.b), 1) - 1, s, mu)
     if sol.has_second_kind:
-        # the q0 logarithm is shared by every degree; it raises on the axis
+        # the q0 logarithm is shared by every degree
         q0 = legendre.q0(s, mu)
-        g = math.sqrt((1.0 + mu) ** 2 - mu * s * s)
+        g = legendre.q_weight(s, mu)
     rr = R / sol.cfg.R0
     total = 0.0
     pw = 1.0
@@ -229,16 +262,14 @@ def fit_boundary(
             f"{len(nus)} samples cannot determine {n_cols} coefficients"
         )
     mu = cfg.mu
-    svals = np.array([s_on_reference(nu, mu) for nu in nus])
-    if include_second_kind and np.any(
-        np.abs(svals) >= s_limit(mu) * (1.0 - 1e-12)
-    ):
+    svals = s_on_reference(nus, mu)
+    if include_second_kind and np.any(legendre.pole_band(svals, mu)):
         raise PoleDivergenceError("second-kind fit cannot use samples at |nu| = pi/2")
 
     p, t = legendre.values(N, svals, mu)
     if include_second_kind:
-        q0 = np.array([legendre.q0(s, mu) for s in svals])
-        g = np.sqrt((1.0 + mu) ** 2 - mu * svals * svals)
+        q0 = legendre.q0(svals, mu)
+        g = legendre.q_weight(svals, mu)
         p += [pn * q0 - tn * g for pn, tn in zip(p, t)]
     design = np.column_stack(p)
 

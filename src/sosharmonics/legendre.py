@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PoleDivergenceError
 
 _POLE_MARGIN = 1e-12
@@ -134,27 +136,49 @@ def eval_poly_deriv(p: GenLegendrePoly, s: float, order: int = 1) -> float:
     return v
 
 
-def _check_q_domain(s: float, mu: float) -> None:
-    if abs(s) >= math.sqrt(1.0 + mu) * (1.0 - _POLE_MARGIN):
+def pole_band(s, mu: float):
+    """True where |s| lies within a relative 1e-12 of the axis value
+    sqrt(1+mu), where the second-kind functions are not evaluated; s is a
+    float or a numpy array."""
+    return abs(s) >= math.sqrt(1.0 + mu) * (1.0 - _POLE_MARGIN)
+
+
+def _check_q_domain(s, mu: float) -> None:
+    band = pole_band(s, mu)
+    if band.any() if isinstance(band, np.ndarray) else band:
         raise PoleDivergenceError(
             "second-kind functions diverge on the rotation axis |s| = sqrt(1+mu)"
         )
 
 
-def q0(s: float, mu: float) -> float:
-    """Zeroth second-kind function.
+def q_weight(s, mu: float):
+    """g = sqrt((1+mu)^2 - mu s^2), the factor of T_n in Q_n = P_n q0 - T_n g.
+
+    s is a float or a numpy array; math.sqrt and np.sqrt are both correctly
+    rounded, so the two give the same bits."""
+    sqrt = np.sqrt if isinstance(s, np.ndarray) else math.sqrt
+    return sqrt((1.0 + mu) ** 2 - mu * s * s)
+
+
+def q0(s, mu: float):
+    """Zeroth second-kind function, at a float or a numpy array of s.
 
     q0(s) = 1/2 ln( [s + sqrt((1+mu)^2 - mu s^2)]^2 / ((1+mu)((1+mu) - s^2)) )
 
     Odd in s; reduces to 1/2 ln((1+s)/(1-s)) at mu = 0.  Evaluated through
     log1p of the exact increment 2|s|(|s| + g)/((1+mu)((1+mu) - s^2)), which
-    keeps small-s accuracy and exact parity.
+    keeps small-s accuracy and exact parity.  The logarithm is numpy's for
+    floats too (math.log1p rounds differently on some inputs), so an array
+    gives the same bits as its elements one by one.  Raises
+    PoleDivergenceError if any s lies in the `pole_band`.
     """
     _check_q_domain(s, mu)
     a = abs(s)
-    g = math.sqrt((1.0 + mu) ** 2 - mu * a * a)
-    inc = 2.0 * a * (a + g) / ((1.0 + mu) * ((1.0 + mu) - a * a))
-    return math.copysign(0.5 * math.log1p(inc), s)
+    inc = 2.0 * a * (a + q_weight(a, mu)) / ((1.0 + mu) * ((1.0 + mu) - a * a))
+    half = 0.5 * np.log1p(inc)
+    if isinstance(s, np.ndarray):
+        return np.copysign(half, s)
+    return math.copysign(half, s)
 
 
 def dq0_ds(s: float, mu: float) -> float:
@@ -176,8 +200,7 @@ def eval_q(n: int, s: float, mu: float) -> float:
     """Second-kind function Q_n(s) via the P/T composition."""
     _check_q_domain(s, mu)
     p, t = values(n, s, mu)
-    g = math.sqrt((1.0 + mu) ** 2 - mu * s * s)
-    return p[n] * q0(s, mu) - t[n] * g
+    return p[n] * q0(s, mu) - t[n] * q_weight(s, mu)
 
 
 def eval_q_derivs(n: int, s: float, mu: float) -> tuple[float, float, float]:

@@ -25,6 +25,7 @@ from .coords import (
     SosPoint,
     SystemConfig,
     cartesian_to_sos,
+    closed_point,
     compute_W,
     dW,
     metrics_at,
@@ -315,6 +316,15 @@ def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
 # --- transforms --------------------------------------------------------------
 
 
+def _log_w(p: SosPoint, cfg: SystemConfig) -> float:
+    """log|W| = mu log(R/R0) + log sin|nu| - (1+mu) log cos nu, 0 < |nu| < pi/2."""
+    return (
+        cfg.mu * math.log(p.R / cfg.R0)
+        + math.log(math.sin(abs(p.nu)))
+        - (1.0 + cfg.mu) * math.log(math.cos(p.nu))
+    )
+
+
 def transform_checks(
     cfg: SystemConfig, n_points: int = 120, seed: int = 20240901
 ) -> list[CheckResult]:
@@ -342,17 +352,22 @@ def transform_checks(
             abs(back.nu - nu),
             abs(back.lam - lam),
         )
-        # cone invariance: scaling the position leaves (W, s, h_R, f_S, f_C) fixed
+        # cone invariance: scaling the position leaves (W, s, h_R, f_S, f_C)
+        # fixed; W is compared in log form (it underflows at large mu)
         c2 = CartesianPoint(2.0 * c.x, 2.0 * c.y, 2.0 * c.z)
         p2 = cartesian_to_sos(c2, cfg)
         if abs(nu) > 1e-3:
-            w1 = compute_W(p.R, abs(p.nu), cfg)
-            w2 = compute_W(p2.R, abs(p2.nu), cfg)
-            r_cone = max(r_cone, _rel(w2, w1))
-            t1 = trig_from_W_robust(w1, mu)
-            t2 = trig_from_W_robust(w2, mu)
-            for f in ("s", "h_R", "f_S", "f_C"):
-                r_cone = max(r_cone, abs(getattr(t1, f) - getattr(t2, f)))
+            r_cone = max(r_cone, abs(_log_w(p2, cfg) - _log_w(p, cfg)))
+            (s1, f_C1, m1), (s2, f_C2, m2) = (
+                closed_point(q.R, abs(q.nu), cfg) for q in (p, p2)
+            )
+            r_cone = max(
+                r_cone,
+                abs(s2 - s1),
+                abs(m2.h_R - m1.h_R),
+                abs(s2 * m2.h_R - s1 * m1.h_R),
+                abs(f_C2 - f_C1),
+            )
     return [
         CheckResult("transform.roundtrip", r_round, 1e-9),
         CheckResult("transform.spheroid_membership", r_member, 1e-10),

@@ -349,6 +349,16 @@ class TestClosedPointOracle:
             assert c.z == pytest.approx(-z, rel=self.REL)
 
     @pytest.mark.parametrize("mu", MUS)
+    def test_cartesian_to_sos(self, mu):
+        # the inverse takes log W, so (1-t)^(-(1+mu)/2) cannot overflow
+        cfg = SystemConfig(mu=mu, R0=1.0)
+        for R, nu, (_, rho, z, _, _, _) in self.points(mu):
+            for sign in (1.0, -1.0):
+                p = cartesian_to_sos(CartesianPoint(rho, 0.0, sign * z), cfg)
+                assert p.R == pytest.approx(R, rel=self.REL)
+                assert p.nu == pytest.approx(sign * nu, rel=self.REL)
+
+    @pytest.mark.parametrize("mu", MUS)
     def test_s_at_point(self, mu):
         cfg = SystemConfig(mu=mu, R0=1.0)
         for R, nu, (s, _, _, _, _, _) in self.points(mu):

@@ -9,12 +9,13 @@ t = s^2/(1+mu), and V by the value recursion of P_n and T_n.
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from sosharmonics import cli, harmonic
+from sosharmonics import cli, harmonic, legendre
 from sosharmonics.cli import GridSpec, grid_values, main
 from sosharmonics.coords import CartesianPoint, SystemConfig
-from sosharmonics.errors import DegenerateOriginError
+from sosharmonics.errors import DegenerateOriginError, PoleDivergenceError, SosError
 from sosharmonics.harmonic import HarmonicSolution, cartesian_R_s, eval_V_cartesian
 from sosharmonics.trig import s_limit
 
@@ -138,6 +139,72 @@ def test_V_beyond_float_range_is_an_empty_cell(tmp_path, extent):
     assert finite == (4 if extent == "2e154" else 0)  # of 20 cells off the axis
 
 
+# x = 5e-7 against z up to 1: |s| is within 1e-12 of sqrt(1+mu), where q0 is refused
+NEAR_AXIS = GridSpec(x_min=0.0, x_max=2e-6, z_min=0.0, z_max=1.0, nx=5, nz=4)
+
+
+def scalar_cell(mu, quantity, sol, x, z):
+    """A cell by the scalar point path, None where it has no value."""
+    try:
+        R, s = cartesian_R_s(x, 0.0, z, mu)
+        if quantity == "s":
+            value = s
+        elif quantity == "hR":
+            value = math.sqrt((1.0 + mu) / ((1.0 + mu) + mu * s * s))
+        elif quantity == "W":
+            value = math.sqrt(1.0 + mu) * z / R * (R / x) ** (1.0 + mu) if x > 0.0 else math.inf
+        else:
+            value = harmonic.eval_V(sol, R, s)
+    except (SosError, OverflowError):
+        return None
+    return value if math.isfinite(value) else None
+
+
+@pytest.mark.parametrize("spec", [SPEC, NEAR_AXIS], ids=["grid", "near-axis"])
+@pytest.mark.parametrize("mu", MUS)
+@pytest.mark.parametrize("quantity", ["s", "hR", "W", "V"])
+def test_grid_equals_scalar_path(spec, mu, quantity):
+    # V and s are the scalar bits; hR and W are within 1e-12 of their closed
+    # forms at the scalar R and s (pow rounds differently in numpy)
+    cfg = SystemConfig(mu=mu, R0=1.0)
+    sol = HarmonicSolution(a=A, b=B, cfg=cfg)
+    cells = list(grid_values(cfg, spec, quantity, sol))
+    assert len(cells) == spec.nx * spec.nz
+    for x, z, value in cells:
+        ref = scalar_cell(mu, quantity, sol, x, z)
+        if ref is None or quantity in ("s", "V"):
+            assert value == ref, (x, z, value, ref)
+        else:
+            assert abs(value - ref) <= REL * ref, (x, z, value, ref)
+    if spec is NEAR_AXIS and quantity == "V":
+        assert any(v is None for x, _, v in cells if x > 0.0)
+
+
+@pytest.mark.parametrize("cells", [7, 40])
+@pytest.mark.parametrize("quantity", ["s", "hR", "W", "V"])
+def test_blocks_match_one_block(monkeypatch, cells, quantity):
+    # 7 cells: one row per block (fewer cells than a row); 40: two rows per
+    # block and a last block of one row
+    one_block = grid(2.0, quantity)
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", cells)
+    assert grid(2.0, quantity) == one_block
+
+
+@pytest.mark.parametrize("mu", MUS)
+def test_array_q0_equals_scalar(mu):
+    lim = s_limit(mu)
+    s = np.concatenate([
+        lim * np.linspace(-0.999, 0.999, 401),
+        [0.0, -0.0, 1e-300, -1e-17, 3e-9, lim * (1 - 2e-12), -lim * (1 - 2e-12)],
+    ])
+    q = legendre.q0(s, mu)
+    assert q.shape == s.shape
+    assert all(a == legendre.q0(float(v), mu) for a, v in zip(q.tolist(), s))
+    assert np.all(np.signbit(q) == np.signbit(s))
+    with pytest.raises(PoleDivergenceError):
+        legendre.q0(np.array([0.1, lim]), mu)
+
+
 def test_no_root_finding_or_series_on_the_cartesian_path(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the closed-form Cartesian path took the nu round trip")
@@ -157,6 +224,17 @@ class TestCartesianRS:
     def test_origin_raises(self):
         with pytest.raises(DegenerateOriginError):
             cartesian_R_s(0.0, 0.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_array_equals_scalar(self, mu):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([[0.0, 0.0, 0.0, 1e-300, 2.0], rng.uniform(-3, 3, 200)])
+        y = np.concatenate([[0.0, 0.0, 0.0, 0.0, 0.0], rng.uniform(-3, 3, 200)])
+        z = np.concatenate([[0.0, 0.7, -0.7, 1e5, 0.0], rng.uniform(-3, 3, 200)])
+        R, s = cartesian_R_s(x, y, z, mu)
+        assert R[0] == 0.0  # the origin, for the caller to mask
+        for i in range(1, len(x)):
+            assert (R[i], s[i]) == cartesian_R_s(float(x[i]), float(y[i]), float(z[i]), mu)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_axis_is_exact(self, mu):
