@@ -5,6 +5,7 @@ from .coords import (
     MetricBundle,
     SosPoint,
     SystemConfig,
+    cartesian_R_s,
     cartesian_to_sos,
     compute_W,
     dW,
@@ -25,7 +26,6 @@ from .errors import (
 from .harmonic import (
     FitDiagnostics,
     HarmonicSolution,
-    cartesian_R_s,
     eval_V,
     eval_V_at,
     eval_V_cartesian,
@@ -61,7 +61,6 @@ from .trig import (
     TrigBundle,
     s_limit,
     s_on_reference,
-    trig_from_W,
     trig_from_W_robust,
     w_from_s,
 )

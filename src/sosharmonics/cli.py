@@ -28,6 +28,7 @@ from .coords import (
     CartesianPoint,
     SosPoint,
     SystemConfig,
+    cartesian_R_s,
     cartesian_to_sos,
     closed_point,
     compute_W,
@@ -35,7 +36,6 @@ from .coords import (
 from .errors import SosError
 from .harmonic import (
     HarmonicSolution,
-    cartesian_R_s,
     eval_V,
     fit_boundary,
     load_solution,

@@ -8,7 +8,9 @@ usual longitude.  The dimensionless cone parameter
 
 carries the whole angular dependence: every metric quantity is a function
 of W alone times explicit R and dW/dnu factors.  Negative latitudes map by
-mirror symmetry (W odd in nu, all metric quantities even).
+mirror symmetry (W odd in nu, all metric quantities even).  The point
+kernel and the inverse transform both solve the closed inversion with
+`trig.solve_logit`, in log W, so W is never formed.
 """
 
 from __future__ import annotations
@@ -16,18 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateOriginError, PoleLimitError
-from .trig import closed_trig, solve_logit
+from .trig import closed_trig, s_limit, solve_logit
 
 _HALF_PI = math.pi / 2
-# Newton stops on a step below this share of nu.  For tiny nu the log-form
-# residual carries rounding noise of about eps * |target|, so the share
-# grows with |target| there.
-_NU_STEP_RTOL = 1e-15
-_NU_MAX_ITER = 80
-# Below this log target sin(nu) ~ nu and cos(nu) ~ 1, so exp(target) seeds
-# Newton next to the root however small nu is
-_SMALL_NU_LOG = math.log(1e-3)
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ def closed_point(
         h_nu=h_nu,
         jacobian=jac,
         jac_over_hR2=jac / h_R**2,
-        jac_over_hnu2=jac / h_nu**2,
+        jac_over_hnu2=R * f_C / h_nu,
     )
     return (-s if nu < 0.0 else s), f_C, metrics
 
@@ -173,75 +169,64 @@ def sos_to_cartesian(p: SosPoint, cfg: SystemConfig) -> CartesianPoint:
     return CartesianPoint(x=rho * math.cos(p.lam), y=rho * math.sin(p.lam), z=z)
 
 
+def cartesian_R_s(x, y, z, mu: float):
+    """R and s = (1+mu) z / R of Cartesian points, in closed form.
+
+    R comes from the member-spheroid equation x^2 + y^2 + (1+mu) z^2 = R^2,
+    as m sqrt((x/m)^2 + (y/m)^2 + (sqrt(1+mu) z/m)^2) with m the largest of
+    |x|, |y|, sqrt(1+mu)|z|, so it neither overflows nor underflows; no nu
+    root finding and no series are involved.  Axis points get the exact
+    endpoint +-sqrt(1+mu), and rounding elsewhere is clamped into
+    [-sqrt(1+mu), sqrt(1+mu)].
+
+    x, y, z are floats, or floats and numpy arrays that broadcast together.
+    Both take only correctly rounded operations, so an array gives the same
+    bits as its elements one by one.  A float origin raises
+    DegenerateOriginError; in an array the origin gets R = 0, for the
+    caller to mask.
+    """
+    lim = s_limit(mu)
+    u, v, w = abs(x), abs(y), abs(lim * z)
+    array = isinstance(u + v + w, np.ndarray)
+    if array:
+        m = np.maximum(np.maximum(u, v), w)
+        m = np.where(m == 0.0, 1.0, m)  # the origin: R = 0 below
+    else:
+        m = max(u, v, w)
+        if m == 0.0:
+            raise DegenerateOriginError("the origin has no SOS image")
+    u, v, w = u / m, v / m, w / m
+    R = m * (np.sqrt if array else math.sqrt)(u * u + v * v + w * w)
+    if not array:
+        if x == 0.0 and y == 0.0:
+            return R, math.copysign(lim, z)
+        return R, max(-lim, min(lim, (1.0 + mu) * z / R))
+    axis = (x == 0.0) & (y == 0.0)
+    with np.errstate(invalid="ignore"):  # 0/0 at the origin, an axis cell
+        s = np.clip((1.0 + mu) * z / R, -lim, lim)
+    return R, np.where(axis, np.copysign(lim, z), s)
+
+
 def cartesian_to_sos(c: CartesianPoint, cfg: SystemConfig) -> SosPoint:
     """Inverse transform.
 
-    R comes from the member-spheroid equation and nu from 1-D root finding
-    on the strictly increasing log W(nu) (bisection bracket, Newton polish),
-    with W taken in log form from sqrt(t) = sqrt(1+mu)|z|/R and
-    sqrt(1-t) = rho/R, t = s^2/(1+mu):
+    R and s come from `cartesian_R_s`.  With sqrt(t) = |s|/sqrt(1+mu) and
+    sqrt(1-t) = rho/R, t = s^2/(1+mu),
 
-        log W = log(sqrt(1+mu)|z|/R) + (1+mu) log(R/rho),
+        log W = log sqrt(t) + (1+mu) log(R/rho),
 
-    so it cannot overflow at large mu.  Points on the rotation axis map to
-    nu = +-pi/2 with lam = 0.
+    so W is never formed.  The logit x = log tan^2 nu solves
+    x/2 + (mu/2) log(1 + e^x) = log W - mu log(R/R0), the equation
+    `trig.solve_logit` inverts, and nu = atan(e^(x/2)).  Points on the
+    rotation axis map to nu = +-pi/2 with lam = 0.
     """
     mu = cfg.mu
-    R = math.sqrt(c.x * c.x + c.y * c.y + (1.0 + mu) * c.z * c.z)
-    if R == 0.0:
-        raise DegenerateOriginError("the origin has no SOS image")
+    R, s = cartesian_R_s(c.x, c.y, c.z, mu)
     if c.x == 0.0 and c.y == 0.0:
         return SosPoint(R=R, nu=math.copysign(_HALF_PI, c.z), lam=0.0)
-    lam = math.atan2(c.y, c.x)
-    sqrt_t = math.sqrt(1.0 + mu) * abs(c.z) / R
-    if sqrt_t == 0.0:  # z so small against R that sqrt(t) underflows
-        return SosPoint(R=R, nu=math.copysign(0.0, c.z), lam=lam)
-    log_w = math.log(sqrt_t) + (1.0 + mu) * math.log(R / math.hypot(c.x, c.y))
-    nu = _invert_nu(log_w, R, cfg)
-    return SosPoint(R=R, nu=math.copysign(nu, c.z), lam=lam)
-
-
-def _invert_nu(log_w: float, R: float, cfg: SystemConfig) -> float:
-    """Solve log((R/R0)^mu sin(nu)/cos(nu)^(1+mu)) = log_w for nu in (0, pi/2).
-
-    Monotone in nu with derivative (1 + mu sin^2 nu)/(sin nu cos nu).
-    Newton, kept inside a bracket that every residual narrows, starts from
-    exp(target) for tiny nu and from a bisection otherwise, and stops on a
-    relative step.
-    """
-    mu = cfg.mu
-    target = log_w - mu * math.log(R / cfg.R0)
-
-    def g(nu: float) -> float:
-        return math.log(math.sin(nu)) - (1.0 + mu) * math.log(math.cos(nu)) - target
-
-    lo, hi = 0.0, _HALF_PI
-    if target < _SMALL_NU_LOG:
-        nu = math.exp(target)
-        if nu == 0.0:
-            return 0.0  # below the smallest positive float
-    else:
-        # bisect on the open interval: g -> -inf at 0+, +inf at pi/2-
-        for _ in range(20):
-            mid = 0.5 * (lo + hi)
-            if g(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        nu = 0.5 * (lo + hi)
-    tol = _NU_STEP_RTOL * max(1.0, -target)
-    for _ in range(_NU_MAX_ITER):
-        gv = g(nu)
-        if gv > 0.0:
-            hi = nu
-        else:
-            lo = nu
-        sn = math.sin(nu)
-        cs = math.cos(nu)
-        step = gv * sn * cs / (1.0 + mu * sn * sn)
-        if abs(step) <= tol * nu:
-            return nu - step
-        nu -= step
-        if not lo < nu < hi:
-            nu = 0.5 * (lo + hi)
-    return nu
+    log_sqrt_t = math.log(abs(s) / s_limit(mu)) if s != 0.0 else -math.inf
+    log_w = log_sqrt_t + (1.0 + mu) * math.log(R / math.hypot(c.x, c.y))
+    x = solve_logit(log_w - mu * math.log(R / cfg.R0), mu)
+    # atan(e^(x/2)), split so that neither exponential overflows
+    nu = math.atan2(math.exp(min(x, 0.0) / 2.0), math.exp(-max(x, 0.0) / 2.0))
+    return SosPoint(R=R, nu=math.copysign(nu, c.z), lam=math.atan2(c.y, c.x))

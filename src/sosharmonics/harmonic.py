@@ -6,8 +6,10 @@ with the generalized Legendre functions P_n, Q_n of the legendre module and
 s = f_S/h_R obtained from the position.  P_n and Q_n come from one run of
 the value recursion (over all samples at once in `fit_boundary`, over a
 whole array of points in `sum_V`), never from power-basis coefficients.
-`cartesian_R_s` and `sum_V` take floats or numpy arrays and give an array
-the bits of its elements one by one.  Degrees are dense 0..N; radial factors are
+A Cartesian point takes R and s from `coords.cartesian_R_s`, the formula
+`cartesian_to_sos` uses too.  `cartesian_R_s` and `sum_V` take floats or
+numpy arrays and give an array the bits of its elements one by one.
+Degrees are dense 0..N; radial factors are
 computed as (R/R0)^n with R0^n folded into scaled coefficients, which is
 also the convention of the JSON coefficient file
 ({"mu", "R0", "convention": "R_over_R0", "a", "b"}).
@@ -28,6 +30,7 @@ from .coords import (
     CartesianPoint,
     SosPoint,
     SystemConfig,
+    cartesian_R_s,
     closed_point,
     metrics_at,
 )
@@ -73,44 +76,6 @@ class FitDiagnostics:
 def separation_check(K_d: float) -> float:
     """Radial-angular coupling of the separation constants: K_b = K_d (K_d - 2)."""
     return K_d * (K_d - 2.0)
-
-
-def cartesian_R_s(x, y, z, mu: float):
-    """R and s = (1+mu) z / R of Cartesian points, in closed form.
-
-    R comes from the member-spheroid equation x^2 + y^2 + (1+mu) z^2 = R^2,
-    as m sqrt((x/m)^2 + (y/m)^2 + (sqrt(1+mu) z/m)^2) with m the largest of
-    |x|, |y|, sqrt(1+mu)|z|, so it neither overflows nor underflows; no nu
-    root finding and no series are involved.  Axis points get the exact
-    endpoint +-sqrt(1+mu), and rounding elsewhere is clamped into
-    [-sqrt(1+mu), sqrt(1+mu)].
-
-    x, y, z are floats, or floats and numpy arrays that broadcast together.
-    Both take only correctly rounded operations, so an array gives the same
-    bits as its elements one by one.  A float origin raises
-    DegenerateOriginError; in an array the origin gets R = 0, for the
-    caller to mask.
-    """
-    lim = s_limit(mu)
-    u, v, w = abs(x), abs(y), abs(lim * z)
-    array = isinstance(u + v + w, np.ndarray)
-    if array:
-        m = np.maximum(np.maximum(u, v), w)
-        m = np.where(m == 0.0, 1.0, m)  # the origin: R = 0 below
-    else:
-        m = max(u, v, w)
-        if m == 0.0:
-            raise DegenerateOriginError("the origin has no SOS image")
-    u, v, w = u / m, v / m, w / m
-    R = m * (np.sqrt if array else math.sqrt)(u * u + v * v + w * w)
-    if not array:
-        if x == 0.0 and y == 0.0:
-            return R, math.copysign(lim, z)
-        return R, max(-lim, min(lim, (1.0 + mu) * z / R))
-    axis = (x == 0.0) & (y == 0.0)
-    with np.errstate(invalid="ignore"):  # 0/0 at the origin, an axis cell
-        s = np.clip((1.0 + mu) * z / R, -lim, lim)
-    return R, np.where(axis, np.copysign(lim, z), s)
 
 
 def s_at_point(R: float, nu: float, cfg: SystemConfig) -> float:

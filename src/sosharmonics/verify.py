@@ -24,6 +24,7 @@ from .coords import (
     MetricBundle,
     SosPoint,
     SystemConfig,
+    cartesian_R_s,
     cartesian_to_sos,
     closed_point,
     compute_W,
@@ -557,8 +558,7 @@ def _shell_point(
         sth = math.sqrt(1.0 - cth * cth)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         c = CartesianPoint(r * sth * math.cos(phi), r * sth * math.sin(phi), r * cth)
-        R = math.sqrt(c.x**2 + c.y**2 + (1.0 + cfg.mu) * c.z**2)
-        s = (1.0 + cfg.mu) * c.z / R
+        _, s = cartesian_R_s(c.x, c.y, c.z, cfg.mu)
         if s_cap is None or abs(s) <= s_cap * lim:
             return c
 

@@ -146,6 +146,42 @@ def mp_point(R, nu, mu):
         return tuple(float(v) for v in (s, rho, z, h_R, h_nu, h_R * h_nu * rho))
 
 
+def mp_cartesian_nu(x, y, z, mu, R0=1.0):
+    """50-digit (R, |nu|) of a Cartesian point, solved in nu itself.
+
+    R and s = (1+mu) z / R are the closed forms and t = s^2/(1+mu); nu
+    solves log sin nu - (1+mu) log cos nu = log W - mu log(R/R0) with
+    W^2 = t/(1-t)^(1+mu), by `mp.findroot` on a bracket in log nu, or in
+    log(pi/2 - nu) when nu >= pi/4.  Inputs are taken as the exact binary
+    values of the floats given.
+    """
+    with mpmath.workdps(50):
+        x, y, z, mu, R0 = (mpmath.mpf(v) for v in (x, y, z, mu, R0))
+        R = mpmath.sqrt(x * x + y * y + (1 + mu) * z * z)
+        t = (1 + mu) * z * z / (R * R)
+        target = mpmath.log(t) / 2 - (1 + mu) / 2 * mpmath.log(1 - t) - mu * mpmath.log(R / R0)
+        half_log2 = mpmath.log(2) / 2  # log sin and -log cos at pi/4
+        if target < mu * half_log2:
+            # nu = e^u < pi/4: sin nu <= nu and cos nu >= cos(pi/4) bound the root
+            u = mpmath.findroot(
+                lambda u: mpmath.log(mpmath.sin(mpmath.exp(u)))
+                - (1 + mu) * mpmath.log(mpmath.cos(mpmath.exp(u))) - target,
+                (target - (1 + mu) * half_log2 - 1, mpmath.log(mpmath.pi / 4)),
+                solver="anderson",
+            )
+            nu = mpmath.exp(u)
+        else:
+            # pi/2 - nu = e^v <= pi/4, by the same bounds on the complement
+            v = mpmath.findroot(
+                lambda v: mpmath.log(mpmath.cos(mpmath.exp(v)))
+                - (1 + mu) * mpmath.log(mpmath.sin(mpmath.exp(v))) - target,
+                (-(target + half_log2) / (1 + mu) - 1, mpmath.log(mpmath.pi / 4)),
+                solver="anderson",
+            )
+            nu = mpmath.pi / 2 - mpmath.exp(v)
+        return float(R), float(nu)
+
+
 def _series_setup(a, mu, large, W):
     """(a, b, x, rho) of a series family member as mpf values, at the working
     precision: b and x as in `sosharmonics.series`, rho the limiting ratio of

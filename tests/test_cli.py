@@ -7,7 +7,7 @@ import pytest
 
 from sosharmonics import verify
 from sosharmonics.cli import GridSpec, grid_values, main
-from sosharmonics.coords import SystemConfig
+from sosharmonics.coords import SystemConfig, cartesian_R_s
 from sosharmonics.harmonic import HarmonicSolution, save_solution
 
 from _oracles import S_REF_MU2_NU30, mp_point
@@ -76,6 +76,15 @@ class TestEval:
         assert rec["R"] == pytest.approx(1.0, rel=1e-12)
         assert rec["region"] == "Pole"
         assert rec["W"] is None
+
+    def test_cartesian_tiny_point(self, capsys, cfg0):
+        # an unscaled R underflowed to 0 here: exit 3, "the origin has no SOS image"
+        rc, out, _ = run(capsys, ["eval", "--config", cfg0, "--x", "1e-200", "--z", "1e-200"])
+        assert rc == 0
+        rec = json.loads(out)
+        assert rec["R"] == cartesian_R_s(1e-200, 0.0, 1e-200, 0.0)[0]
+        assert rec["nu"] == pytest.approx(math.pi / 4, rel=1e-15)
+        assert rec["s"] == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
     def test_potential_included(self, capsys, cfg2, tmp_path):
         coeffs = tmp_path / "c.json"

@@ -11,6 +11,7 @@ from sosharmonics.coords import (
     CartesianPoint,
     SosPoint,
     SystemConfig,
+    cartesian_R_s,
     cartesian_to_sos,
     compute_W,
     dW,
@@ -23,7 +24,7 @@ from sosharmonics.verify import metric_checks
 from sosharmonics.series import Region, region_of, w_border
 from sosharmonics.trig import trig_from_W, trig_from_W_robust
 
-from _oracles import W_REF_MU2_NU30, Z_REF_MU2_NU30, mp_point
+from _oracles import W_REF_MU2_NU30, Z_REF_MU2_NU30, mp_cartesian_nu, mp_point
 
 CFG2 = SystemConfig(mu=2.0, R0=1.0)
 CFG0 = SystemConfig(mu=0.0, R0=1.0)
@@ -168,6 +169,13 @@ class TestMetrics:
         mb_hi = metrics_at(1.18 * R, nu, CFG2)
         assert mb_lo.h_R > mb.h_R > mb_hi.h_R  # h_R decreases with W
 
+    @pytest.mark.parametrize("R", [1e-200, 1e-160])
+    def test_jac_over_hnu2_at_tiny_R(self, R):
+        # J = R h_nu f_C underflows to 0 at R = 1e-200 and is subnormal at
+        # 1e-160; J/h_nu^2 = R f_C/h_nu = cos(nu) at mu = 0
+        mb = metrics_at(R, 0.7, CFG0)
+        assert mb.jac_over_hnu2 == pytest.approx(math.cos(0.7), rel=1e-14)
+
     def test_negative_nu_even(self):
         a = metrics_at(1.2, 0.6, CFG2)
         b = metrics_at(1.2, -0.6, CFG2)
@@ -238,6 +246,21 @@ class TestInverseTransform:
         assert p1.R == pytest.approx(p0.R, rel=1e-9)
         assert p1.nu == pytest.approx(p0.nu, abs=1e-9)
         assert p1.lam == pytest.approx(p0.lam, abs=1e-9)
+
+    @pytest.mark.parametrize("mu", [0.0, 2.0])
+    @pytest.mark.parametrize("v", [1e-200, 1e200])
+    def test_extreme_scale(self, mu, v):
+        # x^2 + (1+mu) z^2 underflows at 1e-200 and overflows at 1e200
+        p = cartesian_to_sos(CartesianPoint(v, 0.0, v), SystemConfig(mu=mu))
+        R, nu = mp_cartesian_nu(v, 0.0, v, mu)
+        assert p.R == cartesian_R_s(v, 0.0, v, mu)[0]
+        assert p.R == pytest.approx(R, rel=1e-15)
+        assert p.nu == pytest.approx(nu, rel=1e-12)
+
+    def test_near_axis_logit_beyond_float_exp(self):
+        # x = log tan^2 nu is about 1424 here, so e^(x/2) overflows
+        p = cartesian_to_sos(CartesianPoint(1e-300, 0.0, 1.0), SystemConfig(mu=200.0, R0=1e10))
+        assert p.nu == math.pi / 2
 
 
 class TestTinyNu:
