@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -326,7 +327,11 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one:
+    building it is most of the fixed cost of an in-process `main` call, and
+    `parse_args` returns a fresh Namespace each time."""
     parser = argparse.ArgumentParser(
         prog="sosharmonics",
         description="Similar oblate spheroidal coordinates and interior harmonics",

@@ -16,6 +16,7 @@ kernel and the inverse transform both solve the closed inversion with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,21 +211,28 @@ def cartesian_R_s(x, y, z, mu: float):
 def cartesian_to_sos(c: CartesianPoint, cfg: SystemConfig) -> SosPoint:
     """Inverse transform.
 
-    R and s come from `cartesian_R_s`.  With sqrt(t) = |s|/sqrt(1+mu) and
+    R comes from `cartesian_R_s`.  With sqrt(t) = sqrt(1+mu)|z|/R and
     sqrt(1-t) = rho/R, t = s^2/(1+mu),
 
         log W = log sqrt(t) + (1+mu) log(R/rho),
 
-    so W is never formed.  The logit x = log tan^2 nu solves
-    x/2 + (mu/2) log(1 + e^x) = log W - mu log(R/R0), the equation
-    `trig.solve_logit` inverts, and nu = atan(e^(x/2)).  Points on the
+    so W is never formed, and log sqrt(t) = log(|z|/R) + log1p(mu)/2 never
+    forms (1+mu) z, which rounds at the subnormal spacing; where |z|/R is
+    itself subnormal, log|z| - log R takes its place.  The logit
+    x = log tan^2 nu solves x/2 + (mu/2) log(1 + e^x) = log W - mu log(R/R0),
+    the equation `trig.solve_logit` inverts, and nu = atan(e^(x/2)).  Points on the
     rotation axis map to nu = +-pi/2 with lam = 0.
     """
     mu = cfg.mu
-    R, s = cartesian_R_s(c.x, c.y, c.z, mu)
+    R = cartesian_R_s(c.x, c.y, c.z, mu)[0]
     if c.x == 0.0 and c.y == 0.0:
         return SosPoint(R=R, nu=math.copysign(_HALF_PI, c.z), lam=0.0)
-    log_sqrt_t = math.log(abs(s) / s_limit(mu)) if s != 0.0 else -math.inf
+    if c.z == 0.0:
+        log_sqrt_t = -math.inf
+    else:
+        q = abs(c.z) / R
+        log_q = math.log(q) if q >= sys.float_info.min else math.log(abs(c.z)) - math.log(R)
+        log_sqrt_t = log_q + 0.5 * math.log1p(mu)
     log_w = log_sqrt_t + (1.0 + mu) * math.log(R / math.hypot(c.x, c.y))
     x = solve_logit(log_w - mu * math.log(R / cfg.R0), mu)
     # atan(e^(x/2)), split so that neither exponential overflows

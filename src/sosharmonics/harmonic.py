@@ -103,7 +103,9 @@ def sum_V(sol: HarmonicSolution, R, s):
     element gets the bits of the float sum.
     """
     mu = sol.cfg.mu
-    p, t = legendre.values(max(len(sol.a), len(sol.b), 1) - 1, s, mu)
+    # T_n is needed up to the last nonzero b_n only
+    last_b = max((n for n, bn in enumerate(sol.b) if bn != 0.0), default=-1)
+    p, t = legendre.values(max(len(sol.a), len(sol.b), 1) - 1, s, mu, last_b)
     if sol.has_second_kind:
         # the q0 logarithm is shared by every degree
         q0 = legendre.q0(s, mu)
@@ -231,7 +233,7 @@ def fit_boundary(
     if include_second_kind and np.any(legendre.pole_band(svals, mu)):
         raise PoleDivergenceError("second-kind fit cannot use samples at |nu| = pi/2")
 
-    p, t = legendre.values(N, svals, mu)
+    p, t = legendre.values(N, svals, mu, N if include_second_kind else -1)
     if include_second_kind:
         q0 = legendre.q0(svals, mu)
         g = legendre.q_weight(svals, mu)

@@ -46,11 +46,17 @@ def _step(m: int, mu: float) -> tuple[float, float]:
     return (2.0 * m + 1.0) / (m + 1.0) / (1.0 + mu), m / (m + 1.0)
 
 
-def values(N: int, s, mu: float) -> tuple[list, list]:
-    """[P_0..P_N] and [T_0..T_N] at s, a float or a numpy array; every
-    value has the type and shape of s."""
+def values(N: int, s, mu: float, t_degree: int | None = None) -> tuple[list, list]:
+    """[P_0..P_N] and [T_0..T_M] at s, a float or a numpy array; every
+    value has the type and shape of s.
+
+    M = t_degree is the last T degree the caller needs: N by default, -1
+    for none.  The T recursion stops there; each value keeps its bits."""
     if N < 0:
         raise ValueError("degree must be non-negative")
+    M = N if t_degree is None else t_degree
+    if not -1 <= M <= N:
+        raise ValueError("t_degree must lie in [-1, N]")
     e = 1.0 + mu
     damp = 1.0 - mu * s * s / (e * e)
     zero = 0.0 * s  # a float or an array, like s
@@ -59,8 +65,9 @@ def values(N: int, s, mu: float) -> tuple[list, list]:
         c_s, c_0 = _step(m, mu)
         u, v = c_s * s, c_0 * damp
         p.append(u * p[m] - v * p[m - 1])
-        t.append(u * t[m] - v * t[m - 1])
-    return p[: N + 1], t[: N + 1]
+        if m < M:
+            t.append(u * t[m] - v * t[m - 1])
+    return p[: N + 1], t[: M + 1]
 
 
 def value_derivs(N: int, s: float, mu: float) -> tuple[list, list]:

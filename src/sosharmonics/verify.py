@@ -404,11 +404,8 @@ def anchor_checks(cfg: SystemConfig, n_nu: int = 20) -> list[CheckResult]:
 
 def _classical_p_coeffs(n_max: int) -> list[np.ndarray]:
     """Power-basis coefficients of classical Legendre polynomials (numpy oracle)."""
-    out = []
-    for n in range(n_max + 1):
-        basis = np.polynomial.legendre.Legendre.basis(n)
-        out.append(basis.convert(kind=np.polynomial.Polynomial).coef)
-    return out
+    eye = np.eye(n_max + 1)
+    return [np.polynomial.legendre.leg2poly(eye[n, : n + 1]) for n in range(n_max + 1)]
 
 
 def table_checks(mu_values, reference_tables=None) -> list[CheckResult]:
@@ -506,14 +503,14 @@ def structure_checks(mu: float) -> list[CheckResult]:
             if (j - n) % 2 != 0:
                 r_parity = max(r_parity, abs(c))
     for s in (0.3, 0.7):
-        pos, _ = legendre.values(8, s, mu)
-        neg, _ = legendre.values(8, -s, mu)
+        pos, _ = legendre.values(8, s, mu, -1)
+        neg, _ = legendre.values(8, -s, mu, -1)
         for n in range(9):
             r_parity = max(r_parity, abs(neg[n] - (-1.0) ** n * pos[n]))
     r_parity = max(r_parity, abs(legendre.q0(0.2, mu) + legendre.q0(-0.2, mu)))
 
     lim = s_limit(mu)
-    pole, _ = legendre.values(10, lim, mu)
+    pole, _ = legendre.values(10, lim, mu, -1)
     r_pole = abs(pole[2] - 1.0 / (1.0 + mu))
     if not all(math.isfinite(v) for v in pole):
         r_pole = math.inf
@@ -525,7 +522,7 @@ def structure_checks(mu: float) -> list[CheckResult]:
         # np.trapezoid is numpy >= 2.0; np.trapz (gone in 2.4) only as fallback
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
         ss = np.linspace(-lim, lim, 4001)
-        p, _ = legendre.values(3, ss, mu)
+        p, _ = legendre.values(3, ss, mu, -1)
         overlap = float(trapezoid(p[1] * p[3], ss))
         r_witness = 0.0 if (mu == 0.0) == (abs(overlap) < 1e-3) else 1.0
     else:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sosharmonics import verify
+from sosharmonics import cli, verify
 from sosharmonics.cli import GridSpec, grid_values, main
 from sosharmonics.coords import SystemConfig, cartesian_R_s
 from sosharmonics.harmonic import HarmonicSolution, save_solution
@@ -459,6 +459,31 @@ class TestFit:
         path.write_text("angle,value\n0.0,1.0\n")
         rc, _, _ = run(capsys, ["fit", "--config", cfg2, str(path), "--degree", "1"])
         assert rc == 2
+
+
+class TestParserReuse:
+    """The parser is built once per process; no argument of one call leaks
+    into the next."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_sequence_matches_each_call_alone(self, capsys, cfg2):
+        argvs = [
+            ["eval", "--config", cfg2, "--R", "1.3", "--nu", "0.7"],
+            ["eval", "--config", cfg2, "--x", "0.5", "--z", "0.25"],
+            ["eval", "--config", cfg2, "--R", "not-a-number", "--nu", "0.7"],
+            ["grid", "--config", cfg2, "--x-min", "0", "--x-max", "1", "--z-min", "0",
+             "--z-max", "1", "--nx", "3", "--nz", "2", "--quantity", "s"],
+            ["verify", "--config", cfg2, "--level", "quick"],
+        ]
+        in_sequence = [run(capsys, argv) for argv in argvs]
+        alone = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()  # a fresh parser, as in a new process
+            alone.append(run(capsys, argv))
+        assert [rc for rc, _, _ in in_sequence] == [0, 0, 2, 0, 0]
+        assert in_sequence == alone
 
 
 class TestConsoleEntry:

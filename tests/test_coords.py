@@ -257,6 +257,14 @@ class TestInverseTransform:
         assert p.R == pytest.approx(R, rel=1e-15)
         assert p.nu == pytest.approx(nu, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "mu, x, z", [(20.0, 0.5, 3e-320), (2.0, 0.5, 1.47488209e-315), (1000.0, 0.5, 1.47488209e-315)]
+    )
+    def test_subnormal_z(self, mu, x, z):
+        # (1+mu) z, and |z|/R below the normal range, round at the subnormal spacing
+        p = cartesian_to_sos(CartesianPoint(x, 0.0, z), SystemConfig(mu=mu))
+        assert p.nu == pytest.approx(mp_cartesian_nu(x, 0.0, z, mu)[1], rel=1e-12, abs=0.0)
+
     def test_near_axis_logit_beyond_float_exp(self):
         # x = log tan^2 nu is about 1424 here, so e^(x/2) overflows
         p = cartesian_to_sos(CartesianPoint(1e-300, 0.0, 1.0), SystemConfig(mu=200.0, R0=1e10))
@@ -289,8 +297,8 @@ class TestTinyNu:
 
             nu_ref = float(mpmath.exp(mpmath.findroot(g, log_target)))
             s_ref = float(s)
-        assert p.nu == pytest.approx(nu_ref, rel=1e-12)
-        assert s_at_point(p.R, p.nu, self.CFG20) == pytest.approx(s_ref, rel=1e-12)
+        assert p.nu == pytest.approx(nu_ref, rel=1e-12, abs=0.0)
+        assert s_at_point(p.R, p.nu, self.CFG20) == pytest.approx(s_ref, rel=1e-12, abs=0.0)
 
     def test_below_float_range_is_zero(self):
         # nu ~ 1e-330 is not representable: the equator value comes back
