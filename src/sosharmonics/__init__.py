@@ -38,9 +38,6 @@ from .harmonic import (
     separation_check,
 )
 from .legendre import (
-    GenLegendrePoly,
-    eval_poly,
-    eval_poly_deriv,
     eval_q,
     ode_residual,
     p_poly,

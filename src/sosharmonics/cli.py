@@ -72,6 +72,8 @@ class GridSpec:
     nz: int
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.z_min, self.z_max))):
+            raise ValueError("require finite bounds")
         if not (self.x_max > self.x_min >= 0.0):
             raise ValueError("require x_max > x_min >= 0")
         if not (self.z_max > self.z_min >= 0.0):
@@ -258,17 +260,8 @@ def cmd_grid(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    tables = None
-    if args.fixtures:
-        try:
-            with open(args.fixtures, encoding="utf-8") as fh:
-                tables = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"bad fixtures file {args.fixtures}: {exc}") from exc
     timings: list[tuple[str, float]] = []
-    checks = verify_mod.run_suite(
-        cfg, level=args.level, reference_tables=tables, timings=timings
-    )
+    checks = verify_mod.run_suite(cfg, level=args.level, timings=timings)
     all_passed = all(c.passed for c in checks)
     print(f"# verification suite  mu={_fmt(cfg.mu)}  R0={_fmt(cfg.R0)}  level={args.level}")
     for c in checks:
@@ -365,9 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--config", required=True)
     p_verify.add_argument("--level", choices=["quick", "full"], default="quick")
     p_verify.add_argument("--json", help="also write a machine-readable report")
-    p_verify.add_argument(
-        "--fixtures", help="replace the built-in polynomial reference tables"
-    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_fit = sub.add_parser("fit", help="fit boundary samples on the reference spheroid")

@@ -219,8 +219,8 @@ def fit_boundary(
     if N < 0:
         raise ValueError("degree must be non-negative")
     data = np.asarray(list(samples), dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError("samples must be (nu, V) pairs")
+    if data.ndim != 2 or data.shape[1] != 2 or not np.isfinite(data).all():
+        raise ValueError("samples must be finite (nu, V) pairs")
     nus = data[:, 0]
     vals = data[:, 1]
     n_cols = (N + 1) * (2 if include_second_kind else 1)

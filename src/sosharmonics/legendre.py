@@ -15,30 +15,21 @@ At mu = 0 everything reduces to the classical Legendre P_n and Q_n.
 
 Every evaluation runs this recursion on values (`values`, `value_derivs`),
 which stays accurate at high degree, where power-basis coefficients cancel.
-The coefficients (`p_poly`, `t_poly`) are kept only as the witness checked
-against closed reference forms for n <= 6 (exact bracket polynomials in mu
-with rational normalizers), kept separate so the two certify each other.
+The power-basis coefficients (`p_poly`, `t_poly`, plain tuples whose entry j
+multiplies s^j) are kept only as the witness checked against closed
+reference forms for n <= 6 (exact bracket polynomials in mu with rational
+normalizers), kept separate so the two certify each other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PoleDivergenceError
 
 _POLE_MARGIN = 1e-12
-
-
-@dataclass(frozen=True)
-class GenLegendrePoly:
-    """Polynomial in s: coeffs[j] multiplies s^j, length degree+1."""
-
-    degree: int
-    coeffs: tuple[float, ...]
-    mu: float
 
 
 def _step(m: int, mu: float) -> tuple[float, float]:
@@ -94,7 +85,7 @@ def value_derivs(N: int, s: float, mu: float) -> tuple[list, list]:
     return run([(1.0, 0.0, 0.0), (s / e, 1.0 / e, 0.0)]), run([(0.0,) * 3, (1.0 / e, 0.0, 0.0)])
 
 
-def _witness(n: int, mu: float, prev: list, cur: list) -> GenLegendrePoly:
+def _witness(n: int, mu: float, prev: list, cur: list) -> tuple[float, ...]:
     """Power-basis coefficients of the degree-n member seeded with prev, cur."""
     if n < 0:
         raise ValueError("degree must be non-negative")
@@ -108,39 +99,17 @@ def _witness(n: int, mu: float, prev: list, cur: list) -> GenLegendrePoly:
             nxt[j] -= c_0 * c
             nxt[j + 2] += c_2 * c
         prev, cur = cur, nxt
-    return GenLegendrePoly(degree=n, coeffs=tuple(cur if n else prev), mu=mu)
+    return tuple(cur if n else prev)
 
 
-def p_poly(n: int, mu: float) -> GenLegendrePoly:
+def p_poly(n: int, mu: float) -> tuple[float, ...]:
     """Power-basis witness of P_n, for the closed-table checks."""
     return _witness(n, mu, [1.0], [0.0, 1.0 / (1.0 + mu)])
 
 
-def t_poly(n: int, mu: float) -> GenLegendrePoly:
+def t_poly(n: int, mu: float) -> tuple[float, ...]:
     """Power-basis witness of T_n, the polynomial part of Q_n."""
     return _witness(n, mu, [0.0], [1.0 / (1.0 + mu), 0.0])
-
-
-def eval_poly(p: GenLegendrePoly, s: float) -> float:
-    """Horner evaluation."""
-    v = 0.0
-    for c in reversed(p.coeffs):
-        v = v * s + c
-    return v
-
-
-def eval_poly_deriv(p: GenLegendrePoly, s: float, order: int = 1) -> float:
-    """Analytic derivative by coefficient shift, order 1 or 2."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    v = 0.0
-    if order == 1:
-        for j in range(len(p.coeffs) - 1, 0, -1):
-            v = v * s + j * p.coeffs[j]
-    else:
-        for j in range(len(p.coeffs) - 1, 1, -1):
-            v = v * s + j * (j - 1) * p.coeffs[j]
-    return v
 
 
 def pole_band(s, mu: float):
@@ -304,21 +273,21 @@ def _bracket_poly(n: int, mu: float, t_form: bool) -> tuple[tuple[int, float], .
     return table[n]
 
 
-def _reference_poly(n: int, mu: float, t_form: bool) -> GenLegendrePoly:
+def _reference_poly(n: int, mu: float, t_form: bool) -> tuple[float, ...]:
     if not 0 <= n <= 6:
         raise ValueError("closed reference forms exist for n <= 6 only")
     coeffs = [0.0] * (n + 1)
     norm = (1.0 + mu) ** n
     for power, coef in _bracket_poly(n, mu, t_form):
         coeffs[power] = coef / norm
-    return GenLegendrePoly(degree=n, coeffs=tuple(coeffs), mu=mu)
+    return tuple(coeffs)
 
 
-def p_reference(n: int, mu: float) -> GenLegendrePoly:
+def p_reference(n: int, mu: float) -> tuple[float, ...]:
     """Closed form of P_n for n <= 6; the recursion's independent witness."""
     return _reference_poly(n, mu, t_form=False)
 
 
-def t_reference(n: int, mu: float) -> GenLegendrePoly:
+def t_reference(n: int, mu: float) -> tuple[float, ...]:
     """Closed form of T_n for n <= 6."""
     return _reference_poly(n, mu, t_form=True)

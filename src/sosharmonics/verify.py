@@ -408,25 +408,16 @@ def _classical_p_coeffs(n_max: int) -> list[np.ndarray]:
     return [np.polynomial.legendre.leg2poly(eye[n, : n + 1]) for n in range(n_max + 1)]
 
 
-def table_checks(mu_values, reference_tables=None) -> list[CheckResult]:
-    """Recursion output against the closed reference forms for n <= 6.
-
-    `reference_tables` may replace the built-in closed forms (used as an
-    externally corruptible fixture by the negative-control test).
-    """
+def table_checks(mu_values) -> list[CheckResult]:
+    """Recursion output against the closed reference forms for n <= 6."""
     worst = 0.0
     for mu in mu_values:
         for n in range(7):
-            for t_form in (False, True):
-                got = (legendre.t_poly if t_form else legendre.p_poly)(n, float(mu))
-                if reference_tables is None:
-                    ref = (legendre.t_reference if t_form else legendre.p_reference)(
-                        n, float(mu)
-                    ).coeffs
-                else:
-                    key = "T" if t_form else "P"
-                    ref = reference_tables[key][f"{float(mu):.17g}"][n]
-                for cg, cr in zip(got.coeffs, ref):
+            for build, ref in (
+                (legendre.p_poly, legendre.p_reference),
+                (legendre.t_poly, legendre.t_reference),
+            ):
+                for cg, cr in zip(build(n, float(mu)), ref(n, float(mu))):
                     if cr == 0.0:
                         worst = max(worst, abs(cg))
                     else:
@@ -434,22 +425,12 @@ def table_checks(mu_values, reference_tables=None) -> list[CheckResult]:
     return [CheckResult("legendre.table_exactness", worst, 1e-13)]
 
 
-def reference_tables_payload(mu_values) -> dict:
-    """JSON-serializable closed-form tables, the `verify --fixtures` format."""
-    payload = {"P": {}, "T": {}}
-    for mu in mu_values:
-        key = f"{float(mu):.17g}"
-        payload["P"][key] = [list(legendre.p_reference(n, float(mu)).coeffs) for n in range(7)]
-        payload["T"][key] = [list(legendre.t_reference(n, float(mu)).coeffs) for n in range(7)]
-    return payload
-
-
 def spherical_reduction_checks(n_max: int = 12) -> list[CheckResult]:
     """mu = 0 collapse onto classical Legendre functions."""
     classical = _classical_p_coeffs(n_max)
     worst_p = 0.0
     for n in range(n_max + 1):
-        got = legendre.p_poly(n, 0.0).coeffs
+        got = legendre.p_poly(n, 0.0)
         ref = classical[n]
         for j in range(n + 1):
             cr = ref[j] if j < len(ref) else 0.0
@@ -499,7 +480,7 @@ def structure_checks(mu: float) -> list[CheckResult]:
     """Parity, pole values and the non-orthogonality witness."""
     r_parity = 0.0
     for n in range(9):
-        for j, c in enumerate(legendre.p_poly(n, mu).coeffs):
+        for j, c in enumerate(legendre.p_poly(n, mu)):
             if (j - n) % 2 != 0:
                 r_parity = max(r_parity, abs(c))
     for s in (0.3, 0.7):
@@ -650,9 +631,7 @@ def fit_checks(cfg: SystemConfig, seed: int = 20240903) -> list[CheckResult]:
 # --- suite driver ------------------------------------------------------------
 
 
-def run_suite(
-    cfg: SystemConfig, level: str = "quick", reference_tables=None, timings=None
-) -> list[CheckResult]:
+def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[CheckResult]:
     """All identity suites at the configured mu; `full` widens every sweep.
 
     If `timings` is a list, one (suite name, seconds) pair is appended to it
@@ -670,7 +649,7 @@ def run_suite(
         ("metric_checks", lambda: metric_checks(cfg, n_nu=11 if full else 5)),
         ("transform_checks", lambda: transform_checks(cfg, n_points=160 if full else 40)),
         ("anchor_checks", lambda: anchor_checks(cfg)),
-        ("table_checks", lambda: table_checks([mu], reference_tables)),
+        ("table_checks", lambda: table_checks([mu])),
         ("spherical_reduction_checks", lambda: spherical_reduction_checks(n_max=12 if full else 8)),
         ("ode_checks", lambda: ode_checks(mu, n_max=10 if full else 6, n_s=50 if full else 15)),
         ("structure_checks", lambda: structure_checks(mu)),

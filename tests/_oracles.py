@@ -2,12 +2,22 @@
 
 Everything here deliberately avoids the package's own evaluation paths:
 classical Legendre via the textbook Bonnet recursion, generalized binomials
-via mpmath, explicit low-degree second-kind formulas.
+via mpmath, explicit low-degree second-kind formulas.  `approx` is the
+relative comparison the test modules share.
 """
 
 import math
 
 import mpmath
+import pytest
+
+
+def approx(expected, rel):
+    """pytest.approx with a relative tolerance only.
+
+    pytest's default absolute tolerance of 1e-12 would accept any value
+    within 1e-12 of a tiny expected one, whatever `rel` says."""
+    return pytest.approx(expected, rel=rel, abs=0.0)
 
 
 def classical_p_coeffs(n_max):

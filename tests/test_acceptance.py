@@ -9,6 +9,7 @@ import random
 
 import numpy as np
 import scipy.special
+from numpy.polynomial.polynomial import polyder, polyval
 
 from sosharmonics import verify
 from sosharmonics.cli import GridSpec, grid_values
@@ -23,8 +24,6 @@ from sosharmonics.coords import (
 )
 from sosharmonics.harmonic import HarmonicSolution, eval_V_at, fit_boundary, s_at_point
 from sosharmonics.legendre import (
-    eval_poly,
-    eval_poly_deriv,
     eval_q,
     eval_q_derivs,
     ode_residual,
@@ -60,7 +59,7 @@ def test_c1_spherical_reduction():
     classical = classical_p_coeffs(12)
     worst = 0.0
     for n in range(13):
-        got = p_poly(n, 0.0).coeffs
+        got = p_poly(n, 0.0)
         for j in range(n + 1):
             ref = classical[n][j] if j < len(classical[n]) else 0.0
             worst = max(worst, abs(got[j] - ref) / max(1.0, abs(ref)))
@@ -80,8 +79,8 @@ def test_c2_table_exactness():
     for mu in (0.0, 0.5, 1.0, 2.0):
         for n in range(7):
             for build, ref in ((p_poly, p_reference), (t_poly, t_reference)):
-                got = build(n, mu).coeffs
-                want = ref(n, mu).coeffs
+                got = build(n, mu)
+                want = ref(n, mu)
                 for g, r in zip(got, want):
                     if r == 0.0:
                         worst = max(worst, abs(g))
@@ -95,12 +94,10 @@ def test_c3_ode_certification():
     for mu in (0.0, 0.5, 2.0):
         svals = np.linspace(0.05, 0.95, 50) * s_limit(mu)
         for n in range(11):
-            poly = p_poly(n, mu)
+            derivs = [polyder(p_poly(n, mu), m) for m in range(3)]
             for s in svals:
                 s = float(s)
-                F = eval_poly(poly, s)
-                dF = eval_poly_deriv(poly, s, 1)
-                d2F = eval_poly_deriv(poly, s, 2)
+                F, dF, d2F = (polyval(s, d) for d in derivs)
                 res = ode_residual(F, dF, d2F, s, n, mu)
                 worst_p = max(worst_p, abs(res) / (1.0 + abs(F) + abs(dF) + abs(d2F)))
                 Q, dQ, d2Q = eval_q_derivs(n, s, mu)

@@ -5,12 +5,12 @@ import sys
 
 import pytest
 
-from sosharmonics import cli, verify
+from sosharmonics import cli, legendre
 from sosharmonics.cli import GridSpec, grid_values, main
 from sosharmonics.coords import SystemConfig, cartesian_R_s
 from sosharmonics.harmonic import HarmonicSolution, save_solution
 
-from _oracles import S_REF_MU2_NU30, mp_point
+from _oracles import S_REF_MU2_NU30, approx, mp_point
 
 
 @pytest.fixture
@@ -60,12 +60,12 @@ class TestEval:
         assert rc == 0
         rec = json.loads(out)
         s, rho, _, h_R, h_nu, jac = mp_point(R, nu, mu)
-        assert rec["s"] == pytest.approx(s, rel=1e-12)
-        assert rec["f_C"] == pytest.approx(rho / R * h_R, rel=1e-12)
-        assert rec["f_S"] == pytest.approx(s * h_R, rel=1e-12)
-        assert rec["h_R"] == pytest.approx(h_R, rel=1e-12)
-        assert rec["h_nu"] == pytest.approx(h_nu, rel=1e-12)
-        assert rec["jacobian"] == pytest.approx(jac, rel=1e-12)
+        assert rec["s"] == approx(s, rel=1e-12)
+        assert rec["f_C"] == approx(rho / R * h_R, rel=1e-12)
+        assert rec["f_S"] == approx(s * h_R, rel=1e-12)
+        assert rec["h_R"] == approx(h_R, rel=1e-12)
+        assert rec["h_nu"] == approx(h_nu, rel=1e-12)
+        assert rec["jacobian"] == approx(jac, rel=1e-12)
 
     def test_cartesian_axis_point(self, capsys, cfg2):
         z = 1.0 / math.sqrt(3.0)
@@ -73,7 +73,7 @@ class TestEval:
         assert rc == 0
         rec = json.loads(out)
         assert rec["nu"] == pytest.approx(math.pi / 2, abs=1e-12)
-        assert rec["R"] == pytest.approx(1.0, rel=1e-12)
+        assert rec["R"] == approx(1.0, rel=1e-12)
         assert rec["region"] == "Pole"
         assert rec["W"] is None
 
@@ -83,8 +83,8 @@ class TestEval:
         assert rc == 0
         rec = json.loads(out)
         assert rec["R"] == cartesian_R_s(1e-200, 0.0, 1e-200, 0.0)[0]
-        assert rec["nu"] == pytest.approx(math.pi / 4, rel=1e-15)
-        assert rec["s"] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert rec["nu"] == approx(math.pi / 4, rel=1e-15)
+        assert rec["s"] == approx(math.sqrt(0.5), rel=1e-15)
 
     def test_potential_included(self, capsys, cfg2, tmp_path):
         coeffs = tmp_path / "c.json"
@@ -259,15 +259,18 @@ class TestGrid:
             assert float(vs) == ref[(float(xs), float(zs))]
 
     def test_invalid_spec_exits_2(self, capsys, cfg2):
-        rc, _, _ = run(
-            capsys,
-            [
-                "grid", "--config", cfg2,
-                "--x-min", "1", "--x-max", "0", "--z-min", "0", "--z-max", "1",
-                "--nx", "2", "--nz", "2", "--quantity", "s",
-            ],
-        )
-        assert rc == 2
+        # an infinite bound once exited 0 with nan and inf in the x column
+        for x_min, x_max in [("1", "0"), ("0", "inf")]:
+            rc, out, _ = run(
+                capsys,
+                [
+                    "grid", "--config", cfg2,
+                    "--x-min", x_min, "--x-max", x_max, "--z-min", "0", "--z-max", "1",
+                    "--nx", "2", "--nz", "2", "--quantity", "s",
+                ],
+            )
+            assert rc == 2
+            assert out == ""
 
     def test_V_needs_coeffs(self, capsys, cfg2):
         rc, _, _ = run(
@@ -359,24 +362,19 @@ class TestVerify:
         assert payload["passed"] is True
         assert all(c["passed"] for c in payload["checks"])
 
-    def test_corrupted_fixture_fails(self, capsys, cfg2, tmp_path):
-        tables = verify.reference_tables_payload([2.0])
-        tables["P"]["2"][4][2] *= 1.0 + 1e-6  # corrupt one table coefficient
-        fixtures = tmp_path / "fixtures.json"
-        fixtures.write_text(json.dumps(tables))
-        rc, out, _ = run(
-            capsys, ["verify", "--config", cfg2, "--level", "quick", "--fixtures", str(fixtures)]
-        )
+    def test_corrupted_table_fails(self, capsys, cfg2, monkeypatch):
+        good = legendre.p_reference
+
+        def corrupted(n, mu):
+            coeffs = list(good(n, mu))
+            if n == 4:
+                coeffs[2] *= 1.0 + 1e-6  # corrupt one table coefficient
+            return tuple(coeffs)
+
+        monkeypatch.setattr(legendre, "p_reference", corrupted)
+        rc, out, _ = run(capsys, ["verify", "--config", cfg2, "--level", "quick"])
         assert rc == 1
         assert "FAIL legendre.table_exactness" in out
-
-    def test_intact_fixture_passes(self, capsys, cfg2, tmp_path):
-        fixtures = tmp_path / "fixtures.json"
-        fixtures.write_text(json.dumps(verify.reference_tables_payload([2.0])))
-        rc, out, _ = run(
-            capsys, ["verify", "--config", cfg2, "--level", "quick", "--fixtures", str(fixtures)]
-        )
-        assert rc == 0
 
 
 class TestFit:
@@ -453,6 +451,18 @@ class TestFit:
             ["fit", "--config", cfg2, self._write_samples(tmp_path, samples), "--degree", "2"],
         )
         assert rc == 3
+
+    def test_non_finite_sample_exits_3(self, capfd, cfg2, tmp_path):
+        # a nan nu once reached LAPACK, which printed DLASCL errors on stdout
+        # (at the C level, so capfd, not capsys)
+        good = [(0.4 * k, 0.1 * k) for k in range(-3, 4)]
+        for bad in [(math.nan, 1.0), (math.inf, 1.0), (0.2, math.nan), (0.2, -math.inf)]:
+            path = self._write_samples(tmp_path, good + [bad])
+            rc = main(["fit", "--config", cfg2, path, "--degree", "2"])
+            out, err = capfd.readouterr()
+            assert rc == 3
+            assert out == ""
+            assert "samples must be finite" in err
 
     def test_bad_header_exits_2(self, capsys, cfg2, tmp_path):
         path = tmp_path / "samples.csv"

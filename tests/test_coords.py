@@ -24,7 +24,7 @@ from sosharmonics.verify import metric_checks
 from sosharmonics.series import Region, region_of, w_border
 from sosharmonics.trig import trig_from_W, trig_from_W_robust
 
-from _oracles import W_REF_MU2_NU30, Z_REF_MU2_NU30, mp_cartesian_nu, mp_point
+from _oracles import W_REF_MU2_NU30, Z_REF_MU2_NU30, approx, mp_cartesian_nu, mp_point
 
 CFG2 = SystemConfig(mu=2.0, R0=1.0)
 CFG0 = SystemConfig(mu=0.0, R0=1.0)
@@ -65,16 +65,14 @@ class TestComputeW:
 
     def test_pi_over_4(self):
         # sin/cos^3 at pi/4 gives exactly 2
-        assert compute_W(1.0, math.pi / 4, CFG2) == pytest.approx(2.0, rel=1e-14)
+        assert compute_W(1.0, math.pi / 4, CFG2) == approx(2.0, rel=1e-14)
 
     def test_radial_scaling(self):
         # (R/R0)^mu factor: doubling R multiplies W by 4 at mu=2
-        assert compute_W(2.0, math.pi / 4, CFG2) == pytest.approx(8.0, rel=1e-14)
+        assert compute_W(2.0, math.pi / 4, CFG2) == approx(8.0, rel=1e-14)
 
     def test_reference_value(self):
-        assert compute_W(1.0, math.pi / 6, CFG2) == pytest.approx(
-            W_REF_MU2_NU30, rel=1e-14
-        )
+        assert compute_W(1.0, math.pi / 6, CFG2) == approx(W_REF_MU2_NU30, rel=1e-14)
 
     def test_odd_in_nu(self):
         assert compute_W(1.3, -0.7, CFG2) == -compute_W(1.3, 0.7, CFG2)
@@ -84,19 +82,19 @@ class TestComputeW:
             compute_W(1.0, math.pi / 2, CFG2)
 
     def test_mu0_is_tangent(self):
-        assert compute_W(5.0, 0.9, CFG0) == pytest.approx(math.tan(0.9), rel=1e-14)
+        assert compute_W(5.0, 0.9, CFG0) == approx(math.tan(0.9), rel=1e-14)
 
 
 class TestDerivativesOfW:
     def test_mu0_dnu(self):
         d = dW(1.0, 0.7, CFG0)
-        assert d[0] == pytest.approx(1.0 / math.cos(0.7) ** 2, rel=1e-14)
+        assert d[0] == approx(1.0 / math.cos(0.7) ** 2, rel=1e-14)
 
     def test_dR_structure(self):
         for mu, R, nu in [(2.0, 1.5, 0.4), (0.5, 0.7, -0.9)]:
             cfg = SystemConfig(mu=mu, R0=1.0)
             d = dW(R, nu, cfg)
-            assert d[1] == pytest.approx(mu * compute_W(R, nu, cfg) / R, rel=1e-14)
+            assert d[1] == approx(mu * compute_W(R, nu, cfg) / R, rel=1e-14)
 
     def test_mu0_d2R_zero(self):
         assert dW(2.0, 0.5, CFG0)[3] == 0.0
@@ -118,8 +116,8 @@ class TestDerivativesOfW:
         fd_R2 = (
             compute_W(R + h2r, nu, cfg) - 2 * compute_W(R, nu, cfg) + compute_W(R - h2r, nu, cfg)
         ) / h2r**2
-        assert d[0] == pytest.approx(fd_nu, rel=1e-8)
-        assert d[1] == pytest.approx(fd_R, rel=1e-8)
+        assert d[0] == approx(fd_nu, rel=1e-8)
+        assert d[1] == approx(fd_R, rel=1e-8)
         assert d[2] == pytest.approx(fd_nu2, rel=1e-6, abs=1e-6)
         assert d[3] == pytest.approx(fd_R2, rel=1e-6, abs=1e-6)
 
@@ -130,8 +128,8 @@ class TestMetrics:
         R = 1.7
         mb = metrics_at(R, nu, CFG0)
         assert mb.h_R == pytest.approx(1.0, abs=1e-12)
-        assert mb.h_nu == pytest.approx(R, rel=1e-12)
-        assert mb.jacobian == pytest.approx(R * R * math.cos(nu), rel=1e-12)
+        assert mb.h_nu == approx(R, rel=1e-12)
+        assert mb.jacobian == approx(R * R * math.cos(nu), rel=1e-12)
 
     def test_equator_hR_is_one(self):
         assert metrics_at(2.3, 0.0, CFG2).h_R == pytest.approx(1.0, abs=1e-14)
@@ -142,18 +140,18 @@ class TestMetrics:
     def test_cross_checks(self, mu, R, nu):
         cfg = SystemConfig(mu=mu, R0=1.0)
         mb = metrics_at(R, nu, cfg)
-        assert mb.jac_over_hR2 * mb.h_R**2 == pytest.approx(mb.jacobian, rel=1e-9)
-        assert mb.jac_over_hnu2 * mb.h_nu**2 == pytest.approx(mb.jacobian, rel=1e-9)
+        assert mb.jac_over_hR2 * mb.h_R**2 == approx(mb.jacobian, rel=1e-9)
+        assert mb.jac_over_hnu2 * mb.h_nu**2 == approx(mb.jacobian, rel=1e-9)
         # scale-factor product link
         W = compute_W(R, nu, cfg)
         dw_dnu = dW(R, nu, cfg)[0]
         for tb in bundles(abs(W), mu):
             lhs = mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2
             rhs = tb.f_C**2 * tb.f_S**2 * R**2 * dw_dnu**2 / W**2
-            assert lhs == pytest.approx(rhs, rel=1e-9)
+            assert lhs == approx(rhs, rel=1e-9)
             # jacobian equals product of the three scale factors (h_lam = R fC/hR)
             h_lam = R * tb.f_C / tb.h_R
-            assert mb.jacobian == pytest.approx(mb.h_R * mb.h_nu * h_lam, rel=1e-9)
+            assert mb.jacobian == approx(mb.h_R * mb.h_nu * h_lam, rel=1e-9)
 
     def test_guard_band_fallback(self):
         # place W exactly on the border by scaling R
@@ -162,8 +160,8 @@ class TestMetrics:
         w_unit = compute_W(1.0, nu, CFG2)
         R = (w_border(mu) / w_unit) ** (1.0 / mu)
         mb = metrics_at(R, nu, CFG2)
-        assert mb.jac_over_hR2 * mb.h_R**2 == pytest.approx(mb.jacobian, rel=1e-9)
-        assert mb.jac_over_hnu2 * mb.h_nu**2 == pytest.approx(mb.jacobian, rel=1e-9)
+        assert mb.jac_over_hR2 * mb.h_R**2 == approx(mb.jacobian, rel=1e-9)
+        assert mb.jac_over_hnu2 * mb.h_nu**2 == approx(mb.jacobian, rel=1e-9)
         # fallback agrees with nearby series evaluations
         mb_lo = metrics_at(0.85 * R, nu, CFG2)
         mb_hi = metrics_at(1.18 * R, nu, CFG2)
@@ -174,7 +172,7 @@ class TestMetrics:
         # J = R h_nu f_C underflows to 0 at R = 1e-200 and is subnormal at
         # 1e-160; J/h_nu^2 = R f_C/h_nu = cos(nu) at mu = 0
         mb = metrics_at(R, 0.7, CFG0)
-        assert mb.jac_over_hnu2 == pytest.approx(math.cos(0.7), rel=1e-14)
+        assert mb.jac_over_hnu2 == approx(math.cos(0.7), rel=1e-14)
 
     def test_negative_nu_even(self):
         a = metrics_at(1.2, 0.6, CFG2)
@@ -192,7 +190,7 @@ class TestForwardTransform:
     def test_pole(self):
         c = sos_to_cartesian(SosPoint(R=2.0, nu=math.pi / 2), CFG2)
         assert c.x == 0.0 and c.y == 0.0
-        assert c.z == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-15)
+        assert c.z == approx(2.0 / math.sqrt(3.0), rel=1e-15)
 
     def test_reference_point(self):
         c = sos_to_cartesian(SosPoint(R=1.0, nu=math.pi / 6), CFG2)
@@ -201,7 +199,7 @@ class TestForwardTransform:
 
     def test_longitude(self):
         c = sos_to_cartesian(SosPoint(R=1.0, nu=0.3, lam=2.0), CFG2)
-        assert math.atan2(c.y, c.x) == pytest.approx(2.0, rel=1e-12)
+        assert math.atan2(c.y, c.x) == approx(2.0, rel=1e-12)
 
     def test_south_mirror(self):
         n = sos_to_cartesian(SosPoint(R=1.0, nu=0.8), CFG2)
@@ -214,7 +212,7 @@ class TestInverseTransform:
         p = cartesian_to_sos(CartesianPoint(1.0, 0.0, 0.0), CFG2)
         assert (p.R, p.nu, p.lam) == (1.0, 0.0, 0.0)
         p = cartesian_to_sos(CartesianPoint(0.0, 0.0, 1.0 / math.sqrt(3.0)), CFG2)
-        assert p.R == pytest.approx(1.0, rel=1e-15)
+        assert p.R == approx(1.0, rel=1e-15)
         assert p.nu == math.pi / 2
 
     def test_origin_degenerate(self):
@@ -224,7 +222,7 @@ class TestInverseTransform:
     def test_roundtrip_reference(self):
         p0 = SosPoint(R=1.0, nu=math.pi / 6, lam=0.0)
         p1 = cartesian_to_sos(sos_to_cartesian(p0, CFG2), CFG2)
-        assert p1.R == pytest.approx(p0.R, rel=1e-9)
+        assert p1.R == approx(p0.R, rel=1e-9)
         assert p1.nu == pytest.approx(p0.nu, abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
@@ -239,11 +237,9 @@ class TestInverseTransform:
         p0 = SosPoint(R=math.exp(logR), nu=nu, lam=lam)
         c = sos_to_cartesian(p0, cfg)
         # membership of the R-spheroid
-        assert c.x**2 + c.y**2 + (1.0 + mu) * c.z**2 == pytest.approx(
-            p0.R**2, rel=1e-10
-        )
+        assert c.x**2 + c.y**2 + (1.0 + mu) * c.z**2 == approx(p0.R**2, rel=1e-10)
         p1 = cartesian_to_sos(c, cfg)
-        assert p1.R == pytest.approx(p0.R, rel=1e-9)
+        assert p1.R == approx(p0.R, rel=1e-9)
         assert p1.nu == pytest.approx(p0.nu, abs=1e-9)
         assert p1.lam == pytest.approx(p0.lam, abs=1e-9)
 
@@ -254,8 +250,8 @@ class TestInverseTransform:
         p = cartesian_to_sos(CartesianPoint(v, 0.0, v), SystemConfig(mu=mu))
         R, nu = mp_cartesian_nu(v, 0.0, v, mu)
         assert p.R == cartesian_R_s(v, 0.0, v, mu)[0]
-        assert p.R == pytest.approx(R, rel=1e-15)
-        assert p.nu == pytest.approx(nu, rel=1e-12)
+        assert p.R == approx(R, rel=1e-15)
+        assert p.nu == approx(nu, rel=1e-12)
 
     @pytest.mark.parametrize(
         "mu, x, z", [(20.0, 0.5, 3e-320), (2.0, 0.5, 1.47488209e-315), (1000.0, 0.5, 1.47488209e-315)]
@@ -321,7 +317,7 @@ class TestGeometricInvariants:
             p2 = cartesian_to_sos(c2, cfg)
             w1 = compute_W(p.R, abs(p.nu), cfg)
             w2 = compute_W(p2.R, abs(p2.nu), cfg)
-            assert w2 == pytest.approx(w1, rel=1e-9)
+            assert w2 == approx(w1, rel=1e-9)
             for t1, t2 in zip(bundles(w1, mu), bundles(w2, mu)):
                 for f in ("s", "h_R", "f_S", "f_C"):
                     assert getattr(t2, f) == pytest.approx(getattr(t1, f), abs=1e-9)
@@ -337,7 +333,7 @@ class TestGeometricInvariants:
                 W = compute_W(R, abs(nu), cfg)
                 for tb in bundles(W, mu):
                     ref = R * R * (1.0 - mu * tb.s * tb.s / (1.0 + mu) ** 2)
-                    assert c.x**2 + c.y**2 + c.z**2 == pytest.approx(ref, rel=1e-10)
+                    assert c.x**2 + c.y**2 + c.z**2 == approx(ref, rel=1e-10)
 
 
 class TestClosedPointOracle:
@@ -365,19 +361,19 @@ class TestClosedPointOracle:
         for R, nu, (_, _, _, h_R, h_nu, jac) in self.points(mu):
             for sign in (1.0, -1.0):
                 mb = metrics_at(R, sign * nu, cfg)
-                assert mb.h_R == pytest.approx(h_R, rel=self.REL)
-                assert mb.h_nu == pytest.approx(h_nu, rel=self.REL)
-                assert mb.jacobian == pytest.approx(jac, rel=self.REL)
-                assert mb.jac_over_hR2 == pytest.approx(jac / h_R**2, rel=self.REL)
-                assert mb.jac_over_hnu2 == pytest.approx(jac / h_nu**2, rel=self.REL)
+                assert mb.h_R == approx(h_R, rel=self.REL)
+                assert mb.h_nu == approx(h_nu, rel=self.REL)
+                assert mb.jacobian == approx(jac, rel=self.REL)
+                assert mb.jac_over_hR2 == approx(jac / h_R**2, rel=self.REL)
+                assert mb.jac_over_hnu2 == approx(jac / h_nu**2, rel=self.REL)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_sos_to_cartesian(self, mu):
         cfg = SystemConfig(mu=mu, R0=1.0)
         for R, nu, (_, rho, z, _, _, _) in self.points(mu):
             c = sos_to_cartesian(SosPoint(R=R, nu=-nu, lam=0.0), cfg)
-            assert c.x == pytest.approx(rho, rel=self.REL)
-            assert c.z == pytest.approx(-z, rel=self.REL)
+            assert c.x == approx(rho, rel=self.REL)
+            assert c.z == approx(-z, rel=self.REL)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_cartesian_to_sos(self, mu):
@@ -386,15 +382,15 @@ class TestClosedPointOracle:
         for R, nu, (_, rho, z, _, _, _) in self.points(mu):
             for sign in (1.0, -1.0):
                 p = cartesian_to_sos(CartesianPoint(rho, 0.0, sign * z), cfg)
-                assert p.R == pytest.approx(R, rel=self.REL)
-                assert p.nu == pytest.approx(sign * nu, rel=self.REL)
+                assert p.R == approx(R, rel=self.REL)
+                assert p.nu == approx(sign * nu, rel=self.REL)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_s_at_point(self, mu):
         cfg = SystemConfig(mu=mu, R0=1.0)
         for R, nu, (s, _, _, _, _, _) in self.points(mu):
-            assert s_at_point(R, nu, cfg) == pytest.approx(s, rel=self.REL)
-            assert s_at_point(R, -nu, cfg) == pytest.approx(-s, rel=self.REL)
+            assert s_at_point(R, nu, cfg) == approx(s, rel=self.REL)
+            assert s_at_point(R, -nu, cfg) == approx(-s, rel=self.REL)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_equator(self, mu):
@@ -405,8 +401,8 @@ class TestClosedPointOracle:
                 h_nu = float(mpmath.mpf(R) ** (1 + mpmath.mpf(mu)) / mpmath.sqrt(1 + mpmath.mpf(mu)))
             mb = metrics_at(R, 0.0, cfg)
             assert mb.h_R == 1.0
-            assert mb.h_nu == pytest.approx(h_nu, rel=self.REL)
-            assert mb.jacobian == pytest.approx(R * h_nu, rel=self.REL)
+            assert mb.h_nu == approx(h_nu, rel=self.REL)
+            assert mb.jacobian == approx(R * h_nu, rel=self.REL)
             assert s_at_point(R, 0.0, cfg) == 0.0
             assert sos_to_cartesian(SosPoint(R=R, nu=0.0), cfg) == CartesianPoint(R, 0.0, 0.0)
 
@@ -423,10 +419,10 @@ class TestClosedPointOracle:
             if not math.isfinite(W):
                 continue
             tb = trig_from_W_robust(W, mu)
-            assert tb.s == pytest.approx(s, rel=self.REL)
-            assert tb.h_R == pytest.approx(h_R, rel=self.REL)
-            assert tb.f_S == pytest.approx(s * h_R, rel=self.REL)
-            assert tb.f_C == pytest.approx(rho / R * h_R, rel=self.REL)
+            assert tb.s == approx(s, rel=self.REL)
+            assert tb.h_R == approx(h_R, rel=self.REL)
+            assert tb.f_S == approx(s * h_R, rel=self.REL)
+            assert tb.f_C == approx(rho / R * h_R, rel=self.REL)
             checked += 1
         assert checked >= 10
 

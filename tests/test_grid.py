@@ -19,7 +19,7 @@ from sosharmonics.errors import DegenerateOriginError, PoleDivergenceError, SosE
 from sosharmonics.harmonic import HarmonicSolution, cartesian_R_s, eval_V_cartesian
 from sosharmonics.trig import s_limit
 
-from _oracles import mp_cartesian_R_s, mp_potential
+from _oracles import approx, mp_cartesian_R_s, mp_potential
 
 MUS = [0.0, 0.5, 2.0, 20.0]
 REL = 1e-12
@@ -80,7 +80,7 @@ def test_empty_cells_origin_and_axis(mu):
                 elif quantity == "s":
                     assert v == lim
                 else:
-                    assert v == pytest.approx(1.0 / math.sqrt(1.0 + mu), rel=1e-15)
+                    assert v == approx(1.0 / math.sqrt(1.0 + mu), rel=1e-15)
             elif (x, z) != (0.0, 0.0):
                 assert v is not None
     # without second-kind terms V is finite on the axis
@@ -257,8 +257,8 @@ class TestCartesianRS:
         for x, y, z in [(0.3, 0.4, 0.5), (-1.2, 0.1, -0.05), (1e-3, -2e-3, 3.0), (5.0, 0.0, 1e-9)]:
             R, s = cartesian_R_s(x, y, z, mu)
             R_ref, s_ref = mp_cartesian_R_s(x, y, z, mu)
-            assert R == pytest.approx(float(R_ref), rel=REL)
-            assert s == pytest.approx(float(s_ref), rel=REL)
+            assert R == approx(float(R_ref), rel=REL)
+            assert s == approx(float(s_ref), rel=REL)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_eval_V_cartesian_matches_mpmath(self, mu):

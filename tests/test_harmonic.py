@@ -28,6 +28,8 @@ from sosharmonics.harmonic import (
     solution_to_dict,
 )
 
+from _oracles import approx
+
 CFG2 = SystemConfig(mu=2.0, R0=1.0)
 
 
@@ -66,14 +68,14 @@ class TestEvalV:
 
     def test_degree1_at_pole(self):
         sol = mode(CFG2, 1)
-        assert eval_V_at(sol, SosPoint(R=1.0, nu=math.pi / 2)) == pytest.approx(
+        assert eval_V_at(sol, SosPoint(R=1.0, nu=math.pi / 2)) == approx(
             1.0 / math.sqrt(3.0), rel=1e-14
         )
 
     def test_degree2_at_equator(self):
         # R0^2 P_2(0) = -(1+mu)^2/(2 (1+mu)^2) = -1/2
         sol = mode(CFG2, 2)
-        assert eval_V_at(sol, SosPoint(R=1.0, nu=0.0)) == pytest.approx(-0.5)
+        assert eval_V_at(sol, SosPoint(R=1.0, nu=0.0)) == approx(-0.5, rel=1e-6)
 
     def test_pole_with_second_kind_raises(self):
         sol = mode(CFG2, 1, kind="b")
@@ -101,7 +103,7 @@ class TestEvalV:
         cfg = SystemConfig(mu=2.0, R0=5.0)
         sol = HarmonicSolution(a=(0.0, 1.0), b=(), cfg=cfg)
         z = sos_to_cartesian(SosPoint(R=2.0, nu=0.7), cfg).z
-        assert eval_V_at(sol, SosPoint(R=2.0, nu=0.7)) == pytest.approx(z, rel=1e-12)
+        assert eval_V_at(sol, SosPoint(R=2.0, nu=0.7)) == approx(z, rel=1e-12)
 
 
 class TestLaplacian:
@@ -327,4 +329,4 @@ class TestSAtPoint:
         sol = HarmonicSolution(a=(0.2, 0.4, -0.3), b=(), cfg=CFG2)
         p = SosPoint(R=1.3, nu=0.8, lam=0.4)
         c = sos_to_cartesian(p, CFG2)
-        assert eval_V_cartesian(sol, c) == pytest.approx(eval_V_at(sol, p), rel=1e-11)
+        assert eval_V_cartesian(sol, c) == approx(eval_V_at(sol, p), rel=1e-11)

@@ -19,7 +19,7 @@ from sosharmonics.series import (
 )
 from sosharmonics.trig import trig_from_W_robust
 
-from _oracles import W_BORDER_MU2, mp_binom, mp_series, mp_series_closed
+from _oracles import W_BORDER_MU2, approx, mp_binom, mp_series, mp_series_closed
 
 QUANTITIES = ("hR2", "fC2", "fS2", "Snu", "jac", "jac_hR2", "jac_hnu2")
 
@@ -62,7 +62,7 @@ class TestGenBinom:
 
 class TestRegion:
     def test_border_value_mu2(self):
-        assert w_border(2.0) == pytest.approx(W_BORDER_MU2, rel=1e-15)
+        assert w_border(2.0) == approx(W_BORDER_MU2, rel=1e-15)
 
     def test_border_mu0(self):
         assert w_border(0.0) == 1.0
@@ -97,20 +97,20 @@ class TestEvalSeries:
     def test_mu0_geometric(self):
         # a = -1: sum (-W^2)^k = 1/(1 + W^2) = cos^2(nu) with W = tan(nu)
         res = eval_series(sa(-1.0, 0.0), 0.5)
-        assert res.value == pytest.approx(0.8, rel=1e-14)
+        assert res.value == approx(0.8, rel=1e-14)
 
     @pytest.mark.parametrize("a", [-2.0, -1.0, -0.5, 0.5, 1.5])
     @pytest.mark.parametrize("W", [0.05, 0.4, 0.8])
     def test_mu0_small_closed_form(self, a, W):
         res = eval_series(sa(a, 0.0), W)
-        assert res.value == pytest.approx((1.0 + W * W) ** a, rel=1e-12)
+        assert res.value == approx((1.0 + W * W) ** a, rel=1e-12)
 
     @pytest.mark.parametrize("a", [-2.0, -0.5, 1.5])
     @pytest.mark.parametrize("W", [1.3, 4.0, 30.0])
     def test_mu0_large_closed_form(self, a, W):
         res = eval_series(sa(a, 0.0, Region.LARGE_NU), W)
         ref = W ** (2 * a) * (1.0 + W**-2.0) ** a
-        assert res.value == pytest.approx(ref, rel=1e-12)
+        assert res.value == approx(ref, rel=1e-12)
 
     def test_sc_a0_is_one(self):
         assert eval_series(sc(0.0, 2.0), 0.2).value == 1.0
@@ -159,7 +159,7 @@ class TestTermBehaviour:
         num = eval_series(sa(a + c, mu), W).value
         den = eval_series(sa(c, mu), W).value
         rat = eval_series(sc(a, mu), W).value
-        assert num / den == pytest.approx(rat, rel=1e-10)
+        assert num / den == approx(rat, rel=1e-10)
 
     @pytest.mark.parametrize("mu", [0.5, 2.0])
     @pytest.mark.parametrize("W", [0.1, 0.25])
@@ -182,7 +182,7 @@ class TestDeepTerms:
         for k in (5, 37, 120):
             t = series._term(a=-1.5, b=-2.0, x=0.04, k=k, cauchy=False)
             ref = mp_binom(-1.5 - 2.0 * k, k) * 0.04**k
-            assert t == pytest.approx(ref, rel=1e-11)
+            assert t == approx(ref, rel=1e-11)
 
 
 class TestTermKernel:
@@ -207,7 +207,7 @@ class TestTermKernel:
             al = mpmath.mpf(a) + mpmath.mpf(b) * k
             c = a / mpmath.mpf(k) * mpmath.binomial(al - 1, k - 1) if cauchy else mpmath.binomial(al, k)
             ref = float(c * mpmath.mpf(x) ** k)
-        assert got == pytest.approx(ref, rel=1e-13)
+        assert got == approx(ref, rel=1e-13)
 
 
 class TestAgainstMpmath:

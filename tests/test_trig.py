@@ -25,6 +25,7 @@ from _oracles import (
     S_REF_MU2_NU30,
     W_BORDER_MU2,
     W_REF_MU2_NU30,
+    approx,
 )
 
 MUS = [0.3, 0.5, 1.0, 2.0, 5.0]
@@ -57,8 +58,8 @@ class TestSeriesPath:
     @pytest.mark.parametrize("nu", [0.1, 0.6, 1.2])
     def test_spherical_limit(self, nu):
         tb = trig_from_W(math.tan(nu), 0.0)
-        assert tb.f_S == pytest.approx(math.sin(nu), rel=1e-14)
-        assert tb.f_C == pytest.approx(math.cos(nu), rel=1e-14)
+        assert tb.f_S == approx(math.sin(nu), rel=1e-14)
+        assert tb.f_C == approx(math.cos(nu), rel=1e-14)
         assert tb.h_R == 1.0
 
     def test_reference_spheroid_values(self):
@@ -91,7 +92,7 @@ class TestRobustPath:
         tb = trig_from_W_robust(W_BORDER_MU2, 2.0)
         assert_bundle_consistent(tb)
         # resubstitution into the closed inversion recovers W
-        assert w_from_s(tb.s, 2.0) == pytest.approx(W_BORDER_MU2, rel=1e-12)
+        assert w_from_s(tb.s, 2.0) == approx(W_BORDER_MU2, rel=1e-12)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_agrees_with_series(self, mu):
@@ -122,10 +123,10 @@ class TestWFromS:
 
     @pytest.mark.parametrize("nu", [0.2, 0.8, 1.3])
     def test_spherical(self, nu):
-        assert w_from_s(math.sin(nu), 0.0) == pytest.approx(math.tan(nu), rel=1e-14)
+        assert w_from_s(math.sin(nu), 0.0) == approx(math.tan(nu), rel=1e-14)
 
     def test_reference_value(self):
-        assert w_from_s(S_REF_MU2_NU30, 2.0) == pytest.approx(W_REF_MU2_NU30, rel=1e-15)
+        assert w_from_s(S_REF_MU2_NU30, 2.0) == approx(W_REF_MU2_NU30, rel=1e-15)
 
     def test_pole_raises(self):
         with pytest.raises(PoleLimitError):
@@ -149,14 +150,10 @@ class TestSOnReference:
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 2.0])
     def test_pole(self, mu):
-        assert s_on_reference(math.pi / 2, mu) == pytest.approx(
-            s_limit(mu), rel=1e-15
-        )
+        assert s_on_reference(math.pi / 2, mu) == approx(s_limit(mu), rel=1e-15)
 
     def test_mu2_nu30(self):
-        assert s_on_reference(math.pi / 6, 2.0) == pytest.approx(
-            S_REF_MU2_NU30, rel=1e-15
-        )
+        assert s_on_reference(math.pi / 6, 2.0) == approx(S_REF_MU2_NU30, rel=1e-15)
 
     def test_odd(self):
         assert s_on_reference(-0.4, 2.0) == -s_on_reference(0.4, 2.0)
@@ -171,7 +168,7 @@ class TestIdentities:
                 tb = bundle(W, mu)
                 lhs = tb.f_S**2 / tb.f_C**2
                 rhs = (1.0 + mu) * tb.s**2 / ((1.0 + mu) - tb.s**2)
-                assert lhs == pytest.approx(rhs, rel=1e-10)
+                assert lhs == approx(rhs, rel=1e-10)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_power_form_identity(self, mu):
@@ -188,7 +185,7 @@ class TestIdentities:
         for W in w_grid(mu):
             for bundle in (trig_from_W_robust, trig_from_W):
                 tb = bundle(W, mu)
-                assert w_from_s(tb.s, mu) == pytest.approx(W, rel=1e-10)
+                assert w_from_s(tb.s, mu) == approx(W, rel=1e-10)
 
 
 class TestDerivatives:
@@ -221,7 +218,7 @@ class TestDerivatives:
             lo = trig_from_W_robust(W - step, mu)
             fd = (math.log(hi.f_S / hi.f_C) - math.log(lo.f_S / lo.f_C)) / (2 * step)
             tb = trig_from_W_robust(W, mu)
-            assert fd == pytest.approx(tb.h_R**2 / W, rel=1e-6)
+            assert fd == approx(tb.h_R**2 / W, rel=1e-6)
 
     @pytest.mark.parametrize("mu", [0.5, 2.0])
     def test_radial_integrand_derivative(self, mu):
@@ -233,7 +230,7 @@ class TestDerivatives:
             f = lambda tb: tb.W**2 * tb.h_R**2 / (2.0 * tb.f_S**2)
             fd = (f(hi) - f(lo)) / (2 * step)
             tb = trig_from_W_robust(W, mu)
-            assert fd == pytest.approx(W * tb.h_R**2, rel=1e-6)
+            assert fd == approx(W * tb.h_R**2, rel=1e-6)
 
 
 class TestMonotonicity:
