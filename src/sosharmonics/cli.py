@@ -80,6 +80,10 @@ class GridSpec:
             raise ValueError("require z_max > z_min >= 0")
         if self.nx < 2 or self.nz < 2:
             raise ValueError("require nx, nz >= 2")
+        # `_grid_axes` forms (max - min) * i before dividing by n - 1
+        if not all(map(math.isfinite, ((self.x_max - self.x_min) * (self.nx - 1),
+                                       (self.z_max - self.z_min) * (self.nz - 1)))):
+            raise ValueError("require (max - min) * (n - 1) within the float range")
 
 
 def _fmt(x: float) -> str:

@@ -1,6 +1,6 @@
 """Interior axisymmetric harmonic expansion in SOS coordinates.
 
-    V(R, s) = sum_n a_n R^n P_n(s) + sum_n b_n R^n Q_n(s)
+    V(R, s) = sum_n a_n (R/R0)^n P_n(s) + sum_n b_n (R/R0)^n Q_n(s)
 
 with the generalized Legendre functions P_n, Q_n of the legendre module and
 s = f_S/h_R obtained from the position.  P_n and Q_n come from one run of
@@ -9,10 +9,11 @@ whole array of points in `sum_V`), never from power-basis coefficients.
 A Cartesian point takes R and s from `coords.cartesian_R_s`, the formula
 `cartesian_to_sos` uses too.  `cartesian_R_s` and `sum_V` take floats or
 numpy arrays and give an array the bits of its elements one by one.
-Degrees are dense 0..N; radial factors are
-computed as (R/R0)^n with R0^n folded into scaled coefficients, which is
-also the convention of the JSON coefficient file
-({"mu", "R0", "convention": "R_over_R0", "a", "b"}).
+Degrees are dense 0..N.  Coefficients multiply the dimensionless (R/R0)^n,
+in memory and in the JSON coefficient file alike
+({"mu", "R0", "convention": "R_over_R0", "a", "b"}); the radial factor
+rides inside the Legendre recursion, so a term is finite wherever it is
+representable.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -48,7 +48,7 @@ FILE_CONVENTION = "R_over_R0"
 
 @dataclass(frozen=True)
 class HarmonicSolution:
-    """Expansion coefficients; a[n], b[n] multiply R^n (R in length units)."""
+    """Expansion coefficients; a[n], b[n] multiply (R/R0)^n P_n(s), (R/R0)^n Q_n(s)."""
 
     a: tuple[float, ...]
     b: tuple[float, ...]
@@ -102,27 +102,15 @@ def sum_V(sol: HarmonicSolution, R, s):
     Arrays take the same operations in the same order as floats, so each
     element gets the bits of the float sum.
     """
-    mu = sol.cfg.mu
-    # T_n is needed up to the last nonzero b_n only
+    # Q_n is needed up to the last nonzero b_n only
     last_b = max((n for n, bn in enumerate(sol.b) if bn != 0.0), default=-1)
-    p, t = legendre.values(max(len(sol.a), len(sol.b), 1) - 1, s, mu, last_b)
-    if sol.has_second_kind:
-        # the q0 logarithm is shared by every degree
-        q0 = legendre.q0(s, mu)
-        g = legendre.q_weight(s, mu)
-    rr = R / sol.cfg.R0
+    N = max(len(sol.a), len(sol.b), 1) - 1
+    p, q = legendre.values(N, s, sol.cfg.mu, last_b, R / sol.cfg.R0)
     total = 0.0
-    pw = 1.0
-    scale = 1.0
-    for n, (an, bn) in enumerate(zip_longest(sol.a, sol.b, fillvalue=0.0)):
-        if n > 0:
-            pw *= rr
-            scale *= sol.cfg.R0
-        # zero coefficients are skipped, so an overflowing R^n cannot give NaN
-        if an != 0.0:
-            total += an * scale * pw * p[n]
-        if bn != 0.0:
-            total += bn * scale * pw * (p[n] * q0 - t[n] * g)
+    for c, f in [*zip(sol.a, p), *zip(sol.b, q)]:
+        # zero coefficients are skipped, so a term beyond the float range cannot give NaN
+        if c != 0.0:
+            total += c * f
     return total
 
 
@@ -214,7 +202,9 @@ def fit_boundary(
     closed form sqrt(1+mu) sin(nu).  The generalized Legendre functions are
     not orthogonal, so the coefficients come from an orthogonal-factorization
     least-squares solve of the dense design matrix; the 2-norm residual and
-    the design-matrix condition number are reported.
+    the design-matrix condition number are reported.  A column is
+    P_n(s_j) = (r_j/R0)^n P_n^cl(z_j/r_j) with r_j/R0 in [(1+mu)^(-1/2), 1],
+    so the condition grows exponentially in N, the faster the larger mu.
     """
     if N < 0:
         raise ValueError("degree must be non-negative")
@@ -233,12 +223,8 @@ def fit_boundary(
     if include_second_kind and np.any(legendre.pole_band(svals, mu)):
         raise PoleDivergenceError("second-kind fit cannot use samples at |nu| = pi/2")
 
-    p, t = legendre.values(N, svals, mu, N if include_second_kind else -1)
-    if include_second_kind:
-        q0 = legendre.q0(svals, mu)
-        g = legendre.q_weight(svals, mu)
-        p += [pn * q0 - tn * g for pn, tn in zip(p, t)]
-    design = np.column_stack(p)
+    p, q = legendre.values(N, svals, mu, N if include_second_kind else -1)
+    design = np.column_stack(p + q)
 
     coef, _, rank, sv = np.linalg.lstsq(design, vals, rcond=None)
     if rank < n_cols:
@@ -248,11 +234,7 @@ def fit_boundary(
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
     residual_norm = float(np.linalg.norm(design @ coef - vals))
 
-    # columns were built at R = R0 where (R/R0)^n = 1, so coef[n] = a_n R0^n
-    radial = cfg.R0 ** np.arange(N + 1)
-    a = coef[: N + 1] / radial
-    b = coef[N + 1 :] / radial if include_second_kind else np.zeros(0)
-    sol = HarmonicSolution(a=tuple(a), b=tuple(b), cfg=cfg)
+    sol = HarmonicSolution(a=tuple(coef[: N + 1]), b=tuple(coef[N + 1 :]), cfg=cfg)
     diag = FitDiagnostics(
         residual_norm=residual_norm, condition=condition, rank=int(rank), n_params=n_cols
     )
@@ -263,14 +245,13 @@ def fit_boundary(
 
 
 def solution_to_dict(sol: HarmonicSolution) -> dict:
-    """JSON payload with R0^n folded into the stored coefficients."""
-    r0 = sol.cfg.R0
+    """JSON payload; the coefficients are stored as they are held."""
     return {
         "mu": sol.cfg.mu,
-        "R0": r0,
+        "R0": sol.cfg.R0,
         "convention": FILE_CONVENTION,
-        "a": [an * r0**n for n, an in enumerate(sol.a)],
-        "b": [bn * r0**n for n, bn in enumerate(sol.b)],
+        "a": list(sol.a),
+        "b": list(sol.b),
     }
 
 
@@ -289,9 +270,7 @@ def solution_from_dict(payload) -> HarmonicSolution:
         ):
             raise ValueError(f"field {key!r} must be an array of numbers")
     cfg = SystemConfig(mu=float(payload["mu"]), R0=float(payload["R0"]))
-    a = [float(v) / cfg.R0**n for n, v in enumerate(payload["a"])]
-    b = [float(v) / cfg.R0**n for n, v in enumerate(payload["b"])]
-    return HarmonicSolution(a=tuple(a), b=tuple(b), cfg=cfg)
+    return HarmonicSolution(a=tuple(payload["a"]), b=tuple(payload["b"]), cfg=cfg)
 
 
 def save_solution(sol: HarmonicSolution, path) -> None:

@@ -15,6 +15,8 @@ At mu = 0 everything reduces to the classical Legendre P_n and Q_n.
 
 Every evaluation runs this recursion on values (`values`, `value_derivs`),
 which stays accurate at high degree, where power-basis coefficients cancel.
+`values` also carries a radial factor r through the recursion and returns
+the solid forms r^n P_n and r^n Q_n; Q_n is composed there and nowhere else.
 The power-basis coefficients (`p_poly`, `t_poly`, plain tuples whose entry j
 multiplies s^j) are kept only as the witness checked against closed
 reference forms for n <= 6 (exact bracket polynomials in mu with rational
@@ -37,28 +39,37 @@ def _step(m: int, mu: float) -> tuple[float, float]:
     return (2.0 * m + 1.0) / (m + 1.0) / (1.0 + mu), m / (m + 1.0)
 
 
-def values(N: int, s, mu: float, t_degree: int | None = None) -> tuple[list, list]:
-    """[P_0..P_N] and [T_0..T_M] at s, a float or a numpy array; every
-    value has the type and shape of s.
+def values(N: int, s, mu: float, q_degree: int, r=1.0) -> tuple[list, list]:
+    """[r^n P_n(s)] for n = 0..N and [r^n Q_n(s)] for n = 0..q_degree.
 
-    M = t_degree is the last T degree the caller needs: N by default, -1
-    for none.  The T recursion stops there; each value keeps its bits."""
+    s and r are floats or numpy arrays; every value has their type and
+    shape.  q_degree = -1 asks for no Q_n; otherwise the T recursion runs to
+    q_degree only and Q_n = P_n q0 - T_n g is formed here, raising
+    PoleDivergenceError if some s lies in the `pole_band`.  The radial factor
+    rides inside the recursion (the solid-harmonic form), so r^n P_n stays
+    finite where r^n would overflow and P_n underflow; at r = 1 each value
+    has the bits of the plain recursion."""
     if N < 0:
         raise ValueError("degree must be non-negative")
-    M = N if t_degree is None else t_degree
-    if not -1 <= M <= N:
-        raise ValueError("t_degree must lie in [-1, N]")
+    if not -1 <= q_degree <= N:
+        raise ValueError("q_degree must lie in [-1, N]")
     e = 1.0 + mu
-    damp = 1.0 - mu * s * s / (e * e)
+    rs = r * s
+    # r * (r * d), d in [1/(1+mu), 1]: nothing overflows before r^2 d does
+    damp = r * (r * (1.0 - mu * s * s / (e * e)))
     zero = 0.0 * s  # a float or an array, like s
-    p, t = [zero + 1.0, s / e], [zero, zero + 1.0 / e]
+    p, t = [zero + 1.0, rs / e], [zero, zero + r / e]
     for m in range(1, N):
         c_s, c_0 = _step(m, mu)
-        u, v = c_s * s, c_0 * damp
+        u, v = c_s * rs, c_0 * damp
         p.append(u * p[m] - v * p[m - 1])
-        if m < M:
+        if m < q_degree:
             t.append(u * t[m] - v * t[m - 1])
-    return p[: N + 1], t[: M + 1]
+    p = p[: N + 1]
+    if q_degree < 0:
+        return p, []
+    q0_s, g = q0(s, mu), q_weight(s, mu)
+    return p, [pn * q0_s - tn * g for pn, tn in zip(p, t[: q_degree + 1])]
 
 
 def value_derivs(N: int, s: float, mu: float) -> tuple[list, list]:
@@ -173,23 +184,21 @@ def d2q0_ds2(s: float, mu: float) -> float:
 
 
 def eval_q(n: int, s: float, mu: float) -> float:
-    """Second-kind function Q_n(s) via the P/T composition."""
-    _check_q_domain(s, mu)
-    p, t = values(n, s, mu)
-    return p[n] * q0(s, mu) - t[n] * q_weight(s, mu)
+    """Second-kind function Q_n(s), from `values`."""
+    return values(n, s, mu, n)[1][n]
 
 
 def eval_q_derivs(n: int, s: float, mu: float) -> tuple[float, float, float]:
     """(Q_n, Q_n', Q_n'') by the product rule with analytic q0 derivatives."""
-    _check_q_domain(s, mu)
+    # q0 first: it refuses an s in the pole band before g is formed
+    q = q0(s, mu)
+    dq = dq0_ds(s, mu)
+    d2q = d2q0_ds2(s, mu)
     (P, dP, d2P), (T, dT, d2T) = (f[n] for f in value_derivs(n, s, mu))
     g2 = (1.0 + mu) ** 2 - mu * s * s
     g = math.sqrt(g2)
     dg = -mu * s / g
     d2g = -mu / g - mu * mu * s * s / (g2 * g)
-    q = q0(s, mu)
-    dq = dq0_ds(s, mu)
-    d2q = d2q0_ds2(s, mu)
     Q = P * q - T * g
     dQ = dP * q + P * dq - dT * g - T * dg
     d2Q = d2P * q + 2.0 * dP * dq + P * d2q - d2T * g - 2.0 * dT * dg - T * d2g

@@ -259,14 +259,15 @@ class TestGrid:
             assert float(vs) == ref[(float(xs), float(zs))]
 
     def test_invalid_spec_exits_2(self, capsys, cfg2):
-        # an infinite bound once exited 0 with nan and inf in the x column
-        for x_min, x_max in [("1", "0"), ("0", "inf")]:
+        # an infinite bound, or a finite one whose (x_max - x_min) * (nx - 1)
+        # overflows, once exited 0 with nan or inf in the x column
+        for x_min, x_max, nx in [("1", "0", "2"), ("0", "inf", "2"), ("0", "1e308", "3")]:
             rc, out, _ = run(
                 capsys,
                 [
                     "grid", "--config", cfg2,
                     "--x-min", x_min, "--x-max", x_max, "--z-min", "0", "--z-max", "1",
-                    "--nx", "2", "--nz", "2", "--quantity", "s",
+                    "--nx", nx, "--nz", "2", "--quantity", "s",
                 ],
             )
             assert rc == 2

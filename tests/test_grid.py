@@ -136,7 +136,8 @@ def test_V_beyond_float_range_is_an_empty_cell(tmp_path, extent):
             assert value == V
         else:
             assert value is None
-    assert finite == (4 if extent == "2e154" else 0)  # of 20 cells off the axis
+    # of 20 cells off the axis; (5e153, 1e154) has V = 8.75e307
+    assert finite == (5 if extent == "2e154" else 0)
 
 
 # x = 5e-7 against z up to 1: |s| is within 1e-12 of sqrt(1+mu), where q0 is refused

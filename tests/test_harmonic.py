@@ -99,9 +99,9 @@ class TestEvalV:
                 )
 
     def test_radial_scaling_convention(self):
-        # coefficients multiply plain R^n regardless of R0
+        # coefficients multiply (R/R0)^n, so a_1 = R0 gives V = z
         cfg = SystemConfig(mu=2.0, R0=5.0)
-        sol = HarmonicSolution(a=(0.0, 1.0), b=(), cfg=cfg)
+        sol = HarmonicSolution(a=(0.0, cfg.R0), b=(), cfg=cfg)
         z = sos_to_cartesian(SosPoint(R=2.0, nu=0.7), cfg).z
         assert eval_V_at(sol, SosPoint(R=2.0, nu=0.7)) == approx(z, rel=1e-12)
 
@@ -239,7 +239,7 @@ class TestFit:
         assert diag.condition < 1e3
 
     def test_z_field_gives_degree_one(self):
-        # with R0 != 1 so the radial folding is exercised
+        # with R0 != 1 so the (R/R0)^n convention is exercised
         cfg = SystemConfig(mu=2.0, R0=2.5)
         z_field = HarmonicSolution(a=(0.0, 1.0), b=(), cfg=cfg)
         nus = np.linspace(-1.5, 1.5, 25)
@@ -256,6 +256,24 @@ class TestFit:
         sol, _ = fit_boundary(samples, 2, CFG2, include_second_kind=True)
         assert np.allclose(sol.a, truth.a, atol=1e-8)
         assert np.allclose(sol.b, truth.b, atol=1e-8)
+
+    @pytest.mark.parametrize("R0", [6.957e8, 1e-10])
+    def test_degree_40_at_extreme_R0_through_the_file(self, tmp_path, R0):
+        # R0^40 is beyond the float range at both scales; V = s on R = R0
+        # is (1+mu) z/R0 inside, so a_1 = 1+mu
+        cfg = SystemConfig(mu=2.0, R0=R0)
+        nus = np.linspace(-1.5, 1.5, 101)
+        samples = [(float(nu), math.sqrt(3.0) * math.sin(nu)) for nu in nus]
+        sol, diag = fit_boundary(samples, 40, cfg)
+        assert diag.rank == 41
+        path = tmp_path / "coeffs.json"
+        save_solution(sol, path)
+        back = load_solution(path)
+        assert back == sol
+        for nu in (-1.2, -0.31, 0.0, 0.3, 0.77, 1.45):
+            s = math.sqrt(3.0) * math.sin(nu)
+            assert abs(eval_V(back, R0, s) - s) <= 1e-12
+            assert abs(eval_V(back, 0.5 * R0, s) - 0.5 * s) <= 1e-12
 
     def test_second_kind_rejects_pole_sample(self):
         samples = [(float(nu), 0.0) for nu in np.linspace(-1.0, 1.0, 9)]
@@ -291,8 +309,8 @@ class TestCoefficientFile:
         payload = json.loads(path.read_text())
         assert set(payload) == {"mu", "R0", "convention", "a", "b"}
         assert payload["convention"] == "R_over_R0"
-        # stored values carry the R0^n fold
-        assert payload["a"] == [2.0, 8.0]
+        # the file stores the coefficients as they are held
+        assert payload["a"] == [2.0, 4.0]
 
     @pytest.mark.parametrize(
         "payload",

@@ -10,8 +10,15 @@ import random
 import numpy as np
 import pytest
 
-from sosharmonics.coords import SystemConfig
-from sosharmonics.harmonic import HarmonicSolution, eval_V, fit_boundary
+from sosharmonics.coords import CartesianPoint, SystemConfig
+from sosharmonics.harmonic import (
+    HarmonicSolution,
+    cartesian_R_s,
+    eval_V,
+    eval_V_cartesian,
+    fit_boundary,
+    sum_V,
+)
 from sosharmonics.legendre import eval_q, eval_q_derivs, ode_residual, value_derivs, values
 from sosharmonics.trig import s_limit
 
@@ -29,21 +36,24 @@ def _rel(got, ref):
 def test_values_to_degree_100(mu):
     for frac in S_FRACS:
         s = frac * s_limit(mu)
-        p, t = values(100, s, mu)
-        P, T, _ = mp_legendre(100, s, mu)
-        assert len(p) == len(t) == 101
+        p, q = values(100, s, mu, 100)
+        _, dt = value_derivs(100, s, mu)
+        P, T, Q = mp_legendre(100, s, mu)
+        assert len(p) == len(q) == 101
         assert max(_rel(g, r) for g, r in zip(p, P)) <= 1e-13
-        assert max(_rel(g, r) for g, r in zip(t, T)) <= 1e-13
+        assert max(_rel(f[0], r) for f, r in zip(dt, T)) <= 1e-13
+        assert max(_rel(g, r) for g, r in zip(q, Q)) <= 1e-13
 
 
 @pytest.mark.parametrize("mu", MU_GRID)
 def test_values_of_an_array_match_the_scalars(mu):
     ss = np.array(S_FRACS) * s_limit(mu)
-    p, t = values(100, ss, mu)
-    for k, s in enumerate(ss):
-        ps, ts = values(100, float(s), mu)
+    rr = np.linspace(0.5, 3.0, len(ss))
+    p, q = values(100, ss, mu, 100, rr)
+    for k, (s, r) in enumerate(zip(ss, rr)):
+        ps, qs = values(100, float(s), mu, 100, float(r))
         assert [v[k] for v in p] == ps
-        assert [v[k] for v in t] == ts
+        assert [v[k] for v in q] == qs
 
 
 @pytest.mark.parametrize("mu", MU_GRID)
@@ -80,10 +90,10 @@ def test_ode_residual_degree_60(mu):
 @pytest.mark.parametrize("mu", MU_GRID)
 def test_value_derivs_values_match_values(mu):
     s = 0.43 * s_limit(mu)
-    p, t = values(30, s, mu)
-    dp, dt = value_derivs(30, s, mu)
+    p, q = values(30, s, mu, 30)
+    dp, _ = value_derivs(30, s, mu)
     assert [f[0] for f in dp] == p
-    assert [f[0] for f in dt] == t
+    assert [eval_q_derivs(n, s, mu)[0] for n in range(31)] == q
 
 
 def test_fit_degree_60_chebyshev_nodes():
@@ -96,3 +106,32 @@ def test_fit_degree_60_chebyshev_nodes():
     sol, diag = fit_boundary(samples, 60, SystemConfig(mu=0.0, R0=1.0))
     assert diag.rank == 61
     assert max(abs(g - t) for g, t in zip(sol.a, a)) <= 1e-6
+
+
+@pytest.mark.parametrize("R0", [1.0, 3.7, 6.957e8])
+@pytest.mark.parametrize("mu", [0.5, 2.0, 20.0, 200.0])
+def test_pure_modes_are_classical_solid_harmonics(mu, R0):
+    # (R/R0)^n P_n(s) = (r/R0)^n P_n^cl(z/r) with r = sqrt(x^2 + z^2), for
+    # every mu; the classical side is numpy's Clenshaw sum, independent code
+    rng = np.random.default_rng(40)
+    r = R0 * rng.uniform(0.2, 1.5, 60)
+    theta = rng.uniform(0.0, math.pi, 60)
+    x, z = r * np.sin(theta), r * np.cos(theta)
+    R, s = cartesian_R_s(x, 0.0, z, mu)
+    r = np.hypot(x, z)
+    for n in range(41):
+        sol = HarmonicSolution(a=[0.0] * n + [1.0], b=(), cfg=SystemConfig(mu=mu, R0=R0))
+        radial = (r / R0) ** n
+        classical = radial * np.polynomial.legendre.legval(z / r, [0.0] * n + [1.0])
+        assert np.all(np.abs(sum_V(sol, R, s) - classical) <= 1e-11 * radial), n
+
+
+@pytest.mark.parametrize("n, mu, x, z", [(300, 20.0, 0.01, 5.0), (120, 200.0, 0.5, 30.0)])
+def test_representable_V_beyond_where_R_to_the_n_overflows(n, mu, x, z):
+    # R^n overflows and P_n(s) underflows; their product is near 1e200
+    a = [0.0] * n + [1.0]
+    sol = HarmonicSolution(a=a, b=(), cfg=SystemConfig(mu=mu, R0=1.0))
+    V = eval_V_cartesian(sol, CartesianPoint(x, 0.0, z))
+    ref, _ = mp_potential(a, [], *cartesian_R_s(x, 0.0, z, mu), mu)
+    assert math.isfinite(V)
+    assert abs(V - ref) <= 1e-9 * abs(ref)
