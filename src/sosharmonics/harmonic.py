@@ -3,9 +3,11 @@
     V(R, s) = sum_n a_n (R/R0)^n P_n(s) + sum_n b_n (R/R0)^n Q_n(s)
 
 with the generalized Legendre functions P_n, Q_n of the legendre module and
-s = f_S/h_R obtained from the position.  P_n and Q_n come from one run of
-the value recursion (over all samples at once in `fit_boundary`, over a
-whole array of points in `sum_V`), never from power-basis coefficients.
+s = f_S/h_R obtained from the position.  `sum_V` sums the expansion by
+Clenshaw's backward pass over the value recursion (`legendre.solid_sum`,
+over a whole array of points at once); `fit_boundary` needs the basis
+itself and takes P_n and Q_n of all samples from one run of the recursion
+(`legendre.values`).  Neither uses power-basis coefficients.
 A Cartesian point takes R and s from `coords.cartesian_R_s`, the formula
 `cartesian_to_sos` uses too.  `cartesian_R_s` and `sum_V` take floats or
 numpy arrays and give an array the bits of its elements one by one.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,9 +63,21 @@ class HarmonicSolution:
         if not all(math.isfinite(v) for v in self.a + self.b):
             raise ValueError("coefficients must be finite")
 
+    @cached_property
+    def terms(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """a and b without their trailing zeros: what `sum_V` sums."""
+        return _trimmed(self.a), _trimmed(self.b)
+
     @property
     def has_second_kind(self) -> bool:
-        return any(v != 0.0 for v in self.b)
+        return bool(self.terms[1])
+
+
+def _trimmed(c: tuple[float, ...]) -> tuple[float, ...]:
+    n = len(c)
+    while n and c[n - 1] == 0.0:
+        n -= 1
+    return c[:n]
 
 
 @dataclass(frozen=True)
@@ -87,6 +102,8 @@ def s_at_point(R: float, nu: float, cfg: SystemConfig) -> float:
 
 def eval_V(sol: HarmonicSolution, R: float, s: float) -> float:
     """Potential at radial coordinate R and angular argument s."""
+    if not (math.isfinite(R) and math.isfinite(s)):
+        raise ValueError("R and s must be finite")
     if abs(s) > s_limit(sol.cfg.mu) * (1.0 + 1e-12):
         raise ValueError("s outside [-sqrt(1+mu), sqrt(1+mu)]")
     if R <= 0.0:
@@ -99,19 +116,12 @@ def sum_V(sol: HarmonicSolution, R, s):
 
     No range checks (`eval_V` makes them for a point); the second-kind terms
     raise PoleDivergenceError if some s lies in `legendre.pole_band`.
-    Arrays take the same operations in the same order as floats, so each
-    element gets the bits of the float sum.
+    Clenshaw's backward pass (`legendre.solid_sum`) runs over each kind up
+    to its last nonzero coefficient.  Arrays take the same operations in
+    the same order as floats, so each element gets the bits of the float sum.
     """
-    # Q_n is needed up to the last nonzero b_n only
-    last_b = max((n for n, bn in enumerate(sol.b) if bn != 0.0), default=-1)
-    N = max(len(sol.a), len(sol.b), 1) - 1
-    p, q = legendre.values(N, s, sol.cfg.mu, last_b, R / sol.cfg.R0)
-    total = 0.0
-    for c, f in [*zip(sol.a, p), *zip(sol.b, q)]:
-        # zero coefficients are skipped, so a term beyond the float range cannot give NaN
-        if c != 0.0:
-            total += c * f
-    return total
+    a, b = sol.terms
+    return legendre.solid_sum(a, b, s, sol.cfg.mu, R / sol.cfg.R0)
 
 
 def eval_V_at(sol: HarmonicSolution, p: SosPoint) -> float:

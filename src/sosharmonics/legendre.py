@@ -13,10 +13,14 @@ where T_n follows the same recursion from T_0 = 0, T_1 = 1/(1+mu), and Q_0
 is a logarithm with a singularity on the rotation axis |s| = sqrt(1+mu).
 At mu = 0 everything reduces to the classical Legendre P_n and Q_n.
 
-Every evaluation runs this recursion on values (`values`, `value_derivs`),
-which stays accurate at high degree, where power-basis coefficients cancel.
-`values` also carries a radial factor r through the recursion and returns
-the solid forms r^n P_n and r^n Q_n; Q_n is composed there and nowhere else.
+Every evaluation runs this recursion on values, which stays accurate at
+high degree, where power-basis coefficients cancel.  `values` carries a
+radial factor r through it and returns the solid forms r^n P_n and r^n Q_n
+(Q_n composed there), for callers that need the basis itself;
+`value_derivs` differentiates it; `solid_sum` sums a whole expansion with
+Clenshaw's backward pass over the same step, keeping no per-degree value.
+All of them take the step's coefficients (2m+1)/(m+1) and m/(m+1) from one
+pair of tables that does not depend on mu and grows with the degree asked.
 The power-basis coefficients (`p_poly`, `t_poly`, plain tuples whose entry j
 multiplies s^j) are kept only as the witness checked against closed
 reference forms for n <= 6 (exact bracket polynomials in mu with rational
@@ -34,9 +38,27 @@ from .errors import PoleDivergenceError
 _POLE_MARGIN = 1e-12
 
 
-def _step(m: int, mu: float) -> tuple[float, float]:
-    """(c_s, c_0) of the step F_(m+1) = c_s s F_m - c_0 (1 - mu s^2/(1+mu)^2) F_(m-1)."""
-    return (2.0 * m + 1.0) / (m + 1.0) / (1.0 + mu), m / (m + 1.0)
+def _step_tables(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(A, B) with A[m] = (2m+1)/(m+1) and B[m] = m/(m+1) for m < n at least:
+    the step's coefficients without mu, so one pair serves every mu.
+
+    Growing at least doubles the pair and replaces it whole; each caller
+    gets the pair it checked or built, long enough for it even while other
+    threads grow the shared one."""
+    global _STEPS
+    steps = _STEPS
+    if len(steps[0]) < n:
+        size = range(max(n, 2 * len(steps[0])))
+        steps = (
+            tuple((2.0 * m + 1.0) / (m + 1.0) for m in size),
+            tuple(m / (m + 1.0) for m in size),
+        )
+        _STEPS = steps
+    return steps
+
+
+_STEPS: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
+_step_tables(64)
 
 
 def values(N: int, s, mu: float, q_degree: int, r=1.0) -> tuple[list, list]:
@@ -59,9 +81,9 @@ def values(N: int, s, mu: float, q_degree: int, r=1.0) -> tuple[list, list]:
     damp = r * (r * (1.0 - mu * s * s / (e * e)))
     zero = 0.0 * s  # a float or an array, like s
     p, t = [zero + 1.0, rs / e], [zero, zero + r / e]
+    A, B = _step_tables(N)
     for m in range(1, N):
-        c_s, c_0 = _step(m, mu)
-        u, v = c_s * rs, c_0 * damp
+        u, v = A[m] / e * rs, B[m] * damp
         p.append(u * p[m] - v * p[m - 1])
         if m < q_degree:
             t.append(u * t[m] - v * t[m - 1])
@@ -70,6 +92,46 @@ def values(N: int, s, mu: float, q_degree: int, r=1.0) -> tuple[list, list]:
         return p, []
     q0_s, g = q0(s, mu), q_weight(s, mu)
     return p, [pn * q0_s - tn * g for pn, tn in zip(p, t[: q_degree + 1])]
+
+
+def solid_sum(a, b, s, mu: float, r=1.0):
+    """sum_n a[n] r^n P_n(s) + sum_n b[n] r^n Q_n(s) by Clenshaw's backward
+    pass (MTAC 9 (1955) 118-120) over the step of `values`:
+    y_k = c_k + A_k rs/(1+mu) y_(k+1) - B_(k+1) damp y_(k+2), closed by
+    F_0 y_0 + (F_1 - rs/(1+mu) F_0) y_1.  The P sum is y_0; Q_n takes the
+    same step from Q_0 = q0, Q_1 = (rs q0 - r g)/(1+mu) and sums to
+    q0 y_0 - (r/(1+mu)) g y_1.
+
+    A nonempty a or b must end in a nonzero entry (a trailing zero could
+    meet an overflowed factor and give NaN).  s and r are floats or numpy
+    arrays, given the same operations in the same order, so an array
+    element has the bits of the float sum.  With b nonempty, an s in the
+    `pole_band` raises PoleDivergenceError."""
+    e = 1.0 + mu
+    x = r * s / e
+    damp = r * (r * (1.0 - mu * s * s / (e * e)))  # as in `values`
+    total = _backward(a, x, damp)[0] if a else 0.0
+    if b:
+        y0, y1 = _backward(b, x, damp)
+        total = total + q0(s, mu) * y0
+        if len(b) > 1:
+            total = total - r / e * q_weight(s, mu) * y1
+    return total
+
+
+def _backward(c, x, damp):
+    """(y_0, y_1) of the backward pass over c at x = rs/(1+mu).
+
+    y_(n+1) = 0 is left out of the first step rather than multiplied by an
+    overflowed damp."""
+    n = len(c) - 1
+    A, B = _step_tables(n + 1)
+    y1, y2 = c[n], 0.0
+    if n:
+        y1, y2 = c[n - 1] + A[n - 1] * x * y1, y1
+    for k in range(n - 2, -1, -1):
+        y1, y2 = c[k] + A[k] * x * y1 - B[k + 1] * damp * y2, y1
+    return y1, y2
 
 
 def value_derivs(N: int, s: float, mu: float) -> tuple[list, list]:
@@ -81,10 +143,11 @@ def value_derivs(N: int, s: float, mu: float) -> tuple[list, list]:
     # the damping factor of the step and its first two s-derivatives
     damp = 1.0 - mu * s * s / (e * e)
     damp1, damp2 = -2.0 * mu * s / (e * e), -2.0 * mu / (e * e)
+    A, B = _step_tables(N)
 
     def run(f):
         for m in range(1, N):
-            c_s, c_0 = _step(m, mu)
+            c_s, c_0 = A[m] / e, B[m]
             (f0, df0, d2f0), (f1, df1, d2f1) = f[m - 1], f[m]
             f.append((
                 c_s * s * f1 - c_0 * damp * f0,
@@ -100,8 +163,9 @@ def _witness(n: int, mu: float, prev: list, cur: list) -> tuple[float, ...]:
     """Power-basis coefficients of the degree-n member seeded with prev, cur."""
     if n < 0:
         raise ValueError("degree must be non-negative")
+    A, B = _step_tables(n)
     for m in range(1, n):
-        c_s, c_0 = _step(m, mu)
+        c_s, c_0 = A[m] / (1.0 + mu), B[m]
         c_2 = c_0 * mu / (1.0 + mu) ** 2
         nxt = [0.0] * (m + 2)
         for j, c in enumerate(cur):

@@ -39,6 +39,7 @@ from .harmonic import (
     fit_boundary,
     laplacian_residual_fd,
     s_at_point,
+    sum_V,
 )
 from .series import (
     Region,
@@ -536,8 +537,7 @@ def _shell_point(
         sth = math.sqrt(1.0 - cth * cth)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         c = CartesianPoint(r * sth * math.cos(phi), r * sth * math.sin(phi), r * cth)
-        _, s = cartesian_R_s(c.x, c.y, c.z, cfg.mu)
-        if s_cap is None or abs(s) <= s_cap * lim:
+        if s_cap is None or abs(cartesian_R_s(c.x, c.y, c.z, cfg.mu)[1]) <= s_cap * lim:
             return c
 
 
@@ -559,7 +559,8 @@ def harmonicity_checks(
     h_coarse: float = 1e-2,
     h_fine: float = 5e-3,
 ) -> list[CheckResult]:
-    """Cartesian FD Laplacian of each pure mode: O(h^2) decay to zero.
+    """Cartesian FD Laplacian of each pure mode: O(h^2) decay to zero; and
+    the exact solid-harmonic identity (`_solid_identity`).
 
     Residuals are normalized by |grad V| / R0.  The decay ratio is asserted
     only where the coarse residual exceeds the resolvability floor; modes of
@@ -597,7 +598,31 @@ def harmonicity_checks(
     return [
         CheckResult("harmonic.fd_magnitude", worst_mag, 1e-5),
         CheckResult("harmonic.fd_decay_ratio", ratio_residual, 0.5),
+        _solid_identity(cfg, rng),
     ]
+
+
+def _solid_identity(
+    cfg: SystemConfig, rng: random.Random, degree: int = 24, points: int = 40
+) -> CheckResult:
+    """(R/R0)^n P_n(s) = (r/R0)^n P_n^cl(z/r) for every mu, r = |(x, y, z)|.
+
+    One array `sum_V` of seeded a_0..a_degree at shell points against the
+    classical solid harmonics summed by numpy's `legval` (independent code),
+    relative to sum |a_n| (r/R0)^n.  The classical solid harmonics are
+    harmonic, so this certifies harmonicity exactly where the FD checks
+    only see an O(h^2) decay.
+    """
+    a = [rng.uniform(-1.0, 1.0) for _ in range(degree + 1)]
+    shell = [_shell_point(rng, cfg, None) for _ in range(points)]
+    x, y, z = np.array([(c.x, c.y, c.z) for c in shell]).T
+    R, s = cartesian_R_s(x, y, z, cfg.mu)
+    r = np.hypot(np.hypot(x, y), z)
+    terms = np.array(a)[:, None] * (r / cfg.R0) ** np.arange(degree + 1)[:, None]
+    classical = np.polynomial.legendre.legval(z / r, terms, tensor=False)
+    V = sum_V(HarmonicSolution(a=tuple(a), b=(), cfg=cfg), R, s)
+    residual = np.max(np.abs(V - classical) / np.abs(terms).sum(axis=0))
+    return CheckResult("harmonic.solid_identity", residual, 1e-11)
 
 
 def fit_checks(cfg: SystemConfig, seed: int = 20240903) -> list[CheckResult]:

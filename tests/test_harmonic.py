@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from sosharmonics import legendre
 from sosharmonics.coords import CartesianPoint, SosPoint, SystemConfig, sos_to_cartesian
 from sosharmonics.errors import (
     PoleDivergenceError,
@@ -26,6 +27,7 @@ from sosharmonics.harmonic import (
     separation_check,
     solution_from_dict,
     solution_to_dict,
+    sum_V,
 )
 
 from _oracles import approx
@@ -85,6 +87,36 @@ class TestEvalV:
     def test_rejects_s_outside_range(self):
         with pytest.raises(ValueError):
             eval_V(mode(CFG2, 1), 1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "R, s", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (-math.inf, 0.5), (1.0, -math.inf)]
+    )
+    def test_rejects_non_finite_input(self, R, s):
+        with pytest.raises(ValueError):
+            eval_V(mode(CFG2, 2), R, s)
+
+    def test_second_kind_only(self):
+        # no first-kind pass; the one b_0 term is b_0 Q_0 = b_0 q0
+        sol = HarmonicSolution(a=(), b=(0.5,), cfg=CFG2)
+        for s in (-1.2, 0.0, 0.4):
+            assert eval_V(sol, 0.7, s) == 0.5 * legendre.q0(s, CFG2.mu)
+        ss = np.array([-1.2, 0.0, 0.4])
+        assert sum_V(sol, np.full(3, 0.7), ss).tolist() == (0.5 * legendre.q0(ss, CFG2.mu)).tolist()
+
+    def test_trailing_zeros_change_nothing(self):
+        a, b = (0.3, -1.0, 0.25), (0.5, 0.2)
+        plain = HarmonicSolution(a=a, b=b, cfg=CFG2)
+        padded = HarmonicSolution(a=a + (0.0,) * 40, b=b + (0.0,) * 9, cfg=CFG2)
+        assert padded.terms == (a, b)
+        assert padded.a == a + (0.0,) * 40  # stored as given
+        for R, s in ((0.4, -1.1), (1.0, 0.0), (2.5, 0.9)):
+            assert eval_V(padded, R, s) == eval_V(plain, R, s)
+        assert not HarmonicSolution(a=(1.0,), b=(0.0, 0.0), cfg=CFG2).has_second_kind
+
+    def test_trailing_zeros_never_meet_an_overflowed_factor(self):
+        # (R/R0)^2 overflows at R = 1e200, but a degree-1 expansion is finite
+        sol = HarmonicSolution(a=(1.0, 2.0, 0.0, 0.0), b=(), cfg=CFG2)
+        assert eval_V(sol, 1e200, 0.3) == 1.0 + 2.0 * (1e200 * 0.3 / 3.0)
 
     @pytest.mark.parametrize("n", range(5))
     def test_spherical_solid_harmonics(self, n):

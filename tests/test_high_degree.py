@@ -6,10 +6,13 @@ degrees; every evaluation path has to stay at rounding level here.
 
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from sosharmonics import legendre
 from sosharmonics.coords import CartesianPoint, SystemConfig
 from sosharmonics.harmonic import (
     HarmonicSolution,
@@ -75,6 +78,83 @@ def test_eval_V_degree_60(mu):
             s = frac * s_limit(mu)
             ref, scale = mp_potential(a, b, R, s, mu)
             assert abs(eval_V(sol, R, s) - ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("mu", [0.0, 2.0, 20.0, 200.0])
+def test_clenshaw_sum_degree_100_with_second_kind(mu):
+    rng = random.Random(100)
+    a = [rng.uniform(-1.0, 1.0) for _ in range(101)]
+    b = [rng.uniform(-1.0, 1.0) for _ in range(8)]
+    sol = HarmonicSolution(a=a, b=b, cfg=SystemConfig(mu=mu, R0=1.0))
+    for R in (0.5, 1.0):
+        for frac in (-0.95, -0.4, 0.0, 0.2, 0.7, 0.95):
+            s = frac * s_limit(mu)
+            ref, scale = mp_potential(a, b, R, s, mu)
+            assert abs(eval_V(sol, R, s) - ref) <= 1e-13 * scale
+
+
+def test_pure_degree_1000_mode_grows_the_step_table(monkeypatch):
+    # start from the import-time tables, whatever other tests grew them to
+    monkeypatch.setattr(legendre, "_STEPS", tuple(t[:64] for t in legendre._STEPS))
+    mu, n = 20.0, 1000
+    a = [0.0] * n + [1.0]
+    sol = HarmonicSolution(a=a, b=(), cfg=SystemConfig(mu=mu, R0=1.0))
+    # points on r = R0, where |V| <= 1, away from the axis: there the
+    # rounding of 1 - mu s^2/(1+mu)^2 in the recursion is amplified by the
+    # slope n^2/2 of P_n^cl at z/r = 1, in the forward recursion as here
+    for k in range(24):
+        theta = (k + 0.5) * math.pi / 24
+        R, s = cartesian_R_s(math.sin(theta), 0.0, math.cos(theta), mu)
+        ref, _ = mp_potential(a, [], R, s, mu)
+        assert abs(sum_V(sol, R, s) - ref) <= 1e-11, theta
+    A, B = legendre._STEPS
+    assert len(A) == len(B) > n
+    assert all(A[m] == (2.0 * m + 1.0) / (m + 1.0) and B[m] == m / (m + 1.0) for m in range(len(A)))
+
+
+def test_threads_growing_the_step_table_at_once(monkeypatch):
+    # each thread must get tables long enough for its own degree, whichever
+    # thread's tables end up shared
+    degrees = [100 * (k + 1) for k in range(8)]
+    sols = [HarmonicSolution(a=[0.0] * n + [1.0], b=(), cfg=SystemConfig(mu=2.0, R0=1.0)) for n in degrees]
+    serial = [sum_V(sol, 1.0, 0.3) for sol in sols]
+    results = [None] * len(sols)
+
+    def run(k):
+        results[k] = sum_V(sols[k], 1.0, 0.3)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(legendre, "_STEPS", ((), ()))
+            results[:] = [None] * len(sols)
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(sols))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10.0)
+            assert not any(th.is_alive() for th in threads)
+            assert results == serial
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("mu", MU_GRID + [200.0])
+def test_clenshaw_sum_equals_the_forward_sum(mu):
+    rng = random.Random(41)
+    a = [rng.uniform(-1.0, 1.0) for _ in range(41)]
+    b = [rng.uniform(-1.0, 1.0) for _ in range(6)]
+    sol = HarmonicSolution(a=a, b=b, cfg=SystemConfig(mu=mu, R0=1.0))
+    ss = np.array(S_FRACS) * s_limit(mu)
+    rr = np.linspace(0.3, 1.2, len(ss))
+    got = sum_V(sol, rr, ss)
+    for k, (s, r) in enumerate(zip(ss.tolist(), rr.tolist())):
+        p, q = values(40, s, mu, 5, r)
+        terms = [c * f for c, f in zip(a, p)] + [c * f for c, f in zip(b, q)]
+        scale = sum(abs(v) for v in terms)
+        assert abs(sum_V(sol, r, s) - math.fsum(terms)) <= 1e-14 * scale
+        assert got[k] == sum_V(sol, r, s)
 
 
 @pytest.mark.parametrize("mu", MU_GRID)
