@@ -50,6 +50,7 @@ from .series import (
     SeriesResult,
     SeriesSpec,
     eval_series,
+    eval_series_many,
     gen_binom,
     region_of,
     w_border,

@@ -233,7 +233,7 @@ def fit_boundary(
     if include_second_kind and np.any(legendre.pole_band(svals, mu)):
         raise PoleDivergenceError("second-kind fit cannot use samples at |nu| = pi/2")
 
-    p, q = legendre.values(N, svals, mu, N if include_second_kind else -1)
+    p, q = legendre.values(N, svals, mu, include_second_kind)
     design = np.column_stack(p + q)
 
     coef, _, rank, sv = np.linalg.lstsq(design, vals, rcond=None)

@@ -14,11 +14,11 @@ is a logarithm with a singularity on the rotation axis |s| = sqrt(1+mu).
 At mu = 0 everything reduces to the classical Legendre P_n and Q_n.
 
 Every evaluation runs this recursion on values, which stays accurate at
-high degree, where power-basis coefficients cancel.  `values` carries a
-radial factor r through it and returns the solid forms r^n P_n and r^n Q_n
-(Q_n composed there), for callers that need the basis itself;
-`value_derivs` differentiates it; `solid_sum` sums a whole expansion with
-Clenshaw's backward pass over the same step, keeping no per-degree value.
+high degree, where power-basis coefficients cancel.  `values` returns the
+basis P_n and Q_n (Q_n composed there), for callers that need the basis
+itself; `value_derivs` differentiates it; `solid_sum` sums a whole expansion
+in the solid form r^n P_n + r^n Q_n, the radial factor inside the step, by
+Clenshaw's backward pass, keeping no per-degree value.
 All of them take the step's coefficients (2m+1)/(m+1) and m/(m+1) from one
 pair of tables that does not depend on mu and grows with the degree asked.
 The power-basis coefficients (`p_poly`, `t_poly`, plain tuples whose entry j
@@ -61,42 +61,35 @@ _STEPS: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
 _step_tables(64)
 
 
-def values(N: int, s, mu: float, q_degree: int, r=1.0) -> tuple[list, list]:
-    """[r^n P_n(s)] for n = 0..N and [r^n Q_n(s)] for n = 0..q_degree.
+def values(N: int, s, mu: float, second_kind: bool = False) -> tuple[list, list]:
+    """([P_n(s)], [Q_n(s)]) for n = 0..N; the Q list is empty unless
+    second_kind.
 
-    s and r are floats or numpy arrays; every value has their type and
-    shape.  q_degree = -1 asks for no Q_n; otherwise the T recursion runs to
-    q_degree only and Q_n = P_n q0 - T_n g is formed here, raising
-    PoleDivergenceError if some s lies in the `pole_band`.  The radial factor
-    rides inside the recursion (the solid-harmonic form), so r^n P_n stays
-    finite where r^n would overflow and P_n underflow; at r = 1 each value
-    has the bits of the plain recursion."""
+    s is a float or a numpy array; every value has its type and shape.
+    Q_n = P_n q0 - T_n g is formed here, raising PoleDivergenceError if
+    some s lies in the `pole_band`."""
     if N < 0:
         raise ValueError("degree must be non-negative")
-    if not -1 <= q_degree <= N:
-        raise ValueError("q_degree must lie in [-1, N]")
     e = 1.0 + mu
-    rs = r * s
-    # r * (r * d), d in [1/(1+mu), 1]: nothing overflows before r^2 d does
-    damp = r * (r * (1.0 - mu * s * s / (e * e)))
+    damp = 1.0 - mu * s * s / (e * e)
     zero = 0.0 * s  # a float or an array, like s
-    p, t = [zero + 1.0, rs / e], [zero, zero + r / e]
+    p, t = [zero + 1.0, s / e], [zero, zero + 1.0 / e]
     A, B = _step_tables(N)
     for m in range(1, N):
-        u, v = A[m] / e * rs, B[m] * damp
+        u, v = A[m] / e * s, B[m] * damp
         p.append(u * p[m] - v * p[m - 1])
-        if m < q_degree:
+        if second_kind:
             t.append(u * t[m] - v * t[m - 1])
     p = p[: N + 1]
-    if q_degree < 0:
+    if not second_kind:
         return p, []
     q0_s, g = q0(s, mu), q_weight(s, mu)
-    return p, [pn * q0_s - tn * g for pn, tn in zip(p, t[: q_degree + 1])]
+    return p, [pn * q0_s - tn * g for pn, tn in zip(p, t)]
 
 
 def solid_sum(a, b, s, mu: float, r=1.0):
     """sum_n a[n] r^n P_n(s) + sum_n b[n] r^n Q_n(s) by Clenshaw's backward
-    pass (MTAC 9 (1955) 118-120) over the step of `values`:
+    pass (MTAC 9 (1955) 118-120) over the step of `values` with r inside:
     y_k = c_k + A_k rs/(1+mu) y_(k+1) - B_(k+1) damp y_(k+2), closed by
     F_0 y_0 + (F_1 - rs/(1+mu) F_0) y_1.  The P sum is y_0; Q_n takes the
     same step from Q_0 = q0, Q_1 = (rs q0 - r g)/(1+mu) and sums to
@@ -109,7 +102,8 @@ def solid_sum(a, b, s, mu: float, r=1.0):
     `pole_band` raises PoleDivergenceError."""
     e = 1.0 + mu
     x = r * s / e
-    damp = r * (r * (1.0 - mu * s * s / (e * e)))  # as in `values`
+    # r * (r * d), d in [1/(1+mu), 1]: nothing overflows before r^2 d does
+    damp = r * (r * (1.0 - mu * s * s / (e * e)))
     total = _backward(a, x, damp)[0] if a else 0.0
     if b:
         y0, y1 = _backward(b, x, damp)
@@ -249,7 +243,7 @@ def d2q0_ds2(s: float, mu: float) -> float:
 
 def eval_q(n: int, s: float, mu: float) -> float:
     """Second-kind function Q_n(s), from `values`."""
-    return values(n, s, mu, n)[1][n]
+    return values(n, s, mu, True)[1][n]
 
 
 def eval_q_derivs(n: int, s: float, mu: float) -> tuple[float, float, float]:

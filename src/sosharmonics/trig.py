@@ -10,8 +10,8 @@ closed inversion
 
 Every member of the bundle follows from its one root, which `solve_logit`
 finds in log space for every W, the border band included.  The Polya-Szego
-series bundle `trig_from_W` is kept as the witness that `verify` checks the
-closed forms against.
+series bundle `trig_from_W` (and its list form `trig_from_W_many`) is kept
+as the witness that `verify` checks the closed forms against.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import NearBorderError, PoleLimitError
 from .series import (
     DEFAULT_TOL,
     Region,
-    eval_series,
+    eval_series_many,
     quantity_series,
     region_of,
 )
@@ -115,25 +115,36 @@ def _spherical_bundle(W: float) -> TrigBundle:
 
 def trig_from_W(W: float, mu: float, tol: float = DEFAULT_TOL) -> TrigBundle:
     """Series evaluation of the bundle (the witness); refuses the guard band."""
-    if W < 0:
-        raise ValueError("W must be non-negative")
-    if mu == 0.0:
-        return _spherical_bundle(W)
-    if W == 0.0:
-        return TrigBundle(W=0.0, h_R=1.0, f_S=0.0, f_C=1.0, s=0.0, mu=mu)
-    region = region_of(W, mu)
-    if region is Region.NEAR_BORDER:
-        raise NearBorderError(
-            f"W={W} lies in the guard band; use trig_from_W_robust"
-        )
-    hR2 = eval_series(quantity_series("hR2", mu, region), W, tol).value
-    fC2 = eval_series(quantity_series("fC2", mu, region), W, tol).value
-    fS2 = (1.0 + mu) * W * W * eval_series(
-        quantity_series("fS2", mu, region), W, tol
-    ).value
-    h_R = math.sqrt(hR2)
-    f_S = math.sqrt(fS2)
-    return TrigBundle(W=W, h_R=h_R, f_S=f_S, f_C=math.sqrt(fC2), s=f_S / h_R, mu=mu)
+    return trig_from_W_many([W], mu, tol)[0]
+
+
+def trig_from_W_many(Ws, mu: float, tol: float = DEFAULT_TOL) -> list[TrigBundle]:
+    """`trig_from_W` at every W of Ws, its series summed in one
+    `eval_series_many` call; raises the first W's error, in order."""
+    requests = []
+    for W in Ws:
+        if W < 0:
+            raise ValueError("W must be non-negative")
+        if mu == 0.0 or W == 0.0:
+            continue
+        region = region_of(W, mu)
+        if region is Region.NEAR_BORDER:
+            raise NearBorderError(
+                f"W={W} lies in the guard band; use trig_from_W_robust"
+            )
+        requests += [(quantity_series(name, mu, region), W) for name in ("hR2", "fC2", "fS2")]
+    values = iter([res.value for res in eval_series_many(requests, tol)])
+    out = []
+    for W in Ws:
+        if mu == 0.0:
+            out.append(_spherical_bundle(W))
+        elif W == 0.0:
+            out.append(TrigBundle(W=0.0, h_R=1.0, f_S=0.0, f_C=1.0, s=0.0, mu=mu))
+        else:
+            h_R, f_C = math.sqrt(next(values)), math.sqrt(next(values))
+            f_S = math.sqrt((1.0 + mu) * W * W * next(values))
+            out.append(TrigBundle(W=W, h_R=h_R, f_S=f_S, f_C=f_C, s=f_S / h_R, mu=mu))
+    return out
 
 
 def trig_from_W_robust(W: float, mu: float) -> TrigBundle:

@@ -45,7 +45,7 @@ from .series import (
     Region,
     SeriesKind,
     SeriesSpec,
-    eval_series,
+    eval_series_many,
     gen_binom,
     quantity_series,
     region_of,
@@ -59,7 +59,7 @@ from .trig import (
     d_s_dW,
     s_limit,
     s_on_reference,
-    trig_from_W,
+    trig_from_W_many,
     trig_from_W_robust,
     w_from_s,
 )
@@ -99,12 +99,15 @@ def _w_samples(mu: float, per_region: int) -> list[float]:
     return [float(w) for w in np.concatenate([smalls, band, larges])]
 
 
-def _bundles_at(W: float, mu: float) -> list[TrigBundle]:
-    """Robust bundle always; series bundle too when outside the guard band."""
-    out = [trig_from_W_robust(W, mu)]
-    if mu > 0.0 and region_of(W, mu) is not Region.NEAR_BORDER:
-        out.append(trig_from_W(W, mu))
-    return out
+def _bundles_at(ws: list[float], mu: float) -> list[list[TrigBundle]]:
+    """Per W the robust bundle, and the series bundle too when outside the
+    guard band; the series bundles come from one `trig_from_W_many` call."""
+    witnessed = [mu > 0.0 and region_of(W, mu) is not Region.NEAR_BORDER for W in ws]
+    series = iter(trig_from_W_many([W for W, w in zip(ws, witnessed) if w], mu))
+    return [
+        [trig_from_W_robust(W, mu)] + ([next(series)] if w else [])
+        for W, w in zip(ws, witnessed)
+    ]
 
 
 # --- generalized-trig identities ---------------------------------------------
@@ -113,8 +116,8 @@ def _bundles_at(W: float, mu: float) -> list[TrigBundle]:
 def trig_identity_checks(mu: float, per_region: int = 8) -> list[CheckResult]:
     """Pythagorean/scale-factor relations and the closed W(s) inversion."""
     r_pyth = r_hr = r_ratio = r_power = r_round = r_paths = 0.0
-    for W in _w_samples(mu, per_region):
-        tbs = _bundles_at(W, mu)
+    ws = _w_samples(mu, per_region)
+    for W, tbs in zip(ws, _bundles_at(ws, mu)):
         for tb in tbs:
             r_pyth = max(r_pyth, abs(tb.f_S**2 + tb.f_C**2 - 1.0))
             if mu > 0.0:
@@ -198,7 +201,7 @@ def series_identity_checks(mu: float) -> list[CheckResult]:
     ln(1+mu).
     """
     border = w_border(mu)
-    r_ratio = 0.0
+    requests = []
     for region, ws in (
         (Region.SMALL_NU, [0.1 * border, 0.5 * border, 0.8 * border]),
         (Region.LARGE_NU, [border / 0.8, border / 0.4, border / 0.05]),
@@ -207,10 +210,15 @@ def series_identity_checks(mu: float) -> list[CheckResult]:
         for a_s, c_s in ((-1.0, -(mu + 2.0)), ((mu + 1.0) / 2.0, -1.0)):
             a, c = a_s * scale, c_s * scale
             for W in ws:
-                num = eval_series(SeriesSpec(a + c, mu, region, SeriesKind.SA), W)
-                den = eval_series(SeriesSpec(c, mu, region, SeriesKind.SA), W)
-                rat = eval_series(SeriesSpec(a, mu, region, SeriesKind.SC), W)
-                r_ratio = max(r_ratio, _rel(num.value / den.value, rat.value))
+                requests += [
+                    (SeriesSpec(a + c, mu, region, SeriesKind.SA), W),
+                    (SeriesSpec(c, mu, region, SeriesKind.SA), W),
+                    (SeriesSpec(a, mu, region, SeriesKind.SC), W),
+                ]
+    values = [res.value for res in eval_series_many(requests)]
+    r_ratio = 0.0
+    for num, den, rat in zip(values[0::3], values[1::3], values[2::3]):
+        r_ratio = max(r_ratio, _rel(num / den, rat))
 
     r_log = 0.0
     for W in (0.1 * border, 0.25 * border, 0.6 * border):
@@ -231,43 +239,56 @@ def series_identity_checks(mu: float) -> list[CheckResult]:
 
 def spherical_series_checks() -> list[CheckResult]:
     """mu = 0 closed forms: (1 + W^2)^a and W^(2a) (1 + W^-2)^a."""
-    worst = 0.0
+    requests, closed = [], []
     for a in (-2.0, -1.0, -0.5, 0.5, 1.5):
         for W in (0.05, 0.3, 0.7):
-            got = eval_series(SeriesSpec(a, 0.0, Region.SMALL_NU, SeriesKind.SA), W)
-            worst = max(worst, _rel(got.value, (1.0 + W * W) ** a))
+            requests.append((SeriesSpec(a, 0.0, Region.SMALL_NU, SeriesKind.SA), W))
+            closed.append((1.0 + W * W) ** a)
         for W in (1.5, 3.0, 20.0):
-            got = eval_series(SeriesSpec(a, 0.0, Region.LARGE_NU, SeriesKind.SA), W)
-            worst = max(worst, _rel(got.value, W ** (2 * a) * (1.0 + W**-2.0) ** a))
+            requests.append((SeriesSpec(a, 0.0, Region.LARGE_NU, SeriesKind.SA), W))
+            closed.append(W ** (2 * a) * (1.0 + W**-2.0) ** a)
+    got = eval_series_many(requests)
+    worst = max(_rel(res.value, ref) for res, ref in zip(got, closed))
     return [CheckResult("series.spherical_closed_forms", worst, 1e-12)]
 
 
 # --- metric identities -------------------------------------------------------
 
 
-def _series_metrics(
-    R: float, W: float, dw_dnu: float, mu: float
-) -> MetricBundle | None:
-    """The metrics from their five series with the R and dW/dnu factors.
+_METRIC_SERIES = ("hR2", "Snu", "jac", "jac_hR2", "jac_hnu2")
+
+
+def _series_metrics(points, mu: float) -> list[MetricBundle | None]:
+    """The metrics at every (R, W, dW/dnu) point from their five series with
+    the R and dW/dnu factors, all summed in one `eval_series_many` call.
 
     None inside the guard band, and where a series value leaves the normal
     float range: far from the border the large-nu prefactor W^(2a)
     underflows or overflows.
     """
-    region = region_of(W, mu)
-    if region is Region.NEAR_BORDER:
-        return None
-    parts = [
-        eval_series(quantity_series(name, mu, region), W).value
-        for name in ("hR2", "Snu", "jac", "jac_hR2", "jac_hnu2")
+    regions = [region_of(W, mu) for _, W, _ in points]
+    requests = [
+        (quantity_series(name, mu, region), W)
+        for (_, W, _), region in zip(points, regions)
+        if region is not Region.NEAR_BORDER
+        for name in _METRIC_SERIES
     ]
-    if not all(sys.float_info.min <= abs(v) < math.inf for v in parts):
-        return None
-    hR2, Snu, jac, jac_hR2, jac_hnu2 = parts
-    k = R / math.sqrt(1.0 + mu) * dw_dnu
-    return MetricBundle(
-        math.sqrt(hR2), k * math.sqrt(Snu), R * k * jac, R * k * jac_hR2, R / k * jac_hnu2
-    )
+    values = iter([res.value for res in eval_series_many(requests)])
+    out = []
+    for (R, W, dw_dnu), region in zip(points, regions):
+        if region is Region.NEAR_BORDER:
+            out.append(None)
+            continue
+        parts = [next(values) for _ in _METRIC_SERIES]
+        if not all(sys.float_info.min <= abs(v) < math.inf for v in parts):
+            out.append(None)
+            continue
+        hR2, Snu, jac, jac_hR2, jac_hnu2 = parts
+        k = R / math.sqrt(1.0 + mu) * dw_dnu
+        out.append(MetricBundle(
+            math.sqrt(hR2), k * math.sqrt(Snu), R * k * jac, R * k * jac_hR2, R / k * jac_hnu2
+        ))
+    return out
 
 
 def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
@@ -276,6 +297,7 @@ def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
     mu = cfg.mu
     r_cross = r_link = r_bounds = r_sphere = r_series = 0.0
     nus = np.linspace(0.03, math.pi / 2 - 0.05, n_nu)
+    points, closed = [], []
     for R in (0.5 * cfg.R0, cfg.R0, 2.2 * cfg.R0):
         for nu in nus:
             mb = metrics_at(R, float(nu), cfg)
@@ -291,9 +313,8 @@ def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
             # dW/dnu enters only through dW/dnu / W, which cannot overflow
             rhs = (tb.f_C * tb.f_S * R * (dw_dnu / W)) ** 2
             r_link = max(r_link, _rel(lhs, rhs))
-            ser = _series_metrics(R, W, dw_dnu, mu)
-            if ser is not None:
-                r_series = max(r_series, *map(_rel, astuple(ser), astuple(mb)))
+            points.append((R, W, dw_dnu))
+            closed.append(mb)
             eps = 1e-12
             if not (1.0 / math.sqrt(1.0 + mu) - eps <= mb.h_R <= 1.0 + eps):
                 r_bounds = max(r_bounds, 1.0)
@@ -304,6 +325,9 @@ def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
                     _rel(mb.h_nu, R),
                     _rel(mb.jacobian, R * R * math.cos(float(nu))),
                 )
+    for ser, mb in zip(_series_metrics(points, mu), closed):
+        if ser is not None:
+            r_series = max(r_series, *map(_rel, astuple(ser), astuple(mb)))
     checks = [
         CheckResult("metric.jacobian_ratios", r_cross, 1e-9),
         CheckResult("metric.hR_hnu_link", r_link, 1e-9),
@@ -485,14 +509,14 @@ def structure_checks(mu: float) -> list[CheckResult]:
             if (j - n) % 2 != 0:
                 r_parity = max(r_parity, abs(c))
     for s in (0.3, 0.7):
-        pos, _ = legendre.values(8, s, mu, -1)
-        neg, _ = legendre.values(8, -s, mu, -1)
+        pos, _ = legendre.values(8, s, mu)
+        neg, _ = legendre.values(8, -s, mu)
         for n in range(9):
             r_parity = max(r_parity, abs(neg[n] - (-1.0) ** n * pos[n]))
     r_parity = max(r_parity, abs(legendre.q0(0.2, mu) + legendre.q0(-0.2, mu)))
 
     lim = s_limit(mu)
-    pole, _ = legendre.values(10, lim, mu, -1)
+    pole, _ = legendre.values(10, lim, mu)
     r_pole = abs(pole[2] - 1.0 / (1.0 + mu))
     if not all(math.isfinite(v) for v in pole):
         r_pole = math.inf
@@ -504,7 +528,7 @@ def structure_checks(mu: float) -> list[CheckResult]:
         # np.trapezoid is numpy >= 2.0; np.trapz (gone in 2.4) only as fallback
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
         ss = np.linspace(-lim, lim, 4001)
-        p, _ = legendre.values(3, ss, mu, -1)
+        p, _ = legendre.values(3, ss, mu)
         overlap = float(trapezoid(p[1] * p[3], ss))
         r_witness = 0.0 if (mu == 0.0) == (abs(overlap) < 1e-3) else 1.0
     else:

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the package's own evaluation paths:
 classical Legendre via the textbook Bonnet recursion, generalized binomials
-via mpmath, explicit low-degree second-kind formulas.  `approx` is the
-relative comparison the test modules share.
+via mpmath, explicit low-degree second-kind formulas.  The one exception is
+`forward_solid`, the forward recursion a backward (Clenshaw) sum is checked
+against, which composes Q_n from the package's q0 and weight.  `approx` is
+the relative comparison the test modules share.
 """
 
 import math
@@ -45,6 +47,24 @@ def q_classical(n, x):
     if n == 3:
         return 0.5 * (5.0 * x**3 - 3.0 * x) * q0 - (2.5 * x * x - 2.0 / 3.0)
     raise ValueError("explicit classical Q only for n <= 3")
+
+
+def forward_solid(N, s, mu, q_degree, r):
+    """([r^n P_n(s)] for n <= N, [r^n Q_n(s)] for n <= q_degree) by the
+    forward three-term recursion with the radial factor inside the step, in
+    floats: r s/(1+mu) and r^2 (1 - mu s^2/(1+mu)^2) scale the two terms."""
+    from sosharmonics.legendre import q0, q_weight
+
+    e = 1.0 + mu
+    rs = r * s
+    damp = r * (r * (1.0 - mu * s * s / (e * e)))
+    p, t = [1.0, rs / e], [0.0, r / e]
+    for m in range(1, N):
+        u, v = (2.0 * m + 1.0) / (m + 1.0) / e * rs, m / (m + 1.0) * damp
+        p.append(u * p[m] - v * p[m - 1])
+        t.append(u * t[m] - v * t[m - 1])
+    q0_s, g = q0(s, mu), q_weight(s, mu)
+    return p[: N + 1], [pn * q0_s - tn * g for pn, tn in zip(p, t[: q_degree + 1])]
 
 
 def mp_binom(alpha, k):

@@ -25,7 +25,7 @@ from sosharmonics.harmonic import (
 from sosharmonics.legendre import eval_q, eval_q_derivs, ode_residual, value_derivs, values
 from sosharmonics.trig import s_limit
 
-from _oracles import mp_legendre, mp_potential
+from _oracles import forward_solid, mp_legendre, mp_potential
 
 MU_GRID = [0.0, 0.5, 2.0, 20.0]
 S_FRACS = [-0.999, -0.7, -0.31, 0.0, 0.05, 0.5, 0.93, 0.999]
@@ -39,7 +39,7 @@ def _rel(got, ref):
 def test_values_to_degree_100(mu):
     for frac in S_FRACS:
         s = frac * s_limit(mu)
-        p, q = values(100, s, mu, 100)
+        p, q = values(100, s, mu, True)
         _, dt = value_derivs(100, s, mu)
         P, T, Q = mp_legendre(100, s, mu)
         assert len(p) == len(q) == 101
@@ -51,10 +51,9 @@ def test_values_to_degree_100(mu):
 @pytest.mark.parametrize("mu", MU_GRID)
 def test_values_of_an_array_match_the_scalars(mu):
     ss = np.array(S_FRACS) * s_limit(mu)
-    rr = np.linspace(0.5, 3.0, len(ss))
-    p, q = values(100, ss, mu, 100, rr)
-    for k, (s, r) in enumerate(zip(ss, rr)):
-        ps, qs = values(100, float(s), mu, 100, float(r))
+    p, q = values(100, ss, mu, True)
+    for k, s in enumerate(ss):
+        ps, qs = values(100, float(s), mu, True)
         assert [v[k] for v in p] == ps
         assert [v[k] for v in q] == qs
 
@@ -150,7 +149,7 @@ def test_clenshaw_sum_equals_the_forward_sum(mu):
     rr = np.linspace(0.3, 1.2, len(ss))
     got = sum_V(sol, rr, ss)
     for k, (s, r) in enumerate(zip(ss.tolist(), rr.tolist())):
-        p, q = values(40, s, mu, 5, r)
+        p, q = forward_solid(40, s, mu, 5, r)
         terms = [c * f for c, f in zip(a, p)] + [c * f for c, f in zip(b, q)]
         scale = sum(abs(v) for v in terms)
         assert abs(sum_V(sol, r, s) - math.fsum(terms)) <= 1e-14 * scale
@@ -170,7 +169,7 @@ def test_ode_residual_degree_60(mu):
 @pytest.mark.parametrize("mu", MU_GRID)
 def test_value_derivs_values_match_values(mu):
     s = 0.43 * s_limit(mu)
-    p, q = values(30, s, mu, 30)
+    p, q = values(30, s, mu, True)
     dp, _ = value_derivs(30, s, mu)
     assert [f[0] for f in dp] == p
     assert [eval_q_derivs(n, s, mu)[0] for n in range(31)] == q

@@ -78,13 +78,13 @@ class TestFirstKind:
             if (j - n) % 2 != 0:
                 assert c == 0.0
         s = s_frac * s_limit(mu)
-        pos, neg = values(n, s, mu, -1)[0][n], values(n, -s, mu, -1)[0][n]
+        pos, neg = values(n, s, mu)[0][n], values(n, -s, mu)[0][n]
         assert neg == pytest.approx((-1.0) ** n * pos, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 2.0, 7.0])
     def test_pole_values_finite(self, mu):
         lim = s_limit(mu)
-        pole, _ = values(10, lim, mu, -1)
+        pole, _ = values(10, lim, mu)
         assert all(math.isfinite(v) for v in pole)
         # degree 2 pole value is exactly 1/(1+mu)
         assert pole[2] == approx(1.0 / (1.0 + mu), rel=1e-12)

@@ -1,17 +1,23 @@
+import inspect
 import math
+import re
+import sys
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosharmonics import series
+from sosharmonics import series, verify
+from sosharmonics.coords import SystemConfig
 from sosharmonics.errors import NonConvergentError, RegionViolationError
 from sosharmonics.series import (
     Region,
     SeriesKind,
+    SeriesResult,
     SeriesSpec,
     eval_series,
+    eval_series_many,
     gen_binom,
     quantity_series,
     region_of,
@@ -252,3 +258,117 @@ class TestAgainstMpmath:
         summed = mp_series(spec.a, mu, large, cauchy, W)
         closed = mp_series_closed(spec.a, mu, large, cauchy, W)
         assert abs(summed - closed) <= mpmath.mpf(10) ** -30 * abs(closed)
+
+
+def _mixed_batch():
+    """Both regions and kinds at mu = 0, 2, 20, 200 from 0.03 W_border to
+    W_border/0.02, rows of 1 to about 20,000 terms, an S_C row at a = 0, the
+    large-nu fS2 at mu = 50 with its exact zero terms, and a large-nu row
+    whose prefactor W^(2a) underflows."""
+    rows = []
+    for mu in (0.0, 2.0, 20.0, 200.0):
+        border = w_border(mu)
+        for name in QUANTITIES:
+            for frac in (0.03, 0.3, 0.85):
+                rows.append((quantity_series(name, mu, Region.SMALL_NU), frac * border))
+            for frac in (0.85, 0.3, 0.02):
+                rows.append((quantity_series(name, mu, Region.LARGE_NU), border / frac))
+        rows.append((quantity_series("hR2", mu, Region.SMALL_NU), 0.0))
+    rows.append((sc(0.0, 2.0), 0.2))
+    rows.append((quantity_series("fS2", 50.0, Region.LARGE_NU), w_border(50.0) / 0.6))
+    rows.append((quantity_series("Snu", 2.0, Region.LARGE_NU), 1e200))
+    return rows
+
+
+def _bits(res):
+    return res.value.hex(), res.terms_used, res.est_rel_error.hex()
+
+
+class TestBatchKernel:
+    def test_each_row_gets_its_one_row_result_bit_for_bit(self):
+        rows = _mixed_batch()
+        batch = eval_series_many(rows)
+        alone = [eval_series(spec, W) for spec, W in rows]
+        assert [_bits(r) for r in batch] == [_bits(r) for r in alone]
+        used = [r.terms_used for r in batch]
+        assert min(used) == 1 and max(used) > 19000
+        assert not any(math.isnan(r.value) or math.isnan(r.est_rel_error) for r in batch)
+
+    def test_rows_of_the_mixed_batch_are_what_they_claim(self):
+        sc_zero, fs2, underflow = eval_series_many(_mixed_batch())[-3:]
+        assert (sc_zero.value, sc_zero.terms_used) == (1.0, 4)
+        # the large-nu fS2 at mu = 50 runs past its zero terms at k = 51, 102
+        assert fs2.terms_used > 102
+        closed = mp_series_closed(-1.0, 50.0, True, False, w_border(50.0) / 0.6)
+        assert fs2.value == approx(float(closed), rel=1e-13)
+        assert underflow.value == 0.0  # W^(2a) underflowed
+        assert math.isfinite(underflow.est_rel_error)
+
+    def test_order_and_company_do_not_change_a_row(self):
+        rows = _mixed_batch()
+        forward = [_bits(r) for r in eval_series_many(rows)]
+        backward = [_bits(r) for r in eval_series_many(rows[::-1])]
+        assert backward[::-1] == forward
+
+    def test_block_cap_does_not_change_a_row(self, monkeypatch):
+        rows = _mixed_batch()
+        wide = [_bits(r) for r in eval_series_many(rows)]
+        monkeypatch.setattr(series, "_BLOCK_CELLS", 100)
+        monkeypatch.setattr(series, "_FIRST_BLOCK", 3)
+        assert [_bits(r) for r in eval_series_many(rows)] == wide
+
+    def test_a_row_past_the_term_cap_is_named(self):
+        mu = 1000.0
+        W = w_border(mu) / 0.85
+        spec = quantity_series("hR2", mu, Region.LARGE_NU)
+        rows = [(sa(-1.0, 2.0), 0.1), (spec, W), (sa(-1.0, 2.0, Region.LARGE_NU), 1.0)]
+        expected = f"a={spec.a}, mu={mu}, W={W}"
+        with pytest.raises(NonConvergentError, match=re.escape(expected)):
+            eval_series_many(rows)
+
+    def test_the_first_bad_row_raises(self):
+        rows = [(sa(-1.0, 2.0), 0.1), (sa(0.0, 2.0), 0.5), (sa(0.0, 2.0), -1.0)]
+        with pytest.raises(RegionViolationError):
+            eval_series_many(rows)
+
+    def test_empty_batch(self):
+        assert eval_series_many([]) == []
+
+
+def _patch_every_binding(monkeypatch, fn, replacement):
+    for name, module in list(sys.modules.items()):
+        if name == "sosharmonics" or name.startswith("sosharmonics."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_verify_sums_each_series_suite_in_one_batch(monkeypatch):
+    calls = []
+    many = series.eval_series_many
+
+    def counted(requests, tol=series.DEFAULT_TOL):
+        calls.append(len(requests))
+        return many(requests, tol)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify summed a series through the one-row eval_series")
+
+    _patch_every_binding(monkeypatch, many, counted)
+    _patch_every_binding(monkeypatch, series.eval_series, forbidden)
+    checks = verify.run_suite(SystemConfig(mu=2.0, R0=1.0), "quick")
+    assert all(c.passed for c in checks)
+    assert len(calls) == 4
+    assert sum(calls) == 177
+
+
+def test_eval_series_keeps_the_signature_and_result_tracing_reads():
+    # a span tracer reads (args[0].region.value, result.terms_used)
+    params = inspect.signature(eval_series).parameters
+    assert list(params) == ["spec", "W", "tol"]
+    assert params["spec"].annotation in (SeriesSpec, "SeriesSpec")
+    args = (quantity_series("hR2", 2.0, Region.SMALL_NU), 0.5 * W_BORDER_MU2, 1e-14)
+    result = eval_series(*args)
+    assert type(result) is SeriesResult
+    assert args[0].region.value == "SmallNu"
+    assert isinstance(result.terms_used, int) and result.terms_used > 1
