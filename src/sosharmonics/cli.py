@@ -6,6 +6,10 @@ Subcommands:
   verify  identity suites; exit 1 on any failed check
   fit     least-squares boundary fit producing a coefficient file
 
+An `eval` record comes from `coords.closed_point` (--R/--nu) or from
+`coords.cartesian_point` (--x/--z: the point's own closed R and s, no float
+nu); the poles take their closed values there, with W null.
+
 The system config {"mu": ..., "R0": ...} always comes from a JSON file; a
 coefficient file in the documented JSON format supplies the potential.
 Exit codes: 0 ok, 1 verification failure, 2 usage/parse, 3 domain/numeric.
@@ -25,14 +29,13 @@ import numpy as np
 
 from . import verify as verify_mod
 from .coords import (
-    _HALF_PI,
     CartesianPoint,
     SosPoint,
     SystemConfig,
+    cartesian_closed,
+    cartesian_point,
     cartesian_R_s,
-    cartesian_to_sos,
     closed_point,
-    compute_W,
 )
 from .errors import SosError
 from .harmonic import (
@@ -45,7 +48,6 @@ from .harmonic import (
 )
 from .legendre import pole_band
 from .series import region_of
-from .trig import s_limit
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -108,40 +110,25 @@ def _load_coeffs(path: str) -> HarmonicSolution:
         raise UsageError(f"bad coefficient file {path}: {exc}") from exc
 
 
-def _point_record(cfg: SystemConfig, p: SosPoint, sol: HarmonicSolution | None) -> dict:
-    mu = cfg.mu
-    record: dict = {"R": p.R, "nu": p.nu}
-    if abs(p.nu) >= _HALF_PI:
-        s = math.copysign(s_limit(mu), p.nu)
-        record.update(
-            {
-                "W": None,
-                "region": "Pole",
-                "h_R": 1.0 / math.sqrt(1.0 + mu),
-                "h_nu": None,
-                "jacobian": None,
-                "f_S": 1.0,
-                "f_C": 0.0,
-                "s": s,
-            }
-        )
-    else:
-        W = compute_W(p.R, p.nu, cfg)
-        s, f_C, mb = closed_point(p.R, p.nu, cfg)
-        record.update(
-            {
-                "W": W,
-                "region": region_of(abs(W), mu).value,
-                "h_R": mb.h_R,
-                "h_nu": mb.h_nu,
-                "jacobian": mb.jacobian,
-                "f_S": s * mb.h_R,
-                "f_C": f_C,
-                "s": s,
-            }
-        )
+def _point_record(cfg: SystemConfig, p: SosPoint, s: float, f_C: float, mb, log_w: float,
+                  sol: HarmonicSolution | None) -> dict:
+    """The eval record; W = e^(log|W|) with the sign of nu, null on the axis."""
+    pole = log_w == math.inf
+    W = None if pole else math.copysign(math.exp(log_w), p.nu)
+    record = {
+        "R": p.R,
+        "nu": p.nu,
+        "W": W,
+        "region": "Pole" if pole else region_of(W, cfg.mu).value,
+        "h_R": mb.h_R,
+        "h_nu": mb.h_nu,
+        "jacobian": mb.jacobian,
+        "f_S": s * mb.h_R,
+        "f_C": f_C,
+        "s": s,
+    }
     if sol is not None:
-        record["V"] = eval_V(sol, p.R, record["s"])
+        record["V"] = eval_V(sol, p.R, s)
     return record
 
 
@@ -156,11 +143,12 @@ def cmd_eval(args) -> int:
         if args.R is None or args.nu is None:
             raise UsageError("need both --R and --nu")
         p = SosPoint(R=args.R, nu=args.nu, lam=args.lam)
+        point = closed_point(p.R, p.nu, cfg)
     else:
         if args.x is None or args.z is None:
             raise UsageError("need both --x and --z")
-        p = cartesian_to_sos(CartesianPoint(x=args.x, y=0.0, z=args.z), cfg)
-    record = _point_record(cfg, p, sol)
+        p, *point = cartesian_point(CartesianPoint(x=args.x, y=0.0, z=args.z), cfg)
+    record = _point_record(cfg, p, *point, sol)
     try:
         text = json.dumps(record, allow_nan=False)
     except ValueError as exc:
@@ -171,25 +159,21 @@ def cmd_eval(args) -> int:
 
 def _grid_block(cfg, quantity, sol, x, z):
     """Values of a block of cells at x, z (arrays, in length units) in one
-    array pass over the closed-form R and s = (1+mu) z / R.
+    array pass of `cartesian_R_s` (s, V) or `cartesian_closed` (hR, W).
 
     NaN marks a cell with no value: the origin, W on the axis, W or V beyond
     the float range, and V with second-kind terms in the axis `pole_band`.
     A V cell has the bits of `eval_V` at `cartesian_R_s` of that cell."""
     mu = cfg.mu
     with np.errstate(all="ignore"):  # overflow and the axis become NaN cells
-        R, s = cartesian_R_s(x, 0.0, z, mu)
-        empty = R == 0.0
-        if quantity == "s":
-            value = s
-        elif quantity == "hR":
-            value = np.sqrt((1.0 + mu) / ((1.0 + mu) + mu * s * s))
-        elif quantity == "W":
-            # W = sqrt(t)/(1-t)^((1+mu)/2) with t = s^2/(1+mu) = (1+mu) z^2/R^2
-            # and 1 - t = x^2/R^2, written without the cancellation in 1 - t
-            empty = empty | (x == 0.0)  # W diverges on the axis
-            value = math.sqrt(1.0 + mu) * z / R * (R / x) ** (1.0 + mu)
+        if quantity in ("hR", "W"):
+            R, _, h_R, _, log_w = cartesian_closed(x, 0.0, z, mu)
+            value = h_R if quantity == "hR" else np.exp(log_w)  # +inf on the axis
         else:
+            R, s = cartesian_R_s(x, 0.0, z, mu)
+            value = s
+        empty = R == 0.0
+        if quantity == "V":
             if sol.has_second_kind:
                 empty = empty | pole_band(s, mu)
             value = sum_V(sol, R, np.where(empty, 0.0, s))

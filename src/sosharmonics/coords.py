@@ -8,9 +8,11 @@ usual longitude.  The dimensionless cone parameter
 
 carries the whole angular dependence: every metric quantity is a function
 of W alone times explicit R and dW/dnu factors.  Negative latitudes map by
-mirror symmetry (W odd in nu, all metric quantities even).  The point
-kernel and the inverse transform both solve the closed inversion with
-`trig.solve_logit`, in log W, so W is never formed.
+mirror symmetry (W odd in nu, all metric quantities even).  Each input
+kind has one closed body, `closed_point` for (R, nu) and `cartesian_closed`
+for (x, y, z); each solves the closed inversion once, in log W
+(`trig.solve_logit`), and both share one h_nu/J tail.  The poles are a
+closed case of it; only `compute_W` refuses them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOriginError, PoleLimitError
-from .trig import closed_trig, s_limit, solve_logit
+from .trig import _softplus, closed_trig, s_limit, solve_logit
 
 _HALF_PI = math.pi / 2
 
@@ -79,18 +81,23 @@ class MetricBundle:
     jac_over_hnu2: float
 
 
-def _check_off_pole(R: float, nu: float) -> None:
+def _check_chart(R: float, nu: float) -> None:
     if R <= 0.0:
         raise ValueError("R must be positive")
     if abs(nu) > _HALF_PI:
         raise ValueError("nu must lie in [-pi/2, pi/2]")
-    if abs(nu) >= _HALF_PI:
-        raise PoleLimitError("W diverges at |nu| = pi/2; use the pole closed forms")
+
+
+def _log(v: float) -> float:
+    """math.log, with log 0 = -inf."""
+    return math.log(v) if v > 0.0 else -math.inf
 
 
 def compute_W(R: float, nu: float, cfg: SystemConfig) -> float:
     """Cone parameter W; odd in nu, divergent at the poles."""
-    _check_off_pole(R, nu)
+    _check_chart(R, nu)
+    if abs(nu) >= _HALF_PI:
+        raise PoleLimitError("W diverges at |nu| = pi/2; use the pole closed forms")
     c = math.cos(nu)
     return (R / cfg.R0) ** cfg.mu * math.sin(nu) / c ** (1.0 + cfg.mu)
 
@@ -114,39 +121,46 @@ def dW(R: float, nu: float, cfg: SystemConfig) -> tuple[float, float, float, flo
     return dw_dnu, dw_dR, d2w_dnu2, d2w_dR2
 
 
-def closed_point(
-    R: float, nu: float, cfg: SystemConfig
-) -> tuple[float, float, MetricBundle]:
-    """(s, f_C, metrics) at R > 0, |nu| < pi/2: the closed-form point kernel.
+def _metrics(R: float, s: float, f_C: float, h_R: float, sn: float, cs: float,
+             cfg: SystemConfig) -> MetricBundle:
+    """Metrics from |s|, f_C, h_R, sn = sin|nu| and cs = cos nu.
 
-    log W = mu log(R/R0) + log sin nu - (1+mu) log cos nu is solved for the
-    logit of t = s^2/(1+mu) (`trig.solve_logit`), so W itself is never
-    formed.  With (dW/dnu)/W = (1 + mu sin^2 nu)/(sin nu cos nu),
-
-        h_nu = R (1 + mu sin^2 nu) f_C (s/sin nu) / ((1+mu) cos nu),
-        J = R h_nu f_C,
-
-    where s/sin nu takes its limit sqrt(1+mu) (R/R0)^mu on the equator.
-    s is odd in nu; f_C and the metrics are even.
+    (dW/dnu)/W = (1 + mu sn^2)/(sn cs) gives h_nu = R (1 + mu sn^2) f_C (s/sn)
+    / ((1+mu) cs) and J = R h_nu f_C; s/sn is sqrt(1+mu) (R/R0)^mu on the
+    equator.  The pole cs = 0 has h_nu = R (R0/R)^(mu/(1+mu)) and J = 0.
     """
-    _check_off_pole(R, nu)
     mu = cfg.mu
-    sn = math.sin(abs(nu))
-    cs = math.cos(nu)
-    log_w_over_sn = mu * math.log(R / cfg.R0) - (1.0 + mu) * math.log(cs)
-    x = solve_logit(log_w_over_sn + math.log(sn) if sn > 0.0 else -math.inf, mu)
-    h_R, f_C, s = closed_trig(x, mu)
-    s_over_sn = s / sn if sn > 0.0 else math.sqrt(1.0 + mu) * math.exp(log_w_over_sn)
+    if cs == 0.0:
+        h_nu = R ** (1.0 / (1.0 + mu)) * cfg.R0 ** (mu / (1.0 + mu))
+        return MetricBundle(h_R=h_R, h_nu=h_nu, jacobian=0.0, jac_over_hR2=0.0, jac_over_hnu2=0.0)
+    s_over_sn = s / sn if sn > 0.0 else math.sqrt(1.0 + mu) * math.exp(mu * math.log(R / cfg.R0))
     h_nu = R * (1.0 + mu * sn * sn) * f_C * s_over_sn / ((1.0 + mu) * cs)
     jac = R * h_nu * f_C
-    metrics = MetricBundle(
+    return MetricBundle(
         h_R=h_R,
         h_nu=h_nu,
         jacobian=jac,
         jac_over_hR2=jac / h_R**2,
         jac_over_hnu2=R * f_C / h_nu,
     )
-    return (-s if nu < 0.0 else s), f_C, metrics
+
+
+def closed_point(
+    R: float, nu: float, cfg: SystemConfig
+) -> tuple[float, float, MetricBundle, float]:
+    """(s, f_C, metrics, log|W|) at R > 0, |nu| <= pi/2: the SOS point kernel.
+
+    log|W| = mu log(R/R0) - (1+mu) log cos nu + log sin|nu| is solved for the
+    logit of t = s^2/(1+mu) (`trig.solve_logit`); it is +inf at the poles,
+    which get s = +-sqrt(1+mu) and f_C = 0.  s is odd in nu, the rest even.
+    """
+    _check_chart(R, nu)
+    mu = cfg.mu
+    sn = math.sin(abs(nu))
+    cs = math.cos(nu) if abs(nu) < _HALF_PI else 0.0  # cos(pi/2) rounds to 6e-17
+    log_w = mu * math.log(R / cfg.R0) - (1.0 + mu) * _log(cs) + _log(sn)
+    h_R, f_C, s = closed_trig(solve_logit(log_w, mu), mu)
+    return (-s if nu < 0.0 else s), f_C, _metrics(R, s, f_C, h_R, sn, cs, cfg), log_w
 
 
 def metrics_at(R: float, nu: float, cfg: SystemConfig) -> MetricBundle:
@@ -155,18 +169,11 @@ def metrics_at(R: float, nu: float, cfg: SystemConfig) -> MetricBundle:
 
 
 def sos_to_cartesian(p: SosPoint, cfg: SystemConfig) -> CartesianPoint:
-    """Forward transform; the poles take closed endpoint values.
-
-    z = R s/(1+mu) and the axis distance is rho = R f_C/h_R.
-    """
-    mu = cfg.mu
-    if abs(p.nu) >= _HALF_PI:
-        rho = 0.0
-        z = math.copysign(p.R / math.sqrt(1.0 + mu), p.nu)
-    else:
-        s, f_C, mb = closed_point(p.R, p.nu, cfg)
-        z = p.R * s / (1.0 + mu)
-        rho = p.R * f_C / mb.h_R
+    """Forward transform: z = R s/(1+mu) and the axis distance is
+    rho = R f_C/h_R, from `closed_point`, the poles included."""
+    s, f_C, mb, _ = closed_point(p.R, p.nu, cfg)
+    rho = p.R * f_C / mb.h_R
+    z = p.R * s / (1.0 + cfg.mu)
     return CartesianPoint(x=rho * math.cos(p.lam), y=rho * math.sin(p.lam), z=z)
 
 
@@ -208,33 +215,58 @@ def cartesian_R_s(x, y, z, mu: float):
     return R, np.where(axis, np.copysign(lim, z), s)
 
 
-def cartesian_to_sos(c: CartesianPoint, cfg: SystemConfig) -> SosPoint:
-    """Inverse transform.
+def cartesian_closed(x, y, z, mu: float):
+    """(R, s, h_R, f_C, log|W|) of Cartesian points, closed, with no solve.
 
-    R comes from `cartesian_R_s`.  With sqrt(t) = sqrt(1+mu)|z|/R and
-    sqrt(1-t) = rho/R, t = s^2/(1+mu),
-
-        log W = log sqrt(t) + (1+mu) log(R/rho),
-
-    so W is never formed, and log sqrt(t) = log(|z|/R) + log1p(mu)/2 never
-    forms (1+mu) z, which rounds at the subnormal spacing; where |z|/R is
-    itself subnormal, log|z| - log R takes its place.  The logit
-    x = log tan^2 nu solves x/2 + (mu/2) log(1 + e^x) = log W - mu log(R/R0),
-    the equation `trig.solve_logit` inverts, and nu = atan(e^(x/2)).  Points on the
-    rotation axis map to nu = +-pi/2 with lam = 0.
+    R and s are `cartesian_R_s`'s, h_R = (1 + mu t)^(-1/2) and
+    f_C = h_R rho/R, with t = s^2/(1+mu) and rho the axis distance.  The
+    logit of t is x_t = log1p(mu) + 2 log(|z|/rho), and log|W| =
+    ((1+mu) softplus(x_t) - softplus(-x_t))/2 forms neither W, nor (1+mu) z,
+    nor a log(R/rho) near 0 to be multiplied by 1+mu.  A float |z|/rho
+    beyond the normal range takes log|z| - log rho.  log|W| is -inf on the
+    equator and +inf on the axis.  Floats or arrays, as `cartesian_R_s`.
     """
-    mu = cfg.mu
-    R = cartesian_R_s(c.x, c.y, c.z, mu)[0]
-    if c.x == 0.0 and c.y == 0.0:
-        return SosPoint(R=R, nu=math.copysign(_HALF_PI, c.z), lam=0.0)
-    if c.z == 0.0:
-        log_sqrt_t = -math.inf
+    R, s = cartesian_R_s(x, y, z, mu)
+    e = 1.0 + mu
+    if isinstance(R, np.ndarray):
+        rho = np.hypot(x, y)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # axis, equator, origin
+            x_t = math.log1p(mu) + 2.0 * np.log(abs(z) / rho)
+            log_w = 0.5 * (e * np.logaddexp(0.0, x_t) - np.logaddexp(0.0, -x_t))
+        h_R = np.sqrt(e / (e + mu * s * s))
     else:
-        q = abs(c.z) / R
-        log_q = math.log(q) if q >= sys.float_info.min else math.log(abs(c.z)) - math.log(R)
-        log_sqrt_t = log_q + 0.5 * math.log1p(mu)
-    log_w = log_sqrt_t + (1.0 + mu) * math.log(R / math.hypot(c.x, c.y))
+        rho = math.hypot(x, y)
+        r = abs(z) / rho if rho > 0.0 else math.inf
+        normal = sys.float_info.min <= r < math.inf
+        x_t = math.log1p(mu) + 2.0 * (math.log(r) if normal else _log(abs(z)) - _log(rho))
+        log_w = 0.5 * (e * _softplus(x_t) - _softplus(-x_t))
+        h_R = math.sqrt(e / (e + mu * s * s))
+    return R, s, h_R, rho / R * h_R, log_w
+
+
+def _solve_nu(c: CartesianPoint, R: float, log_w: float, cfg: SystemConfig):
+    """(point, sin|nu|, cos nu): x = log tan^2 nu solves
+    x/2 + (mu/2) log(1 + e^x) = log W - mu log(R/R0) (`trig.solve_logit`),
+    and sin^2 nu, cos^2 nu are the logistic function of x and of -x."""
+    mu = cfg.mu
     x = solve_logit(log_w - mu * math.log(R / cfg.R0), mu)
-    # atan(e^(x/2)), split so that neither exponential overflows
-    nu = math.atan2(math.exp(min(x, 0.0) / 2.0), math.exp(-max(x, 0.0) / 2.0))
-    return SosPoint(R=R, nu=math.copysign(nu, c.z), lam=math.atan2(c.y, c.x))
+    sn, cs = math.exp(-0.5 * _softplus(-x)), math.exp(-0.5 * _softplus(x))
+    p = SosPoint(R=R, nu=math.copysign(math.atan2(sn, cs), c.z), lam=math.atan2(c.y, c.x))
+    return p, sn, cs
+
+
+def cartesian_to_sos(c: CartesianPoint, cfg: SystemConfig) -> SosPoint:
+    """Inverse transform: `cartesian_point` without the metrics."""
+    R, _, _, _, log_w = cartesian_closed(c.x, c.y, c.z, cfg.mu)
+    return _solve_nu(c, R, log_w, cfg)[0]
+
+
+def cartesian_point(
+    c: CartesianPoint, cfg: SystemConfig
+) -> tuple[SosPoint, float, float, MetricBundle, float]:
+    """(point, s, f_C, metrics, log|W|) at a Cartesian point: R, s, h_R, f_C
+    and log|W| from `cartesian_closed`, nu, h_nu and J from one logit solve;
+    no float nu is inverted.  The axis gets the closed pole metrics."""
+    R, s, h_R, f_C, log_w = cartesian_closed(c.x, c.y, c.z, cfg.mu)
+    p, sn, cs = _solve_nu(c, R, log_w, cfg)
+    return p, s, f_C, _metrics(R, abs(s), f_C, h_R, sn, cs, cfg), log_w

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import legendre
 from .coords import (
-    _HALF_PI,
     CartesianPoint,
     SosPoint,
     SystemConfig,
@@ -40,7 +39,6 @@ from .coords import (
 from .errors import (
     DegenerateOriginError,
     PoleDivergenceError,
-    PoleLimitError,
     RankDeficientError,
     StencilOutOfDomainError,
 )
@@ -94,9 +92,7 @@ def separation_check(K_d: float) -> float:
 
 
 def s_at_point(R: float, nu: float, cfg: SystemConfig) -> float:
-    """Signed s at (R, nu); poles use the closed endpoint value."""
-    if abs(nu) >= _HALF_PI:
-        return math.copysign(s_limit(cfg.mu), nu)
+    """Signed s at (R, nu), the poles included (`closed_point`)."""
     return closed_point(R, nu, cfg)[0]
 
 
@@ -193,7 +189,7 @@ def laplacian_residual_sos(sol: HarmonicSolution, p: SosPoint, h: float) -> floa
         flux_n_hi = metrics_at(p.R, p.nu + dnu, cfg).jac_over_hnu2 * dV_dnu(p.R, p.nu + dnu)
         flux_n_lo = metrics_at(p.R, p.nu - dnu, cfg).jac_over_hnu2 * dV_dnu(p.R, p.nu - dnu)
         jac = metrics_at(p.R, p.nu, cfg).jacobian
-    except (DegenerateOriginError, PoleDivergenceError, PoleLimitError, ValueError) as exc:
+    except (DegenerateOriginError, PoleDivergenceError, ValueError) as exc:
         # ValueError: a stencil arm left the coordinate chart (nu beyond a pole)
         raise StencilOutOfDomainError(str(exc)) from exc
     div = (flux_R_hi - flux_R_lo) / (2.0 * dR) + (flux_n_hi - flux_n_lo) / (2.0 * dnu)

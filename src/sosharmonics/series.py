@@ -171,13 +171,13 @@ def w_border(mu: float) -> float:
     return math.exp(-0.5 * mu * math.log1p(1.0 / mu)) / math.sqrt(1.0 + mu)
 
 
-def region_of(W: float, mu: float, guard: float = BORDER_GUARD) -> Region:
-    """Classify |W| against the convergence border with a guard band."""
+def region_of(W: float, mu: float) -> Region:
+    """Classify |W| against the convergence border with the BORDER_GUARD band."""
     border = w_border(mu)
     w = abs(W)
-    if w < guard * border:
+    if w < BORDER_GUARD * border:
         return Region.SMALL_NU
-    if w > border / guard:
+    if w > border / BORDER_GUARD:
         return Region.LARGE_NU
     return Region.NEAR_BORDER
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import NearBorderError, PoleLimitError
 from .series import (
-    DEFAULT_TOL,
     Region,
     eval_series_many,
     quantity_series,
@@ -113,12 +112,12 @@ def _spherical_bundle(W: float) -> TrigBundle:
     return TrigBundle(W=W, h_R=1.0, f_S=W * c, f_C=c, s=W * c, mu=0.0)
 
 
-def trig_from_W(W: float, mu: float, tol: float = DEFAULT_TOL) -> TrigBundle:
+def trig_from_W(W: float, mu: float) -> TrigBundle:
     """Series evaluation of the bundle (the witness); refuses the guard band."""
-    return trig_from_W_many([W], mu, tol)[0]
+    return trig_from_W_many([W], mu)[0]
 
 
-def trig_from_W_many(Ws, mu: float, tol: float = DEFAULT_TOL) -> list[TrigBundle]:
+def trig_from_W_many(Ws, mu: float) -> list[TrigBundle]:
     """`trig_from_W` at every W of Ws, its series summed in one
     `eval_series_many` call; raises the first W's error, in order."""
     requests = []
@@ -133,7 +132,7 @@ def trig_from_W_many(Ws, mu: float, tol: float = DEFAULT_TOL) -> list[TrigBundle
                 f"W={W} lies in the guard band; use trig_from_W_robust"
             )
         requests += [(quantity_series(name, mu, region), W) for name in ("hR2", "fC2", "fS2")]
-    values = iter([res.value for res in eval_series_many(requests, tol)])
+    values = iter([res.value for res in eval_series_many(requests)])
     out = []
     for W in Ws:
         if mu == 0.0:

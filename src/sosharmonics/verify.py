@@ -342,15 +342,6 @@ def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
 # --- transforms --------------------------------------------------------------
 
 
-def _log_w(p: SosPoint, cfg: SystemConfig) -> float:
-    """log|W| = mu log(R/R0) + log sin|nu| - (1+mu) log cos nu, 0 < |nu| < pi/2."""
-    return (
-        cfg.mu * math.log(p.R / cfg.R0)
-        + math.log(math.sin(abs(p.nu)))
-        - (1.0 + cfg.mu) * math.log(math.cos(p.nu))
-    )
-
-
 def transform_checks(
     cfg: SystemConfig, n_points: int = 120, seed: int = 20240901
 ) -> list[CheckResult]:
@@ -383,12 +374,12 @@ def transform_checks(
         c2 = CartesianPoint(2.0 * c.x, 2.0 * c.y, 2.0 * c.z)
         p2 = cartesian_to_sos(c2, cfg)
         if abs(nu) > 1e-3:
-            r_cone = max(r_cone, abs(_log_w(p2, cfg) - _log_w(p, cfg)))
-            (s1, f_C1, m1), (s2, f_C2, m2) = (
+            (s1, f_C1, m1, lw1), (s2, f_C2, m2, lw2) = (
                 closed_point(q.R, abs(q.nu), cfg) for q in (p, p2)
             )
             r_cone = max(
                 r_cone,
+                abs(lw2 - lw1),
                 abs(s2 - s1),
                 abs(m2.h_R - m1.h_R),
                 abs(s2 * m2.h_R - s1 * m1.h_R),
@@ -451,7 +442,11 @@ def table_checks(mu_values) -> list[CheckResult]:
 
 
 def spherical_reduction_checks(n_max: int = 12) -> list[CheckResult]:
-    """mu = 0 collapse onto classical Legendre functions."""
+    """mu = 0 collapse onto classical Legendre functions.
+
+    The classical second kind is Christoffel's formula
+    Q_n = P_n Q_0 - sum_(k=1..n) P_(k-1) P_(n-k) / k with Q_0 = atanh x,
+    over numpy's classical P_n."""
     classical = _classical_p_coeffs(n_max)
     worst_p = 0.0
     for n in range(n_max + 1):
@@ -460,21 +455,12 @@ def spherical_reduction_checks(n_max: int = 12) -> list[CheckResult]:
         for j in range(n + 1):
             cr = ref[j] if j < len(ref) else 0.0
             worst_p = max(worst_p, abs(got[j] - cr) / max(1.0, abs(cr)))
-    # classical second kind, explicit low-degree forms
-    def q_classical(n: int, x: float) -> float:
-        q0 = 0.5 * math.log((1.0 + x) / (1.0 - x))
-        if n == 0:
-            return q0
-        if n == 1:
-            return x * q0 - 1.0
-        if n == 2:
-            return (3.0 * x * x - 1.0) / 2.0 * q0 - 1.5 * x
-        return (5.0 * x**3 - 3.0 * x) / 2.0 * q0 - (2.5 * x * x - 2.0 / 3.0)
-
-    worst_q = 0.0
-    for n in range(4):
-        for x in (-0.9, -0.5, 0.1, 0.5, 0.9):
-            worst_q = max(worst_q, abs(legendre.eval_q(n, x, 0.0) - q_classical(n, x)))
+    x = np.array([-0.9, -0.5, 0.1, 0.5, 0.9])
+    p_cl = np.polynomial.legendre.legval(x, np.eye(n_max + 1))  # row n is P_n(x)
+    over_k = p_cl / np.arange(1, n_max + 2)[:, None]  # row k - 1 is P_(k-1)/k
+    christoffel = np.array([np.sum(over_k[:n] * p_cl[:n][::-1], axis=0) for n in range(n_max + 1)])
+    q = np.array(legendre.values(n_max, x, 0.0, True)[1])
+    worst_q = float(np.max(np.abs(q - (p_cl * np.arctanh(x) - christoffel))))
     return [
         CheckResult("legendre.spherical_P", worst_p, 1e-12),
         CheckResult("legendre.spherical_Q", worst_q, 1e-10),

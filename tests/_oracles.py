@@ -212,6 +212,53 @@ def mp_cartesian_nu(x, y, z, mu, R0=1.0):
         return float(R), float(nu)
 
 
+def mp_cartesian_point(x, z, mu):
+    """50-digit `eval` record fields of the Cartesian point (x, 0, z), R0 = 1.
+
+    A dict of mpf values under the record's keys: R, nu, W, s, f_C, f_S,
+    h_R, h_nu and jacobian.  R^2 = x^2 + (1+mu) z^2, t = (1+mu) z^2/R^2 and
+    1 - t = x^2/R^2 are closed, and W = sqrt(t)/(1-t)^((1+mu)/2).  nu is
+    solved in u = log tan nu, where log W - mu log R = u + (mu/2) log(1 + e^(2u)),
+    so nu within 1e-50 of pi/2 stays resolved.  h_R, h_nu and J are taken
+    as `mp_point` takes them: the norms of the R and nu derivatives
+    (`mp.diff`) of the position solved back from (R, nu), here in log R and
+    u (dnu = du/(e^u + e^-u)), and J = h_R h_nu rho.  Inputs are taken as
+    the exact binary values of the floats given.
+    """
+    with mpmath.workdps(50):
+        x, z, mu = (mpmath.mpf(v) for v in (x, z, mu))
+        e = 1 + mu
+
+        def logit(log_w, b):
+            # y/2 + (b/2) log(1 + e^y) = log_w, between the bounds `mp_point` uses
+            hi = min(2 * log_w, 2 * log_w / (1 + b))
+            lo = min(2 * log_w - b, (2 * log_w - b) / (1 + b)) - 1
+            return mpmath.findroot(
+                lambda y: y / 2 + b / 2 * mpmath.log1p(mpmath.exp(y)) - log_w, (lo, hi), solver="anderson"
+            )
+
+        def position(log_r, u):
+            t = 1 / (1 + mpmath.exp(-logit(mu * log_r + u + mu / 2 * mpmath.log1p(mpmath.exp(2 * u)), mu)))
+            R = mpmath.exp(log_r)
+            return R * mpmath.sqrt(1 - t), R * mpmath.sqrt(t / e)
+
+        R = mpmath.sqrt(x * x + e * z * z)
+        t = e * z * z / (R * R)
+        log_w = mpmath.log(t) / 2 - e * mpmath.log(abs(x) / R)
+        u = logit(log_w - mu * mpmath.log(R), mu) / 2
+        log_r = mpmath.log(R)
+        d_r = [mpmath.diff(lambda v: position(v, u)[k], log_r) for k in (0, 1)]
+        d_u = [mpmath.diff(lambda v: position(log_r, v)[k], u) for k in (0, 1)]
+        h_R = mpmath.sqrt(d_r[0] ** 2 + d_r[1] ** 2) / R
+        h_nu = mpmath.sqrt(d_u[0] ** 2 + d_u[1] ** 2) * (mpmath.exp(u) + mpmath.exp(-u))
+        s = mpmath.sqrt(e * t)
+        f_C = abs(x) / R * h_R
+        return {
+            "R": R, "nu": mpmath.atan(mpmath.exp(u)), "W": mpmath.exp(log_w), "s": s,
+            "f_C": f_C, "f_S": s * h_R, "h_R": h_R, "h_nu": h_nu, "jacobian": h_R * h_nu * abs(x),
+        }
+
+
 def _series_setup(a, mu, large, W):
     """(a, b, x, rho) of a series family member as mpf values, at the working
     precision: b and x as in `sosharmonics.series`, rho the limiting ratio of

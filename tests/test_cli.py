@@ -3,14 +3,16 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from sosharmonics import cli, legendre
 from sosharmonics.cli import GridSpec, grid_values, main
-from sosharmonics.coords import SystemConfig, cartesian_R_s
-from sosharmonics.harmonic import HarmonicSolution, save_solution
+from sosharmonics.coords import CartesianPoint, SystemConfig, cartesian_R_s
+from sosharmonics.harmonic import HarmonicSolution, eval_V_cartesian, save_solution
+from sosharmonics.series import region_of
 
-from _oracles import S_REF_MU2_NU30, approx, mp_point
+from _oracles import S_REF_MU2_NU30, approx, mp_cartesian_point, mp_point
 
 
 @pytest.fixture
@@ -129,6 +131,92 @@ class TestEval:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["wibble"]) == 2
+
+
+class TestCartesianRecord:
+    """`eval --x/--z` from the point's own closed R, s and log W and one
+    logit solve, against the 50-digit `mp_cartesian_point`."""
+
+    FIELDS = ("R", "nu", "W", "s", "f_C", "f_S", "h_R", "h_nu", "jacobian")
+    SCALES = [10.0**k for k in range(-300, 301, 50)]
+    ANGLES = [1e-8, 0.1, 0.7, 1.3, 1.5707]
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 2.0, 20.0, 200.0, 1000.0])
+    def test_fields_match_the_oracle(self, capsys, tmp_path, mu):
+        # a record with a field beyond the float range exits 3; every other
+        # field that is a normal float is within 2e-13
+        cfg = config(tmp_path, mu)
+        checked = 0
+        for scale in self.SCALES:
+            for angle in self.ANGLES:
+                x, z = scale * math.cos(angle), scale * math.sin(angle)
+                ref = mp_cartesian_point(x, z, mu)
+                rc, out, _ = run(capsys, ["eval", "--config", cfg, "--x", repr(x), "--z", repr(z)])
+                if any(abs(v) > sys.float_info.max for v in ref.values()):
+                    assert rc == 3, (scale, angle)
+                    continue
+                assert rc == 0, (scale, angle)
+                rec = json.loads(out)
+                assert rec["region"] == region_of(float(ref["W"]), mu).value
+                for field in self.FIELDS:
+                    if abs(ref[field]) >= sys.float_info.min:
+                        assert rec[field] == approx(float(ref[field]), rel=2e-13), (scale, angle, field)
+                        checked += 1
+        assert checked >= 5 * len(self.FIELDS)
+
+    def test_near_the_axis_at_small_scale(self, capsys, cfg2):
+        # the float-nu round trip gave s = 1.49945 at 1e-20 and a "Pole"
+        # record with s = sqrt(3) at 1e-200; 1e200 is beyond the float
+        # range (h_nu ~ e^1380)
+        rc, out, _ = run(capsys, ["eval", "--config", cfg2, "--x", "1e-20", "--z", "1e-20"])
+        assert rc == 0
+        rec = json.loads(out)
+        assert rec["s"] == 1.5
+        assert rec["W"] == approx(4.0 * math.sqrt(3.0), rel=1e-13)
+        rc, out, _ = run(capsys, ["eval", "--config", cfg2, "--x", "1e-200", "--z", "1e-200"])
+        assert rc == 0
+        rec = json.loads(out)
+        assert rec["region"] != "Pole"
+        assert rec["s"] == cartesian_R_s(1e-200, 0.0, 1e-200, 2.0)[1]
+        assert run(capsys, ["eval", "--config", cfg2, "--x", "1e200", "--z", "1e200"])[0] == 3
+
+    def test_potential_has_the_bits_of_eval_V_cartesian_and_grid(self, capsys, cfg2, tmp_path):
+        sol = HarmonicSolution(a=(0.5, -1.0, 0.25, 0.7), b=(0.2, -0.6), cfg=SystemConfig(mu=2.0, R0=1.0))
+        coeffs = tmp_path / "c.json"
+        save_solution(sol, coeffs)
+        spec = GridSpec(x_min=0.0, x_max=1e-19, z_min=0.0, z_max=2e-20, nx=3, nz=3)
+        for x, z, cell in grid_values(sol.cfg, spec, "V", sol):
+            if x == 0.0:
+                continue
+            rc, out, _ = run(capsys, ["eval", "--config", cfg2, "--coeffs", str(coeffs),
+                                      "--x", repr(x), "--z", repr(z)])
+            assert rc == 0
+            V = json.loads(out)["V"]
+            assert V == eval_V_cartesian(sol, CartesianPoint(x, 0.0, z)) == cell
+
+    @pytest.mark.parametrize("mu", [0.0, 2.0, 200.0])
+    def test_pole_records(self, capsys, tmp_path, mu):
+        # both input kinds take the closed pole: h_nu = R (R0/R)^(mu/(1+mu)), J = 0
+        cfg = config(tmp_path, mu)
+        lim = math.sqrt(1.0 + mu)
+        for argv, R, sign in [
+            (["--R", "0.3", "--nu", repr(math.pi / 2)], 0.3, 1.0),
+            (["--R", "0.3", "--nu", repr(-math.pi / 2)], 0.3, -1.0),
+            (["--x", "0", "--z", repr(-2.0 / lim)], None, -1.0),
+        ]:
+            rc, out, _ = run(capsys, ["eval", "--config", cfg, *argv])
+            assert rc == 0
+            rec = json.loads(out)
+            R = R or rec["R"]
+            with mpmath.workdps(50):
+                e = 1 + mpmath.mpf(mu)
+                h_nu = float(mpmath.mpf(R) ** (1 / e))
+                h_R = float(1 / mpmath.sqrt(e))
+            assert (rec["W"], rec["region"], rec["nu"]) == (None, "Pole", sign * math.pi / 2)
+            assert rec["s"] == sign * lim
+            assert rec["h_R"] == approx(h_R, rel=1e-15)
+            assert rec["h_nu"] == approx(h_nu, rel=1e-14)
+            assert (rec["jacobian"], rec["f_C"]) == (0.0, 0.0)
 
 
 def config(tmp_path, mu):

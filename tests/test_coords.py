@@ -207,6 +207,43 @@ class TestForwardTransform:
         assert s.x == n.x and s.z == -n.z
 
 
+class TestPole:
+    """|nu| = pi/2 is the closed pole of the point kernel: s = +-sqrt(1+mu),
+    f_C = 0, h_R = (1+mu)^(-1/2), h_nu = R (R0/R)^(mu/(1+mu)) and J = 0."""
+
+    MUS = [0.0, 0.5, 2.0, 20.0, 200.0, 1000.0]
+
+    @staticmethod
+    @mpmath.workdps(50)
+    def limits(R, mu, R0):
+        e = 1 + mpmath.mpf(mu)
+        R = mpmath.mpf(R)
+        return float(1 / mpmath.sqrt(e)), float(R * (mpmath.mpf(R0) / R) ** (mu / e)), float(mpmath.sqrt(e))
+
+    @pytest.mark.parametrize("mu", MUS)
+    @pytest.mark.parametrize("R0", [1.0, 6.957e8])
+    def test_metrics_at(self, mu, R0):
+        cfg = SystemConfig(mu=mu, R0=R0)
+        for R in (1e-300, 0.3 * R0, R0, 7.5 * R0, 1e300):
+            h_R, h_nu, lim = self.limits(R, mu, R0)
+            for nu in (math.pi / 2, -math.pi / 2):
+                mb = metrics_at(R, nu, cfg)
+                assert mb.h_R == approx(h_R, rel=1e-15)
+                # the exponent 1/(1+mu) rounds: |log R| eps/(1+mu) relative
+                assert mb.h_nu == approx(h_nu, rel=1e-13)
+                assert (mb.jacobian, mb.jac_over_hR2, mb.jac_over_hnu2) == (0.0, 0.0, 0.0)
+                assert s_at_point(R, nu, cfg) == math.copysign(lim, nu)
+                c = sos_to_cartesian(SosPoint(R=R, nu=nu, lam=0.4), cfg)
+                assert (c.x, c.y) == (0.0, 0.0)
+                assert c.z == approx(math.copysign(R / lim, nu), rel=1e-15)
+
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 20.0, 200.0])
+    def test_limit_of_the_oracle(self, mu):
+        # the closed h_nu is the limit of the 50-digit metrics as nu -> pi/2
+        _, h_nu, _ = self.limits(1.7, mu, 1.0)
+        assert mp_point(1.7, math.pi / 2 - 1e-9, mu)[4] == approx(h_nu, rel=1e-12)
+
+
 class TestInverseTransform:
     def test_equator_axis_points(self):
         p = cartesian_to_sos(CartesianPoint(1.0, 0.0, 0.0), CFG2)

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sosharmonics import cli, harmonic, legendre
+from sosharmonics import cli, coords, harmonic, legendre
 from sosharmonics.cli import GridSpec, grid_values, main
 from sosharmonics.coords import CartesianPoint, SystemConfig
 from sosharmonics.errors import DegenerateOriginError, PoleDivergenceError, SosError
@@ -211,8 +211,8 @@ def test_no_root_finding_or_series_on_the_cartesian_path(monkeypatch):
         raise AssertionError("the closed-form Cartesian path took the nu round trip")
 
     for module, name in [
-        (cli, "cartesian_to_sos"), (cli, "compute_W"), (cli, "closed_point"),
-        (harmonic, "s_at_point"), (harmonic, "closed_point"),
+        (cli, "cartesian_point"), (cli, "closed_point"), (coords, "solve_logit"),
+        (coords, "compute_W"), (harmonic, "s_at_point"), (harmonic, "closed_point"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
     for quantity in ("s", "hR", "W", "V"):

@@ -249,6 +249,13 @@ class TestSosFormWitness:
         with pytest.raises(StencilOutOfDomainError):
             laplacian_residual_sos(sol, SosPoint(R=1.0, nu=math.pi / 2 - 1e-4), 1e-3)
 
+    @pytest.mark.parametrize("nu", [math.pi / 2, -math.pi / 2])
+    def test_stencil_centred_on_the_pole_refused(self, nu):
+        # metrics_at takes the pole's closed values (J = 0 there); the nu
+        # arm beyond the pole leaves the chart
+        with pytest.raises(StencilOutOfDomainError):
+            laplacian_residual_sos(mode(CFG2, 2), SosPoint(R=1.0, nu=nu), 1e-3)
+
 
 class TestFit:
     def test_zero_samples(self):
