@@ -8,7 +8,8 @@ Subcommands:
 
 An `eval` record comes from `coords.closed_point` (--R/--nu) or from
 `coords.cartesian_point` (--x/--z: the point's own closed R and s, no float
-nu); the poles take their closed values there, with W null.
+nu); the poles take their closed values there, with W null.  V is summed
+at the point's own (z, rho) (`harmonic.eval_V_at`, `eval_V_cartesian`).
 
 The system config {"mu": ..., "R0": ...} always comes from a JSON file; a
 coefficient file in the documented JSON format supplies the potential.
@@ -40,13 +41,13 @@ from .coords import (
 from .errors import SosError
 from .harmonic import (
     HarmonicSolution,
-    eval_V,
+    eval_V_at,
+    eval_V_cartesian,
     fit_boundary,
     load_solution,
+    solid_V,
     solution_to_dict,
-    sum_V,
 )
-from .legendre import pole_band
 from .series import region_of
 
 EXIT_OK = 0
@@ -110,12 +111,11 @@ def _load_coeffs(path: str) -> HarmonicSolution:
         raise UsageError(f"bad coefficient file {path}: {exc}") from exc
 
 
-def _point_record(cfg: SystemConfig, p: SosPoint, s: float, f_C: float, mb, log_w: float,
-                  sol: HarmonicSolution | None) -> dict:
+def _point_record(cfg: SystemConfig, p: SosPoint, s: float, f_C: float, mb, log_w: float) -> dict:
     """The eval record; W = e^(log|W|) with the sign of nu, null on the axis."""
     pole = log_w == math.inf
     W = None if pole else math.copysign(math.exp(log_w), p.nu)
-    record = {
+    return {
         "R": p.R,
         "nu": p.nu,
         "W": W,
@@ -127,9 +127,6 @@ def _point_record(cfg: SystemConfig, p: SosPoint, s: float, f_C: float, mb, log_
         "f_C": f_C,
         "s": s,
     }
-    if sol is not None:
-        record["V"] = eval_V(sol, p.R, s)
-    return record
 
 
 def cmd_eval(args) -> int:
@@ -147,8 +144,11 @@ def cmd_eval(args) -> int:
     else:
         if args.x is None or args.z is None:
             raise UsageError("need both --x and --z")
-        p, *point = cartesian_point(CartesianPoint(x=args.x, y=0.0, z=args.z), cfg)
-    record = _point_record(cfg, p, *point, sol)
+        c = CartesianPoint(x=args.x, y=0.0, z=args.z)
+        p, *point = cartesian_point(c, cfg)
+    record = _point_record(cfg, p, *point)
+    if sol is not None:
+        record["V"] = eval_V_at(sol, p) if by_sos else eval_V_cartesian(sol, c)
     try:
         text = json.dumps(record, allow_nan=False)
     except ValueError as exc:
@@ -158,25 +158,24 @@ def cmd_eval(args) -> int:
 
 
 def _grid_block(cfg, quantity, sol, x, z):
-    """Values of a block of cells at x, z (arrays, in length units) in one
-    array pass of `cartesian_R_s` (s, V) or `cartesian_closed` (hR, W).
+    """Values of a block of cells at x >= 0, z (arrays, in length units) in
+    one array pass: `cartesian_R_s` (s), `cartesian_closed` (hR, W), or
+    `harmonic.solid_V` at z and rho = x (V), with no R, s or mu.
 
     NaN marks a cell with no value: the origin, W on the axis, W or V beyond
-    the float range, and V with second-kind terms in the axis `pole_band`.
-    A V cell has the bits of `eval_V` at `cartesian_R_s` of that cell."""
-    mu = cfg.mu
+    the float range, and V with second-kind terms on the axis x = 0.  A V
+    cell has the bits of `eval_V_cartesian` at that cell."""
     with np.errstate(all="ignore"):  # overflow and the axis become NaN cells
-        if quantity in ("hR", "W"):
-            R, _, h_R, _, log_w = cartesian_closed(x, 0.0, z, mu)
-            value = h_R if quantity == "hR" else np.exp(log_w)  # +inf on the axis
-        else:
-            R, s = cartesian_R_s(x, 0.0, z, mu)
-            value = s
-        empty = R == 0.0
         if quantity == "V":
-            if sol.has_second_kind:
-                empty = empty | pole_band(s, mu)
-            value = sum_V(sol, R, np.where(empty, 0.0, s))
+            empty = (x == 0.0) & ((z == 0.0) | sol.has_second_kind)
+            value = solid_V(sol, z, np.where(empty, 1.0, x))
+        elif quantity == "s":
+            R, value = cartesian_R_s(x, 0.0, z, cfg.mu)
+            empty = R == 0.0
+        else:
+            R, _, h_R, _, log_w = cartesian_closed(x, 0.0, z, cfg.mu)
+            value = h_R if quantity == "hR" else np.exp(log_w)  # +inf on the axis
+            empty = R == 0.0
         return np.where(empty | ~np.isfinite(value), np.nan, value)
 
 

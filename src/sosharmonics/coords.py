@@ -133,7 +133,7 @@ def _metrics(R: float, s: float, f_C: float, h_R: float, sn: float, cs: float,
     if cs == 0.0:
         h_nu = R ** (1.0 / (1.0 + mu)) * cfg.R0 ** (mu / (1.0 + mu))
         return MetricBundle(h_R=h_R, h_nu=h_nu, jacobian=0.0, jac_over_hR2=0.0, jac_over_hnu2=0.0)
-    s_over_sn = s / sn if sn > 0.0 else math.sqrt(1.0 + mu) * math.exp(mu * math.log(R / cfg.R0))
+    s_over_sn = s / sn if sn > 0.0 else math.sqrt(1.0 + mu) * math.exp(mu * (math.log(R) - math.log(cfg.R0)))
     h_nu = R * (1.0 + mu * sn * sn) * f_C * s_over_sn / ((1.0 + mu) * cs)
     jac = R * h_nu * f_C
     return MetricBundle(
@@ -150,15 +150,15 @@ def closed_point(
 ) -> tuple[float, float, MetricBundle, float]:
     """(s, f_C, metrics, log|W|) at R > 0, |nu| <= pi/2: the SOS point kernel.
 
-    log|W| = mu log(R/R0) - (1+mu) log cos nu + log sin|nu| is solved for the
-    logit of t = s^2/(1+mu) (`trig.solve_logit`); it is +inf at the poles,
+    log|W| = mu (log R - log R0) - (1+mu) log cos nu + log sin|nu| is solved
+    for the logit of t = s^2/(1+mu) (`trig.solve_logit`); it is +inf at the poles,
     which get s = +-sqrt(1+mu) and f_C = 0.  s is odd in nu, the rest even.
     """
     _check_chart(R, nu)
     mu = cfg.mu
     sn = math.sin(abs(nu))
     cs = math.cos(nu) if abs(nu) < _HALF_PI else 0.0  # cos(pi/2) rounds to 6e-17
-    log_w = mu * math.log(R / cfg.R0) - (1.0 + mu) * _log(cs) + _log(sn)
+    log_w = mu * (math.log(R) - math.log(cfg.R0)) - (1.0 + mu) * _log(cs) + _log(sn)
     h_R, f_C, s = closed_trig(solve_logit(log_w, mu), mu)
     return (-s if nu < 0.0 else s), f_C, _metrics(R, s, f_C, h_R, sn, cs, cfg), log_w
 
@@ -168,12 +168,15 @@ def metrics_at(R: float, nu: float, cfg: SystemConfig) -> MetricBundle:
     return closed_point(R, nu, cfg)[2]
 
 
+def meridional(R: float, nu: float, cfg: SystemConfig) -> tuple[float, float]:
+    """(z, rho) = (R s/(1+mu), R f_C/h_R) from `closed_point`, poles included."""
+    s, f_C, mb, _ = closed_point(R, nu, cfg)
+    return R * s / (1.0 + cfg.mu), R * f_C / mb.h_R
+
+
 def sos_to_cartesian(p: SosPoint, cfg: SystemConfig) -> CartesianPoint:
-    """Forward transform: z = R s/(1+mu) and the axis distance is
-    rho = R f_C/h_R, from `closed_point`, the poles included."""
-    s, f_C, mb, _ = closed_point(p.R, p.nu, cfg)
-    rho = p.R * f_C / mb.h_R
-    z = p.R * s / (1.0 + cfg.mu)
+    """Forward transform from the point's `meridional` (z, rho)."""
+    z, rho = meridional(p.R, p.nu, cfg)
     return CartesianPoint(x=rho * math.cos(p.lam), y=rho * math.sin(p.lam), z=z)
 
 
@@ -246,10 +249,10 @@ def cartesian_closed(x, y, z, mu: float):
 
 def _solve_nu(c: CartesianPoint, R: float, log_w: float, cfg: SystemConfig):
     """(point, sin|nu|, cos nu): x = log tan^2 nu solves
-    x/2 + (mu/2) log(1 + e^x) = log W - mu log(R/R0) (`trig.solve_logit`),
+    x/2 + (mu/2) log(1 + e^x) = log W - mu (log R - log R0) (`trig.solve_logit`),
     and sin^2 nu, cos^2 nu are the logistic function of x and of -x."""
     mu = cfg.mu
-    x = solve_logit(log_w - mu * math.log(R / cfg.R0), mu)
+    x = solve_logit(log_w - mu * (math.log(R) - math.log(cfg.R0)), mu)
     sn, cs = math.exp(-0.5 * _softplus(-x)), math.exp(-0.5 * _softplus(x))
     p = SosPoint(R=R, nu=math.copysign(math.atan2(sn, cs), c.z), lam=math.atan2(c.y, c.x))
     return p, sn, cs

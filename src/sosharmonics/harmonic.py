@@ -2,20 +2,18 @@
 
     V(R, s) = sum_n a_n (R/R0)^n P_n(s) + sum_n b_n (R/R0)^n Q_n(s)
 
-with the generalized Legendre functions P_n, Q_n of the legendre module and
-s = f_S/h_R obtained from the position.  `sum_V` sums the expansion by
-Clenshaw's backward pass over the value recursion (`legendre.solid_sum`,
-over a whole array of points at once); `fit_boundary` needs the basis
-itself and takes P_n and Q_n of all samples from one run of the recursion
-(`legendre.values`).  Neither uses power-basis coefficients.
-A Cartesian point takes R and s from `coords.cartesian_R_s`, the formula
-`cartesian_to_sos` uses too.  `cartesian_R_s` and `sum_V` take floats or
-numpy arrays and give an array the bits of its elements one by one.
+with the generalized Legendre functions P_n, Q_n of the legendre module.
+Each term is the classical solid harmonic (r/R0)^n P_n^cl(z/r) or
+(r/R0)^n Q_n^cl(z/r) at the point's meridional (z, rho), and V is summed
+there (`solid_V`: Clenshaw's pass `legendre.solid_sum` over floats or
+arrays), with no mu and no s: a Cartesian point gives z and hypot(x, y),
+an SOS point its closed (z, rho) (`coords.meridional`), and `fit_boundary`
+takes the basis from `legendre.solid_values`.  `eval_V`/`sum_V` form z and
+r^2 from s, which near the axis has already lost the digits of rho.
 Degrees are dense 0..N.  Coefficients multiply the dimensionless (R/R0)^n,
-in memory and in the JSON coefficient file alike
-({"mu", "R0", "convention": "R_over_R0", "a", "b"}); the radial factor
-rides inside the Legendre recursion, so a term is finite wherever it is
-representable.
+in memory and in the JSON coefficient file alike ({"mu", "R0", "convention":
+"R_over_R0", "a", "b"}); the radial factor rides inside the recursion, so a
+term is finite wherever it is representable.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from .coords import (
     CartesianPoint,
     SosPoint,
     SystemConfig,
-    cartesian_R_s,
     closed_point,
+    meridional,
     metrics_at,
 )
 from .errors import (
@@ -42,7 +40,7 @@ from .errors import (
     RankDeficientError,
     StencilOutOfDomainError,
 )
-from .trig import s_limit, s_on_reference
+from .trig import s_limit
 
 FILE_CONVENTION = "R_over_R0"
 
@@ -97,7 +95,7 @@ def s_at_point(R: float, nu: float, cfg: SystemConfig) -> float:
 
 
 def eval_V(sol: HarmonicSolution, R: float, s: float) -> float:
-    """Potential at radial coordinate R and angular argument s."""
+    """Potential at radial coordinate R and angular argument s (`sum_V`)."""
     if not (math.isfinite(R) and math.isfinite(s)):
         raise ValueError("R and s must be finite")
     if abs(s) > s_limit(sol.cfg.mu) * (1.0 + 1e-12):
@@ -108,33 +106,51 @@ def eval_V(sol: HarmonicSolution, R: float, s: float) -> float:
 
 
 def sum_V(sol: HarmonicSolution, R, s):
-    """The expansion's sum at R and s, floats or numpy arrays of one shape.
+    """The expansion's sum at R and s, floats or numpy arrays of one shape:
+    `legendre.solid_sum` at z = r s/(1+mu) and r^2 = r (r (1 - mu s^2/(1+mu)^2)),
+    r = R/R0 (nothing overflows before r^2 does); near the axis s has
+    already lost the digits of rho, which `solid_V` keeps.
 
     No range checks (`eval_V` makes them for a point); the second-kind terms
-    raise PoleDivergenceError if some s lies in `legendre.pole_band`.
-    Clenshaw's backward pass (`legendre.solid_sum`) runs over each kind up
-    to its last nonzero coefficient.  Arrays take the same operations in
-    the same order as floats, so each element gets the bits of the float sum.
+    raise PoleDivergenceError if some s lies in the pole band of `legendre.q0`.
     """
     a, b = sol.terms
-    return legendre.solid_sum(a, b, s, sol.cfg.mu, R / sol.cfg.R0)
+    mu, r = sol.cfg.mu, R / sol.cfg.R0
+    e, q0_r = 1.0 + mu, None
+    if b:
+        q0, r1 = legendre.q0_meridional(*legendre.s_to_zrho(s, mu))
+        q0_r = q0, r * r1
+    return legendre.solid_sum(a, b, r * s / e, r * (r * (1.0 - mu * s * s / (e * e))), q0_r)
+
+
+def solid_V(sol: HarmonicSolution, z, rho):
+    """The expansion at meridional z, rho (length units), floats or arrays, each
+    element with the float sum's bits; with b terms rho = 0 raises PoleDivergenceError."""
+    a, b = sol.terms
+    z, rho = z / sol.cfg.R0, rho / sol.cfg.R0
+    return legendre.solid_sum(a, b, z, z * z + rho * rho, legendre.q0_meridional(z, rho) if b else None)
 
 
 def eval_V_at(sol: HarmonicSolution, p: SosPoint) -> float:
-    """Potential at an SOS point, with s from the closed point kernel."""
-    return eval_V(sol, p.R, s_at_point(p.R, p.nu, sol.cfg))
+    """Potential at an SOS point, at its closed (z, rho) (`coords.meridional`)."""
+    return solid_V(sol, *meridional(p.R, p.nu, sol.cfg))
 
 
 def eval_V_cartesian(sol: HarmonicSolution, c: CartesianPoint) -> float:
-    """Potential at a Cartesian point, through the closed-form R and s."""
-    return eval_V(sol, *cartesian_R_s(c.x, c.y, c.z, sol.cfg.mu))
+    """Potential at a Cartesian point, at z and rho = hypot(x, y)."""
+    rho = math.hypot(c.x, c.y)
+    if not (math.isfinite(rho) and math.isfinite(c.z)):
+        raise ValueError("x, y and z must be finite")
+    if rho == 0.0 and c.z == 0.0:
+        raise DegenerateOriginError("the origin has no SOS image")
+    return solid_V(sol, c.z, rho)
 
 
 def laplacian_residual_fd(sol: HarmonicSolution, c: CartesianPoint, h: float) -> float:
     """7-point central finite-difference Laplacian at c with step h.
 
     Entirely independent of the SOS-form metric factors: the stencil works in
-    Cartesian coordinates and each value takes R and s in closed form.
+    Cartesian coordinates and each value is summed at its own z and rho.
     For a true solution the result converges to 0 as O(h^2).
     """
     if h <= 0.0:
@@ -204,9 +220,9 @@ def fit_boundary(
 ) -> tuple[HarmonicSolution, FitDiagnostics]:
     """Least-squares fit of boundary values on the reference spheroid.
 
-    samples: sequence of (nu, V) pairs taken at R = R0, where s has the
-    closed form sqrt(1+mu) sin(nu).  The generalized Legendre functions are
-    not orthogonal, so the coefficients come from an orthogonal-factorization
+    samples: sequence of (nu, V) pairs at R = R0, z/R0 = sin(nu)/sqrt(1+mu)
+    and rho/R0 = cos(nu).  The generalized Legendre functions are not
+    orthogonal, so the coefficients come from an orthogonal-factorization
     least-squares solve of the dense design matrix; the 2-norm residual and
     the design-matrix condition number are reported.  A column is
     P_n(s_j) = (r_j/R0)^n P_n^cl(z_j/r_j) with r_j/R0 in [(1+mu)^(-1/2), 1],
@@ -224,12 +240,10 @@ def fit_boundary(
         raise RankDeficientError(
             f"{len(nus)} samples cannot determine {n_cols} coefficients"
         )
-    mu = cfg.mu
-    svals = s_on_reference(nus, mu)
-    if include_second_kind and np.any(legendre.pole_band(svals, mu)):
-        raise PoleDivergenceError("second-kind fit cannot use samples at |nu| = pi/2")
-
-    p, q = legendre.values(N, svals, mu, include_second_kind)
+    if np.any(np.abs(nus) > math.pi / 2):
+        raise ValueError("nu must lie in [-pi/2, pi/2]")
+    rho = np.where(np.abs(nus) == math.pi / 2, 0.0, np.cos(nus))
+    p, q = legendre.solid_values(N, np.sin(nus) / math.sqrt(1.0 + cfg.mu), rho, include_second_kind)
     design = np.column_stack(p + q)
 
     coef, _, rank, sv = np.linalg.lstsq(design, vals, rcond=None)

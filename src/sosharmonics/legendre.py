@@ -1,30 +1,20 @@
 """Generalized Legendre functions for the SOS interior harmonics.
 
-First-kind functions P_n are polynomials in s = f_S/h_R built by the
-Bonnet-like three-term recursion
-
-    P_(n+1) = (2n+1)/(n+1) * s P_n/(1+mu) - n/(n+1) * (1 - mu s^2/(1+mu)^2) P_(n-1)
-
-seeded with P_0 = 1, P_1 = s/(1+mu).  Second-kind functions compose as
-
-    Q_n(s) = P_n(s) Q_0(s) - T_n(s) * sqrt((1+mu)^2 - mu s^2)
-
-where T_n follows the same recursion from T_0 = 0, T_1 = 1/(1+mu), and Q_0
-is a logarithm with a singularity on the rotation axis |s| = sqrt(1+mu).
-At mu = 0 everything reduces to the classical Legendre P_n and Q_n.
-
-Every evaluation runs this recursion on values, which stays accurate at
-high degree, where power-basis coefficients cancel.  `values` returns the
-basis P_n and Q_n (Q_n composed there), for callers that need the basis
-itself; `value_derivs` differentiates it; `solid_sum` sums a whole expansion
-in the solid form r^n P_n + r^n Q_n, the radial factor inside the step, by
-Clenshaw's backward pass, keeping no per-degree value.
-All of them take the step's coefficients (2m+1)/(m+1) and m/(m+1) from one
-pair of tables that does not depend on mu and grows with the degree asked.
-The power-basis coefficients (`p_poly`, `t_poly`, plain tuples whose entry j
-multiplies s^j) are kept only as the witness checked against closed
-reference forms for n <= 6 (exact bracket polynomials in mu with rational
-normalizers), kept separate so the two certify each other.
+The paper's P_n are polynomials in s = f_S/h_R from the Bonnet-like step
+P_(n+1) = (2n+1)/(n+1) s P_n/(1+mu) - n/(n+1) (1 - mu s^2/(1+mu)^2) P_(n-1),
+P_0 = 1, P_1 = s/(1+mu); Q_n = P_n Q_0 - T_n sqrt((1+mu)^2 - mu s^2) with T_n
+from the same step (T_0 = 0, T_1 = 1/(1+mu)), Q_0 logarithmic on the axis
+|s| = sqrt(1+mu).  At every mu, R^n P_n(s) = r^n P_n^cl(z/r) and
+R^n Q_n(s) = r^n Q_n^cl(z/r) at the point's meridional (z, rho),
+r^2 = z^2 + rho^2 (DLMF 14.10), so evaluation runs the classical solid step
+u_(n+1) = ((2n+1) z u_n - n r^2 u_(n-1))/(n+1): no mu enters, and r^2 is a
+sum that does not cancel near the axis.  `solid_values` gives the basis and
+`solid_sum` a whole expansion (Clenshaw); `q0` forms z and rho from s
+(`s_to_zrho`), which near the axis has already lost the digits of rho.
+The damped step in s stays only where it certifies the paper's objects:
+`values`/`eval_q` with `value_derivs`/`eval_q_derivs` (the ODE residual;
+the two share their bits) and the power-basis witness `p_poly`/`t_poly`
+(entry j multiplies s^j), checked against closed reference forms for n <= 6.
 """
 
 from __future__ import annotations
@@ -36,11 +26,11 @@ import numpy as np
 from .errors import PoleDivergenceError
 
 _POLE_MARGIN = 1e-12
+_AXIS = "second-kind functions diverge on the rotation axis"
 
 
 def _step_tables(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(A, B) with A[m] = (2m+1)/(m+1) and B[m] = m/(m+1) for m < n at least:
-    the step's coefficients without mu, so one pair serves every mu.
+    """(A, B) with A[m] = (2m+1)/(m+1) and B[m] = m/(m+1) for m < n at least.
 
     Growing at least doubles the pair and replaces it whole; each caller
     gets the pair it checked or built, long enough for it even while other
@@ -61,13 +51,42 @@ _STEPS: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
 _step_tables(64)
 
 
-def values(N: int, s, mu: float, second_kind: bool = False) -> tuple[list, list]:
-    """([P_n(s)], [Q_n(s)]) for n = 0..N; the Q list is empty unless
-    second_kind.
+def s_to_zrho(s, mu: float):
+    """(z, rho) = (s/(1+mu), sqrt(((1+mu) - s^2)/(1+mu))) at R = R0 and
+    argument s, floats or numpy arrays; an s in the pole band raises
+    PoleDivergenceError.  Near the axis a rounded s has already lost the
+    digits of rho, so the s entry points gain nothing there."""
+    _check_q_domain(s, mu)
+    e = 1.0 + mu
+    return s / e, (np.sqrt if isinstance(s, np.ndarray) else math.sqrt)((e - s * s) / e)
 
-    s is a float or a numpy array; every value has its type and shape.
-    Q_n = P_n q0 - T_n g is formed here, raising PoleDivergenceError if
-    some s lies in the `pole_band`."""
+
+def solid_values(N: int, z, rho, second_kind: bool = False) -> tuple[list, list]:
+    """([r^n P_n^cl(z/r)], [r^n Q_n^cl(z/r)]) for n = 0..N at floats or
+    arrays z, rho, by the forward solid step; the Q list, seeded with
+    Q_0 = q0 and r Q_1 = z q0 - r (`q0_meridional`), is empty unless
+    second_kind, and then rho = 0 raises PoleDivergenceError."""
+    if N < 0:
+        raise ValueError("degree must be non-negative")
+    r2, zero = z * z + rho * rho, 0.0 * (z + rho)  # zero: a float or an array
+    kinds = [[zero + 1.0, zero + z]]
+    if second_kind:
+        q, r = q0_meridional(z, rho)
+        kinds.append([q, z * q - r])
+    A, B = _step_tables(N)
+    for m in range(1, N):
+        u, v = A[m] * z, B[m] * r2
+        for f in kinds:
+            f.append(u * f[m] - v * f[m - 1])
+    return kinds[0][: N + 1], (kinds[1][: N + 1] if second_kind else [])
+
+
+def values(N: int, s, mu: float, second_kind: bool = False) -> tuple[list, list]:
+    """([P_n(s)], [Q_n(s)]) for n = 0..N by the paper's damped step in s,
+    with the values of `value_derivs` bit for bit; the Q list, with
+    Q_n = P_n q0 - T_n sqrt((1+mu)^2 - mu s^2), is empty unless second_kind,
+    and then an s in the pole band raises PoleDivergenceError.  s is a float
+    or a numpy array; every value has its type and shape."""
     if N < 0:
         raise ValueError("degree must be non-negative")
     e = 1.0 + mu
@@ -83,54 +102,70 @@ def values(N: int, s, mu: float, second_kind: bool = False) -> tuple[list, list]
     p = p[: N + 1]
     if not second_kind:
         return p, []
-    q0_s, g = q0(s, mu), q_weight(s, mu)
+    q0_s = q0(s, mu)
+    g = (np.sqrt if isinstance(s, np.ndarray) else math.sqrt)((1.0 + mu) ** 2 - mu * s * s)
     return p, [pn * q0_s - tn * g for pn, tn in zip(p, t)]
 
 
-def solid_sum(a, b, s, mu: float, r=1.0):
-    """sum_n a[n] r^n P_n(s) + sum_n b[n] r^n Q_n(s) by Clenshaw's backward
-    pass (MTAC 9 (1955) 118-120) over the step of `values` with r inside:
-    y_k = c_k + A_k rs/(1+mu) y_(k+1) - B_(k+1) damp y_(k+2), closed by
-    F_0 y_0 + (F_1 - rs/(1+mu) F_0) y_1.  The P sum is y_0; Q_n takes the
-    same step from Q_0 = q0, Q_1 = (rs q0 - r g)/(1+mu) and sums to
-    q0 y_0 - (r/(1+mu)) g y_1.
+def solid_sum(a, b, z, r2, q0_r):
+    """sum_n a[n] r^n P_n^cl(z/r) + b[n] r^n Q_n^cl(z/r) at floats or arrays
+    z and r2 = r^2, by Clenshaw's backward pass (MTAC 9 (1955) 118-120) over
+    the solid step: y_k = c_k + A_k z y_(k+1) - B_(k+1) r^2 y_(k+2), closed
+    by F_0 y_0 + (F_1 - z F_0) y_1, which is y_0 for P and q0 y_0 - r y_1 for
+    Q, with (q0, r) = q0_r (`q0_meridional`), needed only if b is nonempty.
 
     A nonempty a or b must end in a nonzero entry (a trailing zero could
-    meet an overflowed factor and give NaN).  s and r are floats or numpy
-    arrays, given the same operations in the same order, so an array
-    element has the bits of the float sum.  With b nonempty, an s in the
-    `pole_band` raises PoleDivergenceError."""
-    e = 1.0 + mu
-    x = r * s / e
-    # r * (r * d), d in [1/(1+mu), 1]: nothing overflows before r^2 d does
-    damp = r * (r * (1.0 - mu * s * s / (e * e)))
-    total = _backward(a, x, damp)[0] if a else 0.0
+    meet an overflowed factor and give NaN).  Arrays take the operations of
+    floats in the same order, so an element has the bits of the float sum."""
+    total = _backward(a, z, r2)[0] if a else 0.0
     if b:
-        y0, y1 = _backward(b, x, damp)
-        total = total + q0(s, mu) * y0
+        q, r = q0_r
+        y0, y1 = _backward(b, z, r2)
+        total = total + q * y0
         if len(b) > 1:
-            total = total - r / e * q_weight(s, mu) * y1
+            total = total - r * y1
     return total
 
 
-def _backward(c, x, damp):
-    """(y_0, y_1) of the backward pass over c at x = rs/(1+mu).
+def _backward(c, z, r2):
+    """(y_0, y_1) of the backward pass over c.
 
     y_(n+1) = 0 is left out of the first step rather than multiplied by an
-    overflowed damp."""
+    overflowed r^2."""
     n = len(c) - 1
     A, B = _step_tables(n + 1)
     y1, y2 = c[n], 0.0
     if n:
-        y1, y2 = c[n - 1] + A[n - 1] * x * y1, y1
+        y1, y2 = c[n - 1] + A[n - 1] * z * y1, y1
     for k in range(n - 2, -1, -1):
-        y1, y2 = c[k] + A[k] * x * y1 - B[k + 1] * damp * y2, y1
+        y1, y2 = c[k] + A[k] * z * y1 - B[k + 1] * r2 * y2, y1
     return y1, y2
 
 
+def q0_meridional(z, rho):
+    """(q0, r) = (atanh(z/r), |(z, rho)|) at floats or arrays z, rho:
+    q0 = copysign(log1p((|z|/rho)(1 + |z|/(r + rho))), z), as r - rho =
+    z^2/(r + rho), and r = m sqrt((z/m)^2 + (rho/m)^2), m = max(|z|, rho),
+    neither cancel nor under- or overflow.  numpy's log1p serves floats too
+    (math's rounds differently), so an array has the bits of its elements.
+    rho = 0, or a float |z|/rho beyond the float range (q0 = inf in an
+    array), raises PoleDivergenceError."""
+    u, array = abs(z), isinstance(z + rho, np.ndarray)
+    if np.any(rho == 0.0) if array else rho == 0.0:
+        raise PoleDivergenceError(_AXIS)
+    m = np.maximum(u, rho) if array else max(u, rho)
+    r = m * (np.sqrt if array else math.sqrt)((u / m) * (u / m) + (rho / m) * (rho / m))
+    q = np.log1p(u / rho * (1.0 + u / (r + rho)))
+    if array:
+        return np.copysign(q, z), r
+    if q == math.inf:
+        raise PoleDivergenceError(_AXIS)
+    return math.copysign(q, z), r
+
+
 def value_derivs(N: int, s: float, mu: float) -> tuple[list, list]:
-    """(F, F', F'') triples of P_0..P_N and of T_0..T_N at s, by the value
-    recursion differentiated once and twice."""
+    """(F, F', F'') triples of P_0..P_N and of T_0..T_N at s, by the paper's
+    damped step in s differentiated once and twice."""
     if N < 0:
         raise ValueError("degree must be non-negative")
     e = 1.0 + mu
@@ -181,49 +216,20 @@ def t_poly(n: int, mu: float) -> tuple[float, ...]:
     return _witness(n, mu, [0.0], [1.0 / (1.0 + mu), 0.0])
 
 
-def pole_band(s, mu: float):
-    """True where |s| lies within a relative 1e-12 of the axis value
-    sqrt(1+mu), where the second-kind functions are not evaluated; s is a
-    float or a numpy array."""
-    return abs(s) >= math.sqrt(1.0 + mu) * (1.0 - _POLE_MARGIN)
-
-
 def _check_q_domain(s, mu: float) -> None:
-    band = pole_band(s, mu)
+    """Refuse an s (a float or an array) in the pole band, |s| within a
+    relative 1e-12 of the axis value sqrt(1+mu), where the second-kind
+    functions are not evaluated."""
+    band = abs(s) >= math.sqrt(1.0 + mu) * (1.0 - _POLE_MARGIN)
     if band.any() if isinstance(band, np.ndarray) else band:
-        raise PoleDivergenceError(
-            "second-kind functions diverge on the rotation axis |s| = sqrt(1+mu)"
-        )
-
-
-def q_weight(s, mu: float):
-    """g = sqrt((1+mu)^2 - mu s^2), the factor of T_n in Q_n = P_n q0 - T_n g.
-
-    s is a float or a numpy array; math.sqrt and np.sqrt are both correctly
-    rounded, so the two give the same bits."""
-    sqrt = np.sqrt if isinstance(s, np.ndarray) else math.sqrt
-    return sqrt((1.0 + mu) ** 2 - mu * s * s)
+        raise PoleDivergenceError(_AXIS + " |s| = sqrt(1+mu)")
 
 
 def q0(s, mu: float):
-    """Zeroth second-kind function, at a float or a numpy array of s.
-
-    q0(s) = 1/2 ln( [s + sqrt((1+mu)^2 - mu s^2)]^2 / ((1+mu)((1+mu) - s^2)) )
-
-    Odd in s; reduces to 1/2 ln((1+s)/(1-s)) at mu = 0.  Evaluated through
-    log1p of the exact increment 2|s|(|s| + g)/((1+mu)((1+mu) - s^2)), which
-    keeps small-s accuracy and exact parity.  The logarithm is numpy's for
-    floats too (math.log1p rounds differently on some inputs), so an array
-    gives the same bits as its elements one by one.  Raises
-    PoleDivergenceError if any s lies in the `pole_band`.
-    """
-    _check_q_domain(s, mu)
-    a = abs(s)
-    inc = 2.0 * a * (a + q_weight(a, mu)) / ((1.0 + mu) * ((1.0 + mu) - a * a))
-    half = 0.5 * np.log1p(inc)
-    if isinstance(s, np.ndarray):
-        return np.copysign(half, s)
-    return math.copysign(half, s)
+    """q0(s) = 1/2 ln([s + sqrt((1+mu)^2 - mu s^2)]^2 / ((1+mu)((1+mu) - s^2))),
+    odd, 1/2 ln((1+s)/(1-s)) at mu = 0: `q0_meridional` at `s_to_zrho`(s).
+    s is a float or an array; one in the pole band raises PoleDivergenceError."""
+    return q0_meridional(*s_to_zrho(s, mu))[0]
 
 
 def dq0_ds(s: float, mu: float) -> float:

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NearBorderError, PoleLimitError
 from .series import (
     Region,
@@ -47,12 +45,11 @@ def s_limit(mu: float) -> float:
     return math.sqrt(1.0 + mu)
 
 
-def s_on_reference(nu, mu: float):
-    """Closed form of s on the reference spheroid: sqrt(1+mu) * sin(nu), at
-    a float or a numpy array of nu."""
-    if np.any(np.abs(nu) > math.pi / 2):
+def s_on_reference(nu: float, mu: float) -> float:
+    """Closed form of s on the reference spheroid: sqrt(1+mu) * sin(nu)."""
+    if abs(nu) > math.pi / 2:
         raise ValueError("nu must lie in [-pi/2, pi/2]")
-    return math.sqrt(1.0 + mu) * (np.sin if isinstance(nu, np.ndarray) else math.sin)(nu)
+    return math.sqrt(1.0 + mu) * math.sin(nu)
 
 
 def w_from_s(s: float, mu: float) -> float:

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the package's own evaluation paths:
 classical Legendre via the textbook Bonnet recursion, generalized binomials
 via mpmath, explicit low-degree second-kind formulas.  The one exception is
-`forward_solid`, the forward recursion a backward (Clenshaw) sum is checked
-against, which composes Q_n from the package's q0 and weight.  `approx` is
+`forward_solid` and `forward_meridional`, the forward recursions a backward
+(Clenshaw) sum is checked against, which take Q_0 from the package's q0.  `approx` is
 the relative comparison the test modules share.
 """
 
@@ -53,7 +53,7 @@ def forward_solid(N, s, mu, q_degree, r):
     """([r^n P_n(s)] for n <= N, [r^n Q_n(s)] for n <= q_degree) by the
     forward three-term recursion with the radial factor inside the step, in
     floats: r s/(1+mu) and r^2 (1 - mu s^2/(1+mu)^2) scale the two terms."""
-    from sosharmonics.legendre import q0, q_weight
+    from sosharmonics.legendre import q0
 
     e = 1.0 + mu
     rs = r * s
@@ -63,8 +63,25 @@ def forward_solid(N, s, mu, q_degree, r):
         u, v = (2.0 * m + 1.0) / (m + 1.0) / e * rs, m / (m + 1.0) * damp
         p.append(u * p[m] - v * p[m - 1])
         t.append(u * t[m] - v * t[m - 1])
-    q0_s, g = q0(s, mu), q_weight(s, mu)
+    q0_s, g = q0(s, mu), math.sqrt(e * e - mu * s * s)
     return p[: N + 1], [pn * q0_s - tn * g for pn, tn in zip(p, t[: q_degree + 1])]
+
+
+def forward_meridional(N, z, rho, q_degree):
+    """([r^n P_n^cl(z/r)] for n <= N, [r^n Q_n^cl(z/r)] for n <= q_degree)
+    by the forward classical solid step in floats,
+    u_(n+1) = ((2n+1) z u_n - n r^2 u_(n-1))/(n+1) with r^2 = z^2 + rho^2,
+    from P_0 = 1, P_1 = z and the package's Q_0 = q0, r Q_1 = z q0 - r."""
+    from sosharmonics.legendre import q0_meridional
+
+    r2 = z * z + rho * rho
+    q0, r = q0_meridional(z, rho)
+    p, q = [1.0, z], [q0, z * q0 - r]
+    for m in range(1, N):
+        u, v = (2.0 * m + 1.0) / (m + 1.0) * z, m / (m + 1.0) * r2
+        p.append(u * p[m] - v * p[m - 1])
+        q.append(u * q[m] - v * q[m - 1])
+    return p[: N + 1], q[: q_degree + 1]
 
 
 def mp_binom(alpha, k):
@@ -140,6 +157,41 @@ def mp_potential(a, b, R, s, mu):
         return float(mpmath.fsum(terms)), float(mpmath.fsum(abs(v) for v in terms))
 
 
+def _mp_position(R, nu, mu):
+    """(rho, z, t) at mpf R, nu, mu with R0 = 1, in the working precision:
+    t = s^2/(1+mu) from the logit of the closed inversion (`mp.findroot`),
+    rho = R sqrt(1-t) and z = R sqrt(t/(1+mu))."""
+    log_w = mu * mpmath.log(R) + mpmath.log(mpmath.sin(nu)) - (1 + mu) * mpmath.log(mpmath.cos(nu))
+    # x/2 + (mu/2) log(1 + e^x) = log W lies between these bounds
+    hi = min(2 * log_w, 2 * log_w / (1 + mu))
+    lo = min(2 * log_w - mu, (2 * log_w - mu) / (1 + mu)) - 1
+    x = mpmath.findroot(
+        lambda x: x / 2 + mu / 2 * mpmath.log1p(mpmath.exp(x)) - log_w,
+        (lo, hi),
+        solver="anderson",
+    )
+    t = 1 / (1 + mpmath.exp(-x))
+    return R * mpmath.sqrt(1 - t), R * mpmath.sqrt(t / (1 + mu)), t
+
+
+def mp_meridional(R, nu, mu):
+    """(z, rho) at (R, nu) with R0 = 1 as mpf values, in the caller's
+    working precision; inputs are taken as the exact binary values of the
+    floats given."""
+    rho, z, _ = _mp_position(*(mpmath.mpf(v) for v in (R, nu, mu)))
+    return z, rho
+
+
+def mp_solid(n, z, rho, second_kind=False):
+    """(r^n P_n^cl(z/r) or r^n Q_n^cl(z/r), r^n) with r^2 = z^2 + rho^2, as
+    mpf values in the caller's working precision (mpmath's `legendre`, or
+    `legenq` for the Ferrers Q_n on the cut, Q_0 = atanh)."""
+    z, rho = mpmath.mpf(z), mpmath.mpf(rho)
+    r = mpmath.sqrt(z * z + rho * rho)
+    f = mpmath.legenq(n, 0, z / r, type=2) if second_kind else mpmath.legendre(n, z / r)
+    return r**n * f, r**n
+
+
 def mp_point(R, nu, mu):
     """50-digit (s, rho, z, h_R, h_nu, J) at (R, nu) with R0 = 1.
 
@@ -154,17 +206,7 @@ def mp_point(R, nu, mu):
         mu = mpmath.mpf(mu)
 
         def position(R, nu):
-            log_w = mu * mpmath.log(R) + mpmath.log(mpmath.sin(nu)) - (1 + mu) * mpmath.log(mpmath.cos(nu))
-            # x/2 + (mu/2) log(1 + e^x) = log W lies between these bounds
-            hi = min(2 * log_w, 2 * log_w / (1 + mu))
-            lo = min(2 * log_w - mu, (2 * log_w - mu) / (1 + mu)) - 1
-            x = mpmath.findroot(
-                lambda x: x / 2 + mu / 2 * mpmath.log1p(mpmath.exp(x)) - log_w,
-                (lo, hi),
-                solver="anderson",
-            )
-            t = 1 / (1 + mpmath.exp(-x))
-            return R * mpmath.sqrt(1 - t), R * mpmath.sqrt(t / (1 + mu)), t
+            return _mp_position(R, nu, mu)
 
         R, nu = mpmath.mpf(R), mpmath.mpf(nu)
         rho, z, t = position(R, nu)

@@ -174,6 +174,12 @@ class TestMetrics:
         mb = metrics_at(R, 0.7, CFG0)
         assert mb.jac_over_hnu2 == approx(math.cos(0.7), rel=1e-14)
 
+    def test_R_over_R0_beyond_the_float_range(self):
+        # R/R0 = 1e310 overflows; log R - log R0 does not, and mu = 0 takes
+        # no 0 * inf = NaN from it
+        got = metrics_at(1e300, 0.7, SystemConfig(mu=0.0, R0=1e-10))
+        assert got == metrics_at(1e300, 0.7, SystemConfig(mu=0.0, R0=1.0))
+
     def test_negative_nu_even(self):
         a = metrics_at(1.2, 0.6, CFG2)
         b = metrics_at(1.2, -0.6, CFG2)

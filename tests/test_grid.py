@@ -14,12 +14,12 @@ import pytest
 
 from sosharmonics import cli, coords, harmonic, legendre
 from sosharmonics.cli import GridSpec, grid_values, main
-from sosharmonics.coords import CartesianPoint, SystemConfig
+from sosharmonics.coords import CartesianPoint, SystemConfig, cartesian_R_s
 from sosharmonics.errors import DegenerateOriginError, PoleDivergenceError, SosError
-from sosharmonics.harmonic import HarmonicSolution, cartesian_R_s, eval_V_cartesian
+from sosharmonics.harmonic import HarmonicSolution, eval_V_cartesian
 from sosharmonics.trig import s_limit
 
-from _oracles import approx, mp_cartesian_R_s, mp_potential
+from _oracles import approx, mp_cartesian_R_s, mp_potential, mp_solid
 
 MUS = [0.0, 0.5, 2.0, 20.0]
 REL = 1e-12
@@ -130,7 +130,7 @@ def test_V_beyond_float_range_is_an_empty_cell(tmp_path, extent):
         if x == 0.0:
             assert value is None  # origin, or second-kind terms on the axis
             continue
-        V = harmonic.eval_V(sol, *cartesian_R_s(x, 0.0, z, 2.0))
+        V = eval_V_cartesian(sol, CartesianPoint(x, 0.0, z))
         if math.isfinite(V):
             finite += 1
             assert value == V
@@ -140,7 +140,8 @@ def test_V_beyond_float_range_is_an_empty_cell(tmp_path, extent):
     assert finite == (5 if extent == "2e154" else 0)
 
 
-# x = 5e-7 against z up to 1: |s| is within 1e-12 of sqrt(1+mu), where q0 is refused
+# x = 5e-7 against z up to 1: |s| is within 1e-12 of sqrt(1+mu), where the
+# s form refuses q0; the point's own (z, rho) has every digit of rho
 NEAR_AXIS = GridSpec(x_min=0.0, x_max=2e-6, z_min=0.0, z_max=1.0, nx=5, nz=4)
 
 
@@ -155,7 +156,7 @@ def scalar_cell(mu, quantity, sol, x, z):
         elif quantity == "W":
             value = math.sqrt(1.0 + mu) * z / R * (R / x) ** (1.0 + mu) if x > 0.0 else math.inf
         else:
-            value = harmonic.eval_V(sol, R, s)
+            value = eval_V_cartesian(sol, CartesianPoint(x, 0.0, z))
     except (SosError, OverflowError):
         return None
     return value if math.isfinite(value) else None
@@ -178,7 +179,35 @@ def test_grid_equals_scalar_path(spec, mu, quantity):
         else:
             assert abs(value - ref) <= REL * ref, (x, z, value, ref)
     if spec is NEAR_AXIS and quantity == "V":
-        assert any(v is None for x, _, v in cells if x > 0.0)
+        for x, z, value in cells:
+            if x > 0.0:
+                ref, scale = oracle("V", x, z, mu)
+                assert abs(value - ref) <= REL * scale, (x, z, value, ref)
+
+
+@pytest.mark.parametrize("mu", [2.0, 200.0])
+def test_second_kind_near_the_axis(mu):
+    # rho = 1e-4 against z = 0.9: r Q_1 = z q0 - r and q0 = atanh(z/r) keep
+    # every digit of rho, in the scalar sum and in the grid cell alike
+    b = (0.5, -1.0, 0.25, 0.7)
+    sol = HarmonicSolution(a=(), b=b, cfg=SystemConfig(mu=mu, R0=1.0))
+    x, z = 1e-4, 0.9
+    V = eval_V_cartesian(sol, CartesianPoint(x, 0.0, z))
+    spec = GridSpec(x_min=0.0, x_max=2e-4, z_min=0.0, z_max=1.8, nx=3, nz=3)
+    assert {(cx, cz): v for cx, cz, v in grid_values(sol.cfg, spec, "V", sol)}[(x, z)] == V
+    with mpmath.workdps(60):
+        ref = mpmath.fsum(bn * mp_solid(n, z, x, second_kind=True)[0] for n, bn in enumerate(b))
+        assert abs(V - ref) <= 1e-14 * abs(ref)
+
+
+def test_second_kind_where_z_over_rho_overflows():
+    # |z|/rho = 1e309 leaves the float range: the axis to float precision,
+    # refused by the scalar sum and an empty grid cell
+    sol = HarmonicSolution(a=(), b=(1.0,), cfg=SystemConfig(mu=2.0, R0=1.0))
+    with pytest.raises(PoleDivergenceError):
+        eval_V_cartesian(sol, CartesianPoint(1e-300, 0.0, 1e9))
+    spec = GridSpec(x_min=0.0, x_max=2e-300, z_min=0.0, z_max=2e9, nx=3, nz=3)
+    assert {(x, z): v for x, z, v in grid_values(sol.cfg, spec, "V", sol)}[(1e-300, 1e9)] is None
 
 
 @pytest.mark.parametrize("cells", [7, 40])

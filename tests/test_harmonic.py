@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from sosharmonics import legendre
+from sosharmonics import legendre, verify
 from sosharmonics.coords import CartesianPoint, SosPoint, SystemConfig, sos_to_cartesian
 from sosharmonics.errors import (
     PoleDivergenceError,
@@ -186,6 +186,14 @@ class TestLaplacian:
         sol = mode(CFG2, 1, kind="b")
         with pytest.raises(StencilOutOfDomainError):
             laplacian_residual_fd(sol, CartesianPoint(1e-2, 0.0, 0.5), 1e-2)
+
+    def test_harmonicity_checks_at_mu_200_full_level(self):
+        # the `verify --level full` parameters; near the axis V is summed at
+        # the point's own (z, rho), so the O(h^2) decay holds at large mu
+        checks = verify.harmonicity_checks(
+            SystemConfig(mu=200.0, R0=1.0), a_max=6, b_max=3, points_per_mode=20
+        )
+        assert all(c.passed for c in checks), [(c.name, c.max_residual) for c in checks]
 
 
 class TestSosFormWitness:

@@ -9,23 +9,25 @@ import random
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
 from sosharmonics import legendre
-from sosharmonics.coords import CartesianPoint, SystemConfig
+from sosharmonics.coords import CartesianPoint, SystemConfig, cartesian_R_s, cartesian_to_sos
 from sosharmonics.harmonic import (
     HarmonicSolution,
-    cartesian_R_s,
     eval_V,
+    eval_V_at,
     eval_V_cartesian,
     fit_boundary,
+    solid_V,
     sum_V,
 )
 from sosharmonics.legendre import eval_q, eval_q_derivs, ode_residual, value_derivs, values
 from sosharmonics.trig import s_limit
 
-from _oracles import forward_solid, mp_legendre, mp_potential
+from _oracles import forward_meridional, forward_solid, mp_legendre, mp_meridional, mp_potential, mp_solid
 
 MU_GRID = [0.0, 0.5, 2.0, 20.0]
 S_FRACS = [-0.999, -0.7, -0.31, 0.0, 0.05, 0.5, 0.93, 0.999]
@@ -111,6 +113,31 @@ def test_pure_degree_1000_mode_grows_the_step_table(monkeypatch):
     assert all(A[m] == (2.0 * m + 1.0) / (m + 1.0) and B[m] == m / (m + 1.0) for m in range(len(A)))
 
 
+def test_pure_degree_1000_mode_near_the_axis_at_any_mu():
+    # the solid step runs in the point's own (z, rho), so mu never enters:
+    # down to theta = 1e-4 from the axis, from Cartesian input and from the
+    # (R, nu) image of the same point, a_1000 is within 2e-11 of r^n of
+    # 60 digits at the exact point (P_1000's own float conditioning near
+    # z/r = 1 is about 1.3e-11)
+    n = 1000
+    cartesian = []
+    for mu in (0.0, 20.0, 1e4):
+        cfg = SystemConfig(mu=mu, R0=1.0)
+        sol = HarmonicSolution(a=[0.0] * n + [1.0], b=(), cfg=cfg)
+        V = []
+        for theta in (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 1.5):
+            c = CartesianPoint(0.999 * math.sin(theta), 0.0, 0.999 * math.cos(theta))
+            p = cartesian_to_sos(c, cfg)
+            with mpmath.workdps(60):
+                for got, (z, rho) in ((eval_V_cartesian(sol, c), (c.z, c.x)),
+                                      (eval_V_at(sol, p), mp_meridional(p.R, p.nu, mu))):
+                    ref, rn = mp_solid(n, z, rho)
+                    assert abs(got - ref) <= 2e-11 * rn, (mu, theta)
+            V.append(eval_V_cartesian(sol, c))
+        cartesian.append(V)
+    assert cartesian[0] == cartesian[1] == cartesian[2]
+
+
 def test_threads_growing_the_step_table_at_once(monkeypatch):
     # each thread must get tables long enough for its own degree, whichever
     # thread's tables end up shared
@@ -148,12 +175,18 @@ def test_clenshaw_sum_equals_the_forward_sum(mu):
     ss = np.array(S_FRACS) * s_limit(mu)
     rr = np.linspace(0.3, 1.2, len(ss))
     got = sum_V(sol, rr, ss)
+    # the s form, and the (z, rho) form at the (z, rho) of the same s
+    zz, rho = (rr * v for v in legendre.s_to_zrho(ss, mu))
+    got_zrho = solid_V(sol, zz, rho)
     for k, (s, r) in enumerate(zip(ss.tolist(), rr.tolist())):
-        p, q = forward_solid(40, s, mu, 5, r)
-        terms = [c * f for c, f in zip(a, p)] + [c * f for c, f in zip(b, q)]
-        scale = sum(abs(v) for v in terms)
-        assert abs(sum_V(sol, r, s) - math.fsum(terms)) <= 1e-14 * scale
+        z_k, rho_k = zz[k].item(), rho[k].item()
+        for V, (p, q) in ((sum_V(sol, r, s), forward_solid(40, s, mu, 5, r)),
+                          (solid_V(sol, z_k, rho_k), forward_meridional(40, z_k, rho_k, 5))):
+            terms = [c * f for c, f in zip(a, p)] + [c * f for c, f in zip(b, q)]
+            scale = sum(abs(v) for v in terms)
+            assert abs(V - math.fsum(terms)) <= 1e-14 * scale
         assert got[k] == sum_V(sol, r, s)
+        assert got_zrho[k] == solid_V(sol, z_k, rho_k)
 
 
 @pytest.mark.parametrize("mu", MU_GRID)
@@ -191,7 +224,9 @@ def test_fit_degree_60_chebyshev_nodes():
 @pytest.mark.parametrize("mu", [0.5, 2.0, 20.0, 200.0])
 def test_pure_modes_are_classical_solid_harmonics(mu, R0):
     # (R/R0)^n P_n(s) = (r/R0)^n P_n^cl(z/r) with r = sqrt(x^2 + z^2), for
-    # every mu; the classical side is numpy's Clenshaw sum, independent code
+    # every mu; the classical side is numpy's Clenshaw sum, independent code.
+    # The s-form sum at `cartesian_R_s` and the sum at the points' own
+    # (z, rho = x) both meet it
     rng = np.random.default_rng(40)
     r = R0 * rng.uniform(0.2, 1.5, 60)
     theta = rng.uniform(0.0, math.pi, 60)
@@ -203,6 +238,7 @@ def test_pure_modes_are_classical_solid_harmonics(mu, R0):
         radial = (r / R0) ** n
         classical = radial * np.polynomial.legendre.legval(z / r, [0.0] * n + [1.0])
         assert np.all(np.abs(sum_V(sol, R, s) - classical) <= 1e-11 * radial), n
+        assert np.all(np.abs(solid_V(sol, z, x) - classical) <= 1e-11 * radial), n
 
 
 @pytest.mark.parametrize("n, mu, x, z", [(300, 20.0, 0.01, 5.0), (120, 200.0, 0.5, 30.0)])
