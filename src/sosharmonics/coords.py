@@ -13,6 +13,14 @@ kind has one closed body, `closed_point` for (R, nu) and `cartesian_closed`
 for (x, y, z); each solves the closed inversion once, in log W
 (`trig.solve_logit`), and both share one h_nu/J tail.  The poles are a
 closed case of it; only `compute_W` refuses them.
+
+The point functions take floats or numpy arrays that broadcast together,
+with one body: a float runs on `math` with its exceptions, an array on
+numpy.  An array element may differ from its float call by a few ulp, and
+an array raises the exception (ValueError, OverflowError, ZeroDivisionError)
+that the float call of one of its elements raises.  The records
+(`SosPoint`, `CartesianPoint`, `MetricBundle`) hold floats, or arrays from
+the array kernels.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOriginError, PoleLimitError
-from .trig import _softplus, closed_trig, s_limit, solve_logit
+from .trig import _all, _any, _log, _quiet, _softplus, _where, _xp, closed_trig, s_limit, solve_logit
 
 _HALF_PI = math.pi / 2
 
@@ -57,9 +65,10 @@ class SosPoint:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.R > 0.0 and math.isfinite(self.R)):
+        R = self.R
+        if not _all((R > 0.0) & (R < math.inf)):
             raise ValueError("R must be finite and positive")
-        if not abs(self.nu) <= _HALF_PI:
+        if not _all(abs(self.nu) <= _HALF_PI):
             raise ValueError("nu must lie in [-pi/2, pi/2]")
 
 
@@ -81,16 +90,11 @@ class MetricBundle:
     jac_over_hnu2: float
 
 
-def _check_chart(R: float, nu: float) -> None:
-    if R <= 0.0:
+def _check_chart(R, nu) -> None:
+    if _any(R <= 0.0):
         raise ValueError("R must be positive")
-    if abs(nu) > _HALF_PI:
+    if _any(abs(nu) > _HALF_PI):
         raise ValueError("nu must lie in [-pi/2, pi/2]")
-
-
-def _log(v: float) -> float:
-    """math.log, with log 0 = -inf."""
-    return math.log(v) if v > 0.0 else -math.inf
 
 
 def compute_W(R: float, nu: float, cfg: SystemConfig) -> float:
@@ -121,21 +125,34 @@ def dW(R: float, nu: float, cfg: SystemConfig) -> tuple[float, float, float, flo
     return dw_dnu, dw_dR, d2w_dnu2, d2w_dR2
 
 
-def _metrics(R: float, s: float, f_C: float, h_R: float, sn: float, cs: float,
-             cfg: SystemConfig) -> MetricBundle:
-    """Metrics from |s|, f_C, h_R, sn = sin|nu| and cs = cos nu.
+def _metrics(R, s, f_C, h_R, sn, cs, cfg: SystemConfig) -> MetricBundle:
+    """Metrics from |s|, f_C, h_R, sn = sin|nu| and cs = cos nu, floats or arrays.
 
     (dW/dnu)/W = (1 + mu sn^2)/(sn cs) gives h_nu = R (1 + mu sn^2) f_C (s/sn)
     / ((1+mu) cs) and J = R h_nu f_C; s/sn is sqrt(1+mu) (R/R0)^mu on the
-    equator.  The pole cs = 0 has h_nu = R (R0/R)^(mu/(1+mu)) and J = 0.
+    equator.  The pole cs = 0 has h_nu = R (R0/R)^(mu/(1+mu)) and J = 0, and
+    f_C = 0 gives it zero ratios.  The float call raises OverflowError
+    where (R/R0)^mu overflows on the equator and ZeroDivisionError where h_nu
+    underflows; an array raises them for any such element.
     """
-    mu = cfg.mu
-    if cs == 0.0:
-        h_nu = R ** (1.0 / (1.0 + mu)) * cfg.R0 ** (mu / (1.0 + mu))
-        return MetricBundle(h_R=h_R, h_nu=h_nu, jacobian=0.0, jac_over_hR2=0.0, jac_over_hnu2=0.0)
-    s_over_sn = s / sn if sn > 0.0 else math.sqrt(1.0 + mu) * math.exp(mu * (math.log(R) - math.log(cfg.R0)))
-    h_nu = R * (1.0 + mu * sn * sn) * f_C * s_over_sn / ((1.0 + mu) * cs)
-    jac = R * h_nu * f_C
+    mu, e = cfg.mu, 1.0 + cfg.mu
+    pole, equator = cs == 0.0, sn == 0.0
+    if _any(equator):
+        xp = _xp(cs)
+        lift = xp.exp(_where(equator, mu * (xp.log(R) - math.log(cfg.R0)), 0.0))
+        if xp is np and np.isinf(lift).any():
+            raise OverflowError("math range error")
+        s_over_sn = _where(equator, math.sqrt(e) * lift, s / _where(equator, 1.0, sn))
+    else:
+        s_over_sn = s / sn
+    h_nu = R * (1.0 + mu * sn * sn) * f_C * s_over_sn / (e * _where(pole, 1.0, cs))
+    if _any(pole):  # R h_nu may overflow there, and J is 0
+        h_nu = _where(pole, R ** (1.0 / e) * cfg.R0 ** (mu / e), h_nu)
+        jac = _where(pole, 0.0, R * h_nu * f_C)
+    else:
+        jac = R * h_nu * f_C
+    if isinstance(h_nu, np.ndarray) and (h_nu == 0.0).any():
+        raise ZeroDivisionError("float division by zero")
     return MetricBundle(
         h_R=h_R,
         h_nu=h_nu,
@@ -145,22 +162,25 @@ def _metrics(R: float, s: float, f_C: float, h_R: float, sn: float, cs: float,
     )
 
 
-def closed_point(
-    R: float, nu: float, cfg: SystemConfig
-) -> tuple[float, float, MetricBundle, float]:
+def closed_point(R, nu, cfg: SystemConfig):
     """(s, f_C, metrics, log|W|) at R > 0, |nu| <= pi/2: the SOS point kernel.
 
     log|W| = mu (log R - log R0) - (1+mu) log cos nu + log sin|nu| is solved
     for the logit of t = s^2/(1+mu) (`trig.solve_logit`); it is +inf at the poles,
     which get s = +-sqrt(1+mu) and f_C = 0.  s is odd in nu, the rest even.
+    R and nu are floats, or arrays that broadcast together.
     """
     _check_chart(R, nu)
     mu = cfg.mu
-    sn = math.sin(abs(nu))
-    cs = math.cos(nu) if abs(nu) < _HALF_PI else 0.0  # cos(pi/2) rounds to 6e-17
-    log_w = mu * (math.log(R) - math.log(cfg.R0)) - (1.0 + mu) * _log(cs) + _log(sn)
-    h_R, f_C, s = closed_trig(solve_logit(log_w, mu), mu)
-    return (-s if nu < 0.0 else s), f_C, _metrics(R, s, f_C, h_R, sn, cs, cfg), log_w
+    xp = _xp(R + nu)
+    if xp is np:
+        R, nu = np.broadcast_arrays(R, nu)
+    with _quiet(xp is np):
+        sn = xp.sin(abs(nu))
+        cs = _where(abs(nu) < _HALF_PI, xp.cos(nu), 0.0)  # cos(pi/2) rounds to 6e-17
+        log_w = mu * (xp.log(R) - math.log(cfg.R0)) - (1.0 + mu) * _log(cs) + _log(sn)
+        h_R, f_C, s = closed_trig(solve_logit(log_w, mu), mu)
+        return _where(nu < 0.0, -s, s), f_C, _metrics(R, s, f_C, h_R, sn, cs, cfg), log_w
 
 
 def metrics_at(R: float, nu: float, cfg: SystemConfig) -> MetricBundle:
@@ -168,8 +188,9 @@ def metrics_at(R: float, nu: float, cfg: SystemConfig) -> MetricBundle:
     return closed_point(R, nu, cfg)[2]
 
 
-def meridional(R: float, nu: float, cfg: SystemConfig) -> tuple[float, float]:
-    """(z, rho) = (R s/(1+mu), R f_C/h_R) from `closed_point`, poles included."""
+def meridional(R, nu, cfg: SystemConfig):
+    """(z, rho) = (R s/(1+mu), R f_C/h_R) from `closed_point`, poles included;
+    floats or arrays."""
     s, f_C, mb, _ = closed_point(R, nu, cfg)
     return R * s / (1.0 + cfg.mu), R * f_C / mb.h_R
 
@@ -225,8 +246,8 @@ def cartesian_closed(x, y, z, mu: float):
     f_C = h_R rho/R, with t = s^2/(1+mu) and rho the axis distance.  The
     logit of t is x_t = log1p(mu) + 2 log(|z|/rho), and log|W| =
     ((1+mu) softplus(x_t) - softplus(-x_t))/2 forms neither W, nor (1+mu) z,
-    nor a log(R/rho) near 0 to be multiplied by 1+mu.  A float |z|/rho
-    beyond the normal range takes log|z| - log rho.  log|W| is -inf on the
+    nor a log(R/rho) near 0 to be multiplied by 1+mu.  A |z|/rho beyond the
+    normal range takes log|z| - log rho.  log|W| is -inf on the
     equator and +inf on the axis.  Floats or arrays, as `cartesian_R_s`.
     """
     R, s = cartesian_R_s(x, y, z, mu)
@@ -234,7 +255,9 @@ def cartesian_closed(x, y, z, mu: float):
     if isinstance(R, np.ndarray):
         rho = np.hypot(x, y)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # axis, equator, origin
-            x_t = math.log1p(mu) + 2.0 * np.log(abs(z) / rho)
+            r = abs(z) / rho
+            normal = (sys.float_info.min <= r) & (r < math.inf)
+            x_t = math.log1p(mu) + 2.0 * np.where(normal, np.log(r), np.log(abs(z)) - np.log(rho))
             log_w = 0.5 * (e * np.logaddexp(0.0, x_t) - np.logaddexp(0.0, -x_t))
         h_R = np.sqrt(e / (e + mu * s * s))
     else:
@@ -242,26 +265,39 @@ def cartesian_closed(x, y, z, mu: float):
         r = abs(z) / rho if rho > 0.0 else math.inf
         normal = sys.float_info.min <= r < math.inf
         x_t = math.log1p(mu) + 2.0 * (math.log(r) if normal else _log(abs(z)) - _log(rho))
-        log_w = 0.5 * (e * _softplus(x_t) - _softplus(-x_t))
+        sp, sp_neg = _softplus(x_t)
+        log_w = 0.5 * (e * sp - sp_neg)
         h_R = math.sqrt(e / (e + mu * s * s))
     return R, s, h_R, rho / R * h_R, log_w
 
 
-def _solve_nu(c: CartesianPoint, R: float, log_w: float, cfg: SystemConfig):
-    """(point, sin|nu|, cos nu): x = log tan^2 nu solves
-    x/2 + (mu/2) log(1 + e^x) = log W - mu (log R - log R0) (`trig.solve_logit`),
-    and sin^2 nu, cos^2 nu are the logistic function of x and of -x."""
-    mu = cfg.mu
-    x = solve_logit(log_w - mu * (math.log(R) - math.log(cfg.R0)), mu)
-    sn, cs = math.exp(-0.5 * _softplus(-x)), math.exp(-0.5 * _softplus(x))
-    p = SosPoint(R=R, nu=math.copysign(math.atan2(sn, cs), c.z), lam=math.atan2(c.y, c.x))
-    return p, sn, cs
+def _solve_nu(x, y, z, R, log_w, cfg: SystemConfig):
+    """(nu, lam, sin|nu|, cos nu), floats or arrays: t = log tan^2 nu solves
+    t/2 + (mu/2) log(1 + e^t) = log W - mu (log R - log R0) (`trig.solve_logit`),
+    and sin^2 nu, cos^2 nu are the logistic function of t and of -t."""
+    mu, xp = cfg.mu, _xp(log_w)
+    with _quiet(xp is np):
+        t = solve_logit(log_w - mu * (xp.log(R) - math.log(cfg.R0)), mu)
+        sp, sp_neg = _softplus(t)
+        sn, cs = xp.exp(-0.5 * sp_neg), xp.exp(-0.5 * sp)
+    atan2 = np.arctan2 if xp is np else math.atan2
+    return xp.copysign(atan2(sn, cs), z), atan2(y, x), sn, cs
+
+
+def cartesian_R_nu(x, y, z, cfg: SystemConfig):
+    """(R, nu, lam) of Cartesian points, floats or arrays that broadcast
+    together: the inverse transform, R and log|W| from `cartesian_closed`
+    and nu from one logit solve.  The origin raises DegenerateOriginError."""
+    with _quiet(isinstance(x + y + z, np.ndarray)):  # 0/0 at an origin, which R = 0 marks
+        R, _, _, _, log_w = cartesian_closed(x, y, z, cfg.mu)
+    if _any(R == 0.0):
+        raise DegenerateOriginError("the origin has no SOS image")
+    return (R, *_solve_nu(x, y, z, R, log_w, cfg)[:2])
 
 
 def cartesian_to_sos(c: CartesianPoint, cfg: SystemConfig) -> SosPoint:
-    """Inverse transform: `cartesian_point` without the metrics."""
-    R, _, _, _, log_w = cartesian_closed(c.x, c.y, c.z, cfg.mu)
-    return _solve_nu(c, R, log_w, cfg)[0]
+    """Inverse transform: `cartesian_R_nu` as a point."""
+    return SosPoint(*cartesian_R_nu(c.x, c.y, c.z, cfg))
 
 
 def cartesian_point(
@@ -271,5 +307,5 @@ def cartesian_point(
     and log|W| from `cartesian_closed`, nu, h_nu and J from one logit solve;
     no float nu is inverted.  The axis gets the closed pole metrics."""
     R, s, h_R, f_C, log_w = cartesian_closed(c.x, c.y, c.z, cfg.mu)
-    p, sn, cs = _solve_nu(c, R, log_w, cfg)
-    return p, s, f_C, _metrics(R, abs(s), f_C, h_R, sn, cs, cfg), log_w
+    nu, lam, sn, cs = _solve_nu(c.x, c.y, c.z, R, log_w, cfg)
+    return SosPoint(R, nu, lam), s, f_C, _metrics(R, abs(s), f_C, h_R, sn, cs, cfg), log_w

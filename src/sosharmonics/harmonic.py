@@ -14,6 +14,13 @@ Degrees are dense 0..N.  Coefficients multiply the dimensionless (R/R0)^n,
 in memory and in the JSON coefficient file alike ({"mu", "R0", "convention":
 "R_over_R0", "a", "b"}); the radial factor rides inside the recursion, so a
 term is finite wherever it is representable.
+
+The point entries (`s_at_point`, `eval_V_at`, `eval_V_cartesian`,
+`fd_stencil` and its `laplacian_residual_fd`) take floats or arrays, a point
+record of arrays included.  `eval_V_cartesian` and the stencil give each
+element the bits of its float call; the (R, nu) entries go through the
+array kernel of `coords`, whose elements may differ from their float calls
+by a few ulp.  Arrays raise the exceptions of their elements' float calls.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .errors import (
     RankDeficientError,
     StencilOutOfDomainError,
 )
-from .trig import s_limit
+from .trig import _all, _any, s_limit
 
 FILE_CONVENTION = "R_over_R0"
 
@@ -89,8 +96,8 @@ def separation_check(K_d: float) -> float:
     return K_d * (K_d - 2.0)
 
 
-def s_at_point(R: float, nu: float, cfg: SystemConfig) -> float:
-    """Signed s at (R, nu), the poles included (`closed_point`)."""
+def s_at_point(R, nu, cfg: SystemConfig):
+    """Signed s at (R, nu), the poles included (`closed_point`); floats or arrays."""
     return closed_point(R, nu, cfg)[0]
 
 
@@ -131,45 +138,65 @@ def solid_V(sol: HarmonicSolution, z, rho):
     return legendre.solid_sum(a, b, z, z * z + rho * rho, legendre.q0_meridional(z, rho) if b else None)
 
 
-def eval_V_at(sol: HarmonicSolution, p: SosPoint) -> float:
-    """Potential at an SOS point, at its closed (z, rho) (`coords.meridional`)."""
+def eval_V_at(sol: HarmonicSolution, p: SosPoint):
+    """Potential at an SOS point (of floats or arrays), at its closed (z, rho)
+    (`coords.meridional`)."""
     return solid_V(sol, *meridional(p.R, p.nu, sol.cfg))
 
 
-def eval_V_cartesian(sol: HarmonicSolution, c: CartesianPoint) -> float:
-    """Potential at a Cartesian point, at z and rho = hypot(x, y)."""
-    rho = math.hypot(c.x, c.y)
-    if not (math.isfinite(rho) and math.isfinite(c.z)):
+_HYPOT = np.frompyfunc(math.hypot, 2, 1)
+
+
+def eval_V_cartesian(sol: HarmonicSolution, c: CartesianPoint):
+    """Potential at a Cartesian point (of floats or arrays), at z and
+    rho = hypot(x, y).  An array takes math.hypot per element (numpy's hypot
+    rounds differently), so each element has the bits of its float call."""
+    array = isinstance(c.x + c.y + c.z, np.ndarray)
+    rho = np.asarray(_HYPOT(c.x, c.y), dtype=float) if array else math.hypot(c.x, c.y)
+    if not _all((abs(rho) < math.inf) & (abs(c.z) < math.inf)):
         raise ValueError("x, y and z must be finite")
-    if rho == 0.0 and c.z == 0.0:
+    if _any((rho == 0.0) & (c.z == 0.0)):
         raise DegenerateOriginError("the origin has no SOS image")
     return solid_V(sol, c.z, rho)
 
 
-def laplacian_residual_fd(sol: HarmonicSolution, c: CartesianPoint, h: float) -> float:
-    """7-point central finite-difference Laplacian at c with step h.
+_STENCIL = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                     (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
+
+
+def fd_stencil(sol: HarmonicSolution, c: CartesianPoint, h: float) -> np.ndarray:
+    """V at c and at c + h (x, -x, y, -y, z, -z), stacked as 7 rows over the
+    shape of c's fields, from one `eval_V_cartesian` call; a stencil arm on
+    the axis or at the origin raises StencilOutOfDomainError."""
+    if h <= 0.0:
+        raise ValueError("h must be positive")
+    arms = [np.add.outer(h * _STENCIL[:, k], v) for k, v in enumerate((c.x, c.y, c.z))]
+    try:
+        V = eval_V_cartesian(sol, CartesianPoint(*arms))
+    except (DegenerateOriginError, PoleDivergenceError) as exc:
+        raise StencilOutOfDomainError(str(exc)) from exc
+    # `solid_sum` of a constant expansion is a float
+    return V if np.ndim(V) else np.full(np.broadcast_shapes(*(a.shape for a in arms)), V)
+
+
+def fd_laplacian(v, h: float):
+    """The 7-point central Laplacian of `fd_stencil` values v at step h."""
+    acc = 0.0
+    for arm in v[1:]:
+        acc = acc + arm
+    return (acc - 6.0 * v[0]) / (h * h)
+
+
+def laplacian_residual_fd(sol: HarmonicSolution, c: CartesianPoint, h: float):
+    """7-point central finite-difference Laplacian at c (floats or arrays)
+    with step h (`fd_stencil`, `fd_laplacian`).
 
     Entirely independent of the SOS-form metric factors: the stencil works in
     Cartesian coordinates and each value is summed at its own z and rho.
     For a true solution the result converges to 0 as O(h^2).
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    try:
-        v0 = eval_V_cartesian(sol, c)
-        acc = 0.0
-        for dx, dy, dz in (
-            (h, 0.0, 0.0),
-            (-h, 0.0, 0.0),
-            (0.0, h, 0.0),
-            (0.0, -h, 0.0),
-            (0.0, 0.0, h),
-            (0.0, 0.0, -h),
-        ):
-            acc += eval_V_cartesian(sol, CartesianPoint(c.x + dx, c.y + dy, c.z + dz))
-    except (DegenerateOriginError, PoleDivergenceError) as exc:
-        raise StencilOutOfDomainError(str(exc)) from exc
-    return (acc - 6.0 * v0) / (h * h)
+    res = fd_laplacian(fd_stencil(sol, c, h), h)
+    return res if res.ndim else float(res)
 
 
 def laplacian_residual_sos(sol: HarmonicSolution, p: SosPoint, h: float) -> float:

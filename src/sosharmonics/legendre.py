@@ -12,8 +12,8 @@ sum that does not cancel near the axis.  `solid_values` gives the basis and
 `solid_sum` a whole expansion (Clenshaw); `q0` forms z and rho from s
 (`s_to_zrho`), which near the axis has already lost the digits of rho.
 The damped step in s stays only where it certifies the paper's objects:
-`values`/`eval_q` with `value_derivs`/`eval_q_derivs` (the ODE residual;
-the two share their bits) and the power-basis witness `p_poly`/`t_poly`
+`values`/`eval_q` with `value_derivs`/`q_derivs` (the ODE residual; the
+two share their bits) and the power-basis witness `p_poly`/`t_poly`
 (entry j multiplies s^j), checked against closed reference forms for n <= 6.
 """
 
@@ -51,6 +51,11 @@ _STEPS: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
 _step_tables(64)
 
 
+def _sqrt(s):
+    """np.sqrt for an array s, math.sqrt for a float."""
+    return np.sqrt if isinstance(s, np.ndarray) else math.sqrt
+
+
 def s_to_zrho(s, mu: float):
     """(z, rho) = (s/(1+mu), sqrt(((1+mu) - s^2)/(1+mu))) at R = R0 and
     argument s, floats or numpy arrays; an s in the pole band raises
@@ -58,7 +63,7 @@ def s_to_zrho(s, mu: float):
     digits of rho, so the s entry points gain nothing there."""
     _check_q_domain(s, mu)
     e = 1.0 + mu
-    return s / e, (np.sqrt if isinstance(s, np.ndarray) else math.sqrt)((e - s * s) / e)
+    return s / e, _sqrt(s)((e - s * s) / e)
 
 
 def solid_values(N: int, z, rho, second_kind: bool = False) -> tuple[list, list]:
@@ -103,7 +108,7 @@ def values(N: int, s, mu: float, second_kind: bool = False) -> tuple[list, list]
     if not second_kind:
         return p, []
     q0_s = q0(s, mu)
-    g = (np.sqrt if isinstance(s, np.ndarray) else math.sqrt)((1.0 + mu) ** 2 - mu * s * s)
+    g = _sqrt(s)((1.0 + mu) ** 2 - mu * s * s)
     return p, [pn * q0_s - tn * g for pn, tn in zip(p, t)]
 
 
@@ -163,9 +168,10 @@ def q0_meridional(z, rho):
     return math.copysign(q, z), r
 
 
-def value_derivs(N: int, s: float, mu: float) -> tuple[list, list]:
+def value_derivs(N: int, s, mu: float) -> tuple[list, list]:
     """(F, F', F'') triples of P_0..P_N and of T_0..T_N at s, by the paper's
-    damped step in s differentiated once and twice."""
+    damped step in s differentiated once and twice; s is a float or an
+    array, whose elements have the bits of the float run."""
     if N < 0:
         raise ValueError("degree must be non-negative")
     e = 1.0 + mu
@@ -232,19 +238,19 @@ def q0(s, mu: float):
     return q0_meridional(*s_to_zrho(s, mu))[0]
 
 
-def dq0_ds(s: float, mu: float) -> float:
+def dq0_ds(s, mu: float):
     """First derivative of q0: (1+mu)/(((1+mu)-s^2) sqrt((1+mu)^2 - mu s^2))."""
     _check_q_domain(s, mu)
-    g = math.sqrt((1.0 + mu) ** 2 - mu * s * s)
+    g = _sqrt(s)((1.0 + mu) ** 2 - mu * s * s)
     return (1.0 + mu) / (((1.0 + mu) - s * s) * g)
 
 
-def d2q0_ds2(s: float, mu: float) -> float:
+def d2q0_ds2(s, mu: float):
     """Second derivative of q0."""
     _check_q_domain(s, mu)
     g2 = (1.0 + mu) ** 2 - mu * s * s
     num = (1.0 + mu) * s * ((3.0 * mu + 2.0) * (1.0 + mu) - 3.0 * mu * s * s)
-    return num / (((1.0 + mu) - s * s) ** 2 * g2 * math.sqrt(g2))
+    return num / (((1.0 + mu) - s * s) ** 2 * g2 * _sqrt(s)(g2))
 
 
 def eval_q(n: int, s: float, mu: float) -> float:
@@ -252,21 +258,33 @@ def eval_q(n: int, s: float, mu: float) -> float:
     return values(n, s, mu, True)[1][n]
 
 
-def eval_q_derivs(n: int, s: float, mu: float) -> tuple[float, float, float]:
-    """(Q_n, Q_n', Q_n'') by the product rule with analytic q0 derivatives."""
+def q_derivs(N: int, s, mu: float) -> tuple[list, list]:
+    """((F, F', F'') of P_0..P_N, (F, F', F'') of Q_0..Q_N) at s, floats or
+    arrays with the bits of the floats: one `value_derivs` run, each Q_n
+    from its P_n and T_n triples by the product rule with analytic q0
+    derivatives.  An s in the pole band raises PoleDivergenceError."""
     # q0 first: it refuses an s in the pole band before g is formed
     q = q0(s, mu)
     dq = dq0_ds(s, mu)
     d2q = d2q0_ds2(s, mu)
-    (P, dP, d2P), (T, dT, d2T) = (f[n] for f in value_derivs(n, s, mu))
+    p, t = value_derivs(N, s, mu)
     g2 = (1.0 + mu) ** 2 - mu * s * s
-    g = math.sqrt(g2)
+    g = _sqrt(s)(g2)
     dg = -mu * s / g
     d2g = -mu / g - mu * mu * s * s / (g2 * g)
-    Q = P * q - T * g
-    dQ = dP * q + P * dq - dT * g - T * dg
-    d2Q = d2P * q + 2.0 * dP * dq + P * d2q - d2T * g - 2.0 * dT * dg - T * d2g
-    return Q, dQ, d2Q
+    return p, [
+        (
+            P * q - T * g,
+            dP * q + P * dq - dT * g - T * dg,
+            d2P * q + 2.0 * dP * dq + P * d2q - d2T * g - 2.0 * dT * dg - T * d2g,
+        )
+        for (P, dP, d2P), (T, dT, d2T) in zip(p, t)
+    ]
+
+
+def eval_q_derivs(n: int, s: float, mu: float) -> tuple[float, float, float]:
+    """(Q_n, Q_n', Q_n'') from `q_derivs`."""
+    return q_derivs(n, s, mu)[1][n]
 
 
 def ode_residual(

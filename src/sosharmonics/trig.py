@@ -12,12 +12,20 @@ Every member of the bundle follows from its one root, which `solve_logit`
 finds in log space for every W, the border band included.  The Polya-Szego
 series bundle `trig_from_W` (and its list form `trig_from_W_many`) is kept
 as the witness that `verify` checks the closed forms against.
+
+The closed kernel (`solve_logit`, `closed_trig`, `trig_from_W_robust`) takes
+floats or numpy arrays with one body: a float runs on `math`, an array on
+numpy, so an array element may differ from its float call by a few ulp, and
+an array raises the exceptions its elements' float calls raise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NearBorderError, PoleLimitError
 from .series import (
@@ -40,16 +48,55 @@ class TrigBundle:
     mu: float
 
 
+_FLOAT = contextlib.nullcontext()
+
+
+def _xp(v):
+    """numpy for an array, math for a float."""
+    return np if isinstance(v, np.ndarray) else math
+
+
+def _quiet(array: bool):
+    """numpy's floating-point warnings off for an array: each array kernel
+    raises the float calls' exceptions itself."""
+    return np.errstate(all="ignore") if array else _FLOAT
+
+
+def _any(c) -> bool:
+    """c, or any element of an array c."""
+    return bool(c.any()) if isinstance(c, np.ndarray) else c
+
+
+def _all(c) -> bool:
+    """c, or every element of an array c."""
+    return bool(c.all()) if isinstance(c, np.ndarray) else c
+
+
+def _where(c, a, b):
+    """a where c holds, else b: `np.where` for an array c."""
+    if isinstance(c, np.ndarray):
+        return np.where(c, a, b)
+    return a if c else b
+
+
+def _log(v):
+    """log, with log 0 = -inf; floats, or arrays under `_quiet`."""
+    if isinstance(v, np.ndarray):
+        return np.log(v)
+    return math.log(v) if v > 0.0 else -math.inf
+
+
 def s_limit(mu: float) -> float:
     """Upper limit sqrt(1+mu) of s, attained on the rotation axis."""
     return math.sqrt(1.0 + mu)
 
 
-def s_on_reference(nu: float, mu: float) -> float:
-    """Closed form of s on the reference spheroid: sqrt(1+mu) * sin(nu)."""
-    if abs(nu) > math.pi / 2:
+def s_on_reference(nu, mu: float):
+    """Closed form of s on the reference spheroid: sqrt(1+mu) * sin(nu);
+    floats or arrays."""
+    if _any(abs(nu) > math.pi / 2):
         raise ValueError("nu must lie in [-pi/2, pi/2]")
-    return math.sqrt(1.0 + mu) * math.sin(nu)
+    return math.sqrt(1.0 + mu) * _xp(nu).sin(nu)
 
 
 def w_from_s(s: float, mu: float) -> float:
@@ -63,43 +110,55 @@ def w_from_s(s: float, mu: float) -> float:
     return math.sqrt(t) * (1.0 - t) ** (-(1.0 + mu) / 2.0)
 
 
-def _softplus(x: float) -> float:
-    """log(1 + e^x) without overflow or cancellation."""
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+def _softplus(x):
+    """(softplus(x), softplus(-x)), softplus(x) = log(1 + e^x), without
+    overflow or cancellation; floats or arrays.  The two share
+    log1p(e^-|x|)."""
+    if isinstance(x, np.ndarray):
+        tail = np.log1p(np.exp(-abs(x)))
+        return np.maximum(x, 0.0) + tail, np.maximum(-x, 0.0) + tail
+    tail = math.log1p(math.exp(-abs(x)))
+    return max(x, 0.0) + tail, max(-x, 0.0) + tail
 
 
-def solve_logit(log_w: float, mu: float) -> float:
-    """Logit x = log(t/(1-t)) of t = s^2/(1+mu) at W = exp(log_w).
+def solve_logit(log_w, mu: float):
+    """Logit x = log(t/(1-t)) of t = s^2/(1+mu) at W = exp(log_w), floats or arrays.
 
     In x the closed inversion reads F(x) = x/2 + (mu/2) log(1 + e^x) = log W.
     F is convex and increasing, and F(x) >= x/2, F(x) >= (1+mu) x/2 put the
     seed min(2 log W, 2 log W/(1+mu)) right of the root, so plain Newton
-    descends monotonically; it stops when rounding stalls the descent.
+    descends monotonically; it stops when rounding stalls the descent, and
+    an array element stops where its own descent stalls.
     log W = -inf gives x = -inf (the equator), +inf gives +inf (the axis).
     """
-    x = min(2.0 * log_w, 2.0 * log_w / (1.0 + mu))
-    while True:
-        # F'(x) = (1 + mu t)/2 with t = exp(-softplus(-x))
-        step = (0.5 * x + 0.5 * mu * _softplus(x) - log_w) / (
-            0.5 + 0.5 * mu * math.exp(-_softplus(-x))
-        )
-        if not x - step < x:
-            return x
-        x -= step
+    array = isinstance(log_w, np.ndarray)
+    exp, half_mu = np.exp if array else math.exp, 0.5 * mu
+    x = (np.minimum if array else min)(2.0 * log_w, 2.0 * log_w / (1.0 + mu))
+    with _quiet(array):  # inf - inf at the equator and the axis
+        while True:
+            # F'(x) = (1 + mu t)/2 with t = exp(-softplus(-x))
+            sp, sp_neg = _softplus(x)
+            nxt = x - (0.5 * x + half_mu * sp - log_w) / (0.5 + half_mu * exp(-sp_neg))
+            descends = nxt < x  # False where rounding stalls, and at +-inf
+            if not (descends.any() if array else descends):
+                return x
+            x = np.where(descends, nxt, x) if array else nxt
 
 
-def closed_trig(x: float, mu: float) -> tuple[float, float, float]:
-    """(h_R, f_C, s) at logit x.
+def closed_trig(x, mu: float):
+    """(h_R, f_C, s) at logit x, floats or arrays.
 
     h_R = (1 + mu t)^(-1/2), f_C = sqrt((1-t)/(1 + mu t)) and
     s = sqrt((1+mu) t), taken from log t = -softplus(-x) and
     log(1-t) = -softplus(x), so without cancellation at the equator or the
     axis.
     """
-    log_t = -_softplus(-x)
-    h_R = 1.0 / math.sqrt(1.0 + mu * math.exp(log_t))
-    f_C = math.exp(-0.5 * _softplus(x)) * h_R
-    s = math.sqrt(1.0 + mu) * math.exp(0.5 * log_t)
+    xp = _xp(x)
+    sp, sp_neg = _softplus(x)
+    log_t = -sp_neg
+    h_R = 1.0 / xp.sqrt(1.0 + mu * xp.exp(log_t))
+    f_C = xp.exp(-0.5 * sp) * h_R
+    s = math.sqrt(1.0 + mu) * xp.exp(0.5 * log_t)
     return h_R, f_C, s
 
 
@@ -143,12 +202,13 @@ def trig_from_W_many(Ws, mu: float) -> list[TrigBundle]:
     return out
 
 
-def trig_from_W_robust(W: float, mu: float) -> TrigBundle:
-    """Series-free bundle from the closed inversion, for every W >= 0."""
-    if W < 0:
+def trig_from_W_robust(W, mu: float) -> TrigBundle:
+    """Series-free bundle from the closed inversion, for every W >= 0; W is
+    a float or an array, and every field of the bundle has its type."""
+    if _any(W < 0):
         raise ValueError("W must be non-negative")
-    x = solve_logit(math.log(W) if W > 0.0 else -math.inf, mu)
-    h_R, f_C, s = closed_trig(x, mu)
+    with _quiet(isinstance(W, np.ndarray)):  # log 0
+        h_R, f_C, s = closed_trig(solve_logit(_log(W), mu), mu)
     return TrigBundle(W=W, h_R=h_R, f_S=s * h_R, f_C=f_C, s=s, mu=mu)
 
 

@@ -1,0 +1,189 @@
+"""The point kernels on numpy arrays against their float calls, and the
+verify suites that evaluate each sample set in one array pass."""
+
+import itertools
+import math
+import random
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+
+from sosharmonics import legendre
+from sosharmonics.coords import (
+    CartesianPoint,
+    SosPoint,
+    SystemConfig,
+    cartesian_R_nu,
+    cartesian_to_sos,
+    closed_point,
+    meridional,
+    metrics_at,
+)
+from sosharmonics.harmonic import (
+    HarmonicSolution,
+    eval_V_at,
+    eval_V_cartesian,
+    fd_stencil,
+    laplacian_residual_fd,
+)
+from sosharmonics.trig import s_limit, solve_logit, trig_from_W_robust
+from sosharmonics.verify import _shell_point, anchor_checks, ode_checks
+
+MUS = (0.0, 0.5, 2.0, 20.0, 200.0, 1000.0)
+R_OVER_R0 = (0.5, 1.0, 2.2)
+NUS = tuple(sign * v for v in (0.0, 1e-12, 1e-6, 0.7, 1.5707963, math.pi / 2) for sign in (1.0, -1.0))
+REL = 2e-15
+
+
+def _agrees(got, want) -> bool:
+    """got within REL relative of want; equal where want is 0 or infinite."""
+    return got == want or abs(got - want) <= REL * abs(want)
+
+
+def _grid(mu):
+    """The (R, nu) grid points whose float call returns, with its results."""
+    cfg = SystemConfig(mu=mu)
+    points, floats = [], []
+    for R, nu in itertools.product(R_OVER_R0, NUS):
+        try:
+            s, f_C, mb, log_w = closed_point(R, nu, cfg)
+        except ArithmeticError:
+            continue
+        points.append((R, nu))
+        floats.append((s, f_C, *astuple(mb), log_w, *meridional(R, nu, cfg)))
+    R, nu = np.array(points).T
+    return cfg, R, nu, floats
+
+
+@pytest.mark.parametrize("mu", MUS)
+def test_closed_point_and_meridional_agree_with_float_calls(mu):
+    cfg, R, nu, floats = _grid(mu)
+    s, f_C, mb, log_w = closed_point(R, nu, cfg)
+    arrays = np.array([s, f_C, *astuple(mb), log_w, *meridional(R, nu, cfg)]).T
+    for got, want in zip(arrays.tolist(), floats):
+        assert all(_agrees(g, w) for g, w in zip(got, want)), (got, want)
+
+
+@pytest.mark.parametrize("mu", MUS)
+def test_array_inverse_agrees_with_float_calls(mu):
+    cfg, R, nu, _ = _grid(mu)
+    z, rho = meridional(R, nu, cfg)
+    x, y = rho * math.cos(0.3), rho * math.sin(0.3)
+    arrays = np.array(cartesian_R_nu(x, y, z, cfg)).T
+    for got, point in zip(arrays.tolist(), zip(x.tolist(), y.tolist(), z.tolist())):
+        want = cartesian_R_nu(*point, cfg)
+        assert astuple(cartesian_to_sos(CartesianPoint(*point), cfg)) == want
+        assert all(_agrees(g, w) for g, w in zip(got, want)), (got, want)
+
+
+@pytest.mark.parametrize("mu", MUS)
+def test_trig_from_W_robust_agrees_with_float_calls(mu):
+    W = np.array([0.0, 1e-300, 1e-8, 0.3, 1.0, 5.0, 1e10, 1e300])
+    tb = trig_from_W_robust(W, mu)
+    for k, w in enumerate(W.tolist()):
+        want = trig_from_W_robust(w, mu)
+        for f in ("h_R", "f_S", "f_C", "s"):
+            assert _agrees(float(getattr(tb, f)[k]), getattr(want, f)), (w, f)
+    assert np.array_equal(solve_logit(np.array([-math.inf, math.inf]), mu), [-math.inf, math.inf])
+
+
+@pytest.mark.parametrize("mu", MUS)
+def test_poles_and_equator_keep_their_closed_values(mu):
+    cfg, lim = SystemConfig(mu=mu), s_limit(mu)
+    R = np.array([0.5, 2.2, 1.0, 1.0])
+    nu = np.array([math.pi / 2, -math.pi / 2, 0.0, -0.0])
+    s, f_C, mb, log_w = closed_point(R, nu, cfg)
+    assert s.tolist() == [lim, -lim, 0.0, 0.0]
+    assert f_C.tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert mb.h_R.tolist()[2:] == [1.0, 1.0]
+    assert mb.jacobian.tolist()[:2] == mb.jac_over_hR2.tolist()[:2] == mb.jac_over_hnu2.tolist()[:2] == [0.0, 0.0]
+    assert log_w.tolist() == [math.inf, math.inf, -math.inf, -math.inf]
+    z, rho = meridional(R, nu, cfg)
+    assert rho.tolist()[:2] == [0.0, 0.0]
+    assert z.tolist()[2:] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("R, nu", [(2.2, 0.0), (0.2733, 0.8708)])
+def test_an_array_raises_where_its_float_call_raises(R, nu):
+    """At mu = 1000, (R/R0)^mu overflows on the equator at R = 2.2, and
+    h_nu underflows at (0.2733, 0.8708)."""
+    cfg = SystemConfig(mu=1000.0)
+    with pytest.raises(ArithmeticError):
+        closed_point(R, nu, cfg)
+    for call in (closed_point, meridional, metrics_at):
+        with pytest.raises(ArithmeticError):
+            call(np.array([1.0, R]), np.array([0.7, nu]), cfg)
+
+
+def test_an_array_outside_the_chart_raises_value_error():
+    cfg = SystemConfig(mu=2.0)
+    for R, nu in ((np.array([1.0, 0.0]), 0.3), (np.array([1.0, -1.0]), 0.3), (1.0, np.array([0.3, 1.6]))):
+        with pytest.raises(ValueError):
+            closed_point(R, nu, cfg)
+    with pytest.raises(ValueError):
+        trig_from_W_robust(np.array([0.3, -1.0]), 2.0)
+
+
+@pytest.mark.parametrize("mu", [2.0, 200.0])
+def test_eval_V_at_arrays_is_elementwise(mu):
+    cfg = SystemConfig(mu=mu, R0=1.0)
+    sol = HarmonicSolution(a=(0.5, -1.0, 0.25, 0.7), b=(0.2, -0.6), cfg=cfg)
+    R, nu = np.array([0.4, 1.0, 1.7]), np.array([-1.2, 0.3, 1.5])
+    V = eval_V_at(sol, SosPoint(R, nu))
+    for k in range(3):
+        assert _agrees(float(V[k]), eval_V_at(sol, SosPoint(float(R[k]), float(nu[k]))))
+
+
+def _float_stencil(sol, c, h):
+    """The 7-point Laplacian and the central gradient at one float point, one
+    `eval_V_cartesian` call per stencil value."""
+    V = lambda dx, dy, dz: eval_V_cartesian(sol, CartesianPoint(c.x + dx, c.y + dy, c.z + dz))
+    v0 = eval_V_cartesian(sol, c)
+    arms = [V(h, 0.0, 0.0), V(-h, 0.0, 0.0), V(0.0, h, 0.0), V(0.0, -h, 0.0), V(0.0, 0.0, h), V(0.0, 0.0, -h)]
+    acc = 0.0
+    for v in arms:
+        acc += v
+    grad = math.hypot(*((arms[k] - arms[k + 1]) / (2.0 * h) for k in (0, 2, 4)))
+    return (acc - 6.0 * v0) / (h * h), grad
+
+
+@pytest.mark.parametrize("mu", [2.0, 200.0])
+@pytest.mark.parametrize("kind, n", [("a", 0), ("a", 3), ("a", 6), ("b", 0), ("b", 2)])
+def test_array_stencil_has_the_bits_of_float_calls(mu, kind, n):
+    cfg = SystemConfig(mu=mu, R0=1.0)
+    coeffs = tuple(1.0 if i == n else 0.0 for i in range(n + 1))
+    sol = HarmonicSolution(a=coeffs if kind == "a" else (), b=coeffs if kind == "b" else (), cfg=cfg)
+    rng = random.Random(5)
+    shell = [_shell_point(rng, cfg, 0.9 if kind == "b" else None) for _ in range(40)]
+    c = CartesianPoint(*np.array([(p.x, p.y, p.z) for p in shell]).T)
+    for h in (1e-2, 5e-3):
+        lap = laplacian_residual_fd(sol, c, h)
+        v = fd_stencil(sol, c, h)
+        central = (v[1::2] - v[2::2]) / (2.0 * h)
+        for k, p in enumerate(shell):
+            want_lap, want_grad = _float_stencil(sol, p, h)
+            assert lap[k] == want_lap == laplacian_residual_fd(sol, p, h)
+            assert math.hypot(*central[:, k].tolist()) == want_grad
+
+
+@pytest.mark.parametrize("mu", [0.0, 2.0, 200.0])
+def test_ode_checks_keep_the_bits_of_per_degree_calls(mu):
+    n_max, n_s = 10, 50
+    worst_p = worst_q = 0.0
+    for s in (np.linspace(0.05, 0.95, n_s) * s_limit(mu)).tolist():
+        p, _ = legendre.value_derivs(n_max, s, mu)
+        for n, (F, dF, d2F) in enumerate(p):
+            res = legendre.ode_residual(F, dF, d2F, s, n, mu)
+            worst_p = max(worst_p, abs(res) / (1.0 + abs(F) + abs(dF) + abs(d2F)))
+            Q, dQ, d2Q = legendre.eval_q_derivs(n, s, mu)
+            res = legendre.ode_residual(Q, dQ, d2Q, s, n, mu)
+            worst_q = max(worst_q, abs(res) / (1.0 + abs(Q) + abs(dQ) + abs(d2Q)))
+    assert [c.max_residual for c in ode_checks(mu, n_max, n_s)] == [worst_p, worst_q]
+
+
+@pytest.mark.parametrize("mu", [0.0, 2.0, 200.0])
+def test_anchor_endpoints_at_a_solar_R0(mu):
+    """The pole's position is compared in units of R0: at R0 = 6.957e8 one
+    ulp of its z is about 6e-8, which an absolute 1e-12 cannot hold."""
+    assert all(c.passed for c in anchor_checks(SystemConfig(mu=mu, R0=6.957e8)))
