@@ -129,20 +129,23 @@ def _metrics(R, s, f_C, h_R, sn, cs, cfg: SystemConfig) -> MetricBundle:
     """Metrics from |s|, f_C, h_R, sn = sin|nu| and cs = cos nu, floats or arrays.
 
     (dW/dnu)/W = (1 + mu sn^2)/(sn cs) gives h_nu = R (1 + mu sn^2) f_C (s/sn)
-    / ((1+mu) cs) and J = R h_nu f_C; s/sn is sqrt(1+mu) (R/R0)^mu on the
-    equator.  The pole cs = 0 has h_nu = R (R0/R)^(mu/(1+mu)) and J = 0, and
-    f_C = 0 gives it zero ratios.  The float call raises OverflowError
-    where (R/R0)^mu overflows on the equator and ZeroDivisionError where h_nu
-    underflows; an array raises them for any such element.
+    / ((1+mu) cs) and J = R h_nu f_C.  Where s is below the normal range
+    (the equator, or an s whose digits underflowed) s/sn is its limit
+    sqrt(1+mu) (R/R0)^mu / cs^(1+mu), as W = s/sqrt(1+mu) there.  The pole
+    cs = 0 has h_nu = R (R0/R)^(mu/(1+mu)) and J = 0, and f_C = 0 gives it
+    zero ratios.  The float call raises OverflowError where that limit
+    overflows and ZeroDivisionError where h_nu underflows; an array raises
+    them for any such element.
     """
     mu, e = cfg.mu, 1.0 + cfg.mu
-    pole, equator = cs == 0.0, sn == 0.0
-    if _any(equator):
+    pole, tiny = cs == 0.0, s < sys.float_info.min
+    if _any(tiny):
         xp = _xp(cs)
-        lift = xp.exp(_where(equator, mu * (xp.log(R) - math.log(cfg.R0)), 0.0))
+        log_lift = mu * (xp.log(R) - math.log(cfg.R0)) - e * xp.log(_where(tiny, cs, 1.0))
+        lift = xp.exp(_where(tiny, log_lift, 0.0))
         if xp is np and np.isinf(lift).any():
             raise OverflowError("math range error")
-        s_over_sn = _where(equator, math.sqrt(e) * lift, s / _where(equator, 1.0, sn))
+        s_over_sn = _where(tiny, math.sqrt(e) * lift, s / _where(tiny, 1.0, sn))
     else:
         s_over_sn = s / sn
     h_nu = R * (1.0 + mu * sn * sn) * f_C * s_over_sn / (e * _where(pole, 1.0, cs))

@@ -172,11 +172,9 @@ def fd_stencil(sol: HarmonicSolution, c: CartesianPoint, h: float) -> np.ndarray
         raise ValueError("h must be positive")
     arms = [np.add.outer(h * _STENCIL[:, k], v) for k, v in enumerate((c.x, c.y, c.z))]
     try:
-        V = eval_V_cartesian(sol, CartesianPoint(*arms))
+        return eval_V_cartesian(sol, CartesianPoint(*arms))
     except (DegenerateOriginError, PoleDivergenceError) as exc:
         raise StencilOutOfDomainError(str(exc)) from exc
-    # `solid_sum` of a constant expansion is a float
-    return V if np.ndim(V) else np.full(np.broadcast_shapes(*(a.shape for a in arms)), V)
 
 
 def fd_laplacian(v, h: float):

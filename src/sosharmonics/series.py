@@ -34,18 +34,24 @@ form p is the integer k, elsewhere K + 1 is, so one of the three remainders
 is taken once per k for all series.
 
 The terms are an array kernel.  `eval_series_many` sums a list of (spec, W)
-rows, each with its own a, mu, region and kind, in blocks of k: a block
-forms the terms, envelopes and rounding bounds of all running rows in numpy
-(the three forms above as masks, `math.lgamma` only on arguments below 10),
-applies the stop below to each row's running sums, and drops the rows that
-stopped.  The first block is 32 terms wide and each next one twice as wide,
-up to 65536 cells (rows x terms) a block, so memory stays flat however many
-rows or terms.  A row's terms are formed elementwise and its sums are
-accumulated in its own order, so each row gets the bits its one-row call
-`eval_series` gets.  In the four batches of `verify --level quick` a term
-costs 1.9 us at mu = 2, 1.2 us at mu = 20 and 0.7 us at mu = 200 (a 2 vCPU
-x86-64 host; 4.4 us in a scalar loop): the first blocks, where most
-arguments are below 10 and go through `math.lgamma`, cost the most.
+rows, each with its own a, mu, region and kind, in blocks of k.  The whole
+log-gamma part of a term depends on its family (a, b, kind) and k alone; W
+enters only through k log x.  So a block forms that W-free part once per
+family with a running row (`_family_part`: the three forms above as masks,
+`math.lgamma` only on arguments below 10), and per row only k log x, the
+exp, the envelope and the rounding bound (`_kernel`); it then applies the
+stop below to each row's running sums and drops the rows that stopped, and
+the families left with none.  The first block is 32 terms wide and each
+next one twice as wide, up to 65536 cells (rows x terms) a block, so memory
+stays flat however many rows or terms.  A row's terms are formed
+elementwise by the same operations in the same order whatever its company,
+and its sums are accumulated in its own order, so each row gets the bits
+its one-row call `eval_series` gets.  The one batch of `verify --level
+quick` (177 rows of 25 families at mu = 2, 4 blocks) costs 0.5 us a term at
+mu = 2, 0.4 us at mu = 20 and 0.3 us at mu = 200 (a 2 vCPU x86-64 host;
+4.4 us in a scalar loop, and 1.0, 0.6 and 0.4 us as four batches formed row
+by row): the first blocks, where most arguments are below 10 and go through
+`math.lgamma`, cost the most.
 
 The sum stops when a bound on its whole tail is below tol*|sum|: the largest
 of the last three term envelopes times r/(1-r).  The envelope is |term| with
@@ -207,18 +213,28 @@ def _binet(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_params(a: float, b: float, bm1: float, log_x: float, cauchy: bool) -> list:
-    """One row of `_kernel`'s parameters.  amp is the sign of a/k in the S_C
-    family (+1 for S_A), and 0 for S_C at a = 0, whose terms all vanish."""
+def _family_params(a: float, b: float, bm1: float, cauchy: bool) -> tuple:
+    """The W-free parameters (a, b, b - 1, cauchy, amp) that a row shares
+    with every row of its family.  amp is the sign of a/k in the S_C family
+    (+1 for S_A), and 0 for S_C at a = 0, whose terms all vanish."""
     amp = 1.0
     if cauchy:
         amp = 0.0 if a == 0.0 else math.copysign(1.0, a)
-    return [a, b, bm1, log_x, float(cauchy), amp]
+    return a, b, bm1, float(cauchy), amp
 
 
-def _kernel(par: np.ndarray, k: np.ndarray):
-    """Terms, smooth envelopes and rounding bounds of every row of par
-    (rows x `_row_params`) at every k >= 1 of k: three rows x k arrays.
+def _family_part(fam: np.ndarray, k: np.ndarray):
+    """The W-free part of the terms of every family of fam (families x
+    `_family_params`) at every k >= 1 of k, families x k arrays:
+
+      lg       log|term| less k log x and log_a_k
+      sign     the term's sign, times the sine factor where sine holds
+      sc       the rounding bound's scale from lg, extra the sine form's
+      sine     the mask of the sine-reflected form
+      pd       pi times the rounding of gap, where sine holds
+      log_a_k  log(|a|/k) of the S_C factor a/k (0 for S_A), or None if no
+               family is S_C
+      |amp|    families x 1
 
     The term is C(alpha, m) x^k with alpha = a + b k and m = k, or in the S_C
     family (a/k) C(alpha, m) x^k with alpha = a + b k - 1 and m = k - 1.
@@ -230,21 +246,18 @@ def _kernel(par: np.ndarray, k: np.ndarray):
       0 <= alpha <= m-1   (q, K) = (alpha + 1, -gap), so p = m, times
                           sin(pi gap) / (pi m): an exact 0 at integer alpha.
     One of p and K + 1 is the integer m or m + 1, whose Binet remainder is
-    taken once per k for all rows.  The error bound is a few roundoffs
+    taken once per k for all families.  The error bound is a few roundoffs
     times the magnitudes of the logs summed into the term, plus the effect
     of the rounding of gap where the term depends on it sharply.
     """
-    a, b, bm1, log_x, cauchy, amp = (par[:, j : j + 1] for j in range(6))
+    a, b, bm1, cauchy, amp = (fam[:, j : j + 1] for j in range(5))
     gap = (a + 1.0) + bm1 * k
-    log_env = k * log_x
-    scale = np.abs(log_env) + 2.0
-    sc_rows = cauchy[:, 0] == 1.0
-    if sc_rows.any():  # the factor a/k of S_C
-        lead = np.zeros_like(log_env)
-        a_sc = np.abs(a[sc_rows])
-        lead[sc_rows] = np.log(np.where(a_sc == 0.0, 1.0, a_sc) / k)
-        log_env += lead
-        scale += np.abs(lead)
+    log_a_k = None
+    sc_fams = cauchy[:, 0] == 1.0
+    if sc_fams.any():  # the factor a/k of S_C
+        log_a_k = np.zeros((len(fam), k.size))
+        a_sc = np.abs(a[sc_fams])
+        log_a_k[sc_fams] = np.log(np.where(a_sc == 0.0, 1.0, a_sc) / k)
     alpha = (a - cauchy) + b * k
     m = k - cauchy
 
@@ -284,19 +297,38 @@ def _kernel(par: np.ndarray, k: np.ndarray):
     sin_pi = np.sin(math.pi * (gap - n))
     sign = np.where(sine, np.where(n % 2.0 == 0.0, sin_pi, -sin_pi) * sign, sign)
     log_m = np.where(sine, np.log(m), 0.0)
-    env = np.abs(amp) * np.exp(log_env + np.where(sine, -_LOG_PI - log_m - lg, lg))
+    lg = np.where(sine, -_LOG_PI - log_m - lg, lg)
+    extra = np.where(sine, log_m + 2.0, 0.0)
+    return lg, sign, sc, extra, sine, math.pi * d_gap, log_a_k, np.abs(amp)
+
+
+def _kernel(part, row_fam: np.ndarray, log_x: np.ndarray, k: np.ndarray):
+    """Terms, smooth envelopes and rounding bounds of every row at every k
+    of k: three rows x k arrays.  part is `_family_part` at k, row_fam the
+    family of each row and log_x (rows x 1) its log x, through which alone
+    W enters: k log x meets the family's lg in the row's exp."""
+    lg, sign, sc, extra, sine, pd, log_a_k, abs_amp = (
+        None if v is None else v[row_fam] for v in part
+    )
+    log_env = k * log_x
+    scale = np.abs(log_env) + 2.0
+    if log_a_k is not None:
+        log_env += log_a_k
+        scale += np.abs(log_a_k)
+    env = abs_amp * np.exp(log_env + lg)
     term = sign * env
-    err = _ROUNDING_FACTOR * _U * (scale + sc + np.where(sine, log_m + 2.0, 0.0)) * np.abs(term)
-    return term, env, err + np.where(sine, math.pi * d_gap * env, 0.0)
+    err = _ROUNDING_FACTOR * _U * (scale + sc + extra) * np.abs(term)
+    return term, env, err + np.where(sine, pd * env, 0.0)
 
 
 def _term(a: float, b: float, x: float, k: int, cauchy: bool) -> float:
     """k-th term of the S_A (or, with cauchy, S_C) series at x > 0."""
     if k == 0:
         return 1.0
-    par = np.array([_row_params(a, b, b - 1.0, math.log(x), cauchy)])
+    ks = np.array([float(k)])
     with np.errstate(all="ignore"):
-        return float(_kernel(par, np.array([float(k)]))[0][0, 0])
+        part = _family_part(np.array([_family_params(a, b, b - 1.0, cauchy)]), ks)
+        return float(_kernel(part, np.array([0]), np.array([[math.log(x)]]), ks)[0][0, 0])
 
 
 def _row_setup(spec: SeriesSpec, W: float) -> tuple[float, float, float, float]:
@@ -348,13 +380,19 @@ def eval_series_many(requests, tol: float = DEFAULT_TOL) -> list[SeriesResult]:
     live = [i for i, setup in enumerate(setups) if setup[2] != -math.inf]
     summed = [([1.0], 0.0, 0.0)] * len(requests)
     if live:
-        par = np.array([
-            _row_params(requests[i][0].a, *setups[i][:3], requests[i][0].kind is SeriesKind.SC)
-            for i in live
-        ])
+        # the rows of a family share every W-free parameter; a zero a or b
+        # takes its equal's sign, which reaches no term (it reaches only the
+        # sign of a zero alpha, which enters as alpha < 0 and alpha + 1)
+        families, row_fam = {}, []
+        for i in live:
+            b, bm1 = setups[i][:2]
+            key = _family_params(requests[i][0].a, b, bm1, requests[i][0].kind is SeriesKind.SC)
+            row_fam.append(families.setdefault(key, len(families)))
+        fam = np.array(list(families))
+        log_x = np.array([[setups[i][2]] for i in live])
         rho = np.array([setups[i][3] for i in live])
         with np.errstate(all="ignore"):
-            rows = _sum_rows([requests[i] for i in live], par, rho, tol)
+            rows = _sum_rows([requests[i] for i in live], fam, np.array(row_fam), log_x, rho, tol)
         for i, row in zip(live, rows):
             summed[i] = row
 
@@ -381,15 +419,18 @@ def eval_series_many(requests, tol: float = DEFAULT_TOL) -> list[SeriesResult]:
     return out
 
 
-def _sum_rows(requests, par, rho, tol) -> list[tuple[list, float, float]]:
-    """(terms, tail bound, summed rounding bounds) of each row of par.
+def _sum_rows(requests, fam, row_fam, log_x, rho, tol) -> list[tuple[list, float, float]]:
+    """(terms, tail bound, summed rounding bounds) of each row, row i of
+    family fam[row_fam[i]] (`_family_params`) at log x = log_x[i].
 
-    The rows run block by block, a stopped row leaving the block.  The stop
-    is the one of a plain loop over k: from k = 3 on, once the envelope is
-    below cut * |partial|, the tail bound is the largest of the last three
-    envelopes times r/(1-r), r the limiting ratio rho or the envelope's own
-    last ratio where that is larger, and the row stops once that bound is
-    at most tol * |partial|.
+    The rows run block by block, a stopped row leaving the block and a
+    family with no running row leaving with it; a block forms the W-free
+    part of the terms once per family (`_family_part`) and the rest per row
+    (`_kernel`).  The stop is the one of a plain loop over k: from k = 3 on,
+    once the envelope is below cut * |partial|, the tail bound is the
+    largest of the last three envelopes times r/(1-r), r the limiting ratio
+    rho or the envelope's own last ratio where that is larger, and the row
+    stops once that bound is at most tol * |partial|.
     """
     out = [None] * len(requests)
     kept = [[1.0] for _ in requests]  # k = 0 term of both families
@@ -409,7 +450,7 @@ def _sum_rows(requests, par, rho, tol) -> list[tuple[list, float, float]]:
             )
         width = min(width, max(1, _BLOCK_CELLS // rows.size), TERM_CAP - k0 + 1)
         k = np.arange(k0, k0 + width, dtype=float)
-        t, env, err = _kernel(par, k)
+        t, env, err = _kernel(_family_part(fam, k), row_fam, log_x, k)
         # running sums in each row's order, from the carried ones
         sums = np.cumsum(np.hstack([partial, t]), axis=1)[:, 1:]
         errs = np.cumsum(np.hstack([rounding, err]), axis=1)[:, 1:]
@@ -431,7 +472,11 @@ def _sum_rows(requests, par, rho, tol) -> list[tuple[list, float, float]]:
             else:
                 kept[i] += terms
         going = ~done
-        rows, par, rho, cut = rows[going], par[going], rho[going], cut[going]
+        rows, log_x, rho, cut = rows[going], log_x[going], rho[going], cut[going]
+        # renumber the families that still have a running row
+        running = np.zeros(len(fam), dtype=bool)
+        running[row_fam[going]] = True
+        fam, row_fam = fam[running], (np.cumsum(running) - 1)[row_fam[going]]
         partial, rounding = sums[going, -1:], errs[going, -1:]
         last_env = envs[going, -2:]
         k0 += width

@@ -11,7 +11,9 @@ closed inversion
 Every member of the bundle follows from its one root, which `solve_logit`
 finds in log space for every W, the border band included.  The Polya-Szego
 series bundle `trig_from_W` (and its list form `trig_from_W_many`) is kept
-as the witness that `verify` checks the closed forms against.
+as the witness that `verify` checks the closed forms against; `verify` sums
+its series rows (`_witness_rows`) with those of its other suites and takes
+the bundles from their results (`_witness_bundles`).
 
 The closed kernel (`solve_logit`, `closed_trig`, `trig_from_W_robust`) takes
 floats or numpy arrays with one body: a float runs on `math`, an array on
@@ -176,6 +178,12 @@ def trig_from_W(W: float, mu: float) -> TrigBundle:
 def trig_from_W_many(Ws, mu: float) -> list[TrigBundle]:
     """`trig_from_W` at every W of Ws, its series summed in one
     `eval_series_many` call; raises the first W's error, in order."""
+    return _witness_bundles(Ws, mu, eval_series_many(_witness_rows(Ws, mu)))
+
+
+def _witness_rows(Ws, mu: float) -> list:
+    """The series rows (spec, W) of `trig_from_W_many`: hR2, fC2 and fS2 at
+    each W > 0 for mu > 0; raises the first W's error, in order."""
     requests = []
     for W in Ws:
         if W < 0:
@@ -188,7 +196,12 @@ def trig_from_W_many(Ws, mu: float) -> list[TrigBundle]:
                 f"W={W} lies in the guard band; use trig_from_W_robust"
             )
         requests += [(quantity_series(name, mu, region), W) for name in ("hR2", "fC2", "fS2")]
-    values = iter([res.value for res in eval_series_many(requests)])
+    return requests
+
+
+def _witness_bundles(Ws, mu: float, results) -> list[TrigBundle]:
+    """The bundles of `trig_from_W_many` from the results of its rows."""
+    values = iter([res.value for res in results])
     out = []
     for W in Ws:
         if mu == 0.0:

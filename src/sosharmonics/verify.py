@@ -7,7 +7,10 @@ residuals, finite-difference harmonicity, transform round trips) and
 reports the worst residual against its tolerance.  The CLI `verify`
 command runs these; the test suite reuses them with its own parameters.
 Each suite evaluates its sample set in one array pass of each kernel it
-checks (`closed_point`, `trig_from_W_robust`, the stencil, the series).
+checks (`closed_point`, `trig_from_W_robust`, the stencil).  The series
+witness is one pass for all suites: `run_suite` sums the series rows of the
+trig, series, spherical-series and metric suites in one `eval_series_many`
+call, and each of these suites, called alone, sums its own rows in one.
 """
 
 from __future__ import annotations
@@ -56,13 +59,14 @@ from .series import (
 )
 from .trig import (
     TrigBundle,
+    _witness_bundles,
+    _witness_rows,
     d_fC2_dW,
     d_fS_over_fC_dW,
     d_hR2_dW,
     d_s_dW,
     s_limit,
     s_on_reference,
-    trig_from_W_many,
     trig_from_W_robust,
     w_from_s,
 )
@@ -119,23 +123,46 @@ def _w_samples(mu: float, per_region: int) -> list[float]:
     return [float(w) for w in np.concatenate([smalls, band, larges])]
 
 
-def _bundles_at(ws: list[float], mu: float) -> list[list[TrigBundle]]:
-    """Per W the robust bundle, and the series bundle too when outside the
-    guard band; each kind from one array or list call."""
-    witnessed = [mu > 0.0 and region_of(W, mu) is not Region.NEAR_BORDER for W in ws]
-    series = iter(trig_from_W_many([W for W, w in zip(ws, witnessed) if w], mu))
-    robust = _split(trig_from_W_robust(np.array(ws), mu))
-    return [[tb] + ([next(series)] if w else []) for tb, w in zip(robust, witnessed)]
+# --- series suites -----------------------------------------------------------
+#
+# A suite that the series witness serves is a generator body: it yields its
+# series rows (spec, W) once, receives their results and returns its checks.
+# Its public function runs the body alone (`_alone`); `run_suite` sums the
+# rows of every such body in one `eval_series_many` call.
+
+
+def _finish(body, results) -> list[CheckResult]:
+    """The checks of a body that has yielded its rows, from their results."""
+    try:
+        body.send(results)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("a suite body yields its rows once")
+
+
+def _alone(body) -> list[CheckResult]:
+    """A series suite body run on its own, its rows in their own call."""
+    return _finish(body, eval_series_many(next(body)))
 
 
 # --- generalized-trig identities ---------------------------------------------
 
 
 def trig_identity_checks(mu: float, per_region: int = 8) -> list[CheckResult]:
-    """Pythagorean/scale-factor relations and the closed W(s) inversion."""
-    r_pyth = r_hr = r_ratio = r_power = r_round = r_paths = 0.0
+    """Pythagorean/scale-factor relations and the closed W(s) inversion, at
+    the robust bundle of every W and the series bundle outside the guard band."""
+    return _alone(_trig_identity_body(mu, per_region))
+
+
+def _trig_identity_body(mu: float, per_region: int):
     ws = _w_samples(mu, per_region)
-    for W, tbs in zip(ws, _bundles_at(ws, mu)):
+    witnessed = [mu > 0.0 and region_of(W, mu) is not Region.NEAR_BORDER for W in ws]
+    series_ws = [W for W, w in zip(ws, witnessed) if w]
+    series = iter(_witness_bundles(series_ws, mu, (yield _witness_rows(series_ws, mu))))
+    robust = _split(trig_from_W_robust(np.array(ws), mu))
+    r_pyth = r_hr = r_ratio = r_power = r_round = r_paths = 0.0
+    for W, closed, w in zip(ws, robust, witnessed):
+        tbs = [closed] + ([next(series)] if w else [])
         for tb in tbs:
             r_pyth = max(r_pyth, abs(tb.f_S**2 + tb.f_C**2 - 1.0))
             if mu > 0.0:
@@ -219,6 +246,10 @@ def series_identity_checks(mu: float) -> list[CheckResult]:
     which differs from a raw antiderivative comparison by the constant
     ln(1+mu).
     """
+    return _alone(_series_identity_body(mu))
+
+
+def _series_identity_body(mu: float):
     border = w_border(mu)
     requests = []
     for region, ws in (
@@ -234,7 +265,7 @@ def series_identity_checks(mu: float) -> list[CheckResult]:
                     (SeriesSpec(c, mu, region, SeriesKind.SA), W),
                     (SeriesSpec(a, mu, region, SeriesKind.SC), W),
                 ]
-    values = [res.value for res in eval_series_many(requests)]
+    values = [res.value for res in (yield requests)]
     r_ratio = 0.0
     for num, den, rat in zip(values[0::3], values[1::3], values[2::3]):
         r_ratio = max(r_ratio, _rel(num / den, rat))
@@ -257,6 +288,10 @@ def series_identity_checks(mu: float) -> list[CheckResult]:
 
 def spherical_series_checks() -> list[CheckResult]:
     """mu = 0 closed forms: (1 + W^2)^a and W^(2a) (1 + W^-2)^a."""
+    return _alone(_spherical_series_body())
+
+
+def _spherical_series_body():
     requests, closed = [], []
     for a in (-2.0, -1.0, -0.5, 0.5, 1.5):
         for W in (0.05, 0.3, 0.7):
@@ -265,8 +300,7 @@ def spherical_series_checks() -> list[CheckResult]:
         for W in (1.5, 3.0, 20.0):
             requests.append((SeriesSpec(a, 0.0, Region.LARGE_NU, SeriesKind.SA), W))
             closed.append(W ** (2 * a) * (1.0 + W**-2.0) ** a)
-    got = eval_series_many(requests)
-    worst = max(_rel(res.value, ref) for res, ref in zip(got, closed))
+    worst = max(_rel(res.value, ref) for res, ref in zip((yield requests), closed))
     return [CheckResult("series.spherical_closed_forms", worst, 1e-12)]
 
 
@@ -276,25 +310,29 @@ def spherical_series_checks() -> list[CheckResult]:
 _METRIC_SERIES = ("hR2", "Snu", "jac", "jac_hR2", "jac_hnu2")
 
 
-def _series_metrics(points, mu: float) -> list[MetricBundle | None]:
-    """The metrics at every (R, W, dW/dnu) point from their five series with
-    the R and dW/dnu factors, all summed in one `eval_series_many` call.
+def _metric_rows(points, mu: float) -> list:
+    """The series rows (spec, W) of the five metric series at every
+    (R, W, dW/dnu) point outside the guard band."""
+    return [
+        (quantity_series(name, mu, region), W)
+        for region, W in ((region_of(W, mu), W) for _, W, _ in points)
+        if region is not Region.NEAR_BORDER
+        for name in _METRIC_SERIES
+    ]
+
+
+def _series_metrics(points, mu: float, results) -> list[MetricBundle | None]:
+    """The metrics at every (R, W, dW/dnu) point from the results of its
+    `_metric_rows`, with the R and dW/dnu factors.
 
     None inside the guard band, and where a series value leaves the normal
     float range: far from the border the large-nu prefactor W^(2a)
     underflows or overflows.
     """
-    regions = [region_of(W, mu) for _, W, _ in points]
-    requests = [
-        (quantity_series(name, mu, region), W)
-        for (_, W, _), region in zip(points, regions)
-        if region is not Region.NEAR_BORDER
-        for name in _METRIC_SERIES
-    ]
-    values = iter([res.value for res in eval_series_many(requests)])
+    values = iter([res.value for res in results])
     out = []
-    for (R, W, dw_dnu), region in zip(points, regions):
-        if region is Region.NEAR_BORDER:
+    for R, W, dw_dnu in points:
+        if region_of(W, mu) is Region.NEAR_BORDER:
             out.append(None)
             continue
         parts = [next(values) for _ in _METRIC_SERIES]
@@ -312,6 +350,10 @@ def _series_metrics(points, mu: float) -> list[MetricBundle | None]:
 def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
     """Closed-form metrics: cross-checks, the h_R h_nu link to dW/dnu, and
     the series witness outside the guard band."""
+    return _alone(_metric_body(cfg, n_nu))
+
+
+def _metric_body(cfg: SystemConfig, n_nu: int):
     mu = cfg.mu
     nu = np.tile(np.linspace(0.03, math.pi / 2 - 0.05, n_nu), 3)
     R = np.repeat([0.5 * cfg.R0, cfg.R0, 2.2 * cfg.R0], n_nu)
@@ -334,8 +376,8 @@ def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
     r_bounds = 0.0 if in_bounds.all() else 1.0
     r_series = 0.0
     closed = zip(*(v.tolist() for v in vars(mb).values()))
-    points = zip(R.tolist(), W.tolist(), dw_dnu.tolist())
-    for ser, ref in zip(_series_metrics(list(points), mu), closed):
+    points = list(zip(R.tolist(), W.tolist(), dw_dnu.tolist()))
+    for ser, ref in zip(_series_metrics(points, mu, (yield _metric_rows(points, mu))), closed):
         if ser is not None:
             r_series = max(r_series, *map(_rel, vars(ser).values(), ref))
     checks = [
@@ -432,10 +474,17 @@ def anchor_checks(cfg: SystemConfig, n_nu: int = 20) -> list[CheckResult]:
 # --- generalized Legendre ----------------------------------------------------
 
 
-def _classical_p_coeffs(n_max: int) -> list[np.ndarray]:
-    """Power-basis coefficients of classical Legendre polynomials (numpy oracle)."""
-    eye = np.eye(n_max + 1)
-    return [np.polynomial.legendre.leg2poly(eye[n, : n + 1]) for n in range(n_max + 1)]
+def _classical_p_coeffs(n_max: int) -> list[list[float]]:
+    """Power-basis coefficients of the classical Legendre polynomials, each
+    an exact integer sum rounded once (DLMF 18.5.8):
+    P_n = 2^-n sum_(k <= n/2) (-1)^k C(n, k) C(2n - 2k, n) x^(n - 2k)."""
+    out = []
+    for n in range(n_max + 1):
+        c = [0.0] * (n + 1)
+        for k in range(n // 2 + 1):
+            c[n - 2 * k] = (-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n) / 2**n
+        out.append(c)
+    return out
 
 
 def table_checks(mu_values) -> list[CheckResult]:
@@ -458,17 +507,15 @@ def table_checks(mu_values) -> list[CheckResult]:
 def spherical_reduction_checks(n_max: int = 12) -> list[CheckResult]:
     """mu = 0 collapse onto classical Legendre functions.
 
-    The classical second kind is Christoffel's formula
-    Q_n = P_n Q_0 - sum_(k=1..n) P_(k-1) P_(n-k) / k with Q_0 = atanh x,
-    over numpy's classical P_n."""
+    The first kind is checked against the exact power basis
+    (`_classical_p_coeffs`).  The classical second kind is Christoffel's
+    formula Q_n = P_n Q_0 - sum_(k=1..n) P_(k-1) P_(n-k) / k with
+    Q_0 = atanh x, over numpy's classical P_n values."""
     classical = _classical_p_coeffs(n_max)
     worst_p = 0.0
     for n in range(n_max + 1):
-        got = legendre.p_poly(n, 0.0)
-        ref = classical[n]
-        for j in range(n + 1):
-            cr = ref[j] if j < len(ref) else 0.0
-            worst_p = max(worst_p, abs(got[j] - cr) / max(1.0, abs(cr)))
+        for cg, cr in zip(legendre.p_poly(n, 0.0), classical[n]):
+            worst_p = max(worst_p, abs(cg - cr) / max(1.0, abs(cr)))
     x = np.array([-0.9, -0.5, 0.1, 0.5, 0.9])
     p_cl = np.polynomial.legendre.legval(x, np.eye(n_max + 1))  # row n is P_n(x)
     over_k = p_cl / np.arange(1, n_max + 2)[:, None]  # row k - 1 is P_(k-1)/k
@@ -662,19 +709,23 @@ def fit_checks(cfg: SystemConfig, seed: int = 20240903) -> list[CheckResult]:
 def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[CheckResult]:
     """All identity suites at the configured mu; `full` widens every sweep.
 
-    If `timings` is a list, one (suite name, seconds) pair is appended to it
-    per suite, in the order run.
+    The series suites (trig identities, series identities, the spherical
+    series, the metrics) run up to their series rows with the other suites,
+    and every row is summed in one `eval_series_many` call, the series
+    witness, before they finish.  If `timings` is a list, one (suite name,
+    seconds) pair is appended to it per suite, in suite order, a series
+    suite's seconds without the witness, then ("series_witness", seconds).
     """
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     full = level == "full"
     mu = cfg.mu
     suites = (
-        ("trig_identity_checks", lambda: trig_identity_checks(mu, per_region=12 if full else 6)),
+        ("trig_identity_checks", lambda: _trig_identity_body(mu, per_region=12 if full else 6)),
         ("derivative_checks", lambda: derivative_checks(mu, per_region=6 if full else 3)),
-        ("series_identity_checks", lambda: series_identity_checks(mu)),
-        ("spherical_series_checks", spherical_series_checks),
-        ("metric_checks", lambda: metric_checks(cfg, n_nu=11 if full else 5)),
+        ("series_identity_checks", lambda: _series_identity_body(mu)),
+        ("spherical_series_checks", _spherical_series_body),
+        ("metric_checks", lambda: _metric_body(cfg, n_nu=11 if full else 5)),
         ("transform_checks", lambda: transform_checks(cfg, n_points=160 if full else 40)),
         ("anchor_checks", lambda: anchor_checks(cfg)),
         ("table_checks", lambda: table_checks([mu])),
@@ -692,10 +743,24 @@ def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[Che
         ),
         ("fit_checks", lambda: fit_checks(cfg)),
     )
-    checks: list[CheckResult] = []
-    for name, run in suites:
+    results, seconds, bodies = [], [], []  # bodies: (suite index, body, its rows)
+    for _, run in suites:
         start = time.perf_counter()
-        checks += run()
-        if timings is not None:
-            timings.append((name, time.perf_counter() - start))
-    return checks
+        got = run()  # the checks, or a series body
+        if not isinstance(got, list):  # run the body up to its rows
+            bodies.append((len(results), got, next(got)))
+        results.append(got)
+        seconds.append(time.perf_counter() - start)
+    start = time.perf_counter()
+    summed = eval_series_many([row for _, _, rows in bodies for row in rows])
+    witness = time.perf_counter() - start
+    at = 0
+    for i, body, rows in bodies:
+        start = time.perf_counter()
+        results[i] = _finish(body, summed[at : at + len(rows)])
+        at += len(rows)
+        seconds[i] += time.perf_counter() - start
+    if timings is not None:
+        timings.extend((name, t) for (name, _), t in zip(suites, seconds))
+        timings.append(("series_witness", witness))
+    return [check for checks in results for check in checks]

@@ -187,3 +187,18 @@ def test_anchor_endpoints_at_a_solar_R0(mu):
     """The pole's position is compared in units of R0: at R0 = 6.957e8 one
     ulp of its z is about 6e-8, which an absolute 1e-12 cannot hold."""
     assert all(c.passed for c in anchor_checks(SystemConfig(mu=mu, R0=6.957e8)))
+
+
+@pytest.mark.parametrize("a, b", [((), ()), ((0.75,), ()), ((), (0.5,)), ((0.75,), (0.5,)), ((0.75, 0.25), ())])
+def test_solid_sum_has_the_shape_of_its_points(a, b):
+    """A constant or empty expansion at arrays z, r^2 is an array of their
+    shape, each element the float sum, and a float at floats."""
+    z = np.array([[0.3, 0.3, 0.0], [-0.2, -0.2, 1.0]])
+    rho = np.array([[0.5, 1.5, 2.0], [0.5, 1.5, 2.0]])
+    q0_r = legendre.q0_meridional(z, rho) if b else None
+    got = legendre.solid_sum(a, b, z, z * z + rho * rho, q0_r)
+    assert isinstance(got, np.ndarray) and got.shape == (2, 3)
+    for (i, j), v in np.ndenumerate(got):
+        zf, rf = float(z[i, j]), float(rho[i, j])
+        want = legendre.solid_sum(a, b, zf, zf * zf + rf * rf, legendre.q0_meridional(zf, rf) if b else None)
+        assert isinstance(want, float) and v == want

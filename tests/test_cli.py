@@ -435,7 +435,7 @@ class TestVerify:
             "trig_identity_checks", "derivative_checks", "series_identity_checks",
             "spherical_series_checks", "metric_checks", "transform_checks", "anchor_checks",
             "table_checks", "spherical_reduction_checks", "ode_checks", "structure_checks",
-            "harmonicity_checks", "fit_checks",
+            "harmonicity_checks", "fit_checks", "series_witness",
         ]
         assert all(set(s) == {"name", "seconds"} and s["seconds"] >= 0.0 for s in payload["suites"])
         assert all(set(c) == {"name", "max_residual", "tolerance", "passed"} for c in payload["checks"])

@@ -3,14 +3,16 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sosharmonics.coords import (
     CartesianPoint,
     SosPoint,
     SystemConfig,
+    cartesian_point,
     cartesian_R_s,
     cartesian_to_sos,
     compute_W,
@@ -275,6 +277,8 @@ class TestInverseTransform:
         nu=st.floats(-1.55, 1.55),
         lam=st.floats(-3.1, 3.1),
     )
+    # s underflowed to 0 here while sin(nu) did not: h_nu divided by zero
+    @example(mu=1.0, logR=-1.0, nu=5e-324, lam=0.0)
     def test_roundtrip_property(self, mu, logR, nu, lam):
         cfg = SystemConfig(mu=mu, R0=1.0)
         p0 = SosPoint(R=math.exp(logR), nu=nu, lam=lam)
@@ -343,6 +347,48 @@ class TestTinyNu:
         # nu ~ 1e-330 is not representable: the equator value comes back
         p = cartesian_to_sos(CartesianPoint(1e15, 0.0, 1e-20), self.CFG20)
         assert p.nu == 0.0
+
+
+class TestSubnormalS:
+    """Where s is below the normal range but sin(nu) need not be, s/sin(nu)
+    takes its limit sqrt(1+mu) (R/R0)^mu / cos(nu)^(1+mu): at mu = 1 and
+    R = 1/e, h_nu is the equator's R^2/sqrt(2) = e^-2/sqrt(2) to all digits
+    (it moves by O(nu^2)).  The quotient of the two underflowed numbers was
+    off by 9.4e-4 at nu = 1e-320 and divided by 0 at nu = 5e-324."""
+
+    CFG1 = SystemConfig(mu=1.0)
+    R = 0.36787944117144233  # 1/e rounded
+    TINY = [5e-324, -5e-324, 1e-320, 2e-310, 0.0]
+    REL = 1e-14
+
+    @classmethod
+    def limit(cls):
+        with mpmath.workdps(30):
+            return float(mpmath.mpf(cls.R) ** 2 / mpmath.sqrt(2))
+
+    @pytest.mark.parametrize("nu", TINY)
+    def test_from_R_nu(self, nu):
+        mb = metrics_at(self.R, nu, self.CFG1)
+        assert mb.h_nu == approx(self.limit(), rel=self.REL)
+        assert mb.jacobian == approx(self.R * self.limit(), rel=self.REL)
+
+    @pytest.mark.parametrize("z", TINY)
+    def test_from_cartesian(self, z):
+        p, _, _, mb, _ = cartesian_point(CartesianPoint(self.R, 0.0, z), self.CFG1)
+        assert p.R == self.R
+        assert mb.h_nu == approx(self.limit(), rel=self.REL)
+
+    def test_arrays(self):
+        nu = np.array(self.TINY + [0.7])
+        mb = metrics_at(np.full(nu.size, self.R), nu, self.CFG1)
+        for k in range(nu.size - 1):
+            assert mb.h_nu[k] == approx(self.limit(), rel=self.REL)
+        # a normal s keeps the quotient, and its float call's value
+        assert mb.h_nu[-1] == approx(metrics_at(self.R, 0.7, self.CFG1).h_nu, rel=1e-15)
+        z = np.array(self.TINY)
+        _, _, _, mb, _ = cartesian_point(CartesianPoint(np.full(z.size, self.R), 0.0, z), self.CFG1)
+        for h_nu in mb.h_nu.tolist():
+            assert h_nu == approx(self.limit(), rel=self.REL)
 
 
 class TestGeometricInvariants:

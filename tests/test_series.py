@@ -304,6 +304,42 @@ class TestBatchKernel:
         assert underflow.value == 0.0  # W^(2a) underflowed
         assert math.isfinite(underflow.est_rel_error)
 
+    def test_rows_sharing_a_family_get_their_one_row_results_bit_for_bit(self, monkeypatch):
+        """Many W per family, whose W-free part a block forms once: both
+        kinds and regions, the sine-reflected form (large-nu, with the exact
+        zero terms of fS2 at mu = 50), S_C at a = 0.0 and -0.0, and mu = 0,
+        where the small- and large-nu families of one a coincide."""
+        rows = []
+        for mu in (0.0, 2.0, 50.0):
+            border = w_border(mu)
+            specs = [
+                quantity_series(name, mu, region)
+                for name in QUANTITIES
+                for region in (Region.SMALL_NU, Region.LARGE_NU)
+            ]
+            for a in (0.0, -0.0, 1.0, -2.5):
+                for kind in SeriesKind:
+                    specs += [SeriesSpec(a, mu, Region.SMALL_NU, kind), SeriesSpec(a, mu, Region.LARGE_NU, kind)]
+            for spec in specs:
+                if spec.region is Region.SMALL_NU:
+                    rows += [(spec, f * border) for f in (0.05, 0.2, 0.5, 0.7, 0.85)]
+                else:
+                    rows += [(spec, border / f) for f in (0.85, 0.6, 0.2, 0.05)]
+        families = []
+        part = series._family_part
+
+        def counted(fam, k):
+            families.append(len(fam))
+            return part(fam, k)
+
+        monkeypatch.setattr(series, "_family_part", counted)
+        batch = eval_series_many(rows)
+        assert families[0] < len(rows) // 4
+        alone = [eval_series(spec, W) for spec, W in rows]
+        assert [_bits(r) for r in batch] == [_bits(r) for r in alone]
+        sc_zero = [r for (spec, _), r in zip(rows, batch) if spec.kind is SeriesKind.SC and spec.a == 0.0]
+        assert {(r.value, r.terms_used) for r in sc_zero} == {(1.0, 4)}
+
     def test_order_and_company_do_not_change_a_row(self):
         rows = _mixed_batch()
         forward = [_bits(r) for r in eval_series_many(rows)]
@@ -358,8 +394,21 @@ def test_verify_sums_each_series_suite_in_one_batch(monkeypatch):
     _patch_every_binding(monkeypatch, series.eval_series, forbidden)
     checks = verify.run_suite(SystemConfig(mu=2.0, R0=1.0), "quick")
     assert all(c.passed for c in checks)
-    assert len(calls) == 4
-    assert sum(calls) == 177
+    assert calls == [177]
+
+
+@pytest.mark.parametrize("mu", [0.0, 2.0, 200.0])
+def test_each_series_suite_alone_returns_its_checks_in_run_suite(mu):
+    cfg = SystemConfig(mu=mu, R0=1.0)
+    in_run = {c.name: c for c in verify.run_suite(cfg, "quick")}
+    alone = (
+        verify.trig_identity_checks(mu, per_region=6)
+        + verify.series_identity_checks(mu)
+        + verify.spherical_series_checks()
+        + verify.metric_checks(cfg, n_nu=5)
+    )
+    assert len(alone) >= 7
+    assert alone == [in_run[c.name] for c in alone]
 
 
 def test_eval_series_keeps_the_signature_and_result_tracing_reads():
