@@ -250,12 +250,16 @@ def cmd_verify(args) -> int:
     timings: list[tuple[str, float]] = []
     checks = verify_mod.run_suite(cfg, level=args.level, timings=timings)
     all_passed = all(c.passed for c in checks)
-    print(f"# verification suite  mu={_fmt(cfg.mu)}  R0={_fmt(cfg.R0)}  level={args.level}")
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"{status} {c.name} max_residual={c.max_residual:.3e} tol={c.tolerance:.1e}")
     n_fail = sum(not c.passed for c in checks)
-    print(f"# {len(checks) - n_fail}/{len(checks)} checks passed")
+    # the report in one write, as the JSON file below
+    print("\n".join([
+        f"# verification suite  mu={_fmt(cfg.mu)}  R0={_fmt(cfg.R0)}  level={args.level}",
+        *(
+            f"{'PASS' if c.passed else 'FAIL'} {c.name} max_residual={c.max_residual:.3e} tol={c.tolerance:.1e}"
+            for c in checks
+        ),
+        f"# {len(checks) - n_fail}/{len(checks)} checks passed",
+    ]))
     if args.json:
         payload = {
             "mu": cfg.mu,
@@ -274,8 +278,7 @@ def cmd_verify(args) -> int:
             "suites": [{"name": name, "seconds": sec} for name, sec in timings],
         }
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 

@@ -17,7 +17,9 @@ term is finite wherever it is representable.
 
 The point entries (`s_at_point`, `eval_V_at`, `eval_V_cartesian`,
 `fd_stencil` and its `laplacian_residual_fd`) take floats or arrays, a point
-record of arrays included.  `eval_V_cartesian` and the stencil give each
+record of arrays included; `stencil_meridional` gives the (z, rho) of the
+stencil arms, of several steps at once, for a caller that sums its own
+basis there.  `eval_V_cartesian` and the stencil give each
 element the bits of its float call; the (R, nu) entries go through the
 array kernel of `coords`, whose elements may differ from their float calls
 by a few ulp.  Arrays raise the exceptions of their elements' float calls.
@@ -147,33 +149,53 @@ def eval_V_at(sol: HarmonicSolution, p: SosPoint):
 _HYPOT = np.frompyfunc(math.hypot, 2, 1)
 
 
-def eval_V_cartesian(sol: HarmonicSolution, c: CartesianPoint):
-    """Potential at a Cartesian point (of floats or arrays), at z and
-    rho = hypot(x, y).  An array takes math.hypot per element (numpy's hypot
-    rounds differently), so each element has the bits of its float call."""
+def _cartesian_meridional(c: CartesianPoint):
+    """(z, rho) of a Cartesian point (of floats or arrays), rho = hypot(x, y).
+    An array takes math.hypot per element (numpy's hypot rounds differently),
+    so each element has the bits of its float call.  A non-finite coordinate
+    raises ValueError, the origin DegenerateOriginError."""
     array = isinstance(c.x + c.y + c.z, np.ndarray)
     rho = np.asarray(_HYPOT(c.x, c.y), dtype=float) if array else math.hypot(c.x, c.y)
     if not _all((abs(rho) < math.inf) & (abs(c.z) < math.inf)):
         raise ValueError("x, y and z must be finite")
     if _any((rho == 0.0) & (c.z == 0.0)):
         raise DegenerateOriginError("the origin has no SOS image")
-    return solid_V(sol, c.z, rho)
+    return c.z, rho
+
+
+def eval_V_cartesian(sol: HarmonicSolution, c: CartesianPoint):
+    """Potential at a Cartesian point (of floats or arrays), at its
+    `_cartesian_meridional` (z, rho): each element has the bits of its float call."""
+    return solid_V(sol, *_cartesian_meridional(c))
 
 
 _STENCIL = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                      (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
 
 
+def stencil_meridional(c: CartesianPoint, h):
+    """`_cartesian_meridional` (z, rho) at c and at c + h (x, -x, y, -y, z, -z),
+    stacked as 7 rows over the shape of c's fields; an array h of steps adds
+    its shape in front, so one call holds the stencils of every step.  An
+    arm at the origin raises StencilOutOfDomainError."""
+    if _any(h <= 0.0):
+        raise ValueError("h must be positive")
+    steps = np.multiply.outer(h, _STENCIL)  # h's shape x 7 arms x 3 axes
+    arms = [np.add.outer(steps[..., k], v) for k, v in enumerate((c.x, c.y, c.z))]
+    try:
+        return _cartesian_meridional(CartesianPoint(*arms))
+    except DegenerateOriginError as exc:
+        raise StencilOutOfDomainError(str(exc)) from exc
+
+
 def fd_stencil(sol: HarmonicSolution, c: CartesianPoint, h: float) -> np.ndarray:
     """V at c and at c + h (x, -x, y, -y, z, -z), stacked as 7 rows over the
-    shape of c's fields, from one `eval_V_cartesian` call; a stencil arm on
-    the axis or at the origin raises StencilOutOfDomainError."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    arms = [np.add.outer(h * _STENCIL[:, k], v) for k, v in enumerate((c.x, c.y, c.z))]
+    shape of c's fields, from one `solid_V` call at `stencil_meridional`; a
+    stencil arm on the axis (with b terms) or at the origin raises
+    StencilOutOfDomainError."""
     try:
-        return eval_V_cartesian(sol, CartesianPoint(*arms))
-    except (DegenerateOriginError, PoleDivergenceError) as exc:
+        return solid_V(sol, *stencil_meridional(c, h))
+    except PoleDivergenceError as exc:
         raise StencilOutOfDomainError(str(exc)) from exc
 
 

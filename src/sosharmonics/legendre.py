@@ -122,13 +122,15 @@ def solid_sum(a, b, z, r2, q0_r):
     A nonempty a or b must end in a nonzero entry (a trailing zero could
     meet an overflowed factor and give NaN).  Arrays take the operations of
     floats in the same order, so an element has the bits of the float sum;
-    a constant or empty expansion at arrays is an array of their shape."""
+    at arrays the sum is an array of their shape, whatever the degree."""
     if len(a) > 1:
         total = _backward(a, z, r2)[0]
     else:  # a constant: a_0, or 0
         total = a[0] if a else 0.0
-        if isinstance(z + r2, np.ndarray):
-            total = np.full((z + r2).shape, total)
+    points = z + r2
+    # a constant, or degree 1 (which never meets r2) at a float z
+    if isinstance(points, np.ndarray) and np.shape(total) != points.shape:
+        total = np.full(points.shape, total)
     if b:
         q, r = q0_r
         y0, y1 = _backward(b, z, r2)

@@ -42,16 +42,20 @@ family with a running row (`_family_part`: the three forms above as masks,
 exp, the envelope and the rounding bound (`_kernel`); it then applies the
 stop below to each row's running sums and drops the rows that stopped, and
 the families left with none.  The first block is 32 terms wide and each
-next one twice as wide, up to 65536 cells (rows x terms) a block, so memory
-stays flat however many rows or terms.  A row's terms are formed
-elementwise by the same operations in the same order whatever its company,
-and its sums are accumulated in its own order, so each row gets the bits
-its one-row call `eval_series` gets.  The one batch of `verify --level
-quick` (177 rows of 25 families at mu = 2, 4 blocks) costs 0.5 us a term at
-mu = 2, 0.4 us at mu = 20 and 0.3 us at mu = 200 (a 2 vCPU x86-64 host;
-4.4 us in a scalar loop, and 1.0, 0.6 and 0.4 us as four batches formed row
-by row): the first blocks, where most arguments are below 10 and go through
-`math.lgamma`, cost the most.
+next one twice as wide, up to 65536 cells (rows x terms) a block, so a
+block's memory stays flat however many rows or terms.  Each block keeps its
+cells up to each row's stop, and each row's term list is gathered from them
+once, at the end; W_border is formed once per mu of the batch.  A row's
+terms are formed elementwise by the same operations in the same order
+whatever its company, and its sums are accumulated in its own order, so
+each row gets the bits its one-row call `eval_series` gets.  The one batch
+of `verify --level quick` (177 rows of 25 families at mu = 2, 4 blocks)
+costs 0.5 us a term at mu = 2, 0.45 us at mu = 20 and 0.3 us at mu = 200
+(a 2 vCPU x86-64 host; 4.4 us in a scalar loop, and 1.0, 0.6 and 0.4 us as
+four batches formed row by row), nearly all of it in the array passes of
+the blocks: the row bookkeeping is a few per cent, and the first blocks,
+where most arguments are below 10 and go through `math.lgamma`, cost the
+most.
 
 The sum stops when a bound on its whole tail is below tol*|sum|: the largest
 of the last three term envelopes times r/(1-r).  The envelope is |term| with
@@ -331,14 +335,15 @@ def _term(a: float, b: float, x: float, k: int, cauchy: bool) -> float:
         return float(_kernel(part, np.array([0]), np.array([[math.log(x)]]), ks)[0][0, 0])
 
 
-def _row_setup(spec: SeriesSpec, W: float) -> tuple[float, float, float, float]:
-    """(b, b - 1, log x, rho) of one row; rho is the limiting term ratio."""
+def _row_setup(
+    spec: SeriesSpec, W: float, border: float, log_border: float
+) -> tuple[float, float, float, float]:
+    """(b, b - 1, log x, rho) of one row, W_border(mu) = border = exp(log_border);
+    rho is the limiting term ratio."""
     if W < 0:
         raise ValueError("W must be non-negative")
     mu = spec.mu
-    border = w_border(mu)
     log_w = math.log(W) if W > 0.0 else -math.inf
-    log_border = math.log(border)
     if spec.region is Region.SMALL_NU:
         if W >= border:
             raise RegionViolationError(
@@ -375,24 +380,31 @@ def eval_series_many(requests, tol: float = DEFAULT_TOL) -> list[SeriesResult]:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    setups = [_row_setup(spec, W) for spec, W in requests]
-    # a row at x = 0 is its k = 0 term alone
-    live = [i for i, setup in enumerate(setups) if setup[2] != -math.inf]
-    summed = [([1.0], 0.0, 0.0)] * len(requests)
-    if live:
+    borders = {}  # (W_border, log W_border) of each mu
+    families, row_fam, live, log_x, rho = {}, [], [], [], []
+    for i, (spec, W) in enumerate(requests):
+        if spec.mu not in borders:
+            border = w_border(spec.mu)
+            borders[spec.mu] = border, math.log(border)
+        b, bm1, row_log_x, row_rho = _row_setup(spec, W, *borders[spec.mu])
+        if row_log_x == -math.inf:  # x = 0: the k = 0 term alone
+            continue
         # the rows of a family share every W-free parameter; a zero a or b
         # takes its equal's sign, which reaches no term (it reaches only the
         # sign of a zero alpha, which enters as alpha < 0 and alpha + 1)
-        families, row_fam = {}, []
-        for i in live:
-            b, bm1 = setups[i][:2]
-            key = _family_params(requests[i][0].a, b, bm1, requests[i][0].kind is SeriesKind.SC)
-            row_fam.append(families.setdefault(key, len(families)))
-        fam = np.array(list(families))
-        log_x = np.array([[setups[i][2]] for i in live])
-        rho = np.array([setups[i][3] for i in live])
+        key = (spec.a, b, bm1, spec.kind is SeriesKind.SC)
+        row_fam.append(families.setdefault(key, len(families)))
+        live.append(i)
+        log_x.append(row_log_x)
+        rho.append(row_rho)
+    summed = [([1.0], 0.0, 0.0)] * len(requests)
+    if live:
+        fam = np.array([_family_params(*key) for key in families])
         with np.errstate(all="ignore"):
-            rows = _sum_rows([requests[i] for i in live], fam, np.array(row_fam), log_x, rho, tol)
+            rows = _sum_rows(
+                [requests[i] for i in live], fam, np.array(row_fam),
+                np.array(log_x)[:, None], np.array(rho), tol,
+            )
         for i, row in zip(live, rows):
             summed[i] = row
 
@@ -430,17 +442,20 @@ def _sum_rows(requests, fam, row_fam, log_x, rho, tol) -> list[tuple[list, float
     once the envelope is below cut * |partial|, the tail bound is the
     largest of the last three envelopes times r/(1-r), r the limiting ratio
     rho or the envelope's own last ratio where that is larger, and the row
-    stops once that bound is at most tol * |partial|.
+    stops once that bound is at most tol * |partial|.  Each block keeps its
+    cells up to each row's stop, and each row's terms are gathered from them
+    once, at the end.
     """
-    out = [None] * len(requests)
-    kept = [[1.0] for _ in requests]  # k = 0 term of both families
+    n = len(requests)
+    blocks = []  # (k0, rows, their kept cells per row, the kept cells)
+    n_terms, tails, roundings = np.ones(n, dtype=int), np.zeros(n), np.zeros(n)
     rho = rho[:, None]
     # the tail test can pass only once an envelope is below cut * |partial|
     cut = np.where(rho > 0.0, tol * (1.0 - rho) / rho, np.inf)
-    rows = np.arange(len(requests))
-    partial = np.ones((len(requests), 1))
-    rounding = np.zeros((len(requests), 1))
-    last_env = np.zeros((len(requests), 2))  # envelopes of the last two terms
+    rows = np.arange(n)
+    partial = np.ones((n, 1))
+    rounding = np.zeros((n, 1))
+    last_env = np.zeros((n, 2))  # envelopes of the last two terms
     k0, width = 1, _FIRST_BLOCK
     while rows.size:
         if k0 > TERM_CAP:
@@ -461,16 +476,12 @@ def _sum_rows(requests, fam, row_fam, log_x, rho, tol) -> list[tuple[list, float
         tail = np.maximum(np.maximum(e1, e2), env) * r / (1.0 - r)
         stop = (k >= 3.0) & ~(env > cut * size) & (r < 1.0) & (tail <= tol * size)
         done = stop.any(axis=1)
-        first = stop.argmax(axis=1)
-        at_stop = np.arange(rows.size), first
-        for i, terms, stopped, end, row_tail, row_errs in zip(
-            rows.tolist(), t.tolist(), done.tolist(), first.tolist(),
-            tail[at_stop].tolist(), errs[at_stop].tolist(),
-        ):
-            if stopped:
-                out[i] = (kept[i] + terms[: end + 1], row_tail, row_errs)
-            else:
-                kept[i] += terms
+        last = np.where(done, stop.argmax(axis=1), width - 1)  # each row's last kept cell
+        blocks.append((k0, rows, last + 1, t[np.arange(width) <= last[:, None]]))
+        n_terms[rows] = k0 + last + 1  # the k = 0 term and those up to the last kept
+        at_stop = np.flatnonzero(done), last[done]
+        tails[rows[done]] = tail[at_stop]
+        roundings[rows[done]] = errs[at_stop]
         going = ~done
         rows, log_x, rho, cut = rows[going], log_x[going], rho[going], cut[going]
         # renumber the families that still have a running row
@@ -481,7 +492,22 @@ def _sum_rows(requests, fam, row_fam, log_x, rho, tol) -> list[tuple[list, float
         last_env = envs[going, -2:]
         k0 += width
         width *= 2
-    return out
+    # every row's terms in k order, its k = 0 term (1) first; a row in a
+    # block ran whole through every earlier one, so its cells there are
+    # the terms k0, k0 + 1, ... of its list
+    ends = np.cumsum(n_terms)
+    starts = ends - n_terms
+    flat = np.ones(ends[-1])
+    for k0, rows, counts, cells in blocks:
+        seg = np.cumsum(counts) - counts  # each row's first cell in cells
+        flat[np.arange(cells.size) + np.repeat(starts[rows] + k0 - seg, counts)] = cells
+    flat = flat.tolist()
+    return [
+        (flat[start:end], tail, rounding)
+        for start, end, tail, rounding in zip(
+            starts.tolist(), ends.tolist(), tails.tolist(), roundings.tolist()
+        )
+    ]
 
 
 def _region_a(a_small: float, mu: float, region: Region) -> float:

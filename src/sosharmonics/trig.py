@@ -51,6 +51,7 @@ class TrigBundle:
 
 
 _FLOAT = contextlib.nullcontext()
+_LOG_2 = math.log(2.0)
 
 
 def _xp(v):
@@ -127,20 +128,23 @@ def solve_logit(log_w, mu: float):
     """Logit x = log(t/(1-t)) of t = s^2/(1+mu) at W = exp(log_w), floats or arrays.
 
     In x the closed inversion reads F(x) = x/2 + (mu/2) log(1 + e^x) = log W.
-    F is convex and increasing, and F(x) >= x/2, F(x) >= (1+mu) x/2 put the
-    seed min(2 log W, 2 log W/(1+mu)) right of the root, so plain Newton
-    descends monotonically; it stops when rounding stalls the descent, and
-    an array element stops where its own descent stalls.
+    F is convex and increasing, so F lies above each of its tangents: the
+    lines x/2 and (1+mu) x/2 (its asymptotes) and its tangent at x = 0,
+    (mu/2) log 2 + (2+mu) x/4.  The least of their roots is the seed, right
+    of F's root, so plain Newton descends monotonically; it stops when
+    rounding stalls the descent, and an array element stops where its own
+    descent stalls.  A step forms softplus(x) = log(1 + e^x) once, and F's
+    slope (1 + mu t)/2 from t = exp(x - softplus(x)).
     log W = -inf gives x = -inf (the equator), +inf gives +inf (the axis).
     """
     array = isinstance(log_w, np.ndarray)
     exp, half_mu = np.exp if array else math.exp, 0.5 * mu
-    x = (np.minimum if array else min)(2.0 * log_w, 2.0 * log_w / (1.0 + mu))
+    seeds = 2.0 * log_w, 2.0 * log_w / (1.0 + mu), (log_w - half_mu * _LOG_2) / (0.5 + 0.5 * half_mu)
+    x = (np.minimum.reduce if array else min)(seeds)
     with _quiet(array):  # inf - inf at the equator and the axis
         while True:
-            # F'(x) = (1 + mu t)/2 with t = exp(-softplus(-x))
-            sp, sp_neg = _softplus(x)
-            nxt = x - (0.5 * x + half_mu * sp - log_w) / (0.5 + half_mu * exp(-sp_neg))
+            sp = np.logaddexp(0.0, x) if array else _softplus(x)[0]
+            nxt = x - (0.5 * x + half_mu * sp - log_w) / (0.5 + half_mu * exp(x - sp))
             descends = nxt < x  # False where rounding stalls, and at +-inf
             if not (descends.any() if array else descends):
                 return x

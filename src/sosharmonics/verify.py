@@ -7,10 +7,13 @@ residuals, finite-difference harmonicity, transform round trips) and
 reports the worst residual against its tolerance.  The CLI `verify`
 command runs these; the test suite reuses them with its own parameters.
 Each suite evaluates its sample set in one array pass of each kernel it
-checks (`closed_point`, `trig_from_W_robust`, the stencil).  The series
-witness is one pass for all suites: `run_suite` sums the series rows of the
-trig, series, spherical-series and metric suites in one `eval_series_many`
-call, and each of these suites, called alone, sums its own rows in one.
+checks (`closed_point`, `trig_from_W_robust`, the stencil).  The
+harmonicity suite stacks the stencils of every pure mode and both steps
+into one array, summed by one `legendre.solid_values` pass per kind.  The
+series witness is one pass for all suites: `run_suite` sums the series rows
+of the trig, series, spherical-series and metric suites in one
+`eval_series_many` call, and each of these suites, called alone, sums its
+own rows in one.
 """
 
 from __future__ import annotations
@@ -38,13 +41,14 @@ from .coords import (
     metrics_at,
     sos_to_cartesian,
 )
+from .errors import PoleDivergenceError, StencilOutOfDomainError
 from .harmonic import (
     HarmonicSolution,
     fd_laplacian,
-    fd_stencil,
     fit_boundary,
     s_at_point,
     solid_V,
+    stencil_meridional,
     sum_V,
 )
 from .series import (
@@ -586,13 +590,6 @@ def structure_checks(mu: float) -> list[CheckResult]:
 # --- harmonicity -------------------------------------------------------------
 
 
-def _mode_solution(cfg: SystemConfig, kind: str, n: int) -> HarmonicSolution:
-    coeffs = tuple(1.0 if i == n else 0.0 for i in range(n + 1))
-    if kind == "a":
-        return HarmonicSolution(a=coeffs, b=(), cfg=cfg)
-    return HarmonicSolution(a=(), b=coeffs, cfg=cfg)
-
-
 def _shell_point(
     rng: random.Random, cfg: SystemConfig, s_cap: float | None
 ) -> CartesianPoint:
@@ -605,6 +602,29 @@ def _shell_point(
         c = CartesianPoint(r * sth * math.cos(phi), r * sth * math.sin(phi), r * cth)
         if s_cap is None or abs(cartesian_R_s(c.x, c.y, c.z, cfg.mu)[1]) <= s_cap * lim:
             return c
+
+
+def _mode_stencils(cfg: SystemConfig, c: CartesianPoint, degree, second_kind, steps) -> np.ndarray:
+    """V of the pure mode (R/R0)^n P_n(s), or (R/R0)^n Q_n(s) where
+    second_kind, n = degree[j], on the 7-arm stencil of point j of c, for
+    every step of steps: a (step, arm, point) array from one
+    `legendre.solid_values` pass per kind over every arm of its points.  A
+    stencil arm at the origin, or on the axis for Q_n, raises
+    StencilOutOfDomainError."""
+    z, rho = stencil_meridional(c, steps)
+    z, rho = z / cfg.R0, rho / cfg.R0
+    v = np.empty(z.shape)
+    for kind in (False, True):
+        at = second_kind == kind
+        if not at.any():
+            continue
+        try:
+            p, q = legendre.solid_values(int(degree[at].max()), z[..., at], rho[..., at], kind)
+        except PoleDivergenceError as exc:
+            raise StencilOutOfDomainError(str(exc)) from exc
+        basis = q if kind else p
+        v[..., at] = np.take_along_axis(np.stack(basis), degree[at][None, None, None], axis=0)[0]
+    return v
 
 
 def harmonicity_checks(
@@ -623,37 +643,33 @@ def harmonicity_checks(
     fine stencil.  The decay ratio is asserted only where the coarse
     residual exceeds the resolvability floor; modes of degree <= 3 are
     polynomials the 7-point stencil differentiates exactly, so their
-    residuals sit at rounding level for every h.  Each mode's points go
-    through one array stencil per step.
+    residuals sit at rounding level for every h.  Each mode draws its own
+    points; the stencils of every mode and both steps are one array stencil
+    (`_mode_stencils`), and the Laplacians, the gradients and the ratios
+    are array operations over it.
     """
     rng = random.Random(seed)
-    hc, hf = h_coarse * cfg.R0, h_fine * cfg.R0
-    worst_mag = 0.0
-    ratios = []
-    modes = [("a", n) for n in range(a_max + 1)] + [("b", n) for n in range(b_max + 1)]
-    for kind, n in modes:
-        sol = _mode_solution(cfg, kind, n)
-        s_cap = 0.9 if kind == "b" else None
-        shell = [_shell_point(rng, cfg, s_cap) for _ in range(points_per_mode)]
-        c = CartesianPoint(*np.array([(p.x, p.y, p.z) for p in shell]).T)
-        v = fd_stencil(sol, c, hf)
-        lap_c = np.abs(fd_laplacian(fd_stencil(sol, c, hc), hc))
-        lap_f = np.abs(fd_laplacian(v, hf))
-        central = (v[1::2] - v[2::2]) / (2.0 * hf)  # rows d/dx, d/dy, d/dz
-        grad = np.array([math.hypot(*g) for g in central.T.tolist()])
-        # a constant mode: the stencil cancels exactly
-        grad = np.where(grad == 0.0, np.abs(v[0]) / cfg.R0, grad)
-        norm_c = lap_c * cfg.R0 / grad
-        norm_f = lap_f * cfg.R0 / grad
-        worst_mag = max(worst_mag, _worst(norm_f))
-        resolvable = norm_c > HARMONICITY_RATIO_FLOOR
-        ratios += (norm_c[resolvable] / norm_f[resolvable]).tolist()
-    if ratios:
-        ratio_residual = max(abs(min(ratios) - 4.0), abs(max(ratios) - 4.0))
-    else:
-        ratio_residual = math.inf
+    modes = [(False, n) for n in range(a_max + 1)] + [(True, n) for n in range(b_max + 1)]
+    shell = [
+        _shell_point(rng, cfg, 0.9 if kind else None) for kind, _ in modes for _ in range(points_per_mode)
+    ]
+    c = CartesianPoint(*np.array([(p.x, p.y, p.z) for p in shell]).T)
+    second_kind = np.repeat([kind for kind, _ in modes], points_per_mode)
+    degree = np.repeat([n for _, n in modes], points_per_mode)
+    hf, hc = h_fine * cfg.R0, h_coarse * cfg.R0
+    v = _mode_stencils(cfg, c, degree, second_kind, np.array([hf, hc]))
+    lap_f = np.abs(fd_laplacian(v[0], hf))
+    lap_c = np.abs(fd_laplacian(v[1], hc))
+    grad = np.linalg.norm((v[0, 1::2] - v[0, 2::2]) / (2.0 * hf), axis=0)  # central, fine step
+    # a constant mode: the stencil cancels exactly
+    grad = np.where(grad == 0.0, np.abs(v[0, 0]) / cfg.R0, grad)
+    norm_c = lap_c * cfg.R0 / grad
+    norm_f = lap_f * cfg.R0 / grad
+    resolvable = norm_c > HARMONICITY_RATIO_FLOOR
+    ratios = norm_c[resolvable] / norm_f[resolvable]
+    ratio_residual = max(abs(ratios.min() - 4.0), abs(ratios.max() - 4.0)) if ratios.size else math.inf
     return [
-        CheckResult("harmonic.fd_magnitude", worst_mag, 1e-5),
+        CheckResult("harmonic.fd_magnitude", _worst(norm_f), 1e-5),
         CheckResult("harmonic.fd_decay_ratio", ratio_residual, 0.5),
         _solid_identity(cfg, rng),
     ]

@@ -9,7 +9,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from sosharmonics import legendre
+from sosharmonics import harmonic, legendre, verify
 from sosharmonics.coords import (
     CartesianPoint,
     SosPoint,
@@ -20,6 +20,7 @@ from sosharmonics.coords import (
     meridional,
     metrics_at,
 )
+from sosharmonics.errors import StencilOutOfDomainError
 from sosharmonics.harmonic import (
     HarmonicSolution,
     eval_V_at,
@@ -28,7 +29,7 @@ from sosharmonics.harmonic import (
     laplacian_residual_fd,
 )
 from sosharmonics.trig import s_limit, solve_logit, trig_from_W_robust
-from sosharmonics.verify import _shell_point, anchor_checks, ode_checks
+from sosharmonics.verify import _mode_stencils, _shell_point, anchor_checks, ode_checks
 
 MUS = (0.0, 0.5, 2.0, 20.0, 200.0, 1000.0)
 R_OVER_R0 = (0.5, 1.0, 2.2)
@@ -167,6 +168,62 @@ def test_array_stencil_has_the_bits_of_float_calls(mu, kind, n):
             assert math.hypot(*central[:, k].tolist()) == want_grad
 
 
+@pytest.mark.parametrize("R0", [1.0, 6.957e8])
+@pytest.mark.parametrize("mu", [2.0, 200.0])
+def test_one_stencil_pass_matches_fd_stencil_for_every_mode(mu, R0):
+    """`_mode_stencils` sums each pure mode by the forward solid step, where
+    `fd_stencil` sums it by Clenshaw's pass: both err by a few ulp of the
+    size (r/R0)^n of the mode's terms, |P_n^cl| <= 1 (8.5 ulp seen)."""
+    cfg = SystemConfig(mu=mu, R0=R0)
+    modes = [(False, n) for n in range(7)] + [(True, n) for n in range(4)]
+    rng = random.Random(9)
+    shell = [_shell_point(rng, cfg, 0.9 if kind else None) for kind, _ in modes for _ in range(5)]
+    c = CartesianPoint(*np.array([(p.x, p.y, p.z) for p in shell]).T)
+    second_kind, degree = (np.repeat(f, 5) for f in zip(*modes))
+    steps = np.array([5e-3, 1e-2]) * R0
+    v = _mode_stencils(cfg, c, degree, second_kind, steps)
+    assert v.shape == (2, 7, len(shell))
+    for m, (kind, n) in enumerate(modes):
+        at = slice(5 * m, 5 * m + 5)
+        coeffs = tuple(1.0 if i == n else 0.0 for i in range(n + 1))
+        sol = HarmonicSolution(a=() if kind else coeffs, b=coeffs if kind else (), cfg=cfg)
+        point = CartesianPoint(c.x[at], c.y[at], c.z[at])
+        r = np.sqrt(point.x**2 + point.y**2 + point.z**2)
+        for got, h in zip(v, steps.tolist()):
+            size = np.max((r + h) / R0) ** n
+            assert np.max(np.abs(got[:, at] - fd_stencil(sol, point, h))) <= 16.0 * np.spacing(size), (kind, n)
+
+
+def test_harmonicity_checks_take_one_basis_pass_per_kind_and_no_fd_stencil(monkeypatch):
+    passes = []
+    solid_values = legendre.solid_values
+
+    def counted(N, z, rho, second_kind=False):
+        passes.append((N, np.shape(z), second_kind))
+        return solid_values(N, z, rho, second_kind)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("harmonicity_checks called fd_stencil")
+
+    monkeypatch.setattr(legendre, "solid_values", counted)
+    for module in (harmonic, verify):
+        monkeypatch.setattr(module, "fd_stencil", forbidden, raising=False)
+    checks = verify.harmonicity_checks(SystemConfig(mu=2.0), a_max=3, b_max=1, points_per_mode=4)
+    assert all(c.passed for c in checks)
+    # both steps, every arm, the points of every mode of the kind
+    assert passes == [(3, (2, 7, 16), False), (1, (2, 7, 8), True)]
+
+
+def test_harmonicity_stencil_on_the_axis_is_out_of_domain():
+    """A Q_n stencil arm on the axis raises, as `fd_stencil` does; a P_n one
+    does not."""
+    cfg = SystemConfig(mu=2.0)
+    c = CartesianPoint(np.array([1e-2, 1.0]), np.array([0.0, 0.5]), np.array([0.5, 0.5]))
+    _mode_stencils(cfg, c, np.array([1, 1]), np.array([False, False]), np.array([1e-2]))
+    with pytest.raises(StencilOutOfDomainError):
+        _mode_stencils(cfg, c, np.array([1, 1]), np.array([True, False]), np.array([1e-2]))
+
+
 @pytest.mark.parametrize("mu", [0.0, 2.0, 200.0])
 def test_ode_checks_keep_the_bits_of_per_degree_calls(mu):
     n_max, n_s = 10, 50
@@ -202,3 +259,15 @@ def test_solid_sum_has_the_shape_of_its_points(a, b):
         zf, rf = float(z[i, j]), float(rho[i, j])
         want = legendre.solid_sum(a, b, zf, zf * zf + rf * rf, legendre.q0_meridional(zf, rf) if b else None)
         assert isinstance(want, float) and v == want
+
+
+@pytest.mark.parametrize("a, b", [((0.75,), ()), ((0.75, 0.25), ()), ((0.75, 0.25, -0.5), ()), ((0.75, 0.25), (0.5,))])
+def test_solid_V_at_a_float_z_has_the_shape_of_rho(a, b):
+    """At a float z and an array rho every expansion is an array of rho's
+    shape, each element the float sum: degree 1, whose one step never meets
+    r^2, gave the float."""
+    sol = HarmonicSolution(a=a, b=b, cfg=SystemConfig(mu=2.0))
+    z, rho = 0.3, np.array([[0.5, 1.0], [2.0, 3.0]])
+    got = harmonic.solid_V(sol, z, rho)
+    assert isinstance(got, np.ndarray) and got.shape == rho.shape
+    assert got.tolist() == [[harmonic.solid_V(sol, z, r) for r in row] for row in rho.tolist()]

@@ -430,6 +430,7 @@ class TestVerify:
         assert rc == 0
         assert "suites" not in out and "seconds" not in out
         payload = json.loads(report.read_text())
+        assert report.read_text() == json.dumps(payload, indent=2) + "\n"
         names = [s["name"] for s in payload["suites"]]
         assert names == [
             "trig_identity_checks", "derivative_checks", "series_identity_checks",

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sosharmonics import trig
 from sosharmonics.errors import NearBorderError, PoleLimitError
 from sosharmonics.series import w_border
 from sosharmonics.trig import (
@@ -240,3 +242,27 @@ class TestMonotonicity:
         ss = [trig_from_W_robust(w, mu).s for w in ws]
         assert all(b > a for a, b in zip(ss, ss[1:]))
         assert ss[-1] < s_limit(mu)
+
+
+# the most Newton steps of `solve_logit` over log W in [-1000, 2000]
+LOGIT_STEPS = {0.0: 0, 0.5: 4, 2.0: 5, 20.0: 7, 200.0: 8, 1000.0: 10, 1e6: 16}
+
+
+@pytest.mark.parametrize("mu", LOGIT_STEPS)
+def test_solve_logit_seeds_right_of_the_root_and_descends(monkeypatch, mu):
+    """Each step of a float call forms softplus once, at its iterate: the
+    seed is the first, the root the last (the stalled step)."""
+    iterates = []
+    softplus = trig._softplus
+
+    def recorded(x):
+        iterates.append(x)
+        return softplus(x)
+
+    monkeypatch.setattr(trig, "_softplus", recorded)
+    for log_w in np.concatenate([np.linspace(-1000.0, 2000.0, 3001), np.linspace(-5.0, 5.0, 501)]).tolist():
+        iterates.clear()
+        root = trig.solve_logit(log_w, mu)
+        assert iterates[0] >= root == iterates[-1]
+        assert iterates == sorted(iterates, reverse=True)
+        assert len(iterates) - 1 <= LOGIT_STEPS[mu], log_w
