@@ -165,17 +165,16 @@ def _grid_block(cfg, quantity, sol, x, z):
     NaN marks a cell with no value: the origin, W on the axis, W or V beyond
     the float range, and V with second-kind terms on the axis x = 0.  A V
     cell has the bits of `eval_V_cartesian` at that cell."""
+    empty = (x == 0.0) & ((z == 0.0) | (quantity == "V" and sol.has_second_kind))
+    x = np.where(empty, 1.0, x)  # a cell in the domain, masked below
     with np.errstate(all="ignore"):  # overflow and the axis become NaN cells
         if quantity == "V":
-            empty = (x == 0.0) & ((z == 0.0) | sol.has_second_kind)
-            value = solid_V(sol, z, np.where(empty, 1.0, x))
+            value = solid_V(sol, z, x)
         elif quantity == "s":
-            R, value = cartesian_R_s(x, 0.0, z, cfg.mu)
-            empty = R == 0.0
+            value = cartesian_R_s(x, 0.0, z, cfg.mu)[1]
         else:
-            R, _, h_R, _, log_w = cartesian_closed(x, 0.0, z, cfg.mu)
+            _, _, h_R, _, log_w = cartesian_closed(x, 0.0, z, cfg.mu)
             value = h_R if quantity == "hR" else np.exp(log_w)  # +inf on the axis
-            empty = R == 0.0
         return np.where(empty | ~np.isfinite(value), np.nan, value)
 
 

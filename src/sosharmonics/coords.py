@@ -14,13 +14,13 @@ for (x, y, z); each solves the closed inversion once, in log W
 (`trig.solve_logit`), and both share one h_nu/J tail.  The poles are a
 closed case of it; only `compute_W` refuses them.
 
-The point functions take floats or numpy arrays that broadcast together,
-with one body: a float runs on `math` with its exceptions, an array on
-numpy.  An array element may differ from its float call by a few ulp, and
-an array raises the exception (ValueError, OverflowError, ZeroDivisionError)
-that the float call of one of its elements raises.  The records
-(`SosPoint`, `CartesianPoint`, `MetricBundle`) hold floats, or arrays from
-the array kernels.
+The point kernels take floats or numpy arrays that broadcast together, and
+each has one numpy body (`trig._point_kernel`).  A float call is one element
+of the array call, returned as Python floats: it has that element's bits and
+raises its exception (ValueError, OverflowError, ZeroDivisionError,
+DegenerateOriginError), and an array raises where any element would.  Only
+`compute_W` and `dW` stay on `math`, for floats.  The records (`SosPoint`,
+`CartesianPoint`, `MetricBundle`) hold floats, or arrays from array calls.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOriginError, PoleLimitError
-from .trig import _all, _any, _log, _quiet, _softplus, _where, _xp, closed_trig, s_limit, solve_logit
+from .trig import _point_kernel, _softplus, closed_trig, s_limit, solve_logit
 
 _HALF_PI = math.pi / 2
 
@@ -65,11 +65,9 @@ class SosPoint:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        R = self.R
-        if not _all((R > 0.0) & (R < math.inf)):
+        if not np.isfinite(self.R).all():
             raise ValueError("R must be finite and positive")
-        if not _all(abs(self.nu) <= _HALF_PI):
-            raise ValueError("nu must lie in [-pi/2, pi/2]")
+        _check_chart(self.R, self.nu)
 
 
 @dataclass(frozen=True)
@@ -91,9 +89,11 @@ class MetricBundle:
 
 
 def _check_chart(R, nu) -> None:
-    if _any(R <= 0.0):
+    """ValueError unless R > 0 and |nu| <= pi/2 (so not NaN), for floats or
+    arrays."""
+    if not np.all(R > 0.0):
         raise ValueError("R must be positive")
-    if _any(abs(nu) > _HALF_PI):
+    if not np.all(abs(nu) <= _HALF_PI):
         raise ValueError("nu must lie in [-pi/2, pi/2]")
 
 
@@ -126,35 +126,29 @@ def dW(R: float, nu: float, cfg: SystemConfig) -> tuple[float, float, float, flo
 
 
 def _metrics(R, s, f_C, h_R, sn, cs, cfg: SystemConfig) -> MetricBundle:
-    """Metrics from |s|, f_C, h_R, sn = sin|nu| and cs = cos nu, floats or arrays.
+    """Metrics from |s|, f_C, h_R, sn = sin|nu| and cs = cos nu.
 
     (dW/dnu)/W = (1 + mu sn^2)/(sn cs) gives h_nu = R (1 + mu sn^2) f_C (s/sn)
     / ((1+mu) cs) and J = R h_nu f_C.  Where s is below the normal range
     (the equator, or an s whose digits underflowed) s/sn is its limit
     sqrt(1+mu) (R/R0)^mu / cs^(1+mu), as W = s/sqrt(1+mu) there.  The pole
     cs = 0 has h_nu = R (R0/R)^(mu/(1+mu)) and J = 0, and f_C = 0 gives it
-    zero ratios.  The float call raises OverflowError where that limit
-    overflows and ZeroDivisionError where h_nu underflows; an array raises
-    them for any such element.
+    zero ratios.  Any element raises OverflowError where that limit
+    overflows, and ZeroDivisionError where sn underflows to 0 at a normal s
+    or h_nu underflows.
     """
     mu, e = cfg.mu, 1.0 + cfg.mu
     pole, tiny = cs == 0.0, s < sys.float_info.min
-    if _any(tiny):
-        xp = _xp(cs)
-        log_lift = mu * (xp.log(R) - math.log(cfg.R0)) - e * xp.log(_where(tiny, cs, 1.0))
-        lift = xp.exp(_where(tiny, log_lift, 0.0))
-        if xp is np and np.isinf(lift).any():
-            raise OverflowError("math range error")
-        s_over_sn = _where(tiny, math.sqrt(e) * lift, s / _where(tiny, 1.0, sn))
-    else:
-        s_over_sn = s / sn
-    h_nu = R * (1.0 + mu * sn * sn) * f_C * s_over_sn / (e * _where(pole, 1.0, cs))
-    if _any(pole):  # R h_nu may overflow there, and J is 0
-        h_nu = _where(pole, R ** (1.0 / e) * cfg.R0 ** (mu / e), h_nu)
-        jac = _where(pole, 0.0, R * h_nu * f_C)
-    else:
-        jac = R * h_nu * f_C
-    if isinstance(h_nu, np.ndarray) and (h_nu == 0.0).any():
+    log_lift = mu * (np.log(R) - math.log(cfg.R0)) - e * np.log(np.where(tiny, cs, 1.0))
+    lift = np.exp(np.where(tiny, log_lift, 0.0))
+    if np.isinf(lift).any():
+        raise OverflowError("math range error")
+    s_over_sn = np.where(tiny, math.sqrt(e) * lift, s / np.where(tiny, 1.0, sn))
+    h_nu = R * (1.0 + mu * sn * sn) * f_C * s_over_sn / (e * np.where(pole, 1.0, cs))
+    # R h_nu may overflow at the pole, and J is 0 there
+    h_nu = np.where(pole, R ** (1.0 / e) * cfg.R0 ** (mu / e), h_nu)
+    jac = np.where(pole, 0.0, R * h_nu * f_C)
+    if ((h_nu == 0.0) | (sn == 0.0) & (s >= sys.float_info.min)).any():
         raise ZeroDivisionError("float division by zero")
     return MetricBundle(
         h_R=h_R,
@@ -165,6 +159,7 @@ def _metrics(R, s, f_C, h_R, sn, cs, cfg: SystemConfig) -> MetricBundle:
     )
 
 
+@_point_kernel
 def closed_point(R, nu, cfg: SystemConfig):
     """(s, f_C, metrics, log|W|) at R > 0, |nu| <= pi/2: the SOS point kernel.
 
@@ -175,15 +170,12 @@ def closed_point(R, nu, cfg: SystemConfig):
     """
     _check_chart(R, nu)
     mu = cfg.mu
-    xp = _xp(R + nu)
-    if xp is np:
-        R, nu = np.broadcast_arrays(R, nu)
-    with _quiet(xp is np):
-        sn = xp.sin(abs(nu))
-        cs = _where(abs(nu) < _HALF_PI, xp.cos(nu), 0.0)  # cos(pi/2) rounds to 6e-17
-        log_w = mu * (xp.log(R) - math.log(cfg.R0)) - (1.0 + mu) * _log(cs) + _log(sn)
-        h_R, f_C, s = closed_trig(solve_logit(log_w, mu), mu)
-        return _where(nu < 0.0, -s, s), f_C, _metrics(R, s, f_C, h_R, sn, cs, cfg), log_w
+    R, nu = np.broadcast_arrays(R, nu)
+    sn = np.sin(abs(nu))
+    cs = np.where(abs(nu) < _HALF_PI, np.cos(nu), 0.0)  # cos(pi/2) rounds to 6e-17
+    log_w = mu * (np.log(R) - math.log(cfg.R0)) - (1.0 + mu) * np.log(cs) + np.log(sn)
+    h_R, f_C, s = closed_trig(solve_logit(log_w, mu), mu)
+    return np.where(nu < 0.0, -s, s), f_C, _metrics(R, s, f_C, h_R, sn, cs, cfg), log_w
 
 
 def metrics_at(R: float, nu: float, cfg: SystemConfig) -> MetricBundle:
@@ -204,6 +196,7 @@ def sos_to_cartesian(p: SosPoint, cfg: SystemConfig) -> CartesianPoint:
     return CartesianPoint(x=rho * math.cos(p.lam), y=rho * math.sin(p.lam), z=z)
 
 
+@_point_kernel
 def cartesian_R_s(x, y, z, mu: float):
     """R and s = (1+mu) z / R of Cartesian points, in closed form.
 
@@ -215,33 +208,20 @@ def cartesian_R_s(x, y, z, mu: float):
     [-sqrt(1+mu), sqrt(1+mu)].
 
     x, y, z are floats, or floats and numpy arrays that broadcast together.
-    Both take only correctly rounded operations, so an array gives the same
-    bits as its elements one by one.  A float origin raises
-    DegenerateOriginError; in an array the origin gets R = 0, for the
-    caller to mask.
+    An origin raises DegenerateOriginError.
     """
     lim = s_limit(mu)
     u, v, w = abs(x), abs(y), abs(lim * z)
-    array = isinstance(u + v + w, np.ndarray)
-    if array:
-        m = np.maximum(np.maximum(u, v), w)
-        m = np.where(m == 0.0, 1.0, m)  # the origin: R = 0 below
-    else:
-        m = max(u, v, w)
-        if m == 0.0:
-            raise DegenerateOriginError("the origin has no SOS image")
+    m = np.maximum(np.maximum(u, v), w)
+    if (m == 0.0).any():
+        raise DegenerateOriginError("the origin has no SOS image")
     u, v, w = u / m, v / m, w / m
-    R = m * (np.sqrt if array else math.sqrt)(u * u + v * v + w * w)
-    if not array:
-        if x == 0.0 and y == 0.0:
-            return R, math.copysign(lim, z)
-        return R, max(-lim, min(lim, (1.0 + mu) * z / R))
-    axis = (x == 0.0) & (y == 0.0)
-    with np.errstate(invalid="ignore"):  # 0/0 at the origin, an axis cell
-        s = np.clip((1.0 + mu) * z / R, -lim, lim)
-    return R, np.where(axis, np.copysign(lim, z), s)
+    R = m * np.sqrt(u * u + v * v + w * w)
+    s = np.clip((1.0 + mu) * z / R, -lim, lim)
+    return R, np.where((x == 0.0) & (y == 0.0), np.copysign(lim, z), s)
 
 
+@_point_kernel
 def cartesian_closed(x, y, z, mu: float):
     """(R, s, h_R, f_C, log|W|) of Cartesian points, closed, with no solve.
 
@@ -255,46 +235,32 @@ def cartesian_closed(x, y, z, mu: float):
     """
     R, s = cartesian_R_s(x, y, z, mu)
     e = 1.0 + mu
-    if isinstance(R, np.ndarray):
-        rho = np.hypot(x, y)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # axis, equator, origin
-            r = abs(z) / rho
-            normal = (sys.float_info.min <= r) & (r < math.inf)
-            x_t = math.log1p(mu) + 2.0 * np.where(normal, np.log(r), np.log(abs(z)) - np.log(rho))
-            log_w = 0.5 * (e * np.logaddexp(0.0, x_t) - np.logaddexp(0.0, -x_t))
-        h_R = np.sqrt(e / (e + mu * s * s))
-    else:
-        rho = math.hypot(x, y)
-        r = abs(z) / rho if rho > 0.0 else math.inf
-        normal = sys.float_info.min <= r < math.inf
-        x_t = math.log1p(mu) + 2.0 * (math.log(r) if normal else _log(abs(z)) - _log(rho))
-        sp, sp_neg = _softplus(x_t)
-        log_w = 0.5 * (e * sp - sp_neg)
-        h_R = math.sqrt(e / (e + mu * s * s))
+    rho = np.hypot(x, y)
+    r = abs(z) / rho
+    normal = (sys.float_info.min <= r) & (r < math.inf)
+    x_t = math.log1p(mu) + 2.0 * np.where(normal, np.log(r), np.log(abs(z)) - np.log(rho))
+    log_w = 0.5 * (e * np.logaddexp(0.0, x_t) - np.logaddexp(0.0, -x_t))
+    h_R = np.sqrt(e / (e + mu * s * s))
     return R, s, h_R, rho / R * h_R, log_w
 
 
 def _solve_nu(x, y, z, R, log_w, cfg: SystemConfig):
-    """(nu, lam, sin|nu|, cos nu), floats or arrays: t = log tan^2 nu solves
+    """(nu, lam, sin|nu|, cos nu): t = log tan^2 nu solves
     t/2 + (mu/2) log(1 + e^t) = log W - mu (log R - log R0) (`trig.solve_logit`),
     and sin^2 nu, cos^2 nu are the logistic function of t and of -t."""
-    mu, xp = cfg.mu, _xp(log_w)
-    with _quiet(xp is np):
-        t = solve_logit(log_w - mu * (xp.log(R) - math.log(cfg.R0)), mu)
-        sp, sp_neg = _softplus(t)
-        sn, cs = xp.exp(-0.5 * sp_neg), xp.exp(-0.5 * sp)
-    atan2 = np.arctan2 if xp is np else math.atan2
-    return xp.copysign(atan2(sn, cs), z), atan2(y, x), sn, cs
+    mu = cfg.mu
+    t = solve_logit(log_w - mu * (np.log(R) - math.log(cfg.R0)), mu)
+    sp, sp_neg = _softplus(t)
+    sn, cs = np.exp(-0.5 * sp_neg), np.exp(-0.5 * sp)
+    return np.copysign(np.arctan2(sn, cs), z), np.arctan2(y, x), sn, cs
 
 
+@_point_kernel
 def cartesian_R_nu(x, y, z, cfg: SystemConfig):
     """(R, nu, lam) of Cartesian points, floats or arrays that broadcast
     together: the inverse transform, R and log|W| from `cartesian_closed`
     and nu from one logit solve.  The origin raises DegenerateOriginError."""
-    with _quiet(isinstance(x + y + z, np.ndarray)):  # 0/0 at an origin, which R = 0 marks
-        R, _, _, _, log_w = cartesian_closed(x, y, z, cfg.mu)
-    if _any(R == 0.0):
-        raise DegenerateOriginError("the origin has no SOS image")
+    R, _, _, _, log_w = cartesian_closed(x, y, z, cfg.mu)
     return (R, *_solve_nu(x, y, z, R, log_w, cfg)[:2])
 
 
@@ -303,6 +269,7 @@ def cartesian_to_sos(c: CartesianPoint, cfg: SystemConfig) -> SosPoint:
     return SosPoint(*cartesian_R_nu(c.x, c.y, c.z, cfg))
 
 
+@_point_kernel
 def cartesian_point(
     c: CartesianPoint, cfg: SystemConfig
 ) -> tuple[SosPoint, float, float, MetricBundle, float]:

@@ -19,10 +19,11 @@ The point entries (`s_at_point`, `eval_V_at`, `eval_V_cartesian`,
 `fd_stencil` and its `laplacian_residual_fd`) take floats or arrays, a point
 record of arrays included; `stencil_meridional` gives the (z, rho) of the
 stencil arms, of several steps at once, for a caller that sums its own
-basis there.  `eval_V_cartesian` and the stencil give each
-element the bits of its float call; the (R, nu) entries go through the
-array kernel of `coords`, whose elements may differ from their float calls
-by a few ulp.  Arrays raise the exceptions of their elements' float calls.
+basis there.  The (z, rho) of a point come from one numpy body
+(`coords.closed_point`, or `_cartesian_meridional` with numpy's hypot), and
+a float call is one element of the array call (`trig._point_kernel`), so
+each element has the bits and the exceptions of its float call.  The
+Legendre sums stay on floats for a float point.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     RankDeficientError,
     StencilOutOfDomainError,
 )
-from .trig import _all, _any, s_limit
+from .trig import _point_kernel, s_limit
 
 FILE_CONVENTION = "R_over_R0"
 
@@ -146,19 +147,15 @@ def eval_V_at(sol: HarmonicSolution, p: SosPoint):
     return solid_V(sol, *meridional(p.R, p.nu, sol.cfg))
 
 
-_HYPOT = np.frompyfunc(math.hypot, 2, 1)
-
-
+@_point_kernel
 def _cartesian_meridional(c: CartesianPoint):
     """(z, rho) of a Cartesian point (of floats or arrays), rho = hypot(x, y).
-    An array takes math.hypot per element (numpy's hypot rounds differently),
-    so each element has the bits of its float call.  A non-finite coordinate
-    raises ValueError, the origin DegenerateOriginError."""
-    array = isinstance(c.x + c.y + c.z, np.ndarray)
-    rho = np.asarray(_HYPOT(c.x, c.y), dtype=float) if array else math.hypot(c.x, c.y)
-    if not _all((abs(rho) < math.inf) & (abs(c.z) < math.inf)):
+    A non-finite coordinate raises ValueError, the origin
+    DegenerateOriginError."""
+    rho = np.hypot(c.x, c.y)
+    if not (np.isfinite(rho) & np.isfinite(c.z)).all():
         raise ValueError("x, y and z must be finite")
-    if _any((rho == 0.0) & (c.z == 0.0)):
+    if ((rho == 0.0) & (c.z == 0.0)).any():
         raise DegenerateOriginError("the origin has no SOS image")
     return c.z, rho
 
@@ -178,7 +175,7 @@ def stencil_meridional(c: CartesianPoint, h):
     stacked as 7 rows over the shape of c's fields; an array h of steps adds
     its shape in front, so one call holds the stencils of every step.  An
     arm at the origin raises StencilOutOfDomainError."""
-    if _any(h <= 0.0):
+    if np.any(h <= 0.0):
         raise ValueError("h must be positive")
     steps = np.multiply.outer(h, _STENCIL)  # h's shape x 7 arms x 3 axes
     arms = [np.add.outer(steps[..., k], v) for k, v in enumerate((c.x, c.y, c.z))]

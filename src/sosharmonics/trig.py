@@ -10,22 +10,23 @@ closed inversion
 
 Every member of the bundle follows from its one root, which `solve_logit`
 finds in log space for every W, the border band included.  The Polya-Szego
-series bundle `trig_from_W` (and its list form `trig_from_W_many`) is kept
-as the witness that `verify` checks the closed forms against; `verify` sums
-its series rows (`_witness_rows`) with those of its other suites and takes
-the bundles from their results (`_witness_bundles`).
+series bundle `trig_from_W` is kept as the witness that `verify` checks the
+closed forms against; `verify` sums its series rows (`_witness_rows`) at
+every W with those of its other suites and takes the bundles from their
+results (`_witness_bundles`).
 
-The closed kernel (`solve_logit`, `closed_trig`, `trig_from_W_robust`) takes
-floats or numpy arrays with one body: a float runs on `math`, an array on
-numpy, so an array element may differ from its float call by a few ulp, and
-an array raises the exceptions its elements' float calls raise.
+The closed kernel (`solve_logit`, `closed_trig`, `trig_from_W_robust`,
+`s_on_reference`) has one numpy body (`_point_kernel`), for floats or numpy
+arrays.  A float call is one element of the array call: it runs the body on
+0-d values and returns Python floats, with the same bits and the same
+exceptions.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -50,43 +51,43 @@ class TrigBundle:
     mu: float
 
 
-_FLOAT = contextlib.nullcontext()
 _LOG_2 = math.log(2.0)
 
 
-def _xp(v):
-    """numpy for an array, math for a float."""
-    return np if isinstance(v, np.ndarray) else math
+def _point_kernel(body):
+    """A point kernel from its numpy body, which raises its own exceptions
+    and so runs with numpy's floating-point warnings off.
+
+    A float call, with no numpy array or scalar among its arguments or their
+    record fields, runs the body on 0-d values and gets its results back as
+    Python floats, in the same tuples and records: it is one element of the
+    array call.
+    """
+
+    @functools.wraps(body)
+    def kernel(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            result = body(*args, **kwargs)
+        return result if _has_numpy((*args, *kwargs.values())) else _as_float(result)
+
+    return kernel
 
 
-def _quiet(array: bool):
-    """numpy's floating-point warnings off for an array: each array kernel
-    raises the float calls' exceptions itself."""
-    return np.errstate(all="ignore") if array else _FLOAT
+def _has_numpy(values) -> bool:
+    """Whether a value, or a field of a record among them, is numpy's."""
+    return any(
+        isinstance(v, (np.ndarray, np.generic)) or (is_dataclass(v) and _has_numpy(vars(v).values()))
+        for v in values
+    )
 
 
-def _any(c) -> bool:
-    """c, or any element of an array c."""
-    return bool(c.any()) if isinstance(c, np.ndarray) else c
-
-
-def _all(c) -> bool:
-    """c, or every element of an array c."""
-    return bool(c.all()) if isinstance(c, np.ndarray) else c
-
-
-def _where(c, a, b):
-    """a where c holds, else b: `np.where` for an array c."""
-    if isinstance(c, np.ndarray):
-        return np.where(c, a, b)
-    return a if c else b
-
-
-def _log(v):
-    """log, with log 0 = -inf; floats, or arrays under `_quiet`."""
-    if isinstance(v, np.ndarray):
-        return np.log(v)
-    return math.log(v) if v > 0.0 else -math.inf
+def _as_float(v):
+    """v with every number a Python float, through tuples and records."""
+    if isinstance(v, tuple):
+        return tuple(map(_as_float, v))
+    if is_dataclass(v):
+        return type(v)(*map(_as_float, vars(v).values()))
+    return float(v)
 
 
 def s_limit(mu: float) -> float:
@@ -94,12 +95,13 @@ def s_limit(mu: float) -> float:
     return math.sqrt(1.0 + mu)
 
 
+@_point_kernel
 def s_on_reference(nu, mu: float):
     """Closed form of s on the reference spheroid: sqrt(1+mu) * sin(nu);
     floats or arrays."""
-    if _any(abs(nu) > math.pi / 2):
+    if np.any(abs(nu) > math.pi / 2):
         raise ValueError("nu must lie in [-pi/2, pi/2]")
-    return math.sqrt(1.0 + mu) * _xp(nu).sin(nu)
+    return math.sqrt(1.0 + mu) * np.sin(nu)
 
 
 def w_from_s(s: float, mu: float) -> float:
@@ -115,15 +117,12 @@ def w_from_s(s: float, mu: float) -> float:
 
 def _softplus(x):
     """(softplus(x), softplus(-x)), softplus(x) = log(1 + e^x), without
-    overflow or cancellation; floats or arrays.  The two share
-    log1p(e^-|x|)."""
-    if isinstance(x, np.ndarray):
-        tail = np.log1p(np.exp(-abs(x)))
-        return np.maximum(x, 0.0) + tail, np.maximum(-x, 0.0) + tail
-    tail = math.log1p(math.exp(-abs(x)))
-    return max(x, 0.0) + tail, max(-x, 0.0) + tail
+    overflow or cancellation.  The two share log1p(e^-|x|)."""
+    tail = np.log1p(np.exp(-abs(x)))
+    return np.maximum(x, 0.0) + tail, np.maximum(-x, 0.0) + tail
 
 
+@_point_kernel
 def solve_logit(log_w, mu: float):
     """Logit x = log(t/(1-t)) of t = s^2/(1+mu) at W = exp(log_w), floats or arrays.
 
@@ -137,20 +136,19 @@ def solve_logit(log_w, mu: float):
     slope (1 + mu t)/2 from t = exp(x - softplus(x)).
     log W = -inf gives x = -inf (the equator), +inf gives +inf (the axis).
     """
-    array = isinstance(log_w, np.ndarray)
-    exp, half_mu = np.exp if array else math.exp, 0.5 * mu
+    log_w, half_mu = np.asarray(log_w, dtype=float), 0.5 * mu
     seeds = 2.0 * log_w, 2.0 * log_w / (1.0 + mu), (log_w - half_mu * _LOG_2) / (0.5 + 0.5 * half_mu)
-    x = (np.minimum.reduce if array else min)(seeds)
-    with _quiet(array):  # inf - inf at the equator and the axis
-        while True:
-            sp = np.logaddexp(0.0, x) if array else _softplus(x)[0]
-            nxt = x - (0.5 * x + half_mu * sp - log_w) / (0.5 + half_mu * exp(x - sp))
-            descends = nxt < x  # False where rounding stalls, and at +-inf
-            if not (descends.any() if array else descends):
-                return x
-            x = np.where(descends, nxt, x) if array else nxt
+    x = np.minimum.reduce(seeds)
+    while True:
+        sp = np.logaddexp(0.0, x)
+        nxt = x - (0.5 * x + half_mu * sp - log_w) / (0.5 + half_mu * np.exp(x - sp))
+        descends = nxt < x  # False where rounding stalls, and at +-inf
+        if not descends.any():
+            return x
+        x = np.where(descends, nxt, x)
 
 
+@_point_kernel
 def closed_trig(x, mu: float):
     """(h_R, f_C, s) at logit x, floats or arrays.
 
@@ -159,12 +157,11 @@ def closed_trig(x, mu: float):
     log(1-t) = -softplus(x), so without cancellation at the equator or the
     axis.
     """
-    xp = _xp(x)
     sp, sp_neg = _softplus(x)
     log_t = -sp_neg
-    h_R = 1.0 / xp.sqrt(1.0 + mu * xp.exp(log_t))
-    f_C = xp.exp(-0.5 * sp) * h_R
-    s = math.sqrt(1.0 + mu) * xp.exp(0.5 * log_t)
+    h_R = 1.0 / np.sqrt(1.0 + mu * np.exp(log_t))
+    f_C = np.exp(-0.5 * sp) * h_R
+    s = math.sqrt(1.0 + mu) * np.exp(0.5 * log_t)
     return h_R, f_C, s
 
 
@@ -176,18 +173,12 @@ def _spherical_bundle(W: float) -> TrigBundle:
 
 def trig_from_W(W: float, mu: float) -> TrigBundle:
     """Series evaluation of the bundle (the witness); refuses the guard band."""
-    return trig_from_W_many([W], mu)[0]
-
-
-def trig_from_W_many(Ws, mu: float) -> list[TrigBundle]:
-    """`trig_from_W` at every W of Ws, its series summed in one
-    `eval_series_many` call; raises the first W's error, in order."""
-    return _witness_bundles(Ws, mu, eval_series_many(_witness_rows(Ws, mu)))
+    return _witness_bundles([W], mu, eval_series_many(_witness_rows([W], mu)))[0]
 
 
 def _witness_rows(Ws, mu: float) -> list:
-    """The series rows (spec, W) of `trig_from_W_many`: hR2, fC2 and fS2 at
-    each W > 0 for mu > 0; raises the first W's error, in order."""
+    """The series rows (spec, W) of `trig_from_W` at every W of Ws: hR2, fC2
+    and fS2 at each W > 0 for mu > 0; raises the first W's error, in order."""
     requests = []
     for W in Ws:
         if W < 0:
@@ -204,7 +195,8 @@ def _witness_rows(Ws, mu: float) -> list:
 
 
 def _witness_bundles(Ws, mu: float, results) -> list[TrigBundle]:
-    """The bundles of `trig_from_W_many` from the results of its rows."""
+    """The bundles of `trig_from_W` at every W of Ws from the results of
+    their `_witness_rows`."""
     values = iter([res.value for res in results])
     out = []
     for W in Ws:
@@ -219,13 +211,13 @@ def _witness_bundles(Ws, mu: float, results) -> list[TrigBundle]:
     return out
 
 
+@_point_kernel
 def trig_from_W_robust(W, mu: float) -> TrigBundle:
     """Series-free bundle from the closed inversion, for every W >= 0; W is
     a float or an array, and every field of the bundle has its type."""
-    if _any(W < 0):
+    if np.any(W < 0):
         raise ValueError("W must be non-negative")
-    with _quiet(isinstance(W, np.ndarray)):  # log 0
-        h_R, f_C, s = closed_trig(solve_logit(_log(W), mu), mu)
+    h_R, f_C, s = closed_trig(solve_logit(np.log(W), mu), mu)
     return TrigBundle(W=W, h_R=h_R, f_S=s * h_R, f_C=f_C, s=s, mu=mu)
 
 

@@ -30,7 +30,6 @@ from . import legendre
 from .coords import (
     CartesianPoint,
     MetricBundle,
-    SosPoint,
     SystemConfig,
     cartesian_R_nu,
     cartesian_R_s,
@@ -39,14 +38,12 @@ from .coords import (
     dW,
     meridional,
     metrics_at,
-    sos_to_cartesian,
 )
 from .errors import PoleDivergenceError, StencilOutOfDomainError
 from .harmonic import (
     HarmonicSolution,
     fd_laplacian,
     fit_boundary,
-    s_at_point,
     solid_V,
     stencil_meridional,
     sum_V,
@@ -452,22 +449,24 @@ def transform_checks(
 
 
 def anchor_checks(cfg: SystemConfig, n_nu: int = 20) -> list[CheckResult]:
-    """Closed form of s on the reference spheroid plus endpoint values; the
-    pole's position is compared in units of R0, as every transform residual
-    is relative."""
+    """Closed form of s on the reference spheroid plus endpoint values, from
+    one `closed_point` solve whose last two points are the equator (W = 0)
+    and the pole; the pole's position is compared in units of R0, as every
+    transform residual is relative."""
     mu = cfg.mu
     nus = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, n_nu)
-    s = s_at_point(cfg.R0, np.append(nus, [0.0, math.pi / 2]), cfg)
+    s, f_C, mb, _ = closed_point(cfg.R0, np.append(nus, [0.0, math.pi / 2]), cfg)
     worst = _worst(np.abs(s[:-2] - s_on_reference(nus, mu)))
     lim = s_limit(mu)
-    pole = sos_to_cartesian(SosPoint(R=cfg.R0, nu=math.pi / 2), cfg)
+    # the pole's forward transform at lam = 0, from its `meridional` (z, rho)
+    z, rho, lam = cfg.R0 * s[-1] / (1.0 + mu), cfg.R0 * f_C[-1] / mb.h_R[-1], 0.0
     ends = max(
         abs(s[-2]),
         abs(s[-1] - lim),
-        abs(trig_from_W_robust(0.0, mu).h_R - 1.0),
-        abs(pole.z / cfg.R0 - 1.0 / lim),
-        abs(pole.x / cfg.R0),
-        abs(pole.y / cfg.R0),
+        abs(mb.h_R[-2] - 1.0),
+        abs(z / cfg.R0 - 1.0 / lim),
+        abs(rho * math.cos(lam) / cfg.R0),
+        abs(rho * math.sin(lam) / cfg.R0),
     )
     return [
         CheckResult("anchor.s_on_reference", worst, 1e-10),

@@ -1,5 +1,6 @@
-"""The point kernels on numpy arrays against their float calls, and the
-verify suites that evaluate each sample set in one array pass."""
+"""The point kernels on numpy arrays against their float calls, each of
+which is one element of the array call, and the verify suites that evaluate
+each sample set in one array pass."""
 
 import itertools
 import math
@@ -14,13 +15,16 @@ from sosharmonics.coords import (
     CartesianPoint,
     SosPoint,
     SystemConfig,
+    cartesian_closed,
+    cartesian_point,
     cartesian_R_nu,
+    cartesian_R_s,
     cartesian_to_sos,
     closed_point,
     meridional,
     metrics_at,
 )
-from sosharmonics.errors import StencilOutOfDomainError
+from sosharmonics.errors import DegenerateOriginError, StencilOutOfDomainError
 from sosharmonics.harmonic import (
     HarmonicSolution,
     eval_V_at,
@@ -28,18 +32,12 @@ from sosharmonics.harmonic import (
     fd_stencil,
     laplacian_residual_fd,
 )
-from sosharmonics.trig import s_limit, solve_logit, trig_from_W_robust
+from sosharmonics.trig import closed_trig, s_limit, s_on_reference, solve_logit, trig_from_W_robust
 from sosharmonics.verify import _mode_stencils, _shell_point, anchor_checks, ode_checks
 
 MUS = (0.0, 0.5, 2.0, 20.0, 200.0, 1000.0)
 R_OVER_R0 = (0.5, 1.0, 2.2)
 NUS = tuple(sign * v for v in (0.0, 1e-12, 1e-6, 0.7, 1.5707963, math.pi / 2) for sign in (1.0, -1.0))
-REL = 2e-15
-
-
-def _agrees(got, want) -> bool:
-    """got within REL relative of want; equal where want is 0 or infinite."""
-    return got == want or abs(got - want) <= REL * abs(want)
 
 
 def _grid(mu):
@@ -63,7 +61,7 @@ def test_closed_point_and_meridional_agree_with_float_calls(mu):
     s, f_C, mb, log_w = closed_point(R, nu, cfg)
     arrays = np.array([s, f_C, *astuple(mb), log_w, *meridional(R, nu, cfg)]).T
     for got, want in zip(arrays.tolist(), floats):
-        assert all(_agrees(g, w) for g, w in zip(got, want)), (got, want)
+        assert got == list(want)
 
 
 @pytest.mark.parametrize("mu", MUS)
@@ -75,7 +73,7 @@ def test_array_inverse_agrees_with_float_calls(mu):
     for got, point in zip(arrays.tolist(), zip(x.tolist(), y.tolist(), z.tolist())):
         want = cartesian_R_nu(*point, cfg)
         assert astuple(cartesian_to_sos(CartesianPoint(*point), cfg)) == want
-        assert all(_agrees(g, w) for g, w in zip(got, want)), (got, want)
+        assert tuple(got) == want
 
 
 @pytest.mark.parametrize("mu", MUS)
@@ -85,7 +83,7 @@ def test_trig_from_W_robust_agrees_with_float_calls(mu):
     for k, w in enumerate(W.tolist()):
         want = trig_from_W_robust(w, mu)
         for f in ("h_R", "f_S", "f_C", "s"):
-            assert _agrees(float(getattr(tb, f)[k]), getattr(want, f)), (w, f)
+            assert getattr(tb, f)[k] == getattr(want, f), (w, f)
     assert np.array_equal(solve_logit(np.array([-math.inf, math.inf]), mu), [-math.inf, math.inf])
 
 
@@ -117,6 +115,64 @@ def test_an_array_raises_where_its_float_call_raises(R, nu):
             call(np.array([1.0, R]), np.array([0.7, nu]), cfg)
 
 
+def _float_results(value) -> list:
+    """Every number of a kernel's result, through tuples and records."""
+    if isinstance(value, tuple):
+        return [v for item in value for v in _float_results(item)]
+    if hasattr(value, "__dataclass_fields__"):
+        return _float_results(astuple(value))
+    return [value]
+
+
+def test_a_float_call_returns_python_floats():
+    cfg = SystemConfig(mu=2.0)
+    c = CartesianPoint(0.3, 0.1, 0.5)
+    results = [
+        closed_point(1.3, 0.7, cfg), closed_point(1.0, -math.pi / 2, cfg), meridional(1.3, 0.7, cfg),
+        metrics_at(1.3, 0.7, cfg), cartesian_R_s(0.3, 0.1, 0.5, 2.0), cartesian_closed(0.3, 0.1, 0.5, 2.0),
+        cartesian_R_nu(0.3, 0.1, 0.5, cfg), cartesian_point(c, cfg), trig_from_W_robust(0.0, 2.0),
+        solve_logit(0.3, 2.0), closed_trig(0.3, 2.0), s_on_reference(0.7, 2.0),
+        harmonic._cartesian_meridional(c),
+    ]
+    for result in results:
+        assert all(type(v) is float for v in _float_results(result)), result
+
+
+@pytest.mark.parametrize("mu, R, nu, error", [
+    (1000.0, 2.2, 0.0, OverflowError),
+    (1000.0, 0.2733, 0.8708, ZeroDivisionError),
+    (2.0, 0.0, 0.3, ValueError),
+    (2.0, 1.0, 1.6, ValueError),
+    (2.0, 1.0, math.nan, ValueError),
+])
+def test_a_float_call_raises_the_exception_of_its_element(mu, R, nu, error):
+    cfg = SystemConfig(mu=mu)
+    for call in (closed_point, meridional, metrics_at):
+        with pytest.raises(error):
+            call(R, nu, cfg)
+        with pytest.raises(error):
+            call(np.array([1.0, R]), np.array([0.7, nu]), cfg)
+
+
+def test_a_cartesian_call_raises_at_the_origin_and_where_sin_nu_underflows():
+    """At x = z = 1e200 and mu = 2, s is about 1.2 but sin(nu) underflows to
+    0, so h_nu is 0 / 0: the float call and an array holding the point raise
+    ZeroDivisionError, as `eval` reports it."""
+    cfg = SystemConfig(mu=2.0)
+    for x, z, error in ((0.0, 0.0, DegenerateOriginError), (1e200, 1e200, ZeroDivisionError)):
+        with pytest.raises(error):
+            cartesian_point(CartesianPoint(x, 0.0, z), cfg)
+        with pytest.raises(error):
+            cartesian_point(CartesianPoint(np.array([0.3, x]), 0.0, np.array([0.5, z])), cfg)
+    for call in (cartesian_R_s, cartesian_closed):
+        with pytest.raises(DegenerateOriginError):
+            call(0.0, 0.0, 0.0, 2.0)
+    with pytest.raises(DegenerateOriginError):
+        cartesian_R_nu(np.array([0.3, 0.0]), 0.0, np.array([0.5, 0.0]), cfg)
+    with pytest.raises(DegenerateOriginError):
+        harmonic._cartesian_meridional(CartesianPoint(0.0, 0.0, 0.0))
+
+
 def test_an_array_outside_the_chart_raises_value_error():
     cfg = SystemConfig(mu=2.0)
     for R, nu in ((np.array([1.0, 0.0]), 0.3), (np.array([1.0, -1.0]), 0.3), (1.0, np.array([0.3, 1.6]))):
@@ -133,7 +189,7 @@ def test_eval_V_at_arrays_is_elementwise(mu):
     R, nu = np.array([0.4, 1.0, 1.7]), np.array([-1.2, 0.3, 1.5])
     V = eval_V_at(sol, SosPoint(R, nu))
     for k in range(3):
-        assert _agrees(float(V[k]), eval_V_at(sol, SosPoint(float(R[k]), float(nu[k]))))
+        assert V[k] == eval_V_at(sol, SosPoint(float(R[k]), float(nu[k])))
 
 
 def _float_stencil(sol, c, h):

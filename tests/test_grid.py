@@ -254,16 +254,17 @@ class TestCartesianRS:
     def test_origin_raises(self):
         with pytest.raises(DegenerateOriginError):
             cartesian_R_s(0.0, 0.0, 0.0, 2.0)
+        with pytest.raises(DegenerateOriginError):
+            cartesian_R_s(np.array([1.0, 0.0]), 0.0, np.array([0.5, 0.0]), 2.0)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_array_equals_scalar(self, mu):
         rng = np.random.default_rng(7)
-        x = np.concatenate([[0.0, 0.0, 0.0, 1e-300, 2.0], rng.uniform(-3, 3, 200)])
-        y = np.concatenate([[0.0, 0.0, 0.0, 0.0, 0.0], rng.uniform(-3, 3, 200)])
-        z = np.concatenate([[0.0, 0.7, -0.7, 1e5, 0.0], rng.uniform(-3, 3, 200)])
+        x = np.concatenate([[0.0, 0.0, 1e-300, 2.0], rng.uniform(-3, 3, 200)])
+        y = np.concatenate([[0.0, 0.0, 0.0, 0.0], rng.uniform(-3, 3, 200)])
+        z = np.concatenate([[0.7, -0.7, 1e5, 0.0], rng.uniform(-3, 3, 200)])
         R, s = cartesian_R_s(x, y, z, mu)
-        assert R[0] == 0.0  # the origin, for the caller to mask
-        for i in range(1, len(x)):
+        for i in range(len(x)):
             assert (R[i], s[i]) == cartesian_R_s(float(x[i]), float(y[i]), float(z[i]), mu)
 
     @pytest.mark.parametrize("mu", MUS)

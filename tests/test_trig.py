@@ -250,19 +250,23 @@ LOGIT_STEPS = {0.0: 0, 0.5: 4, 2.0: 5, 20.0: 7, 200.0: 8, 1000.0: 10, 1e6: 16}
 
 @pytest.mark.parametrize("mu", LOGIT_STEPS)
 def test_solve_logit_seeds_right_of_the_root_and_descends(monkeypatch, mu):
-    """Each step of a float call forms softplus once, at its iterate: the
-    seed is the first, the root the last (the stalled step)."""
+    """Each step forms softplus once, at the iterates of every element: the
+    seed is the first, the root the last (the stalled step).  An element's
+    Newton steps are the strict descents of its iterates."""
     iterates = []
-    softplus = trig._softplus
+    logaddexp = np.logaddexp
 
-    def recorded(x):
-        iterates.append(x)
-        return softplus(x)
+    def recorded(zero, x):
+        iterates.append(np.array(x))
+        return logaddexp(zero, x)
 
-    monkeypatch.setattr(trig, "_softplus", recorded)
-    for log_w in np.concatenate([np.linspace(-1000.0, 2000.0, 3001), np.linspace(-5.0, 5.0, 501)]).tolist():
-        iterates.clear()
-        root = trig.solve_logit(log_w, mu)
-        assert iterates[0] >= root == iterates[-1]
-        assert iterates == sorted(iterates, reverse=True)
-        assert len(iterates) - 1 <= LOGIT_STEPS[mu], log_w
+    monkeypatch.setattr(trig.np, "logaddexp", recorded)
+    log_w = np.concatenate([np.linspace(-1000.0, 2000.0, 3001), np.linspace(-5.0, 5.0, 501)])
+    root = trig.solve_logit(log_w, mu)
+    monkeypatch.undo()
+    assert (iterates[0] >= root).all() and (iterates[-1] == root).all()
+    steps = np.zeros(log_w.shape, dtype=int)
+    for before, after in zip(iterates, iterates[1:]):
+        assert (after <= before).all()
+        steps += after < before
+    assert steps.max() <= LOGIT_STEPS[mu], log_w[steps.argmax()]
