@@ -7,13 +7,22 @@ residuals, finite-difference harmonicity, transform round trips) and
 reports the worst residual against its tolerance.  The CLI `verify`
 command runs these; the test suite reuses them with its own parameters.
 Each suite evaluates its sample set in one array pass of each kernel it
-checks (`closed_point`, `trig_from_W_robust`, the stencil).  The
-harmonicity suite stacks the stencils of every pure mode and both steps
-into one array, summed by one `legendre.solid_values` pass per kind.  The
-series witness is one pass for all suites: `run_suite` sums the series rows
-of the trig, series, spherical-series and metric suites in one
-`eval_series_many` call, and each of these suites, called alone, sums its
-own rows in one.
+checks.  The harmonicity suite stacks the stencils of every pure mode and
+both steps into one array, summed by one `legendre.solid_values` pass per
+kind.
+
+The suites that call a closed point kernel (`closed_point`,
+`trig_from_W_robust`, `cartesian_R_nu`) or the series witness
+(`eval_series_many`) are generator bodies that yield their calls as
+requests, and `run_suite` answers them in rounds: one call per kernel a
+round over the points of every suite, each suite getting its slice, and,
+once every suite waits on the series, all series rows in one
+`eval_series_many` call.  A quick run at mu = 2 makes two `closed_point`
+calls (the forward solves, then the cone check's), one
+`trig_from_W_robust`, one `cartesian_R_nu` and one `eval_series_many`
+(177 rows).  Every kernel is elementwise, so a suite's checks are those of
+its public function, which runs its body alone.  `verify --json` times the
+shared calls as `closed_kernels` and `series_witness`.
 """
 
 from __future__ import annotations
@@ -22,7 +31,8 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,10 +44,6 @@ from .coords import (
     cartesian_R_nu,
     cartesian_R_s,
     closed_point,
-    compute_W,
-    dW,
-    meridional,
-    metrics_at,
 )
 from .errors import PoleDivergenceError, StencilOutOfDomainError
 from .harmonic import (
@@ -124,26 +130,88 @@ def _w_samples(mu: float, per_region: int) -> list[float]:
     return [float(w) for w in np.concatenate([smalls, band, larges])]
 
 
-# --- series suites -----------------------------------------------------------
+# --- suite bodies ------------------------------------------------------------
 #
-# A suite that the series witness serves is a generator body: it yields its
-# series rows (spec, W) once, receives their results and returns its checks.
-# Its public function runs the body alone (`_alone`); `run_suite` sums the
-# rows of every such body in one `eval_series_many` call.
+# A suite that calls a closed point kernel or the series witness is a
+# generator body.  It yields a list of requests, each a kernel and its
+# arguments: `closed_point(R, nu, cfg)`, `trig_from_W_robust(W, mu)`,
+# `cartesian_R_nu(x, y, z, cfg)`, or the series witness
+# `eval_series_many(rows)`.  It receives their results, in order, and
+# returns its checks.  Its public function runs the body alone (`_alone`);
+# `run_suite` runs every body together, through the same `_run_bodies`.
 
 
-def _finish(body, results) -> list[CheckResult]:
-    """The checks of a body that has yielded its rows, from their results."""
-    try:
-        body.send(results)
-    except StopIteration as done:
-        return done.value
-    raise RuntimeError("a suite body yields its rows once")
+def _parts(v, bounds, shapes) -> list:
+    """The part of a kernel result v of each call: the slice (start, stop)
+    of each of bounds of every array, in its call's shape, through tuples
+    and records; other values as they are."""
+    if isinstance(v, tuple):
+        return list(zip(*(_parts(f, bounds, shapes) for f in v)))
+    if is_dataclass(v):
+        return [type(v)(*f) for f in zip(*(_parts(f, bounds, shapes) for f in vars(v).values()))]
+    if isinstance(v, np.ndarray):
+        return [v[a:b].reshape(shape) for (a, b), shape in zip(bounds, shapes)]
+    return [v] * len(bounds)
+
+
+def _call_once(kernel, calls: list[tuple]) -> list:
+    """The result of kernel at each argument tuple of calls, from one call.
+
+    The series witness takes the rows of every call.  A point kernel takes
+    the point arguments of every call, broadcast, flattened and joined, and
+    the last argument (cfg or mu) that the calls share; each call gets its
+    slice of every result array, in its own shape.  Every point kernel is
+    elementwise, so a slice has the bits of the call alone.
+    """
+    if kernel is eval_series_many:
+        ends = list(accumulate(len(rows) for (rows,) in calls))
+        result = kernel([row for (rows,) in calls for row in rows])
+        return [result[a:b] for a, b in zip([0] + ends, ends)]
+    points = [np.broadcast_arrays(*args[:-1]) for args in calls]
+    ends = list(accumulate(p[0].size for p in points))
+    result = kernel(*(np.concatenate([np.ravel(a) for a in arg]) for arg in zip(*points)), calls[0][-1])
+    return _parts(result, list(zip([0] + ends, ends)), [p[0].shape for p in points])
+
+
+def _run_bodies(bodies: dict) -> tuple[dict, dict, float, float]:
+    """The checks of every body {key: body}, and the seconds of each body's
+    own steps, the point kernel calls and the series witness.
+
+    The bodies run in rounds.  A round answers the requests of every live
+    body that asks only for point kernels, with one call per kernel and
+    shared argument (`_call_once`); once every live body waits on the series
+    witness, a round answers them all, every row in one `eval_series_many`
+    call.  Calls and rows follow the order of the bodies.
+    """
+    checks, seconds, shared = {}, dict.fromkeys(bodies, 0.0), {True: 0.0, False: 0.0}
+    waiting, answers = {}, dict.fromkeys(bodies)
+    while answers:
+        for key, got in answers.items():
+            start = time.perf_counter()
+            try:
+                waiting[key] = bodies[key].send(got)
+            except StopIteration as done:
+                checks[key] = done.value
+            seconds[key] += time.perf_counter() - start
+        ready = [k for k, reqs in waiting.items() if all(r[0] is not eval_series_many for r in reqs)]
+        asked = {k: waiting.pop(k) for k in sorted(ready or waiting)}
+        calls = {}  # (kernel, shared argument) -> [(key, request index, arguments)]
+        for key, reqs in asked.items():
+            for j, (kernel, *args) in enumerate(reqs):
+                group = (kernel, None if kernel is eval_series_many else args[-1])
+                calls.setdefault(group, []).append((key, j, args))
+        answers = {key: [None] * len(reqs) for key, reqs in asked.items()}
+        for (kernel, _), group in calls.items():
+            start = time.perf_counter()
+            for (key, j, _), result in zip(group, _call_once(kernel, [args for _, _, args in group])):
+                answers[key][j] = result
+            shared[kernel is eval_series_many] += time.perf_counter() - start
+    return checks, seconds, shared[False], shared[True]
 
 
 def _alone(body) -> list[CheckResult]:
-    """A series suite body run on its own, its rows in their own call."""
-    return _finish(body, eval_series_many(next(body)))
+    """A suite body run on its own, its requests in their own calls."""
+    return _run_bodies({0: body})[0][0]
 
 
 # --- generalized-trig identities ---------------------------------------------
@@ -159,8 +227,10 @@ def _trig_identity_body(mu: float, per_region: int):
     ws = _w_samples(mu, per_region)
     witnessed = [mu > 0.0 and region_of(W, mu) is not Region.NEAR_BORDER for W in ws]
     series_ws = [W for W, w in zip(ws, witnessed) if w]
-    series = iter(_witness_bundles(series_ws, mu, (yield _witness_rows(series_ws, mu))))
-    robust = _split(trig_from_W_robust(np.array(ws), mu))
+    (robust,) = yield [(trig_from_W_robust, np.array(ws), mu)]
+    (rows,) = yield [(eval_series_many, _witness_rows(series_ws, mu))]
+    series = iter(_witness_bundles(series_ws, mu, rows))
+    robust = _split(robust)
     r_pyth = r_hr = r_ratio = r_power = r_round = r_paths = 0.0
     for W, closed, w in zip(ws, robust, witnessed):
         tbs = [closed] + ([next(series)] if w else [])
@@ -207,6 +277,10 @@ def derivative_checks(mu: float, per_region: int = 5) -> list[CheckResult]:
     quotient never straddles a series-region switch; one array bundle holds
     every W and W +- step.
     """
+    return _alone(_derivative_body(mu, per_region))
+
+
+def _derivative_body(mu: float, per_region: int):
     names = {
         # (value from bundle, analytic derivative, relative FD step)
         "deriv.hR2": (lambda tb: tb.h_R**2, d_hR2_dW, 1e-6),
@@ -229,7 +303,8 @@ def derivative_checks(mu: float, per_region: int = 5) -> list[CheckResult]:
     W = np.array(_w_samples(mu, per_region))
     rel_steps = (1e-6, 1e-5)
     # row 0 is W, rows 2k + 1 and 2k + 2 are W - step and W + step of rel_steps[k]
-    tb = trig_from_W_robust(np.stack([W] + [W + sign * (rel * W) for rel in rel_steps for sign in (-1.0, 1.0)]), mu)
+    steps = [W + sign * (rel * W) for rel in rel_steps for sign in (-1.0, 1.0)]
+    (tb,) = yield [(trig_from_W_robust, np.stack([W] + steps), mu)]
     checks = []
     for name, (value, analytic, rel_step) in names.items():
         k, v = 2 * rel_steps.index(rel_step), value(tb)
@@ -266,13 +341,15 @@ def _series_identity_body(mu: float):
                     (SeriesSpec(c, mu, region, SeriesKind.SA), W),
                     (SeriesSpec(a, mu, region, SeriesKind.SC), W),
                 ]
-    values = [res.value for res in (yield requests)]
+    (tb_log,) = yield [(trig_from_W_robust, np.array([0.1 * border, 0.25 * border, 0.6 * border]), mu)]
+    (rows,) = yield [(eval_series_many, requests)]
+    values = [res.value for res in rows]
     r_ratio = 0.0
     for num, den, rat in zip(values[0::3], values[1::3], values[2::3]):
         r_ratio = max(r_ratio, _rel(num / den, rat))
 
     r_log = 0.0
-    for tb in _split(trig_from_W_robust(np.array([0.1 * border, 0.25 * border, 0.6 * border]), mu)):
+    for tb in _split(tb_log):
         W, acc = tb.W, 0.0
         for k in range(1, 400):
             t = gen_binom(-mu * k, k) * W ** (2 * k) / k
@@ -301,7 +378,8 @@ def _spherical_series_body():
         for W in (1.5, 3.0, 20.0):
             requests.append((SeriesSpec(a, 0.0, Region.LARGE_NU, SeriesKind.SA), W))
             closed.append(W ** (2 * a) * (1.0 + W**-2.0) ** a)
-    worst = max(_rel(res.value, ref) for res, ref in zip((yield requests), closed))
+    (rows,) = yield [(eval_series_many, requests)]
+    worst = max(_rel(res.value, ref) for res, ref in zip(rows, closed))
     return [CheckResult("series.spherical_closed_forms", worst, 1e-12)]
 
 
@@ -358,27 +436,33 @@ def _metric_body(cfg: SystemConfig, n_nu: int):
     mu = cfg.mu
     nu = np.tile(np.linspace(0.03, math.pi / 2 - 0.05, n_nu), 3)
     R = np.repeat([0.5 * cfg.R0, cfg.R0, 2.2 * cfg.R0], n_nu)
-    mb = metrics_at(R, nu, cfg)
+    # W and dW/dnu from their own closed forms (`coords.compute_W`, `coords.dW`),
+    # not from the metrics they check, raising as the float forms do where
+    # they divide by an underflowed power of cos nu (from mu of about 247);
+    # dW/dnu enters only through dW/dnu / W, which is NaN (and skipped) where
+    # both overflow
+    with np.errstate(all="ignore"):
+        sn, cs, scale = np.sin(nu), np.cos(nu), (R / cfg.R0) ** mu
+        cos_w, cos_dw = cs ** (1.0 + mu), cs ** (2.0 + mu)
+        W = scale * sn / cos_w
+        dw_dnu = scale * (1.0 + mu * sn * sn) / cos_dw
+    if not (cos_w.all() and cos_dw.all()):
+        raise ZeroDivisionError("float division by zero")
+    (_, _, mb, _), tb = yield [(closed_point, R, nu, cfg), (trig_from_W_robust, W, mu)]
+    with np.errstate(invalid="ignore"):
+        r_link = _max_rel(mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2, (tb.f_C * tb.f_S * R * (dw_dnu / W)) ** 2)
     r_cross = max(
         _max_rel(mb.jac_over_hR2 * mb.h_R**2, mb.jacobian),
         _max_rel(mb.jac_over_hnu2 * mb.h_nu**2, mb.jacobian),
     )
-    W, dw_dnu = np.array([
-        (compute_W(R_k, nu_k, cfg), dW(R_k, nu_k, cfg)[0]) for R_k, nu_k in zip(R.tolist(), nu.tolist())
-    ]).T
-    tb = trig_from_W_robust(W, mu)
-    lhs = mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2
-    # dW/dnu enters only through dW/dnu / W, which is NaN (and skipped)
-    # where both overflow
-    with np.errstate(invalid="ignore"):
-        r_link = _max_rel(lhs, (tb.f_C * tb.f_S * R * (dw_dnu / W)) ** 2)
     eps = 1e-12
     in_bounds = (1.0 / math.sqrt(1.0 + mu) - eps <= mb.h_R) & (mb.h_R <= 1.0 + eps)
     r_bounds = 0.0 if in_bounds.all() else 1.0
     r_series = 0.0
     closed = zip(*(v.tolist() for v in vars(mb).values()))
     points = list(zip(R.tolist(), W.tolist(), dw_dnu.tolist()))
-    for ser, ref in zip(_series_metrics(points, mu, (yield _metric_rows(points, mu))), closed):
+    (rows,) = yield [(eval_series_many, _metric_rows(points, mu))]
+    for ser, ref in zip(_series_metrics(points, mu, rows), closed):
         if ser is not None:
             r_series = max(r_series, *map(_rel, vars(ser).values(), ref))
     checks = [
@@ -405,7 +489,11 @@ def transform_checks(
 ) -> list[CheckResult]:
     """Round trips, spheroid membership, |x|^2 from (R, s) and cone invariance:
     one forward solve of every point, whose s and metrics the cone check
-    reuses, and two inverse solves."""
+    reuses, both inverse solves in one call, then the cone's forward solve."""
+    return _alone(_transform_body(cfg, n_points, seed))
+
+
+def _transform_body(cfg: SystemConfig, n_points: int, seed: int = 20240901):
     mu = cfg.mu
     rng = random.Random(seed)
     R, nu, lam = np.array([
@@ -416,22 +504,24 @@ def transform_checks(
         )
         for _ in range(n_points)
     ]).T
-    s, f_C, mb, log_w = closed_point(R, nu, cfg)
+    ((s, f_C, mb, log_w),) = yield [(closed_point, R, nu, cfg)]
     z, rho = R * s / (1.0 + mu), R * f_C / mb.h_R  # `meridional`
     x, y = rho * np.cos(lam), rho * np.sin(lam)
     # membership of the R-spheroid
     r_member = _worst(np.abs(x**2 + y**2 + (1.0 + mu) * z**2 - R * R) / (R * R))
     # squared position magnitude from (R, s)
     r_mag = _max_rel(x**2 + y**2 + z**2, R * R * (1.0 - mu * s * s / (1.0 + mu) ** 2))
-    back_R, back_nu, back_lam = cartesian_R_nu(x, y, z, cfg)
-    r_round = _worst(np.abs(back_R - R) / R, np.abs(back_nu - nu), np.abs(back_lam - lam))
     # cone invariance: scaling the position leaves (W, s, h_R, f_S, f_C)
     # fixed; W is compared in log form (it underflows at large mu).  The
     # point's own values at |nu| are its forward solve's, as s is odd in nu
     # and the rest even.
     cone = np.abs(nu) > 1e-3
-    R2, nu2, _ = cartesian_R_nu(2.0 * x[cone], 2.0 * y[cone], 2.0 * z[cone], cfg)
-    s2, f_C2, m2, lw2 = closed_point(R2, np.abs(nu2), cfg)
+    (back_R, back_nu, back_lam), (R2, nu2, _) = yield [
+        (cartesian_R_nu, x, y, z, cfg),
+        (cartesian_R_nu, 2.0 * x[cone], 2.0 * y[cone], 2.0 * z[cone], cfg),
+    ]
+    r_round = _worst(np.abs(back_R - R) / R, np.abs(back_nu - nu), np.abs(back_lam - lam))
+    ((s2, f_C2, m2, lw2),) = yield [(closed_point, R2, np.abs(nu2), cfg)]
     s1, h_R1 = np.abs(s[cone]), mb.h_R[cone]
     r_cone = _worst(
         np.abs(lw2 - log_w[cone]),
@@ -453,9 +543,13 @@ def anchor_checks(cfg: SystemConfig, n_nu: int = 20) -> list[CheckResult]:
     one `closed_point` solve whose last two points are the equator (W = 0)
     and the pole; the pole's position is compared in units of R0, as every
     transform residual is relative."""
+    return _alone(_anchor_body(cfg, n_nu))
+
+
+def _anchor_body(cfg: SystemConfig, n_nu: int = 20):
     mu = cfg.mu
     nus = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, n_nu)
-    s, f_C, mb, _ = closed_point(cfg.R0, np.append(nus, [0.0, math.pi / 2]), cfg)
+    ((s, f_C, mb, _),) = yield [(closed_point, cfg.R0, np.append(nus, [0.0, math.pi / 2]), cfg)]
     worst = _worst(np.abs(s[:-2] - s_on_reference(nus, mu)))
     lim = s_limit(mu)
     # the pole's forward transform at lam = 0, from its `meridional` (z, rho)
@@ -592,15 +686,17 @@ def structure_checks(mu: float) -> list[CheckResult]:
 def _shell_point(
     rng: random.Random, cfg: SystemConfig, s_cap: float | None
 ) -> CartesianPoint:
-    lim = s_limit(cfg.mu)
+    """A point drawn uniformly in direction and radius on the harmonicity
+    shell, redrawn until its |s| = (1+mu)|cos theta| / sqrt(1 + mu cos^2 theta)
+    is at most s_cap sqrt(1+mu)."""
+    mu, lim = cfg.mu, s_limit(cfg.mu)
     while True:
         r = cfg.R0 * rng.uniform(*HARMONICITY_SHELL)
         cth = rng.uniform(-1.0, 1.0)
         sth = math.sqrt(1.0 - cth * cth)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        c = CartesianPoint(r * sth * math.cos(phi), r * sth * math.sin(phi), r * cth)
-        if s_cap is None or abs(cartesian_R_s(c.x, c.y, c.z, cfg.mu)[1]) <= s_cap * lim:
-            return c
+        if s_cap is None or (1.0 + mu) * abs(cth) / math.sqrt(1.0 + mu * cth * cth) <= s_cap * lim:
+            return CartesianPoint(r * sth * math.cos(phi), r * sth * math.sin(phi), r * cth)
 
 
 def _mode_stencils(cfg: SystemConfig, c: CartesianPoint, degree, second_kind, steps) -> np.ndarray:
@@ -699,10 +795,15 @@ def _solid_identity(
 
 def fit_checks(cfg: SystemConfig, seed: int = 20240903) -> list[CheckResult]:
     """Noiseless boundary-fit round trips, the samples of both fields taken
-    at one array `meridional` of the boundary points."""
+    at one `closed_point` solve of the boundary points."""
+    return _alone(_fit_body(cfg, seed))
+
+
+def _fit_body(cfg: SystemConfig, seed: int = 20240903):
     rng = random.Random(seed)
     nus = np.linspace(-1.45, 1.45, 41)
-    z, rho = meridional(cfg.R0, nus, cfg)
+    ((s, f_C, mb, _),) = yield [(closed_point, cfg.R0, nus, cfg)]
+    z, rho = cfg.R0 * s / (1.0 + cfg.mu), cfg.R0 * f_C / mb.h_R  # `meridional`
     truth = HarmonicSolution(
         a=tuple(rng.uniform(-1.0, 1.0) for _ in range(6)), b=(), cfg=cfg
     )
@@ -724,12 +825,13 @@ def fit_checks(cfg: SystemConfig, seed: int = 20240903) -> list[CheckResult]:
 def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[CheckResult]:
     """All identity suites at the configured mu; `full` widens every sweep.
 
-    The series suites (trig identities, series identities, the spherical
-    series, the metrics) run up to their series rows with the other suites,
-    and every row is summed in one `eval_series_many` call, the series
-    witness, before they finish.  If `timings` is a list, one (suite name,
-    seconds) pair is appended to it per suite, in suite order, a series
-    suite's seconds without the witness, then ("series_witness", seconds).
+    The suites with a body (trig, derivative, series and spherical-series
+    identities, metrics, transforms, anchor and fit) run together in rounds
+    (`_run_bodies`): one call per closed point kernel a round, then every
+    series row in one `eval_series_many` call, the series witness.  If
+    `timings` is a list, one (suite name, seconds) pair is appended to it per
+    suite, in suite order, a suite's seconds without the shared calls, then
+    ("closed_kernels", seconds) and ("series_witness", seconds).
     """
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
@@ -737,12 +839,12 @@ def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[Che
     mu = cfg.mu
     suites = (
         ("trig_identity_checks", lambda: _trig_identity_body(mu, per_region=12 if full else 6)),
-        ("derivative_checks", lambda: derivative_checks(mu, per_region=6 if full else 3)),
+        ("derivative_checks", lambda: _derivative_body(mu, per_region=6 if full else 3)),
         ("series_identity_checks", lambda: _series_identity_body(mu)),
         ("spherical_series_checks", _spherical_series_body),
         ("metric_checks", lambda: _metric_body(cfg, n_nu=11 if full else 5)),
-        ("transform_checks", lambda: transform_checks(cfg, n_points=160 if full else 40)),
-        ("anchor_checks", lambda: anchor_checks(cfg)),
+        ("transform_checks", lambda: _transform_body(cfg, n_points=160 if full else 40)),
+        ("anchor_checks", lambda: _anchor_body(cfg)),
         ("table_checks", lambda: table_checks([mu])),
         ("spherical_reduction_checks", lambda: spherical_reduction_checks(n_max=12 if full else 8)),
         ("ode_checks", lambda: ode_checks(mu, n_max=10 if full else 6, n_s=50 if full else 15)),
@@ -756,26 +858,20 @@ def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[Che
                 points_per_mode=20 if full else 4,
             ),
         ),
-        ("fit_checks", lambda: fit_checks(cfg)),
+        ("fit_checks", lambda: _fit_body(cfg)),
     )
-    results, seconds, bodies = [], [], []  # bodies: (suite index, body, its rows)
+    results, seconds = [], []
     for _, run in suites:
         start = time.perf_counter()
-        got = run()  # the checks, or a series body
-        if not isinstance(got, list):  # run the body up to its rows
-            bodies.append((len(results), got, next(got)))
-        results.append(got)
+        results.append(run())  # the checks, or a body
         seconds.append(time.perf_counter() - start)
-    start = time.perf_counter()
-    summed = eval_series_many([row for _, _, rows in bodies for row in rows])
-    witness = time.perf_counter() - start
-    at = 0
-    for i, body, rows in bodies:
-        start = time.perf_counter()
-        results[i] = _finish(body, summed[at : at + len(rows)])
-        at += len(rows)
-        seconds[i] += time.perf_counter() - start
+    done, own, kernels, witness = _run_bodies(
+        {i: got for i, got in enumerate(results) if not isinstance(got, list)}
+    )
+    for i, t in own.items():
+        results[i] = done[i]
+        seconds[i] += t
     if timings is not None:
         timings.extend((name, t) for (name, _), t in zip(suites, seconds))
-        timings.append(("series_witness", witness))
+        timings.extend([("closed_kernels", kernels), ("series_witness", witness)])
     return [check for checks in results for check in checks]

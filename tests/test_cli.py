@@ -245,8 +245,16 @@ class TestDomainExits:
         self.expect_domain(capsys, ["eval", "--config", config(tmp_path, mu), "--R", "1", "--nu", "0.5"])
 
     def test_huge_mu_verify(self, capsys, tmp_path):
-        # the large-nu series near the border exceed TERM_CAP: NonConvergentError
+        # the metric suite's W form divides by an underflowed cos^(1+mu) nu
         self.expect_domain(capsys, ["verify", "--config", config(tmp_path, 1000.0), "--level", "quick"])
+
+    @pytest.mark.parametrize("mu", [300.0, 1000.0])
+    def test_verify_past_the_float_range_of_W(self, capsys, tmp_path, mu):
+        # the metric suite's W = (R/R0)^mu sin nu / cos^(1+mu) nu divides by
+        # an underflowed power of cos nu (and at mu = 1000 a shared
+        # closed_point call meets an underflowed h_nu): one line, exit 3
+        rc, out, err = run(capsys, ["verify", "--config", config(tmp_path, mu), "--level", "quick"])
+        assert (rc, out, err) == (3, "", "domain error: ZeroDivisionError: float division by zero\n")
 
     @pytest.mark.parametrize("R, nu", [("1", "nan"), ("inf", "0.5"), ("nan", "0.5")])
     def test_non_finite_point(self, capsys, cfg2, R, nu):
@@ -436,7 +444,7 @@ class TestVerify:
             "trig_identity_checks", "derivative_checks", "series_identity_checks",
             "spherical_series_checks", "metric_checks", "transform_checks", "anchor_checks",
             "table_checks", "spherical_reduction_checks", "ode_checks", "structure_checks",
-            "harmonicity_checks", "fit_checks", "series_witness",
+            "harmonicity_checks", "fit_checks", "closed_kernels", "series_witness",
         ]
         assert all(set(s) == {"name", "seconds"} and s["seconds"] >= 0.0 for s in payload["suites"])
         assert all(set(c) == {"name", "max_residual", "tolerance", "passed"} for c in payload["checks"])

@@ -4,11 +4,12 @@ import re
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosharmonics import series, verify
+from sosharmonics import coords, series, trig, verify
 from sosharmonics.coords import SystemConfig
 from sosharmonics.errors import NonConvergentError, RegionViolationError
 from sosharmonics.series import (
@@ -397,17 +398,55 @@ def test_verify_sums_each_series_suite_in_one_batch(monkeypatch):
     assert calls == [177]
 
 
+def test_verify_makes_one_call_per_closed_kernel_a_round(monkeypatch):
+    # every suite's points go to one call of each kernel a round: the forward
+    # solves, the trig bundles and both inverse solves in the first rounds,
+    # the cone check's forward solve after them
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            assert trig._has_numpy(args), f"verify called {name} on floats"
+            calls.append((name, next(a.size for a in args if isinstance(a, np.ndarray))))
+            return fn(*args, **kwargs)
+
+        return counted
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify called a float-only W form")
+
+    kernels = [
+        (coords, "closed_point"), (trig, "trig_from_W_robust"), (coords, "cartesian_R_nu"),
+        (trig, "solve_logit"), (trig, "closed_trig"), (trig, "s_on_reference"),
+        (coords, "cartesian_R_s"), (coords, "cartesian_closed"), (coords, "cartesian_point"),
+    ]
+    for module, name in kernels:
+        _patch_every_binding(monkeypatch, getattr(module, name), counting(name, getattr(module, name)))
+    _patch_every_binding(monkeypatch, coords.compute_W, forbidden)
+    _patch_every_binding(monkeypatch, coords.dW, forbidden)
+    checks = verify.run_suite(SystemConfig(mu=2.0, R0=1.0), "quick")
+    assert all(c.passed for c in checks)
+    sizes = {name: [n for k, n in calls if k == name] for name in ("closed_point", "trig_from_W_robust", "cartesian_R_nu")}
+    assert sizes == {"closed_point": [118, 40], "trig_from_W_robust": [78], "cartesian_R_nu": [80]}
+    assert sum(name == "solve_logit" for name, _ in calls) == 4
+
+
 @pytest.mark.parametrize("mu", [0.0, 2.0, 200.0])
 def test_each_series_suite_alone_returns_its_checks_in_run_suite(mu):
+    # every suite with a body, run alone, has the bits of its part of run_suite
     cfg = SystemConfig(mu=mu, R0=1.0)
     in_run = {c.name: c for c in verify.run_suite(cfg, "quick")}
     alone = (
         verify.trig_identity_checks(mu, per_region=6)
+        + verify.derivative_checks(mu, per_region=3)
         + verify.series_identity_checks(mu)
         + verify.spherical_series_checks()
         + verify.metric_checks(cfg, n_nu=5)
+        + verify.transform_checks(cfg, n_points=40)
+        + verify.anchor_checks(cfg)
+        + verify.fit_checks(cfg)
     )
-    assert len(alone) >= 7
+    assert len(alone) >= 21
     assert alone == [in_run[c.name] for c in alone]
 
 
