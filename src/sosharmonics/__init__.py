@@ -31,7 +31,6 @@ from .harmonic import (
     eval_V_cartesian,
     fit_boundary,
     laplacian_residual_fd,
-    laplacian_residual_sos,
     load_solution,
     s_at_point,
     save_solution,

@@ -13,7 +13,8 @@ at the point's own (z, rho) (`harmonic.eval_V_at`, `eval_V_cartesian`).
 
 The system config {"mu": ..., "R0": ...} always comes from a JSON file; a
 coefficient file in the documented JSON format supplies the potential.
-Exit codes: 0 ok, 1 verification failure, 2 usage/parse, 3 domain/numeric.
+Exit codes: 0 ok, 1 verification failure, 2 usage/parse or an unwritable
+output file, 3 domain/numeric.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def cmd_eval(args) -> int:
     if by_sos:
         if args.R is None or args.nu is None:
             raise UsageError("need both --R and --nu")
-        p = SosPoint(R=args.R, nu=args.nu, lam=args.lam)
+        p = SosPoint(R=args.R, nu=args.nu)
         point = closed_point(p.R, p.nu, cfg)
     else:
         if args.x is None or args.z is None:
@@ -201,14 +202,6 @@ def _grid_rows(cfg: SystemConfig, spec: GridSpec, quantity: str, sol):
         block = zs[j : j + rows]
         values = _grid_block(cfg, quantity, sol, x, np.array(block)[:, None] * cfg.R0)
         yield from zip(block, values.tolist())
-
-
-def grid_values(cfg: SystemConfig, spec: GridSpec, quantity: str, sol=None):
-    """Row-major (z outer) iterator of (x, z, value or None), in units of R0."""
-    xs = _grid_axes(spec)[0]
-    for z, row in _grid_rows(cfg, spec, quantity, sol):
-        for x, value in zip(xs, row):
-            yield x, z, (None if math.isnan(value) else value)
 
 
 def cmd_grid(args) -> int:
@@ -283,6 +276,8 @@ def cmd_verify(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
+    if args.degree < 0:
+        raise UsageError("--degree must be non-negative")
     try:
         with open(args.samples, encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -325,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--coeffs")
     p_eval.add_argument("--R", type=float)
     p_eval.add_argument("--nu", type=float)
-    p_eval.add_argument("--lam", type=float, default=0.0)
     p_eval.add_argument("--x", type=float)
     p_eval.add_argument("--z", type=float)
     p_eval.set_defaults(func=cmd_eval)
@@ -367,7 +361,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: an output file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SosError, ValueError) as exc:

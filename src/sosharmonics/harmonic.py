@@ -42,7 +42,6 @@ from .coords import (
     SystemConfig,
     closed_point,
     meridional,
-    metrics_at,
 )
 from .errors import (
     DegenerateOriginError,
@@ -214,46 +213,6 @@ def laplacian_residual_fd(sol: HarmonicSolution, c: CartesianPoint, h: float):
     """
     res = fd_laplacian(fd_stencil(sol, c, h), h)
     return res if res.ndim else float(res)
-
-
-def laplacian_residual_sos(sol: HarmonicSolution, p: SosPoint, h: float) -> float:
-    """Second witness: divergence-form Laplacian in SOS coordinates.
-
-    Differences (1/J) [d/dR (J/h_R^2 dV/dR) + d/dnu (J/h_nu^2 dV/dnu)] with
-    nested central steps dR = h R, dnu = h, so the metric ratios of
-    `metrics_at` enter the check directly (the Cartesian witness above never
-    touches them).
-    Converges to 0 as O(h^2) for a true solution.
-    """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    cfg = sol.cfg
-    dR = h * p.R
-    dnu = h
-
-    def dV_dR(R: float, nu: float) -> float:
-        return (
-            eval_V_at(sol, SosPoint(R + dR, nu, p.lam))
-            - eval_V_at(sol, SosPoint(R - dR, nu, p.lam))
-        ) / (2.0 * dR)
-
-    def dV_dnu(R: float, nu: float) -> float:
-        return (
-            eval_V_at(sol, SosPoint(R, nu + dnu, p.lam))
-            - eval_V_at(sol, SosPoint(R, nu - dnu, p.lam))
-        ) / (2.0 * dnu)
-
-    try:
-        flux_R_hi = metrics_at(p.R + dR, p.nu, cfg).jac_over_hR2 * dV_dR(p.R + dR, p.nu)
-        flux_R_lo = metrics_at(p.R - dR, p.nu, cfg).jac_over_hR2 * dV_dR(p.R - dR, p.nu)
-        flux_n_hi = metrics_at(p.R, p.nu + dnu, cfg).jac_over_hnu2 * dV_dnu(p.R, p.nu + dnu)
-        flux_n_lo = metrics_at(p.R, p.nu - dnu, cfg).jac_over_hnu2 * dV_dnu(p.R, p.nu - dnu)
-        jac = metrics_at(p.R, p.nu, cfg).jacobian
-    except (DegenerateOriginError, PoleDivergenceError, ValueError) as exc:
-        # ValueError: a stencil arm left the coordinate chart (nu beyond a pole)
-        raise StencilOutOfDomainError(str(exc)) from exc
-    div = (flux_R_hi - flux_R_lo) / (2.0 * dR) + (flux_n_hi - flux_n_lo) / (2.0 * dnu)
-    return div / jac
 
 
 def fit_boundary(

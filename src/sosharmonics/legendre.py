@@ -290,11 +290,6 @@ def q_derivs(N: int, s, mu: float) -> tuple[list, list]:
     ]
 
 
-def eval_q_derivs(n: int, s: float, mu: float) -> tuple[float, float, float]:
-    """(Q_n, Q_n', Q_n'') from `q_derivs`."""
-    return q_derivs(n, s, mu)[1][n]
-
-
 def ode_residual(
     F: float, dF: float, d2F: float, s: float, K_d: float, mu: float
 ) -> float:

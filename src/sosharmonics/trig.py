@@ -237,11 +237,6 @@ def d_fC2_dW(tb: TrigBundle) -> float:
     return -2.0 * tb.h_R**2 * tb.f_S**2 * tb.f_C**2 / tb.W
 
 
-def d_fS2_dW(tb: TrigBundle) -> float:
-    """d(f_S^2)/dW = +(2/W) h_R^2 f_S^2 f_C^2."""
-    return 2.0 * tb.h_R**2 * tb.f_S**2 * tb.f_C**2 / tb.W
-
-
 def d_fS_over_fC_dW(tb: TrigBundle) -> float:
     """d(f_S/f_C)/dW = (h_R^2/W) f_S/f_C."""
     return tb.h_R**2 / tb.W * tb.f_S / tb.f_C

@@ -78,11 +78,18 @@ from .trig import (
     w_from_s,
 )
 
-# FD harmonicity: sampling shell (units of R0) and the coarse-residual floor
-# below which the O(h^2) decay is unresolvable (exactly-polynomial low-degree
-# modes difference to rounding noise, not truncation error).
+# FD harmonicity: sampling shell and the fine and coarse steps (units of R0),
+# the coarse-residual floor below which the O(h^2) decay is unresolvable
+# (exactly-polynomial low-degree modes difference to rounding noise, not
+# truncation error), and the seed of the points.
 HARMONICITY_SHELL = (4.0, 6.0)
+HARMONICITY_STEPS = (5e-3, 1e-2)
 HARMONICITY_RATIO_FLOOR = 1e-7
+HARMONICITY_SEED = 20240902
+# the seeds of the transform and fit samples, and the anchor's count of nu
+TRANSFORM_SEED = 20240901
+FIT_SEED = 20240903
+ANCHOR_N_NU = 20
 
 
 @dataclass(frozen=True)
@@ -484,18 +491,16 @@ def _metric_body(cfg: SystemConfig, n_nu: int):
 # --- transforms --------------------------------------------------------------
 
 
-def transform_checks(
-    cfg: SystemConfig, n_points: int = 120, seed: int = 20240901
-) -> list[CheckResult]:
+def transform_checks(cfg: SystemConfig, n_points: int = 120) -> list[CheckResult]:
     """Round trips, spheroid membership, |x|^2 from (R, s) and cone invariance:
     one forward solve of every point, whose s and metrics the cone check
     reuses, both inverse solves in one call, then the cone's forward solve."""
-    return _alone(_transform_body(cfg, n_points, seed))
+    return _alone(_transform_body(cfg, n_points))
 
 
-def _transform_body(cfg: SystemConfig, n_points: int, seed: int = 20240901):
+def _transform_body(cfg: SystemConfig, n_points: int):
     mu = cfg.mu
-    rng = random.Random(seed)
+    rng = random.Random(TRANSFORM_SEED)
     R, nu, lam = np.array([
         (
             cfg.R0 * math.exp(rng.uniform(math.log(0.2), math.log(5.0))),
@@ -538,17 +543,17 @@ def _transform_body(cfg: SystemConfig, n_points: int, seed: int = 20240901):
     ]
 
 
-def anchor_checks(cfg: SystemConfig, n_nu: int = 20) -> list[CheckResult]:
+def anchor_checks(cfg: SystemConfig) -> list[CheckResult]:
     """Closed form of s on the reference spheroid plus endpoint values, from
     one `closed_point` solve whose last two points are the equator (W = 0)
     and the pole; the pole's position is compared in units of R0, as every
     transform residual is relative."""
-    return _alone(_anchor_body(cfg, n_nu))
+    return _alone(_anchor_body(cfg))
 
 
-def _anchor_body(cfg: SystemConfig, n_nu: int = 20):
+def _anchor_body(cfg: SystemConfig):
     mu = cfg.mu
-    nus = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, n_nu)
+    nus = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, ANCHOR_N_NU)
     ((s, f_C, mb, _),) = yield [(closed_point, cfg.R0, np.append(nus, [0.0, math.pi / 2]), cfg)]
     worst = _worst(np.abs(s[:-2] - s_on_reference(nus, mu)))
     lim = s_limit(mu)
@@ -584,20 +589,19 @@ def _classical_p_coeffs(n_max: int) -> list[list[float]]:
     return out
 
 
-def table_checks(mu_values) -> list[CheckResult]:
+def table_checks(mu: float) -> list[CheckResult]:
     """Recursion output against the closed reference forms for n <= 6."""
     worst = 0.0
-    for mu in mu_values:
-        for n in range(7):
-            for build, ref in (
-                (legendre.p_poly, legendre.p_reference),
-                (legendre.t_poly, legendre.t_reference),
-            ):
-                for cg, cr in zip(build(n, float(mu)), ref(n, float(mu))):
-                    if cr == 0.0:
-                        worst = max(worst, abs(cg))
-                    else:
-                        worst = max(worst, abs(cg - cr) / abs(cr))
+    for n in range(7):
+        for build, ref in (
+            (legendre.p_poly, legendre.p_reference),
+            (legendre.t_poly, legendre.t_reference),
+        ):
+            for cg, cr in zip(build(n, float(mu)), ref(n, float(mu))):
+                if cr == 0.0:
+                    worst = max(worst, abs(cg))
+                else:
+                    worst = max(worst, abs(cg - cr) / abs(cr))
     return [CheckResult("legendre.table_exactness", worst, 1e-13)]
 
 
@@ -727,9 +731,6 @@ def harmonicity_checks(
     a_max: int = 6,
     b_max: int = 3,
     points_per_mode: int = 20,
-    seed: int = 20240902,
-    h_coarse: float = 1e-2,
-    h_fine: float = 5e-3,
 ) -> list[CheckResult]:
     """Cartesian FD Laplacian of each pure mode: O(h^2) decay to zero; and
     the exact solid-harmonic identity (`_solid_identity`).
@@ -743,7 +744,7 @@ def harmonicity_checks(
     (`_mode_stencils`), and the Laplacians, the gradients and the ratios
     are array operations over it.
     """
-    rng = random.Random(seed)
+    rng = random.Random(HARMONICITY_SEED)
     modes = [(False, n) for n in range(a_max + 1)] + [(True, n) for n in range(b_max + 1)]
     shell = [
         _shell_point(rng, cfg, 0.9 if kind else None) for kind, _ in modes for _ in range(points_per_mode)
@@ -751,7 +752,7 @@ def harmonicity_checks(
     c = CartesianPoint(*np.array([(p.x, p.y, p.z) for p in shell]).T)
     second_kind = np.repeat([kind for kind, _ in modes], points_per_mode)
     degree = np.repeat([n for _, n in modes], points_per_mode)
-    hf, hc = h_fine * cfg.R0, h_coarse * cfg.R0
+    hf, hc = (h * cfg.R0 for h in HARMONICITY_STEPS)
     v = _mode_stencils(cfg, c, degree, second_kind, np.array([hf, hc]))
     lap_f = np.abs(fd_laplacian(v[0], hf))
     lap_c = np.abs(fd_laplacian(v[1], hc))
@@ -793,14 +794,14 @@ def _solid_identity(
     return CheckResult("harmonic.solid_identity", residual, 1e-11)
 
 
-def fit_checks(cfg: SystemConfig, seed: int = 20240903) -> list[CheckResult]:
+def fit_checks(cfg: SystemConfig) -> list[CheckResult]:
     """Noiseless boundary-fit round trips, the samples of both fields taken
     at one `closed_point` solve of the boundary points."""
-    return _alone(_fit_body(cfg, seed))
+    return _alone(_fit_body(cfg))
 
 
-def _fit_body(cfg: SystemConfig, seed: int = 20240903):
-    rng = random.Random(seed)
+def _fit_body(cfg: SystemConfig):
+    rng = random.Random(FIT_SEED)
     nus = np.linspace(-1.45, 1.45, 41)
     ((s, f_C, mb, _),) = yield [(closed_point, cfg.R0, nus, cfg)]
     z, rho = cfg.R0 * s / (1.0 + cfg.mu), cfg.R0 * f_C / mb.h_R  # `meridional`
@@ -845,7 +846,7 @@ def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[Che
         ("metric_checks", lambda: _metric_body(cfg, n_nu=11 if full else 5)),
         ("transform_checks", lambda: _transform_body(cfg, n_points=160 if full else 40)),
         ("anchor_checks", lambda: _anchor_body(cfg)),
-        ("table_checks", lambda: table_checks([mu])),
+        ("table_checks", lambda: table_checks(mu)),
         ("spherical_reduction_checks", lambda: spherical_reduction_checks(n_max=12 if full else 8)),
         ("ode_checks", lambda: ode_checks(mu, n_max=10 if full else 6, n_s=50 if full else 15)),
         ("structure_checks", lambda: structure_checks(mu)),

@@ -12,7 +12,7 @@ import scipy.special
 from numpy.polynomial.polynomial import polyder, polyval
 
 from sosharmonics import verify
-from sosharmonics.cli import GridSpec, grid_values
+from sosharmonics.cli import GridSpec
 from sosharmonics.coords import (
     CartesianPoint,
     SosPoint,
@@ -25,16 +25,15 @@ from sosharmonics.coords import (
 from sosharmonics.harmonic import HarmonicSolution, eval_V_at, fit_boundary, s_at_point
 from sosharmonics.legendre import (
     eval_q,
-    eval_q_derivs,
     ode_residual,
     p_poly,
     p_reference,
+    q_derivs,
     t_poly,
     t_reference,
 )
 from sosharmonics.trig import (
     d_fC2_dW,
-    d_fS2_dW,
     d_fS_over_fC_dW,
     d_hR2_dW,
     s_limit,
@@ -45,6 +44,7 @@ from sosharmonics.trig import (
 )
 from sosharmonics.series import Region, region_of, w_border
 
+from _grid import grid_cells
 from _oracles import Q3_CLASSICAL_HALF, classical_p_coeffs
 
 
@@ -100,7 +100,7 @@ def test_c3_ode_certification():
                 F, dF, d2F = (polyval(s, d) for d in derivs)
                 res = ode_residual(F, dF, d2F, s, n, mu)
                 worst_p = max(worst_p, abs(res) / (1.0 + abs(F) + abs(dF) + abs(d2F)))
-                Q, dQ, d2Q = eval_q_derivs(n, s, mu)
+                Q, dQ, d2Q = q_derivs(n, s, mu)[1][n]
                 res = ode_residual(Q, dQ, d2Q, s, n, mu)
                 worst_q = max(worst_q, abs(res) / (1.0 + abs(Q) + abs(dQ) + abs(d2Q)))
     report(3, "generalized equation residual, first kind (n<=10)", worst_p, 1e-8)
@@ -164,7 +164,7 @@ def test_c4_identity_corpus():
     cases = (
         (lambda tb: tb.h_R**2, d_hR2_dW),
         (lambda tb: tb.f_C**2, d_fC2_dW),
-        (lambda tb: tb.f_S**2, d_fS2_dW),
+        (lambda tb: tb.f_S**2, lambda tb: -d_fC2_dW(tb)),  # f_S^2 + f_C^2 = 1
         (lambda tb: tb.f_S / tb.f_C, d_fS_over_fC_dW),
         (lambda tb: tb.s, lambda tb: tb.f_C**2 * tb.f_S / (tb.W * tb.h_R)),
         (lambda tb: math.log(tb.f_S / tb.f_C), lambda tb: tb.h_R**2 / tb.W),
@@ -212,9 +212,7 @@ def test_c6_harmonicity():
     ratio_lo, ratio_hi = math.inf, 0.0
     for mu in (0.5, 2.0):
         cfg = SystemConfig(mu=mu, R0=1.0)
-        checks = verify.harmonicity_checks(
-            cfg, a_max=6, b_max=3, points_per_mode=20, h_coarse=1e-2, h_fine=5e-3
-        )
+        checks = verify.harmonicity_checks(cfg, a_max=6, b_max=3, points_per_mode=20)
         by_name = {c.name: c for c in checks}
         worst_mag = max(worst_mag, by_name["harmonic.fd_magnitude"].max_residual)
         dev = by_name["harmonic.fd_decay_ratio"].max_residual
@@ -278,7 +276,7 @@ def test_c8_fit_roundtrip():
 def test_c9_cone_level_sets():
     cfg = SystemConfig(mu=2.0, R0=1.0)
     spec = GridSpec(x_min=0.0, x_max=2.0, z_min=0.0, z_max=2.0, nx=101, nz=101)
-    values = [v for _, _, v in grid_values(cfg, spec, "s")]
+    values = [v for _, _, v in grid_cells(cfg, spec, "s")]
     value = lambda i, j: values[j * 101 + i]
     worst = 0.0
     checked = 0

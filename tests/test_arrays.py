@@ -289,7 +289,7 @@ def test_ode_checks_keep_the_bits_of_per_degree_calls(mu):
         for n, (F, dF, d2F) in enumerate(p):
             res = legendre.ode_residual(F, dF, d2F, s, n, mu)
             worst_p = max(worst_p, abs(res) / (1.0 + abs(F) + abs(dF) + abs(d2F)))
-            Q, dQ, d2Q = legendre.eval_q_derivs(n, s, mu)
+            Q, dQ, d2Q = legendre.q_derivs(n, s, mu)[1][n]
             res = legendre.ode_residual(Q, dQ, d2Q, s, n, mu)
             worst_q = max(worst_q, abs(res) / (1.0 + abs(Q) + abs(dQ) + abs(d2Q)))
     assert [c.max_residual for c in ode_checks(mu, n_max, n_s)] == [worst_p, worst_q]

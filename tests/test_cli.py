@@ -7,11 +7,12 @@ import mpmath
 import pytest
 
 from sosharmonics import cli, legendre
-from sosharmonics.cli import GridSpec, grid_values, main
-from sosharmonics.coords import CartesianPoint, SystemConfig, cartesian_R_s
+from sosharmonics.cli import GridSpec, main
+from sosharmonics.coords import CartesianPoint, SystemConfig, cartesian_closed, cartesian_R_s
 from sosharmonics.harmonic import HarmonicSolution, eval_V_cartesian, save_solution
 from sosharmonics.series import region_of
 
+from _grid import grid_cells
 from _oracles import S_REF_MU2_NU30, approx, mp_cartesian_point, mp_point
 
 
@@ -132,6 +133,13 @@ class TestEval:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["wibble"]) == 2
 
+    def test_lam_is_not_an_option(self, capsys, cfg2):
+        # V and the record are axisymmetric: no output ever read lam
+        rc, out, err = run(capsys, ["eval", "--config", cfg2, "--R", "1", "--nu", "0.3", "--lam", "1"])
+        assert rc == 2
+        assert out == ""
+        assert "unrecognized arguments: --lam 1" in err
+
 
 class TestCartesianRecord:
     """`eval --x/--z` from the point's own closed R, s and log W and one
@@ -185,7 +193,7 @@ class TestCartesianRecord:
         coeffs = tmp_path / "c.json"
         save_solution(sol, coeffs)
         spec = GridSpec(x_min=0.0, x_max=1e-19, z_min=0.0, z_max=2e-20, nx=3, nz=3)
-        for x, z, cell in grid_values(sol.cfg, spec, "V", sol):
+        for x, z, cell in grid_cells(sol.cfg, spec, "V", sol):
             if x == 0.0:
                 continue
             rc, out, _ = run(capsys, ["eval", "--config", cfg2, "--coeffs", str(coeffs),
@@ -334,25 +342,29 @@ class TestGrid:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_values_roundtrip_losslessly(self, cfg2, tmp_path):
-        out = tmp_path / "g.csv"
-        assert (
-            main(
-                [
-                    "grid", "--config", cfg2,
-                    "--x-min", "0.3", "--x-max", "1.7", "--z-min", "0.1", "--z-max", "1.3",
-                    "--nx", "4", "--nz", "4", "--quantity", "hR", "--output", str(out),
-                ]
-            )
-            == 0
-        )
-        cfg = SystemConfig(mu=2.0, R0=1.0)
-        spec = GridSpec(x_min=0.3, x_max=1.7, z_min=0.1, z_max=1.3, nx=4, nz=4)
-        ref = {(x, z): v for x, z, v in grid_values(cfg, spec, "hR")}
-        for line in out.read_text().strip().splitlines()[1:]:
-            xs, zs, vs = line.split(",")
-            # 17 significant digits reparse to the exact doubles
-            assert (float(xs), float(zs)) in ref
-            assert float(vs) == ref[(float(xs), float(zs))]
+        # 17 significant digits reparse to the exact doubles of the grid axes
+        # and of the cell kernels: `cartesian_closed` for hR and
+        # `eval_V_cartesian` for V
+        sol = HarmonicSolution(a=(0.5, -1.0, 0.25, 0.7), b=(0.2, -0.6), cfg=SystemConfig(mu=2.0, R0=1.0))
+        coeffs = tmp_path / "c.json"
+        save_solution(sol, coeffs)
+        xs, zs = cli._grid_axes(GridSpec(x_min=0.3, x_max=1.7, z_min=0.1, z_max=1.3, nx=4, nz=4))
+        kernels = {
+            "hR": lambda x, z: cartesian_closed(x, 0.0, z, 2.0)[2],
+            "V": lambda x, z: eval_V_cartesian(sol, CartesianPoint(x, 0.0, z)),
+        }
+        for quantity, kernel in kernels.items():
+            out = tmp_path / f"{quantity}.csv"
+            argv = [
+                "grid", "--config", cfg2, "--coeffs", str(coeffs),
+                "--x-min", "0.3", "--x-max", "1.7", "--z-min", "0.1", "--z-max", "1.3",
+                "--nx", "4", "--nz", "4", "--quantity", quantity, "--output", str(out),
+            ]
+            assert main(argv) == 0
+            cells = [tuple(map(float, line.split(","))) for line in out.read_text().splitlines()[1:]]
+            assert [(x, z) for x, z, _ in cells] == [(x, z) for z in zs for x in xs]
+            for x, z, value in cells:
+                assert value == kernel(x, z), (quantity, x, z)
 
     def test_invalid_spec_exits_2(self, capsys, cfg2):
         # an infinite bound, or a finite one whose (x_max - x_min) * (nx - 1)
@@ -567,6 +579,43 @@ class TestFit:
         path.write_text("angle,value\n0.0,1.0\n")
         rc, _, _ = run(capsys, ["fit", "--config", cfg2, str(path), "--degree", "1"])
         assert rc == 2
+
+    def test_negative_degree_exits_2(self, capsys, cfg2, tmp_path):
+        # a usage error, as nx < 2 is for grid; it once exited 3
+        path = self._write_samples(tmp_path, [(0.4 * k, 0.1 * k) for k in range(-3, 4)])
+        rc, out, err = run(capsys, ["fit", "--config", cfg2, path, "--degree", "-1"])
+        assert rc == 2
+        assert out == ""
+        assert err == "error: --degree must be non-negative\n"
+
+
+class TestUnwritableOutput:
+    """An output file that cannot be written is a usage error (exit 2), with
+    one error line; it once raised a traceback and exited 1, the code of a
+    failed verification."""
+
+    def check(self, capsys, argv, path):
+        rc, _, err = run(capsys, argv)
+        assert rc == 2
+        assert err.startswith("error: ") and str(path) in err
+        assert len(err.splitlines()) == 1
+        assert not path.exists()
+
+    def test_verify_json(self, capsys, cfg2, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        self.check(capsys, ["verify", "--config", cfg2, "--json", str(path)], path)
+
+    def test_grid_output(self, capsys, cfg2, tmp_path):
+        path = tmp_path / "missing" / "grid.csv"
+        argv = ["grid", "--config", cfg2, "--x-min", "0", "--x-max", "1", "--z-min", "0",
+                "--z-max", "1", "--nx", "3", "--nz", "3", "--quantity", "s", "-o", str(path)]
+        self.check(capsys, argv, path)
+
+    def test_fit_output(self, capsys, cfg2, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("nu,V\n" + "".join(f"{0.4 * k!r},{0.1 * k!r}\n" for k in range(-3, 4)))
+        path = tmp_path / "missing" / "fit.json"
+        self.check(capsys, ["fit", "--config", cfg2, str(samples), "--degree", "2", "-o", str(path)], path)
 
 
 class TestParserReuse:

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from sosharmonics import cli, coords, harmonic, legendre
-from sosharmonics.cli import GridSpec, grid_values, main
+from sosharmonics.cli import GridSpec, main
 from sosharmonics.coords import CartesianPoint, SystemConfig, cartesian_R_s
 from sosharmonics.errors import DegenerateOriginError, PoleDivergenceError, SosError
 from sosharmonics.harmonic import HarmonicSolution, eval_V_cartesian
 from sosharmonics.trig import s_limit
 
+from _grid import grid_cells
 from _oracles import approx, mp_cartesian_R_s, mp_potential, mp_solid
 
 MUS = [0.0, 0.5, 2.0, 20.0]
@@ -32,7 +33,7 @@ SPEC = GridSpec(x_min=0.0, x_max=2.0, z_min=0.0, z_max=1.3, nx=15, nz=9)
 def grid(mu, quantity):
     cfg = SystemConfig(mu=mu, R0=1.0)
     sol = HarmonicSolution(a=A, b=B, cfg=cfg) if quantity == "V" else None
-    return list(grid_values(cfg, SPEC, quantity, sol))
+    return grid_cells(cfg, SPEC, quantity, sol)
 
 
 @mpmath.workdps(40)
@@ -86,7 +87,7 @@ def test_empty_cells_origin_and_axis(mu):
     # without second-kind terms V is finite on the axis
     cfg = SystemConfig(mu=mu, R0=1.0)
     sol = HarmonicSolution(a=A, b=(), cfg=cfg)
-    axis = [v for x, z, v in grid_values(cfg, SPEC, "V", sol) if x == 0.0 and z > 0.0]
+    axis = [v for x, z, v in grid_cells(cfg, SPEC, "V", sol) if x == 0.0 and z > 0.0]
     assert all(v is not None for v in axis)
 
 
@@ -94,7 +95,7 @@ def test_W_overflow_is_an_empty_cell(tmp_path):
     # near the axis at mu = 200, (R/x)^(1+mu) leaves the float range
     cfg = SystemConfig(mu=200.0, R0=1.0)
     spec = GridSpec(x_min=0.0, x_max=1e-3, z_min=0.0, z_max=1.0, nx=3, nz=3)
-    values = {(x, z): v for x, z, v in grid_values(cfg, spec, "W")}
+    values = {(x, z): v for x, z, v in grid_cells(cfg, spec, "W")}
     assert values[(5e-4, 1.0)] is None
     assert values[(1e-3, 0.0)] == 0.0
     config = tmp_path / "cfg.json"
@@ -170,7 +171,7 @@ def test_grid_equals_scalar_path(spec, mu, quantity):
     # forms at the scalar R and s (pow rounds differently in numpy)
     cfg = SystemConfig(mu=mu, R0=1.0)
     sol = HarmonicSolution(a=A, b=B, cfg=cfg)
-    cells = list(grid_values(cfg, spec, quantity, sol))
+    cells = grid_cells(cfg, spec, quantity, sol)
     assert len(cells) == spec.nx * spec.nz
     for x, z, value in cells:
         ref = scalar_cell(mu, quantity, sol, x, z)
@@ -194,7 +195,7 @@ def test_second_kind_near_the_axis(mu):
     x, z = 1e-4, 0.9
     V = eval_V_cartesian(sol, CartesianPoint(x, 0.0, z))
     spec = GridSpec(x_min=0.0, x_max=2e-4, z_min=0.0, z_max=1.8, nx=3, nz=3)
-    assert {(cx, cz): v for cx, cz, v in grid_values(sol.cfg, spec, "V", sol)}[(x, z)] == V
+    assert {(cx, cz): v for cx, cz, v in grid_cells(sol.cfg, spec, "V", sol)}[(x, z)] == V
     with mpmath.workdps(60):
         ref = mpmath.fsum(bn * mp_solid(n, z, x, second_kind=True)[0] for n, bn in enumerate(b))
         assert abs(V - ref) <= 1e-14 * abs(ref)
@@ -207,7 +208,7 @@ def test_second_kind_where_z_over_rho_overflows():
     with pytest.raises(PoleDivergenceError):
         eval_V_cartesian(sol, CartesianPoint(1e-300, 0.0, 1e9))
     spec = GridSpec(x_min=0.0, x_max=2e-300, z_min=0.0, z_max=2e9, nx=3, nz=3)
-    assert {(x, z): v for x, z, v in grid_values(sol.cfg, spec, "V", sol)}[(1e-300, 1e9)] is None
+    assert {(x, z): v for x, z, v in grid_cells(sol.cfg, spec, "V", sol)}[(1e-300, 1e9)] is None
 
 
 @pytest.mark.parametrize("cells", [7, 40])

@@ -20,7 +20,6 @@ from sosharmonics.harmonic import (
     eval_V_cartesian,
     fit_boundary,
     laplacian_residual_fd,
-    laplacian_residual_sos,
     load_solution,
     s_at_point,
     save_solution,
@@ -194,75 +193,6 @@ class TestLaplacian:
             SystemConfig(mu=200.0, R0=1.0), a_max=6, b_max=3, points_per_mode=20
         )
         assert all(c.passed for c in checks), [(c.name, c.max_residual) for c in checks]
-
-
-class TestSosFormWitness:
-    # the divergence-form residual exercises the metric-ratio series, which
-    # the Cartesian stencil never touches; both witnesses must agree that
-    # every mode is harmonic
-
-    @pytest.mark.parametrize("kind, n", [("a", 2), ("a", 5), ("b", 1), ("b", 3)])
-    @pytest.mark.parametrize("mu", [0.5, 2.0])
-    def test_pure_modes_vanish(self, mu, kind, n):
-        cfg = SystemConfig(mu=mu, R0=1.0)
-        sol = mode(cfg, n, kind)
-        p = SosPoint(R=1.3, nu=0.6)
-        coarse = laplacian_residual_sos(sol, p, 2e-3)
-        fine = laplacian_residual_sos(sol, p, 1e-3)
-        scale = 1.0 + abs(eval_V_at(sol, p))
-        assert abs(fine) <= 1e-3 * scale  # far below the non-harmonic control
-        if abs(coarse) > 1e-8 * scale:
-            assert 3.0 <= abs(coarse) / abs(fine) <= 5.0
-
-    def test_spans_border_band(self):
-        # nu chosen so the inner stencil straddles the series guard band
-        sol = mode(CFG2, 3)
-        p = SosPoint(R=1.0, nu=0.36)  # W near the mu=2 border
-        res = laplacian_residual_sos(sol, p, 1e-3)
-        assert abs(res) <= 1e-4
-
-    def test_nonharmonic_control(self):
-        # V = R^2 P_1(s) is NOT harmonic; the witness must say so
-        cfg = CFG2
-        bad = HarmonicSolution(a=(0.0, 1.0), b=(), cfg=cfg)
-        p = SosPoint(R=1.2, nu=0.7)
-
-        def eval_bad(R, nu):
-            return R * eval_V_at(bad, SosPoint(R, nu))  # extra R factor
-
-        # reuse the same stencil arithmetic by a local divergence form
-        from sosharmonics.coords import metrics_at
-
-        h = 1e-3
-        dR, dnu = h * p.R, h
-
-        def dv_dR(R, nu):
-            return (eval_bad(R + dR, nu) - eval_bad(R - dR, nu)) / (2 * dR)
-
-        def dv_dnu(R, nu):
-            return (eval_bad(R, nu + dnu) - eval_bad(R, nu - dnu)) / (2 * dnu)
-
-        div = (
-            metrics_at(p.R + dR, p.nu, cfg).jac_over_hR2 * dv_dR(p.R + dR, p.nu)
-            - metrics_at(p.R - dR, p.nu, cfg).jac_over_hR2 * dv_dR(p.R - dR, p.nu)
-        ) / (2 * dR) + (
-            metrics_at(p.R, p.nu + dnu, cfg).jac_over_hnu2 * dv_dnu(p.R, p.nu + dnu)
-            - metrics_at(p.R, p.nu - dnu, cfg).jac_over_hnu2 * dv_dnu(p.R, p.nu - dnu)
-        ) / (2 * dnu)
-        res = div / metrics_at(p.R, p.nu, cfg).jacobian
-        assert abs(res) > 1e-2
-
-    def test_pole_stencil_refused(self):
-        sol = mode(CFG2, 1)
-        with pytest.raises(StencilOutOfDomainError):
-            laplacian_residual_sos(sol, SosPoint(R=1.0, nu=math.pi / 2 - 1e-4), 1e-3)
-
-    @pytest.mark.parametrize("nu", [math.pi / 2, -math.pi / 2])
-    def test_stencil_centred_on_the_pole_refused(self, nu):
-        # metrics_at takes the pole's closed values (J = 0 there); the nu
-        # arm beyond the pole leaves the chart
-        with pytest.raises(StencilOutOfDomainError):
-            laplacian_residual_sos(mode(CFG2, 2), SosPoint(R=1.0, nu=nu), 1e-3)
 
 
 class TestFit:

@@ -24,7 +24,7 @@ from sosharmonics.harmonic import (
     solid_V,
     sum_V,
 )
-from sosharmonics.legendre import eval_q, eval_q_derivs, ode_residual, value_derivs, values
+from sosharmonics.legendre import eval_q, ode_residual, q_derivs, value_derivs, values
 from sosharmonics.trig import s_limit
 
 from _oracles import forward_meridional, forward_solid, mp_legendre, mp_meridional, mp_potential, mp_solid
@@ -194,7 +194,7 @@ def test_ode_residual_degree_60(mu):
     for frac in np.linspace(0.05, 0.95, 23):
         s = float(frac * s_limit(mu))
         p, _ = value_derivs(60, s, mu)
-        for F in (p[60], eval_q_derivs(60, s, mu)):
+        for F in (p[60], q_derivs(60, s, mu)[1][60]):
             res = ode_residual(*F, s, 60, mu)
             assert abs(res) / (1.0 + sum(abs(v) for v in F)) <= 1e-10
 
@@ -205,7 +205,7 @@ def test_value_derivs_values_match_values(mu):
     p, q = values(30, s, mu, True)
     dp, _ = value_derivs(30, s, mu)
     assert [f[0] for f in dp] == p
-    assert [eval_q_derivs(n, s, mu)[0] for n in range(31)] == q
+    assert [q_derivs(n, s, mu)[1][n][0] for n in range(31)] == q
 
 
 def test_fit_degree_60_chebyshev_nodes():

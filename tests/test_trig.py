@@ -10,7 +10,6 @@ from sosharmonics.errors import NearBorderError, PoleLimitError
 from sosharmonics.series import w_border
 from sosharmonics.trig import (
     d_fC2_dW,
-    d_fS2_dW,
     d_fS_over_fC_dW,
     d_hR2_dW,
     d_s_dW,
@@ -188,6 +187,11 @@ class TestIdentities:
             for bundle in (trig_from_W_robust, trig_from_W):
                 tb = bundle(W, mu)
                 assert w_from_s(tb.s, mu) == approx(W, rel=1e-10)
+
+
+def d_fS2_dW(tb):
+    """d(f_S^2)/dW = -d(f_C^2)/dW, as f_S^2 + f_C^2 = 1."""
+    return -d_fC2_dW(tb)
 
 
 class TestDerivatives:
