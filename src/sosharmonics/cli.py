@@ -12,7 +12,8 @@ nu); the poles take their closed values there, with W null.  V is summed
 at the point's own (z, rho) (`harmonic.eval_V_at`, `eval_V_cartesian`).
 
 The system config {"mu": ..., "R0": ...} always comes from a JSON file; a
-coefficient file in the documented JSON format supplies the potential.
+coefficient file in the documented JSON format, of the config's mu and R0,
+supplies the potential.
 Exit codes: 0 ok, 1 verification failure, 2 usage/parse or an unwritable
 output file, 3 domain/numeric.
 """
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import legendre
 from . import verify as verify_mod
 from .coords import (
     CartesianPoint,
@@ -105,11 +107,18 @@ def _load_config(path: str) -> SystemConfig:
         raise UsageError(f"bad config file {path}: {exc}") from exc
 
 
-def _load_coeffs(path: str) -> HarmonicSolution:
+def _load_coeffs(path: str, cfg: SystemConfig) -> HarmonicSolution:
+    """The coefficient file at path, whose mu and R0 must be the config's."""
     try:
-        return load_solution(path)
+        sol = load_solution(path)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad coefficient file {path}: {exc}") from exc
+    if sol.cfg != cfg:
+        raise UsageError(
+            f"coefficient file {path} has mu={_fmt(sol.cfg.mu)} R0={_fmt(sol.cfg.R0)},"
+            f" but the config has mu={_fmt(cfg.mu)} R0={_fmt(cfg.R0)}"
+        )
+    return sol
 
 
 def _point_record(cfg: SystemConfig, p: SosPoint, s: float, f_C: float, mb, log_w: float) -> dict:
@@ -132,7 +141,7 @@ def _point_record(cfg: SystemConfig, p: SosPoint, s: float, f_C: float, mb, log_
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
-    sol = _load_coeffs(args.coeffs) if args.coeffs else None
+    sol = _load_coeffs(args.coeffs, cfg) if args.coeffs else None
     by_sos = args.R is not None or args.nu is not None
     by_cart = args.x is not None or args.z is not None
     if by_sos == by_cart:
@@ -164,11 +173,14 @@ def _grid_block(cfg, quantity, sol, x, z):
     `harmonic.solid_V` at z and rho = x (V), with no R, s or mu.
 
     NaN marks a cell with no value: the origin, W on the axis, W or V beyond
-    the float range, and V with second-kind terms on the axis x = 0.  A V
-    cell has the bits of `eval_V_cartesian` at that cell."""
-    empty = (x == 0.0) & ((z == 0.0) | (quantity == "V" and sol.has_second_kind))
-    x = np.where(empty, 1.0, x)  # a cell in the domain, masked below
+    the float range, and V with second-kind terms where q0 diverges (the
+    axis x = 0, and |z|/x beyond the float range).  A V cell has the bits of
+    `eval_V_cartesian` at that cell, and is empty where that raises."""
     with np.errstate(all="ignore"):  # overflow and the axis become NaN cells
+        empty = (x == 0.0) & (z == 0.0)
+        if quantity == "V" and sol.has_second_kind:
+            empty = empty | (legendre._q0_r(z / cfg.R0, x / cfg.R0, True)[0] == math.inf)
+        x, z = np.where(empty, 1.0, x), np.where(empty, 0.0, z)  # a cell in the domain, masked below
         if quantity == "V":
             value = solid_V(sol, z, x)
         elif quantity == "s":
@@ -206,7 +218,7 @@ def _grid_rows(cfg: SystemConfig, spec: GridSpec, quantity: str, sol):
 
 def cmd_grid(args) -> int:
     cfg = _load_config(args.config)
-    sol = _load_coeffs(args.coeffs) if args.coeffs else None
+    sol = _load_coeffs(args.coeffs, cfg) if args.coeffs else None
     try:
         spec = GridSpec(
             x_min=args.x_min,

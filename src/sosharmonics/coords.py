@@ -18,9 +18,9 @@ The point kernels take floats or numpy arrays that broadcast together, and
 each has one numpy body (`trig._point_kernel`).  A float call is one element
 of the array call, returned as Python floats: it has that element's bits and
 raises its exception (ValueError, OverflowError, ZeroDivisionError,
-DegenerateOriginError), and an array raises where any element would.  Only
-`compute_W` and `dW` stay on `math`, for floats.  The records (`SosPoint`,
-`CartesianPoint`, `MetricBundle`) hold floats, or arrays from array calls.
+DegenerateOriginError), and an array raises where any element would.  The
+records (`SosPoint`, `CartesianPoint`, `MetricBundle`) hold floats, or
+arrays from array calls.
 """
 
 from __future__ import annotations
@@ -97,17 +97,33 @@ def _check_chart(R, nu) -> None:
         raise ValueError("nu must lie in [-pi/2, pi/2]")
 
 
-def compute_W(R: float, nu: float, cfg: SystemConfig) -> float:
-    """Cone parameter W; odd in nu, divergent at the poles."""
+def _cone(R, nu, cfg: SystemConfig):
+    """(W, R, sin nu, cos nu, (R/R0)^mu), R and nu broadcast: the body of
+    `compute_W` and `dW`.  Raises ZeroDivisionError where cos^(1+mu) nu
+    underflows, then OverflowError where (R/R0)^mu overflows."""
     _check_chart(R, nu)
-    if abs(nu) >= _HALF_PI:
+    if np.any(abs(nu) >= _HALF_PI):
         raise PoleLimitError("W diverges at |nu| = pi/2; use the pole closed forms")
-    c = math.cos(nu)
-    return (R / cfg.R0) ** cfg.mu * math.sin(nu) / c ** (1.0 + cfg.mu)
+    R, nu = np.broadcast_arrays(R, nu)
+    sn, cs = np.sin(nu), np.cos(nu)
+    cos_w = np.power(cs, 1.0 + cfg.mu)
+    if not cos_w.all():
+        raise ZeroDivisionError("float division by zero")
+    scale = np.power(R / cfg.R0, cfg.mu)
+    if np.isinf(scale).any():
+        raise OverflowError("math range error")
+    return scale * sn / cos_w, R, sn, cs, scale
 
 
-def dW(R: float, nu: float, cfg: SystemConfig) -> tuple[float, float, float, float]:
-    """(dW/dnu, dW/dR, d2W/dnu2, d2W/dR2), all in closed form.
+@_point_kernel
+def compute_W(R, nu, cfg: SystemConfig):
+    """Cone parameter W; odd in nu, divergent at the poles.  Floats or arrays."""
+    return _cone(R, nu, cfg)[0]
+
+
+@_point_kernel
+def dW(R, nu, cfg: SystemConfig):
+    """(dW/dnu, dW/dR, d2W/dnu2, d2W/dR2), all in closed form; floats or arrays.
 
     dW/dnu = (R/R0)^mu (1 + mu sin^2 nu)/cos^(2+mu) nu   (always positive)
     dW/dR  = mu W / R
@@ -115,10 +131,11 @@ def dW(R: float, nu: float, cfg: SystemConfig) -> tuple[float, float, float, flo
     d2W/dR2  = mu (mu - 1) W / R^2
     """
     mu = cfg.mu
-    W = compute_W(R, nu, cfg)
-    sn = math.sin(nu)
-    cs = math.cos(nu)
-    dw_dnu = (R / cfg.R0) ** mu * (1.0 + mu * sn * sn) / cs ** (2.0 + mu)
+    W, R, sn, cs, scale = _cone(R, nu, cfg)
+    cos_dw = np.power(cs, 2.0 + mu)
+    if not (cos_dw.all() and (R * R).all()):
+        raise ZeroDivisionError("float division by zero")
+    dw_dnu = scale * (1.0 + mu * sn * sn) / cos_dw
     dw_dR = mu * W / R
     d2w_dnu2 = W * (2.0 + 3.0 * mu + mu * mu * sn * sn) / (cs * cs)
     d2w_dR2 = mu * (mu - 1.0) * W / (R * R)
@@ -190,10 +207,13 @@ def meridional(R, nu, cfg: SystemConfig):
     return R * s / (1.0 + cfg.mu), R * f_C / mb.h_R
 
 
+@_point_kernel
 def sos_to_cartesian(p: SosPoint, cfg: SystemConfig) -> CartesianPoint:
-    """Forward transform from the point's `meridional` (z, rho)."""
-    z, rho = meridional(p.R, p.nu, cfg)
-    return CartesianPoint(x=rho * math.cos(p.lam), y=rho * math.sin(p.lam), z=z)
+    """Forward transform from the point's `meridional` (z, rho); a point of
+    floats or of arrays that broadcast together."""
+    R, nu, lam = np.broadcast_arrays(p.R, p.nu, p.lam)
+    z, rho = meridional(R, nu, cfg)
+    return CartesianPoint(x=rho * np.cos(lam), y=rho * np.sin(lam), z=z)
 
 
 @_point_kernel

@@ -161,19 +161,24 @@ def q0_meridional(z, rho):
     z^2/(r + rho), and r = m sqrt((z/m)^2 + (rho/m)^2), m = max(|z|, rho),
     neither cancel nor under- or overflow.  numpy's log1p serves floats too
     (math's rounds differently), so an array has the bits of its elements.
-    rho = 0, or a float |z|/rho beyond the float range (q0 = inf in an
-    array), raises PoleDivergenceError."""
-    u, array = abs(z), isinstance(z + rho, np.ndarray)
+    rho = 0, or a |z|/rho beyond the float range (q0 = inf), raises
+    PoleDivergenceError, at a float and at any element of an array."""
+    array = isinstance(z + rho, np.ndarray)
     if np.any(rho == 0.0) if array else rho == 0.0:
         raise PoleDivergenceError(_AXIS)
+    q, r = _q0_r(z, rho, array)
+    if np.any(q == math.inf) if array else q == math.inf:
+        raise PoleDivergenceError(_AXIS)
+    return (np.copysign if array else math.copysign)(q, z), r
+
+
+def _q0_r(z, rho, array: bool):
+    """(|q0|, r) of `q0_meridional` at rho > 0, unchecked (|q0| = inf where
+    |z|/rho leaves the float range), on numpy's functions if array."""
+    u = abs(z)
     m = np.maximum(u, rho) if array else max(u, rho)
     r = m * (np.sqrt if array else math.sqrt)((u / m) * (u / m) + (rho / m) * (rho / m))
-    q = np.log1p(u / rho * (1.0 + u / (r + rho)))
-    if array:
-        return np.copysign(q, z), r
-    if q == math.inf:
-        raise PoleDivergenceError(_AXIS)
-    return math.copysign(q, z), r
+    return np.log1p(u / rho * (1.0 + u / (r + rho))), r
 
 
 def value_derivs(N: int, s, mu: float) -> tuple[list, list]:

@@ -16,10 +16,10 @@ every W with those of its other suites and takes the bundles from their
 results (`_witness_bundles`).
 
 The closed kernel (`solve_logit`, `closed_trig`, `trig_from_W_robust`,
-`s_on_reference`) has one numpy body (`_point_kernel`), for floats or numpy
-arrays.  A float call is one element of the array call: it runs the body on
-0-d values and returns Python floats, with the same bits and the same
-exceptions.
+`s_on_reference`, `w_from_s`) has one numpy body (`_point_kernel`), for
+floats or numpy arrays.  A float call is one element of the array call: it
+runs the body on 0-d values and returns Python floats, with the same bits
+and the same exceptions.
 """
 
 from __future__ import annotations
@@ -104,15 +104,19 @@ def s_on_reference(nu, mu: float):
     return math.sqrt(1.0 + mu) * np.sin(nu)
 
 
-def w_from_s(s: float, mu: float) -> float:
-    """Invert s back to the cone parameter W; strictly increasing in s."""
-    lim = s_limit(mu)
-    if s < 0.0:
+@_point_kernel
+def w_from_s(s, mu: float):
+    """Invert s back to the cone parameter W; strictly increasing in s.
+    Floats or arrays; raises OverflowError where W overflows."""
+    if np.any(s < 0.0):
         raise ValueError("s must be non-negative")
-    if s >= lim:
+    if np.any(s >= s_limit(mu)):
         raise PoleLimitError("W diverges as s approaches sqrt(1+mu)")
     t = s * s / (1.0 + mu)
-    return math.sqrt(t) * (1.0 - t) ** (-(1.0 + mu) / 2.0)
+    W = np.sqrt(t) * np.power(1.0 - t, -(1.0 + mu) / 2.0)
+    if np.isinf(W).any():
+        raise OverflowError("math range error")
+    return W
 
 
 def _softplus(x):

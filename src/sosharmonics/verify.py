@@ -20,9 +20,11 @@ once every suite waits on the series, all series rows in one
 `eval_series_many` call.  A quick run at mu = 2 makes two `closed_point`
 calls (the forward solves, then the cone check's), one
 `trig_from_W_robust`, one `cartesian_R_nu` and one `eval_series_many`
-(177 rows).  Every kernel is elementwise, so a suite's checks are those of
-its public function, which runs its body alone.  `verify --json` times the
-shared calls as `closed_kernels` and `series_witness`.
+(177 rows).  The metric suite's W and dW/dnu are one `compute_W` and one
+`dW` call, and the trig suite's W(s) one `w_from_s` call.  Every kernel is
+elementwise, so a suite's checks are those of its public function, which
+runs its body alone.  `verify --json` times the shared calls as
+`closed_kernels` and `series_witness`.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ import numpy as np
 from . import legendre
 from .coords import (
     CartesianPoint,
-    MetricBundle,
     SystemConfig,
     cartesian_R_nu,
     cartesian_R_s,
     closed_point,
+    compute_W,
+    dW,
 )
 from .errors import PoleDivergenceError, StencilOutOfDomainError
 from .harmonic import (
@@ -107,10 +110,6 @@ class CheckResult:
         return bool(self.max_residual <= self.tolerance)
 
 
-def _rel(x: float, ref: float) -> float:
-    return abs(x - ref) / max(abs(ref), 1e-300)
-
-
 def _worst(*residuals) -> float:
     """The largest entry of the residual arrays, and 0.0 if there is none.
     A NaN entry is skipped, as a running max(worst, r) over floats skips it."""
@@ -118,14 +117,8 @@ def _worst(*residuals) -> float:
 
 
 def _max_rel(x, ref) -> float:
-    """The largest `_rel` over arrays x, ref."""
+    """The largest |x - ref| / max(|ref|, 1e-300) over arrays x, ref."""
     return _worst(np.abs(x - ref) / np.maximum(np.abs(ref), 1e-300))
-
-
-def _split(tb: TrigBundle) -> list[TrigBundle]:
-    """The float bundles of a bundle of arrays."""
-    fields = (tb.W, tb.h_R, tb.f_S, tb.f_C, tb.s)
-    return [TrigBundle(*f, mu=tb.mu) for f in zip(*(np.asarray(v).tolist() for v in fields))]
 
 
 def _w_samples(mu: float, per_region: int) -> list[float]:
@@ -232,39 +225,30 @@ def trig_identity_checks(mu: float, per_region: int = 8) -> list[CheckResult]:
 
 def _trig_identity_body(mu: float, per_region: int):
     ws = _w_samples(mu, per_region)
-    witnessed = [mu > 0.0 and region_of(W, mu) is not Region.NEAR_BORDER for W in ws]
+    witnessed = np.array([mu > 0.0 and region_of(W, mu) is not Region.NEAR_BORDER for W in ws])
     series_ws = [W for W, w in zip(ws, witnessed) if w]
     (robust,) = yield [(trig_from_W_robust, np.array(ws), mu)]
     (rows,) = yield [(eval_series_many, _witness_rows(series_ws, mu))]
-    series = iter(_witness_bundles(series_ws, mu, rows))
-    robust = _split(robust)
-    r_pyth = r_hr = r_ratio = r_power = r_round = r_paths = 0.0
-    for W, closed, w in zip(ws, robust, witnessed):
-        tbs = [closed] + ([next(series)] if w else [])
-        for tb in tbs:
-            r_pyth = max(r_pyth, abs(tb.f_S**2 + tb.f_C**2 - 1.0))
-            if mu > 0.0:
-                r_hr = max(
-                    r_hr,
-                    abs(tb.f_S**2 - (1.0 + mu) * (1.0 - tb.h_R**2) / mu),
-                    abs(tb.f_C**2 - ((1.0 + mu) * tb.h_R**2 - 1.0) / mu),
-                )
-            # squared sine/cosine ratio against the s form
-            lhs = tb.f_S**2 / tb.f_C**2
-            rhs = (1.0 + mu) * tb.s**2 / ((1.0 + mu) - tb.s**2)
-            r_ratio = max(r_ratio, _rel(lhs, rhs))
-            if mu > 0.0:
-                # fractional-power form relating W, f_S/f_C and s; compared in
-                # log form so the 1/mu exponents cannot overflow
-                lhs = (-math.log(W) + (mu + 1.0) * math.log(tb.f_S / tb.f_C)) / mu
-                rhs = 0.5 * math.log(1.0 + mu) / mu + math.log(tb.s)
-                r_power = max(r_power, abs(lhs - rhs))
-            r_round = max(r_round, _rel(w_from_s(tb.s, mu), W))
-        if len(tbs) == 2:
-            for f in ("h_R", "f_S", "f_C", "s"):
-                r_paths = max(
-                    r_paths, abs(getattr(tbs[0], f) - getattr(tbs[1], f))
-                )
+    series = _witness_bundles(series_ws, mu, rows)
+    # the robust bundle of every W, then the series bundle of each witnessed W
+    n, W = len(ws), np.concatenate([ws, series_ws])
+    h_R, f_S, f_C, s = (
+        np.concatenate([getattr(robust, f), [getattr(tb, f) for tb in series]]) for f in ("h_R", "f_S", "f_C", "s")
+    )
+    r_pyth = _worst(np.abs(f_S**2 + f_C**2 - 1.0))
+    # squared sine/cosine ratio against the s form
+    r_ratio = _max_rel(f_S**2 / f_C**2, (1.0 + mu) * s**2 / ((1.0 + mu) - s**2))
+    r_round = _max_rel(w_from_s(s, mu), W)
+    r_paths = _worst(*(np.abs(v[:n][witnessed] - v[n:]) for v in (h_R, f_S, f_C, s)))
+    if mu > 0.0:
+        r_hr = _worst(
+            np.abs(f_S**2 - (1.0 + mu) * (1.0 - h_R**2) / mu),
+            np.abs(f_C**2 - ((1.0 + mu) * h_R**2 - 1.0) / mu),
+        )
+        # fractional-power form relating W, f_S/f_C and s; compared in log
+        # form so the 1/mu exponents cannot overflow
+        lhs = (-np.log(W) + (mu + 1.0) * np.log(f_S / f_C)) / mu
+        r_power = _worst(np.abs(lhs - (0.5 * math.log(1.0 + mu) / mu + np.log(s))))
     checks = [
         CheckResult("trig.pythagorean", r_pyth, 1e-12),
         CheckResult("trig.ratio_vs_s", r_ratio, 1e-10),
@@ -350,20 +334,18 @@ def _series_identity_body(mu: float):
                 ]
     (tb_log,) = yield [(trig_from_W_robust, np.array([0.1 * border, 0.25 * border, 0.6 * border]), mu)]
     (rows,) = yield [(eval_series_many, requests)]
-    values = [res.value for res in rows]
-    r_ratio = 0.0
-    for num, den, rat in zip(values[0::3], values[1::3], values[2::3]):
-        r_ratio = max(r_ratio, _rel(num / den, rat))
+    num, den, rat = np.reshape([res.value for res in rows], (-1, 3)).T
+    r_ratio = _max_rel(num / den, rat)
 
     r_log = 0.0
-    for tb in _split(tb_log):
-        W, acc = tb.W, 0.0
+    for W, f_S, f_C in zip(tb_log.W.tolist(), tb_log.f_S.tolist(), tb_log.f_C.tolist()):
+        acc = 0.0
         for k in range(1, 400):
             t = gen_binom(-mu * k, k) * W ** (2 * k) / k
             acc += t
             if abs(t) < 1e-18 and k > 8:
                 break
-        rhs = math.log(tb.f_S**2 / ((1.0 + mu) * W**2 * tb.f_C**2))
+        rhs = math.log(f_S**2 / ((1.0 + mu) * W**2 * f_C**2))
         r_log = max(r_log, abs(acc - rhs))
     return [
         CheckResult("series.ratio_identity", r_ratio, 1e-10),
@@ -386,7 +368,7 @@ def _spherical_series_body():
             requests.append((SeriesSpec(a, 0.0, Region.LARGE_NU, SeriesKind.SA), W))
             closed.append(W ** (2 * a) * (1.0 + W**-2.0) ** a)
     (rows,) = yield [(eval_series_many, requests)]
-    worst = max(_rel(res.value, ref) for res, ref in zip(rows, closed))
+    worst = _max_rel(np.array([res.value for res in rows]), np.array(closed))
     return [CheckResult("series.spherical_closed_forms", worst, 1e-12)]
 
 
@@ -394,43 +376,6 @@ def _spherical_series_body():
 
 
 _METRIC_SERIES = ("hR2", "Snu", "jac", "jac_hR2", "jac_hnu2")
-
-
-def _metric_rows(points, mu: float) -> list:
-    """The series rows (spec, W) of the five metric series at every
-    (R, W, dW/dnu) point outside the guard band."""
-    return [
-        (quantity_series(name, mu, region), W)
-        for region, W in ((region_of(W, mu), W) for _, W, _ in points)
-        if region is not Region.NEAR_BORDER
-        for name in _METRIC_SERIES
-    ]
-
-
-def _series_metrics(points, mu: float, results) -> list[MetricBundle | None]:
-    """The metrics at every (R, W, dW/dnu) point from the results of its
-    `_metric_rows`, with the R and dW/dnu factors.
-
-    None inside the guard band, and where a series value leaves the normal
-    float range: far from the border the large-nu prefactor W^(2a)
-    underflows or overflows.
-    """
-    values = iter([res.value for res in results])
-    out = []
-    for R, W, dw_dnu in points:
-        if region_of(W, mu) is Region.NEAR_BORDER:
-            out.append(None)
-            continue
-        parts = [next(values) for _ in _METRIC_SERIES]
-        if not all(sys.float_info.min <= abs(v) < math.inf for v in parts):
-            out.append(None)
-            continue
-        hR2, Snu, jac, jac_hR2, jac_hnu2 = parts
-        k = R / math.sqrt(1.0 + mu) * dw_dnu
-        out.append(MetricBundle(
-            math.sqrt(hR2), k * math.sqrt(Snu), R * k * jac, R * k * jac_hR2, R / k * jac_hnu2
-        ))
-    return out
 
 
 def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
@@ -443,18 +388,10 @@ def _metric_body(cfg: SystemConfig, n_nu: int):
     mu = cfg.mu
     nu = np.tile(np.linspace(0.03, math.pi / 2 - 0.05, n_nu), 3)
     R = np.repeat([0.5 * cfg.R0, cfg.R0, 2.2 * cfg.R0], n_nu)
-    # W and dW/dnu from their own closed forms (`coords.compute_W`, `coords.dW`),
-    # not from the metrics they check, raising as the float forms do where
-    # they divide by an underflowed power of cos nu (from mu of about 247);
-    # dW/dnu enters only through dW/dnu / W, which is NaN (and skipped) where
-    # both overflow
-    with np.errstate(all="ignore"):
-        sn, cs, scale = np.sin(nu), np.cos(nu), (R / cfg.R0) ** mu
-        cos_w, cos_dw = cs ** (1.0 + mu), cs ** (2.0 + mu)
-        W = scale * sn / cos_w
-        dw_dnu = scale * (1.0 + mu * sn * sn) / cos_dw
-    if not (cos_w.all() and cos_dw.all()):
-        raise ZeroDivisionError("float division by zero")
+    # W and dW/dnu from their own closed forms, not from the metrics they
+    # check; dW/dnu enters only through dW/dnu / W, which is NaN (and
+    # skipped) where both overflow
+    W, dw_dnu = compute_W(R, nu, cfg), dW(R, nu, cfg)[0]
     (_, _, mb, _), tb = yield [(closed_point, R, nu, cfg), (trig_from_W_robust, W, mu)]
     with np.errstate(invalid="ignore"):
         r_link = _max_rel(mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2, (tb.f_C * tb.f_S * R * (dw_dnu / W)) ** 2)
@@ -465,13 +402,19 @@ def _metric_body(cfg: SystemConfig, n_nu: int):
     eps = 1e-12
     in_bounds = (1.0 / math.sqrt(1.0 + mu) - eps <= mb.h_R) & (mb.h_R <= 1.0 + eps)
     r_bounds = 0.0 if in_bounds.all() else 1.0
-    r_series = 0.0
-    closed = zip(*(v.tolist() for v in vars(mb).values()))
-    points = list(zip(R.tolist(), W.tolist(), dw_dnu.tolist()))
-    (rows,) = yield [(eval_series_many, _metric_rows(points, mu))]
-    for ser, ref in zip(_series_metrics(points, mu, rows), closed):
-        if ser is not None:
-            r_series = max(r_series, *map(_rel, vars(ser).values(), ref))
+    # the five metric series, with the R and dW/dnu factors, at every point
+    # outside the guard band where each series value is a normal float (far
+    # from the border the large-nu prefactor W^(2a) underflows or overflows)
+    at = np.array([region_of(w, mu) is not Region.NEAR_BORDER for w in W.tolist()], dtype=bool)
+    requests = [(quantity_series(name, mu, region_of(w, mu)), w) for w in W[at].tolist() for name in _METRIC_SERIES]
+    (rows,) = yield [(eval_series_many, requests)]
+    values = np.reshape([res.value for res in rows], (-1, len(_METRIC_SERIES))).T
+    normal = ((sys.float_info.min <= np.abs(values)) & (np.abs(values) < math.inf)).all(axis=0)
+    hR2, Snu, jac, jac_hR2, jac_hnu2 = values[:, normal]
+    R_at = R[at][normal]
+    k = R_at / math.sqrt(1.0 + mu) * dw_dnu[at][normal]
+    series = (np.sqrt(hR2), k * np.sqrt(Snu), R_at * k * jac, R_at * k * jac_hR2, R_at / k * jac_hnu2)
+    r_series = max(_max_rel(v, ref[at][normal]) for v, ref in zip(series, vars(mb).values()))
     checks = [
         CheckResult("metric.jacobian_ratios", r_cross, 1e-9),
         CheckResult("metric.hR_hnu_link", r_link, 1e-9),

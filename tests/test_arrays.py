@@ -5,12 +5,13 @@ each sample set in one array pass."""
 import itertools
 import math
 import random
+import sys
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from sosharmonics import harmonic, legendre, verify
+from sosharmonics import harmonic, legendre, series, verify
 from sosharmonics.coords import (
     CartesianPoint,
     SosPoint,
@@ -21,10 +22,13 @@ from sosharmonics.coords import (
     cartesian_R_s,
     cartesian_to_sos,
     closed_point,
+    compute_W,
+    dW,
     meridional,
     metrics_at,
+    sos_to_cartesian,
 )
-from sosharmonics.errors import DegenerateOriginError, StencilOutOfDomainError
+from sosharmonics.errors import DegenerateOriginError, PoleDivergenceError, SosError, StencilOutOfDomainError
 from sosharmonics.harmonic import (
     HarmonicSolution,
     eval_V_at,
@@ -32,7 +36,15 @@ from sosharmonics.harmonic import (
     fd_stencil,
     laplacian_residual_fd,
 )
-from sosharmonics.trig import closed_trig, s_limit, s_on_reference, solve_logit, trig_from_W_robust
+from sosharmonics.trig import (
+    closed_trig,
+    s_limit,
+    s_on_reference,
+    solve_logit,
+    trig_from_W,
+    trig_from_W_robust,
+    w_from_s,
+)
 from sosharmonics.verify import _mode_stencils, _shell_point, anchor_checks, ode_checks
 
 MUS = (0.0, 0.5, 2.0, 20.0, 200.0, 1000.0)
@@ -132,7 +144,8 @@ def test_a_float_call_returns_python_floats():
         metrics_at(1.3, 0.7, cfg), cartesian_R_s(0.3, 0.1, 0.5, 2.0), cartesian_closed(0.3, 0.1, 0.5, 2.0),
         cartesian_R_nu(0.3, 0.1, 0.5, cfg), cartesian_point(c, cfg), trig_from_W_robust(0.0, 2.0),
         solve_logit(0.3, 2.0), closed_trig(0.3, 2.0), s_on_reference(0.7, 2.0),
-        harmonic._cartesian_meridional(c),
+        harmonic._cartesian_meridional(c), compute_W(1.3, 0.7, cfg), dW(1.3, 0.7, cfg), w_from_s(0.5, 2.0),
+        sos_to_cartesian(SosPoint(1.3, 0.7, 0.4), cfg),
     ]
     for result in results:
         assert all(type(v) is float for v in _float_results(result)), result
@@ -327,3 +340,135 @@ def test_solid_V_at_a_float_z_has_the_shape_of_rho(a, b):
     got = harmonic.solid_V(sol, z, rho)
     assert isinstance(got, np.ndarray) and got.shape == rho.shape
     assert got.tolist() == [[harmonic.solid_V(sol, z, r) for r in row] for row in rho.tolist()]
+
+
+def _outcome(call, *args):
+    """The result of a call, or the type of the error it raises."""
+    try:
+        return call(*args)
+    except (ArithmeticError, SosError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_elementwise(call, points):
+    """Each point's float call is one element of the array call over the
+    points: the same bits where it returns, and where it raises, an array of
+    that point and a returning one raises the same error."""
+    outcomes = [_outcome(call, *p) for p in points]
+    ok = [p for p, o in zip(points, outcomes) if not isinstance(o, type)]
+    assert ok, "no point returns"
+    got = call(*(np.array(column) for column in zip(*ok)))
+    want = [o for o in outcomes if not isinstance(o, type)]
+    assert np.array(_float_results(got)).T.tolist() == [_float_results(w) for w in want]
+    for p, o in zip(points, outcomes):
+        if isinstance(o, type):
+            assert _outcome(call, *(np.array(column) for column in zip(ok[0], p))) is o, p
+
+
+PARITY_MUS = (0.0, 2.0, 20.0, 300.0, 1000.0)
+# the equator, small and moderate latitudes, near the poles and the poles
+PARITY_NUS = tuple(sign * v for v in (0.0, 1e-12, 0.7, math.pi / 2 - 0.05, 1.5707963, math.pi / 2)
+                   for sign in (1.0, -1.0))
+
+
+@pytest.mark.parametrize("mu", PARITY_MUS)
+def test_compute_W_and_dW_are_elementwise(mu):
+    cfg = SystemConfig(mu=mu)
+    points = list(itertools.product(R_OVER_R0, PARITY_NUS))
+    _assert_elementwise(lambda R, nu: compute_W(R, nu, cfg), points)
+    _assert_elementwise(lambda R, nu: dW(R, nu, cfg), points)
+
+
+def test_compute_W_raises_zero_division_before_the_scale_overflows():
+    """At mu = 1000, R = 2.2 both cos^(1+mu) nu underflows and (R/R0)^mu
+    overflows near the pole; on the equator only the scale overflows."""
+    cfg = SystemConfig(mu=1000.0)
+    for nu, error in ((math.pi / 2 - 0.05, ZeroDivisionError), (0.0, OverflowError)):
+        for call in (compute_W, dW):
+            assert _outcome(call, 2.2, nu, cfg) is error
+            assert _outcome(call, np.array([1.0, 2.2]), np.array([0.3, nu]), cfg) is error
+
+
+@pytest.mark.parametrize("mu", PARITY_MUS)
+def test_w_from_s_is_elementwise(mu):
+    lim = s_limit(mu)
+    s = (0.0, 1e-300, 0.3, 0.5 * lim, lim * (1.0 - 1e-12), math.nextafter(lim, 0.0), lim, -0.1)
+    _assert_elementwise(lambda v: w_from_s(v, mu), [(v,) for v in s])
+
+
+@pytest.mark.parametrize("mu", PARITY_MUS)
+def test_sos_to_cartesian_is_elementwise_and_round_trips(mu):
+    cfg = SystemConfig(mu=mu)
+    points = [(R, nu, lam) for (R, nu), lam in zip(itertools.product(R_OVER_R0, PARITY_NUS), itertools.cycle((0.0, 0.4, -2.5)))]
+    _assert_elementwise(lambda R, nu, lam: sos_to_cartesian(SosPoint(R, nu, lam), cfg), points)
+    # the round trip on arrays of the returning points, away from the poles
+    # (where nu and lam are not determined by the position)
+    inner = [p for p in points if abs(p[1]) < 1.5 and not isinstance(_outcome(sos_to_cartesian, SosPoint(*p), cfg), type)]
+    R, nu, lam = np.array(inner).T
+    c = sos_to_cartesian(SosPoint(R, nu, lam), cfg)
+    back = cartesian_to_sos(c, cfg)
+    for k, p in enumerate(inner):
+        assert (back.R[k], back.nu[k], back.lam[k]) == astuple(cartesian_to_sos(sos_to_cartesian(SosPoint(*p), cfg), cfg))
+    assert np.allclose(back.R, R, rtol=1e-12, atol=0.0)
+    assert np.allclose(back.nu, nu, rtol=0.0, atol=1e-12)
+    assert np.allclose(back.lam[nu != 0.0], lam[nu != 0.0], rtol=0.0, atol=1e-12)
+
+
+def test_q0_meridional_raises_where_z_over_rho_overflows():
+    """|z|/rho = 1e320 overflows: a float and an array holding the point raise
+    PoleDivergenceError, as on the axis, and the other elements keep the
+    bits of their float calls."""
+    with pytest.raises(PoleDivergenceError):
+        legendre.q0_meridional(1.0, 1e-320)
+    for rho in (1e-320, 0.0):
+        with pytest.raises(PoleDivergenceError):
+            legendre.q0_meridional(np.array([1.0, 1.0]), np.array([rho, 0.5]))
+    q, r = legendre.q0_meridional(np.array([1.0, -1e300]), np.array([0.5, 1e-7]))
+    assert [q.tolist(), r.tolist()] == [list(v) for v in zip(legendre.q0_meridional(1.0, 0.5),
+                                                             legendre.q0_meridional(-1e300, 1e-7))]
+
+
+def _rel(x, ref):
+    return abs(x - ref) / max(abs(ref), 1e-300)
+
+
+@pytest.mark.parametrize("mu", [0.0, 2.0, 200.0])
+def test_trig_and_metric_checks_keep_the_bits_of_float_loops(mu):
+    """The trig and metric suites' array residuals against the float loop
+    they replaced, with the same arithmetic at each element."""
+    ws = verify._w_samples(mu, 6)
+    r_pyth = r_hr = r_ratio = r_power = r_round = r_paths = 0.0
+    for W in ws:
+        tbs = [trig_from_W_robust(W, mu)]
+        if mu > 0.0 and series.region_of(W, mu) is not series.Region.NEAR_BORDER:
+            tbs.append(trig_from_W(W, mu))
+        for tb in tbs:
+            fs2, fc2, hr2 = tb.f_S * tb.f_S, tb.f_C * tb.f_C, tb.h_R * tb.h_R
+            r_pyth = max(r_pyth, abs(fs2 + fc2 - 1.0))
+            r_ratio = max(r_ratio, _rel(fs2 / fc2, (1.0 + mu) * (tb.s * tb.s) / ((1.0 + mu) - tb.s * tb.s)))
+            r_round = max(r_round, _rel(w_from_s(tb.s, mu), W))
+            if mu > 0.0:
+                r_hr = max(r_hr, abs(fs2 - (1.0 + mu) * (1.0 - hr2) / mu), abs(fc2 - ((1.0 + mu) * hr2 - 1.0) / mu))
+                lhs = (-np.log(W) + (mu + 1.0) * np.log(tb.f_S / tb.f_C)) / mu
+                r_power = max(r_power, abs(lhs - (0.5 * math.log(1.0 + mu) / mu + np.log(tb.s))))
+        if len(tbs) == 2:
+            r_paths = max(r_paths, *(abs(getattr(tbs[0], f) - getattr(tbs[1], f)) for f in ("h_R", "f_S", "f_C", "s")))
+    want = [r_pyth, r_hr, r_ratio, r_power, r_round, r_paths] if mu > 0.0 else [r_pyth, r_ratio, r_round, r_paths]
+    assert [c.max_residual for c in verify.trig_identity_checks(mu, 6)] == want
+
+    cfg, r_series = SystemConfig(mu=mu), 0.0
+    for R, nu in itertools.product((0.5, 1.0, 2.2), np.linspace(0.03, math.pi / 2 - 0.05, 5).tolist()):
+        W = compute_W(R, nu, cfg)
+        region = series.region_of(W, mu)
+        if region is series.Region.NEAR_BORDER:
+            continue
+        parts = [series.eval_series(series.quantity_series(name, mu, region), W).value
+                 for name in ("hR2", "Snu", "jac", "jac_hR2", "jac_hnu2")]
+        if not all(sys.float_info.min <= abs(v) < math.inf for v in parts):
+            continue
+        hR2, Snu, jac, jac_hR2, jac_hnu2 = parts
+        k = R / math.sqrt(1.0 + mu) * dW(R, nu, cfg)[0]
+        ser = (math.sqrt(hR2), k * math.sqrt(Snu), R * k * jac, R * k * jac_hR2, R / k * jac_hnu2)
+        r_series = max(r_series, *map(_rel, ser, astuple(metrics_at(R, nu, cfg))))
+    checks = {c.name: c.max_residual for c in verify.metric_checks(cfg, n_nu=5)}
+    assert checks["metric.series_vs_closed"] == r_series

@@ -133,6 +133,16 @@ class TestEval:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["wibble"]) == 2
 
+    @pytest.mark.parametrize("mu, R0", [(5.0, 1.0), (2.0, 3.0)])
+    def test_coefficients_of_another_system_exit_2(self, capsys, cfg2, tmp_path, mu, R0):
+        # a mu = 5 file at the mu = 2 config gave V = 0.62065 at (1, 0.3),
+        # not the mu = 2 file's 0.67062
+        coeffs = tmp_path / "c.json"
+        save_solution(HarmonicSolution(a=(0.5, 1.0), b=(), cfg=SystemConfig(mu=mu, R0=R0)), coeffs)
+        rc, out, err = run(capsys, ["eval", "--config", cfg2, "--R", "1", "--nu", "0.3", "--coeffs", str(coeffs)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: coefficient file {coeffs} has mu={mu:.17g} R0={R0:.17g}, but the config has mu=2 R0=1\n"
+
     def test_lam_is_not_an_option(self, capsys, cfg2):
         # V and the record are axisymmetric: no output ever read lam
         rc, out, err = run(capsys, ["eval", "--config", cfg2, "--R", "1", "--nu", "0.3", "--lam", "1"])
@@ -316,6 +326,17 @@ class TestGrid:
         assert table[("0", "0")] == ""  # origin has no image
         assert table[("1", "0")] == "0"  # equator
         assert table[("0", "1")] == ""  # W diverges on the axis
+
+    def test_coefficients_of_another_system_exit_2(self, capsys, cfg2, tmp_path):
+        coeffs = tmp_path / "c.json"
+        save_solution(HarmonicSolution(a=(0.5, 1.0), b=(), cfg=SystemConfig(mu=5.0, R0=1.0)), coeffs)
+        rc, out, err = run(capsys, [
+            "grid", "--config", cfg2, "--coeffs", str(coeffs),
+            "--x-min", "0", "--x-max", "1", "--z-min", "0", "--z-max", "1",
+            "--nx", "2", "--nz", "2", "--quantity", "V",
+        ])
+        assert (rc, out) == (2, "")
+        assert err == f"error: coefficient file {coeffs} has mu=5 R0=1, but the config has mu=2 R0=1\n"
 
     def test_row_major_z_outer(self, capsys, cfg2):
         rc, out, _ = run(

@@ -207,8 +207,13 @@ def test_second_kind_where_z_over_rho_overflows():
     sol = HarmonicSolution(a=(), b=(1.0,), cfg=SystemConfig(mu=2.0, R0=1.0))
     with pytest.raises(PoleDivergenceError):
         eval_V_cartesian(sol, CartesianPoint(1e-300, 0.0, 1e9))
+    with pytest.raises(PoleDivergenceError):
+        eval_V_cartesian(sol, CartesianPoint(np.array([1e-300, 0.5]), 0.0, np.array([1e9, 1.0])))
     spec = GridSpec(x_min=0.0, x_max=2e-300, z_min=0.0, z_max=2e9, nx=3, nz=3)
-    assert {(x, z): v for x, z, v in grid_cells(sol.cfg, spec, "V", sol)}[(1e-300, 1e9)] is None
+    cells = {(x, z): v for x, z, v in grid_cells(sol.cfg, spec, "V", sol)}
+    assert cells[(1e-300, 1e9)] is cells[(2e-300, 2e9)] is None
+    # the other cells of the block keep the bits of their float calls
+    assert cells[(2e-300, 0.0)] == eval_V_cartesian(sol, CartesianPoint(2e-300, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("cells", [7, 40])

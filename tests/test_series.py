@@ -401,7 +401,8 @@ def test_verify_sums_each_series_suite_in_one_batch(monkeypatch):
 def test_verify_makes_one_call_per_closed_kernel_a_round(monkeypatch):
     # every suite's points go to one call of each kernel a round: the forward
     # solves, the trig bundles and both inverse solves in the first rounds,
-    # the cone check's forward solve after them
+    # the cone check's forward solve after them; the metric suite's W and
+    # dW/dnu and the trig suite's W(s) are one array call each
     calls = []
 
     def counting(name, fn):
@@ -412,22 +413,22 @@ def test_verify_makes_one_call_per_closed_kernel_a_round(monkeypatch):
 
         return counted
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("verify called a float-only W form")
-
     kernels = [
         (coords, "closed_point"), (trig, "trig_from_W_robust"), (coords, "cartesian_R_nu"),
         (trig, "solve_logit"), (trig, "closed_trig"), (trig, "s_on_reference"),
         (coords, "cartesian_R_s"), (coords, "cartesian_closed"), (coords, "cartesian_point"),
+        (coords, "compute_W"), (coords, "dW"), (coords, "sos_to_cartesian"), (trig, "w_from_s"),
     ]
     for module, name in kernels:
         _patch_every_binding(monkeypatch, getattr(module, name), counting(name, getattr(module, name)))
-    _patch_every_binding(monkeypatch, coords.compute_W, forbidden)
-    _patch_every_binding(monkeypatch, coords.dW, forbidden)
     checks = verify.run_suite(SystemConfig(mu=2.0, R0=1.0), "quick")
     assert all(c.passed for c in checks)
-    sizes = {name: [n for k, n in calls if k == name] for name in ("closed_point", "trig_from_W_robust", "cartesian_R_nu")}
-    assert sizes == {"closed_point": [118, 40], "trig_from_W_robust": [78], "cartesian_R_nu": [80]}
+    names = ("closed_point", "trig_from_W_robust", "cartesian_R_nu", "compute_W", "dW", "w_from_s", "sos_to_cartesian")
+    sizes = {name: [n for k, n in calls if k == name] for name in names}
+    assert sizes == {
+        "closed_point": [118, 40], "trig_from_W_robust": [78], "cartesian_R_nu": [80],
+        "compute_W": [15], "dW": [15], "w_from_s": [27], "sos_to_cartesian": [],
+    }
     assert sum(name == "solve_logit" for name, _ in calls) == 4
 
 
