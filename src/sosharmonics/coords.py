@@ -128,17 +128,21 @@ def dW(R, nu, cfg: SystemConfig):
     dW/dnu = (R/R0)^mu (1 + mu sin^2 nu)/cos^(2+mu) nu   (always positive)
     dW/dR  = mu W / R
     d2W/dnu2 = W (2 + 3 mu + mu^2 sin^2 nu)/cos^2 nu
-    d2W/dR2  = mu (mu - 1) W / R^2
+    d2W/dR2  = mu (mu - 1) W / R / R
+
+    An entry beyond the float range is inf, as d2W/dR2 is at R = 0.5e-163,
+    R0 = 1e-163.  It raises `compute_W`'s errors, and ZeroDivisionError
+    where cos^(2+mu) nu underflows.
     """
     mu = cfg.mu
     W, R, sn, cs, scale = _cone(R, nu, cfg)
     cos_dw = np.power(cs, 2.0 + mu)
-    if not (cos_dw.all() and (R * R).all()):
+    if not cos_dw.all():
         raise ZeroDivisionError("float division by zero")
     dw_dnu = scale * (1.0 + mu * sn * sn) / cos_dw
     dw_dR = mu * W / R
     d2w_dnu2 = W * (2.0 + 3.0 * mu + mu * mu * sn * sn) / (cs * cs)
-    d2w_dR2 = mu * (mu - 1.0) * W / (R * R)
+    d2w_dR2 = mu * (mu - 1.0) * W / R / R
     return dw_dnu, dw_dR, d2w_dnu2, d2w_dR2
 
 

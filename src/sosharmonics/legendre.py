@@ -166,7 +166,11 @@ def q0_meridional(z, rho):
     array = isinstance(z + rho, np.ndarray)
     if np.any(rho == 0.0) if array else rho == 0.0:
         raise PoleDivergenceError(_AXIS)
-    q, r = _q0_r(z, rho, array)
+    if array:
+        with np.errstate(over="ignore"):  # |z|/rho overflows to the raise below
+            q, r = _q0_r(z, rho, True)
+    else:
+        q, r = _q0_r(z, rho, False)
     if np.any(q == math.inf) if array else q == math.inf:
         raise PoleDivergenceError(_AXIS)
     return (np.copysign if array else math.copysign)(q, z), r

@@ -4,12 +4,12 @@ Each suite samples one family of analytic identities of the SOS system
 (trigonometric-style relations, derivative formulas certified against
 central differences, recursion-vs-closed-form polynomial tables, ODE
 residuals, finite-difference harmonicity, transform round trips) and
-reports the worst residual against its tolerance.  The CLI `verify`
-command runs these; the test suite reuses them with its own parameters.
-Each suite evaluates its sample set in one array pass of each kernel it
-checks.  The harmonicity suite stacks the stencils of every pure mode and
-both steps into one array, summed by one `legendre.solid_values` pass per
-kind.
+reports the worst residual against its tolerance.  `run_suite`, which the
+CLI `verify` command calls, drives them all at the sample sizes of its
+level (`quick` or `full`, one table `_SIZES`).  Each suite evaluates its
+sample set in one array pass of each kernel it checks.  The harmonicity
+suite stacks the stencils of every pure mode and both steps into one
+array, summed by one `legendre.solid_values` pass per kind.
 
 The suites that call a closed point kernel (`closed_point`,
 `trig_from_W_robust`, `cartesian_R_nu`) or the series witness
@@ -21,10 +21,8 @@ once every suite waits on the series, all series rows in one
 calls (the forward solves, then the cone check's), one
 `trig_from_W_robust`, one `cartesian_R_nu` and one `eval_series_many`
 (177 rows).  The metric suite's W and dW/dnu are one `compute_W` and one
-`dW` call, and the trig suite's W(s) one `w_from_s` call.  Every kernel is
-elementwise, so a suite's checks are those of its public function, which
-runs its body alone.  `verify --json` times the shared calls as
-`closed_kernels` and `series_witness`.
+`dW` call, and the trig suite's W(s) one `w_from_s` call.  `verify --json`
+times the shared calls as `closed_kernels` and `series_witness`.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import sys
 import time
 from dataclasses import dataclass, is_dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,10 +88,34 @@ HARMONICITY_SHELL = (4.0, 6.0)
 HARMONICITY_STEPS = (5e-3, 1e-2)
 HARMONICITY_RATIO_FLOOR = 1e-7
 HARMONICITY_SEED = 20240902
+# the solid-harmonic identity's top degree and count of points
+HARMONICITY_SOLID_DEGREE = 24
+HARMONICITY_SOLID_POINTS = 40
 # the seeds of the transform and fit samples, and the anchor's count of nu
 TRANSFORM_SEED = 20240901
 FIT_SEED = 20240903
 ANCHOR_N_NU = 20
+
+
+class _Sizes(NamedTuple):
+    """The sample sizes of a level."""
+
+    trig_per_region: int  # W per convergence region, trig identities
+    derivative_per_region: int  # W per convergence region, derivatives
+    n_nu: int  # nu per radius, metrics
+    n_points: int  # transform points
+    reduction_n_max: int  # top degree, spherical reduction
+    ode_n_max: int  # top degree, ODE residuals
+    n_s: int  # s samples, ODE residuals
+    a_max: int  # top P_n degree, harmonicity
+    b_max: int  # top Q_n degree, harmonicity
+    points_per_mode: int  # points per mode, harmonicity
+
+
+_SIZES = {
+    "quick": _Sizes(6, 3, 5, 40, 8, 6, 15, 3, 1, 4),
+    "full": _Sizes(12, 6, 11, 160, 12, 10, 50, 6, 3, 20),
+}
 
 
 @dataclass(frozen=True)
@@ -137,8 +160,7 @@ def _w_samples(mu: float, per_region: int) -> list[float]:
 # arguments: `closed_point(R, nu, cfg)`, `trig_from_W_robust(W, mu)`,
 # `cartesian_R_nu(x, y, z, cfg)`, or the series witness
 # `eval_series_many(rows)`.  It receives their results, in order, and
-# returns its checks.  Its public function runs the body alone (`_alone`);
-# `run_suite` runs every body together, through the same `_run_bodies`.
+# returns its checks.  `run_suite` runs every body together (`_run_bodies`).
 
 
 def _parts(v, bounds, shapes) -> list:
@@ -209,22 +231,13 @@ def _run_bodies(bodies: dict) -> tuple[dict, dict, float, float]:
     return checks, seconds, shared[False], shared[True]
 
 
-def _alone(body) -> list[CheckResult]:
-    """A suite body run on its own, its requests in their own calls."""
-    return _run_bodies({0: body})[0][0]
-
-
 # --- generalized-trig identities ---------------------------------------------
 
 
-def trig_identity_checks(mu: float, per_region: int = 8) -> list[CheckResult]:
+def _trig_identity_body(mu: float, level: str):
     """Pythagorean/scale-factor relations and the closed W(s) inversion, at
     the robust bundle of every W and the series bundle outside the guard band."""
-    return _alone(_trig_identity_body(mu, per_region))
-
-
-def _trig_identity_body(mu: float, per_region: int):
-    ws = _w_samples(mu, per_region)
+    ws = _w_samples(mu, _SIZES[level].trig_per_region)
     witnessed = np.array([mu > 0.0 and region_of(W, mu) is not Region.NEAR_BORDER for W in ws])
     series_ws = [W for W, w in zip(ws, witnessed) if w]
     (robust,) = yield [(trig_from_W_robust, np.array(ws), mu)]
@@ -261,17 +274,13 @@ def _trig_identity_body(mu: float, per_region: int):
     return checks
 
 
-def derivative_checks(mu: float, per_region: int = 5) -> list[CheckResult]:
+def _derivative_body(mu: float, level: str):
     """Analytic W-derivatives against central finite differences.
 
     Uses the robust path on both sides of the difference quotient so the
     quotient never straddles a series-region switch; one array bundle holds
     every W and W +- step.
     """
-    return _alone(_derivative_body(mu, per_region))
-
-
-def _derivative_body(mu: float, per_region: int):
     names = {
         # (value from bundle, analytic derivative, relative FD step)
         "deriv.hR2": (lambda tb: tb.h_R**2, d_hR2_dW, 1e-6),
@@ -291,7 +300,7 @@ def _derivative_body(mu: float, per_region: int):
             1e-5,
         ),
     }
-    W = np.array(_w_samples(mu, per_region))
+    W = np.array(_w_samples(mu, _SIZES[level].derivative_per_region))
     rel_steps = (1e-6, 1e-5)
     # row 0 is W, rows 2k + 1 and 2k + 2 are W - step and W + step of rel_steps[k]
     steps = [W + sign * (rel * W) for rel in rel_steps for sign in (-1.0, 1.0)]
@@ -305,7 +314,7 @@ def _derivative_body(mu: float, per_region: int):
     return checks
 
 
-def series_identity_checks(mu: float) -> list[CheckResult]:
+def _series_identity_body(mu: float):
     """Series-level identities: term-ratio product rule and the log series.
 
     The log series is tested in the form fixed by the W -> 0 limit,
@@ -313,10 +322,6 @@ def series_identity_checks(mu: float) -> list[CheckResult]:
     which differs from a raw antiderivative comparison by the constant
     ln(1+mu).
     """
-    return _alone(_series_identity_body(mu))
-
-
-def _series_identity_body(mu: float):
     border = w_border(mu)
     requests = []
     for region, ws in (
@@ -353,12 +358,8 @@ def _series_identity_body(mu: float):
     ]
 
 
-def spherical_series_checks() -> list[CheckResult]:
-    """mu = 0 closed forms: (1 + W^2)^a and W^(2a) (1 + W^-2)^a."""
-    return _alone(_spherical_series_body())
-
-
 def _spherical_series_body():
+    """mu = 0 closed forms: (1 + W^2)^a and W^(2a) (1 + W^-2)^a."""
     requests, closed = [], []
     for a in (-2.0, -1.0, -0.5, 0.5, 1.5):
         for W in (0.05, 0.3, 0.7):
@@ -378,14 +379,10 @@ def _spherical_series_body():
 _METRIC_SERIES = ("hR2", "Snu", "jac", "jac_hR2", "jac_hnu2")
 
 
-def metric_checks(cfg: SystemConfig, n_nu: int = 9) -> list[CheckResult]:
+def _metric_body(cfg: SystemConfig, level: str):
     """Closed-form metrics: cross-checks, the h_R h_nu link to dW/dnu, and
     the series witness outside the guard band."""
-    return _alone(_metric_body(cfg, n_nu))
-
-
-def _metric_body(cfg: SystemConfig, n_nu: int):
-    mu = cfg.mu
+    mu, n_nu = cfg.mu, _SIZES[level].n_nu
     nu = np.tile(np.linspace(0.03, math.pi / 2 - 0.05, n_nu), 3)
     R = np.repeat([0.5 * cfg.R0, cfg.R0, 2.2 * cfg.R0], n_nu)
     # W and dW/dnu from their own closed forms, not from the metrics they
@@ -434,14 +431,10 @@ def _metric_body(cfg: SystemConfig, n_nu: int):
 # --- transforms --------------------------------------------------------------
 
 
-def transform_checks(cfg: SystemConfig, n_points: int = 120) -> list[CheckResult]:
+def _transform_body(cfg: SystemConfig, level: str):
     """Round trips, spheroid membership, |x|^2 from (R, s) and cone invariance:
     one forward solve of every point, whose s and metrics the cone check
     reuses, both inverse solves in one call, then the cone's forward solve."""
-    return _alone(_transform_body(cfg, n_points))
-
-
-def _transform_body(cfg: SystemConfig, n_points: int):
     mu = cfg.mu
     rng = random.Random(TRANSFORM_SEED)
     R, nu, lam = np.array([
@@ -450,7 +443,7 @@ def _transform_body(cfg: SystemConfig, n_points: int):
             rng.uniform(-math.pi / 2 * 0.999, math.pi / 2 * 0.999),
             rng.uniform(-math.pi, math.pi),
         )
-        for _ in range(n_points)
+        for _ in range(_SIZES[level].n_points)
     ]).T
     ((s, f_C, mb, log_w),) = yield [(closed_point, R, nu, cfg)]
     z, rho = R * s / (1.0 + mu), R * f_C / mb.h_R  # `meridional`
@@ -486,15 +479,11 @@ def _transform_body(cfg: SystemConfig, n_points: int):
     ]
 
 
-def anchor_checks(cfg: SystemConfig) -> list[CheckResult]:
+def _anchor_body(cfg: SystemConfig):
     """Closed form of s on the reference spheroid plus endpoint values, from
     one `closed_point` solve whose last two points are the equator (W = 0)
     and the pole; the pole's position is compared in units of R0, as every
     transform residual is relative."""
-    return _alone(_anchor_body(cfg))
-
-
-def _anchor_body(cfg: SystemConfig):
     mu = cfg.mu
     nus = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, ANCHOR_N_NU)
     ((s, f_C, mb, _),) = yield [(closed_point, cfg.R0, np.append(nus, [0.0, math.pi / 2]), cfg)]
@@ -548,13 +537,14 @@ def table_checks(mu: float) -> list[CheckResult]:
     return [CheckResult("legendre.table_exactness", worst, 1e-13)]
 
 
-def spherical_reduction_checks(n_max: int = 12) -> list[CheckResult]:
+def spherical_reduction_checks(level: str) -> list[CheckResult]:
     """mu = 0 collapse onto classical Legendre functions.
 
     The first kind is checked against the exact power basis
     (`_classical_p_coeffs`).  The classical second kind is Christoffel's
     formula Q_n = P_n Q_0 - sum_(k=1..n) P_(k-1) P_(n-k) / k with
     Q_0 = atanh x, over numpy's classical P_n values."""
+    n_max = _SIZES[level].reduction_n_max
     classical = _classical_p_coeffs(n_max)
     worst_p = 0.0
     for n in range(n_max + 1):
@@ -572,9 +562,10 @@ def spherical_reduction_checks(n_max: int = 12) -> list[CheckResult]:
     ]
 
 
-def ode_checks(mu: float, n_max: int = 10, n_s: int = 50) -> list[CheckResult]:
+def ode_checks(mu: float, level: str) -> list[CheckResult]:
     """Residual of the generalized Legendre equation for P_n and Q_n, every
     degree and sample from one `legendre.q_derivs` pass."""
+    n_max, n_s = _SIZES[level].ode_n_max, _SIZES[level].n_s
     svals = np.linspace(0.05, 0.95, n_s) * s_limit(mu)
     worst = [0.0, 0.0]  # P, Q
     for n, triples in enumerate(zip(*legendre.q_derivs(n_max, svals, mu))):
@@ -611,11 +602,12 @@ def structure_checks(mu: float) -> list[CheckResult]:
     # under unit weight (they are at mu = 0); quadrature, not closed form.
     # Gated to mu values where the overlap is decisively zero or nonzero.
     if mu == 0.0 or mu >= 0.5:
-        # np.trapezoid is numpy >= 2.0; np.trapz (gone in 2.4) only as fallback
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        # the trapezoid rule in numpy's own expression (np.trapezoid is
+        # numpy >= 2.0, np.trapz gone in 2.4)
         ss = np.linspace(-lim, lim, 4001)
         p, _ = legendre.values(3, ss, mu)
-        overlap = float(trapezoid(p[1] * p[3], ss))
+        y = p[1] * p[3]
+        overlap = float(np.add.reduce(np.diff(ss) * (y[1:] + y[:-1]) / 2.0))
         r_witness = 0.0 if (mu == 0.0) == (abs(overlap) < 1e-3) else 1.0
     else:
         r_witness = 0.0
@@ -669,12 +661,7 @@ def _mode_stencils(cfg: SystemConfig, c: CartesianPoint, degree, second_kind, st
     return v
 
 
-def harmonicity_checks(
-    cfg: SystemConfig,
-    a_max: int = 6,
-    b_max: int = 3,
-    points_per_mode: int = 20,
-) -> list[CheckResult]:
+def harmonicity_checks(cfg: SystemConfig, level: str) -> list[CheckResult]:
     """Cartesian FD Laplacian of each pure mode: O(h^2) decay to zero; and
     the exact solid-harmonic identity (`_solid_identity`).
 
@@ -687,14 +674,15 @@ def harmonicity_checks(
     (`_mode_stencils`), and the Laplacians, the gradients and the ratios
     are array operations over it.
     """
+    size = _SIZES[level]
     rng = random.Random(HARMONICITY_SEED)
-    modes = [(False, n) for n in range(a_max + 1)] + [(True, n) for n in range(b_max + 1)]
+    modes = [(False, n) for n in range(size.a_max + 1)] + [(True, n) for n in range(size.b_max + 1)]
     shell = [
-        _shell_point(rng, cfg, 0.9 if kind else None) for kind, _ in modes for _ in range(points_per_mode)
+        _shell_point(rng, cfg, 0.9 if kind else None) for kind, _ in modes for _ in range(size.points_per_mode)
     ]
     c = CartesianPoint(*np.array([(p.x, p.y, p.z) for p in shell]).T)
-    second_kind = np.repeat([kind for kind, _ in modes], points_per_mode)
-    degree = np.repeat([n for _, n in modes], points_per_mode)
+    second_kind = np.repeat([kind for kind, _ in modes], size.points_per_mode)
+    degree = np.repeat([n for _, n in modes], size.points_per_mode)
     hf, hc = (h * cfg.R0 for h in HARMONICITY_STEPS)
     v = _mode_stencils(cfg, c, degree, second_kind, np.array([hf, hc]))
     lap_f = np.abs(fd_laplacian(v[0], hf))
@@ -714,9 +702,7 @@ def harmonicity_checks(
     ]
 
 
-def _solid_identity(
-    cfg: SystemConfig, rng: random.Random, degree: int = 24, points: int = 40
-) -> CheckResult:
+def _solid_identity(cfg: SystemConfig, rng: random.Random) -> CheckResult:
     """(R/R0)^n P_n(s) = (r/R0)^n P_n^cl(z/r) for every mu, r = |(x, y, z)|.
 
     One array `sum_V` of seeded a_0..a_degree at shell points against the
@@ -725,8 +711,9 @@ def _solid_identity(
     harmonic, so this certifies harmonicity exactly where the FD checks
     only see an O(h^2) decay.
     """
+    degree = HARMONICITY_SOLID_DEGREE
     a = [rng.uniform(-1.0, 1.0) for _ in range(degree + 1)]
-    shell = [_shell_point(rng, cfg, None) for _ in range(points)]
+    shell = [_shell_point(rng, cfg, None) for _ in range(HARMONICITY_SOLID_POINTS)]
     x, y, z = np.array([(c.x, c.y, c.z) for c in shell]).T
     R, s = cartesian_R_s(x, y, z, cfg.mu)
     r = np.hypot(np.hypot(x, y), z)
@@ -737,13 +724,9 @@ def _solid_identity(
     return CheckResult("harmonic.solid_identity", residual, 1e-11)
 
 
-def fit_checks(cfg: SystemConfig) -> list[CheckResult]:
+def _fit_body(cfg: SystemConfig):
     """Noiseless boundary-fit round trips, the samples of both fields taken
     at one `closed_point` solve of the boundary points."""
-    return _alone(_fit_body(cfg))
-
-
-def _fit_body(cfg: SystemConfig):
     rng = random.Random(FIT_SEED)
     nus = np.linspace(-1.45, 1.45, 41)
     ((s, f_C, mb, _),) = yield [(closed_point, cfg.R0, nus, cfg)]
@@ -767,7 +750,8 @@ def _fit_body(cfg: SystemConfig):
 
 
 def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[CheckResult]:
-    """All identity suites at the configured mu; `full` widens every sweep.
+    """All identity suites at the configured mu, at the sample sizes of
+    `_SIZES[level]`; `full` widens every sweep.
 
     The suites with a body (trig, derivative, series and spherical-series
     identities, metrics, transforms, anchor and fit) run together in rounds
@@ -777,37 +761,28 @@ def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[Che
     suite, in suite order, a suite's seconds without the shared calls, then
     ("closed_kernels", seconds) and ("series_witness", seconds).
     """
-    if level not in ("quick", "full"):
+    if level not in _SIZES:
         raise ValueError("level must be 'quick' or 'full'")
-    full = level == "full"
     mu = cfg.mu
-    suites = (
-        ("trig_identity_checks", lambda: _trig_identity_body(mu, per_region=12 if full else 6)),
-        ("derivative_checks", lambda: _derivative_body(mu, per_region=6 if full else 3)),
-        ("series_identity_checks", lambda: _series_identity_body(mu)),
+    suites = (  # name, suite, arguments
+        ("trig_identity_checks", _trig_identity_body, mu, level),
+        ("derivative_checks", _derivative_body, mu, level),
+        ("series_identity_checks", _series_identity_body, mu),
         ("spherical_series_checks", _spherical_series_body),
-        ("metric_checks", lambda: _metric_body(cfg, n_nu=11 if full else 5)),
-        ("transform_checks", lambda: _transform_body(cfg, n_points=160 if full else 40)),
-        ("anchor_checks", lambda: _anchor_body(cfg)),
-        ("table_checks", lambda: table_checks(mu)),
-        ("spherical_reduction_checks", lambda: spherical_reduction_checks(n_max=12 if full else 8)),
-        ("ode_checks", lambda: ode_checks(mu, n_max=10 if full else 6, n_s=50 if full else 15)),
-        ("structure_checks", lambda: structure_checks(mu)),
-        (
-            "harmonicity_checks",
-            lambda: harmonicity_checks(
-                cfg,
-                a_max=6 if full else 3,
-                b_max=3 if full else 1,
-                points_per_mode=20 if full else 4,
-            ),
-        ),
-        ("fit_checks", lambda: _fit_body(cfg)),
+        ("metric_checks", _metric_body, cfg, level),
+        ("transform_checks", _transform_body, cfg, level),
+        ("anchor_checks", _anchor_body, cfg),
+        ("table_checks", table_checks, mu),
+        ("spherical_reduction_checks", spherical_reduction_checks, level),
+        ("ode_checks", ode_checks, mu, level),
+        ("structure_checks", structure_checks, mu),
+        ("harmonicity_checks", harmonicity_checks, cfg, level),
+        ("fit_checks", _fit_body, cfg),
     )
     results, seconds = [], []
-    for _, run in suites:
+    for _, run, *args in suites:
         start = time.perf_counter()
-        results.append(run())  # the checks, or a body
+        results.append(run(*args))  # the checks, or a body
         seconds.append(time.perf_counter() - start)
     done, own, kernels, witness = _run_bodies(
         {i: got for i, got in enumerate(results) if not isinstance(got, list)}
@@ -816,6 +791,6 @@ def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[Che
         results[i] = done[i]
         seconds[i] += t
     if timings is not None:
-        timings.extend((name, t) for (name, _), t in zip(suites, seconds))
+        timings.extend((name, t) for (name, *_), t in zip(suites, seconds))
         timings.extend([("closed_kernels", kernels), ("series_witness", witness)])
     return [check for checks in results for check in checks]

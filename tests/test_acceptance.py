@@ -212,7 +212,7 @@ def test_c6_harmonicity():
     ratio_lo, ratio_hi = math.inf, 0.0
     for mu in (0.5, 2.0):
         cfg = SystemConfig(mu=mu, R0=1.0)
-        checks = verify.harmonicity_checks(cfg, a_max=6, b_max=3, points_per_mode=20)
+        checks = verify.harmonicity_checks(cfg, "full")
         by_name = {c.name: c for c in checks}
         worst_mag = max(worst_mag, by_name["harmonic.fd_magnitude"].max_residual)
         dev = by_name["harmonic.fd_decay_ratio"].max_residual

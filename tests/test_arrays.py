@@ -45,7 +45,7 @@ from sosharmonics.trig import (
     trig_from_W_robust,
     w_from_s,
 )
-from sosharmonics.verify import _mode_stencils, _shell_point, anchor_checks, ode_checks
+from sosharmonics.verify import _mode_stencils, _shell_point, ode_checks, run_suite
 
 MUS = (0.0, 0.5, 2.0, 20.0, 200.0, 1000.0)
 R_OVER_R0 = (0.5, 1.0, 2.2)
@@ -277,7 +277,7 @@ def test_harmonicity_checks_take_one_basis_pass_per_kind_and_no_fd_stencil(monke
     monkeypatch.setattr(legendre, "solid_values", counted)
     for module in (harmonic, verify):
         monkeypatch.setattr(module, "fd_stencil", forbidden, raising=False)
-    checks = verify.harmonicity_checks(SystemConfig(mu=2.0), a_max=3, b_max=1, points_per_mode=4)
+    checks = verify.harmonicity_checks(SystemConfig(mu=2.0), "quick")
     assert all(c.passed for c in checks)
     # both steps, every arm, the points of every mode of the kind
     assert passes == [(3, (2, 7, 16), False), (1, (2, 7, 8), True)]
@@ -305,14 +305,15 @@ def test_ode_checks_keep_the_bits_of_per_degree_calls(mu):
             Q, dQ, d2Q = legendre.q_derivs(n, s, mu)[1][n]
             res = legendre.ode_residual(Q, dQ, d2Q, s, n, mu)
             worst_q = max(worst_q, abs(res) / (1.0 + abs(Q) + abs(dQ) + abs(d2Q)))
-    assert [c.max_residual for c in ode_checks(mu, n_max, n_s)] == [worst_p, worst_q]
+    assert [c.max_residual for c in ode_checks(mu, "full")] == [worst_p, worst_q]
 
 
 @pytest.mark.parametrize("mu", [0.0, 2.0, 200.0])
 def test_anchor_endpoints_at_a_solar_R0(mu):
     """The pole's position is compared in units of R0: at R0 = 6.957e8 one
     ulp of its z is about 6e-8, which an absolute 1e-12 cannot hold."""
-    assert all(c.passed for c in anchor_checks(SystemConfig(mu=mu, R0=6.957e8)))
+    anchor = [c for c in run_suite(SystemConfig(mu=mu, R0=6.957e8)) if c.name.startswith("anchor.")]
+    assert len(anchor) == 2 and all(c.passed for c in anchor)
 
 
 @pytest.mark.parametrize("a, b", [((), ()), ((0.75,), ()), ((), (0.5,)), ((0.75,), (0.5,)), ((0.75, 0.25), ())])
@@ -434,8 +435,11 @@ def _rel(x, ref):
 
 @pytest.mark.parametrize("mu", [0.0, 2.0, 200.0])
 def test_trig_and_metric_checks_keep_the_bits_of_float_loops(mu):
-    """The trig and metric suites' array residuals against the float loop
-    they replaced, with the same arithmetic at each element."""
+    """The trig and metric suites' array residuals in a quick `run_suite`
+    against the float loop they replaced, with the same arithmetic at each
+    element."""
+    cfg = SystemConfig(mu=mu)
+    checks = run_suite(cfg, "quick")
     ws = verify._w_samples(mu, 6)
     r_pyth = r_hr = r_ratio = r_power = r_round = r_paths = 0.0
     for W in ws:
@@ -454,9 +458,9 @@ def test_trig_and_metric_checks_keep_the_bits_of_float_loops(mu):
         if len(tbs) == 2:
             r_paths = max(r_paths, *(abs(getattr(tbs[0], f) - getattr(tbs[1], f)) for f in ("h_R", "f_S", "f_C", "s")))
     want = [r_pyth, r_hr, r_ratio, r_power, r_round, r_paths] if mu > 0.0 else [r_pyth, r_ratio, r_round, r_paths]
-    assert [c.max_residual for c in verify.trig_identity_checks(mu, 6)] == want
+    assert [c.max_residual for c in checks if c.name.startswith("trig.")] == want
 
-    cfg, r_series = SystemConfig(mu=mu), 0.0
+    r_series = 0.0
     for R, nu in itertools.product((0.5, 1.0, 2.2), np.linspace(0.03, math.pi / 2 - 0.05, 5).tolist()):
         W = compute_W(R, nu, cfg)
         region = series.region_of(W, mu)
@@ -470,5 +474,4 @@ def test_trig_and_metric_checks_keep_the_bits_of_float_loops(mu):
         k = R / math.sqrt(1.0 + mu) * dW(R, nu, cfg)[0]
         ser = (math.sqrt(hR2), k * math.sqrt(Snu), R * k * jac, R * k * jac_hR2, R / k * jac_hnu2)
         r_series = max(r_series, *map(_rel, ser, astuple(metrics_at(R, nu, cfg))))
-    checks = {c.name: c.max_residual for c in verify.metric_checks(cfg, n_nu=5)}
-    assert checks["metric.series_vs_closed"] == r_series
+    assert next(c.max_residual for c in checks if c.name == "metric.series_vs_closed") == r_series

@@ -22,7 +22,7 @@ from sosharmonics.coords import (
 )
 from sosharmonics.errors import DegenerateOriginError, PoleLimitError
 from sosharmonics.harmonic import s_at_point
-from sosharmonics.verify import metric_checks
+from sosharmonics.verify import run_suite
 from sosharmonics.series import Region, region_of, w_border
 from sosharmonics.trig import trig_from_W, trig_from_W_robust
 
@@ -100,6 +100,13 @@ class TestDerivativesOfW:
 
     def test_mu0_d2R_zero(self):
         assert dW(2.0, 0.5, CFG0)[3] == 0.0
+
+    def test_tiny_R0(self):
+        # R*R underflows here: d2W/dR2 (about 1e326) is inf, and dW/dnu
+        # depends on R/R0 alone
+        d = dW(0.5e-163, 0.7, SystemConfig(mu=2.0, R0=1e-163))
+        assert d[3] == math.inf
+        assert abs(d[0] - dW(0.5, 0.7, SystemConfig(mu=2.0, R0=1.0))[0]) <= 1e-15
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("nu", [-1.1, -0.3, 0.2, 0.8, 1.3])
@@ -517,5 +524,5 @@ class TestClosedPointOracle:
 
     def test_metric_checks_at_mu_100(self):
         # dW/dnu^2 / W^2 overflowed in metric.hR_hnu_link here
-        checks = metric_checks(SystemConfig(mu=100.0, R0=1.0))
-        assert [c.name for c in checks if not c.passed] == []
+        checks = [c for c in run_suite(SystemConfig(mu=100.0, R0=1.0), "full") if c.name.startswith("metric.")]
+        assert len(checks) == 4 and [c.name for c in checks if not c.passed] == []

@@ -189,9 +189,7 @@ class TestLaplacian:
     def test_harmonicity_checks_at_mu_200_full_level(self):
         # the `verify --level full` parameters; near the axis V is summed at
         # the point's own (z, rho), so the O(h^2) decay holds at large mu
-        checks = verify.harmonicity_checks(
-            SystemConfig(mu=200.0, R0=1.0), a_max=6, b_max=3, points_per_mode=20
-        )
+        checks = verify.harmonicity_checks(SystemConfig(mu=200.0, R0=1.0), "full")
         assert all(c.passed for c in checks), [(c.name, c.max_residual) for c in checks]
 
 

@@ -282,9 +282,6 @@ class TestNonOrthogonality:
         assert abs(float(trapezoid(p1 * p3, ss))) < 1e-6
 
 
-_TRAPEZOID = getattr(np, "trapezoid", None) or np.trapz
-
-
 def _witness(mu):
     return next(
         c for c in verify.structure_checks(mu) if c.name == "legendre.nonorthogonality_witness"
@@ -300,34 +297,3 @@ class TestWitnessCheck:
         check = _witness(mu)
         assert check.passed
         assert check.max_residual == 0.0
-
-    def test_trapz_fallback_without_trapezoid(self, monkeypatch):
-        # numpy < 2.0 has np.trapz only
-        calls = []
-
-        def trapz(y, x):
-            calls.append(len(x))
-            return _TRAPEZOID(y, x)
-
-        monkeypatch.delattr(np, "trapezoid", raising=False)
-        monkeypatch.setattr(np, "trapz", trapz, raising=False)
-        check = _witness(2.0)
-        assert calls == [4001]
-        assert check.passed and check.max_residual == 0.0
-
-    def test_trapz_untouched_with_trapezoid(self, monkeypatch):
-        # numpy >= 2.0: np.trapz is deprecated (2.0-2.3) or gone (2.4), so
-        # even looking it up is a fault; any lookup reaches numpy's module
-        # __getattr__ once the attribute is removed
-        module_getattr = np.__getattr__
-
-        def guarded(name):
-            if name == "trapz":
-                raise AssertionError("np.trapz looked up although np.trapezoid exists")
-            return module_getattr(name)
-
-        monkeypatch.setattr(np, "trapezoid", _TRAPEZOID, raising=False)
-        monkeypatch.delattr(np, "trapz", raising=False)
-        monkeypatch.setattr(np, "__getattr__", guarded)
-        check = _witness(2.0)
-        assert check.passed and check.max_residual == 0.0

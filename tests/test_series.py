@@ -398,11 +398,10 @@ def test_verify_sums_each_series_suite_in_one_batch(monkeypatch):
     assert calls == [177]
 
 
-def test_verify_makes_one_call_per_closed_kernel_a_round(monkeypatch):
-    # every suite's points go to one call of each kernel a round: the forward
-    # solves, the trig bundles and both inverse solves in the first rounds,
-    # the cone check's forward solve after them; the metric suite's W and
-    # dW/dnu and the trig suite's W(s) are one array call each
+def _closed_kernel_calls(monkeypatch, level):
+    """The array size of each closed-kernel call of a mu = 2 `run_suite` at
+    level, by kernel, and its count of `solve_logit` calls; every check
+    passes, 38 of them at either level."""
     calls = []
 
     def counting(name, fn):
@@ -421,34 +420,29 @@ def test_verify_makes_one_call_per_closed_kernel_a_round(monkeypatch):
     ]
     for module, name in kernels:
         _patch_every_binding(monkeypatch, getattr(module, name), counting(name, getattr(module, name)))
-    checks = verify.run_suite(SystemConfig(mu=2.0, R0=1.0), "quick")
+    checks = verify.run_suite(SystemConfig(mu=2.0, R0=1.0), level)
     assert all(c.passed for c in checks)
+    assert len(checks) == 38
     names = ("closed_point", "trig_from_W_robust", "cartesian_R_nu", "compute_W", "dW", "w_from_s", "sos_to_cartesian")
-    sizes = {name: [n for k, n in calls if k == name] for name in names}
-    assert sizes == {
+    return {name: [n for k, n in calls if k == name] for name in names}, sum(k == "solve_logit" for k, _ in calls)
+
+
+def test_verify_makes_one_call_per_closed_kernel_a_round(monkeypatch):
+    # every suite's points go to one call of each kernel a round: the forward
+    # solves, the trig bundles and both inverse solves in the first rounds,
+    # the cone check's forward solve after them; the metric suite's W and
+    # dW/dnu and the trig suite's W(s) are one array call each
+    assert _closed_kernel_calls(monkeypatch, "quick") == ({
         "closed_point": [118, 40], "trig_from_W_robust": [78], "cartesian_R_nu": [80],
         "compute_W": [15], "dW": [15], "w_from_s": [27], "sos_to_cartesian": [],
-    }
-    assert sum(name == "solve_logit" for name, _ in calls) == 4
+    }, 4)
 
 
-@pytest.mark.parametrize("mu", [0.0, 2.0, 200.0])
-def test_each_series_suite_alone_returns_its_checks_in_run_suite(mu):
-    # every suite with a body, run alone, has the bits of its part of run_suite
-    cfg = SystemConfig(mu=mu, R0=1.0)
-    in_run = {c.name: c for c in verify.run_suite(cfg, "quick")}
-    alone = (
-        verify.trig_identity_checks(mu, per_region=6)
-        + verify.derivative_checks(mu, per_region=3)
-        + verify.series_identity_checks(mu)
-        + verify.spherical_series_checks()
-        + verify.metric_checks(cfg, n_nu=5)
-        + verify.transform_checks(cfg, n_points=40)
-        + verify.anchor_checks(cfg)
-        + verify.fit_checks(cfg)
-    )
-    assert len(alone) >= 21
-    assert alone == [in_run[c.name] for c in alone]
+def test_verify_full_level_makes_one_call_per_closed_kernel_a_round(monkeypatch):
+    assert _closed_kernel_calls(monkeypatch, "full") == ({
+        "closed_point": [256, 160], "trig_from_W_robust": [138], "cartesian_R_nu": [320],
+        "compute_W": [33], "dW": [33], "w_from_s": [51], "sos_to_cartesian": [],
+    }, 4)
 
 
 def test_eval_series_keeps_the_signature_and_result_tracing_reads():
