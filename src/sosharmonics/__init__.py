@@ -8,7 +8,7 @@ from .coords import (
     cartesian_R_s,
     cartesian_to_sos,
     compute_W,
-    dW,
+    dW_dnu,
     metrics_at,
     sos_to_cartesian,
 )

@@ -48,6 +48,7 @@ from .harmonic import (
     eval_V_cartesian,
     fit_boundary,
     load_solution,
+    save_solution,
     solid_V,
     solution_to_dict,
 )
@@ -301,17 +302,15 @@ def cmd_fit(args) -> int:
     sol, diag = fit_boundary(
         samples, args.degree, cfg, include_second_kind=args.second_kind
     )
-    payload = json.dumps(solution_to_dict(sol), indent=2)
     summary = (
         f"residual_norm={_fmt(diag.residual_norm)} condition={_fmt(diag.condition)}"
         f" rank={diag.rank}"
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        save_solution(sol, args.output)
         print(summary)
     else:
-        print(payload)
+        print(json.dumps(solution_to_dict(sol), indent=2))
         print(summary, file=sys.stderr)
     return EXIT_OK
 

@@ -12,7 +12,7 @@ mirror symmetry (W odd in nu, all metric quantities even).  Each input
 kind has one closed body, `closed_point` for (R, nu) and `cartesian_closed`
 for (x, y, z); each solves the closed inversion once, in log W
 (`trig.solve_logit`), and both share one h_nu/J tail.  The poles are a
-closed case of it; only `compute_W` refuses them.
+closed case of it; only `compute_W` and `dW_dnu` refuse them.
 
 The point kernels take floats or numpy arrays that broadcast together, and
 each has one numpy body (`trig._point_kernel`).  A float call is one element
@@ -98,8 +98,8 @@ def _check_chart(R, nu) -> None:
 
 
 def _cone(R, nu, cfg: SystemConfig):
-    """(W, R, sin nu, cos nu, (R/R0)^mu), R and nu broadcast: the body of
-    `compute_W` and `dW`.  Raises ZeroDivisionError where cos^(1+mu) nu
+    """(W, sin nu, cos nu, (R/R0)^mu), R and nu broadcast: the body of
+    `compute_W` and `dW_dnu`.  Raises ZeroDivisionError where cos^(1+mu) nu
     underflows, then OverflowError where (R/R0)^mu overflows."""
     _check_chart(R, nu)
     if np.any(abs(nu) >= _HALF_PI):
@@ -112,7 +112,7 @@ def _cone(R, nu, cfg: SystemConfig):
     scale = np.power(R / cfg.R0, cfg.mu)
     if np.isinf(scale).any():
         raise OverflowError("math range error")
-    return scale * sn / cos_w, R, sn, cs, scale
+    return scale * sn / cos_w, sn, cs, scale
 
 
 @_point_kernel
@@ -122,28 +122,16 @@ def compute_W(R, nu, cfg: SystemConfig):
 
 
 @_point_kernel
-def dW(R, nu, cfg: SystemConfig):
-    """(dW/dnu, dW/dR, d2W/dnu2, d2W/dR2), all in closed form; floats or arrays.
-
-    dW/dnu = (R/R0)^mu (1 + mu sin^2 nu)/cos^(2+mu) nu   (always positive)
-    dW/dR  = mu W / R
-    d2W/dnu2 = W (2 + 3 mu + mu^2 sin^2 nu)/cos^2 nu
-    d2W/dR2  = mu (mu - 1) W / R / R
-
-    An entry beyond the float range is inf, as d2W/dR2 is at R = 0.5e-163,
-    R0 = 1e-163.  It raises `compute_W`'s errors, and ZeroDivisionError
-    where cos^(2+mu) nu underflows.
-    """
+def dW_dnu(R, nu, cfg: SystemConfig):
+    """dW/dnu = (R/R0)^mu (1 + mu sin^2 nu)/cos^(2+mu) nu, always positive, in
+    closed form; floats or arrays.  It raises `compute_W`'s errors, and
+    ZeroDivisionError where cos^(2+mu) nu underflows."""
     mu = cfg.mu
-    W, R, sn, cs, scale = _cone(R, nu, cfg)
+    _, sn, cs, scale = _cone(R, nu, cfg)
     cos_dw = np.power(cs, 2.0 + mu)
     if not cos_dw.all():
         raise ZeroDivisionError("float division by zero")
-    dw_dnu = scale * (1.0 + mu * sn * sn) / cos_dw
-    dw_dR = mu * W / R
-    d2w_dnu2 = W * (2.0 + 3.0 * mu + mu * mu * sn * sn) / (cs * cs)
-    d2w_dR2 = mu * (mu - 1.0) * W / R / R
-    return dw_dnu, dw_dR, d2w_dnu2, d2w_dR2
+    return scale * (1.0 + mu * sn * sn) / cos_dw
 
 
 def _metrics(R, s, f_C, h_R, sn, cs, cfg: SystemConfig) -> MetricBundle:

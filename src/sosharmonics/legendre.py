@@ -9,12 +9,14 @@ R^n Q_n(s) = r^n Q_n^cl(z/r) at the point's meridional (z, rho),
 r^2 = z^2 + rho^2 (DLMF 14.10), so evaluation runs the classical solid step
 u_(n+1) = ((2n+1) z u_n - n r^2 u_(n-1))/(n+1): no mu enters, and r^2 is a
 sum that does not cancel near the axis.  `solid_values` gives the basis and
-`solid_sum` a whole expansion (Clenshaw); `q0` forms z and rho from s
+`solid_sum` a whole expansion (Clenshaw); `values`/`eval_q` run the same
+forward loop at R = R0, z = s/(1+mu), r^2 = 1 - mu s^2/(1+mu)^2, where the
+damped step in s has the same coefficients; `q0` forms z and rho from s
 (`s_to_zrho`), which near the axis has already lost the digits of rho.
-The damped step in s stays only where it certifies the paper's objects:
-`values`/`eval_q` with `value_derivs`/`q_derivs` (the ODE residual; the
-two share their bits) and the power-basis witness `p_poly`/`t_poly`
-(entry j multiplies s^j), checked against closed reference forms for n <= 6.
+The damped step in s stays only where it certifies the paper's recursion:
+`value_derivs`/`q_derivs` (the ODE residual) and the power-basis witness
+`p_poly`/`t_poly` (entry j multiplies s^j), checked against closed
+reference forms for n <= 6.
 """
 
 from __future__ import annotations
@@ -68,48 +70,44 @@ def s_to_zrho(s, mu: float):
 
 def solid_values(N: int, z, rho, second_kind: bool = False) -> tuple[list, list]:
     """([r^n P_n^cl(z/r)], [r^n Q_n^cl(z/r)]) for n = 0..N at floats or
-    arrays z, rho, by the forward solid step; the Q list, seeded with
-    Q_0 = q0 and r Q_1 = z q0 - r (`q0_meridional`), is empty unless
-    second_kind, and then rho = 0 raises PoleDivergenceError."""
+    arrays z, rho, by the forward solid step (`_forward`); the Q list is
+    empty unless second_kind, and then rho = 0 raises PoleDivergenceError."""
     if N < 0:
         raise ValueError("degree must be non-negative")
-    r2, zero = z * z + rho * rho, 0.0 * (z + rho)  # zero: a float or an array
+    q_r = q0_meridional(z, rho) if second_kind else None
+    return _forward(N, z, z * z + rho * rho, 0.0 * (z + rho), q_r)
+
+
+def values(N: int, s, mu: float, second_kind: bool = False) -> tuple[list, list]:
+    """([P_n(s)], [Q_n(s)]) for n = 0..N: the forward solid step (`_forward`)
+    at R = R0, z = s/(1+mu) and r^2 = 1 - mu s^2/(1+mu)^2, where the paper's
+    damped step in s has the same coefficients.  The Q list, seeded from
+    `q0_meridional` at `s_to_zrho`(s), is empty unless second_kind, and then
+    an s in the pole band raises PoleDivergenceError; P is defined for every
+    s.  s is a float or a numpy array; every value has its type and shape."""
+    if N < 0:
+        raise ValueError("degree must be non-negative")
+    e = 1.0 + mu
+    q_r = q0_meridional(*s_to_zrho(s, mu)) if second_kind else None
+    return _forward(N, s / e, 1.0 - mu * s * s / (e * e), 0.0 * s, q_r)
+
+
+def _forward(N: int, z, r2, zero, q_r) -> tuple[list, list]:
+    """([r^n P_n^cl(z/r)], [r^n Q_n^cl(z/r)]) for n = 0..N by the forward
+    solid step u_(n+1) = ((2n+1) z u_n - n r^2 u_(n-1))/(n+1) at z and
+    r2 = r^2; zero (0.0, or an array of zeros) gives the P seeds their shape.
+    The Q list, seeded with Q_0 = q0 and r Q_1 = z q0 - r from
+    q_r = (q0, r), is empty if q_r is None."""
     kinds = [[zero + 1.0, zero + z]]
-    if second_kind:
-        q, r = q0_meridional(z, rho)
+    if q_r is not None:
+        q, r = q_r
         kinds.append([q, z * q - r])
     A, B = _step_tables(N)
     for m in range(1, N):
         u, v = A[m] * z, B[m] * r2
         for f in kinds:
             f.append(u * f[m] - v * f[m - 1])
-    return kinds[0][: N + 1], (kinds[1][: N + 1] if second_kind else [])
-
-
-def values(N: int, s, mu: float, second_kind: bool = False) -> tuple[list, list]:
-    """([P_n(s)], [Q_n(s)]) for n = 0..N by the paper's damped step in s,
-    with the values of `value_derivs` bit for bit; the Q list, with
-    Q_n = P_n q0 - T_n sqrt((1+mu)^2 - mu s^2), is empty unless second_kind,
-    and then an s in the pole band raises PoleDivergenceError.  s is a float
-    or a numpy array; every value has its type and shape."""
-    if N < 0:
-        raise ValueError("degree must be non-negative")
-    e = 1.0 + mu
-    damp = 1.0 - mu * s * s / (e * e)
-    zero = 0.0 * s  # a float or an array, like s
-    p, t = [zero + 1.0, s / e], [zero, zero + 1.0 / e]
-    A, B = _step_tables(N)
-    for m in range(1, N):
-        u, v = A[m] / e * s, B[m] * damp
-        p.append(u * p[m] - v * p[m - 1])
-        if second_kind:
-            t.append(u * t[m] - v * t[m - 1])
-    p = p[: N + 1]
-    if not second_kind:
-        return p, []
-    q0_s = q0(s, mu)
-    g = _sqrt(s)((1.0 + mu) ** 2 - mu * s * s)
-    return p, [pn * q0_s - tn * g for pn, tn in zip(p, t)]
+    return kinds[0][: N + 1], (kinds[1][: N + 1] if q_r is not None else [])
 
 
 def solid_sum(a, b, z, r2, q0_r):
@@ -255,21 +253,6 @@ def q0(s, mu: float):
     return q0_meridional(*s_to_zrho(s, mu))[0]
 
 
-def dq0_ds(s, mu: float):
-    """First derivative of q0: (1+mu)/(((1+mu)-s^2) sqrt((1+mu)^2 - mu s^2))."""
-    _check_q_domain(s, mu)
-    g = _sqrt(s)((1.0 + mu) ** 2 - mu * s * s)
-    return (1.0 + mu) / (((1.0 + mu) - s * s) * g)
-
-
-def d2q0_ds2(s, mu: float):
-    """Second derivative of q0."""
-    _check_q_domain(s, mu)
-    g2 = (1.0 + mu) ** 2 - mu * s * s
-    num = (1.0 + mu) * s * ((3.0 * mu + 2.0) * (1.0 + mu) - 3.0 * mu * s * s)
-    return num / (((1.0 + mu) - s * s) ** 2 * g2 * _sqrt(s)(g2))
-
-
 def eval_q(n: int, s: float, mu: float) -> float:
     """Second-kind function Q_n(s), from `values`."""
     return values(n, s, mu, True)[1][n]
@@ -282,11 +265,13 @@ def q_derivs(N: int, s, mu: float) -> tuple[list, list]:
     derivatives.  An s in the pole band raises PoleDivergenceError."""
     # q0 first: it refuses an s in the pole band before g is formed
     q = q0(s, mu)
-    dq = dq0_ds(s, mu)
-    d2q = d2q0_ds2(s, mu)
     p, t = value_derivs(N, s, mu)
     g2 = (1.0 + mu) ** 2 - mu * s * s
     g = _sqrt(s)(g2)
+    # q0' = (1+mu)/(((1+mu) - s^2) g) and q0'', g = sqrt((1+mu)^2 - mu s^2)
+    dq = (1.0 + mu) / (((1.0 + mu) - s * s) * g)
+    num = (1.0 + mu) * s * ((3.0 * mu + 2.0) * (1.0 + mu) - 3.0 * mu * s * s)
+    d2q = num / (((1.0 + mu) - s * s) ** 2 * g2 * g)
     dg = -mu * s / g
     d2g = -mu / g - mu * mu * s * s / (g2 * g)
     return p, [

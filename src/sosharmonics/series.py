@@ -57,11 +57,12 @@ the blocks: the row bookkeeping is a few per cent, and the first blocks,
 where most arguments are below 10 and go through `math.lgamma`, cost the
 most.
 
-The sum stops when a bound on its whole tail is below tol*|sum|: the largest
-of the last three term envelopes times r/(1-r).  The envelope is |term| with
-the sine factor set to 1, which is smooth in k; r is the limiting term ratio,
-(W/W_border)^2 on the small-nu side and (W_border/W)^(2/(1+mu)) on the
-large-nu side, or the envelope's own last ratio where that is larger.
+The sum stops when a bound on its whole tail is below DEFAULT_TOL*|sum|:
+the largest of the last three term envelopes times r/(1-r).  The envelope
+is |term| with the sine factor set to 1, which is smooth in k; r is the
+limiting term ratio, (W/W_border)^2 on the small-nu side and
+(W_border/W)^(2/(1+mu)) on the large-nu side, or the envelope's own last
+ratio where that is larger.
 `est_rel_error` is that tail bound plus a running bound on the rounding error
 of the terms and of their correctly rounded sum (`math.fsum`), relative to
 the value: a bound on the true relative error, not a guess at it.
@@ -94,7 +95,7 @@ BORDER_GUARD = 0.9
 #: Hard cap on summed terms before giving up.
 TERM_CAP = 20000
 
-#: Default relative truncation tolerance.
+#: Relative truncation tolerance of every sum.
 DEFAULT_TOL = 1e-14
 
 # Unit roundoff, and the factor by which each term's rounding bound covers
@@ -358,18 +359,18 @@ def _row_setup(
     return mu / (1.0 + mu), -1.0 / (1.0 + mu), -2.0 * log_w / (1.0 + mu), math.exp(log_rho)
 
 
-def eval_series(spec: SeriesSpec, W: float, tol: float = DEFAULT_TOL) -> SeriesResult:
+def eval_series(spec: SeriesSpec, W: float) -> SeriesResult:
     """Sum of the series at parameter W >= 0, truncated by its tail bound.
 
     For the large-nu region the leading W-power prefactors are included, so
     the returned value is the full quantity.  Raises RegionViolationError if
     W is on the wrong side of the border and NonConvergentError if the tail
-    bound does not fall below tol * |sum| within the term cap.
+    bound does not fall below DEFAULT_TOL * |sum| within the term cap.
     """
-    return eval_series_many([(spec, W)], tol)[0]
+    return eval_series_many([(spec, W)])[0]
 
 
-def eval_series_many(requests, tol: float = DEFAULT_TOL) -> list[SeriesResult]:
+def eval_series_many(requests) -> list[SeriesResult]:
     """`eval_series` of every (spec, W) row of requests, in one array pass.
 
     Each row's result has the bits of its one-row call: every term is formed
@@ -378,8 +379,6 @@ def eval_series_many(requests, tol: float = DEFAULT_TOL) -> list[SeriesResult]:
     error, in request order, before any summing; NonConvergentError names
     the first row still running at the term cap.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     borders = {}  # (W_border, log W_border) of each mu
     families, row_fam, live, log_x, rho = {}, [], [], [], []
     for i, (spec, W) in enumerate(requests):
@@ -403,7 +402,7 @@ def eval_series_many(requests, tol: float = DEFAULT_TOL) -> list[SeriesResult]:
         with np.errstate(all="ignore"):
             rows = _sum_rows(
                 [requests[i] for i in live], fam, np.array(row_fam),
-                np.array(log_x)[:, None], np.array(rho), tol,
+                np.array(log_x)[:, None], np.array(rho),
             )
         for i, row in zip(live, rows):
             summed[i] = row
@@ -431,7 +430,7 @@ def eval_series_many(requests, tol: float = DEFAULT_TOL) -> list[SeriesResult]:
     return out
 
 
-def _sum_rows(requests, fam, row_fam, log_x, rho, tol) -> list[tuple[list, float, float]]:
+def _sum_rows(requests, fam, row_fam, log_x, rho) -> list[tuple[list, float, float]]:
     """(terms, tail bound, summed rounding bounds) of each row, row i of
     family fam[row_fam[i]] (`_family_params`) at log x = log_x[i].
 
@@ -442,16 +441,16 @@ def _sum_rows(requests, fam, row_fam, log_x, rho, tol) -> list[tuple[list, float
     once the envelope is below cut * |partial|, the tail bound is the
     largest of the last three envelopes times r/(1-r), r the limiting ratio
     rho or the envelope's own last ratio where that is larger, and the row
-    stops once that bound is at most tol * |partial|.  Each block keeps its
-    cells up to each row's stop, and each row's terms are gathered from them
-    once, at the end.
+    stops once that bound is at most DEFAULT_TOL * |partial|.  Each block
+    keeps its cells up to each row's stop, and each row's terms are gathered
+    from them once, at the end.
     """
     n = len(requests)
     blocks = []  # (k0, rows, their kept cells per row, the kept cells)
     n_terms, tails, roundings = np.ones(n, dtype=int), np.zeros(n), np.zeros(n)
     rho = rho[:, None]
     # the tail test can pass only once an envelope is below cut * |partial|
-    cut = np.where(rho > 0.0, tol * (1.0 - rho) / rho, np.inf)
+    cut = np.where(rho > 0.0, DEFAULT_TOL * (1.0 - rho) / rho, np.inf)
     rows = np.arange(n)
     partial = np.ones((n, 1))
     rounding = np.zeros((n, 1))
@@ -474,7 +473,7 @@ def _sum_rows(requests, fam, row_fam, log_x, rho, tol) -> list[tuple[list, float
         size = np.abs(sums)
         r = np.where(env <= rho * e2, rho, np.where(e2 > 0.0, env / e2, np.inf))
         tail = np.maximum(np.maximum(e1, e2), env) * r / (1.0 - r)
-        stop = (k >= 3.0) & ~(env > cut * size) & (r < 1.0) & (tail <= tol * size)
+        stop = (k >= 3.0) & ~(env > cut * size) & (r < 1.0) & (tail <= DEFAULT_TOL * size)
         done = stop.any(axis=1)
         last = np.where(done, stop.argmax(axis=1), width - 1)  # each row's last kept cell
         blocks.append((k0, rows, last + 1, t[np.arange(width) <= last[:, None]]))

@@ -21,8 +21,9 @@ once every suite waits on the series, all series rows in one
 calls (the forward solves, then the cone check's), one
 `trig_from_W_robust`, one `cartesian_R_nu` and one `eval_series_many`
 (177 rows).  The metric suite's W and dW/dnu are one `compute_W` and one
-`dW` call, and the trig suite's W(s) one `w_from_s` call.  `verify --json`
-times the shared calls as `closed_kernels` and `series_witness`.
+`dW_dnu` call, and the trig suite's W(s) one `w_from_s` call.
+`verify --json` times the shared calls as `closed_kernels` and
+`series_witness`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .coords import (
     cartesian_R_s,
     closed_point,
     compute_W,
-    dW,
+    dW_dnu,
 )
 from .errors import PoleDivergenceError, StencilOutOfDomainError
 from .harmonic import (
@@ -80,7 +81,8 @@ from .trig import (
     w_from_s,
 )
 
-# FD harmonicity: sampling shell and the fine and coarse steps (units of R0),
+# FD harmonicity: sampling shell and the fine and coarse steps (units of R0,
+# in which the suite works),
 # the coarse-residual floor below which the O(h^2) decay is unresolvable
 # (exactly-polynomial low-degree modes difference to rounding noise, not
 # truncation error), and the seed of the points.
@@ -388,7 +390,7 @@ def _metric_body(cfg: SystemConfig, level: str):
     # W and dW/dnu from their own closed forms, not from the metrics they
     # check; dW/dnu enters only through dW/dnu / W, which is NaN (and
     # skipped) where both overflow
-    W, dw_dnu = compute_W(R, nu, cfg), dW(R, nu, cfg)[0]
+    W, dw_dnu = compute_W(R, nu, cfg), dW_dnu(R, nu, cfg)
     (_, _, mb, _), tb = yield [(closed_point, R, nu, cfg), (trig_from_W_robust, W, mu)]
     with np.errstate(invalid="ignore"):
         r_link = _max_rel(mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2, (tb.f_C * tb.f_S * R * (dw_dnu / W)) ** 2)
@@ -448,10 +450,11 @@ def _transform_body(cfg: SystemConfig, level: str):
     ((s, f_C, mb, log_w),) = yield [(closed_point, R, nu, cfg)]
     z, rho = R * s / (1.0 + mu), R * f_C / mb.h_R  # `meridional`
     x, y = rho * np.cos(lam), rho * np.sin(lam)
-    # membership of the R-spheroid
-    r_member = _worst(np.abs(x**2 + y**2 + (1.0 + mu) * z**2 - R * R) / (R * R))
-    # squared position magnitude from (R, s)
-    r_mag = _max_rel(x**2 + y**2 + z**2, R * R * (1.0 - mu * s * s / (1.0 + mu) ** 2))
+    # membership of the R-spheroid and the squared position magnitude from
+    # (R, s), in units of R so that no square leaves the float range
+    u, v, w = x / R, y / R, z / R
+    r_member = _worst(np.abs(u**2 + v**2 + (1.0 + mu) * w**2 - 1.0))
+    r_mag = _max_rel(u**2 + v**2 + w**2, 1.0 - mu * s * s / (1.0 + mu) ** 2)
     # cone invariance: scaling the position leaves (W, s, h_R, f_S, f_C)
     # fixed; W is compared in log form (it underflows at large mu).  The
     # point's own values at |nu| are its forward solve's, as s is odd in nu
@@ -489,15 +492,14 @@ def _anchor_body(cfg: SystemConfig):
     ((s, f_C, mb, _),) = yield [(closed_point, cfg.R0, np.append(nus, [0.0, math.pi / 2]), cfg)]
     worst = _worst(np.abs(s[:-2] - s_on_reference(nus, mu)))
     lim = s_limit(mu)
-    # the pole's forward transform at lam = 0, from its `meridional` (z, rho)
-    z, rho, lam = cfg.R0 * s[-1] / (1.0 + mu), cfg.R0 * f_C[-1] / mb.h_R[-1], 0.0
+    # the pole's `meridional` (z, rho): on the axis, at z = R0/sqrt(1+mu)
+    z, rho = cfg.R0 * s[-1] / (1.0 + mu), cfg.R0 * f_C[-1] / mb.h_R[-1]
     ends = max(
         abs(s[-2]),
         abs(s[-1] - lim),
         abs(mb.h_R[-2] - 1.0),
         abs(z / cfg.R0 - 1.0 / lim),
-        abs(rho * math.cos(lam) / cfg.R0),
-        abs(rho * math.sin(lam) / cfg.R0),
+        abs(rho / cfg.R0),
     )
     return [
         CheckResult("anchor.s_on_reference", worst, 1e-10),
@@ -625,12 +627,12 @@ def structure_checks(mu: float) -> list[CheckResult]:
 def _shell_point(
     rng: random.Random, cfg: SystemConfig, s_cap: float | None
 ) -> CartesianPoint:
-    """A point drawn uniformly in direction and radius on the harmonicity
-    shell, redrawn until its |s| = (1+mu)|cos theta| / sqrt(1 + mu cos^2 theta)
-    is at most s_cap sqrt(1+mu)."""
+    """A point, in units of R0, drawn uniformly in direction and radius on the
+    harmonicity shell, redrawn until its |s| = (1+mu)|cos theta| /
+    sqrt(1 + mu cos^2 theta) is at most s_cap sqrt(1+mu)."""
     mu, lim = cfg.mu, s_limit(cfg.mu)
     while True:
-        r = cfg.R0 * rng.uniform(*HARMONICITY_SHELL)
+        r = rng.uniform(*HARMONICITY_SHELL)
         cth = rng.uniform(-1.0, 1.0)
         sth = math.sqrt(1.0 - cth * cth)
         phi = rng.uniform(0.0, 2.0 * math.pi)
@@ -638,15 +640,14 @@ def _shell_point(
             return CartesianPoint(r * sth * math.cos(phi), r * sth * math.sin(phi), r * cth)
 
 
-def _mode_stencils(cfg: SystemConfig, c: CartesianPoint, degree, second_kind, steps) -> np.ndarray:
+def _mode_stencils(c: CartesianPoint, degree, second_kind, steps) -> np.ndarray:
     """V of the pure mode (R/R0)^n P_n(s), or (R/R0)^n Q_n(s) where
     second_kind, n = degree[j], on the 7-arm stencil of point j of c, for
-    every step of steps: a (step, arm, point) array from one
-    `legendre.solid_values` pass per kind over every arm of its points.  A
-    stencil arm at the origin, or on the axis for Q_n, raises
+    every step of steps, c and steps in units of R0: a (step, arm, point)
+    array from one `legendre.solid_values` pass per kind over every arm of
+    its points.  A stencil arm at the origin, or on the axis for Q_n, raises
     StencilOutOfDomainError."""
     z, rho = stencil_meridional(c, steps)
-    z, rho = z / cfg.R0, rho / cfg.R0
     v = np.empty(z.shape)
     for kind in (False, True):
         at = second_kind == kind
@@ -665,12 +666,13 @@ def harmonicity_checks(cfg: SystemConfig, level: str) -> list[CheckResult]:
     """Cartesian FD Laplacian of each pure mode: O(h^2) decay to zero; and
     the exact solid-harmonic identity (`_solid_identity`).
 
-    Residuals are normalized by |grad V| / R0, the central gradient of the
-    fine stencil.  The decay ratio is asserted only where the coarse
-    residual exceeds the resolvability floor; modes of degree <= 3 are
-    polynomials the 7-point stencil differentiates exactly, so their
-    residuals sit at rounding level for every h.  Each mode draws its own
-    points; the stencils of every mode and both steps are one array stencil
+    The suite works in units of R0, so its FD residuals do not depend on R0.
+    Residuals are normalized by |grad V|, the central gradient of the fine
+    stencil.  The decay ratio is asserted only where the coarse residual
+    exceeds the resolvability floor; modes of degree <= 3 are polynomials
+    the 7-point stencil differentiates exactly, so their residuals sit at
+    rounding level for every h.  Each mode draws its own points; the
+    stencils of every mode and both steps are one array stencil
     (`_mode_stencils`), and the Laplacians, the gradients and the ratios
     are array operations over it.
     """
@@ -683,15 +685,15 @@ def harmonicity_checks(cfg: SystemConfig, level: str) -> list[CheckResult]:
     c = CartesianPoint(*np.array([(p.x, p.y, p.z) for p in shell]).T)
     second_kind = np.repeat([kind for kind, _ in modes], size.points_per_mode)
     degree = np.repeat([n for _, n in modes], size.points_per_mode)
-    hf, hc = (h * cfg.R0 for h in HARMONICITY_STEPS)
-    v = _mode_stencils(cfg, c, degree, second_kind, np.array([hf, hc]))
+    hf, hc = HARMONICITY_STEPS
+    v = _mode_stencils(c, degree, second_kind, np.array(HARMONICITY_STEPS))
     lap_f = np.abs(fd_laplacian(v[0], hf))
     lap_c = np.abs(fd_laplacian(v[1], hc))
     grad = np.linalg.norm((v[0, 1::2] - v[0, 2::2]) / (2.0 * hf), axis=0)  # central, fine step
     # a constant mode: the stencil cancels exactly
-    grad = np.where(grad == 0.0, np.abs(v[0, 0]) / cfg.R0, grad)
-    norm_c = lap_c * cfg.R0 / grad
-    norm_f = lap_f * cfg.R0 / grad
+    grad = np.where(grad == 0.0, np.abs(v[0, 0]), grad)
+    norm_c = lap_c / grad
+    norm_f = lap_f / grad
     resolvable = norm_c > HARMONICITY_RATIO_FLOOR
     ratios = norm_c[resolvable] / norm_f[resolvable]
     ratio_residual = max(abs(ratios.min() - 4.0), abs(ratios.max() - 4.0)) if ratios.size else math.inf
@@ -705,11 +707,11 @@ def harmonicity_checks(cfg: SystemConfig, level: str) -> list[CheckResult]:
 def _solid_identity(cfg: SystemConfig, rng: random.Random) -> CheckResult:
     """(R/R0)^n P_n(s) = (r/R0)^n P_n^cl(z/r) for every mu, r = |(x, y, z)|.
 
-    One array `sum_V` of seeded a_0..a_degree at shell points against the
-    classical solid harmonics summed by numpy's `legval` (independent code),
-    relative to sum |a_n| (r/R0)^n.  The classical solid harmonics are
-    harmonic, so this certifies harmonicity exactly where the FD checks
-    only see an O(h^2) decay.
+    One array `sum_V` of seeded a_0..a_degree at shell points (in units of
+    R0, so `sum_V` takes R R0) against the classical solid harmonics summed
+    by numpy's `legval` (independent code), relative to sum |a_n| (r/R0)^n.
+    The classical solid harmonics are harmonic, so this certifies
+    harmonicity exactly where the FD checks only see an O(h^2) decay.
     """
     degree = HARMONICITY_SOLID_DEGREE
     a = [rng.uniform(-1.0, 1.0) for _ in range(degree + 1)]
@@ -717,9 +719,9 @@ def _solid_identity(cfg: SystemConfig, rng: random.Random) -> CheckResult:
     x, y, z = np.array([(c.x, c.y, c.z) for c in shell]).T
     R, s = cartesian_R_s(x, y, z, cfg.mu)
     r = np.hypot(np.hypot(x, y), z)
-    terms = np.array(a)[:, None] * (r / cfg.R0) ** np.arange(degree + 1)[:, None]
+    terms = np.array(a)[:, None] * r ** np.arange(degree + 1)[:, None]
     classical = np.polynomial.legendre.legval(z / r, terms, tensor=False)
-    V = sum_V(HarmonicSolution(a=tuple(a), b=(), cfg=cfg), R, s)
+    V = sum_V(HarmonicSolution(a=tuple(a), b=(), cfg=cfg), R * cfg.R0, s)
     residual = np.max(np.abs(V - classical) / np.abs(terms).sum(axis=0))
     return CheckResult("harmonic.solid_identity", residual, 1e-11)
 

@@ -18,7 +18,7 @@ from sosharmonics.coords import (
     SosPoint,
     SystemConfig,
     cartesian_to_sos,
-    dW,
+    dW_dnu,
     metrics_at,
     sos_to_cartesian,
 )
@@ -143,7 +143,7 @@ def test_c4_identity_corpus():
             c = CartesianPoint(tb.f_C / tb.h_R, 0.0, tb.s / (1.0 + mu))
             p = cartesian_to_sos(c, cfg)
             mb = metrics_at(p.R, p.nu, cfg)
-            dw_dnu = dW(p.R, p.nu, cfg)[0]
+            dw_dnu = dW_dnu(p.R, p.nu, cfg)
             lhs = mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2
             rhs = tb.f_C**2 * tb.f_S**2 * p.R**2 * dw_dnu**2 / W**2
             worst["a38"] = max(worst["a38"], abs(lhs - rhs) / abs(rhs))

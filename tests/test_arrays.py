@@ -23,7 +23,7 @@ from sosharmonics.coords import (
     cartesian_to_sos,
     closed_point,
     compute_W,
-    dW,
+    dW_dnu,
     meridional,
     metrics_at,
     sos_to_cartesian,
@@ -144,7 +144,7 @@ def test_a_float_call_returns_python_floats():
         metrics_at(1.3, 0.7, cfg), cartesian_R_s(0.3, 0.1, 0.5, 2.0), cartesian_closed(0.3, 0.1, 0.5, 2.0),
         cartesian_R_nu(0.3, 0.1, 0.5, cfg), cartesian_point(c, cfg), trig_from_W_robust(0.0, 2.0),
         solve_logit(0.3, 2.0), closed_trig(0.3, 2.0), s_on_reference(0.7, 2.0),
-        harmonic._cartesian_meridional(c), compute_W(1.3, 0.7, cfg), dW(1.3, 0.7, cfg), w_from_s(0.5, 2.0),
+        harmonic._cartesian_meridional(c), compute_W(1.3, 0.7, cfg), dW_dnu(1.3, 0.7, cfg), w_from_s(0.5, 2.0),
         sos_to_cartesian(SosPoint(1.3, 0.7, 0.4), cfg),
     ]
     for result in results:
@@ -240,27 +240,28 @@ def test_array_stencil_has_the_bits_of_float_calls(mu, kind, n):
 @pytest.mark.parametrize("R0", [1.0, 6.957e8])
 @pytest.mark.parametrize("mu", [2.0, 200.0])
 def test_one_stencil_pass_matches_fd_stencil_for_every_mode(mu, R0):
-    """`_mode_stencils` sums each pure mode by the forward solid step, where
-    `fd_stencil` sums it by Clenshaw's pass: both err by a few ulp of the
-    size (r/R0)^n of the mode's terms, |P_n^cl| <= 1 (8.5 ulp seen)."""
+    """`_mode_stencils` sums each pure mode by the forward solid step in
+    units of R0, where `fd_stencil` sums it by Clenshaw's pass at the point
+    and step scaled by R0: both err by a few ulp of the size (r/R0)^n of the
+    mode's terms, |P_n^cl| <= 1 (4 ulp seen)."""
     cfg = SystemConfig(mu=mu, R0=R0)
     modes = [(False, n) for n in range(7)] + [(True, n) for n in range(4)]
     rng = random.Random(9)
     shell = [_shell_point(rng, cfg, 0.9 if kind else None) for kind, _ in modes for _ in range(5)]
     c = CartesianPoint(*np.array([(p.x, p.y, p.z) for p in shell]).T)
     second_kind, degree = (np.repeat(f, 5) for f in zip(*modes))
-    steps = np.array([5e-3, 1e-2]) * R0
-    v = _mode_stencils(cfg, c, degree, second_kind, steps)
+    steps = np.array([5e-3, 1e-2])
+    v = _mode_stencils(c, degree, second_kind, steps)
     assert v.shape == (2, 7, len(shell))
     for m, (kind, n) in enumerate(modes):
         at = slice(5 * m, 5 * m + 5)
         coeffs = tuple(1.0 if i == n else 0.0 for i in range(n + 1))
         sol = HarmonicSolution(a=() if kind else coeffs, b=coeffs if kind else (), cfg=cfg)
-        point = CartesianPoint(c.x[at], c.y[at], c.z[at])
-        r = np.sqrt(point.x**2 + point.y**2 + point.z**2)
+        point = CartesianPoint(c.x[at] * R0, c.y[at] * R0, c.z[at] * R0)
+        r = np.sqrt(c.x[at] ** 2 + c.y[at] ** 2 + c.z[at] ** 2)
         for got, h in zip(v, steps.tolist()):
-            size = np.max((r + h) / R0) ** n
-            assert np.max(np.abs(got[:, at] - fd_stencil(sol, point, h))) <= 16.0 * np.spacing(size), (kind, n)
+            size = np.max(r + h) ** n
+            assert np.max(np.abs(got[:, at] - fd_stencil(sol, point, h * R0))) <= 16.0 * np.spacing(size), (kind, n)
 
 
 def test_harmonicity_checks_take_one_basis_pass_per_kind_and_no_fd_stencil(monkeypatch):
@@ -286,11 +287,10 @@ def test_harmonicity_checks_take_one_basis_pass_per_kind_and_no_fd_stencil(monke
 def test_harmonicity_stencil_on_the_axis_is_out_of_domain():
     """A Q_n stencil arm on the axis raises, as `fd_stencil` does; a P_n one
     does not."""
-    cfg = SystemConfig(mu=2.0)
     c = CartesianPoint(np.array([1e-2, 1.0]), np.array([0.0, 0.5]), np.array([0.5, 0.5]))
-    _mode_stencils(cfg, c, np.array([1, 1]), np.array([False, False]), np.array([1e-2]))
+    _mode_stencils(c, np.array([1, 1]), np.array([False, False]), np.array([1e-2]))
     with pytest.raises(StencilOutOfDomainError):
-        _mode_stencils(cfg, c, np.array([1, 1]), np.array([True, False]), np.array([1e-2]))
+        _mode_stencils(c, np.array([1, 1]), np.array([True, False]), np.array([1e-2]))
 
 
 @pytest.mark.parametrize("mu", [0.0, 2.0, 200.0])
@@ -377,7 +377,7 @@ def test_compute_W_and_dW_are_elementwise(mu):
     cfg = SystemConfig(mu=mu)
     points = list(itertools.product(R_OVER_R0, PARITY_NUS))
     _assert_elementwise(lambda R, nu: compute_W(R, nu, cfg), points)
-    _assert_elementwise(lambda R, nu: dW(R, nu, cfg), points)
+    _assert_elementwise(lambda R, nu: dW_dnu(R, nu, cfg), points)
 
 
 def test_compute_W_raises_zero_division_before_the_scale_overflows():
@@ -385,7 +385,7 @@ def test_compute_W_raises_zero_division_before_the_scale_overflows():
     overflows near the pole; on the equator only the scale overflows."""
     cfg = SystemConfig(mu=1000.0)
     for nu, error in ((math.pi / 2 - 0.05, ZeroDivisionError), (0.0, OverflowError)):
-        for call in (compute_W, dW):
+        for call in (compute_W, dW_dnu):
             assert _outcome(call, 2.2, nu, cfg) is error
             assert _outcome(call, np.array([1.0, 2.2]), np.array([0.3, nu]), cfg) is error
 
@@ -471,7 +471,7 @@ def test_trig_and_metric_checks_keep_the_bits_of_float_loops(mu):
         if not all(sys.float_info.min <= abs(v) < math.inf for v in parts):
             continue
         hR2, Snu, jac, jac_hR2, jac_hnu2 = parts
-        k = R / math.sqrt(1.0 + mu) * dW(R, nu, cfg)[0]
+        k = R / math.sqrt(1.0 + mu) * dW_dnu(R, nu, cfg)
         ser = (math.sqrt(hR2), k * math.sqrt(Snu), R * k * jac, R * k * jac_hR2, R / k * jac_hnu2)
         r_series = max(r_series, *map(_rel, ser, astuple(metrics_at(R, nu, cfg))))
     assert next(c.max_residual for c in checks if c.name == "metric.series_vs_closed") == r_series

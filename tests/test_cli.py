@@ -536,6 +536,16 @@ class TestFit:
         for n in (0, 2, 3, 4):
             assert abs(payload["a"][n]) <= 1e-8
 
+    def test_output_file_has_the_bytes_of_stdout(self, capsys, cfg2, tmp_path):
+        # `-o` writes through harmonic.save_solution: indent 2 and a newline
+        path = self._write_samples(tmp_path, [(nu, 0.3 * nu) for nu in (-1.0, -0.5, 0.0, 0.5, 1.0)])
+        rc, stdout, _ = run(capsys, ["fit", "--config", cfg2, path, "--degree", "2"])
+        assert rc == 0
+        out = tmp_path / "fit.json"
+        rc, _, _ = run(capsys, ["fit", "--config", cfg2, path, "--degree", "2", "-o", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == stdout.encode("utf-8")
+
     def test_zero_samples(self, capsys, cfg2, tmp_path):
         samples = [(nu, 0.0) for nu in (-1.0, -0.5, 0.0, 0.5, 1.0)]
         rc, stdout, err = run(

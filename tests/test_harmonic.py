@@ -192,6 +192,18 @@ class TestLaplacian:
         checks = verify.harmonicity_checks(SystemConfig(mu=200.0, R0=1.0), "full")
         assert all(c.passed for c in checks), [(c.name, c.max_residual) for c in checks]
 
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_harmonicity_fd_residuals_do_not_depend_on_R0(self, level):
+        # the suite works in units of R0, so its FD residuals are equal at a
+        # tiny, a unit, a solar and a huge R0, and every check passes there
+        runs = {R0: verify.harmonicity_checks(SystemConfig(mu=2.0, R0=R0), level)
+                for R0 in (1e-163, 1.0, 6.957e8, 1e160)}
+        for R0, checks in runs.items():
+            assert all(c.passed for c in checks), (R0, [(c.name, c.max_residual) for c in checks])
+            fd = [(c.name, c.max_residual) for c in checks if c.name.startswith("harmonic.fd_")]
+            assert fd == [(c.name, c.max_residual) for c in runs[1.0] if c.name.startswith("harmonic.fd_")]
+            assert len(fd) == 2
+
 
 class TestFit:
     def test_zero_samples(self):

@@ -201,11 +201,14 @@ def test_ode_residual_degree_60(mu):
 
 @pytest.mark.parametrize("mu", MU_GRID)
 def test_value_derivs_values_match_values(mu):
-    s = 0.43 * s_limit(mu)
-    p, q = values(30, s, mu, True)
-    dp, _ = value_derivs(30, s, mu)
-    assert [f[0] for f in dp] == p
-    assert [q_derivs(n, s, mu)[1][n][0] for n in range(31)] == q
+    # the F columns of value_derivs (P and T) and q_derivs (Q) against mpmath
+    for frac in S_FRACS:
+        s = frac * s_limit(mu)
+        dp, dt = value_derivs(100, s, mu)
+        P, T, Q = mp_legendre(100, s, mu)
+        assert max(_rel(f[0], r) for f, r in zip(dp, P)) <= 1e-13
+        assert max(_rel(f[0], r) for f, r in zip(dt, T)) <= 1e-13
+        assert max(_rel(f[0], r) for f, r in zip(q_derivs(100, s, mu)[1], Q)) <= 1e-13
 
 
 def test_fit_degree_60_chebyshev_nodes():

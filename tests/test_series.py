@@ -123,7 +123,7 @@ class TestEvalSeries:
         assert eval_series(sc(0.0, 2.0), 0.2).value == 1.0
 
     def test_est_rel_error_within_tol(self):
-        res = eval_series(sa(-1.0, 2.0), 0.3, tol=1e-12)
+        res = eval_series(sa(-1.0, 2.0), 0.3)
         assert res.est_rel_error <= 1e-12
         assert res.terms_used < series.TERM_CAP
 
@@ -384,9 +384,9 @@ def test_verify_sums_each_series_suite_in_one_batch(monkeypatch):
     calls = []
     many = series.eval_series_many
 
-    def counted(requests, tol=series.DEFAULT_TOL):
+    def counted(requests):
         calls.append(len(requests))
-        return many(requests, tol)
+        return many(requests)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("verify summed a series through the one-row eval_series")
@@ -416,14 +416,14 @@ def _closed_kernel_calls(monkeypatch, level):
         (coords, "closed_point"), (trig, "trig_from_W_robust"), (coords, "cartesian_R_nu"),
         (trig, "solve_logit"), (trig, "closed_trig"), (trig, "s_on_reference"),
         (coords, "cartesian_R_s"), (coords, "cartesian_closed"), (coords, "cartesian_point"),
-        (coords, "compute_W"), (coords, "dW"), (coords, "sos_to_cartesian"), (trig, "w_from_s"),
+        (coords, "compute_W"), (coords, "dW_dnu"), (coords, "sos_to_cartesian"), (trig, "w_from_s"),
     ]
     for module, name in kernels:
         _patch_every_binding(monkeypatch, getattr(module, name), counting(name, getattr(module, name)))
     checks = verify.run_suite(SystemConfig(mu=2.0, R0=1.0), level)
     assert all(c.passed for c in checks)
     assert len(checks) == 38
-    names = ("closed_point", "trig_from_W_robust", "cartesian_R_nu", "compute_W", "dW", "w_from_s", "sos_to_cartesian")
+    names = ("closed_point", "trig_from_W_robust", "cartesian_R_nu", "compute_W", "dW_dnu", "w_from_s", "sos_to_cartesian")
     return {name: [n for k, n in calls if k == name] for name in names}, sum(k == "solve_logit" for k, _ in calls)
 
 
@@ -434,23 +434,23 @@ def test_verify_makes_one_call_per_closed_kernel_a_round(monkeypatch):
     # dW/dnu and the trig suite's W(s) are one array call each
     assert _closed_kernel_calls(monkeypatch, "quick") == ({
         "closed_point": [118, 40], "trig_from_W_robust": [78], "cartesian_R_nu": [80],
-        "compute_W": [15], "dW": [15], "w_from_s": [27], "sos_to_cartesian": [],
+        "compute_W": [15], "dW_dnu": [15], "w_from_s": [27], "sos_to_cartesian": [],
     }, 4)
 
 
 def test_verify_full_level_makes_one_call_per_closed_kernel_a_round(monkeypatch):
     assert _closed_kernel_calls(monkeypatch, "full") == ({
         "closed_point": [256, 160], "trig_from_W_robust": [138], "cartesian_R_nu": [320],
-        "compute_W": [33], "dW": [33], "w_from_s": [51], "sos_to_cartesian": [],
+        "compute_W": [33], "dW_dnu": [33], "w_from_s": [51], "sos_to_cartesian": [],
     }, 4)
 
 
 def test_eval_series_keeps_the_signature_and_result_tracing_reads():
     # a span tracer reads (args[0].region.value, result.terms_used)
     params = inspect.signature(eval_series).parameters
-    assert list(params) == ["spec", "W", "tol"]
+    assert list(params) == ["spec", "W"]
     assert params["spec"].annotation in (SeriesSpec, "SeriesSpec")
-    args = (quantity_series("hR2", 2.0, Region.SMALL_NU), 0.5 * W_BORDER_MU2, 1e-14)
+    args = (quantity_series("hR2", 2.0, Region.SMALL_NU), 0.5 * W_BORDER_MU2)
     result = eval_series(*args)
     assert type(result) is SeriesResult
     assert args[0].region.value == "SmallNu"
