@@ -30,11 +30,9 @@ from .harmonic import (
     eval_V_at,
     eval_V_cartesian,
     fit_boundary,
-    laplacian_residual_fd,
     load_solution,
     s_at_point,
     save_solution,
-    separation_check,
 )
 from .legendre import (
     eval_q,

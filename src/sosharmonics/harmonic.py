@@ -15,15 +15,15 @@ in memory and in the JSON coefficient file alike ({"mu", "R0", "convention":
 "R_over_R0", "a", "b"}); the radial factor rides inside the recursion, so a
 term is finite wherever it is representable.
 
-The point entries (`s_at_point`, `eval_V_at`, `eval_V_cartesian`,
-`fd_stencil` and its `laplacian_residual_fd`) take floats or arrays, a point
-record of arrays included; `stencil_meridional` gives the (z, rho) of the
-stencil arms, of several steps at once, for a caller that sums its own
-basis there.  The (z, rho) of a point come from one numpy body
-(`coords.closed_point`, or `_cartesian_meridional` with numpy's hypot), and
-a float call is one element of the array call (`trig._point_kernel`), so
-each element has the bits and the exceptions of its float call.  The
-Legendre sums stay on floats for a float point.
+The point entries (`s_at_point`, `eval_V_at`, `eval_V_cartesian`) take
+floats or arrays, a point record of arrays included; `stencil_meridional`
+gives the (z, rho) of the arms of a finite-difference stencil, of several
+steps at once, and `fd_laplacian` the 7-point Laplacian of the values
+summed there (`solid_V`, or a caller's own basis).  The (z, rho) of a point
+come from one numpy body (`coords.closed_point`, or `_cartesian_meridional`
+with numpy's hypot), and a float call is one element of the array call
+(`trig._point_kernel`), so each element has the bits and the exceptions of
+its float call.  The Legendre sums stay on floats for a float point.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .coords import (
 )
 from .errors import (
     DegenerateOriginError,
-    PoleDivergenceError,
     RankDeficientError,
     StencilOutOfDomainError,
 )
@@ -91,11 +90,6 @@ class FitDiagnostics:
     condition: float
     rank: int
     n_params: int
-
-
-def separation_check(K_d: float) -> float:
-    """Radial-angular coupling of the separation constants: K_b = K_d (K_d - 2)."""
-    return K_d * (K_d - 2.0)
 
 
 def s_at_point(R, nu, cfg: SystemConfig):
@@ -184,35 +178,15 @@ def stencil_meridional(c: CartesianPoint, h):
         raise StencilOutOfDomainError(str(exc)) from exc
 
 
-def fd_stencil(sol: HarmonicSolution, c: CartesianPoint, h: float) -> np.ndarray:
-    """V at c and at c + h (x, -x, y, -y, z, -z), stacked as 7 rows over the
-    shape of c's fields, from one `solid_V` call at `stencil_meridional`; a
-    stencil arm on the axis (with b terms) or at the origin raises
-    StencilOutOfDomainError."""
-    try:
-        return solid_V(sol, *stencil_meridional(c, h))
-    except PoleDivergenceError as exc:
-        raise StencilOutOfDomainError(str(exc)) from exc
-
-
 def fd_laplacian(v, h: float):
-    """The 7-point central Laplacian of `fd_stencil` values v at step h."""
+    """The 7-point central Laplacian at step h of values v on the 7 arms of
+    `stencil_meridional` (the first row the centre).  It works in Cartesian
+    coordinates, independent of the SOS metric factors; for a harmonic V it
+    converges to 0 as O(h^2)."""
     acc = 0.0
     for arm in v[1:]:
         acc = acc + arm
     return (acc - 6.0 * v[0]) / (h * h)
-
-
-def laplacian_residual_fd(sol: HarmonicSolution, c: CartesianPoint, h: float):
-    """7-point central finite-difference Laplacian at c (floats or arrays)
-    with step h (`fd_stencil`, `fd_laplacian`).
-
-    Entirely independent of the SOS-form metric factors: the stencil works in
-    Cartesian coordinates and each value is summed at its own z and rho.
-    For a true solution the result converges to 0 as O(h^2).
-    """
-    res = fd_laplacian(fd_stencil(sol, c, h), h)
-    return res if res.ndim else float(res)
 
 
 def fit_boundary(

@@ -12,18 +12,18 @@ suite stacks the stencils of every pure mode and both steps into one
 array, summed by one `legendre.solid_values` pass per kind.
 
 The suites that call a closed point kernel (`closed_point`,
-`trig_from_W_robust`, `cartesian_R_nu`) or the series witness
-(`eval_series_many`) are generator bodies that yield their calls as
-requests, and `run_suite` answers them in rounds: one call per kernel a
-round over the points of every suite, each suite getting its slice, and,
-once every suite waits on the series, all series rows in one
-`eval_series_many` call.  A quick run at mu = 2 makes two `closed_point`
-calls (the forward solves, then the cone check's), one
-`trig_from_W_robust`, one `cartesian_R_nu` and one `eval_series_many`
-(177 rows).  The metric suite's W and dW/dnu are one `compute_W` and one
-`dW_dnu` call, and the trig suite's W(s) one `w_from_s` call.
-`verify --json` times the shared calls as `closed_kernels` and
-`series_witness`.
+`trig_from_W_robust`) or the series witness (`eval_series_many`) are
+generator bodies that yield all their calls as one list of requests, and
+`run_suite` answers every list in one round: one call per kernel over the
+points and rows of every suite, each suite getting its slice.  The
+transform suite, whose later solves depend on its first, then calls
+`cartesian_R_nu` and `closed_point` itself.  A quick run at mu = 2 makes
+two `closed_point` calls (the shared forward solves, then the cone
+check's), one `trig_from_W_robust`, one `cartesian_R_nu` and one
+`eval_series_many` (177 rows).  The metric suite's W and dW/dnu are one
+`compute_W` and one `dW_dnu` call, and the trig suite's W(s) one
+`w_from_s` call.  `verify --json` times the shared round as
+`closed_kernels` and `series_witness`.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .series import (
     w_border,
 )
 from .trig import (
-    TrigBundle,
     _witness_bundles,
     _witness_rows,
     d_fC2_dW,
@@ -158,23 +157,24 @@ def _w_samples(mu: float, per_region: int) -> list[float]:
 # --- suite bodies ------------------------------------------------------------
 #
 # A suite that calls a closed point kernel or the series witness is a
-# generator body.  It yields a list of requests, each a kernel and its
-# arguments: `closed_point(R, nu, cfg)`, `trig_from_W_robust(W, mu)`,
-# `cartesian_R_nu(x, y, z, cfg)`, or the series witness
-# `eval_series_many(rows)`.  It receives their results, in order, and
-# returns its checks.  `run_suite` runs every body together (`_run_bodies`).
+# generator body.  It yields one list of requests, each a kernel and its
+# arguments, every point argument a 1-D array of one length:
+# `closed_point(R, nu, cfg)`, `trig_from_W_robust(W, mu)`, or the series
+# witness `eval_series_many(rows)`.  It receives their results, in order,
+# and returns its checks.  `run_suite` runs every body together
+# (`_run_bodies`).
 
 
-def _parts(v, bounds, shapes) -> list:
+def _parts(v, bounds) -> list:
     """The part of a kernel result v of each call: the slice (start, stop)
-    of each of bounds of every array, in its call's shape, through tuples
-    and records; other values as they are."""
+    of each of bounds of every array or list, through tuples and records;
+    other values as they are."""
     if isinstance(v, tuple):
-        return list(zip(*(_parts(f, bounds, shapes) for f in v)))
+        return list(zip(*(_parts(f, bounds) for f in v)))
     if is_dataclass(v):
-        return [type(v)(*f) for f in zip(*(_parts(f, bounds, shapes) for f in vars(v).values()))]
-    if isinstance(v, np.ndarray):
-        return [v[a:b].reshape(shape) for (a, b), shape in zip(bounds, shapes)]
+        return [type(v)(*f) for f in zip(*(_parts(f, bounds) for f in vars(v).values()))]
+    if isinstance(v, (list, np.ndarray)):
+        return [v[a:b] for a, b in bounds]
     return [v] * len(bounds)
 
 
@@ -182,54 +182,48 @@ def _call_once(kernel, calls: list[tuple]) -> list:
     """The result of kernel at each argument tuple of calls, from one call.
 
     The series witness takes the rows of every call.  A point kernel takes
-    the point arguments of every call, broadcast, flattened and joined, and
-    the last argument (cfg or mu) that the calls share; each call gets its
-    slice of every result array, in its own shape.  Every point kernel is
-    elementwise, so a slice has the bits of the call alone.
+    the point arguments of every call joined, and the last argument (cfg or
+    mu), which every call shares; each call gets its slice of every result
+    array.  Every point kernel is elementwise, so a slice has the bits of
+    the call alone.
     """
+    ends = list(accumulate(len(args[0]) for args in calls))
     if kernel is eval_series_many:
-        ends = list(accumulate(len(rows) for (rows,) in calls))
         result = kernel([row for (rows,) in calls for row in rows])
-        return [result[a:b] for a, b in zip([0] + ends, ends)]
-    points = [np.broadcast_arrays(*args[:-1]) for args in calls]
-    ends = list(accumulate(p[0].size for p in points))
-    result = kernel(*(np.concatenate([np.ravel(a) for a in arg]) for arg in zip(*points)), calls[0][-1])
-    return _parts(result, list(zip([0] + ends, ends)), [p[0].shape for p in points])
+    else:
+        result = kernel(*map(np.concatenate, zip(*(args[:-1] for args in calls))), calls[0][-1])
+    return _parts(result, list(zip([0] + ends, ends)))
 
 
 def _run_bodies(bodies: dict) -> tuple[dict, dict, float, float]:
     """The checks of every body {key: body}, and the seconds of each body's
     own steps, the point kernel calls and the series witness.
 
-    The bodies run in rounds.  A round answers the requests of every live
-    body that asks only for point kernels, with one call per kernel and
-    shared argument (`_call_once`); once every live body waits on the series
-    witness, a round answers them all, every row in one `eval_series_many`
-    call.  Calls and rows follow the order of the bodies.
+    Each body runs to its one list of requests; one call per kernel then
+    answers every body's requests (`_call_once`), calls and rows in the
+    order of the bodies, and each body resumes once to return its checks.
     """
-    checks, seconds, shared = {}, dict.fromkeys(bodies, 0.0), {True: 0.0, False: 0.0}
-    waiting, answers = {}, dict.fromkeys(bodies)
-    while answers:
-        for key, got in answers.items():
-            start = time.perf_counter()
-            try:
-                waiting[key] = bodies[key].send(got)
-            except StopIteration as done:
-                checks[key] = done.value
-            seconds[key] += time.perf_counter() - start
-        ready = [k for k, reqs in waiting.items() if all(r[0] is not eval_series_many for r in reqs)]
-        asked = {k: waiting.pop(k) for k in sorted(ready or waiting)}
-        calls = {}  # (kernel, shared argument) -> [(key, request index, arguments)]
-        for key, reqs in asked.items():
-            for j, (kernel, *args) in enumerate(reqs):
-                group = (kernel, None if kernel is eval_series_many else args[-1])
-                calls.setdefault(group, []).append((key, j, args))
-        answers = {key: [None] * len(reqs) for key, reqs in asked.items()}
-        for (kernel, _), group in calls.items():
-            start = time.perf_counter()
-            for (key, j, _), result in zip(group, _call_once(kernel, [args for _, _, args in group])):
-                answers[key][j] = result
-            shared[kernel is eval_series_many] += time.perf_counter() - start
+    asked, seconds, checks = {}, {}, {}
+    for key, body in bodies.items():
+        start = time.perf_counter()
+        asked[key] = next(body)
+        seconds[key] = time.perf_counter() - start
+    calls = {}  # kernel -> the arguments of each call, in the order of the bodies
+    for reqs in asked.values():
+        for kernel, *args in reqs:
+            calls.setdefault(kernel, []).append(args)
+    results, shared = {}, {True: 0.0, False: 0.0}
+    for kernel, args in calls.items():
+        start = time.perf_counter()
+        results[kernel] = iter(_call_once(kernel, args))
+        shared[kernel is eval_series_many] += time.perf_counter() - start
+    for key, body in bodies.items():
+        start = time.perf_counter()
+        try:
+            body.send([next(results[kernel]) for kernel, *_ in asked[key]])
+        except StopIteration as done:
+            checks[key] = done.value
+        seconds[key] += time.perf_counter() - start
     return checks, seconds, shared[False], shared[True]
 
 
@@ -242,8 +236,7 @@ def _trig_identity_body(mu: float, level: str):
     ws = _w_samples(mu, _SIZES[level].trig_per_region)
     witnessed = np.array([mu > 0.0 and region_of(W, mu) is not Region.NEAR_BORDER for W in ws])
     series_ws = [W for W, w in zip(ws, witnessed) if w]
-    (robust,) = yield [(trig_from_W_robust, np.array(ws), mu)]
-    (rows,) = yield [(eval_series_many, _witness_rows(series_ws, mu))]
+    robust, rows = yield [(trig_from_W_robust, np.array(ws), mu), (eval_series_many, _witness_rows(series_ws, mu))]
     series = _witness_bundles(series_ws, mu, rows)
     # the robust bundle of every W, then the series bundle of each witnessed W
     n, W = len(ws), np.concatenate([ws, series_ws])
@@ -280,8 +273,8 @@ def _derivative_body(mu: float, level: str):
     """Analytic W-derivatives against central finite differences.
 
     Uses the robust path on both sides of the difference quotient so the
-    quotient never straddles a series-region switch; one array bundle holds
-    every W and W +- step.
+    quotient never straddles a series-region switch; one 1-D bundle holds
+    every W and W +- step, and each value of it is reshaped into their rows.
     """
     names = {
         # (value from bundle, analytic derivative, relative FD step)
@@ -304,14 +297,15 @@ def _derivative_body(mu: float, level: str):
     }
     W = np.array(_w_samples(mu, _SIZES[level].derivative_per_region))
     rel_steps = (1e-6, 1e-5)
-    # row 0 is W, rows 2k + 1 and 2k + 2 are W - step and W + step of rel_steps[k]
+    # row 0 is W, rows 2k + 1 and 2k + 2 are W - step and W + step of rel_steps[k],
+    # joined for the bundle
     steps = [W + sign * (rel * W) for rel in rel_steps for sign in (-1.0, 1.0)]
-    (tb,) = yield [(trig_from_W_robust, np.stack([W] + steps), mu)]
+    (tb,) = yield [(trig_from_W_robust, np.concatenate([W] + steps), mu)]
     checks = []
     for name, (value, analytic, rel_step) in names.items():
-        k, v = 2 * rel_steps.index(rel_step), value(tb)
+        k, v = 2 * rel_steps.index(rel_step), value(tb).reshape(len(steps) + 1, -1)
         fd = (v[k + 2] - v[k + 1]) / (2.0 * (rel_step * W))
-        ref = analytic(tb)[0]
+        ref = analytic(tb)[: W.size]
         checks.append(CheckResult(name, _worst(np.abs(fd - ref) / np.maximum(np.abs(ref), 1e-12)), 1e-6))
     return checks
 
@@ -339,8 +333,8 @@ def _series_identity_body(mu: float):
                     (SeriesSpec(c, mu, region, SeriesKind.SA), W),
                     (SeriesSpec(a, mu, region, SeriesKind.SC), W),
                 ]
-    (tb_log,) = yield [(trig_from_W_robust, np.array([0.1 * border, 0.25 * border, 0.6 * border]), mu)]
-    (rows,) = yield [(eval_series_many, requests)]
+    log_ws = np.array([0.1 * border, 0.25 * border, 0.6 * border])
+    tb_log, rows = yield [(trig_from_W_robust, log_ws, mu), (eval_series_many, requests)]
     num, den, rat = np.reshape([res.value for res in rows], (-1, 3)).T
     r_ratio = _max_rel(num / den, rat)
 
@@ -391,7 +385,13 @@ def _metric_body(cfg: SystemConfig, level: str):
     # check; dW/dnu enters only through dW/dnu / W, which is NaN (and
     # skipped) where both overflow
     W, dw_dnu = compute_W(R, nu, cfg), dW_dnu(R, nu, cfg)
-    (_, _, mb, _), tb = yield [(closed_point, R, nu, cfg), (trig_from_W_robust, W, mu)]
+    # the five metric series, with the R and dW/dnu factors, at every point
+    # outside the guard band where each series value is a normal float (far
+    # from the border the large-nu prefactor W^(2a) underflows or overflows)
+    at = np.array([region_of(w, mu) is not Region.NEAR_BORDER for w in W.tolist()], dtype=bool)
+    requests = [(quantity_series(name, mu, region_of(w, mu)), w) for w in W[at].tolist() for name in _METRIC_SERIES]
+    asked = [(closed_point, R, nu, cfg), (trig_from_W_robust, W, mu), (eval_series_many, requests)]
+    (_, _, mb, _), tb, rows = yield asked
     with np.errstate(invalid="ignore"):
         r_link = _max_rel(mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2, (tb.f_C * tb.f_S * R * (dw_dnu / W)) ** 2)
     r_cross = max(
@@ -401,12 +401,6 @@ def _metric_body(cfg: SystemConfig, level: str):
     eps = 1e-12
     in_bounds = (1.0 / math.sqrt(1.0 + mu) - eps <= mb.h_R) & (mb.h_R <= 1.0 + eps)
     r_bounds = 0.0 if in_bounds.all() else 1.0
-    # the five metric series, with the R and dW/dnu factors, at every point
-    # outside the guard band where each series value is a normal float (far
-    # from the border the large-nu prefactor W^(2a) underflows or overflows)
-    at = np.array([region_of(w, mu) is not Region.NEAR_BORDER for w in W.tolist()], dtype=bool)
-    requests = [(quantity_series(name, mu, region_of(w, mu)), w) for w in W[at].tolist() for name in _METRIC_SERIES]
-    (rows,) = yield [(eval_series_many, requests)]
     values = np.reshape([res.value for res in rows], (-1, len(_METRIC_SERIES))).T
     normal = ((sys.float_info.min <= np.abs(values)) & (np.abs(values) < math.inf)).all(axis=0)
     hR2, Snu, jac, jac_hR2, jac_hnu2 = values[:, normal]
@@ -435,8 +429,9 @@ def _metric_body(cfg: SystemConfig, level: str):
 
 def _transform_body(cfg: SystemConfig, level: str):
     """Round trips, spheroid membership, |x|^2 from (R, s) and cone invariance:
-    one forward solve of every point, whose s and metrics the cone check
-    reuses, both inverse solves in one call, then the cone's forward solve."""
+    one shared forward solve of every point, whose s and metrics the cone
+    check reuses, then its own calls: both inverse solves in one
+    `cartesian_R_nu` call, then the cone's forward solve."""
     mu = cfg.mu
     rng = random.Random(TRANSFORM_SEED)
     R, nu, lam = np.array([
@@ -459,13 +454,10 @@ def _transform_body(cfg: SystemConfig, level: str):
     # fixed; W is compared in log form (it underflows at large mu).  The
     # point's own values at |nu| are its forward solve's, as s is odd in nu
     # and the rest even.
-    cone = np.abs(nu) > 1e-3
-    (back_R, back_nu, back_lam), (R2, nu2, _) = yield [
-        (cartesian_R_nu, x, y, z, cfg),
-        (cartesian_R_nu, 2.0 * x[cone], 2.0 * y[cone], 2.0 * z[cone], cfg),
-    ]
-    r_round = _worst(np.abs(back_R - R) / R, np.abs(back_nu - nu), np.abs(back_lam - lam))
-    ((s2, f_C2, m2, lw2),) = yield [(closed_point, R2, np.abs(nu2), cfg)]
+    cone, n = np.abs(nu) > 1e-3, R.size
+    back_R, back_nu, back_lam = cartesian_R_nu(*(np.append(c, 2.0 * c[cone]) for c in (x, y, z)), cfg)
+    r_round = _worst(np.abs(back_R[:n] - R) / R, np.abs(back_nu[:n] - nu), np.abs(back_lam[:n] - lam))
+    s2, f_C2, m2, lw2 = closed_point(back_R[n:], np.abs(back_nu[n:]), cfg)
     s1, h_R1 = np.abs(s[cone]), mb.h_R[cone]
     r_cone = _worst(
         np.abs(lw2 - log_w[cone]),
@@ -489,7 +481,8 @@ def _anchor_body(cfg: SystemConfig):
     transform residual is relative."""
     mu = cfg.mu
     nus = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, ANCHOR_N_NU)
-    ((s, f_C, mb, _),) = yield [(closed_point, cfg.R0, np.append(nus, [0.0, math.pi / 2]), cfg)]
+    points = np.append(nus, [0.0, math.pi / 2])
+    ((s, f_C, mb, _),) = yield [(closed_point, np.full(points.size, cfg.R0), points, cfg)]
     worst = _worst(np.abs(s[:-2] - s_on_reference(nus, mu)))
     lim = s_limit(mu)
     # the pole's `meridional` (z, rho): on the axis, at z = R0/sqrt(1+mu)
@@ -731,7 +724,7 @@ def _fit_body(cfg: SystemConfig):
     at one `closed_point` solve of the boundary points."""
     rng = random.Random(FIT_SEED)
     nus = np.linspace(-1.45, 1.45, 41)
-    ((s, f_C, mb, _),) = yield [(closed_point, cfg.R0, nus, cfg)]
+    ((s, f_C, mb, _),) = yield [(closed_point, np.full(nus.size, cfg.R0), nus, cfg)]
     z, rho = cfg.R0 * s / (1.0 + cfg.mu), cfg.R0 * f_C / mb.h_R  # `meridional`
     truth = HarmonicSolution(
         a=tuple(rng.uniform(-1.0, 1.0) for _ in range(6)), b=(), cfg=cfg
@@ -756,12 +749,13 @@ def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[Che
     `_SIZES[level]`; `full` widens every sweep.
 
     The suites with a body (trig, derivative, series and spherical-series
-    identities, metrics, transforms, anchor and fit) run together in rounds
-    (`_run_bodies`): one call per closed point kernel a round, then every
-    series row in one `eval_series_many` call, the series witness.  If
-    `timings` is a list, one (suite name, seconds) pair is appended to it per
-    suite, in suite order, a suite's seconds without the shared calls, then
-    ("closed_kernels", seconds) and ("series_witness", seconds).
+    identities, metrics, transforms, anchor and fit) run together in one
+    round (`_run_bodies`): one call per closed point kernel, and every series
+    row in one `eval_series_many` call, the series witness.  If `timings` is
+    a list, one (suite name, seconds) pair is appended to it per suite, in
+    suite order, a suite's seconds without the shared round (the transform
+    suite's own kernel calls included), then ("closed_kernels", seconds)
+    and ("series_witness", seconds), the shared round's.
     """
     if level not in _SIZES:
         raise ValueError("level must be 'quick' or 'full'")

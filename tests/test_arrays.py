@@ -33,8 +33,9 @@ from sosharmonics.harmonic import (
     HarmonicSolution,
     eval_V_at,
     eval_V_cartesian,
-    fd_stencil,
-    laplacian_residual_fd,
+    fd_laplacian,
+    solid_V,
+    stencil_meridional,
 )
 from sosharmonics.trig import (
     closed_trig,
@@ -228,12 +229,12 @@ def test_array_stencil_has_the_bits_of_float_calls(mu, kind, n):
     shell = [_shell_point(rng, cfg, 0.9 if kind == "b" else None) for _ in range(40)]
     c = CartesianPoint(*np.array([(p.x, p.y, p.z) for p in shell]).T)
     for h in (1e-2, 5e-3):
-        lap = laplacian_residual_fd(sol, c, h)
-        v = fd_stencil(sol, c, h)
+        v = solid_V(sol, *stencil_meridional(c, h))
+        lap = fd_laplacian(v, h)
         central = (v[1::2] - v[2::2]) / (2.0 * h)
         for k, p in enumerate(shell):
             want_lap, want_grad = _float_stencil(sol, p, h)
-            assert lap[k] == want_lap == laplacian_residual_fd(sol, p, h)
+            assert lap[k] == want_lap == fd_laplacian(solid_V(sol, *stencil_meridional(p, h)), h)
             assert math.hypot(*central[:, k].tolist()) == want_grad
 
 
@@ -241,8 +242,8 @@ def test_array_stencil_has_the_bits_of_float_calls(mu, kind, n):
 @pytest.mark.parametrize("mu", [2.0, 200.0])
 def test_one_stencil_pass_matches_fd_stencil_for_every_mode(mu, R0):
     """`_mode_stencils` sums each pure mode by the forward solid step in
-    units of R0, where `fd_stencil` sums it by Clenshaw's pass at the point
-    and step scaled by R0: both err by a few ulp of the size (r/R0)^n of the
+    units of R0, where `solid_V` sums it by Clenshaw's pass at the stencil
+    (`stencil_meridional`) of the point and step scaled by R0: both err by a few ulp of the size (r/R0)^n of the
     mode's terms, |P_n^cl| <= 1 (4 ulp seen)."""
     cfg = SystemConfig(mu=mu, R0=R0)
     modes = [(False, n) for n in range(7)] + [(True, n) for n in range(4)]
@@ -261,7 +262,8 @@ def test_one_stencil_pass_matches_fd_stencil_for_every_mode(mu, R0):
         r = np.sqrt(c.x[at] ** 2 + c.y[at] ** 2 + c.z[at] ** 2)
         for got, h in zip(v, steps.tolist()):
             size = np.max(r + h) ** n
-            assert np.max(np.abs(got[:, at] - fd_stencil(sol, point, h * R0))) <= 16.0 * np.spacing(size), (kind, n)
+            want = solid_V(sol, *stencil_meridional(point, h * R0))
+            assert np.max(np.abs(got[:, at] - want)) <= 16.0 * np.spacing(size), (kind, n)
 
 
 def test_harmonicity_checks_take_one_basis_pass_per_kind_and_no_fd_stencil(monkeypatch):
@@ -273,11 +275,11 @@ def test_harmonicity_checks_take_one_basis_pass_per_kind_and_no_fd_stencil(monke
         return solid_values(N, z, rho, second_kind)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("harmonicity_checks called fd_stencil")
+        raise AssertionError("harmonicity_checks summed a stencil by solid_V")
 
     monkeypatch.setattr(legendre, "solid_values", counted)
     for module in (harmonic, verify):
-        monkeypatch.setattr(module, "fd_stencil", forbidden, raising=False)
+        monkeypatch.setattr(module, "solid_V", forbidden)
     checks = verify.harmonicity_checks(SystemConfig(mu=2.0), "quick")
     assert all(c.passed for c in checks)
     # both steps, every arm, the points of every mode of the kind
@@ -285,8 +287,7 @@ def test_harmonicity_checks_take_one_basis_pass_per_kind_and_no_fd_stencil(monke
 
 
 def test_harmonicity_stencil_on_the_axis_is_out_of_domain():
-    """A Q_n stencil arm on the axis raises, as `fd_stencil` does; a P_n one
-    does not."""
+    """A Q_n stencil arm on the axis raises; a P_n one does not."""
     c = CartesianPoint(np.array([1e-2, 1.0]), np.array([0.0, 0.5]), np.array([0.5, 0.5]))
     _mode_stencils(c, np.array([1, 1]), np.array([False, False]), np.array([1e-2]))
     with pytest.raises(StencilOutOfDomainError):

@@ -266,13 +266,22 @@ class TestDomainExits:
         # the metric suite's W form divides by an underflowed cos^(1+mu) nu
         self.expect_domain(capsys, ["verify", "--config", config(tmp_path, 1000.0), "--level", "quick"])
 
-    @pytest.mark.parametrize("mu", [300.0, 1000.0])
+    @pytest.mark.parametrize("mu", [248.0, 300.0, 1000.0])
     def test_verify_past_the_float_range_of_W(self, capsys, tmp_path, mu):
-        # the metric suite's W = (R/R0)^mu sin nu / cos^(1+mu) nu divides by
-        # an underflowed power of cos nu (and at mu = 1000 a shared
-        # closed_point call meets an underflowed h_nu): one line, exit 3
+        # at every mu >= 248 the metric suite's W = (R/R0)^mu sin nu /
+        # cos^(1+mu) nu (from mu = 246.7 or so its dW/dnu) divides by an
+        # underflowed power of cos nu before any kernel call: one line, exit 3
         rc, out, err = run(capsys, ["verify", "--config", config(tmp_path, mu), "--level", "quick"])
         assert (rc, out, err) == (3, "", "domain error: ZeroDivisionError: float division by zero\n")
+
+    @pytest.mark.parametrize("mu, row", [(205.0, "a=-1.0, mu=205.0, W=0.04977693304416631"),
+                                         (246.0, "a=0.0, mu=246.0, W=0.04544912436791078")])
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_verify_past_the_series_term_cap(self, capsys, tmp_path, mu, row, level):
+        # below mu = 248 every point kernel returns, and the series witness
+        # stops at its term cap in the large-nu region: one line, exit 3
+        rc, out, err = run(capsys, ["verify", "--config", config(tmp_path, mu), "--level", level])
+        assert (rc, out, err) == (3, "", f"domain error: no convergence within 20000 terms ({row})\n")
 
     @pytest.mark.parametrize("R, nu", [("1", "nan"), ("inf", "0.5"), ("nan", "0.5")])
     def test_non_finite_point(self, capsys, cfg2, R, nu):

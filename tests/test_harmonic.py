@@ -18,14 +18,15 @@ from sosharmonics.harmonic import (
     eval_V,
     eval_V_at,
     eval_V_cartesian,
+    fd_laplacian,
     fit_boundary,
-    laplacian_residual_fd,
     load_solution,
     s_at_point,
     save_solution,
-    separation_check,
+    solid_V,
     solution_from_dict,
     solution_to_dict,
+    stencil_meridional,
     sum_V,
 )
 
@@ -39,12 +40,6 @@ def mode(cfg, n, kind="a"):
     if kind == "a":
         return HarmonicSolution(a=coeffs, b=(), cfg=cfg)
     return HarmonicSolution(a=(), b=coeffs, cfg=cfg)
-
-
-class TestSeparation:
-    @pytest.mark.parametrize("kd, kb", [(0.0, 0.0), (1.0, -1.0), (2.0, 0.0), (5.0, 15.0)])
-    def test_values(self, kd, kb):
-        assert separation_check(kd) == kb
 
 
 class TestEvalV:
@@ -137,6 +132,12 @@ class TestEvalV:
         assert eval_V_at(sol, SosPoint(R=2.0, nu=0.7)) == approx(z, rel=1e-12)
 
 
+def laplacian_residual_fd(sol, c, h):
+    """The 7-point Laplacian of V at c with step h, each stencil value summed
+    at its own (z, rho)."""
+    return fd_laplacian(solid_V(sol, *stencil_meridional(c, h)), h)
+
+
 class TestLaplacian:
     def test_constant_field_exact(self):
         sol = HarmonicSolution(a=(1.0,), b=(), cfg=CFG2)
@@ -182,9 +183,10 @@ class TestLaplacian:
             laplacian_residual_fd(sol, CartesianPoint(1e-2, 0.0, 0.0), 1e-2)
 
     def test_stencil_hits_axis_with_second_kind(self):
-        sol = mode(CFG2, 1, kind="b")
+        # verify's stencil of the mode (R/R0) Q_1(s)
+        c = CartesianPoint(np.array([1e-2]), np.array([0.0]), np.array([0.5]))
         with pytest.raises(StencilOutOfDomainError):
-            laplacian_residual_fd(sol, CartesianPoint(1e-2, 0.0, 0.5), 1e-2)
+            verify._mode_stencils(c, np.array([1]), np.array([True]), np.array([1e-2]))
 
     def test_harmonicity_checks_at_mu_200_full_level(self):
         # the `verify --level full` parameters; near the axis V is summed at

@@ -428,10 +428,11 @@ def _closed_kernel_calls(monkeypatch, level):
 
 
 def test_verify_makes_one_call_per_closed_kernel_a_round(monkeypatch):
-    # every suite's points go to one call of each kernel a round: the forward
-    # solves, the trig bundles and both inverse solves in the first rounds,
-    # the cone check's forward solve after them; the metric suite's W and
-    # dW/dnu and the trig suite's W(s) are one array call each
+    # every suite's points go to one call of each kernel in the one shared
+    # round: the forward solves and the trig bundles; the transform suite
+    # then makes both inverse solves in one call and the cone check's
+    # forward solve; the metric suite's W and dW/dnu and the trig suite's
+    # W(s) are one array call each
     assert _closed_kernel_calls(monkeypatch, "quick") == ({
         "closed_point": [118, 40], "trig_from_W_robust": [78], "cartesian_R_nu": [80],
         "compute_W": [15], "dW_dnu": [15], "w_from_s": [27], "sos_to_cartesian": [],
