@@ -40,6 +40,7 @@ from .coords import (
     cartesian_point,
     cartesian_R_s,
     closed_point,
+    config_from_dict,
 )
 from .errors import SosError
 from .harmonic import (
@@ -103,7 +104,7 @@ def _load_config(path: str) -> SystemConfig:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             raise ValueError("config must be a JSON object")
-        return SystemConfig(mu=float(payload["mu"]), R0=float(payload["R0"]))
+        return config_from_dict(payload)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad config file {path}: {exc}") from exc
 
@@ -204,10 +205,6 @@ def _grid_rows(cfg: SystemConfig, spec: GridSpec, quantity: str, sol):
 
     Whole rows are evaluated together, at most _BLOCK_CELLS cells or one
     row at a time, so memory stays bounded however large the grid."""
-    if quantity not in ("s", "V", "hR", "W"):
-        raise ValueError("quantity must be one of s, V, hR, W")
-    if quantity == "V" and sol is None:
-        raise ValueError("quantity V needs a coefficient file")
     xs, zs = _grid_axes(spec)
     x = np.array(xs) * cfg.R0
     rows = max(1, _BLOCK_CELLS // spec.nx)
@@ -296,7 +293,11 @@ def cmd_fit(args) -> int:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["nu", "V"]:
                 raise ValueError("samples CSV must have header 'nu,V'")
-            samples = [(float(row["nu"]), float(row["V"])) for row in reader]
+            samples = []
+            for row in reader:  # a short row has a None value, a long one a None key
+                if None in row or None in row.values():
+                    raise ValueError(f"line {reader.line_num} must have two fields")
+                samples.append((float(row["nu"]), float(row["V"])))
     except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"bad samples file {args.samples}: {exc}") from exc
     sol, diag = fit_boundary(

@@ -11,8 +11,11 @@ of W alone times explicit R and dW/dnu factors.  Negative latitudes map by
 mirror symmetry (W odd in nu, all metric quantities even).  Each input
 kind has one closed body, `closed_point` for (R, nu) and `cartesian_closed`
 for (x, y, z); each solves the closed inversion once, in log W
-(`trig.solve_logit`), and both share one h_nu/J tail.  The poles are a
-closed case of it; only `compute_W` and `dW_dnu` refuse them.
+(`trig.solve_logit`), and both share one h_nu/J tail.  Each forms
+mu log(R/R0) once, from one log of the ratio R/R0 (`_log_scale`), so no
+point kernel depends on the size of R0.  The poles are a closed case of it;
+only `compute_W` and `dW_dnu` refuse them.  `closed_meridional` is the one
+meridional map (z, rho) of a closed point.
 
 The point kernels take floats or numpy arrays that broadcast together, and
 each has one numpy body (`trig._point_kernel`).  A float call is one element
@@ -53,6 +56,21 @@ class SystemConfig:
             raise ValueError("mu must be finite and non-negative")
         if not (self.R0 > 0.0 and math.isfinite(self.R0)):
             raise ValueError("R0 must be finite and positive")
+
+
+def _is_number(v) -> bool:
+    """Whether v is a JSON number: an int or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def config_from_dict(payload) -> SystemConfig:
+    """The SystemConfig of a JSON object's "mu" and "R0", each a number
+    (`_is_number`): KeyError where one is missing, ValueError where one is
+    not a number or is out of range."""
+    for key in ("mu", "R0"):
+        if not _is_number(payload[key]):
+            raise ValueError(f"field {key!r} must be a number")
+    return SystemConfig(mu=float(payload["mu"]), R0=float(payload["R0"]))
 
 
 @dataclass(frozen=True)
@@ -134,8 +152,18 @@ def dW_dnu(R, nu, cfg: SystemConfig):
     return scale * (1.0 + mu * sn * sn) / cos_dw
 
 
-def _metrics(R, s, f_C, h_R, sn, cs, cfg: SystemConfig) -> MetricBundle:
-    """Metrics from |s|, f_C, h_R, sn = sin|nu| and cs = cos nu.
+def _log_scale(R, cfg: SystemConfig):
+    """mu log(R/R0), floats or arrays: one log of the ratio R/R0 where it is
+    a normal float, as in `compute_W`, so the result does not depend on the
+    size of R0; log R - log R0 where the ratio overflows or is subnormal."""
+    ratio = R / cfg.R0
+    normal = (sys.float_info.min <= ratio) & (ratio < math.inf)
+    return cfg.mu * np.where(normal, np.log(ratio), np.log(R) - math.log(cfg.R0))
+
+
+def _metrics(R, s, f_C, h_R, sn, cs, log_scale, cfg: SystemConfig) -> MetricBundle:
+    """Metrics from |s|, f_C, h_R, sn = sin|nu|, cs = cos nu and
+    log_scale = mu log(R/R0) (`_log_scale`).
 
     (dW/dnu)/W = (1 + mu sn^2)/(sn cs) gives h_nu = R (1 + mu sn^2) f_C (s/sn)
     / ((1+mu) cs) and J = R h_nu f_C.  Where s is below the normal range
@@ -148,7 +176,7 @@ def _metrics(R, s, f_C, h_R, sn, cs, cfg: SystemConfig) -> MetricBundle:
     """
     mu, e = cfg.mu, 1.0 + cfg.mu
     pole, tiny = cs == 0.0, s < sys.float_info.min
-    log_lift = mu * (np.log(R) - math.log(cfg.R0)) - e * np.log(np.where(tiny, cs, 1.0))
+    log_lift = log_scale - e * np.log(np.where(tiny, cs, 1.0))
     lift = np.exp(np.where(tiny, log_lift, 0.0))
     if np.isinf(lift).any():
         raise OverflowError("math range error")
@@ -172,7 +200,7 @@ def _metrics(R, s, f_C, h_R, sn, cs, cfg: SystemConfig) -> MetricBundle:
 def closed_point(R, nu, cfg: SystemConfig):
     """(s, f_C, metrics, log|W|) at R > 0, |nu| <= pi/2: the SOS point kernel.
 
-    log|W| = mu (log R - log R0) - (1+mu) log cos nu + log sin|nu| is solved
+    log|W| = mu log(R/R0) - (1+mu) log cos nu + log sin|nu| is solved
     for the logit of t = s^2/(1+mu) (`trig.solve_logit`); it is +inf at the poles,
     which get s = +-sqrt(1+mu) and f_C = 0.  s is odd in nu, the rest even.
     R and nu are floats, or arrays that broadcast together.
@@ -182,9 +210,10 @@ def closed_point(R, nu, cfg: SystemConfig):
     R, nu = np.broadcast_arrays(R, nu)
     sn = np.sin(abs(nu))
     cs = np.where(abs(nu) < _HALF_PI, np.cos(nu), 0.0)  # cos(pi/2) rounds to 6e-17
-    log_w = mu * (np.log(R) - math.log(cfg.R0)) - (1.0 + mu) * np.log(cs) + np.log(sn)
+    log_scale = _log_scale(R, cfg)
+    log_w = log_scale - (1.0 + mu) * np.log(cs) + np.log(sn)
     h_R, f_C, s = closed_trig(solve_logit(log_w, mu), mu)
-    return np.where(nu < 0.0, -s, s), f_C, _metrics(R, s, f_C, h_R, sn, cs, cfg), log_w
+    return np.where(nu < 0.0, -s, s), f_C, _metrics(R, s, f_C, h_R, sn, cs, log_scale, cfg), log_w
 
 
 def metrics_at(R: float, nu: float, cfg: SystemConfig) -> MetricBundle:
@@ -192,11 +221,17 @@ def metrics_at(R: float, nu: float, cfg: SystemConfig) -> MetricBundle:
     return closed_point(R, nu, cfg)[2]
 
 
+def closed_meridional(R, s, f_C, h_R, mu: float):
+    """The meridional (z, rho) = (R s/(1+mu), R f_C/h_R) of a closed point's
+    R, s, f_C and h_R; floats or arrays."""
+    return R * s / (1.0 + mu), R * f_C / h_R
+
+
 def meridional(R, nu, cfg: SystemConfig):
-    """(z, rho) = (R s/(1+mu), R f_C/h_R) from `closed_point`, poles included;
+    """(z, rho) from `closed_point` (`closed_meridional`), poles included;
     floats or arrays."""
     s, f_C, mb, _ = closed_point(R, nu, cfg)
-    return R * s / (1.0 + cfg.mu), R * f_C / mb.h_R
+    return closed_meridional(R, s, f_C, mb.h_R, cfg.mu)
 
 
 @_point_kernel
@@ -256,12 +291,12 @@ def cartesian_closed(x, y, z, mu: float):
     return R, s, h_R, rho / R * h_R, log_w
 
 
-def _solve_nu(x, y, z, R, log_w, cfg: SystemConfig):
+def _solve_nu(x, y, z, log_w, log_scale, mu: float):
     """(nu, lam, sin|nu|, cos nu): t = log tan^2 nu solves
-    t/2 + (mu/2) log(1 + e^t) = log W - mu (log R - log R0) (`trig.solve_logit`),
-    and sin^2 nu, cos^2 nu are the logistic function of t and of -t."""
-    mu = cfg.mu
-    t = solve_logit(log_w - mu * (np.log(R) - math.log(cfg.R0)), mu)
+    t/2 + (mu/2) log(1 + e^t) = log W - log_scale (`trig.solve_logit`), with
+    log_scale = mu log(R/R0) (`_log_scale`), and sin^2 nu, cos^2 nu are the
+    logistic function of t and of -t."""
+    t = solve_logit(log_w - log_scale, mu)
     sp, sp_neg = _softplus(t)
     sn, cs = np.exp(-0.5 * sp_neg), np.exp(-0.5 * sp)
     return np.copysign(np.arctan2(sn, cs), z), np.arctan2(y, x), sn, cs
@@ -273,7 +308,7 @@ def cartesian_R_nu(x, y, z, cfg: SystemConfig):
     together: the inverse transform, R and log|W| from `cartesian_closed`
     and nu from one logit solve.  The origin raises DegenerateOriginError."""
     R, _, _, _, log_w = cartesian_closed(x, y, z, cfg.mu)
-    return (R, *_solve_nu(x, y, z, R, log_w, cfg)[:2])
+    return (R, *_solve_nu(x, y, z, log_w, _log_scale(R, cfg), cfg.mu)[:2])
 
 
 def cartesian_to_sos(c: CartesianPoint, cfg: SystemConfig) -> SosPoint:
@@ -289,5 +324,6 @@ def cartesian_point(
     and log|W| from `cartesian_closed`, nu, h_nu and J from one logit solve;
     no float nu is inverted.  The axis gets the closed pole metrics."""
     R, s, h_R, f_C, log_w = cartesian_closed(c.x, c.y, c.z, cfg.mu)
-    nu, lam, sn, cs = _solve_nu(c.x, c.y, c.z, R, log_w, cfg)
-    return SosPoint(R, nu, lam), s, f_C, _metrics(R, abs(s), f_C, h_R, sn, cs, cfg), log_w
+    log_scale = _log_scale(R, cfg)
+    nu, lam, sn, cs = _solve_nu(c.x, c.y, c.z, log_w, log_scale, cfg.mu)
+    return SosPoint(R, nu, lam), s, f_C, _metrics(R, abs(s), f_C, h_R, sn, cs, log_scale, cfg), log_w

@@ -40,7 +40,9 @@ from .coords import (
     CartesianPoint,
     SosPoint,
     SystemConfig,
+    _is_number,
     closed_point,
+    config_from_dict,
     meridional,
 )
 from .errors import (
@@ -262,12 +264,9 @@ def solution_from_dict(payload) -> HarmonicSolution:
     if payload["convention"] != FILE_CONVENTION:
         raise ValueError(f"unknown coefficient convention {payload['convention']!r}")
     for key in ("a", "b"):
-        if not isinstance(payload[key], list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in payload[key]
-        ):
+        if not isinstance(payload[key], list) or not all(map(_is_number, payload[key])):
             raise ValueError(f"field {key!r} must be an array of numbers")
-    cfg = SystemConfig(mu=float(payload["mu"]), R0=float(payload["R0"]))
-    return HarmonicSolution(a=tuple(payload["a"]), b=tuple(payload["b"]), cfg=cfg)
+    return HarmonicSolution(a=tuple(payload["a"]), b=tuple(payload["b"]), cfg=config_from_dict(payload))
 
 
 def save_solution(sol: HarmonicSolution, path) -> None:

@@ -12,8 +12,8 @@ Every member of the bundle follows from its one root, which `solve_logit`
 finds in log space for every W, the border band included.  The Polya-Szego
 series bundle `trig_from_W` is kept as the witness that `verify` checks the
 closed forms against; `verify` sums its series rows (`_witness_rows`) at
-every W with those of its other suites and takes the bundles from their
-results (`_witness_bundles`).
+every W with those of its other suites and takes one bundle of arrays from
+their values (`_witness_bundle`).
 
 The closed kernel (`solve_logit`, `closed_trig`, `trig_from_W_robust`,
 `s_on_reference`, `w_from_s`) has one numpy body (`_point_kernel`), for
@@ -68,7 +68,7 @@ def _point_kernel(body):
     def kernel(*args, **kwargs):
         with np.errstate(all="ignore"):
             result = body(*args, **kwargs)
-        return result if _has_numpy((*args, *kwargs.values())) else _as_float(result)
+        return result if _has_numpy((*args, *kwargs.values())) else _walk(result, float)
 
     return kernel
 
@@ -81,13 +81,15 @@ def _has_numpy(values) -> bool:
     )
 
 
-def _as_float(v):
-    """v with every number a Python float, through tuples and records."""
+def _walk(v, leaf):
+    """v with leaf applied to each of its values, through tuples and records:
+    `float` gives a kernel's float results, a slice one call's part of a
+    joined array call (`verify`)."""
     if isinstance(v, tuple):
-        return tuple(map(_as_float, v))
+        return tuple(_walk(f, leaf) for f in v)
     if is_dataclass(v):
-        return type(v)(*map(_as_float, vars(v).values()))
-    return float(v)
+        return type(v)(*(_walk(f, leaf) for f in vars(v).values()))
+    return leaf(v)
 
 
 def s_limit(mu: float) -> float:
@@ -177,7 +179,18 @@ def _spherical_bundle(W: float) -> TrigBundle:
 
 def trig_from_W(W: float, mu: float) -> TrigBundle:
     """Series evaluation of the bundle (the witness); refuses the guard band."""
-    return _witness_bundles([W], mu, eval_series_many(_witness_rows([W], mu)))[0]
+    values = _series_values(_witness_rows([W], mu))
+    if mu == 0.0:
+        return _spherical_bundle(W)
+    if W == 0.0:
+        return TrigBundle(W=0.0, h_R=1.0, f_S=0.0, f_C=1.0, s=0.0, mu=mu)
+    return _walk(_witness_bundle(W, mu, values), float)
+
+
+def _series_values(rows) -> np.ndarray:
+    """The values of the series rows (spec, W), as one float array, from one
+    `eval_series_many` call."""
+    return np.array([res.value for res in eval_series_many(rows)])
 
 
 def _witness_rows(Ws, mu: float) -> list:
@@ -198,21 +211,13 @@ def _witness_rows(Ws, mu: float) -> list:
     return requests
 
 
-def _witness_bundles(Ws, mu: float, results) -> list[TrigBundle]:
-    """The bundles of `trig_from_W` at every W of Ws from the results of
-    their `_witness_rows`."""
-    values = iter([res.value for res in results])
-    out = []
-    for W in Ws:
-        if mu == 0.0:
-            out.append(_spherical_bundle(W))
-        elif W == 0.0:
-            out.append(TrigBundle(W=0.0, h_R=1.0, f_S=0.0, f_C=1.0, s=0.0, mu=mu))
-        else:
-            h_R, f_C = math.sqrt(next(values)), math.sqrt(next(values))
-            f_S = math.sqrt((1.0 + mu) * W * W * next(values))
-            out.append(TrigBundle(W=W, h_R=h_R, f_S=f_S, f_C=f_C, s=f_S / h_R, mu=mu))
-    return out
+def _witness_bundle(W, mu: float, values) -> TrigBundle:
+    """The bundle of `trig_from_W` at W > 0 (a float or a 1-D array) and
+    mu > 0 from the values of its `_witness_rows`, in order."""
+    hR2, fC2, fS2 = np.reshape(values, np.shape(W) + (3,)).T
+    h_R, f_C = np.sqrt(hR2), np.sqrt(fC2)
+    f_S = np.sqrt((1.0 + mu) * W * W * fS2)
+    return TrigBundle(W=W, h_R=h_R, f_S=f_S, f_C=f_C, s=f_S / h_R, mu=mu)
 
 
 @_point_kernel

@@ -15,15 +15,18 @@ The suites that call a closed point kernel (`closed_point`,
 `trig_from_W_robust`) or the series witness (`eval_series_many`) are
 generator bodies that yield all their calls as one list of requests, and
 `run_suite` answers every list in one round: one call per kernel over the
-points and rows of every suite, each suite getting its slice.  The
-transform suite, whose later solves depend on its first, then calls
-`cartesian_R_nu` and `closed_point` itself.  A quick run at mu = 2 makes
-two `closed_point` calls (the shared forward solves, then the cone
-check's), one `trig_from_W_robust`, one `cartesian_R_nu` and one
-`eval_series_many` (177 rows).  The metric suite's W and dW/dnu are one
-`compute_W` and one `dW_dnu` call, and the trig suite's W(s) one
-`w_from_s` call.  `verify --json` times the shared round as
-`closed_kernels` and `series_witness`.
+points and rows of every suite.  Each suite gets its slice as arrays: a
+point kernel's records of arrays, and the series witness's values as one
+float array, from which the trig suite forms its series bundle
+(`trig._witness_bundle`).  The transform, anchor and fit suites take
+(z, rho) from `coords.closed_meridional`.  The transform suite, whose later
+solves depend on its first, then calls `cartesian_R_nu` and `closed_point`
+itself.  A quick run at mu = 2 makes two `closed_point` calls (the shared
+forward solves, then the cone check's), one `trig_from_W_robust`, one
+`cartesian_R_nu` and one `eval_series_many` (177 rows).  The metric
+suite's W and dW/dnu are one `compute_W` and one `dW_dnu` call, and the
+trig suite's W(s) one `w_from_s` call.  `verify --json` times the shared
+round as `closed_kernels` and `series_witness`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -41,9 +44,11 @@ import numpy as np
 from . import legendre
 from .coords import (
     CartesianPoint,
+    MetricBundle,
     SystemConfig,
     cartesian_R_nu,
     cartesian_R_s,
+    closed_meridional,
     closed_point,
     compute_W,
     dW_dnu,
@@ -68,7 +73,9 @@ from .series import (
     w_border,
 )
 from .trig import (
-    _witness_bundles,
+    _series_values,
+    _walk,
+    _witness_bundle,
     _witness_rows,
     d_fC2_dW,
     d_fS_over_fC_dW,
@@ -161,38 +168,28 @@ def _w_samples(mu: float, per_region: int) -> list[float]:
 # arguments, every point argument a 1-D array of one length:
 # `closed_point(R, nu, cfg)`, `trig_from_W_robust(W, mu)`, or the series
 # witness `eval_series_many(rows)`.  It receives their results, in order,
-# and returns its checks.  `run_suite` runs every body together
-# (`_run_bodies`).
-
-
-def _parts(v, bounds) -> list:
-    """The part of a kernel result v of each call: the slice (start, stop)
-    of each of bounds of every array or list, through tuples and records;
-    other values as they are."""
-    if isinstance(v, tuple):
-        return list(zip(*(_parts(f, bounds) for f in v)))
-    if is_dataclass(v):
-        return [type(v)(*f) for f in zip(*(_parts(f, bounds) for f in vars(v).values()))]
-    if isinstance(v, (list, np.ndarray)):
-        return [v[a:b] for a, b in bounds]
-    return [v] * len(bounds)
+# the series witness's as one float array of the rows' values, and returns
+# its checks.  `run_suite` runs every body together (`_run_bodies`).
 
 
 def _call_once(kernel, calls: list[tuple]) -> list:
     """The result of kernel at each argument tuple of calls, from one call.
 
-    The series witness takes the rows of every call.  A point kernel takes
-    the point arguments of every call joined, and the last argument (cfg or
-    mu), which every call shares; each call gets its slice of every result
+    The series witness takes the rows of every call, and each call gets the
+    values of its rows as one float array.  A point kernel takes the point
+    arguments of every call joined, and the last argument (cfg or mu),
+    which every call shares; each call gets its slice of every result
     array.  Every point kernel is elementwise, so a slice has the bits of
     the call alone.
     """
     ends = list(accumulate(len(args[0]) for args in calls))
     if kernel is eval_series_many:
-        result = kernel([row for (rows,) in calls for row in rows])
+        result = _series_values([row for (rows,) in calls for row in rows])
     else:
         result = kernel(*map(np.concatenate, zip(*(args[:-1] for args in calls))), calls[0][-1])
-    return _parts(result, list(zip([0] + ends, ends)))
+    return [
+        _walk(result, lambda v: v[a:b] if isinstance(v, np.ndarray) else v) for a, b in zip([0] + ends, ends)
+    ]
 
 
 def _run_bodies(bodies: dict) -> tuple[dict, dict, float, float]:
@@ -233,16 +230,14 @@ def _run_bodies(bodies: dict) -> tuple[dict, dict, float, float]:
 def _trig_identity_body(mu: float, level: str):
     """Pythagorean/scale-factor relations and the closed W(s) inversion, at
     the robust bundle of every W and the series bundle outside the guard band."""
-    ws = _w_samples(mu, _SIZES[level].trig_per_region)
-    witnessed = np.array([mu > 0.0 and region_of(W, mu) is not Region.NEAR_BORDER for W in ws])
-    series_ws = [W for W, w in zip(ws, witnessed) if w]
-    robust, rows = yield [(trig_from_W_robust, np.array(ws), mu), (eval_series_many, _witness_rows(series_ws, mu))]
-    series = _witness_bundles(series_ws, mu, rows)
+    ws = np.array(_w_samples(mu, _SIZES[level].trig_per_region))
+    witnessed = np.array([mu > 0.0 and region_of(W, mu) is not Region.NEAR_BORDER for W in ws.tolist()])
+    series_ws = ws[witnessed]
+    robust, values = yield [(trig_from_W_robust, ws, mu), (eval_series_many, _witness_rows(series_ws.tolist(), mu))]
+    series = _witness_bundle(series_ws, mu, values)
     # the robust bundle of every W, then the series bundle of each witnessed W
-    n, W = len(ws), np.concatenate([ws, series_ws])
-    h_R, f_S, f_C, s = (
-        np.concatenate([getattr(robust, f), [getattr(tb, f) for tb in series]]) for f in ("h_R", "f_S", "f_C", "s")
-    )
+    n, fields = ws.size, ("W", "h_R", "f_S", "f_C", "s")
+    W, h_R, f_S, f_C, s = (np.concatenate([getattr(robust, f), getattr(series, f)]) for f in fields)
     r_pyth = _worst(np.abs(f_S**2 + f_C**2 - 1.0))
     # squared sine/cosine ratio against the s form
     r_ratio = _max_rel(f_S**2 / f_C**2, (1.0 + mu) * s**2 / ((1.0 + mu) - s**2))
@@ -334,8 +329,8 @@ def _series_identity_body(mu: float):
                     (SeriesSpec(a, mu, region, SeriesKind.SC), W),
                 ]
     log_ws = np.array([0.1 * border, 0.25 * border, 0.6 * border])
-    tb_log, rows = yield [(trig_from_W_robust, log_ws, mu), (eval_series_many, requests)]
-    num, den, rat = np.reshape([res.value for res in rows], (-1, 3)).T
+    tb_log, values = yield [(trig_from_W_robust, log_ws, mu), (eval_series_many, requests)]
+    num, den, rat = np.reshape(values, (-1, 3)).T
     r_ratio = _max_rel(num / den, rat)
 
     r_log = 0.0
@@ -364,8 +359,8 @@ def _spherical_series_body():
         for W in (1.5, 3.0, 20.0):
             requests.append((SeriesSpec(a, 0.0, Region.LARGE_NU, SeriesKind.SA), W))
             closed.append(W ** (2 * a) * (1.0 + W**-2.0) ** a)
-    (rows,) = yield [(eval_series_many, requests)]
-    worst = _max_rel(np.array([res.value for res in rows]), np.array(closed))
+    (values,) = yield [(eval_series_many, requests)]
+    worst = _max_rel(values, np.array(closed))
     return [CheckResult("series.spherical_closed_forms", worst, 1e-12)]
 
 
@@ -391,7 +386,7 @@ def _metric_body(cfg: SystemConfig, level: str):
     at = np.array([region_of(w, mu) is not Region.NEAR_BORDER for w in W.tolist()], dtype=bool)
     requests = [(quantity_series(name, mu, region_of(w, mu)), w) for w in W[at].tolist() for name in _METRIC_SERIES]
     asked = [(closed_point, R, nu, cfg), (trig_from_W_robust, W, mu), (eval_series_many, requests)]
-    (_, _, mb, _), tb, rows = yield asked
+    (_, _, mb, _), tb, values = yield asked
     with np.errstate(invalid="ignore"):
         r_link = _max_rel(mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2, (tb.f_C * tb.f_S * R * (dw_dnu / W)) ** 2)
     r_cross = max(
@@ -401,13 +396,16 @@ def _metric_body(cfg: SystemConfig, level: str):
     eps = 1e-12
     in_bounds = (1.0 / math.sqrt(1.0 + mu) - eps <= mb.h_R) & (mb.h_R <= 1.0 + eps)
     r_bounds = 0.0 if in_bounds.all() else 1.0
-    values = np.reshape([res.value for res in rows], (-1, len(_METRIC_SERIES))).T
+    values = np.reshape(values, (-1, len(_METRIC_SERIES))).T
     normal = ((sys.float_info.min <= np.abs(values)) & (np.abs(values) < math.inf)).all(axis=0)
     hR2, Snu, jac, jac_hR2, jac_hnu2 = values[:, normal]
     R_at = R[at][normal]
     k = R_at / math.sqrt(1.0 + mu) * dw_dnu[at][normal]
-    series = (np.sqrt(hR2), k * np.sqrt(Snu), R_at * k * jac, R_at * k * jac_hR2, R_at / k * jac_hnu2)
-    r_series = max(_max_rel(v, ref[at][normal]) for v, ref in zip(series, vars(mb).values()))
+    series = MetricBundle(
+        h_R=np.sqrt(hR2), h_nu=k * np.sqrt(Snu), jacobian=R_at * k * jac,
+        jac_over_hR2=R_at * k * jac_hR2, jac_over_hnu2=R_at / k * jac_hnu2,
+    )
+    r_series = max(_max_rel(v, getattr(mb, name)[at][normal]) for name, v in vars(series).items())
     checks = [
         CheckResult("metric.jacobian_ratios", r_cross, 1e-9),
         CheckResult("metric.hR_hnu_link", r_link, 1e-9),
@@ -443,7 +441,7 @@ def _transform_body(cfg: SystemConfig, level: str):
         for _ in range(_SIZES[level].n_points)
     ]).T
     ((s, f_C, mb, log_w),) = yield [(closed_point, R, nu, cfg)]
-    z, rho = R * s / (1.0 + mu), R * f_C / mb.h_R  # `meridional`
+    z, rho = closed_meridional(R, s, f_C, mb.h_R, mu)
     x, y = rho * np.cos(lam), rho * np.sin(lam)
     # membership of the R-spheroid and the squared position magnitude from
     # (R, s), in units of R so that no square leaves the float range
@@ -485,8 +483,8 @@ def _anchor_body(cfg: SystemConfig):
     ((s, f_C, mb, _),) = yield [(closed_point, np.full(points.size, cfg.R0), points, cfg)]
     worst = _worst(np.abs(s[:-2] - s_on_reference(nus, mu)))
     lim = s_limit(mu)
-    # the pole's `meridional` (z, rho): on the axis, at z = R0/sqrt(1+mu)
-    z, rho = cfg.R0 * s[-1] / (1.0 + mu), cfg.R0 * f_C[-1] / mb.h_R[-1]
+    # the pole's (z, rho): on the axis, at z = R0/sqrt(1+mu)
+    z, rho = closed_meridional(cfg.R0, s[-1], f_C[-1], mb.h_R[-1], mu)
     ends = max(
         abs(s[-2]),
         abs(s[-1] - lim),
@@ -725,7 +723,7 @@ def _fit_body(cfg: SystemConfig):
     rng = random.Random(FIT_SEED)
     nus = np.linspace(-1.45, 1.45, 41)
     ((s, f_C, mb, _),) = yield [(closed_point, np.full(nus.size, cfg.R0), nus, cfg)]
-    z, rho = cfg.R0 * s / (1.0 + cfg.mu), cfg.R0 * f_C / mb.h_R  # `meridional`
+    z, rho = closed_meridional(cfg.R0, s, f_C, mb.h_R, cfg.mu)
     truth = HarmonicSolution(
         a=tuple(rng.uniform(-1.0, 1.0) for _ in range(6)), b=(), cfg=cfg
     )

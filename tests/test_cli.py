@@ -108,6 +108,24 @@ class TestEval:
         assert rc == 2
         assert "config" in err
 
+    @pytest.mark.parametrize("config", ['{"mu": "2", "R0": 1.0}', '{"mu": 2, "R0": true}', '{"mu": 2, "R0": "1"}'])
+    def test_config_mu_and_R0_must_be_numbers(self, capsys, tmp_path, config):
+        # float() once took the string "2" and the bool true (as 1.0)
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        rc, out, err = run(capsys, ["eval", "--config", str(path), "--R", "1", "--nu", "0.3"])
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: bad config file {path}: field ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [("mu", "2"), ("R0", True)])
+    def test_coefficient_mu_and_R0_must_be_numbers(self, capsys, cfg2, tmp_path, field, value):
+        coeffs = tmp_path / "c.json"
+        payload = {"mu": 2.0, "R0": 1.0, "convention": "R_over_R0", "a": [0.5, 1.0], "b": []}
+        coeffs.write_text(json.dumps(payload | {field: value}))
+        rc, out, err = run(capsys, ["eval", "--config", cfg2, "--R", "1", "--nu", "0.3", "--coeffs", str(coeffs)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: bad coefficient file {coeffs}: field {field!r} must be a number\n"
+
     def test_missing_point_exits_2(self, capsys, cfg2):
         rc, _, _ = run(capsys, ["eval", "--config", cfg2])
         assert rc == 2
@@ -619,6 +637,16 @@ class TestFit:
         path.write_text("angle,value\n0.0,1.0\n")
         rc, _, _ = run(capsys, ["fit", "--config", cfg2, str(path), "--degree", "1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("row", ["0.1", "0.1,0.2,99"])
+    def test_row_of_the_wrong_length_exits_2(self, capsys, cfg2, tmp_path, row):
+        # a short row once ended in a TypeError traceback (exit 1), and a long
+        # one was fitted without its extra field
+        path = tmp_path / "samples.csv"
+        path.write_text("nu,V\n0.0,1.0\n" + row + "\n0.5,0.2\n")
+        rc, out, err = run(capsys, ["fit", "--config", cfg2, str(path), "--degree", "1"])
+        assert (rc, out) == (2, "")
+        assert err == f"error: bad samples file {path}: line 3 must have two fields\n"
 
     def test_negative_degree_exits_2(self, capsys, cfg2, tmp_path):
         # a usage error, as nx < 2 is for grid; it once exited 3

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sosharmonics import coords
 from sosharmonics.coords import (
     CartesianPoint,
     SosPoint,
@@ -15,6 +16,7 @@ from sosharmonics.coords import (
     cartesian_point,
     cartesian_R_s,
     cartesian_to_sos,
+    closed_point,
     compute_W,
     dW_dnu,
     metrics_at,
@@ -170,6 +172,41 @@ class TestMetrics:
         assert a.h_R == b.h_R
         assert a.h_nu == b.h_nu
         assert a.jacobian == b.jacobian
+
+
+class TestLogScale:
+    """mu log(R/R0) is one log of the ratio R/R0 wherever that is a normal
+    float, so a point's s, h_nu/R and nu do not depend on the size of R0; a
+    ratio beyond the float range keeps log R - log R0."""
+
+    @staticmethod
+    def points():
+        rng = random.Random(20261020)
+        return np.array([(rng.uniform(0.2, 5.0), rng.uniform(-1.5, 1.5)) for _ in range(500)]).T
+
+    @pytest.mark.parametrize("mu", [2.0, 20.0, 200.0])
+    @pytest.mark.parametrize("R0", [1e-163, 6.957e8, 1e160])
+    def test_point_kernels_do_not_depend_on_R0(self, mu, R0):
+        x, nu = self.points()
+        cfg, unit = SystemConfig(mu=mu, R0=R0), SystemConfig(mu=mu, R0=1.0)
+        s, _, mb, _ = closed_point(x * R0, nu, cfg)
+        s1, _, mb1, _ = closed_point(x, nu, unit)
+        tol = (1.0 + mu) * 1e-15
+        assert np.max(np.abs(s - s1) / np.abs(s1)) <= tol
+        assert np.max(np.abs(mb.h_nu / (x * R0) - mb1.h_nu / x) / (mb1.h_nu / x)) <= tol
+        c = sos_to_cartesian(SosPoint(x, nu), unit)
+        p = cartesian_point(CartesianPoint(c.x * R0, c.y * R0, c.z * R0), cfg)[0]
+        assert np.max(np.abs(p.nu - cartesian_point(c, unit)[0].nu)) <= 1e-14
+
+    @pytest.mark.parametrize("mu", [0.0, 2.0])
+    def test_ratio_beyond_the_normal_range_keeps_two_logs(self, mu):
+        # R/R0 = 1e310 overflows and 1e-310 is subnormal: the log scale keeps
+        # the bits of log R - log R0, and so does log|W| at (1e300, 0.7)
+        for R, R0 in ((1e300, 1e-10), (1e-300, 1e10)):
+            assert coords._log_scale(R, SystemConfig(mu=mu, R0=R0)) == mu * (np.log(R) - math.log(R0))
+        two_logs = mu * (np.log(1e300) - math.log(1e-10))
+        log_w = two_logs - (1.0 + mu) * np.log(np.cos(0.7)) + np.log(np.sin(0.7))
+        assert closed_point(1e300, 0.7, SystemConfig(mu=mu, R0=1e-10))[3] == log_w
 
 
 class TestForwardTransform:

@@ -310,6 +310,8 @@ class TestCoefficientFile:
             {"mu": 2.0, "R0": 1.0, "convention": "R_over_R0", "a": {"-1": 2.0}, "b": []},
             {"mu": 2.0, "R0": 1.0, "convention": "R_over_R0", "a": ["x"], "b": []},
             {"mu": 2.0, "R0": 1.0, "convention": "R_over_R0", "a": [True], "b": []},
+            {"mu": "2", "R0": 1.0, "convention": "R_over_R0", "a": [1.0], "b": []},
+            {"mu": 2.0, "R0": True, "convention": "R_over_R0", "a": [1.0], "b": []},
         ],
     )
     def test_rejects_malformed(self, payload):
