@@ -9,7 +9,7 @@ Subcommands:
 An `eval` record comes from `coords.closed_point` (--R/--nu) or from
 `coords.cartesian_point` (--x/--z: the point's own closed R and s, no float
 nu); the poles take their closed values there, with W null.  V is summed
-at the point's own (z, rho) (`harmonic.eval_V_at`, `eval_V_cartesian`).
+at the point's own (z, rho) (`coords.closed_meridional`, `eval_V_cartesian`).
 
 The system config {"mu": ..., "R0": ...} always comes from a JSON file; a
 coefficient file in the documented JSON format, of the config's mu and R0,
@@ -39,13 +39,13 @@ from .coords import (
     cartesian_closed,
     cartesian_point,
     cartesian_R_s,
+    closed_meridional,
     closed_point,
     config_from_dict,
 )
 from .errors import SosError
 from .harmonic import (
     HarmonicSolution,
-    eval_V_at,
     eval_V_cartesian,
     fit_boundary,
     load_solution,
@@ -160,7 +160,9 @@ def cmd_eval(args) -> int:
         p, *point = cartesian_point(c, cfg)
     record = _point_record(cfg, p, *point)
     if sol is not None:
-        record["V"] = eval_V_at(sol, p) if by_sos else eval_V_cartesian(sol, c)
+        s, f_C, mb, _ = point
+        V = solid_V(sol, *closed_meridional(p.R, s, f_C, mb.h_R, cfg.mu)) if by_sos else eval_V_cartesian(sol, c)
+        record["V"] = V
     try:
         text = json.dumps(record, allow_nan=False)
     except ValueError as exc:
@@ -291,7 +293,8 @@ def cmd_fit(args) -> int:
     try:
         with open(args.samples, encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["nu", "V"]:
+            reader.fieldnames = [f.strip() for f in reader.fieldnames or []]  # the keys of every row
+            if reader.fieldnames != ["nu", "V"]:
                 raise ValueError("samples CSV must have header 'nu,V'")
             samples = []
             for row in reader:  # a short row has a None value, a long one a None key

@@ -9,13 +9,13 @@ usual longitude.  The dimensionless cone parameter
 carries the whole angular dependence: every metric quantity is a function
 of W alone times explicit R and dW/dnu factors.  Negative latitudes map by
 mirror symmetry (W odd in nu, all metric quantities even).  Each input
-kind has one closed body, `closed_point` for (R, nu) and `cartesian_closed`
+kind has one closed body, `closed_solve` for (R, nu) and `cartesian_closed`
 for (x, y, z); each solves the closed inversion once, in log W
-(`trig.solve_logit`), and both share one h_nu/J tail.  Each forms
-mu log(R/R0) once, from one log of the ratio R/R0 (`_log_scale`), so no
-point kernel depends on the size of R0.  The poles are a closed case of it;
-only `compute_W` and `dW_dnu` refuse them.  `closed_meridional` is the one
-meridional map (z, rho) of a closed point.
+(`trig.solve_logit`).  Only `closed_point` and `cartesian_point` add the
+metrics (one h_nu/J tail), and raise where one leaves the float range.
+Each kernel forms mu log(R/R0) once (`_log_scale`), so none depends on the
+size of R0.  The poles are a closed case of it; only `compute_W` and
+`dW_dnu` refuse them.  `closed_meridional` is the one meridional map.
 
 The point kernels take floats or numpy arrays that broadcast together, and
 each has one numpy body (`trig._point_kernel`).  A float call is one element
@@ -59,8 +59,8 @@ class SystemConfig:
 
 
 def _is_number(v) -> bool:
-    """Whether v is a JSON number: an int or a float, not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """Whether v is a JSON number in the float range: an int or a float, not a bool."""
+    return isinstance(v, float) or isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def config_from_dict(payload) -> SystemConfig:
@@ -135,7 +135,8 @@ def _cone(R, nu, cfg: SystemConfig):
 
 @_point_kernel
 def compute_W(R, nu, cfg: SystemConfig):
-    """Cone parameter W; odd in nu, divergent at the poles.  Floats or arrays."""
+    """Cone parameter W; odd in nu, divergent at the poles.  Floats or arrays.
+    It is inf, with no raise, where W overflows but neither factor does."""
     return _cone(R, nu, cfg)[0]
 
 
@@ -143,7 +144,7 @@ def compute_W(R, nu, cfg: SystemConfig):
 def dW_dnu(R, nu, cfg: SystemConfig):
     """dW/dnu = (R/R0)^mu (1 + mu sin^2 nu)/cos^(2+mu) nu, always positive, in
     closed form; floats or arrays.  It raises `compute_W`'s errors, and
-    ZeroDivisionError where cos^(2+mu) nu underflows."""
+    ZeroDivisionError where cos^(2+mu) nu underflows; it is inf, as W is."""
     mu = cfg.mu
     _, sn, cs, scale = _cone(R, nu, cfg)
     cos_dw = np.power(cs, 2.0 + mu)
@@ -196,24 +197,33 @@ def _metrics(R, s, f_C, h_R, sn, cs, log_scale, cfg: SystemConfig) -> MetricBund
     )
 
 
-@_point_kernel
-def closed_point(R, nu, cfg: SystemConfig):
-    """(s, f_C, metrics, log|W|) at R > 0, |nu| <= pi/2: the SOS point kernel.
-
-    log|W| = mu log(R/R0) - (1+mu) log cos nu + log sin|nu| is solved
-    for the logit of t = s^2/(1+mu) (`trig.solve_logit`); it is +inf at the poles,
-    which get s = +-sqrt(1+mu) and f_C = 0.  s is odd in nu, the rest even.
-    R and nu are floats, or arrays that broadcast together.
-    """
+def _solve(R, nu, cfg: SystemConfig):
+    """`closed_solve`, then R, sin|nu|, cos nu and mu log(R/R0) for `_metrics`."""
     _check_chart(R, nu)
-    mu = cfg.mu
     R, nu = np.broadcast_arrays(R, nu)
     sn = np.sin(abs(nu))
     cs = np.where(abs(nu) < _HALF_PI, np.cos(nu), 0.0)  # cos(pi/2) rounds to 6e-17
     log_scale = _log_scale(R, cfg)
-    log_w = log_scale - (1.0 + mu) * np.log(cs) + np.log(sn)
-    h_R, f_C, s = closed_trig(solve_logit(log_w, mu), mu)
-    return np.where(nu < 0.0, -s, s), f_C, _metrics(R, s, f_C, h_R, sn, cs, log_scale, cfg), log_w
+    log_w = log_scale - (1.0 + cfg.mu) * np.log(cs) + np.log(sn)
+    h_R, f_C, s = closed_trig(solve_logit(log_w, cfg.mu), cfg.mu)
+    return np.where(nu < 0.0, -s, s), f_C, h_R, log_w, R, sn, cs, log_scale
+
+
+@_point_kernel
+def closed_solve(R, nu, cfg: SystemConfig):
+    """(s, f_C, h_R, log|W|) at R > 0, |nu| <= pi/2, with no metric formed:
+    log|W| = mu log(R/R0) - (1+mu) log cos nu + log sin|nu| is solved for the
+    logit of t = s^2/(1+mu) (`trig.solve_logit`); it is +inf at the poles,
+    which get s = +-sqrt(1+mu) and f_C = 0.  s is odd in nu, the rest even.
+    R and nu are floats, or arrays that broadcast together."""
+    return _solve(R, nu, cfg)[:4]
+
+
+@_point_kernel
+def closed_point(R, nu, cfg: SystemConfig):
+    """(s, f_C, metrics, log|W|): `closed_solve` and the metrics (`_metrics`)."""
+    s, f_C, h_R, log_w, R, sn, cs, log_scale = _solve(R, nu, cfg)
+    return s, f_C, _metrics(R, abs(s), f_C, h_R, sn, cs, log_scale, cfg), log_w
 
 
 def metrics_at(R: float, nu: float, cfg: SystemConfig) -> MetricBundle:
@@ -228,16 +238,16 @@ def closed_meridional(R, s, f_C, h_R, mu: float):
 
 
 def meridional(R, nu, cfg: SystemConfig):
-    """(z, rho) from `closed_point` (`closed_meridional`), poles included;
+    """(z, rho) from `closed_solve` (`closed_meridional`), poles included;
     floats or arrays."""
-    s, f_C, mb, _ = closed_point(R, nu, cfg)
-    return closed_meridional(R, s, f_C, mb.h_R, cfg.mu)
+    s, f_C, h_R, _ = closed_solve(R, nu, cfg)
+    return closed_meridional(R, s, f_C, h_R, cfg.mu)
 
 
 @_point_kernel
 def sos_to_cartesian(p: SosPoint, cfg: SystemConfig) -> CartesianPoint:
-    """Forward transform from the point's `meridional` (z, rho); a point of
-    floats or of arrays that broadcast together."""
+    """Forward transform from the point's `meridional` (z, rho), with no
+    metric formed; a point of floats or of arrays that broadcast together."""
     R, nu, lam = np.broadcast_arrays(p.R, p.nu, p.lam)
     z, rho = meridional(R, nu, cfg)
     return CartesianPoint(x=rho * np.cos(lam), y=rho * np.sin(lam), z=z)

@@ -20,8 +20,8 @@ floats or arrays, a point record of arrays included; `stencil_meridional`
 gives the (z, rho) of the arms of a finite-difference stencil, of several
 steps at once, and `fd_laplacian` the 7-point Laplacian of the values
 summed there (`solid_V`, or a caller's own basis).  The (z, rho) of a point
-come from one numpy body (`coords.closed_point`, or `_cartesian_meridional`
-with numpy's hypot), and a float call is one element of the array call
+come from one numpy body (`coords.closed_solve`, with no metric, or
+`_cartesian_meridional`), and a float call is one element of the array call
 (`trig._point_kernel`), so each element has the bits and the exceptions of
 its float call.  The Legendre sums stay on floats for a float point.
 """
@@ -41,7 +41,7 @@ from .coords import (
     SosPoint,
     SystemConfig,
     _is_number,
-    closed_point,
+    closed_solve,
     config_from_dict,
     meridional,
 )
@@ -95,8 +95,8 @@ class FitDiagnostics:
 
 
 def s_at_point(R, nu, cfg: SystemConfig):
-    """Signed s at (R, nu), the poles included (`closed_point`); floats or arrays."""
-    return closed_point(R, nu, cfg)[0]
+    """Signed s at (R, nu), the poles included (`closed_solve`); floats or arrays."""
+    return closed_solve(R, nu, cfg)[0]
 
 
 def eval_V(sol: HarmonicSolution, R: float, s: float) -> float:

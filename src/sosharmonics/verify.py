@@ -11,22 +11,22 @@ sample set in one array pass of each kernel it checks.  The harmonicity
 suite stacks the stencils of every pure mode and both steps into one
 array, summed by one `legendre.solid_values` pass per kind.
 
-The suites that call a closed point kernel (`closed_point`,
-`trig_from_W_robust`) or the series witness (`eval_series_many`) are
-generator bodies that yield all their calls as one list of requests, and
-`run_suite` answers every list in one round: one call per kernel over the
-points and rows of every suite.  Each suite gets its slice as arrays: a
-point kernel's records of arrays, and the series witness's values as one
-float array, from which the trig suite forms its series bundle
-(`trig._witness_bundle`).  The transform, anchor and fit suites take
-(z, rho) from `coords.closed_meridional`.  The transform suite, whose later
-solves depend on its first, then calls `cartesian_R_nu` and `closed_point`
-itself.  A quick run at mu = 2 makes two `closed_point` calls (the shared
-forward solves, then the cone check's), one `trig_from_W_robust`, one
-`cartesian_R_nu` and one `eval_series_many` (177 rows).  The metric
-suite's W and dW/dnu are one `compute_W` and one `dW_dnu` call, and the
-trig suite's W(s) one `w_from_s` call.  `verify --json` times the shared
-round as `closed_kernels` and `series_witness`.
+Every suite is a generator body that yields its calls of a closed point
+kernel or the series witness (`eval_series_many`) as one list of requests,
+empty for the five that call none, and `run_suite` answers every list in
+one round: one call per kernel over the points and rows of every suite.
+Each suite gets its slice as arrays, the series witness's values as one
+float array (the trig suite's series bundle, `trig._witness_bundle`).
+Only the metric suite calls `closed_point`, whose metrics raise where
+they leave the float range; the transform, anchor and fit suites take
+`closed_solve` and their (z, rho) from `coords.closed_meridional`, and the
+transform suite then calls `cartesian_R_nu` and `closed_solve` itself.  A
+quick run at mu = 2 makes one `closed_point` call, two `closed_solve`
+(the shared forward solves, then the cone check's), one
+`trig_from_W_robust`, one `cartesian_R_nu` and one `eval_series_many`
+(177 rows).  The metric suite's W and dW/dnu are one `compute_W` and one
+`dW_dnu` call, the trig suite's W(s) one `w_from_s` call.  `verify --json`
+times the shared round as `closed_kernels` and `series_witness`.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .coords import (
     cartesian_R_s,
     closed_meridional,
     closed_point,
+    closed_solve,
     compute_W,
     dW_dnu,
 )
@@ -163,13 +164,13 @@ def _w_samples(mu: float, per_region: int) -> list[float]:
 
 # --- suite bodies ------------------------------------------------------------
 #
-# A suite that calls a closed point kernel or the series witness is a
-# generator body.  It yields one list of requests, each a kernel and its
-# arguments, every point argument a 1-D array of one length:
-# `closed_point(R, nu, cfg)`, `trig_from_W_robust(W, mu)`, or the series
-# witness `eval_series_many(rows)`.  It receives their results, in order,
-# the series witness's as one float array of the rows' values, and returns
-# its checks.  `run_suite` runs every body together (`_run_bodies`).
+# Every suite is a generator body.  It yields one list of requests, each a
+# kernel and its arguments, every point argument a 1-D array of one length:
+# `closed_point` or `closed_solve` (R, nu, cfg), `trig_from_W_robust(W, mu)`,
+# or the series witness `eval_series_many(rows)`, or no request
+# (`_asks_nothing`).  It receives their results, in order, the series
+# witness's as one float array of the rows' values, and returns its checks.
+# `run_suite` runs every body together (`_run_bodies`).
 
 
 def _call_once(kernel, calls: list[tuple]) -> list:
@@ -190,6 +191,13 @@ def _call_once(kernel, calls: list[tuple]) -> list:
     return [
         _walk(result, lambda v: v[a:b] if isinstance(v, np.ndarray) else v) for a, b in zip([0] + ends, ends)
     ]
+
+
+def _asks_nothing(suite, *args):
+    """The body of a suite that calls no shared kernel: it asks for nothing,
+    then runs the suite and returns its checks."""
+    yield []
+    return suite(*args)
 
 
 def _run_bodies(bodies: dict) -> tuple[dict, dict, float, float]:
@@ -427,9 +435,9 @@ def _metric_body(cfg: SystemConfig, level: str):
 
 def _transform_body(cfg: SystemConfig, level: str):
     """Round trips, spheroid membership, |x|^2 from (R, s) and cone invariance:
-    one shared forward solve of every point, whose s and metrics the cone
-    check reuses, then its own calls: both inverse solves in one
-    `cartesian_R_nu` call, then the cone's forward solve."""
+    one shared forward solve of every point (`closed_solve`), whose s, f_C,
+    h_R and log|W| the cone check reuses, then its own calls: both inverse
+    solves in one `cartesian_R_nu` call, then the cone's forward solve."""
     mu = cfg.mu
     rng = random.Random(TRANSFORM_SEED)
     R, nu, lam = np.array([
@@ -440,8 +448,8 @@ def _transform_body(cfg: SystemConfig, level: str):
         )
         for _ in range(_SIZES[level].n_points)
     ]).T
-    ((s, f_C, mb, log_w),) = yield [(closed_point, R, nu, cfg)]
-    z, rho = closed_meridional(R, s, f_C, mb.h_R, mu)
+    ((s, f_C, h_R, log_w),) = yield [(closed_solve, R, nu, cfg)]
+    z, rho = closed_meridional(R, s, f_C, h_R, mu)
     x, y = rho * np.cos(lam), rho * np.sin(lam)
     # membership of the R-spheroid and the squared position magnitude from
     # (R, s), in units of R so that no square leaves the float range
@@ -455,13 +463,13 @@ def _transform_body(cfg: SystemConfig, level: str):
     cone, n = np.abs(nu) > 1e-3, R.size
     back_R, back_nu, back_lam = cartesian_R_nu(*(np.append(c, 2.0 * c[cone]) for c in (x, y, z)), cfg)
     r_round = _worst(np.abs(back_R[:n] - R) / R, np.abs(back_nu[:n] - nu), np.abs(back_lam[:n] - lam))
-    s2, f_C2, m2, lw2 = closed_point(back_R[n:], np.abs(back_nu[n:]), cfg)
-    s1, h_R1 = np.abs(s[cone]), mb.h_R[cone]
+    s2, f_C2, h_R2, lw2 = closed_solve(back_R[n:], np.abs(back_nu[n:]), cfg)
+    s1, h_R1 = np.abs(s[cone]), h_R[cone]
     r_cone = _worst(
         np.abs(lw2 - log_w[cone]),
         np.abs(s2 - s1),
-        np.abs(m2.h_R - h_R1),
-        np.abs(s2 * m2.h_R - s1 * h_R1),
+        np.abs(h_R2 - h_R1),
+        np.abs(s2 * h_R2 - s1 * h_R1),
         np.abs(f_C2 - f_C[cone]),
     )
     return [
@@ -474,21 +482,21 @@ def _transform_body(cfg: SystemConfig, level: str):
 
 def _anchor_body(cfg: SystemConfig):
     """Closed form of s on the reference spheroid plus endpoint values, from
-    one `closed_point` solve whose last two points are the equator (W = 0)
+    one `closed_solve` call whose last two points are the equator (W = 0)
     and the pole; the pole's position is compared in units of R0, as every
     transform residual is relative."""
     mu = cfg.mu
     nus = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, ANCHOR_N_NU)
     points = np.append(nus, [0.0, math.pi / 2])
-    ((s, f_C, mb, _),) = yield [(closed_point, np.full(points.size, cfg.R0), points, cfg)]
+    ((s, f_C, h_R, _),) = yield [(closed_solve, np.full(points.size, cfg.R0), points, cfg)]
     worst = _worst(np.abs(s[:-2] - s_on_reference(nus, mu)))
     lim = s_limit(mu)
     # the pole's (z, rho): on the axis, at z = R0/sqrt(1+mu)
-    z, rho = closed_meridional(cfg.R0, s[-1], f_C[-1], mb.h_R[-1], mu)
+    z, rho = closed_meridional(cfg.R0, s[-1], f_C[-1], h_R[-1], mu)
     ends = max(
         abs(s[-2]),
         abs(s[-1] - lim),
-        abs(mb.h_R[-2] - 1.0),
+        abs(h_R[-2] - 1.0),
         abs(z / cfg.R0 - 1.0 / lim),
         abs(rho / cfg.R0),
     )
@@ -719,11 +727,11 @@ def _solid_identity(cfg: SystemConfig, rng: random.Random) -> CheckResult:
 
 def _fit_body(cfg: SystemConfig):
     """Noiseless boundary-fit round trips, the samples of both fields taken
-    at one `closed_point` solve of the boundary points."""
+    at one `closed_solve` call over the boundary points."""
     rng = random.Random(FIT_SEED)
     nus = np.linspace(-1.45, 1.45, 41)
-    ((s, f_C, mb, _),) = yield [(closed_point, np.full(nus.size, cfg.R0), nus, cfg)]
-    z, rho = closed_meridional(cfg.R0, s, f_C, mb.h_R, cfg.mu)
+    ((s, f_C, h_R, _),) = yield [(closed_solve, np.full(nus.size, cfg.R0), nus, cfg)]
+    z, rho = closed_meridional(cfg.R0, s, f_C, h_R, cfg.mu)
     truth = HarmonicSolution(
         a=tuple(rng.uniform(-1.0, 1.0) for _ in range(6)), b=(), cfg=cfg
     )
@@ -746,11 +754,10 @@ def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[Che
     """All identity suites at the configured mu, at the sample sizes of
     `_SIZES[level]`; `full` widens every sweep.
 
-    The suites with a body (trig, derivative, series and spherical-series
-    identities, metrics, transforms, anchor and fit) run together in one
-    round (`_run_bodies`): one call per closed point kernel, and every series
-    row in one `eval_series_many` call, the series witness.  If `timings` is
-    a list, one (suite name, seconds) pair is appended to it per suite, in
+    Every suite is a body, and all run together in one round
+    (`_run_bodies`): one call per closed point kernel, and every series row
+    in one `eval_series_many` call, the series witness.  If `timings` is a
+    list, one (suite name, seconds) pair is appended to it per suite, in
     suite order, a suite's seconds without the shared round (the transform
     suite's own kernel calls included), then ("closed_kernels", seconds)
     and ("series_witness", seconds), the shared round's.
@@ -758,7 +765,7 @@ def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[Che
     if level not in _SIZES:
         raise ValueError("level must be 'quick' or 'full'")
     mu = cfg.mu
-    suites = (  # name, suite, arguments
+    suites = (  # name, body, arguments
         ("trig_identity_checks", _trig_identity_body, mu, level),
         ("derivative_checks", _derivative_body, mu, level),
         ("series_identity_checks", _series_identity_body, mu),
@@ -766,25 +773,14 @@ def run_suite(cfg: SystemConfig, level: str = "quick", timings=None) -> list[Che
         ("metric_checks", _metric_body, cfg, level),
         ("transform_checks", _transform_body, cfg, level),
         ("anchor_checks", _anchor_body, cfg),
-        ("table_checks", table_checks, mu),
-        ("spherical_reduction_checks", spherical_reduction_checks, level),
-        ("ode_checks", ode_checks, mu, level),
-        ("structure_checks", structure_checks, mu),
-        ("harmonicity_checks", harmonicity_checks, cfg, level),
+        ("table_checks", _asks_nothing, table_checks, mu),
+        ("spherical_reduction_checks", _asks_nothing, spherical_reduction_checks, level),
+        ("ode_checks", _asks_nothing, ode_checks, mu, level),
+        ("structure_checks", _asks_nothing, structure_checks, mu),
+        ("harmonicity_checks", _asks_nothing, harmonicity_checks, cfg, level),
         ("fit_checks", _fit_body, cfg),
     )
-    results, seconds = [], []
-    for _, run, *args in suites:
-        start = time.perf_counter()
-        results.append(run(*args))  # the checks, or a body
-        seconds.append(time.perf_counter() - start)
-    done, own, kernels, witness = _run_bodies(
-        {i: got for i, got in enumerate(results) if not isinstance(got, list)}
-    )
-    for i, t in own.items():
-        results[i] = done[i]
-        seconds[i] += t
+    checks, seconds, kernels, witness = _run_bodies({name: body(*args) for name, body, *args in suites})
     if timings is not None:
-        timings.extend((name, t) for (name, *_), t in zip(suites, seconds))
-        timings.extend([("closed_kernels", kernels), ("series_witness", witness)])
-    return [check for checks in results for check in checks]
+        timings.extend([*seconds.items(), ("closed_kernels", kernels), ("series_witness", witness)])
+    return [check for suite in checks.values() for check in suite]

@@ -8,6 +8,7 @@ import random
 import sys
 from dataclasses import astuple
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,9 @@ from sosharmonics.coords import (
     cartesian_R_nu,
     cartesian_R_s,
     cartesian_to_sos,
+    closed_meridional,
     closed_point,
+    closed_solve,
     compute_W,
     dW_dnu,
     meridional,
@@ -34,6 +37,7 @@ from sosharmonics.harmonic import (
     eval_V_at,
     eval_V_cartesian,
     fd_laplacian,
+    s_at_point,
     solid_V,
     stencil_meridional,
 )
@@ -47,6 +51,8 @@ from sosharmonics.trig import (
     w_from_s,
 )
 from sosharmonics.verify import _mode_stencils, _shell_point, ode_checks, run_suite
+
+from _oracles import mp_meridional
 
 MUS = (0.0, 0.5, 2.0, 20.0, 200.0, 1000.0)
 R_OVER_R0 = (0.5, 1.0, 2.2)
@@ -116,16 +122,66 @@ def test_poles_and_equator_keep_their_closed_values(mu):
     assert z.tolist()[2:] == [0.0, 0.0]
 
 
+def _assert_solve_meridional(R, nu, cfg):
+    """`meridional` at (1, 0.7) and (R, nu), float and array calls, is the finite
+    `closed_meridional` of `closed_solve`, where `closed_point`'s metrics raise."""
+    z, rho = meridional(np.array([1.0, R]), np.array([0.7, nu]), cfg)
+    want = closed_meridional(R, *closed_solve(R, nu, cfg)[:3], cfg.mu)
+    assert (z[1], rho[1]) == meridional(R, nu, cfg) == want
+    assert math.isfinite(want[0]) and math.isfinite(want[1])
+
+
 @pytest.mark.parametrize("R, nu", [(2.2, 0.0), (0.2733, 0.8708)])
 def test_an_array_raises_where_its_float_call_raises(R, nu):
     """At mu = 1000, (R/R0)^mu overflows on the equator at R = 2.2, and
-    h_nu underflows at (0.2733, 0.8708)."""
+    h_nu underflows at (0.2733, 0.8708); the metrics raise there, and
+    `meridional`, which forms none, gives the solve's (z, rho)."""
     cfg = SystemConfig(mu=1000.0)
     with pytest.raises(ArithmeticError):
         closed_point(R, nu, cfg)
-    for call in (closed_point, meridional, metrics_at):
+    for call in (closed_point, metrics_at):
         with pytest.raises(ArithmeticError):
             call(np.array([1.0, R]), np.array([0.7, nu]), cfg)
+    _assert_solve_meridional(R, nu, cfg)
+
+
+@pytest.mark.parametrize("mu, answered", [(200.0, 1000), (1000.0, 581)])
+def test_the_solve_alone_answers_where_the_metrics_raise(mu, answered):
+    """On 57 log-spaced R in [1e-6, 10] R0 x 41 nu in [0, pi/2], `closed_point`
+    answers at `answered` of the 2337 points; its metrics raise at the rest.
+    `meridional`, `sos_to_cartesian`, `eval_V_at` and `s_at_point` take the
+    solve alone: they raise nowhere, equal what `closed_point` gives wherever
+    it answers, bit for bit, and elsewhere every sampled normal z and rho
+    (nu > 0) is within 1e-14 of a 60-digit solve."""
+    cfg = SystemConfig(mu=mu)
+    R, nu = (v.ravel() for v in np.meshgrid(np.geomspace(1e-6, 10.0, 57), np.linspace(0.0, math.pi / 2, 41)))
+    lam = np.full(R.size, 0.3)
+    sol = HarmonicSolution(a=(0.5, -1.0, 0.25, 0.7), b=(), cfg=cfg)
+    z, rho = meridional(R, nu, cfg)
+    c, V, s = sos_to_cartesian(SosPoint(R, nu, lam), cfg), eval_V_at(sol, SosPoint(R, nu)), s_at_point(R, nu, cfg)
+    assert all(np.isfinite(v).all() for v in (z, rho, c.x, c.y, c.z, V, s))
+    want, at = [], []
+    for k in range(R.size):
+        try:
+            s_k, f_C, mb, _ = closed_point(float(R[k]), float(nu[k]), cfg)
+        except ArithmeticError:
+            continue
+        at.append(k)
+        want.append((s_k, *closed_meridional(float(R[k]), s_k, f_C, mb.h_R, mu)))
+    assert len(at) == answered
+    s_w, z_w, rho_w = np.array(want).T
+    assert np.array_equal(s[at], s_w) and np.array_equal(z[at], z_w) and np.array_equal(rho[at], rho_w)
+    assert np.array_equal(V[at], solid_V(sol, z_w, rho_w))
+    assert np.array_equal(c.z[at], z_w) and np.array_equal(c.x[at], rho_w * np.cos(lam[at]))
+    assert np.array_equal(c.y[at], rho_w * np.sin(lam[at]))
+    compared = 0
+    for k in np.setdiff1d(np.flatnonzero(nu > 0.0), at)[::4]:
+        with mpmath.workdps(60):
+            for got, ref in zip((z[k], rho[k]), mp_meridional(R[k], nu[k], mu)):
+                if got >= sys.float_info.min:
+                    compared += 1
+                    assert abs(got - ref) <= 1e-14 * ref, (R[k], nu[k])
+    assert compared > 300
 
 
 def _float_results(value) -> list:
@@ -160,12 +216,15 @@ def test_a_float_call_returns_python_floats():
     (2.0, 1.0, math.nan, ValueError),
 ])
 def test_a_float_call_raises_the_exception_of_its_element(mu, R, nu, error):
+    # outside the chart `meridional` raises too; a metric's error is not its own
     cfg = SystemConfig(mu=mu)
-    for call in (closed_point, meridional, metrics_at):
+    for call in (closed_point, meridional, metrics_at) if error is ValueError else (closed_point, metrics_at):
         with pytest.raises(error):
             call(R, nu, cfg)
         with pytest.raises(error):
             call(np.array([1.0, R]), np.array([0.7, nu]), cfg)
+    if error is not ValueError:
+        _assert_solve_meridional(R, nu, cfg)
 
 
 def test_a_cartesian_call_raises_at_the_origin_and_where_sin_nu_underflows():

@@ -6,10 +6,10 @@ import sys
 import mpmath
 import pytest
 
-from sosharmonics import cli, legendre
+from sosharmonics import cli, coords, legendre
 from sosharmonics.cli import GridSpec, main
-from sosharmonics.coords import CartesianPoint, SystemConfig, cartesian_closed, cartesian_R_s
-from sosharmonics.harmonic import HarmonicSolution, eval_V_cartesian, save_solution
+from sosharmonics.coords import CartesianPoint, SosPoint, SystemConfig, cartesian_closed, cartesian_R_s
+from sosharmonics.harmonic import HarmonicSolution, eval_V_at, eval_V_cartesian, load_solution, save_solution
 from sosharmonics.series import region_of
 
 from _grid import grid_cells
@@ -108,16 +108,18 @@ class TestEval:
         assert rc == 2
         assert "config" in err
 
-    @pytest.mark.parametrize("config", ['{"mu": "2", "R0": 1.0}', '{"mu": 2, "R0": true}', '{"mu": 2, "R0": "1"}'])
+    @pytest.mark.parametrize("config", ['{"mu": "2", "R0": 1.0}', '{"mu": 2, "R0": true}', '{"mu": 2, "R0": "1"}',
+                                        '{"mu": 2, "R0": 1' + "0" * 400 + "}"])
     def test_config_mu_and_R0_must_be_numbers(self, capsys, tmp_path, config):
-        # float() once took the string "2" and the bool true (as 1.0)
+        # float() once took the string "2" and the bool true (as 1.0), and
+        # raised OverflowError (exit 3) on an integer beyond the float range
         path = tmp_path / "cfg.json"
         path.write_text(config)
         rc, out, err = run(capsys, ["eval", "--config", str(path), "--R", "1", "--nu", "0.3"])
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: bad config file {path}: field ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("field, value", [("mu", "2"), ("R0", True)])
+    @pytest.mark.parametrize("field, value", [("mu", "2"), ("R0", True), ("mu", 10**400)])
     def test_coefficient_mu_and_R0_must_be_numbers(self, capsys, cfg2, tmp_path, field, value):
         coeffs = tmp_path / "c.json"
         payload = {"mu": 2.0, "R0": 1.0, "convention": "R_over_R0", "a": [0.5, 1.0], "b": []}
@@ -125,6 +127,28 @@ class TestEval:
         rc, out, err = run(capsys, ["eval", "--config", cfg2, "--R", "1", "--nu", "0.3", "--coeffs", str(coeffs)])
         assert (rc, out) == (2, "")
         assert err == f"error: bad coefficient file {coeffs}: field {field!r} must be a number\n"
+
+    def test_coefficient_beyond_the_float_range_exits_2(self, capsys, cfg2, tmp_path):
+        # it once raised OverflowError in float(), exit 3
+        coeffs = tmp_path / "c.json"
+        coeffs.write_text('{"mu": 2, "R0": 1, "convention": "R_over_R0", "a": [1' + "0" * 400 + '], "b": []}')
+        rc, out, err = run(capsys, ["eval", "--config", cfg2, "--R", "1", "--nu", "0.3", "--coeffs", str(coeffs)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: bad coefficient file {coeffs}: field 'a' must be an array of numbers\n"
+
+    def test_potential_solves_the_point_once(self, capsys, cfg2, tmp_path, monkeypatch):
+        # V is summed at the (z, rho) of the record's own solve: one
+        # `closed_point` call and one logit solve, not a second solve for V
+        calls = []
+        for module, name in ((cli, "closed_point"), (coords, "closed_solve"), (coords, "solve_logit")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        coeffs = tmp_path / "c.json"
+        save_solution(HarmonicSolution(a=(0.5, -1.0, 0.25), b=(0.2,), cfg=SystemConfig(mu=2.0, R0=1.0)), coeffs)
+        rc, out, _ = run(capsys, ["eval", "--config", cfg2, "--R", "1.3", "--nu", "0.7", "--coeffs", str(coeffs)])
+        assert rc == 0
+        assert calls == ["closed_point", "solve_logit"]
+        assert json.loads(out)["V"] == eval_V_at(load_solution(coeffs), SosPoint(1.3, 0.7))
 
     def test_missing_point_exits_2(self, capsys, cfg2):
         rc, _, _ = run(capsys, ["eval", "--config", cfg2])
@@ -631,6 +655,17 @@ class TestFit:
             assert rc == 3
             assert out == ""
             assert "samples must be finite" in err
+
+    def test_header_names_are_stripped(self, capsys, cfg2, tmp_path):
+        # "nu, V" passed the header check, but its rows were keyed by " V": exit 2
+        rows = "".join(f"{0.4 * k!r},{0.1 * k!r}\n" for k in range(-3, 4))
+        outputs = []
+        for header in ("nu,V", "nu, V", " nu ,V "):
+            path = tmp_path / "samples.csv"
+            path.write_text(header + "\n" + rows)
+            outputs.append(run(capsys, ["fit", "--config", cfg2, str(path), "--degree", "2"]))
+        assert outputs[0][0] == 0 and "rank=3" in outputs[0][2]
+        assert outputs[1] == outputs[2] == outputs[0]
 
     def test_bad_header_exits_2(self, capsys, cfg2, tmp_path):
         path = tmp_path / "samples.csv"

@@ -247,7 +247,7 @@ def test_no_root_finding_or_series_on_the_cartesian_path(monkeypatch):
 
     for module, name in [
         (cli, "cartesian_point"), (cli, "closed_point"), (coords, "solve_logit"),
-        (coords, "compute_W"), (harmonic, "s_at_point"), (harmonic, "closed_point"),
+        (coords, "compute_W"), (harmonic, "s_at_point"), (harmonic, "closed_solve"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
     for quantity in ("s", "hR", "W", "V"):

@@ -312,6 +312,11 @@ class TestCoefficientFile:
             {"mu": 2.0, "R0": 1.0, "convention": "R_over_R0", "a": [True], "b": []},
             {"mu": "2", "R0": 1.0, "convention": "R_over_R0", "a": [1.0], "b": []},
             {"mu": 2.0, "R0": True, "convention": "R_over_R0", "a": [1.0], "b": []},
+            # integers beyond the float range once raised OverflowError in float()
+            {"mu": 10**400, "R0": 1.0, "convention": "R_over_R0", "a": [1.0], "b": []},
+            {"mu": 2.0, "R0": -(2**1024), "convention": "R_over_R0", "a": [1.0], "b": []},
+            {"mu": 2.0, "R0": 1.0, "convention": "R_over_R0", "a": [2**1024], "b": []},
+            {"mu": 2.0, "R0": 1.0, "convention": "R_over_R0", "a": [1.0], "b": [-(10**400)]},
         ],
     )
     def test_rejects_malformed(self, payload):

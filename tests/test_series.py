@@ -413,7 +413,7 @@ def _closed_kernel_calls(monkeypatch, level):
         return counted
 
     kernels = [
-        (coords, "closed_point"), (trig, "trig_from_W_robust"), (coords, "cartesian_R_nu"),
+        (coords, "closed_point"), (coords, "closed_solve"), (trig, "trig_from_W_robust"), (coords, "cartesian_R_nu"),
         (trig, "solve_logit"), (trig, "closed_trig"), (trig, "s_on_reference"),
         (coords, "cartesian_R_s"), (coords, "cartesian_closed"), (coords, "cartesian_point"),
         (coords, "compute_W"), (coords, "dW_dnu"), (coords, "sos_to_cartesian"), (trig, "w_from_s"),
@@ -423,27 +423,28 @@ def _closed_kernel_calls(monkeypatch, level):
     checks = verify.run_suite(SystemConfig(mu=2.0, R0=1.0), level)
     assert all(c.passed for c in checks)
     assert len(checks) == 38
-    names = ("closed_point", "trig_from_W_robust", "cartesian_R_nu", "compute_W", "dW_dnu", "w_from_s", "sos_to_cartesian")
+    names = ("closed_point", "closed_solve", "trig_from_W_robust", "cartesian_R_nu", "compute_W", "dW_dnu", "w_from_s",
+             "sos_to_cartesian")
     return {name: [n for k, n in calls if k == name] for name in names}, sum(k == "solve_logit" for k, _ in calls)
 
 
 def test_verify_makes_one_call_per_closed_kernel_a_round(monkeypatch):
     # every suite's points go to one call of each kernel in the one shared
-    # round: the forward solves and the trig bundles; the transform suite
-    # then makes both inverse solves in one call and the cone check's
-    # forward solve; the metric suite's W and dW/dnu and the trig suite's
-    # W(s) are one array call each
+    # round: the metric suite's metrics, the other forward solves and the
+    # trig bundles; the transform suite then makes both inverse solves in
+    # one call and the cone check's forward solve; the metric suite's W and
+    # dW/dnu and the trig suite's W(s) are one array call each
     assert _closed_kernel_calls(monkeypatch, "quick") == ({
-        "closed_point": [118, 40], "trig_from_W_robust": [78], "cartesian_R_nu": [80],
+        "closed_point": [15], "closed_solve": [103, 40], "trig_from_W_robust": [78], "cartesian_R_nu": [80],
         "compute_W": [15], "dW_dnu": [15], "w_from_s": [27], "sos_to_cartesian": [],
-    }, 4)
+    }, 5)
 
 
 def test_verify_full_level_makes_one_call_per_closed_kernel_a_round(monkeypatch):
     assert _closed_kernel_calls(monkeypatch, "full") == ({
-        "closed_point": [256, 160], "trig_from_W_robust": [138], "cartesian_R_nu": [320],
+        "closed_point": [33], "closed_solve": [223, 160], "trig_from_W_robust": [138], "cartesian_R_nu": [320],
         "compute_W": [33], "dW_dnu": [33], "w_from_s": [51], "sos_to_cartesian": [],
-    }, 4)
+    }, 5)
 
 
 def test_eval_series_keeps_the_signature_and_result_tracing_reads():
