@@ -273,7 +273,8 @@ def cmd_verify(args) -> int:
             "checks": [
                 {
                     "name": c.name,
-                    "max_residual": c.max_residual,
+                    # standard JSON has no inf or NaN: a non-finite residual is null
+                    "max_residual": c.max_residual if math.isfinite(c.max_residual) else None,
                     "tolerance": c.tolerance,
                     "passed": c.passed,
                 }
@@ -281,8 +282,9 @@ def cmd_verify(args) -> int:
             ],
             "suites": [{"name": name, "seconds": sec} for name, sec in timings],
         }
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+            fh.write(text)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 

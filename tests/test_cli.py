@@ -6,7 +6,7 @@ import sys
 import mpmath
 import pytest
 
-from sosharmonics import cli, coords, legendre
+from sosharmonics import cli, coords, legendre, verify
 from sosharmonics.cli import GridSpec, main
 from sosharmonics.coords import CartesianPoint, SosPoint, SystemConfig, cartesian_closed, cartesian_R_s
 from sosharmonics.harmonic import HarmonicSolution, eval_V_at, eval_V_cartesian, load_solution, save_solution
@@ -69,6 +69,13 @@ class TestEval:
         assert rec["h_R"] == approx(h_R, rel=1e-12)
         assert rec["h_nu"] == approx(h_nu, rel=1e-12)
         assert rec["jacobian"] == approx(jac, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [1e-310, 5e-324])
+    def test_region_where_one_over_mu_overflows(self, capsys, tmp_path, mu):
+        # W_border was 0.0 at 1e-310 (LargeNu) and NaN at 5e-324 (NearBorder)
+        rc, out, _ = run(capsys, ["eval", "--config", config(tmp_path, mu), "--R", "1", "--nu", "0.5"])
+        assert rc == 0
+        assert json.loads(out)["region"] == "SmallNu"
 
     def test_cartesian_axis_point(self, capsys, cfg2):
         z = 1.0 / math.sqrt(3.0)
@@ -532,6 +539,23 @@ class TestVerify:
         ]
         assert all(set(s) == {"name", "seconds"} and s["seconds"] >= 0.0 for s in payload["suites"])
         assert all(set(c) == {"name", "max_residual", "tolerance", "passed"} for c in payload["checks"])
+
+    def test_json_writes_a_non_finite_residual_as_null(self, capsys, cfg2, tmp_path, monkeypatch):
+        checks = [verify.CheckResult("inf", math.inf, 1.0), verify.CheckResult("nan", math.nan, 1.0),
+                  verify.CheckResult("ok", 0.5, 1.0)]
+        monkeypatch.setattr(verify, "run_suite", lambda cfg, level, timings: checks)
+        report = tmp_path / "report.json"
+        rc, out, _ = run(capsys, ["verify", "--config", cfg2, "--json", str(report)])
+        assert rc == 1
+        assert "FAIL inf max_residual=inf" in out and "FAIL nan max_residual=nan" in out
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(report.read_text(), parse_constant=refuse)
+        assert payload["passed"] is False
+        assert [(c["name"], c["max_residual"], c["passed"]) for c in payload["checks"]] == [
+            ("inf", None, False), ("nan", None, False), ("ok", 0.5, True)]
 
     def test_spherical_quick_passes(self, capsys, cfg0, tmp_path):
         report = tmp_path / "report.json"

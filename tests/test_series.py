@@ -2,6 +2,7 @@ import inspect
 import math
 import re
 import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -73,6 +74,16 @@ class TestRegion:
 
     def test_border_mu0(self):
         assert w_border(0.0) == 1.0
+
+    @pytest.mark.parametrize("mu", [1e-310, 5e-324])
+    def test_border_where_one_over_mu_overflows(self, mu):
+        # mu log1p(1/mu) gave 0.0 at 1e-310 and NaN (-0.0 * inf) at 5e-324
+        assert w_border(mu) == 1.0
+        assert region_of(0.5, mu) is Region.SMALL_NU
+
+    def test_border_keeps_its_form_where_one_over_mu_is_finite(self):
+        for mu in (1e-300, 1e-12, 0.5, 2.0, 200.0, 1e6):
+            assert w_border(mu) == math.exp(-0.5 * mu * math.log1p(1.0 / mu)) / math.sqrt(1.0 + mu)
 
     def test_zero_W_is_small(self):
         for mu in (0.0, 0.5, 2.0, 7.0):
@@ -334,6 +345,7 @@ class TestBatchKernel:
             return part(fam, k)
 
         monkeypatch.setattr(series, "_family_part", counted)
+        monkeypatch.setattr(series, "_PARTS", {})  # the last batch's blocks form no part
         batch = eval_series_many(rows)
         assert families[0] < len(rows) // 4
         alone = [eval_series(spec, W) for spec, W in rows]
@@ -372,6 +384,104 @@ class TestBatchKernel:
         assert eval_series_many([]) == []
 
 
+def _rows_at(*mus):
+    """Every quantity in both regions at each mu, three W a region."""
+    rows = []
+    for mu in mus:
+        border = w_border(mu)
+        for name in QUANTITIES:
+            rows += [(quantity_series(name, mu, Region.SMALL_NU), f * border) for f in (0.05, 0.5, 0.85)]
+            rows += [(quantity_series(name, mu, Region.LARGE_NU), border / f) for f in (0.85, 0.5, 0.05)]
+    return rows
+
+
+class TestFamilyPartSlot:
+    """`_sum_rows` keeps the `_family_part` arrays of the batch it summed
+    last, keyed per block by its families and k range, so a repeated batch
+    forms no W-free part again."""
+
+    @staticmethod
+    def _formed(monkeypatch):
+        """The (family bytes, k0, width) of each block whose part is formed,
+        from an emptied slot on."""
+        formed = []
+        part = series._family_part
+
+        def counted(fam, k):
+            formed.append((fam.tobytes(), int(k[0]), k.size))
+            return part(fam, k)
+
+        monkeypatch.setattr(series, "_family_part", counted)
+        monkeypatch.setattr(series, "_PARTS", {})
+        return formed
+
+    def test_a_repeated_verify_forms_no_family_part_and_keeps_its_bits(self, monkeypatch):
+        formed = self._formed(monkeypatch)
+        cfg = SystemConfig(mu=2.0, R0=1.0)
+        first = verify.run_suite(cfg, "quick")
+        assert len(formed) == 4  # 25/23/11/3 families x 32/64/128/256 k
+        again = verify.run_suite(cfg, "quick")
+        assert len(formed) == 4
+        assert len(first) == 38
+        assert [(c.name, c.max_residual.hex()) for c in again] == [(c.name, c.max_residual.hex()) for c in first]
+
+    def test_a_batch_between_repeats_changes_no_result(self, monkeypatch):
+        batch_a, batch_b = _rows_at(2.0, 20.0), _rows_at(0.5, 7.0)
+
+        def cold(rows):
+            monkeypatch.setattr(series, "_PARTS", {})
+            return [_bits(r) for r in eval_series_many(rows)]
+
+        expected = {"A": cold(batch_a), "B": cold(batch_b)}
+        formed = self._formed(monkeypatch)
+        for name in "ABA":
+            assert [_bits(r) for r in eval_series_many(batch_a if name == "A" else batch_b)] == expected[name]
+        n_formed = len(formed)
+        assert [_bits(r) for r in eval_series_many(batch_a)] == expected["A"]
+        assert len(formed) == n_formed  # A after A forms nothing
+
+    def test_the_slot_holds_the_last_calls_blocks_read_only(self, monkeypatch):
+        formed = self._formed(monkeypatch)
+        eval_series_many(_rows_at(0.5, 7.0))
+        formed.clear()
+        eval_series_many(_rows_at(2.0, 20.0))  # no family of the call before
+        assert formed and sorted(series._PARTS) == sorted(formed)
+        arrays = [v for part in series._PARTS.values() for v in part if v is not None]
+        assert arrays and not any(v.flags.writeable for v in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][...] = 0.0
+
+    def test_threads_sharing_the_slot_get_their_cold_results(self, monkeypatch):
+        batches = [_rows_at(2.0), _rows_at(7.0)]
+        expected = []
+        for rows in batches:
+            monkeypatch.setattr(series, "_PARTS", {})
+            expected.append([_bits(r) for r in eval_series_many(rows)])
+        failures = []
+
+        def work(i):
+            try:
+                for j in range(8):
+                    n = (i + j) % 2
+                    if [_bits(r) for r in eval_series_many(batches[n])] != expected[n]:
+                        failures.append((i, j))
+            except Exception as exc:  # a thread's error would otherwise pass unseen
+                failures.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+
 def _patch_every_binding(monkeypatch, fn, replacement):
     for name, module in list(sys.modules.items()):
         if name == "sosharmonics" or name.startswith("sosharmonics."):
@@ -396,6 +506,25 @@ def test_verify_sums_each_series_suite_in_one_batch(monkeypatch):
     checks = verify.run_suite(SystemConfig(mu=2.0, R0=1.0), "quick")
     assert all(c.passed for c in checks)
     assert calls == [177]
+
+
+@pytest.mark.parametrize("mu", [1e-310, 5e-324])
+def test_verify_returns_where_one_over_mu_overflows(monkeypatch, mu):
+    # a W_border of 0.0 raised a math domain error at 1e-310, and one of NaN
+    # ran a series at W = NaN to the term cap at 5e-324
+    witness = []
+    many = series.eval_series_many
+
+    def recorded(requests):
+        witness.extend(W for _, W in requests)
+        return many(requests)
+
+    _patch_every_binding(monkeypatch, many, recorded)
+    checks = verify.run_suite(SystemConfig(mu=mu, R0=1.0), "quick")
+    assert len(checks) == 38 and witness
+    assert not any(math.isnan(W) for W in witness)
+    # only the checks that lose digits as 1/mu at small mu may fail
+    assert {c.name for c in checks if not c.passed} <= {"trig.scale_factor_relations", "trig.power_form"}
 
 
 def _closed_kernel_calls(monkeypatch, level):
