@@ -8,8 +8,9 @@ Subcommands:
 
 An `eval` record comes from `coords.closed_point` (--R/--nu) or from
 `coords.cartesian_point` (--x/--z: the point's own closed R and s, no float
-nu); the poles take their closed values there, with W null.  V is summed
-at the point's own (z, rho) (`coords.closed_meridional`, `eval_V_cartesian`).
+nu); the poles take their closed values there, with W null, as an
+overflowing W is (log_W beside it).  V is summed at the point's own
+(z, rho) (`coords.closed_meridional`, `eval_V_cartesian`).
 
 The system config {"mu": ..., "R0": ...} always comes from a JSON file; a
 coefficient file in the documented JSON format, of the config's mu and R0,
@@ -124,14 +125,16 @@ def _load_coeffs(path: str, cfg: SystemConfig) -> HarmonicSolution:
 
 
 def _point_record(cfg: SystemConfig, p: SosPoint, s: float, f_C: float, mb, log_w: float) -> dict:
-    """The eval record; W = e^(log|W|) with the sign of nu, null on the axis."""
-    pole = log_w == math.inf
-    W = None if pole else math.copysign(math.exp(log_w), p.nu)
+    """The eval record; W = e^(log|W|) with the sign of nu by `compute_W`'s
+    exp, null where inf, and log_W = log|W|, null on the equator and axis."""
+    with np.errstate(over="ignore"):
+        W = math.copysign(float(np.exp(log_w)), p.nu)
     return {
         "R": p.R,
         "nu": p.nu,
-        "W": W,
-        "region": "Pole" if pole else region_of(W, cfg.mu).value,
+        "W": W if math.isfinite(W) else None,
+        "log_W": log_w if math.isfinite(log_w) else None,
+        "region": "Pole" if log_w == math.inf else region_of(W, cfg.mu).value,
         "h_R": mb.h_R,
         "h_nu": mb.h_nu,
         "jacobian": mb.jacobian,
@@ -163,11 +166,10 @@ def cmd_eval(args) -> int:
         s, f_C, mb, _ = point
         V = solid_V(sol, *closed_meridional(p.R, s, f_C, mb.h_R, cfg.mu)) if by_sos else eval_V_cartesian(sol, c)
         record["V"] = V
-    try:
-        text = json.dumps(record, allow_nan=False)
-    except ValueError as exc:
-        raise ValueError(f"non-finite result at R={p.R!r}, nu={p.nu!r}") from exc
-    print(text)
+    bad = [k for k, v in record.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"non-finite {', '.join(bad)} at R={p.R!r}, nu={p.nu!r}")
+    print(json.dumps(record, allow_nan=False))
     return EXIT_OK
 
 

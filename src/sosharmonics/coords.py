@@ -12,18 +12,24 @@ mirror symmetry (W odd in nu, all metric quantities even).  Each input
 kind has one closed body, `closed_solve` for (R, nu) and `cartesian_closed`
 for (x, y, z); each solves the closed inversion once, in log W
 (`trig.solve_logit`).  Only `closed_point` and `cartesian_point` add the
-metrics (one h_nu/J tail), and raise where one leaves the float range.
-Each kernel forms mu log(R/R0) once (`_log_scale`), so none depends on the
-size of R0.  The poles are a closed case of it; only `compute_W` and
-`dW_dnu` refuse them.  `closed_meridional` is the one meridional map.
+metrics (one h_nu/J tail), and raise where one leaves the float range, but
+J and J/h_R^2 overflow to inf with no raise.  Each kernel forms
+mu log(R/R0) once (`_log_scale`), so none depends on the size of R0.  An
+(R, nu) point has one prologue, `_log_cone`, whose log|W| `closed_solve`
+solves and `compute_W` exponentiates; `dW_dnu` sums the same logs.  Each
+of the two is within a few u T of its exact value (u the unit roundoff,
+T = |mu log(R/R0)| + (2+mu)(1 + |log cos nu|) + |log sin nu| + 4, the
+conditioning of W), and inf only where that value overflows.  The poles
+are a closed case of the prologue; only `compute_W` and `dW_dnu` refuse
+them.  `closed_meridional` is the one meridional map.
 
 The point kernels take floats or numpy arrays that broadcast together, and
 each has one numpy body (`trig._point_kernel`).  A float call is one element
 of the array call, returned as Python floats: it has that element's bits and
-raises its exception (ValueError, OverflowError, ZeroDivisionError,
-DegenerateOriginError), and an array raises where any element would.  The
-records (`SosPoint`, `CartesianPoint`, `MetricBundle`) hold floats, or
-arrays from array calls.
+raises its exception (ValueError, PoleLimitError, DegenerateOriginError, a
+metric's OverflowError or ZeroDivisionError), and an array raises where any
+element would.  The records (`SosPoint`, `CartesianPoint`, `MetricBundle`)
+hold floats, or arrays from array calls.
 """
 
 from __future__ import annotations
@@ -83,8 +89,6 @@ class SosPoint:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.R).all():
-            raise ValueError("R must be finite and positive")
         _check_chart(self.R, self.nu)
 
 
@@ -107,56 +111,53 @@ class MetricBundle:
 
 
 def _check_chart(R, nu) -> None:
-    """ValueError unless R > 0 and |nu| <= pi/2 (so not NaN), for floats or
-    arrays."""
-    if not np.all(R > 0.0):
-        raise ValueError("R must be positive")
+    """ValueError unless 0 < R < inf and |nu| <= pi/2 (so neither is NaN),
+    for floats or arrays."""
+    if not np.all((R > 0.0) & (R < math.inf)):
+        raise ValueError("R must be finite and positive")
     if not np.all(abs(nu) <= _HALF_PI):
         raise ValueError("nu must lie in [-pi/2, pi/2]")
 
 
-def _cone(R, nu, cfg: SystemConfig):
-    """(W, sin nu, cos nu, (R/R0)^mu), R and nu broadcast: the body of
-    `compute_W` and `dW_dnu`.  Raises ZeroDivisionError where cos^(1+mu) nu
-    underflows, then OverflowError where (R/R0)^mu overflows."""
+def _log_cone(R, nu, cfg: SystemConfig):
+    """(R, nu, sin|nu|, cos nu, mu log(R/R0), log|W|) of (R, nu) broadcast;
+    cos nu is 0 at the poles, where log|W| = +inf.  ValueError off the chart."""
     _check_chart(R, nu)
-    if np.any(abs(nu) >= _HALF_PI):
-        raise PoleLimitError("W diverges at |nu| = pi/2; use the pole closed forms")
     R, nu = np.broadcast_arrays(R, nu)
-    sn, cs = np.sin(nu), np.cos(nu)
-    cos_w = np.power(cs, 1.0 + cfg.mu)
-    if not cos_w.all():
-        raise ZeroDivisionError("float division by zero")
-    scale = np.power(R / cfg.R0, cfg.mu)
-    if np.isinf(scale).any():
-        raise OverflowError("math range error")
-    return scale * sn / cos_w, sn, cs, scale
+    sn = np.sin(abs(nu))
+    cs = np.where(abs(nu) < _HALF_PI, np.cos(nu), 0.0)  # cos(pi/2) rounds to 6e-17
+    log_scale = _log_scale(R, cfg)
+    return R, nu, sn, cs, log_scale, log_scale - (1.0 + cfg.mu) * np.log(cs) + np.log(sn)
+
+
+def _off_pole(R, nu, cfg: SystemConfig):
+    """`_log_cone`, with PoleLimitError at |nu| = pi/2, where W diverges."""
+    cone = _log_cone(R, nu, cfg)
+    if (cone[3] == 0.0).any():
+        raise PoleLimitError("W diverges at |nu| = pi/2; use the pole closed forms")
+    return cone
 
 
 @_point_kernel
 def compute_W(R, nu, cfg: SystemConfig):
-    """Cone parameter W; odd in nu, divergent at the poles.  Floats or arrays.
-    It is inf, with no raise, where W overflows but neither factor does."""
-    return _cone(R, nu, cfg)[0]
+    """Cone parameter W = e^(log|W|) with the sign of nu (`_log_cone`), odd in
+    nu; floats or arrays."""
+    _, nu, *_, log_w = _off_pole(R, nu, cfg)
+    return np.copysign(np.exp(log_w), nu)
 
 
 @_point_kernel
 def dW_dnu(R, nu, cfg: SystemConfig):
-    """dW/dnu = (R/R0)^mu (1 + mu sin^2 nu)/cos^(2+mu) nu, always positive, in
-    closed form; floats or arrays.  It raises `compute_W`'s errors, and
-    ZeroDivisionError where cos^(2+mu) nu underflows; it is inf, as W is."""
-    mu = cfg.mu
-    _, sn, cs, scale = _cone(R, nu, cfg)
-    cos_dw = np.power(cs, 2.0 + mu)
-    if not cos_dw.all():
-        raise ZeroDivisionError("float division by zero")
-    return scale * (1.0 + mu * sn * sn) / cos_dw
+    """dW/dnu = (R/R0)^mu (1 + mu sin^2 nu)/cos^(2+mu) nu > 0 as the exp of its
+    log, mu log(R/R0) + log1p(mu sin^2 nu) - (2+mu) log cos nu; floats or arrays."""
+    _, _, sn, cs, log_scale, _ = _off_pole(R, nu, cfg)
+    return np.exp(log_scale + np.log1p(cfg.mu * sn * sn) - (2.0 + cfg.mu) * np.log(cs))
 
 
 def _log_scale(R, cfg: SystemConfig):
     """mu log(R/R0), floats or arrays: one log of the ratio R/R0 where it is
-    a normal float, as in `compute_W`, so the result does not depend on the
-    size of R0; log R - log R0 where the ratio overflows or is subnormal."""
+    a normal float, so the result does not depend on the size of R0;
+    log R - log R0 where the ratio overflows or is subnormal."""
     ratio = R / cfg.R0
     normal = (sys.float_info.min <= ratio) & (ratio < math.inf)
     return cfg.mu * np.where(normal, np.log(ratio), np.log(R) - math.log(cfg.R0))
@@ -199,12 +200,7 @@ def _metrics(R, s, f_C, h_R, sn, cs, log_scale, cfg: SystemConfig) -> MetricBund
 
 def _solve(R, nu, cfg: SystemConfig):
     """`closed_solve`, then R, sin|nu|, cos nu and mu log(R/R0) for `_metrics`."""
-    _check_chart(R, nu)
-    R, nu = np.broadcast_arrays(R, nu)
-    sn = np.sin(abs(nu))
-    cs = np.where(abs(nu) < _HALF_PI, np.cos(nu), 0.0)  # cos(pi/2) rounds to 6e-17
-    log_scale = _log_scale(R, cfg)
-    log_w = log_scale - (1.0 + cfg.mu) * np.log(cs) + np.log(sn)
+    R, nu, sn, cs, log_scale, log_w = _log_cone(R, nu, cfg)
     h_R, f_C, s = closed_trig(solve_logit(log_w, cfg.mu), cfg.mu)
     return np.where(nu < 0.0, -s, s), f_C, h_R, log_w, R, sn, cs, log_scale
 

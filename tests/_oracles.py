@@ -9,6 +9,7 @@ the relative comparison the test modules share.
 """
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -216,6 +217,37 @@ def mp_point(R, nu, mu):
         h_nu = mpmath.sqrt(d_nu[0] ** 2 + d_nu[1] ** 2)
         s = mpmath.sqrt((1 + mu) * t)
         return tuple(float(v) for v in (s, rho, z, h_R, h_nu, h_R * h_nu * rho))
+
+
+W_SWEEP_MUS = (0.0, 0.5, 2.0, 20.0, 200.0, 1000.0, 1e4)
+
+
+def w_sweep(mu, n=2000):
+    """n seeded (R, nu) with R0 = 1 and 0 < |nu| < pi/2, either sign: R
+    log-uniform in [1e-4, 1e4]; nu uniform for half the points, within
+    10^-16..1 of a pole for a quarter and log-uniform in [1e-300, 1] for
+    the rest."""
+    rng = random.Random(f"W-sweep-{mu!r}")
+    out = []
+    while len(out) < n:
+        R, k = 10.0 ** rng.uniform(-4.0, 4.0), len(out) % 4
+        if k < 2:
+            nu = rng.uniform(0.0, math.pi / 2)
+        else:
+            nu = math.pi / 2 - 10.0 ** rng.uniform(-16.0, 0.0) if k == 2 else 10.0 ** rng.uniform(-300.0, 0.0)
+        if 0.0 < nu < math.pi / 2:
+            out.append((R, rng.choice((1.0, -1.0)) * nu))
+    return out
+
+
+def mp_W_dW(R, nu, mu):
+    """50-digit (W, dW/dnu) at (R, nu) with R0 = 1, as the products
+    R^mu sin nu / cos^(1+mu) nu and R^mu (1 + mu sin^2 nu) / cos^(2+mu) nu,
+    which mpf's exponent range holds at any float input."""
+    with mpmath.workdps(50):
+        R, nu, mu = (mpmath.mpf(v) for v in (R, nu, mu))
+        sn, cs = mpmath.sin(nu), mpmath.cos(nu)
+        return R**mu * sn / cs ** (1 + mu), R**mu * (1 + mu * sn * sn) / cs ** (2 + mu)
 
 
 def mp_cartesian_nu(x, y, z, mu, R0=1.0):

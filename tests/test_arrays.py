@@ -440,14 +440,17 @@ def test_compute_W_and_dW_are_elementwise(mu):
     _assert_elementwise(lambda R, nu: dW_dnu(R, nu, cfg), points)
 
 
-def test_compute_W_raises_zero_division_before_the_scale_overflows():
+def test_compute_W_and_dW_answer_where_a_factor_leaves_the_float_range():
     """At mu = 1000, R = 2.2 both cos^(1+mu) nu underflows and (R/R0)^mu
-    overflows near the pole; on the equator only the scale overflows."""
+    overflows near the pole, and W and dW/dnu overflow; on the equator only
+    the scale overflows, W is 0 and dW/dnu = (R/R0)^mu overflows.  Each
+    answers, a float call and an array alike."""
     cfg = SystemConfig(mu=1000.0)
-    for nu, error in ((math.pi / 2 - 0.05, ZeroDivisionError), (0.0, OverflowError)):
-        for call in (compute_W, dW_dnu):
-            assert _outcome(call, 2.2, nu, cfg) is error
-            assert _outcome(call, np.array([1.0, 2.2]), np.array([0.3, nu]), cfg) is error
+    for nu, want in ((math.pi / 2 - 0.05, (math.inf, math.inf)), (0.0, (0.0, math.inf))):
+        for call, value in zip((compute_W, dW_dnu), want):
+            assert call(2.2, nu, cfg) == value
+            got = call(np.array([1.0, 2.2]), np.array([0.3, nu]), cfg)
+            assert got.tolist() == [call(1.0, 0.3, cfg), value]
 
 
 @pytest.mark.parametrize("mu", PARITY_MUS)

@@ -8,12 +8,12 @@ import pytest
 
 from sosharmonics import cli, coords, legendre, verify
 from sosharmonics.cli import GridSpec, main
-from sosharmonics.coords import CartesianPoint, SosPoint, SystemConfig, cartesian_closed, cartesian_R_s
+from sosharmonics.coords import CartesianPoint, SosPoint, SystemConfig, cartesian_closed, cartesian_R_s, compute_W
 from sosharmonics.harmonic import HarmonicSolution, eval_V_at, eval_V_cartesian, load_solution, save_solution
 from sosharmonics.series import region_of
 
 from _grid import grid_cells
-from _oracles import S_REF_MU2_NU30, approx, mp_cartesian_point, mp_point
+from _oracles import S_REF_MU2_NU30, W_SWEEP_MUS, approx, mp_cartesian_point, mp_point, w_sweep
 
 
 @pytest.fixture
@@ -200,6 +200,23 @@ class TestEval:
         assert "unrecognized arguments: --lam 1" in err
 
 
+class TestRecordW:
+    @pytest.mark.parametrize("mu", W_SWEEP_MUS)
+    def test_W_has_the_bits_of_compute_W(self, capsys, tmp_path, mu):
+        # the record's W = e^(log|W|) by numpy's exp, as `compute_W`; null
+        # where that is inf (a record whose metric overflows exits 3)
+        cfg_path, cfg = config(tmp_path, mu), SystemConfig(mu=mu, R0=1.0)
+        finite = 0
+        for R, nu in w_sweep(mu):
+            rc, out, _ = run(capsys, ["eval", "--config", cfg_path, f"--R={R!r}", f"--nu={nu!r}"])
+            if rc == 3:
+                continue
+            W, want = json.loads(out)["W"], compute_W(R, nu, cfg)
+            assert want.hex() == W.hex() if W is not None else math.isinf(want), (R, nu)
+            finite += W is not None
+        assert finite >= 10
+
+
 class TestCartesianRecord:
     """`eval --x/--z` from the point's own closed R, s and log W and one
     logit solve, against the 50-digit `mp_cartesian_point`."""
@@ -210,8 +227,9 @@ class TestCartesianRecord:
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 2.0, 20.0, 200.0, 1000.0])
     def test_fields_match_the_oracle(self, capsys, tmp_path, mu):
-        # a record with a field beyond the float range exits 3; every other
-        # field that is a normal float is within 2e-13
+        # a record with a field other than W beyond the float range exits 3;
+        # an overflowing W is null, with log W within 1e-13 max(1, |log W|);
+        # every other field that is a normal float is within 2e-13
         cfg = config(tmp_path, mu)
         checked = 0
         for scale in self.SCALES:
@@ -219,13 +237,18 @@ class TestCartesianRecord:
                 x, z = scale * math.cos(angle), scale * math.sin(angle)
                 ref = mp_cartesian_point(x, z, mu)
                 rc, out, _ = run(capsys, ["eval", "--config", cfg, "--x", repr(x), "--z", repr(z)])
-                if any(abs(v) > sys.float_info.max for v in ref.values()):
+                if any(abs(v) > sys.float_info.max for k, v in ref.items() if k != "W"):
                     assert rc == 3, (scale, angle)
                     continue
                 assert rc == 0, (scale, angle)
                 rec = json.loads(out)
+                log_w = float(mpmath.log(ref["W"]))
+                assert abs(rec["log_W"] - log_w) <= 1e-13 * max(1.0, abs(log_w)), (scale, angle)
+                assert (rec["W"] is None) == (ref["W"] > sys.float_info.max), (scale, angle)
                 assert rec["region"] == region_of(float(ref["W"]), mu).value
                 for field in self.FIELDS:
+                    if field == "W" and rec["W"] is None:
+                        continue
                     if abs(ref[field]) >= sys.float_info.min:
                         assert rec[field] == approx(float(ref[field]), rel=2e-13), (scale, angle, field)
                         checked += 1
@@ -308,29 +331,36 @@ class TestDomainExits:
 
     @pytest.mark.parametrize("mu", [1e6])
     def test_huge_mu(self, capsys, tmp_path, mu):
-        # the record's W = sin(nu)/cos(nu)^(1+mu) divides by zero at mu = 1e6
-        self.expect_domain(capsys, ["eval", "--config", config(tmp_path, mu), "--R", "1", "--nu", "0.5"])
+        # W = sin(nu)/cos(nu)^(1+mu) is e^130583.6 at mu = 1e6: the record
+        # has W null and log W beside it, and every other field finite
+        rc, out, _ = run(capsys, ["eval", "--config", config(tmp_path, mu), "--R", "1", "--nu", "0.5"])
+        assert rc == 0
+        rec = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-standard JSON {name}"))
+        with mpmath.workdps(50):
+            log_w = float(mpmath.log(mpmath.sin(0.5)) - (1 + mpmath.mpf(mu)) * mpmath.log(mpmath.cos(0.5)))
+        assert (rec["W"], rec["region"]) == (None, "LargeNu")
+        assert rec["log_W"] == approx(log_w, rel=1e-13)
 
     def test_huge_mu_verify(self, capsys, tmp_path):
-        # the metric suite's W form divides by an underflowed cos^(1+mu) nu
+        # the series witness stops at its term cap (ROADMAP item 2)
         self.expect_domain(capsys, ["verify", "--config", config(tmp_path, 1000.0), "--level", "quick"])
 
-    @pytest.mark.parametrize("mu", [248.0, 300.0, 1000.0])
-    def test_verify_past_the_float_range_of_W(self, capsys, tmp_path, mu):
-        # at every mu >= 248 the metric suite's W = (R/R0)^mu sin nu /
-        # cos^(1+mu) nu (from mu = 246.7 or so its dW/dnu) divides by an
-        # underflowed power of cos nu before any kernel call: one line, exit 3
-        rc, out, err = run(capsys, ["verify", "--config", config(tmp_path, mu), "--level", "quick"])
-        assert (rc, out, err) == (3, "", "domain error: ZeroDivisionError: float division by zero\n")
-
     @pytest.mark.parametrize("mu, row", [(205.0, "a=-1.0, mu=205.0, W=0.04977693304416631"),
-                                         (246.0, "a=0.0, mu=246.0, W=0.04544912436791078")])
+                                         (246.0, "a=0.0, mu=246.0, W=0.04544912436791078"),
+                                         (248.0, "a=0.0, mu=248.0, W=0.04526586077440414"),
+                                         (300.0, "a=0.0, mu=300.0, W=0.04116344322898674"),
+                                         (1000.0, "a=0.0, mu=1000.0, W=0.02255928318206754")])
     @pytest.mark.parametrize("level", ["quick", "full"])
     def test_verify_past_the_series_term_cap(self, capsys, tmp_path, mu, row, level):
-        # below mu = 248 every point kernel returns, and the series witness
+        # every point kernel of the suites returns, and the series witness
         # stops at its term cap in the large-nu region: one line, exit 3
         rc, out, err = run(capsys, ["verify", "--config", config(tmp_path, mu), "--level", level])
         assert (rc, out, err) == (3, "", f"domain error: no convergence within 20000 terms ({row})\n")
+
+    def test_the_domain_line_names_the_field(self, capsys, cfg0):
+        # J = R^2 cos(nu) overflows at mu = 0; h_nu = R does not
+        rc, out, err = run(capsys, ["eval", "--config", cfg0, "--R", "1e300", "--nu", "0.5"])
+        assert (rc, out, err) == (3, "", "domain error: non-finite jacobian at R=1e+300, nu=0.5\n")
 
     @pytest.mark.parametrize("R, nu", [("1", "nan"), ("inf", "0.5"), ("nan", "0.5")])
     def test_non_finite_point(self, capsys, cfg2, R, nu):

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -28,7 +29,7 @@ from sosharmonics.verify import run_suite
 from sosharmonics.series import Region, region_of, w_border
 from sosharmonics.trig import trig_from_W, trig_from_W_robust
 
-from _oracles import W_REF_MU2_NU30, Z_REF_MU2_NU30, approx, mp_cartesian_nu, mp_point
+from _oracles import W_REF_MU2_NU30, Z_REF_MU2_NU30, approx, mp_cartesian_nu, mp_point, mp_W_dW, W_SWEEP_MUS, w_sweep
 
 CFG2 = SystemConfig(mu=2.0, R0=1.0)
 CFG0 = SystemConfig(mu=0.0, R0=1.0)
@@ -106,6 +107,56 @@ class TestDerivativesOfW:
         R, hn = 1.4, 1e-6
         fd_nu = (compute_W(R, nu + hn, cfg) - compute_W(R, nu - hn, cfg)) / (2 * hn)
         assert dW_dnu(R, nu, cfg) == approx(fd_nu, rel=1e-8)
+
+
+def log_form_bound(R, nu, mu):
+    """4 u T: the bound on the relative error of `compute_W` and `dW_dnu`,
+    T = |mu log(R/R0)| + (2+mu)(1 + |log cos nu|) + |log sin nu| + 4 (R0 = 1)."""
+    T = abs(mu * math.log(R)) + (2.0 + mu) * (1.0 + abs(math.log(math.cos(nu)))) + abs(math.log(abs(math.sin(nu)))) + 4.0
+    return 4.0 * 2.0**-53 * T
+
+
+class TestLogForms:
+    """`compute_W` and `dW_dnu` as exps of sums of logs, against 50-digit
+    products over `w_sweep`."""
+
+    @pytest.mark.parametrize("mu", W_SWEEP_MUS)
+    def test_against_the_oracle(self, mu):
+        # no raise; inf exactly where the value overflows; within 4 u T
+        # where it is a normal float; float calls are the array's elements
+        cfg = SystemConfig(mu=mu, R0=1.0)
+        points = w_sweep(mu)
+        R, nu = (np.array(column) for column in zip(*points))
+        checked = 0
+        for k, call in enumerate((compute_W, dW_dnu)):
+            got = call(R, nu, cfg)
+            assert np.array([call(r, n, cfg) for r, n in points]).tobytes() == got.tobytes()
+            for (r, n), v in zip(points, got.tolist()):
+                ref = mp_W_dW(r, n, mu)[k]
+                assert math.isinf(v) == (abs(ref) > sys.float_info.max), (r, n, k)
+                if sys.float_info.min <= abs(ref) <= sys.float_info.max:
+                    assert abs(v - ref) <= log_form_bound(r, n, mu) * abs(ref), (r, n, k)
+                    checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("mu", [0.0, 2.0])
+    def test_an_infinite_R_is_off_the_chart(self, mu):
+        # mu log(R/R0) is 0 inf = NaN at mu = 0
+        cfg = SystemConfig(mu=mu, R0=1.0)
+        for call in (compute_W, dW_dnu, coords.closed_solve):
+            with pytest.raises(ValueError, match="R must be finite and positive"):
+                call(np.array([1.0, math.inf]), 0.5, cfg)
+
+    @pytest.mark.parametrize("mu, R, nu, W", [
+        (200.0, 0.02, 1.5, 2.6649368044790e-109),  # a product form's cos^201 nu underflowed: 0.0
+        (200.0, 0.02, 1.55, 0.019809987358735),  # and here gave 0/0
+    ])
+    def test_where_a_factor_leaves_the_float_range(self, mu, R, nu, W):
+        cfg = SystemConfig(mu=mu, R0=1.0)
+        ref_W, ref_dW = mp_W_dW(R, nu, mu)
+        assert compute_W(R, nu, cfg) == approx(W, rel=1e-12)
+        assert abs(compute_W(R, nu, cfg) - ref_W) <= log_form_bound(R, nu, mu) * ref_W
+        assert abs(dW_dnu(R, nu, cfg) - ref_dW) <= log_form_bound(R, nu, mu) * ref_dW
 
 
 class TestMetrics:
