@@ -19,7 +19,6 @@ from .errors import (
     PoleDivergenceError,
     PoleLimitError,
     RankDeficientError,
-    RegionViolationError,
     SosError,
     StencilOutOfDomainError,
 )

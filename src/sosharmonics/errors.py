@@ -9,10 +9,6 @@ class NonConvergentError(SosError):
     """Series truncation rule not met within the term cap."""
 
 
-class RegionViolationError(SosError):
-    """W lies on the wrong side of the convergence border for the requested region."""
-
-
 class NearBorderError(SosError):
     """W falls inside the guard band around the convergence border.
 

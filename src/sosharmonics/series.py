@@ -7,17 +7,21 @@ two series families in the dimensionless cone parameter W:
     S_A = sum_k  C(a + b*k, k) * x^k
     S_C = sum_k  a/(a + b*k) * C(a + b*k, k) * x^k
 
-where C is the generalized binomial coefficient.  The small-nu region uses
-b = -mu and x = W^2; the large-nu region uses b = mu/(1+mu) and
+where C is the generalized binomial coefficient.  A quantity is one spec
+(a, mu, kind), a its small-nu parameter, and W alone picks which of its two
+representations converges.  The small-nu region uses a, b = -mu and
+x = W^2; the large-nu region uses a/(1+mu), b = mu/(1+mu) and
 x = W^(-2/(1+mu)), together with the leading W-power prefactors that make
-the returned value the full physical quantity:
+the returned value the full physical quantity (a/(1+mu) in the powers):
 
     S_A(large) = W^(2a)/(1+mu) * sum(...),   S_C(large) = W^(2a) * sum(...)
 
-Convergence switches sides at W_border = sqrt(mu^mu / (1+mu)^(1+mu)), and a
-guard band around the border is refused.  Every evaluation path takes the
-closed forms of the trig and coords modules; these series are the witness
-that `verify` checks those closed forms against.
+Convergence switches sides at W_border = sqrt(mu^mu / (1+mu)^(1+mu)).  The
+engine classifies each row's W against it as `region_of` does, and a W in
+the guard band around the border is refused with NearBorderError, the one
+error of the band.  Every evaluation path takes the closed forms of the
+trig and coords modules; these series are the witness that `verify` checks
+those closed forms against.
 
 Each term costs O(1), whatever k.  C(alpha, k) = Gamma(p)/(Gamma(K+1) Gamma(q))
 with p = q + K, and its log is taken in the grouped Stirling form
@@ -34,12 +38,13 @@ form p is the integer k, elsewhere K + 1 is, so one of the three remainders
 is taken once per k for all series.
 
 The terms are an array kernel.  `eval_series_many` sums a list of (spec, W)
-rows, each with its own a, mu, region and kind, in blocks of k.  The whole
-log-gamma part of a term depends on its family (a, b, kind) and k alone; W
-enters only through k log x.  So a block forms that W-free part once per
-family with a running row (`_family_part`: the three forms above as masks,
-`math.lgamma` only on arguments below 10), and per row only k log x, the
-exp, the envelope and the rounding bound (`_kernel`); it then applies the
+rows, each with its own a, mu and kind, in blocks of k; its W fixes its
+region, and with it the family (a, b, kind) that it sums.  The whole
+log-gamma part of a term depends on its family and k alone; W enters only
+through k log x.  So a block forms that W-free part once per family with a
+running row (`_family_part`: the three forms above as masks, `math.lgamma`
+only on arguments below 10), and per row only k log x, the exp, the
+envelope and the rounding bound (`_kernel`); it then applies the
 stop below to each row's running sums and drops the rows that stopped, and
 the families left with none.  The first block is 32 terms wide and each
 next one twice as wide, up to 65536 cells (rows x terms) a block, so a
@@ -102,7 +107,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergentError, RegionViolationError
+from .errors import NearBorderError, NonConvergentError
 
 #: Guard factor defining the refused band [gamma*W_border, W_border/gamma].
 BORDER_GUARD = 0.9
@@ -156,22 +161,19 @@ class SeriesKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """One member of the series family.
+    """One member of the series family: a is its small-nu parameter.
 
-    The pair (epsilon, b) is fixed by the region and the family constant mu;
-    it is never user-settable.
+    The region, and with it the summed parameter (a or a/(1+mu)) and b, is
+    fixed by the W of each evaluation and the family constant mu.
     """
 
     a: float
     mu: float
-    region: Region
     kind: SeriesKind
 
     def __post_init__(self) -> None:
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError("mu must be non-negative")
-        if self.region is Region.NEAR_BORDER:
-            raise ValueError("a series cannot be evaluated in the guard band")
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,11 @@ def w_border(mu: float) -> float:
 
 def region_of(W: float, mu: float) -> Region:
     """Classify |W| against the convergence border with the BORDER_GUARD band."""
-    border = w_border(mu)
-    w = abs(W)
+    return _region(abs(W), w_border(mu))
+
+
+def _region(w: float, border: float) -> Region:
+    """The region of w >= 0 against the border W_border."""
     if w < BORDER_GUARD * border:
         return Region.SMALL_NU
     if w > border / BORDER_GUARD:
@@ -361,34 +366,32 @@ def _term(a: float, b: float, x: float, k: int, cauchy: bool) -> float:
 
 def _row_setup(
     spec: SeriesSpec, W: float, border: float, log_border: float
-) -> tuple[float, float, float, float]:
-    """(b, b - 1, log x, rho) of one row, W_border(mu) = border = exp(log_border);
-    rho is the limiting term ratio."""
-    if W < 0:
+) -> tuple[Region, float, float, float, float, float]:
+    """(region, a, b, b - 1, log x, rho) of one row, W_border(mu) = border =
+    exp(log_border): a is the summed parameter and rho the limiting term
+    ratio.  Raises NearBorderError where W is in the guard band."""
+    if not W >= 0:
         raise ValueError("W must be non-negative")
     mu = spec.mu
     log_w = math.log(W) if W > 0.0 else -math.inf
-    if spec.region is Region.SMALL_NU:
-        if W >= border:
-            raise RegionViolationError(
-                f"W={W} is not inside the small-nu region (border {border})"
-            )
-        return -mu, -(1.0 + mu), 2.0 * log_w, math.exp(2.0 * (log_w - log_border))
-    if W <= border:
-        raise RegionViolationError(
-            f"W={W} is not inside the large-nu region (border {border})"
-        )
+    region = _region(W, border)
+    if region is Region.SMALL_NU:
+        return region, spec.a, -mu, -(1.0 + mu), 2.0 * log_w, math.exp(2.0 * (log_w - log_border))
+    if region is Region.NEAR_BORDER:
+        raise NearBorderError(f"W={W} lies in the guard band; use trig_from_W_robust")
     log_rho = 2.0 * (log_border - log_w) / (1.0 + mu)
-    return mu / (1.0 + mu), -1.0 / (1.0 + mu), -2.0 * log_w / (1.0 + mu), math.exp(log_rho)
+    a = spec.a / (1.0 + mu)
+    return region, a, mu / (1.0 + mu), -1.0 / (1.0 + mu), -2.0 * log_w / (1.0 + mu), math.exp(log_rho)
 
 
 def eval_series(spec: SeriesSpec, W: float) -> SeriesResult:
     """Sum of the series at parameter W >= 0, truncated by its tail bound.
 
-    For the large-nu region the leading W-power prefactors are included, so
-    the returned value is the full quantity.  Raises RegionViolationError if
-    W is on the wrong side of the border and NonConvergentError if the tail
-    bound does not fall below DEFAULT_TOL * |sum| within the term cap.
+    W picks the region (`region_of`); in the large-nu region the leading
+    W-power prefactors are included, so the returned value is the full
+    quantity.  Raises ValueError if W is negative or NaN, NearBorderError if
+    it is in the guard band and NonConvergentError if the tail bound does
+    not fall below DEFAULT_TOL * |sum| within the term cap.
     """
     return eval_series_many([(spec, W)])[0]
 
@@ -403,18 +406,20 @@ def eval_series_many(requests) -> list[SeriesResult]:
     the first row still running at the term cap.
     """
     borders = {}  # (W_border, log W_border) of each mu
+    setups = []  # (region, summed a) of each row
     families, row_fam, live, log_x, rho = {}, [], [], [], []
     for i, (spec, W) in enumerate(requests):
         if spec.mu not in borders:
             border = w_border(spec.mu)
             borders[spec.mu] = border, math.log(border)
-        b, bm1, row_log_x, row_rho = _row_setup(spec, W, *borders[spec.mu])
+        region, a, b, bm1, row_log_x, row_rho = _row_setup(spec, W, *borders[spec.mu])
+        setups.append((region, a))
         if row_log_x == -math.inf:  # x = 0: the k = 0 term alone
             continue
         # the rows of a family share every W-free parameter; a zero a or b
         # takes its equal's sign, which reaches no term (it reaches only the
         # sign of a zero alpha, which enters as alpha < 0 and alpha + 1)
-        key = (spec.a, b, bm1, spec.kind is SeriesKind.SC)
+        key = (a, b, bm1, spec.kind is SeriesKind.SC)
         row_fam.append(families.setdefault(key, len(families)))
         live.append(i)
         log_x.append(row_log_x)
@@ -424,19 +429,19 @@ def eval_series_many(requests) -> list[SeriesResult]:
         fam = np.array([_family_params(*key) for key in families])
         with np.errstate(all="ignore"):
             rows = _sum_rows(
-                [requests[i] for i in live], fam, np.array(row_fam),
+                [(setups[i][1], *requests[i]) for i in live], fam, np.array(row_fam),
                 np.array(log_x)[:, None], np.array(rho),
             )
         for i, row in zip(live, rows):
             summed[i] = row
 
     out = []
-    for (spec, W), (terms, tail, rounding) in zip(requests, summed):
+    for (spec, W), (region, a), (terms, tail, rounding) in zip(requests, setups, summed):
         total = math.fsum(terms)
         # the correctly rounded sum and the large-nu prefactor add a few roundings
         ops = 1.0
-        if spec.region is Region.LARGE_NU:
-            pref = W ** (2.0 * spec.a)
+        if region is Region.LARGE_NU:
+            pref = W ** (2.0 * a)
             if spec.kind is SeriesKind.SA:
                 pref /= 1.0 + spec.mu
             value = pref * total
@@ -455,7 +460,8 @@ def eval_series_many(requests) -> list[SeriesResult]:
 
 def _sum_rows(requests, fam, row_fam, log_x, rho) -> list[tuple[list, float, float]]:
     """(terms, tail bound, summed rounding bounds) of each row, row i of
-    family fam[row_fam[i]] (`_family_params`) at log x = log_x[i].
+    family fam[row_fam[i]] (`_family_params`) at log x = log_x[i]; requests
+    holds each row's (summed a, spec, W), which NonConvergentError names.
 
     The rows run block by block, a stopped row leaving the block and a
     family with no running row leaving with it; a block forms the W-free
@@ -487,9 +493,9 @@ def _sum_rows(requests, fam, row_fam, log_x, rho) -> list[tuple[list, float, flo
     k0, width = 1, _FIRST_BLOCK
     while rows.size:
         if k0 > TERM_CAP:
-            spec, W = requests[rows[0]]
+            a, spec, W = requests[rows[0]]
             raise NonConvergentError(
-                f"no convergence within {TERM_CAP} terms (a={spec.a}, mu={spec.mu}, W={W})"
+                f"no convergence within {TERM_CAP} terms (a={a}, mu={spec.mu}, W={W})"
             )
         width = min(width, max(1, _BLOCK_CELLS // rows.size), TERM_CAP - k0 + 1)
         k = np.arange(k0, k0 + width, dtype=float)
@@ -547,15 +553,8 @@ def _sum_rows(requests, fam, row_fam, log_x, rho) -> list[tuple[list, float, flo
     ]
 
 
-def _region_a(a_small: float, mu: float, region: Region) -> float:
-    """Series parameter for a quantity: a is (1+mu)-times smaller in the large region."""
-    if region is Region.SMALL_NU:
-        return a_small
-    return a_small / (1.0 + mu)
-
-
 _QUANTITY_TABLE = {
-    # name: (small-region a, kind); the large region divides a by (1+mu)
+    # name: (small-nu a, kind); the large-nu region sums a/(1+mu)
     "hR2": (lambda mu: 0.0, SeriesKind.SA),
     "fC2": (lambda mu: -1.0, SeriesKind.SA),
     "fS2": (lambda mu: -(1.0 + mu), SeriesKind.SA),
@@ -566,7 +565,7 @@ _QUANTITY_TABLE = {
 }
 
 
-def quantity_series(name: str, mu: float, region: Region) -> SeriesSpec:
+def quantity_series(name: str, mu: float) -> SeriesSpec:
     """Series family member behind a named SOS quantity.
 
       hR2       h_R^2                      S_A, a = 0
@@ -578,7 +577,8 @@ def quantity_series(name: str, mu: float, region: Region) -> SeriesSpec:
       jac_hnu2  (J/h_nu^2) part            S_C, a = (mu+1)/2
 
     External prefactors ((1+mu) W^2 for fS2, the R and dW/dnu factors of the
-    metric quantities) are applied by the consuming modules.
+    metric quantities) are applied by the consuming modules.  The a listed
+    is the small-nu one; the large-nu region sums a/(1+mu).
     """
-    a_small, kind = _QUANTITY_TABLE[name]
-    return SeriesSpec(a=_region_a(a_small(mu), mu, region), mu=mu, region=region, kind=kind)
+    a, kind = _QUANTITY_TABLE[name]
+    return SeriesSpec(a=a(mu), mu=mu, kind=kind)

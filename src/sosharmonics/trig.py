@@ -13,7 +13,9 @@ finds in log space for every W, the border band included.  The Polya-Szego
 series bundle `trig_from_W` is kept as the witness that `verify` checks the
 closed forms against; `verify` sums its series rows (`_witness_rows`) at
 every W with those of its other suites and takes one bundle of arrays from
-their values (`_witness_bundle`).
+their values (`_witness_bundle`).  Its rows are the specs of hR2, fC2 and
+fS2, each by its small-nu parameter a; the series engine picks each row's
+region from its W and refuses the guard band with NearBorderError.
 
 The closed kernel (`solve_logit`, `closed_trig`, `trig_from_W_robust`,
 `s_on_reference`, `w_from_s`) has one numpy body (`_point_kernel`), for
@@ -30,13 +32,8 @@ from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
-from .errors import NearBorderError, PoleLimitError
-from .series import (
-    Region,
-    eval_series_many,
-    quantity_series,
-    region_of,
-)
+from .errors import PoleLimitError
+from .series import eval_series_many, quantity_series
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ def s_on_reference(nu, mu: float):
 def w_from_s(s, mu: float):
     """Invert s back to the cone parameter W; strictly increasing in s.
     Floats or arrays; raises OverflowError where W overflows."""
-    if np.any(s < 0.0):
+    if not np.all(s >= 0.0):
         raise ValueError("s must be non-negative")
     if np.any(s >= s_limit(mu)):
         raise PoleLimitError("W diverges as s approaches sqrt(1+mu)")
@@ -178,12 +175,11 @@ def _spherical_bundle(W: float) -> TrigBundle:
 
 
 def trig_from_W(W: float, mu: float) -> TrigBundle:
-    """Series evaluation of the bundle (the witness); refuses the guard band."""
+    """Series evaluation of the bundle (the witness); refuses the guard band
+    with NearBorderError."""
     values = _series_values(_witness_rows([W], mu))
     if mu == 0.0:
         return _spherical_bundle(W)
-    if W == 0.0:
-        return TrigBundle(W=0.0, h_R=1.0, f_S=0.0, f_C=1.0, s=0.0, mu=mu)
     return _walk(_witness_bundle(W, mu, values), float)
 
 
@@ -195,24 +191,18 @@ def _series_values(rows) -> np.ndarray:
 
 def _witness_rows(Ws, mu: float) -> list:
     """The series rows (spec, W) of `trig_from_W` at every W of Ws: hR2, fC2
-    and fS2 at each W > 0 for mu > 0; raises the first W's error, in order."""
-    requests = []
-    for W in Ws:
-        if W < 0:
+    and fS2 at each W for mu > 0, and none for mu = 0, whose bundle is
+    closed.  The series engine raises the first W's error, in order."""
+    if mu == 0.0:
+        if not all(W >= 0 for W in Ws):
             raise ValueError("W must be non-negative")
-        if mu == 0.0 or W == 0.0:
-            continue
-        region = region_of(W, mu)
-        if region is Region.NEAR_BORDER:
-            raise NearBorderError(
-                f"W={W} lies in the guard band; use trig_from_W_robust"
-            )
-        requests += [(quantity_series(name, mu, region), W) for name in ("hR2", "fC2", "fS2")]
-    return requests
+        return []
+    specs = [quantity_series(name, mu) for name in ("hR2", "fC2", "fS2")]
+    return [(spec, W) for W in Ws for spec in specs]
 
 
 def _witness_bundle(W, mu: float, values) -> TrigBundle:
-    """The bundle of `trig_from_W` at W > 0 (a float or a 1-D array) and
+    """The bundle of `trig_from_W` at W >= 0 (a float or a 1-D array) and
     mu > 0 from the values of its `_witness_rows`, in order."""
     hR2, fC2, fS2 = np.reshape(values, np.shape(W) + (3,)).T
     h_R, f_C = np.sqrt(hR2), np.sqrt(fC2)
@@ -224,7 +214,7 @@ def _witness_bundle(W, mu: float, values) -> TrigBundle:
 def trig_from_W_robust(W, mu: float) -> TrigBundle:
     """Series-free bundle from the closed inversion, for every W >= 0; W is
     a float or an array, and every field of the bundle has its type."""
-    if np.any(W < 0):
+    if not np.all(W >= 0):
         raise ValueError("W must be non-negative")
     h_R, f_C, s = closed_trig(solve_logit(np.log(W), mu), mu)
     return TrigBundle(W=W, h_R=h_R, f_S=s * h_R, f_C=f_C, s=s, mu=mu)

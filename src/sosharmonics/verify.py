@@ -153,6 +153,11 @@ def _max_rel(x, ref) -> float:
     return _worst(np.abs(x - ref) / np.maximum(np.abs(ref), 1e-300))
 
 
+def _outside_band(W: np.ndarray, mu: float) -> np.ndarray:
+    """The mask of the W outside the guard band, where the series witness sums."""
+    return np.array([region_of(w, mu) is not Region.NEAR_BORDER for w in W.tolist()], dtype=bool)
+
+
 def _w_samples(mu: float, per_region: int) -> list[float]:
     """W values inside both convergence regions plus the guard band."""
     border = w_border(mu)
@@ -239,7 +244,7 @@ def _trig_identity_body(mu: float, level: str):
     """Pythagorean/scale-factor relations and the closed W(s) inversion, at
     the robust bundle of every W and the series bundle outside the guard band."""
     ws = np.array(_w_samples(mu, _SIZES[level].trig_per_region))
-    witnessed = np.array([mu > 0.0 and region_of(W, mu) is not Region.NEAR_BORDER for W in ws.tolist()])
+    witnessed = _outside_band(ws, mu) & (mu > 0.0)
     series_ws = ws[witnessed]
     robust, values = yield [(trig_from_W_robust, ws, mu), (eval_series_many, _witness_rows(series_ws.tolist(), mu))]
     series = _witness_bundle(series_ws, mu, values)
@@ -322,20 +327,16 @@ def _series_identity_body(mu: float):
     ln(1+mu).
     """
     border = w_border(mu)
+    # three W in each convergence region; a large-nu row sums a/(1+mu)
+    ws = [0.1 * border, 0.5 * border, 0.8 * border, border / 0.8, border / 0.4, border / 0.05]
     requests = []
-    for region, ws in (
-        (Region.SMALL_NU, [0.1 * border, 0.5 * border, 0.8 * border]),
-        (Region.LARGE_NU, [border / 0.8, border / 0.4, border / 0.05]),
-    ):
-        scale = 1.0 / (1.0 + mu) if region is Region.LARGE_NU else 1.0
-        for a_s, c_s in ((-1.0, -(mu + 2.0)), ((mu + 1.0) / 2.0, -1.0)):
-            a, c = a_s * scale, c_s * scale
-            for W in ws:
-                requests += [
-                    (SeriesSpec(a + c, mu, region, SeriesKind.SA), W),
-                    (SeriesSpec(c, mu, region, SeriesKind.SA), W),
-                    (SeriesSpec(a, mu, region, SeriesKind.SC), W),
-                ]
+    for a, c in ((-1.0, -(mu + 2.0)), ((mu + 1.0) / 2.0, -1.0)):
+        for W in ws:
+            requests += [
+                (SeriesSpec(a + c, mu, SeriesKind.SA), W),
+                (SeriesSpec(c, mu, SeriesKind.SA), W),
+                (SeriesSpec(a, mu, SeriesKind.SC), W),
+            ]
     log_ws = np.array([0.1 * border, 0.25 * border, 0.6 * border])
     tb_log, values = yield [(trig_from_W_robust, log_ws, mu), (eval_series_many, requests)]
     num, den, rat = np.reshape(values, (-1, 3)).T
@@ -362,10 +363,10 @@ def _spherical_series_body():
     requests, closed = [], []
     for a in (-2.0, -1.0, -0.5, 0.5, 1.5):
         for W in (0.05, 0.3, 0.7):
-            requests.append((SeriesSpec(a, 0.0, Region.SMALL_NU, SeriesKind.SA), W))
+            requests.append((SeriesSpec(a, 0.0, SeriesKind.SA), W))
             closed.append((1.0 + W * W) ** a)
         for W in (1.5, 3.0, 20.0):
-            requests.append((SeriesSpec(a, 0.0, Region.LARGE_NU, SeriesKind.SA), W))
+            requests.append((SeriesSpec(a, 0.0, SeriesKind.SA), W))
             closed.append(W ** (2 * a) * (1.0 + W**-2.0) ** a)
     (values,) = yield [(eval_series_many, requests)]
     worst = _max_rel(values, np.array(closed))
@@ -391,15 +392,17 @@ def _metric_body(cfg: SystemConfig, level: str):
     # the five metric series, with the R and dW/dnu factors, at every point
     # outside the guard band where each series value is a normal float (far
     # from the border the large-nu prefactor W^(2a) underflows or overflows)
-    at = np.array([region_of(w, mu) is not Region.NEAR_BORDER for w in W.tolist()], dtype=bool)
-    requests = [(quantity_series(name, mu, region_of(w, mu)), w) for w in W[at].tolist() for name in _METRIC_SERIES]
+    at = _outside_band(W, mu)
+    specs = [quantity_series(name, mu) for name in _METRIC_SERIES]
+    requests = [(spec, w) for w in W[at].tolist() for spec in specs]
     asked = [(closed_point, R, nu, cfg), (trig_from_W_robust, W, mu), (eval_series_many, requests)]
     (_, _, mb, _), tb, values = yield asked
     with np.errstate(invalid="ignore"):
         r_link = _max_rel(mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2, (tb.f_C * tb.f_S * R * (dw_dnu / W)) ** 2)
     r_cross = max(
         _max_rel(mb.jac_over_hR2 * mb.h_R**2, mb.jacobian),
-        _max_rel(mb.jac_over_hnu2 * mb.h_nu**2, mb.jacobian),
+        # h_nu once at a time: h_nu**2 underflows at large mu
+        _max_rel((mb.jac_over_hnu2 * mb.h_nu) * mb.h_nu, mb.jacobian),
     )
     eps = 1e-12
     in_bounds = (1.0 / math.sqrt(1.0 + mu) - eps <= mb.h_R) & (mb.h_R <= 1.0 + eps)

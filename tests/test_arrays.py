@@ -529,7 +529,7 @@ def test_trig_and_metric_checks_keep_the_bits_of_float_loops(mu):
         region = series.region_of(W, mu)
         if region is series.Region.NEAR_BORDER:
             continue
-        parts = [series.eval_series(series.quantity_series(name, mu, region), W).value
+        parts = [series.eval_series(series.quantity_series(name, mu), W).value
                  for name in ("hR2", "Snu", "jac", "jac_hR2", "jac_hnu2")]
         if not all(sys.float_info.min <= abs(v) < math.inf for v in parts):
             continue

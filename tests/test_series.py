@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from sosharmonics import coords, series, trig, verify
 from sosharmonics.coords import SystemConfig
-from sosharmonics.errors import NonConvergentError, RegionViolationError
+from sosharmonics.errors import NearBorderError, NonConvergentError
 from sosharmonics.series import (
+    BORDER_GUARD,
     Region,
     SeriesKind,
     SeriesResult,
@@ -32,12 +34,18 @@ from _oracles import W_BORDER_MU2, approx, mp_binom, mp_series, mp_series_closed
 QUANTITIES = ("hR2", "fC2", "fS2", "Snu", "jac", "jac_hR2", "jac_hnu2")
 
 
-def sa(a, mu, region=Region.SMALL_NU):
-    return SeriesSpec(a=a, mu=mu, region=region, kind=SeriesKind.SA)
+def sa(a, mu):
+    return SeriesSpec(a=a, mu=mu, kind=SeriesKind.SA)
 
 
-def sc(a, mu, region=Region.SMALL_NU):
-    return SeriesSpec(a=a, mu=mu, region=region, kind=SeriesKind.SC)
+def sc(a, mu):
+    return SeriesSpec(a=a, mu=mu, kind=SeriesKind.SC)
+
+
+def summed_a(spec, large):
+    """The parameter a spec sums: its own a on the small-nu side, a/(1+mu)
+    on the large-nu side."""
+    return spec.a / (1.0 + spec.mu) if large else spec.a
 
 
 class TestGenBinom:
@@ -126,7 +134,7 @@ class TestEvalSeries:
     @pytest.mark.parametrize("a", [-2.0, -0.5, 1.5])
     @pytest.mark.parametrize("W", [1.3, 4.0, 30.0])
     def test_mu0_large_closed_form(self, a, W):
-        res = eval_series(sa(a, 0.0, Region.LARGE_NU), W)
+        res = eval_series(sa(a, 0.0), W)
         ref = W ** (2 * a) * (1.0 + W**-2.0) ** a
         assert res.value == approx(ref, rel=1e-12)
 
@@ -138,22 +146,45 @@ class TestEvalSeries:
         assert res.est_rel_error <= 1e-12
         assert res.terms_used < series.TERM_CAP
 
-    def test_region_violation_small(self):
-        with pytest.raises(RegionViolationError):
-            eval_series(sa(0.0, 2.0), 0.5)  # above the mu=2 border
+    def test_W_picks_the_region(self):
+        # one spec, a the small-nu parameter, on both sides of the border
+        for W in (0.2, 0.5):
+            large = W > W_BORDER_MU2
+            ref = mp_series_closed(summed_a(sa(-1.0, 2.0), large), 2.0, large, False, W)
+            assert eval_series(sa(-1.0, 2.0), W).value == approx(float(ref), rel=1e-14)
 
-    def test_region_violation_large(self):
-        with pytest.raises(RegionViolationError):
-            eval_series(sa(0.0, 2.0, Region.LARGE_NU), 0.2)
+    @pytest.mark.parametrize("mu", [0.0, 1e-310, 2.0, 200.0])
+    def test_the_engine_region_is_region_of_at_the_band_edges(self, mu):
+        border = w_border(mu)
+        spec = sa(-1.0, mu)
+        for edge in (BORDER_GUARD * border, border / BORDER_GUARD):
+            for W in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                region = region_of(W, mu)
+                if region is Region.NEAR_BORDER:
+                    with pytest.raises(NearBorderError, match=re.escape(f"W={W} ")):
+                        eval_series(spec, W)
+                else:
+                    assert series._row_setup(spec, W, border, math.log(border))[0] is region
+
+    @pytest.mark.parametrize("spec", [sa(0.0, 2.0), sa(-3.0, 2.0), sc(1.5, 2.0)])
+    def test_nan_W_is_refused(self, spec):
+        # NaN was summed as W = 0 (1.0 in one term) on the small-nu side
+        with pytest.raises(ValueError, match="non-negative"):
+            eval_series(spec, math.nan)
 
     def test_nonconvergent_at_cap(self, monkeypatch):
         monkeypatch.setattr(series, "TERM_CAP", 40)
         with pytest.raises(NonConvergentError):
-            eval_series(sa(0.0, 2.0), 0.999 * w_border(2.0))
+            eval_series(sa(0.0, 2.0), 0.85 * w_border(2.0))
 
-    def test_spec_rejects_guard_band_region(self):
-        with pytest.raises(ValueError):
-            SeriesSpec(a=0.0, mu=2.0, region=Region.NEAR_BORDER, kind=SeriesKind.SA)
+    @pytest.mark.parametrize("mu", [-1.0, math.nan])
+    def test_spec_refuses_a_negative_or_nan_mu(self, mu):
+        with pytest.raises(ValueError, match="non-negative"):
+            sa(0.0, mu)
+
+    def test_spec_has_a_mu_and_kind_alone(self):
+        assert [f.name for f in dataclasses.fields(SeriesSpec)] == ["a", "mu", "kind"]
+        assert list(inspect.signature(quantity_series).parameters) == ["name", "mu"]
 
 
 class TestTermBehaviour:
@@ -236,7 +267,7 @@ class TestAgainstMpmath:
         # log-gammas: 2.6e-14 off at mu = 20, 4.2e-12 at mu = 1000
         W = frac * w_border(mu)
         for name in QUANTITIES:
-            spec = quantity_series(name, mu, Region.SMALL_NU)
+            spec = quantity_series(name, mu)
             ref = mp_series(spec.a, mu, False, spec.kind is SeriesKind.SC, W)
             got = eval_series(spec, W).value
             assert abs(mpmath.mpf(got) - ref) <= 1e-14 * abs(ref), name
@@ -247,11 +278,10 @@ class TestAgainstMpmath:
         # a stop on three small terms ignored the tail: at mu = 50 and
         # border/0.85, hR2 was 1.9e-12 off with an estimate of 7.4e-15
         W = frac * w_border(mu)
-        region = Region.LARGE_NU if frac > 1 else Region.SMALL_NU
         for name in QUANTITIES:
-            spec = quantity_series(name, mu, region)
+            spec = quantity_series(name, mu)
             res = eval_series(spec, W)
-            ref = mp_series_closed(spec.a, mu, frac > 1, spec.kind is SeriesKind.SC, W)
+            ref = mp_series_closed(summed_a(spec, frac > 1), mu, frac > 1, spec.kind is SeriesKind.SC, W)
             err = abs(mpmath.mpf(res.value) - ref) / abs(ref)
             assert err <= res.est_rel_error, name
             assert res.est_rel_error < 1e-12, name
@@ -264,11 +294,12 @@ class TestAgainstMpmath:
         # the large-nu fS2 terms at mu = 50 are exact zeros at k = 51, 102, ...
         # (alpha = 49 at k = 51); the term sum must run past them
         large = frac > 1
-        spec = quantity_series(name, mu, Region.LARGE_NU if large else Region.SMALL_NU)
+        spec = quantity_series(name, mu)
+        a = summed_a(spec, large)
         W = frac * w_border(mu)
         cauchy = spec.kind is SeriesKind.SC
-        summed = mp_series(spec.a, mu, large, cauchy, W)
-        closed = mp_series_closed(spec.a, mu, large, cauchy, W)
+        summed = mp_series(a, mu, large, cauchy, W)
+        closed = mp_series_closed(a, mu, large, cauchy, W)
         assert abs(summed - closed) <= mpmath.mpf(10) ** -30 * abs(closed)
 
 
@@ -282,13 +313,13 @@ def _mixed_batch():
         border = w_border(mu)
         for name in QUANTITIES:
             for frac in (0.03, 0.3, 0.85):
-                rows.append((quantity_series(name, mu, Region.SMALL_NU), frac * border))
+                rows.append((quantity_series(name, mu), frac * border))
             for frac in (0.85, 0.3, 0.02):
-                rows.append((quantity_series(name, mu, Region.LARGE_NU), border / frac))
-        rows.append((quantity_series("hR2", mu, Region.SMALL_NU), 0.0))
+                rows.append((quantity_series(name, mu), border / frac))
+        rows.append((quantity_series("hR2", mu), 0.0))
     rows.append((sc(0.0, 2.0), 0.2))
-    rows.append((quantity_series("fS2", 50.0, Region.LARGE_NU), w_border(50.0) / 0.6))
-    rows.append((quantity_series("Snu", 2.0, Region.LARGE_NU), 1e200))
+    rows.append((quantity_series("fS2", 50.0), w_border(50.0) / 0.6))
+    rows.append((quantity_series("Snu", 2.0), 1e200))
     return rows
 
 
@@ -324,19 +355,11 @@ class TestBatchKernel:
         rows = []
         for mu in (0.0, 2.0, 50.0):
             border = w_border(mu)
-            specs = [
-                quantity_series(name, mu, region)
-                for name in QUANTITIES
-                for region in (Region.SMALL_NU, Region.LARGE_NU)
-            ]
-            for a in (0.0, -0.0, 1.0, -2.5):
-                for kind in SeriesKind:
-                    specs += [SeriesSpec(a, mu, Region.SMALL_NU, kind), SeriesSpec(a, mu, Region.LARGE_NU, kind)]
+            specs = [quantity_series(name, mu) for name in QUANTITIES]
+            specs += [SeriesSpec(a, mu, kind) for a in (0.0, -0.0, 1.0, -2.5) for kind in SeriesKind]
             for spec in specs:
-                if spec.region is Region.SMALL_NU:
-                    rows += [(spec, f * border) for f in (0.05, 0.2, 0.5, 0.7, 0.85)]
-                else:
-                    rows += [(spec, border / f) for f in (0.85, 0.6, 0.2, 0.05)]
+                rows += [(spec, f * border) for f in (0.05, 0.2, 0.5, 0.7, 0.85)]
+                rows += [(spec, border / f) for f in (0.85, 0.6, 0.2, 0.05)]
         families = []
         part = series._family_part
 
@@ -367,17 +390,29 @@ class TestBatchKernel:
         assert [_bits(r) for r in eval_series_many(rows)] == wide
 
     def test_a_row_past_the_term_cap_is_named(self):
+        # by the a it sums: a/(1+mu) on the large-nu side
         mu = 1000.0
         W = w_border(mu) / 0.85
-        spec = quantity_series("hR2", mu, Region.LARGE_NU)
-        rows = [(sa(-1.0, 2.0), 0.1), (spec, W), (sa(-1.0, 2.0, Region.LARGE_NU), 1.0)]
-        expected = f"a={spec.a}, mu={mu}, W={W}"
+        spec = quantity_series("fC2", mu)
+        rows = [(sa(-1.0, 2.0), 0.1), (spec, W), (sa(-1.0, 2.0), 1.0)]
+        expected = f"a={-1.0 / (1.0 + mu)}, mu={mu}, W={W})"
         with pytest.raises(NonConvergentError, match=re.escape(expected)):
             eval_series_many(rows)
 
     def test_the_first_bad_row_raises(self):
-        rows = [(sa(-1.0, 2.0), 0.1), (sa(0.0, 2.0), 0.5), (sa(0.0, 2.0), -1.0)]
-        with pytest.raises(RegionViolationError):
+        rows = [(sa(-1.0, 2.0), 0.1), (sa(0.0, 2.0), W_BORDER_MU2), (sa(0.0, 2.0), -1.0)]
+        with pytest.raises(NearBorderError, match=re.escape(f"W={W_BORDER_MU2} ")):
+            eval_series_many(rows)
+        with pytest.raises(ValueError):
+            eval_series_many(rows[::-1])
+
+    def test_a_band_row_raises_before_any_row_is_summed(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a row was summed")
+
+        monkeypatch.setattr(series, "_sum_rows", forbidden)
+        rows = [(sa(-1.0, 2.0), 0.1), (sa(-1.0, 2.0), 1.0), (sa(-1.0, 2.0), 0.95 * W_BORDER_MU2)]
+        with pytest.raises(NearBorderError):
             eval_series_many(rows)
 
     def test_empty_batch(self):
@@ -390,8 +425,8 @@ def _rows_at(*mus):
     for mu in mus:
         border = w_border(mu)
         for name in QUANTITIES:
-            rows += [(quantity_series(name, mu, Region.SMALL_NU), f * border) for f in (0.05, 0.5, 0.85)]
-            rows += [(quantity_series(name, mu, Region.LARGE_NU), border / f) for f in (0.85, 0.5, 0.05)]
+            rows += [(quantity_series(name, mu), f * border) for f in (0.05, 0.5, 0.85)]
+            rows += [(quantity_series(name, mu), border / f) for f in (0.85, 0.5, 0.05)]
     return rows
 
 
@@ -577,12 +612,19 @@ def test_verify_full_level_makes_one_call_per_closed_kernel_a_round(monkeypatch)
 
 
 def test_eval_series_keeps_the_signature_and_result_tracing_reads():
-    # a span tracer reads (args[0].region.value, result.terms_used)
+    # a span tracer reads result.terms_used of each eval_series call
     params = inspect.signature(eval_series).parameters
     assert list(params) == ["spec", "W"]
     assert params["spec"].annotation in (SeriesSpec, "SeriesSpec")
-    args = (quantity_series("hR2", 2.0, Region.SMALL_NU), 0.5 * W_BORDER_MU2)
+    args = (quantity_series("hR2", 2.0), 0.5 * W_BORDER_MU2)
     result = eval_series(*args)
     assert type(result) is SeriesResult
-    assert args[0].region.value == "SmallNu"
     assert isinstance(result.terms_used, int) and result.terms_used > 1
+
+
+def test_jacobian_ratios_hold_where_h_nu_squared_underflows():
+    # at mu = 1000 h_nu is about 4e-303, whose square underflowed to 0.0,
+    # so the J/h_nu^2 cross-check read 1.0 against its 1e-9
+    checks, *_ = verify._run_bodies({"m": verify._metric_body(SystemConfig(1000.0), "quick")})
+    ratios = next(c for c in checks["m"] if c.name == "metric.jacobian_ratios")
+    assert ratios.max_residual < 1e-15

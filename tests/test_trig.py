@@ -71,8 +71,28 @@ class TestSeriesPath:
         assert tb.f_S == pytest.approx(FS_REF_MU2_NU30, abs=1e-13)
 
     def test_guard_band_refused(self):
-        with pytest.raises(NearBorderError):
+        with pytest.raises(NearBorderError, match="guard band"):
             trig_from_W(W_BORDER_MU2, 2.0)
+
+    @pytest.mark.parametrize("mu", [0.0, 2.0])
+    def test_nan_W_rejected(self, mu):
+        with pytest.raises(ValueError, match="non-negative"):
+            trig_from_W(math.nan, mu)
+
+    @pytest.mark.parametrize("W", [math.nan, np.array([0.5, math.nan])])
+    def test_robust_rejects_nan_W(self, W):
+        # a NaN W gave a bundle of NaN
+        with pytest.raises(ValueError, match="non-negative"):
+            trig_from_W_robust(W, 2.0)
+
+    def test_witness_rows_raise_the_first_W_error(self):
+        # the band W first: its NearBorderError, then a negative W's ValueError
+        with pytest.raises(NearBorderError):
+            trig.eval_series_many(trig._witness_rows([0.1, W_BORDER_MU2, -1.0], 2.0))
+        with pytest.raises(ValueError):
+            trig.eval_series_many(trig._witness_rows([0.1, -1.0, W_BORDER_MU2], 2.0))
+        with pytest.raises(ValueError):
+            trig._witness_rows([0.5, math.nan], 0.0)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_invariants_on_grid(self, mu):
@@ -136,6 +156,12 @@ class TestWFromS:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             w_from_s(-0.1, 2.0)
+
+    @pytest.mark.parametrize("s", [math.nan, np.array([0.5, math.nan])])
+    def test_nan_rejected(self, s):
+        # a NaN s gave a NaN W
+        with pytest.raises(ValueError, match="non-negative"):
+            w_from_s(s, 2.0)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_strictly_increasing(self, mu):
