@@ -9,13 +9,10 @@ closed inversion
     W^2 = t / (1 - t)^(1+mu),   t = s^2/(1+mu)
 
 Every member of the bundle follows from its one root, which `solve_logit`
-finds in log space for every W, the border band included.  The Polya-Szego
-series bundle `trig_from_W` is kept as the witness that `verify` checks the
-closed forms against; `verify` sums its series rows (`_witness_rows`) at
-every W with those of its other suites and takes one bundle of arrays from
-their values (`_witness_bundle`).  Its rows are the specs of hR2, fC2 and
-fS2, each by its small-nu parameter a; the series engine picks each row's
-region from its W and refuses the guard band with NearBorderError.
+finds in log space for every W, the border band included.  The
+Polya-Szego series of h_R^2, f_C^2 and f_S^2 are the witness that `verify`
+checks these closed forms against: `verify` sums their rows with the series
+engine and forms one series bundle of arrays from their values.
 
 The closed kernel (`solve_logit`, `closed_trig`, `trig_from_W_robust`,
 `s_on_reference`, `w_from_s`) has one numpy body (`_point_kernel`), for
@@ -33,7 +30,6 @@ from dataclasses import dataclass, is_dataclass
 import numpy as np
 
 from .errors import PoleLimitError
-from .series import eval_series_many, quantity_series
 
 
 @dataclass(frozen=True)
@@ -166,48 +162,6 @@ def closed_trig(x, mu: float):
     f_C = np.exp(-0.5 * sp) * h_R
     s = math.sqrt(1.0 + mu) * np.exp(0.5 * log_t)
     return h_R, f_C, s
-
-
-def _spherical_bundle(W: float) -> TrigBundle:
-    # mu = 0: W = tan(nu)
-    c = 1.0 / math.sqrt(1.0 + W * W)
-    return TrigBundle(W=W, h_R=1.0, f_S=W * c, f_C=c, s=W * c, mu=0.0)
-
-
-def trig_from_W(W: float, mu: float) -> TrigBundle:
-    """Series evaluation of the bundle (the witness); refuses the guard band
-    with NearBorderError."""
-    values = _series_values(_witness_rows([W], mu))
-    if mu == 0.0:
-        return _spherical_bundle(W)
-    return _walk(_witness_bundle(W, mu, values), float)
-
-
-def _series_values(rows) -> np.ndarray:
-    """The values of the series rows (spec, W), as one float array, from one
-    `eval_series_many` call."""
-    return np.array([res.value for res in eval_series_many(rows)])
-
-
-def _witness_rows(Ws, mu: float) -> list:
-    """The series rows (spec, W) of `trig_from_W` at every W of Ws: hR2, fC2
-    and fS2 at each W for mu > 0, and none for mu = 0, whose bundle is
-    closed.  The series engine raises the first W's error, in order."""
-    if mu == 0.0:
-        if not all(W >= 0 for W in Ws):
-            raise ValueError("W must be non-negative")
-        return []
-    specs = [quantity_series(name, mu) for name in ("hR2", "fC2", "fS2")]
-    return [(spec, W) for W in Ws for spec in specs]
-
-
-def _witness_bundle(W, mu: float, values) -> TrigBundle:
-    """The bundle of `trig_from_W` at W >= 0 (a float or a 1-D array) and
-    mu > 0 from the values of its `_witness_rows`, in order."""
-    hR2, fC2, fS2 = np.reshape(values, np.shape(W) + (3,)).T
-    h_R, f_C = np.sqrt(hR2), np.sqrt(fC2)
-    f_S = np.sqrt((1.0 + mu) * W * W * fS2)
-    return TrigBundle(W=W, h_R=h_R, f_S=f_S, f_C=f_C, s=f_S / h_R, mu=mu)
 
 
 @_point_kernel

@@ -16,7 +16,9 @@ kernel or the series witness (`eval_series_many`) as one list of requests,
 empty for the five that call none, and `run_suite` answers every list in
 one round: one call per kernel over the points and rows of every suite.
 Each suite gets its slice as arrays, the series witness's values as one
-float array (the trig suite's series bundle, `trig._witness_bundle`).
+float array.  The trig and metric suites take their series rows from one
+row builder (`_witness_rows`), and the trig suite forms its series bundle
+of arrays from their values (`_series_bundle`), at every mu.
 Only the metric suite calls `closed_point`, whose metrics raise where
 they leave the float range; the transform, anchor and fit suites take
 `closed_solve` and their (z, rho) from `coords.closed_meridional`, and the
@@ -74,10 +76,8 @@ from .series import (
     w_border,
 )
 from .trig import (
-    _series_values,
+    TrigBundle,
     _walk,
-    _witness_bundle,
-    _witness_rows,
     d_fC2_dW,
     d_fS_over_fC_dW,
     d_hR2_dW,
@@ -167,6 +167,14 @@ def _w_samples(mu: float, per_region: int) -> list[float]:
     return [float(w) for w in np.concatenate([smalls, band, larges])]
 
 
+def _witness_rows(names, W: np.ndarray, mu: float) -> list:
+    """The series rows (spec, w) of the named quantities (`quantity_series`)
+    at every w of the 1-D array W, W-major.  The series engine raises the
+    first row's error, in order."""
+    specs = [quantity_series(name, mu) for name in names]
+    return [(spec, w) for w in W.tolist() for spec in specs]
+
+
 # --- suite bodies ------------------------------------------------------------
 #
 # Every suite is a generator body.  It yields one list of requests, each a
@@ -190,7 +198,7 @@ def _call_once(kernel, calls: list[tuple]) -> list:
     """
     ends = list(accumulate(len(args[0]) for args in calls))
     if kernel is eval_series_many:
-        result = _series_values([row for (rows,) in calls for row in rows])
+        result = np.array([res.value for res in eval_series_many([row for (rows,) in calls for row in rows])])
     else:
         result = kernel(*map(np.concatenate, zip(*(args[:-1] for args in calls))), calls[0][-1])
     return [
@@ -240,14 +248,27 @@ def _run_bodies(bodies: dict) -> tuple[dict, dict, float, float]:
 # --- generalized-trig identities ---------------------------------------------
 
 
+_TRIG_SERIES = ("hR2", "fC2", "fS2")
+
+
+def _series_bundle(W, mu: float, values) -> TrigBundle:
+    """The series bundle at W >= 0 (a float or a 1-D array) from the values
+    of its `_TRIG_SERIES` rows, in order."""
+    hR2, fC2, fS2 = np.reshape(values, np.shape(W) + (3,)).T
+    h_R, f_C = np.sqrt(hR2), np.sqrt(fC2)
+    f_S = np.sqrt((1.0 + mu) * W * W * fS2)
+    return TrigBundle(W=W, h_R=h_R, f_S=f_S, f_C=f_C, s=f_S / h_R, mu=mu)
+
+
 def _trig_identity_body(mu: float, level: str):
     """Pythagorean/scale-factor relations and the closed W(s) inversion, at
     the robust bundle of every W and the series bundle outside the guard band."""
     ws = np.array(_w_samples(mu, _SIZES[level].trig_per_region))
-    witnessed = _outside_band(ws, mu) & (mu > 0.0)
+    witnessed = _outside_band(ws, mu)
     series_ws = ws[witnessed]
-    robust, values = yield [(trig_from_W_robust, ws, mu), (eval_series_many, _witness_rows(series_ws.tolist(), mu))]
-    series = _witness_bundle(series_ws, mu, values)
+    rows = _witness_rows(_TRIG_SERIES, series_ws, mu)
+    robust, values = yield [(trig_from_W_robust, ws, mu), (eval_series_many, rows)]
+    series = _series_bundle(series_ws, mu, values)
     # the robust bundle of every W, then the series bundle of each witnessed W
     n, fields = ws.size, ("W", "h_R", "f_S", "f_C", "s")
     W, h_R, f_S, f_C, s = (np.concatenate([getattr(robust, f), getattr(series, f)]) for f in fields)
@@ -280,9 +301,9 @@ def _trig_identity_body(mu: float, level: str):
 def _derivative_body(mu: float, level: str):
     """Analytic W-derivatives against central finite differences.
 
-    Uses the robust path on both sides of the difference quotient so the
-    quotient never straddles a series-region switch; one 1-D bundle holds
-    every W and W +- step, and each value of it is reshaped into their rows.
+    Uses the closed bundle on both sides of the difference quotient; one
+    1-D bundle holds every W and W +- step, and each value of it is reshaped
+    into their rows.
     """
     names = {
         # (value from bundle, analytic derivative, relative FD step)
@@ -393,9 +414,8 @@ def _metric_body(cfg: SystemConfig, level: str):
     # outside the guard band where each series value is a normal float (far
     # from the border the large-nu prefactor W^(2a) underflows or overflows)
     at = _outside_band(W, mu)
-    specs = [quantity_series(name, mu) for name in _METRIC_SERIES]
-    requests = [(spec, w) for w in W[at].tolist() for spec in specs]
-    asked = [(closed_point, R, nu, cfg), (trig_from_W_robust, W, mu), (eval_series_many, requests)]
+    rows = _witness_rows(_METRIC_SERIES, W[at], mu)
+    asked = [(closed_point, R, nu, cfg), (trig_from_W_robust, W, mu), (eval_series_many, rows)]
     (_, _, mb, _), tb, values = yield asked
     with np.errstate(invalid="ignore"):
         r_link = _max_rel(mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2, (tb.f_C * tb.f_S * R * (dw_dnu / W)) ** 2)

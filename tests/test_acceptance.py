@@ -38,7 +38,6 @@ from sosharmonics.trig import (
     d_hR2_dW,
     s_limit,
     s_on_reference,
-    trig_from_W,
     trig_from_W_robust,
     w_from_s,
 )
@@ -46,6 +45,7 @@ from sosharmonics.series import Region, region_of, w_border
 
 from _grid import grid_cells
 from _oracles import Q3_CLASSICAL_HALF, classical_p_coeffs
+from _witness import series_bundle
 
 
 def report(criterion, name, worst, tol):
@@ -121,7 +121,7 @@ def test_c4_identity_corpus():
             n_points += 1
             bundles = [trig_from_W_robust(W, mu)]
             if region_of(W, mu) is not Region.NEAR_BORDER:
-                bundles.append(trig_from_W(W, mu))
+                bundles.append(series_bundle(W, mu))
             for tb in bundles:
                 worst["pyth"] = max(worst["pyth"], abs(tb.f_S**2 + tb.f_C**2 - 1.0))
                 worst["hr"] = max(
@@ -201,7 +201,7 @@ def test_c5_closed_form_anchors():
             abs(s_at_point(1.0, 0.0, cfg)),
             abs(s_at_point(1.0, math.pi / 2, cfg) - lim),
             abs(trig_from_W_robust(0.0, mu).h_R - 1.0),
-            abs(trig_from_W(0.0, mu).h_R - 1.0),
+            abs(series_bundle(0.0, mu).h_R - 1.0),
             abs(sos_to_cartesian(SosPoint(1.0, math.pi / 2), cfg).z - 1.0 / lim),
         )
     report(5, "equator/pole endpoint values", worst_end, 1e-12)

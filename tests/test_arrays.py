@@ -46,13 +46,13 @@ from sosharmonics.trig import (
     s_limit,
     s_on_reference,
     solve_logit,
-    trig_from_W,
     trig_from_W_robust,
     w_from_s,
 )
 from sosharmonics.verify import _mode_stencils, _shell_point, ode_checks, run_suite
 
 from _oracles import mp_meridional
+from _witness import series_bundle
 
 MUS = (0.0, 0.5, 2.0, 20.0, 200.0, 1000.0)
 R_OVER_R0 = (0.5, 1.0, 2.2)
@@ -507,8 +507,8 @@ def test_trig_and_metric_checks_keep_the_bits_of_float_loops(mu):
     r_pyth = r_hr = r_ratio = r_power = r_round = r_paths = 0.0
     for W in ws:
         tbs = [trig_from_W_robust(W, mu)]
-        if mu > 0.0 and series.region_of(W, mu) is not series.Region.NEAR_BORDER:
-            tbs.append(trig_from_W(W, mu))
+        if series.region_of(W, mu) is not series.Region.NEAR_BORDER:
+            tbs.append(series_bundle(W, mu))
         for tb in tbs:
             fs2, fc2, hr2 = tb.f_S * tb.f_S, tb.f_C * tb.f_C, tb.h_R * tb.h_R
             r_pyth = max(r_pyth, abs(fs2 + fc2 - 1.0))

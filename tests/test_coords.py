@@ -27,9 +27,10 @@ from sosharmonics.errors import DegenerateOriginError, PoleLimitError
 from sosharmonics.harmonic import s_at_point
 from sosharmonics.verify import run_suite
 from sosharmonics.series import Region, region_of, w_border
-from sosharmonics.trig import trig_from_W, trig_from_W_robust
+from sosharmonics.trig import trig_from_W_robust
 
 from _oracles import W_REF_MU2_NU30, Z_REF_MU2_NU30, approx, mp_cartesian_nu, mp_point, mp_W_dW, W_SWEEP_MUS, w_sweep
+from _witness import series_bundle
 
 CFG2 = SystemConfig(mu=2.0, R0=1.0)
 CFG0 = SystemConfig(mu=0.0, R0=1.0)
@@ -39,7 +40,7 @@ def bundles(W, mu):
     """The closed-form bundle at W and, outside the guard band, the series one."""
     out = [trig_from_W_robust(W, mu)]
     if region_of(W, mu) is not Region.NEAR_BORDER:
-        out.append(trig_from_W(W, mu))
+        out.append(series_bundle(W, mu))
     return out
 
 

@@ -525,7 +525,10 @@ def _patch_every_binding(monkeypatch, fn, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
-def test_verify_sums_each_series_suite_in_one_batch(monkeypatch):
+def _series_batches(monkeypatch, mu, level):
+    """The checks of a `run_suite` at mu and level, all passed, and the row
+    count of each `eval_series_many` call it made; a one-row `eval_series`
+    call fails the test."""
     calls = []
     many = series.eval_series_many
 
@@ -538,9 +541,23 @@ def test_verify_sums_each_series_suite_in_one_batch(monkeypatch):
 
     _patch_every_binding(monkeypatch, many, counted)
     _patch_every_binding(monkeypatch, series.eval_series, forbidden)
-    checks = verify.run_suite(SystemConfig(mu=2.0, R0=1.0), "quick")
+    checks = verify.run_suite(SystemConfig(mu=mu, R0=1.0), level)
     assert all(c.passed for c in checks)
-    assert calls == [177]
+    return checks, calls
+
+
+def test_verify_sums_each_series_suite_in_one_batch(monkeypatch):
+    assert _series_batches(monkeypatch, 2.0, "quick")[1] == [177]
+
+
+@pytest.mark.parametrize("level, n_rows", [("quick", 162), ("full", 288)])
+def test_verify_sums_the_trig_witness_at_mu_zero(monkeypatch, level, n_rows):
+    # the trig suite skipped its series bundle at mu = 0, where
+    # trig.series_vs_robust read 0.0 after comparing nothing (126 and 216 rows)
+    checks, calls = _series_batches(monkeypatch, 0.0, level)
+    assert calls == [n_rows]
+    witness = [c.max_residual for c in checks if c.name in ("trig.series_vs_robust", "metric.series_vs_closed")]
+    assert len(witness) == 2 and all(r > 0.0 for r in witness)
 
 
 @pytest.mark.parametrize("mu", [1e-310, 5e-324])

@@ -3,7 +3,6 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
 
-import mpmath
 import pytest
 from numpy.polynomial.polynomial import polyval
 
@@ -17,36 +16,10 @@ from sosharmonics.coords import (
 )
 from sosharmonics.legendre import eval_q, p_poly
 from sosharmonics.series import Region, SeriesKind, SeriesSpec, eval_series, w_border
-from sosharmonics.trig import trig_from_W, trig_from_W_robust
+from sosharmonics.trig import trig_from_W_robust
 
-from _oracles import approx
-
-
-def mp_series(a, mu, region, kind, W, terms=400):
-    """Independent high-precision evaluation of both series families."""
-    a = mpmath.mpf(repr(a))
-    mu = mpmath.mpf(repr(mu))
-    W = mpmath.mpf(repr(W))
-    if region is Region.SMALL_NU:
-        b, x, pref = -mu, W**2, mpmath.mpf(1)
-    else:
-        b = mu / (1 + mu)
-        x = W ** (-mpmath.mpf(2) / (1 + mu))
-        pref = W ** (2 * a)
-        if kind is SeriesKind.SA:
-            pref /= 1 + mu
-    total = mpmath.mpf(1)
-    for k in range(1, terms):
-        alpha = a + b * k
-        if kind is SeriesKind.SA:
-            c = mpmath.binomial(alpha, k)
-        else:
-            prod = a
-            for j in range(1, k):
-                prod *= alpha - j
-            c = prod / mpmath.factorial(k)
-        total += c * x**k
-    return float(pref * total)
+from _oracles import approx, mp_series
+from _witness import series_bundle
 
 
 class TestSeriesAgainstMpmath:
@@ -63,7 +36,7 @@ class TestSeriesAgainstMpmath:
         ):
             a = a_small if region is Region.SMALL_NU else a_small / (1.0 + mu)
             got = eval_series(SeriesSpec(a_small, mu, kind), W).value
-            ref = mp_series(a, mu, region, kind, W)
+            ref = mp_series(a, mu, region is Region.LARGE_NU, kind is SeriesKind.SC, W)
             assert got == approx(ref, rel=1e-12)
 
 
@@ -112,7 +85,7 @@ class TestConcurrency:
         def work(args):
             R, nu = args
             W = compute_W(R, abs(nu), cfg)
-            tb = trig_from_W(W, 2.0) if W < 0.3 else trig_from_W_robust(W, 2.0)
+            tb = series_bundle(W, 2.0) if W < 0.3 else trig_from_W_robust(W, 2.0)
             pol = polyval(tb.s, p_poly(9, 2.0))
             q = eval_q(4, 0.9 * tb.s, 2.0)
             mb = metrics_at(R, nu, cfg)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosharmonics import trig
+from sosharmonics import trig, verify
 from sosharmonics.errors import NearBorderError, PoleLimitError
-from sosharmonics.series import w_border
+from sosharmonics.series import eval_series_many, w_border
 from sosharmonics.trig import (
     d_fC2_dW,
     d_fS_over_fC_dW,
@@ -15,7 +15,6 @@ from sosharmonics.trig import (
     d_s_dW,
     s_limit,
     s_on_reference,
-    trig_from_W,
     trig_from_W_robust,
     w_from_s,
 )
@@ -28,6 +27,7 @@ from _oracles import (
     W_REF_MU2_NU30,
     approx,
 )
+from _witness import series_bundle
 
 MUS = [0.3, 0.5, 1.0, 2.0, 5.0]
 
@@ -53,31 +53,31 @@ def assert_bundle_consistent(tb, tol=1e-12):
 
 class TestSeriesPath:
     def test_w_zero(self):
-        tb = trig_from_W(0.0, 2.0)
+        tb = series_bundle(0.0, 2.0)
         assert (tb.f_S, tb.f_C, tb.h_R, tb.s) == (0.0, 1.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("nu", [0.1, 0.6, 1.2])
     def test_spherical_limit(self, nu):
-        tb = trig_from_W(math.tan(nu), 0.0)
+        tb = series_bundle(math.tan(nu), 0.0)
         assert tb.f_S == approx(math.sin(nu), rel=1e-14)
         assert tb.f_C == approx(math.cos(nu), rel=1e-14)
         assert tb.h_R == 1.0
 
     def test_reference_spheroid_values(self):
         # W at (R0, pi/6) for mu=2; closed forms sqrt(3)/2, 1/sqrt(1.5)
-        tb = trig_from_W(W_REF_MU2_NU30, 2.0)
+        tb = series_bundle(W_REF_MU2_NU30, 2.0)
         assert tb.s == pytest.approx(S_REF_MU2_NU30, abs=1e-13)
         assert tb.h_R == pytest.approx(HR_REF_MU2_NU30, abs=1e-13)
         assert tb.f_S == pytest.approx(FS_REF_MU2_NU30, abs=1e-13)
 
     def test_guard_band_refused(self):
         with pytest.raises(NearBorderError, match="guard band"):
-            trig_from_W(W_BORDER_MU2, 2.0)
+            series_bundle(W_BORDER_MU2, 2.0)
 
     @pytest.mark.parametrize("mu", [0.0, 2.0])
     def test_nan_W_rejected(self, mu):
         with pytest.raises(ValueError, match="non-negative"):
-            trig_from_W(math.nan, mu)
+            series_bundle(math.nan, mu)
 
     @pytest.mark.parametrize("W", [math.nan, np.array([0.5, math.nan])])
     def test_robust_rejects_nan_W(self, W):
@@ -87,17 +87,20 @@ class TestSeriesPath:
 
     def test_witness_rows_raise_the_first_W_error(self):
         # the band W first: its NearBorderError, then a negative W's ValueError
+        def witness(Ws, mu):
+            return eval_series_many(verify._witness_rows(verify._TRIG_SERIES, np.array(Ws), mu))
+
         with pytest.raises(NearBorderError):
-            trig.eval_series_many(trig._witness_rows([0.1, W_BORDER_MU2, -1.0], 2.0))
+            witness([0.1, W_BORDER_MU2, -1.0], 2.0)
         with pytest.raises(ValueError):
-            trig.eval_series_many(trig._witness_rows([0.1, -1.0, W_BORDER_MU2], 2.0))
+            witness([0.1, -1.0, W_BORDER_MU2], 2.0)
         with pytest.raises(ValueError):
-            trig._witness_rows([0.5, math.nan], 0.0)
+            witness([0.5, math.nan], 0.0)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_invariants_on_grid(self, mu):
         for W in w_grid(mu):
-            assert_bundle_consistent(trig_from_W(W, mu))
+            assert_bundle_consistent(series_bundle(W, mu))
 
 
 class TestRobustPath:
@@ -118,7 +121,7 @@ class TestRobustPath:
     @pytest.mark.parametrize("mu", MUS)
     def test_agrees_with_series(self, mu):
         for W in w_grid(mu):
-            a = trig_from_W(W, mu)
+            a = series_bundle(W, mu)
             b = trig_from_W_robust(W, mu)
             for f in ("h_R", "f_S", "f_C", "s"):
                 assert getattr(a, f) == pytest.approx(getattr(b, f), abs=1e-10)
@@ -191,7 +194,7 @@ class TestIdentities:
     def test_ratio_identity(self, mu):
         # f_S^2/f_C^2 = (1+mu) s^2 / ((1+mu) - s^2)
         for W in w_grid(mu):
-            for bundle in (trig_from_W_robust, trig_from_W):
+            for bundle in (trig_from_W_robust, series_bundle):
                 tb = bundle(W, mu)
                 lhs = tb.f_S**2 / tb.f_C**2
                 rhs = (1.0 + mu) * tb.s**2 / ((1.0 + mu) - tb.s**2)
@@ -201,7 +204,7 @@ class TestIdentities:
     def test_power_form_identity(self, mu):
         # W^(-1/mu) (f_S/f_C)^((mu+1)/mu) = sqrt(1+mu)^(1/mu) * s, in logs
         for W in w_grid(mu):
-            for bundle in (trig_from_W_robust, trig_from_W):
+            for bundle in (trig_from_W_robust, series_bundle):
                 tb = bundle(W, mu)
                 lhs = (-math.log(W) + (mu + 1.0) * math.log(tb.f_S / tb.f_C)) / mu
                 rhs = 0.5 * math.log(1.0 + mu) / mu + math.log(tb.s)
@@ -210,7 +213,7 @@ class TestIdentities:
     @pytest.mark.parametrize("mu", MUS)
     def test_roundtrip_w_of_s(self, mu):
         for W in w_grid(mu):
-            for bundle in (trig_from_W_robust, trig_from_W):
+            for bundle in (trig_from_W_robust, series_bundle):
                 tb = bundle(W, mu)
                 assert w_from_s(tb.s, mu) == approx(W, rel=1e-10)
 
