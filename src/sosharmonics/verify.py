@@ -20,15 +20,17 @@ float array.  The trig and metric suites take their series rows from one
 row builder (`_witness_rows`), and the trig suite forms its series bundle
 of arrays from their values (`_series_bundle`), at every mu.
 Only the metric suite calls `closed_point`, whose metrics raise where
-they leave the float range; the transform, anchor and fit suites take
-`closed_solve` and their (z, rho) from `coords.closed_meridional`, and the
-transform suite then calls `cartesian_R_nu` and `closed_solve` itself.  A
-quick run at mu = 2 makes one `closed_point` call, two `closed_solve`
-(the shared forward solves, then the cone check's), one
-`trig_from_W_robust`, one `cartesian_R_nu` and one `eval_series_many`
-(177 rows).  The metric suite's W and dW/dnu are one `compute_W` and one
-`dW_dnu` call, the trig suite's W(s) one `w_from_s` call.  `verify --json`
-times the shared round as `closed_kernels` and `series_witness`.
+they leave the float range, and it takes s and f_C from that solve too;
+the transform, anchor and fit suites take `closed_solve` and their
+(z, rho) from `coords.closed_meridional`, and the transform suite then
+calls `cartesian_R_nu` and `cartesian_closed` itself.  Each sample point
+is solved once.  A quick run at mu = 2 makes one `closed_point` call, one
+`closed_solve`, one `trig_from_W_robust` (63 W), one `cartesian_R_nu`, one
+`cartesian_closed` (the cone check's) and one `eval_series_many`
+(177 rows): four `solve_logit` calls.  The metric suite's W and dW/dnu
+are one `compute_W` and one `dW_dnu` call, the trig suite's W(s) one
+`w_from_s` call.  `verify --json` times the shared round as
+`closed_kernels` and `series_witness`.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .coords import (
     CartesianPoint,
     MetricBundle,
     SystemConfig,
+    cartesian_closed,
     cartesian_R_nu,
     cartesian_R_s,
     closed_meridional,
@@ -402,7 +405,8 @@ _METRIC_SERIES = ("hR2", "Snu", "jac", "jac_hR2", "jac_hnu2")
 
 def _metric_body(cfg: SystemConfig, level: str):
     """Closed-form metrics: cross-checks, the h_R h_nu link to dW/dnu, and
-    the series witness outside the guard band."""
+    the series witness outside the guard band.  One `closed_point` call
+    solves every point; the link takes its s, f_C and h_R."""
     mu, n_nu = cfg.mu, _SIZES[level].n_nu
     nu = np.tile(np.linspace(0.03, math.pi / 2 - 0.05, n_nu), 3)
     R = np.repeat([0.5 * cfg.R0, cfg.R0, 2.2 * cfg.R0], n_nu)
@@ -415,10 +419,11 @@ def _metric_body(cfg: SystemConfig, level: str):
     # from the border the large-nu prefactor W^(2a) underflows or overflows)
     at = _outside_band(W, mu)
     rows = _witness_rows(_METRIC_SERIES, W[at], mu)
-    asked = [(closed_point, R, nu, cfg), (trig_from_W_robust, W, mu), (eval_series_many, rows)]
-    (_, _, mb, _), tb, values = yield asked
+    (s, f_C, mb, _), values = yield [(closed_point, R, nu, cfg), (eval_series_many, rows)]
+    # the link h_R h_nu (1+mu) = f_C f_S R (dW/dnu)/W, f_S = s h_R, squared
+    # in units of R, so that no R0 takes either side out of the float range
     with np.errstate(invalid="ignore"):
-        r_link = _max_rel(mb.h_R**2 * mb.h_nu**2 * (1.0 + mu) ** 2, (tb.f_C * tb.f_S * R * (dw_dnu / W)) ** 2)
+        r_link = _max_rel((mb.h_R * (mb.h_nu / R) * (1.0 + mu)) ** 2, (f_C * s * mb.h_R * (dw_dnu / W)) ** 2)
     r_cross = max(
         _max_rel(mb.jac_over_hR2 * mb.h_R**2, mb.jacobian),
         # h_nu once at a time: h_nu**2 underflows at large mu
@@ -458,9 +463,9 @@ def _metric_body(cfg: SystemConfig, level: str):
 
 def _transform_body(cfg: SystemConfig, level: str):
     """Round trips, spheroid membership, |x|^2 from (R, s) and cone invariance:
-    one shared forward solve of every point (`closed_solve`), whose s, f_C,
-    h_R and log|W| the cone check reuses, then its own calls: both inverse
-    solves in one `cartesian_R_nu` call, then the cone's forward solve."""
+    one shared forward solve of every point (`closed_solve`), then its own
+    calls: the inverse solve (`cartesian_R_nu`) and the closed form of the
+    scaled points (`cartesian_closed`)."""
     mu = cfg.mu
     rng = random.Random(TRANSFORM_SEED)
     R, nu, lam = np.array([
@@ -479,21 +484,17 @@ def _transform_body(cfg: SystemConfig, level: str):
     u, v, w = x / R, y / R, z / R
     r_member = _worst(np.abs(u**2 + v**2 + (1.0 + mu) * w**2 - 1.0))
     r_mag = _max_rel(u**2 + v**2 + w**2, 1.0 - mu * s * s / (1.0 + mu) ** 2)
+    back_R, back_nu, back_lam = cartesian_R_nu(x, y, z, cfg)
+    r_round = _worst(np.abs(back_R - R) / R, np.abs(back_nu - nu), np.abs(back_lam - lam))
     # cone invariance: scaling the position leaves (W, s, h_R, f_S, f_C)
-    # fixed; W is compared in log form (it underflows at large mu).  The
-    # point's own values at |nu| are its forward solve's, as s is odd in nu
-    # and the rest even.
-    cone, n = np.abs(nu) > 1e-3, R.size
-    back_R, back_nu, back_lam = cartesian_R_nu(*(np.append(c, 2.0 * c[cone]) for c in (x, y, z)), cfg)
-    r_round = _worst(np.abs(back_R[:n] - R) / R, np.abs(back_nu[:n] - nu), np.abs(back_lam[:n] - lam))
-    s2, f_C2, h_R2, lw2 = closed_solve(back_R[n:], np.abs(back_nu[n:]), cfg)
-    s1, h_R1 = np.abs(s[cone]), h_R[cone]
+    # fixed; W is compared in log form (it underflows at large mu)
+    _, s2, h_R2, f_C2, lw2 = cartesian_closed(2.0 * x, 2.0 * y, 2.0 * z, mu)
     r_cone = _worst(
-        np.abs(lw2 - log_w[cone]),
-        np.abs(s2 - s1),
-        np.abs(h_R2 - h_R1),
-        np.abs(s2 * h_R2 - s1 * h_R1),
-        np.abs(f_C2 - f_C[cone]),
+        np.abs(lw2 - log_w),
+        np.abs(s2 - s),
+        np.abs(h_R2 - h_R),
+        np.abs(s2 * h_R2 - s * h_R),
+        np.abs(f_C2 - f_C),
     )
     return [
         CheckResult("transform.roundtrip", r_round, 1e-9),
@@ -623,23 +624,18 @@ def structure_checks(mu: float) -> list[CheckResult]:
         r_pole = math.inf
 
     # negative control: for oblate families P1 and P3 are NOT orthogonal
-    # under unit weight (they are at mu = 0); quadrature, not closed form.
-    # Gated to mu values where the overlap is decisively zero or nonzero.
-    if mu == 0.0 or mu >= 0.5:
-        # the trapezoid rule in numpy's own expression (np.trapezoid is
-        # numpy >= 2.0, np.trapz gone in 2.4)
-        ss = np.linspace(-lim, lim, 4001)
-        p, _ = legendre.values(3, ss, mu)
-        y = p[1] * p[3]
-        overlap = float(np.add.reduce(np.diff(ss) * (y[1:] + y[:-1]) / 2.0))
-        r_witness = 0.0 if (mu == 0.0) == (abs(overlap) < 1e-3) else 1.0
-    else:
-        r_witness = 0.0
+    # under unit weight on [-lim, lim]; their overlap is -(2 mu/5)(1+mu)^(-3/2),
+    # zero only at mu = 0.  The integrand is of degree 4, so the 3-node
+    # Gauss-Legendre rule is exact.
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    p, _ = legendre.values(3, lim * nodes, mu)
+    overlap = lim * float(np.sum(weights * p[1] * p[3]))
+    r_witness = abs(overlap + 2.0 * mu / 5.0 * (1.0 + mu) ** -1.5)
 
     return [
         CheckResult("legendre.parity", r_parity, 1e-13),
         CheckResult("legendre.pole_values", r_pole, 1e-12),
-        CheckResult("legendre.nonorthogonality_witness", r_witness, 0.5),
+        CheckResult("legendre.nonorthogonality_witness", r_witness, 1e-13),
     ]
 
 

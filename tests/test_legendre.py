@@ -292,11 +292,28 @@ def _witness(mu):
 
 
 class TestWitnessCheck:
-    """The quadrature branch of verify.structure_checks on every numpy."""
+    """verify.structure_checks' overlap of P_1 and P_3 against its closed form."""
 
     @pytest.mark.filterwarnings("error::DeprecationWarning")
-    @pytest.mark.parametrize("mu", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("mu", [0.0, 1e-12, 1e-6, 0.01, 0.1, 0.3, 0.5, 2.0, 20.0, 200.0, 1000.0, 1e4])
     def test_witness_passes(self, mu):
+        # the 3-node rule is exact, so the witness reads rounding at every mu
+        # (it was gated to mu = 0 or mu >= 0.5, and read exactly 0.0)
         check = _witness(mu)
         assert check.passed
-        assert check.max_residual == 0.0
+        assert check.max_residual <= 1e-15
+
+    def test_witness_fails_for_a_perturbed_p3(self, monkeypatch):
+        # P_3 + 1e-6 P_1 keeps every parity and pole value; at mu = 0.1 the
+        # gated witness compared nothing and passed
+        exact = verify.legendre.values
+
+        def perturbed(n, s, mu, *args):
+            p, q = exact(n, s, mu, *args)
+            if n >= 3:
+                p = [*p[:3], p[3] + 1e-6 * p[1], *p[4:]]
+            return p, q
+
+        monkeypatch.setattr(verify.legendre, "values", perturbed)
+        failed = [c.name for c in verify.structure_checks(0.1) if not c.passed]
+        assert failed == ["legendre.nonorthogonality_witness"]

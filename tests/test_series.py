@@ -604,28 +604,30 @@ def _closed_kernel_calls(monkeypatch, level):
     checks = verify.run_suite(SystemConfig(mu=2.0, R0=1.0), level)
     assert all(c.passed for c in checks)
     assert len(checks) == 38
-    names = ("closed_point", "closed_solve", "trig_from_W_robust", "cartesian_R_nu", "compute_W", "dW_dnu", "w_from_s",
-             "sos_to_cartesian")
+    names = ("closed_point", "closed_solve", "trig_from_W_robust", "cartesian_R_nu", "cartesian_closed", "compute_W",
+             "dW_dnu", "w_from_s", "sos_to_cartesian")
     return {name: [n for k, n in calls if k == name] for name in names}, sum(k == "solve_logit" for k, _ in calls)
 
 
 def test_verify_makes_one_call_per_closed_kernel_a_round(monkeypatch):
     # every suite's points go to one call of each kernel in the one shared
-    # round: the metric suite's metrics, the other forward solves and the
-    # trig bundles; the transform suite then makes both inverse solves in
-    # one call and the cone check's forward solve; the metric suite's W and
-    # dW/dnu and the trig suite's W(s) are one array call each
+    # round, and each point is solved once: the metric suite's metrics (its
+    # link takes s and f_C from them too), the other forward solves and the
+    # trig bundles; the transform suite then makes its inverse solve (which
+    # calls `cartesian_closed` once) and the cone check's `cartesian_closed`;
+    # the metric suite's W and dW/dnu and the trig suite's W(s) are one
+    # array call each
     assert _closed_kernel_calls(monkeypatch, "quick") == ({
-        "closed_point": [15], "closed_solve": [103, 40], "trig_from_W_robust": [78], "cartesian_R_nu": [80],
-        "compute_W": [15], "dW_dnu": [15], "w_from_s": [27], "sos_to_cartesian": [],
-    }, 5)
+        "closed_point": [15], "closed_solve": [103], "trig_from_W_robust": [63], "cartesian_R_nu": [40],
+        "cartesian_closed": [40, 40], "compute_W": [15], "dW_dnu": [15], "w_from_s": [27], "sos_to_cartesian": [],
+    }, 4)
 
 
 def test_verify_full_level_makes_one_call_per_closed_kernel_a_round(monkeypatch):
     assert _closed_kernel_calls(monkeypatch, "full") == ({
-        "closed_point": [33], "closed_solve": [223, 160], "trig_from_W_robust": [138], "cartesian_R_nu": [320],
-        "compute_W": [33], "dW_dnu": [33], "w_from_s": [51], "sos_to_cartesian": [],
-    }, 5)
+        "closed_point": [33], "closed_solve": [223], "trig_from_W_robust": [105], "cartesian_R_nu": [160],
+        "cartesian_closed": [160, 160], "compute_W": [33], "dW_dnu": [33], "w_from_s": [51], "sos_to_cartesian": [],
+    }, 4)
 
 
 def test_eval_series_keeps_the_signature_and_result_tracing_reads():
@@ -637,6 +639,27 @@ def test_eval_series_keeps_the_signature_and_result_tracing_reads():
     result = eval_series(*args)
     assert type(result) is SeriesResult
     assert isinstance(result.terms_used, int) and result.terms_used > 1
+
+
+def _link(mu, R0, level):
+    """`metric.hR_hnu_link` of the metric suite alone at mu, R0 and level."""
+    # at R0 = 1e160 J is inf, and the other checks' products and differences warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks, *_ = verify._run_bodies({"m": verify._metric_body(SystemConfig(mu, R0), level)})
+    return next(c.max_residual for c in checks["m"] if c.name == "metric.hR_hnu_link")
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+@pytest.mark.parametrize("mu", [0.0, 2.0, 20.0, 200.0])
+def test_metric_link_reads_the_same_at_every_R0(mu, level):
+    # in absolute units the link's reference underflowed under _max_rel's
+    # 1e-300 floor at R0 = 1e-163 (0.0, or 4.9e-24 at mu = 2) and every
+    # entry overflowed to NaN at R0 = 1e160; in units of R it compares
+    # every point at rounding level
+    at_one = _link(mu, 1.0, level)
+    for R0 in (1e-163, 1e160):
+        r = _link(mu, R0, level)
+        assert r >= 1e-17 and at_one / 2.0 <= r <= 2.0 * at_one, (R0, r, at_one)
 
 
 def test_jacobian_ratios_hold_where_h_nu_squared_underflows():
