@@ -56,11 +56,9 @@ whatever its company, and its sums are accumulated in its own order, so
 each row gets the bits its one-row call `eval_series` gets.  The one batch
 of `verify --level quick` (177 rows of 25 families at mu = 2, 4 blocks)
 costs 0.5 us a term at mu = 2, 0.45 us at mu = 20 and 0.3 us at mu = 200
-(a 2 vCPU x86-64 host; 4.4 us in a scalar loop, and 1.0, 0.6 and 0.4 us as
-four batches formed row by row), nearly all of it in the array passes of
-the blocks: the row bookkeeping is a few per cent, and the first blocks,
-where most arguments are below 10 and go through `math.lgamma`, cost the
-most.
+(a 2 vCPU x86-64 host), nearly all of it in the array passes of the
+blocks: the row bookkeeping is a few per cent, and the first blocks, where
+most arguments are below 10 and go through `math.lgamma`, cost the most.
 
 The W-free part of a block depends only on its families and its k range, so
 `_sum_rows` keeps the read-only `_family_part` arrays of the batch it summed
@@ -352,16 +350,6 @@ def _kernel(part, row_fam: np.ndarray, log_x: np.ndarray, k: np.ndarray):
     term = sign * env
     err = _ROUNDING_FACTOR * _U * (scale + sc + extra) * np.abs(term)
     return term, env, err + np.where(sine, pd * env, 0.0)
-
-
-def _term(a: float, b: float, x: float, k: int, cauchy: bool) -> float:
-    """k-th term of the S_A (or, with cauchy, S_C) series at x > 0."""
-    if k == 0:
-        return 1.0
-    ks = np.array([float(k)])
-    with np.errstate(all="ignore"):
-        part = _family_part(np.array([_family_params(a, b, b - 1.0, cauchy)]), ks)
-        return float(_kernel(part, np.array([0]), np.array([[math.log(x)]]), ks)[0][0, 0])
 
 
 def _row_setup(

@@ -4,12 +4,14 @@ Each suite samples one family of analytic identities of the SOS system
 (trigonometric-style relations, derivative formulas certified against
 central differences, recursion-vs-closed-form polynomial tables, ODE
 residuals, finite-difference harmonicity, transform round trips) and
-reports the worst residual against its tolerance.  `run_suite`, which the
-CLI `verify` command calls, drives them all at the sample sizes of its
-level (`quick` or `full`, one table `_SIZES`).  Each suite evaluates its
-sample set in one array pass of each kernel it checks.  The harmonicity
-suite stacks the stencils of every pure mode and both steps into one
-array, summed by one `legendre.solid_values` pass per kind.
+hands each check's residual arrays to `_check`, the one rule of a verdict:
+the largest entry, a NaN entry skipped and 0.0 where there is none, passes
+at most the check's tolerance; no suite reduces its residuals itself.
+`run_suite`, which the CLI `verify` command calls, drives them all at the
+sample sizes of its level (`quick` or `full`, one table `_SIZES`).  Each
+suite evaluates its sample set in one array pass of each kernel it checks.
+The harmonicity suite stacks the stencils of every pure mode and both
+steps into one array, summed by one `legendre.solid_values` pass per kind.
 
 Every suite is a generator body that yields its calls of a closed point
 kernel or the series witness (`eval_series_many`) as one list of requests,
@@ -145,15 +147,17 @@ class CheckResult:
         return bool(self.max_residual <= self.tolerance)
 
 
-def _worst(*residuals) -> float:
-    """The largest entry of the residual arrays, and 0.0 if there is none.
-    A NaN entry is skipped, as a running max(worst, r) over floats skips it."""
-    return max((float(np.fmax.reduce(np.ravel(r), initial=0.0)) for r in residuals), default=0.0)
+def _check(name: str, tolerance: float, *residuals) -> CheckResult:
+    """The check `name`, whose residual is the largest entry of the residual
+    arrays (or scalars), and 0.0 if there is none; a NaN entry is skipped.
+    Every check of every suite is built here."""
+    worst = max((float(np.fmax.reduce(np.ravel(r), initial=0.0)) for r in residuals), default=0.0)
+    return CheckResult(name, worst, tolerance)
 
 
-def _max_rel(x, ref) -> float:
-    """The largest |x - ref| / max(|ref|, 1e-300) over arrays x, ref."""
-    return _worst(np.abs(x - ref) / np.maximum(np.abs(ref), 1e-300))
+def _rel(x, ref) -> np.ndarray:
+    """The entries |x - ref| / max(|ref|, 1e-300) of arrays x, ref."""
+    return np.abs(x - ref) / np.maximum(np.abs(ref), 1e-300)
 
 
 def _outside_band(W: np.ndarray, mu: float) -> np.ndarray:
@@ -275,30 +279,25 @@ def _trig_identity_body(mu: float, level: str):
     # the robust bundle of every W, then the series bundle of each witnessed W
     n, fields = ws.size, ("W", "h_R", "f_S", "f_C", "s")
     W, h_R, f_S, f_C, s = (np.concatenate([getattr(robust, f), getattr(series, f)]) for f in fields)
-    r_pyth = _worst(np.abs(f_S**2 + f_C**2 - 1.0))
-    # squared sine/cosine ratio against the s form
-    r_ratio = _max_rel(f_S**2 / f_C**2, (1.0 + mu) * s**2 / ((1.0 + mu) - s**2))
-    r_round = _max_rel(w_from_s(s, mu), W)
-    r_paths = _worst(*(np.abs(v[:n][witnessed] - v[n:]) for v in (h_R, f_S, f_C, s)))
+    checks = [_check("trig.pythagorean", 1e-12, np.abs(f_S**2 + f_C**2 - 1.0))]
     if mu > 0.0:
-        r_hr = _worst(
+        checks.append(_check(
+            "trig.scale_factor_relations", 1e-12,
             np.abs(f_S**2 - (1.0 + mu) * (1.0 - h_R**2) / mu),
             np.abs(f_C**2 - ((1.0 + mu) * h_R**2 - 1.0) / mu),
-        )
+        ))
+    # squared sine/cosine ratio against the s form
+    ratio = _rel(f_S**2 / f_C**2, (1.0 + mu) * s**2 / ((1.0 + mu) - s**2))
+    checks.append(_check("trig.ratio_vs_s", 1e-10, ratio))
+    if mu > 0.0:
         # fractional-power form relating W, f_S/f_C and s; compared in log
         # form so the 1/mu exponents cannot overflow
         lhs = (-np.log(W) + (mu + 1.0) * np.log(f_S / f_C)) / mu
-        r_power = _worst(np.abs(lhs - (0.5 * math.log(1.0 + mu) / mu + np.log(s))))
-    checks = [
-        CheckResult("trig.pythagorean", r_pyth, 1e-12),
-        CheckResult("trig.ratio_vs_s", r_ratio, 1e-10),
-        CheckResult("trig.w_of_s_roundtrip", r_round, 1e-8),
-        CheckResult("trig.series_vs_robust", r_paths, 1e-10),
+        checks.append(_check("trig.power_form", 1e-8, np.abs(lhs - (0.5 * math.log(1.0 + mu) / mu + np.log(s)))))
+    return checks + [
+        _check("trig.w_of_s_roundtrip", 1e-8, _rel(w_from_s(s, mu), W)),
+        _check("trig.series_vs_robust", 1e-10, *(np.abs(v[:n][witnessed] - v[n:]) for v in (h_R, f_S, f_C, s))),
     ]
-    if mu > 0.0:
-        checks.insert(1, CheckResult("trig.scale_factor_relations", r_hr, 1e-12))
-        checks.insert(3, CheckResult("trig.power_form", r_power, 1e-8))
-    return checks
 
 
 def _derivative_body(mu: float, level: str):
@@ -338,7 +337,7 @@ def _derivative_body(mu: float, level: str):
         k, v = 2 * rel_steps.index(rel_step), value(tb).reshape(len(steps) + 1, -1)
         fd = (v[k + 2] - v[k + 1]) / (2.0 * (rel_step * W))
         ref = analytic(tb)[: W.size]
-        checks.append(CheckResult(name, _worst(np.abs(fd - ref) / np.maximum(np.abs(ref), 1e-12)), 1e-6))
+        checks.append(_check(name, 1e-6, np.abs(fd - ref) / np.maximum(np.abs(ref), 1e-12)))
     return checks
 
 
@@ -364,9 +363,7 @@ def _series_identity_body(mu: float):
     log_ws = np.array([0.1 * border, 0.25 * border, 0.6 * border])
     tb_log, values = yield [(trig_from_W_robust, log_ws, mu), (eval_series_many, requests)]
     num, den, rat = np.reshape(values, (-1, 3)).T
-    r_ratio = _max_rel(num / den, rat)
-
-    r_log = 0.0
+    r_log = []
     for W, f_S, f_C in zip(tb_log.W.tolist(), tb_log.f_S.tolist(), tb_log.f_C.tolist()):
         acc = 0.0
         for k in range(1, 400):
@@ -375,10 +372,10 @@ def _series_identity_body(mu: float):
             if abs(t) < 1e-18 and k > 8:
                 break
         rhs = math.log(f_S**2 / ((1.0 + mu) * W**2 * f_C**2))
-        r_log = max(r_log, abs(acc - rhs))
+        r_log.append(abs(acc - rhs))
     return [
-        CheckResult("series.ratio_identity", r_ratio, 1e-10),
-        CheckResult("series.log_binomial_identity", r_log, 1e-8),
+        _check("series.ratio_identity", 1e-10, _rel(num / den, rat)),
+        _check("series.log_binomial_identity", 1e-8, r_log),
     ]
 
 
@@ -393,8 +390,7 @@ def _spherical_series_body():
             requests.append((SeriesSpec(a, 0.0, SeriesKind.SA), W))
             closed.append(W ** (2 * a) * (1.0 + W**-2.0) ** a)
     (values,) = yield [(eval_series_many, requests)]
-    worst = _max_rel(values, np.array(closed))
-    return [CheckResult("series.spherical_closed_forms", worst, 1e-12)]
+    return [_check("series.spherical_closed_forms", 1e-12, _rel(values, np.array(closed)))]
 
 
 # --- metric identities -------------------------------------------------------
@@ -423,15 +419,20 @@ def _metric_body(cfg: SystemConfig, level: str):
     # the link h_R h_nu (1+mu) = f_C f_S R (dW/dnu)/W, f_S = s h_R, squared
     # in units of R, so that no R0 takes either side out of the float range
     with np.errstate(invalid="ignore"):
-        r_link = _max_rel((mb.h_R * (mb.h_nu / R) * (1.0 + mu)) ** 2, (f_C * s * mb.h_R * (dw_dnu / W)) ** 2)
-    r_cross = max(
-        _max_rel(mb.jac_over_hR2 * mb.h_R**2, mb.jacobian),
-        # h_nu once at a time: h_nu**2 underflows at large mu
-        _max_rel((mb.jac_over_hnu2 * mb.h_nu) * mb.h_nu, mb.jacobian),
-    )
+        r_link = _rel((mb.h_R * (mb.h_nu / R) * (1.0 + mu)) ** 2, (f_C * s * mb.h_R * (dw_dnu / W)) ** 2)
     eps = 1e-12
-    in_bounds = (1.0 / math.sqrt(1.0 + mu) - eps <= mb.h_R) & (mb.h_R <= 1.0 + eps)
-    r_bounds = 0.0 if in_bounds.all() else 1.0
+    # 1.0 at each h_R outside its bounds
+    out_of_bounds = ~((1.0 / math.sqrt(1.0 + mu) - eps <= mb.h_R) & (mb.h_R <= 1.0 + eps))
+    checks = [
+        _check(
+            "metric.jacobian_ratios", 1e-9,
+            _rel(mb.jac_over_hR2 * mb.h_R**2, mb.jacobian),
+            # h_nu once at a time: h_nu**2 underflows at large mu
+            _rel((mb.jac_over_hnu2 * mb.h_nu) * mb.h_nu, mb.jacobian),
+        ),
+        _check("metric.hR_hnu_link", 1e-9, r_link),
+        _check("metric.hR_bounds", 0.5, out_of_bounds.astype(float)),
+    ]
     values = np.reshape(values, (-1, len(_METRIC_SERIES))).T
     normal = ((sys.float_info.min <= np.abs(values)) & (np.abs(values) < math.inf)).all(axis=0)
     hR2, Snu, jac, jac_hR2, jac_hnu2 = values[:, normal]
@@ -441,20 +442,13 @@ def _metric_body(cfg: SystemConfig, level: str):
         h_R=np.sqrt(hR2), h_nu=k * np.sqrt(Snu), jacobian=R_at * k * jac,
         jac_over_hR2=R_at * k * jac_hR2, jac_over_hnu2=R_at / k * jac_hnu2,
     )
-    r_series = max(_max_rel(v, getattr(mb, name)[at][normal]) for name, v in vars(series).items())
-    checks = [
-        CheckResult("metric.jacobian_ratios", r_cross, 1e-9),
-        CheckResult("metric.hR_hnu_link", r_link, 1e-9),
-        CheckResult("metric.hR_bounds", r_bounds, 0.5),
-        CheckResult("metric.series_vs_closed", r_series, 1e-10),
-    ]
+    r_series = [_rel(v, getattr(mb, name)[at][normal]) for name, v in vars(series).items()]
+    checks.append(_check("metric.series_vs_closed", 1e-10, *r_series))
     if mu == 0.0:
-        r_sphere = max(
-            _worst(np.abs(mb.h_R - 1.0)),
-            _max_rel(mb.h_nu, R),
-            _max_rel(mb.jacobian, R * R * np.cos(nu)),
-        )
-        checks.append(CheckResult("metric.spherical_reduction", r_sphere, 1e-12))
+        checks.append(_check(
+            "metric.spherical_reduction", 1e-12,
+            np.abs(mb.h_R - 1.0), _rel(mb.h_nu, R), _rel(mb.jacobian, R * R * np.cos(nu)),
+        ))
     return checks
 
 
@@ -482,25 +476,19 @@ def _transform_body(cfg: SystemConfig, level: str):
     # membership of the R-spheroid and the squared position magnitude from
     # (R, s), in units of R so that no square leaves the float range
     u, v, w = x / R, y / R, z / R
-    r_member = _worst(np.abs(u**2 + v**2 + (1.0 + mu) * w**2 - 1.0))
-    r_mag = _max_rel(u**2 + v**2 + w**2, 1.0 - mu * s * s / (1.0 + mu) ** 2)
+    mag = u**2 + v**2 + w**2
     back_R, back_nu, back_lam = cartesian_R_nu(x, y, z, cfg)
-    r_round = _worst(np.abs(back_R - R) / R, np.abs(back_nu - nu), np.abs(back_lam - lam))
     # cone invariance: scaling the position leaves (W, s, h_R, f_S, f_C)
     # fixed; W is compared in log form (it underflows at large mu)
     _, s2, h_R2, f_C2, lw2 = cartesian_closed(2.0 * x, 2.0 * y, 2.0 * z, mu)
-    r_cone = _worst(
-        np.abs(lw2 - log_w),
-        np.abs(s2 - s),
-        np.abs(h_R2 - h_R),
-        np.abs(s2 * h_R2 - s * h_R),
-        np.abs(f_C2 - f_C),
-    )
     return [
-        CheckResult("transform.roundtrip", r_round, 1e-9),
-        CheckResult("transform.spheroid_membership", r_member, 1e-10),
-        CheckResult("transform.position_magnitude", r_mag, 1e-10),
-        CheckResult("transform.cone_invariance", r_cone, 1e-9),
+        _check("transform.roundtrip", 1e-9, np.abs([(back_R - R) / R, back_nu - nu, back_lam - lam])),
+        _check("transform.spheroid_membership", 1e-10, np.abs(u**2 + v**2 + (1.0 + mu) * w**2 - 1.0)),
+        _check("transform.position_magnitude", 1e-10, _rel(mag, 1.0 - mu * s * s / (1.0 + mu) ** 2)),
+        _check(
+            "transform.cone_invariance", 1e-9,
+            np.abs([lw2 - log_w, s2 - s, h_R2 - h_R, s2 * h_R2 - s * h_R, f_C2 - f_C]),
+        ),
     ]
 
 
@@ -513,20 +501,13 @@ def _anchor_body(cfg: SystemConfig):
     nus = np.linspace(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, ANCHOR_N_NU)
     points = np.append(nus, [0.0, math.pi / 2])
     ((s, f_C, h_R, _),) = yield [(closed_solve, np.full(points.size, cfg.R0), points, cfg)]
-    worst = _worst(np.abs(s[:-2] - s_on_reference(nus, mu)))
     lim = s_limit(mu)
     # the pole's (z, rho): on the axis, at z = R0/sqrt(1+mu)
     z, rho = closed_meridional(cfg.R0, s[-1], f_C[-1], h_R[-1], mu)
-    ends = max(
-        abs(s[-2]),
-        abs(s[-1] - lim),
-        abs(h_R[-2] - 1.0),
-        abs(z / cfg.R0 - 1.0 / lim),
-        abs(rho / cfg.R0),
-    )
+    ends = [s[-2], s[-1] - lim, h_R[-2] - 1.0, z / cfg.R0 - 1.0 / lim, rho / cfg.R0]
     return [
-        CheckResult("anchor.s_on_reference", worst, 1e-10),
-        CheckResult("anchor.endpoints", ends, 1e-12),
+        _check("anchor.s_on_reference", 1e-10, np.abs(s[:-2] - s_on_reference(nus, mu))),
+        _check("anchor.endpoints", 1e-12, np.abs(ends)),
     ]
 
 
@@ -548,18 +529,14 @@ def _classical_p_coeffs(n_max: int) -> list[list[float]]:
 
 def table_checks(mu: float) -> list[CheckResult]:
     """Recursion output against the closed reference forms for n <= 6."""
-    worst = 0.0
-    for n in range(7):
-        for build, ref in (
-            (legendre.p_poly, legendre.p_reference),
-            (legendre.t_poly, legendre.t_reference),
-        ):
-            for cg, cr in zip(build(n, float(mu)), ref(n, float(mu))):
-                if cr == 0.0:
-                    worst = max(worst, abs(cg))
-                else:
-                    worst = max(worst, abs(cg - cr) / abs(cr))
-    return [CheckResult("legendre.table_exactness", worst, 1e-13)]
+    pairs = ((legendre.p_poly, legendre.p_reference), (legendre.t_poly, legendre.t_reference))
+    residuals = [
+        abs(cg) if cr == 0.0 else abs(cg - cr) / abs(cr)
+        for n in range(7)
+        for build, ref in pairs
+        for cg, cr in zip(build(n, float(mu)), ref(n, float(mu)))
+    ]
+    return [_check("legendre.table_exactness", 1e-13, residuals)]
 
 
 def spherical_reduction_checks(level: str) -> list[CheckResult]:
@@ -571,19 +548,19 @@ def spherical_reduction_checks(level: str) -> list[CheckResult]:
     Q_0 = atanh x, over numpy's classical P_n values."""
     n_max = _SIZES[level].reduction_n_max
     classical = _classical_p_coeffs(n_max)
-    worst_p = 0.0
-    for n in range(n_max + 1):
-        for cg, cr in zip(legendre.p_poly(n, 0.0), classical[n]):
-            worst_p = max(worst_p, abs(cg - cr) / max(1.0, abs(cr)))
+    r_p = [
+        abs(cg - cr) / max(1.0, abs(cr))
+        for n in range(n_max + 1)
+        for cg, cr in zip(legendre.p_poly(n, 0.0), classical[n])
+    ]
     x = np.array([-0.9, -0.5, 0.1, 0.5, 0.9])
     p_cl = np.polynomial.legendre.legval(x, np.eye(n_max + 1))  # row n is P_n(x)
     over_k = p_cl / np.arange(1, n_max + 2)[:, None]  # row k - 1 is P_(k-1)/k
     christoffel = np.array([np.sum(over_k[:n] * p_cl[:n][::-1], axis=0) for n in range(n_max + 1)])
     q = np.array(legendre.values(n_max, x, 0.0, True)[1])
-    worst_q = float(np.max(np.abs(q - (p_cl * np.arctanh(x) - christoffel))))
     return [
-        CheckResult("legendre.spherical_P", worst_p, 1e-12),
-        CheckResult("legendre.spherical_Q", worst_q, 1e-10),
+        _check("legendre.spherical_P", 1e-12, r_p),
+        _check("legendre.spherical_Q", 1e-10, np.abs(q - (p_cl * np.arctanh(x) - christoffel))),
     ]
 
 
@@ -592,36 +569,30 @@ def ode_checks(mu: float, level: str) -> list[CheckResult]:
     degree and sample from one `legendre.q_derivs` pass."""
     n_max, n_s = _SIZES[level].ode_n_max, _SIZES[level].n_s
     svals = np.linspace(0.05, 0.95, n_s) * s_limit(mu)
-    worst = [0.0, 0.0]  # P, Q
+    residuals = ([], [])  # P, Q
     for n, triples in enumerate(zip(*legendre.q_derivs(n_max, svals, mu))):
         for kind, (F, dF, d2F) in enumerate(triples):
             res = legendre.ode_residual(F, dF, d2F, svals, n, mu)
-            worst[kind] = max(worst[kind], _worst(np.abs(res) / (1.0 + abs(F) + abs(dF) + abs(d2F))))
+            residuals[kind].append(np.abs(res) / (1.0 + abs(F) + abs(dF) + abs(d2F)))
     return [
-        CheckResult("legendre.ode_first_kind", worst[0], 1e-8),
-        CheckResult("legendre.ode_second_kind", worst[1], 1e-8),
+        _check("legendre.ode_first_kind", 1e-8, *residuals[0]),
+        _check("legendre.ode_second_kind", 1e-8, *residuals[1]),
     ]
 
 
 def structure_checks(mu: float) -> list[CheckResult]:
     """Parity, pole values and the non-orthogonality witness."""
-    r_parity = 0.0
-    for n in range(9):
-        for j, c in enumerate(legendre.p_poly(n, mu)):
-            if (j - n) % 2 != 0:
-                r_parity = max(r_parity, abs(c))
+    # the odd-offset coefficients of P_n, P_n(-s) - (-1)^n P_n(s), Q_0(0.2) + Q_0(-0.2)
+    r_parity = [c for n in range(9) for j, c in enumerate(legendre.p_poly(n, mu)) if (j - n) % 2 != 0]
     for s in (0.3, 0.7):
         pos, _ = legendre.values(8, s, mu)
         neg, _ = legendre.values(8, -s, mu)
-        for n in range(9):
-            r_parity = max(r_parity, abs(neg[n] - (-1.0) ** n * pos[n]))
-    r_parity = max(r_parity, abs(legendre.q0(0.2, mu) + legendre.q0(-0.2, mu)))
+        r_parity += [neg[n] - (-1.0) ** n * pos[n] for n in range(9)]
+    r_parity.append(legendre.q0(0.2, mu) + legendre.q0(-0.2, mu))
 
     lim = s_limit(mu)
     pole, _ = legendre.values(10, lim, mu)
-    r_pole = abs(pole[2] - 1.0 / (1.0 + mu))
-    if not all(math.isfinite(v) for v in pole):
-        r_pole = math.inf
+    r_pole = abs(pole[2] - 1.0 / (1.0 + mu)) if all(math.isfinite(v) for v in pole) else math.inf
 
     # negative control: for oblate families P1 and P3 are NOT orthogonal
     # under unit weight on [-lim, lim]; their overlap is -(2 mu/5)(1+mu)^(-3/2),
@@ -633,9 +604,9 @@ def structure_checks(mu: float) -> list[CheckResult]:
     r_witness = abs(overlap + 2.0 * mu / 5.0 * (1.0 + mu) ** -1.5)
 
     return [
-        CheckResult("legendre.parity", r_parity, 1e-13),
-        CheckResult("legendre.pole_values", r_pole, 1e-12),
-        CheckResult("legendre.nonorthogonality_witness", r_witness, 1e-13),
+        _check("legendre.parity", 1e-13, np.abs(r_parity)),
+        _check("legendre.pole_values", 1e-12, r_pole),
+        _check("legendre.nonorthogonality_witness", 1e-13, r_witness),
     ]
 
 
@@ -714,10 +685,10 @@ def harmonicity_checks(cfg: SystemConfig, level: str) -> list[CheckResult]:
     norm_f = lap_f / grad
     resolvable = norm_c > HARMONICITY_RATIO_FLOOR
     ratios = norm_c[resolvable] / norm_f[resolvable]
-    ratio_residual = max(abs(ratios.min() - 4.0), abs(ratios.max() - 4.0)) if ratios.size else math.inf
     return [
-        CheckResult("harmonic.fd_magnitude", _worst(norm_f), 1e-5),
-        CheckResult("harmonic.fd_decay_ratio", ratio_residual, 0.5),
+        _check("harmonic.fd_magnitude", 1e-5, norm_f),
+        # inf where no mode's decay is resolvable
+        _check("harmonic.fd_decay_ratio", 0.5, np.abs(ratios - 4.0) if ratios.size else math.inf),
         _solid_identity(cfg, rng),
     ]
 
@@ -740,8 +711,7 @@ def _solid_identity(cfg: SystemConfig, rng: random.Random) -> CheckResult:
     terms = np.array(a)[:, None] * r ** np.arange(degree + 1)[:, None]
     classical = np.polynomial.legendre.legval(z / r, terms, tensor=False)
     V = sum_V(HarmonicSolution(a=tuple(a), b=(), cfg=cfg), R * cfg.R0, s)
-    residual = np.max(np.abs(V - classical) / np.abs(terms).sum(axis=0))
-    return CheckResult("harmonic.solid_identity", residual, 1e-11)
+    return _check("harmonic.solid_identity", 1e-11, np.abs(V - classical) / np.abs(terms).sum(axis=0))
 
 
 def _fit_body(cfg: SystemConfig):
@@ -751,19 +721,14 @@ def _fit_body(cfg: SystemConfig):
     nus = np.linspace(-1.45, 1.45, 41)
     ((s, f_C, h_R, _),) = yield [(closed_solve, np.full(nus.size, cfg.R0), nus, cfg)]
     z, rho = closed_meridional(cfg.R0, s, f_C, h_R, cfg.mu)
-    truth = HarmonicSolution(
-        a=tuple(rng.uniform(-1.0, 1.0) for _ in range(6)), b=(), cfg=cfg
-    )
+    truth = HarmonicSolution(a=tuple(rng.uniform(-1.0, 1.0) for _ in range(6)), b=(), cfg=cfg)
     fitted, _ = fit_boundary(np.column_stack([nus, solid_V(truth, z, rho)]), 5, cfg)
-    r_fit = float(np.max(np.abs(np.subtract(fitted.a, truth.a))))
+    r_fit = np.abs(np.subtract(fitted.a, truth.a))
 
     z_field = HarmonicSolution(a=(0.0, 1.0), b=(), cfg=cfg)
     fitted, _ = fit_boundary(np.column_stack([nus, solid_V(z_field, z, rho)]), 3, cfg)
-    r_z = float(np.max(np.abs(np.subtract(fitted.a, (0.0, 1.0, 0.0, 0.0)))))
-    return [
-        CheckResult("fit.roundtrip", r_fit, 1e-8),
-        CheckResult("fit.z_field", r_z, 1e-8),
-    ]
+    r_z = np.abs(np.subtract(fitted.a, (0.0, 1.0, 0.0, 0.0)))
+    return [_check("fit.roundtrip", 1e-8, r_fit), _check("fit.z_field", 1e-8, r_z)]
 
 
 # --- suite driver ------------------------------------------------------------

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 
 from sosharmonics import cli, coords, legendre, verify
@@ -107,6 +108,26 @@ class TestEval:
         )
         assert rc == 0
         assert json.loads(out)["V"] == 3.0
+
+    def test_config_that_is_not_an_object_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[2.0, 1.0]")
+        rc, out, err = run(capsys, ["eval", "--config", str(path), "--R", "1", "--nu", "0"])
+        assert (rc, out) == (2, "")
+        assert err == f"error: bad config file {path}: config must be a JSON object\n"
+
+    @pytest.mark.parametrize("point, pair", [(["--R", "1"], "--R and --nu"), (["--x", "1"], "--x and --z")])
+    def test_half_a_point_exits_2(self, capsys, cfg2, point, pair):
+        rc, out, err = run(capsys, ["eval", "--config", cfg2, *point])
+        assert (rc, out, err) == (2, "", f"error: need both {pair}\n")
+
+    def test_nan_coefficient_exits_2(self, capsys, cfg2, tmp_path):
+        # Python's json reads the non-standard constant NaN
+        coeffs = tmp_path / "c.json"
+        coeffs.write_text('{"mu": 2, "R0": 1, "convention": "R_over_R0", "a": [0.5, NaN], "b": []}')
+        rc, out, err = run(capsys, ["eval", "--config", cfg2, "--R", "1", "--nu", "0.3", "--coeffs", str(coeffs)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: bad coefficient file {coeffs}: coefficients must be finite\n"
 
     def test_bad_config_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -490,6 +511,22 @@ class TestGrid:
             assert rc == 2
             assert out == ""
 
+    @pytest.mark.parametrize(
+        "z_min, z_max, nx, nz, message",
+        [
+            ("1", "1", "2", "2", "require z_max > z_min >= 0"),
+            ("1", "0.5", "2", "2", "require z_max > z_min >= 0"),
+            ("0", "1", "1", "2", "require nx, nz >= 2"),
+            ("0", "1", "2", "1", "require nx, nz >= 2"),
+        ],
+    )
+    def test_degenerate_spec_exits_2(self, capsys, cfg2, z_min, z_max, nx, nz, message):
+        argv = [
+            "grid", "--config", cfg2, "--x-min", "0", "--x-max", "1", "--z-min", z_min, "--z-max", z_max,
+            "--nx", nx, "--nz", nz, "--quantity", "s",
+        ]
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
     def test_V_needs_coeffs(self, capsys, cfg2):
         rc, _, _ = run(
             capsys,
@@ -613,6 +650,40 @@ class TestVerify:
         assert "FAIL legendre.table_exactness" in out
 
 
+class TestCheckRule:
+    """`verify._check`, the one rule that turns residual entries into a verdict."""
+
+    def test_nan_entries_are_skipped(self):
+        assert verify._check("c", 1.0, np.array([0.5, math.nan, 0.25])).max_residual == 0.5
+        assert verify._check("c", 1.0, np.array([math.nan])).max_residual == 0.0
+
+    def test_an_inf_entry_fails(self):
+        check = verify._check("c", 1.0, np.array([0.5, math.inf]))
+        assert check.max_residual == math.inf and not check.passed
+
+    def test_no_entries_read_zero(self):
+        assert verify._check("c", 1.0).max_residual == 0.0
+        assert verify._check("c", 1.0, np.array([]), []).max_residual == 0.0
+
+    def test_largest_entry_over_several_arrays(self):
+        check = verify._check("c", 1e-3, np.array([1e-4, 2e-4]), [[3e-3, math.nan], [0.0, 1e-5]], 5e-4)
+        assert (check.name, check.max_residual, check.tolerance, check.passed) == ("c", 3e-3, 1e-3, False)
+
+    @pytest.mark.parametrize("mu, n_checks", [(0.0, 37), (2.0, 38)])
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_every_check_is_built_by_it(self, monkeypatch, mu, n_checks, level):
+        built = []
+        check = verify._check
+        monkeypatch.setattr(verify, "_check", lambda name, *args: built.append(name) or check(name, *args))
+        checks = verify.run_suite(SystemConfig(mu=mu, R0=1.0), level)
+        assert len(checks) == n_checks
+        assert built == [c.name for c in checks]
+
+    def test_unknown_level_raises(self):
+        with pytest.raises(ValueError, match="level must be 'quick' or 'full'"):
+            verify.run_suite(SystemConfig(mu=2.0, R0=1.0), "medium")
+
+
 class TestFit:
     def _write_samples(self, tmp_path, rows):
         path = tmp_path / "samples.csv"
@@ -709,6 +780,11 @@ class TestFit:
             assert rc == 3
             assert out == ""
             assert "samples must be finite" in err
+
+    def test_nu_off_the_reference_spheroid_exits_3(self, capsys, cfg2, tmp_path):
+        path = self._write_samples(tmp_path, [(0.0, 1.0), (2.0, 0.5), (0.5, 0.2), (-0.5, 0.1)])
+        rc, out, err = run(capsys, ["fit", "--config", cfg2, path, "--degree", "1"])
+        assert (rc, out, err) == (3, "", "domain error: nu must lie in [-pi/2, pi/2]\n")
 
     def test_header_names_are_stripped(self, capsys, cfg2, tmp_path):
         # "nu, V" passed the header check, but its rows were keyed by " V": exit 2

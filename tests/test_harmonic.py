@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -344,3 +345,20 @@ class TestSAtPoint:
         p = SosPoint(R=1.3, nu=0.8, lam=0.4)
         c = sos_to_cartesian(p, CFG2)
         assert eval_V_cartesian(sol, c) == approx(eval_V_at(sol, p), rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sol: eval_V(sol, 0.0, 0.1), "R must be positive"),
+        (lambda sol: eval_V(sol, -1.0, 0.1), "R must be positive"),
+        (lambda sol: eval_V_cartesian(sol, CartesianPoint(math.inf, 0.0, 1.0)), "x, y and z must be finite"),
+        (lambda sol: eval_V_cartesian(sol, CartesianPoint(0.0, 0.0, -math.inf)), "x, y and z must be finite"),
+        (lambda sol: stencil_meridional(CartesianPoint(1.0, 0.0, 1.0), 0.0), "h must be positive"),
+        (lambda sol: stencil_meridional(CartesianPoint(1.0, 0.0, 1.0), np.array([1e-2, -1e-3])), "h must be positive"),
+        (lambda sol: fit_boundary([(0.0, 1.0)], -1, sol.cfg), "degree must be non-negative"),
+    ],
+)
+def test_refused_inputs_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(HarmonicSolution(a=(1.0,), b=(), cfg=CFG2))

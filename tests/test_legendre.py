@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from sosharmonics.legendre import (
     p_reference,
     q0,
     q_derivs,
+    solid_values,
     t_poly,
     t_reference,
+    value_derivs,
     values,
 )
 from sosharmonics.trig import s_limit
@@ -317,3 +320,17 @@ class TestWitnessCheck:
         monkeypatch.setattr(verify.legendre, "values", perturbed)
         failed = [c.name for c in verify.structure_checks(0.1) if not c.passed]
         assert failed == ["legendre.nonorthogonality_witness"]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: solid_values(-1, 0.5, 0.5), "degree must be non-negative"),
+        (lambda: values(-1, 0.5, 2.0), "degree must be non-negative"),
+        (lambda: value_derivs(-1, 0.5, 2.0), "degree must be non-negative"),
+        (lambda: p_reference(7, 2.0), "closed reference forms exist for n <= 6 only"),
+    ],
+)
+def test_refused_inputs_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

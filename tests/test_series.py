@@ -42,6 +42,15 @@ def sc(a, mu):
     return SeriesSpec(a=a, mu=mu, kind=SeriesKind.SC)
 
 
+def _term(a, b, x, k, cauchy):
+    """The k-th term, k >= 1, of the S_A (or, with cauchy, S_C) series at
+    x > 0, from the engine's own array kernel over one family and one k."""
+    ks = np.array([float(k)])
+    with np.errstate(all="ignore"):
+        part = series._family_part(np.array([series._family_params(a, b, b - 1.0, cauchy)]), ks)
+        return float(series._kernel(part, np.array([0]), np.array([[math.log(x)]]), ks)[0][0, 0])
+
+
 def summed_a(spec, large):
     """The parameter a spec sums: its own a on the small-nu side, a/(1+mu)
     on the large-nu side."""
@@ -224,12 +233,12 @@ class TestTermBehaviour:
 class TestDeepTerms:
     def test_term_product_survives_large_k(self):
         # far side of the large region: single term at k in the thousands
-        t = series._term(a=-1.0, b=2.0 / 3.0, x=1.2, k=3000, cauchy=False)
+        t = _term(a=-1.0, b=2.0 / 3.0, x=1.2, k=3000, cauchy=False)
         assert math.isfinite(t)
 
     def test_matches_mpmath_at_moderate_k(self):
         for k in (5, 37, 120):
-            t = series._term(a=-1.5, b=-2.0, x=0.04, k=k, cauchy=False)
+            t = _term(a=-1.5, b=-2.0, x=0.04, k=k, cauchy=False)
             ref = mp_binom(-1.5 - 2.0 * k, k) * 0.04**k
             assert t == approx(ref, rel=1e-11)
 
@@ -237,8 +246,8 @@ class TestDeepTerms:
 class TestTermKernel:
     def test_exact_zero_at_integer_alpha(self):
         # 0 <= alpha <= k-1 with alpha an integer: C(2, 4) and C(1, 2) vanish
-        assert series._term(a=0.0, b=0.5, x=0.7, k=4, cauchy=False) == 0.0
-        assert series._term(a=0.5, b=0.5, x=0.7, k=3, cauchy=True) == 0.0
+        assert _term(a=0.0, b=0.5, x=0.7, k=4, cauchy=False) == 0.0
+        assert _term(a=0.5, b=0.5, x=0.7, k=3, cauchy=True) == 0.0
 
     @pytest.mark.parametrize(
         "a, b, k, cauchy",
@@ -251,7 +260,7 @@ class TestTermKernel:
     )
     def test_each_case_matches_mpmath(self, a, b, k, cauchy):
         x = 0.37
-        got = series._term(a=a, b=b, x=x, k=k, cauchy=cauchy)
+        got = _term(a=a, b=b, x=x, k=k, cauchy=cauchy)
         with mpmath.workdps(40):
             al = mpmath.mpf(a) + mpmath.mpf(b) * k
             c = a / mpmath.mpf(k) * mpmath.binomial(al - 1, k - 1) if cauchy else mpmath.binomial(al, k)
@@ -652,7 +661,7 @@ def _link(mu, R0, level):
 @pytest.mark.parametrize("level", ["quick", "full"])
 @pytest.mark.parametrize("mu", [0.0, 2.0, 20.0, 200.0])
 def test_metric_link_reads_the_same_at_every_R0(mu, level):
-    # in absolute units the link's reference underflowed under _max_rel's
+    # in absolute units the link's reference underflowed under `_rel`'s
     # 1e-300 floor at R0 = 1e-163 (0.0, or 4.9e-24 at mu = 2) and every
     # entry overflowed to NaN at R0 = 1e160; in units of R it compares
     # every point at rounding level

@@ -188,6 +188,11 @@ class TestSOnReference:
     def test_odd(self):
         assert s_on_reference(-0.4, 2.0) == -s_on_reference(0.4, 2.0)
 
+    @pytest.mark.parametrize("nu", [1.6, -1.6, np.array([0.3, 1.6])])
+    def test_nu_beyond_the_pole_raises(self, nu):
+        with pytest.raises(ValueError, match=r"nu must lie in \[-pi/2, pi/2\]"):
+            s_on_reference(nu, 2.0)
+
 
 class TestIdentities:
     @pytest.mark.parametrize("mu", MUS)
