@@ -20,7 +20,6 @@ from .errors import (
     PoleLimitError,
     RankDeficientError,
     SosError,
-    StencilOutOfDomainError,
 )
 from .harmonic import (
     FitDiagnostics,

@@ -262,6 +262,7 @@ def cmd_verify(args) -> int:
         f"# verification suite  mu={_fmt(cfg.mu)}  R0={_fmt(cfg.R0)}  level={args.level}",
         *(
             f"{'PASS' if c.passed else 'FAIL'} {c.name} max_residual={c.max_residual:.3e} tol={c.tolerance:.1e}"
+            + (f" non_finite={c.non_finite}" if c.non_finite else "")
             for c in checks
         ),
         f"# {len(checks) - n_fail}/{len(checks)} checks passed",
@@ -279,6 +280,8 @@ def cmd_verify(args) -> int:
                     "max_residual": c.max_residual if math.isfinite(c.max_residual) else None,
                     "tolerance": c.tolerance,
                     "passed": c.passed,
+                    "entries": c.entries,
+                    "non_finite": c.non_finite,
                 }
                 for c in checks
             ],

@@ -28,9 +28,5 @@ class DegenerateOriginError(SosError):
     """The coordinate origin has no SOS image."""
 
 
-class StencilOutOfDomainError(SosError):
-    """A finite-difference stencil point left the valid domain."""
-
-
 class RankDeficientError(SosError):
     """Fit sample set cannot distinguish the requested degrees."""

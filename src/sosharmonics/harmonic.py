@@ -16,10 +16,7 @@ in memory and in the JSON coefficient file alike ({"mu", "R0", "convention":
 term is finite wherever it is representable.
 
 The point entries (`s_at_point`, `eval_V_at`, `eval_V_cartesian`) take
-floats or arrays, a point record of arrays included; `stencil_meridional`
-gives the (z, rho) of the arms of a finite-difference stencil, of several
-steps at once, and `fd_laplacian` the 7-point Laplacian of the values
-summed there (`solid_V`, or a caller's own basis).  The (z, rho) of a point
+floats or arrays, a point record of arrays included.  The (z, rho) of a point
 come from one numpy body (`coords.closed_solve`, with no metric, or
 `_cartesian_meridional`), and a float call is one element of the array call
 (`trig._point_kernel`), so each element has the bits and the exceptions of
@@ -45,11 +42,7 @@ from .coords import (
     config_from_dict,
     meridional,
 )
-from .errors import (
-    DegenerateOriginError,
-    RankDeficientError,
-    StencilOutOfDomainError,
-)
+from .errors import DegenerateOriginError, RankDeficientError
 from .trig import _point_kernel, s_limit
 
 FILE_CONVENTION = "R_over_R0"
@@ -159,36 +152,6 @@ def eval_V_cartesian(sol: HarmonicSolution, c: CartesianPoint):
     """Potential at a Cartesian point (of floats or arrays), at its
     `_cartesian_meridional` (z, rho): each element has the bits of its float call."""
     return solid_V(sol, *_cartesian_meridional(c))
-
-
-_STENCIL = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                     (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
-
-
-def stencil_meridional(c: CartesianPoint, h):
-    """`_cartesian_meridional` (z, rho) at c and at c + h (x, -x, y, -y, z, -z),
-    stacked as 7 rows over the shape of c's fields; an array h of steps adds
-    its shape in front, so one call holds the stencils of every step.  An
-    arm at the origin raises StencilOutOfDomainError."""
-    if np.any(h <= 0.0):
-        raise ValueError("h must be positive")
-    steps = np.multiply.outer(h, _STENCIL)  # h's shape x 7 arms x 3 axes
-    arms = [np.add.outer(steps[..., k], v) for k, v in enumerate((c.x, c.y, c.z))]
-    try:
-        return _cartesian_meridional(CartesianPoint(*arms))
-    except DegenerateOriginError as exc:
-        raise StencilOutOfDomainError(str(exc)) from exc
-
-
-def fd_laplacian(v, h: float):
-    """The 7-point central Laplacian at step h of values v on the 7 arms of
-    `stencil_meridional` (the first row the centre).  It works in Cartesian
-    coordinates, independent of the SOS metric factors; for a harmonic V it
-    converges to 0 as O(h^2)."""
-    acc = 0.0
-    for arm in v[1:]:
-        acc = acc + arm
-    return (acc - 6.0 * v[0]) / (h * h)
 
 
 def fit_boundary(

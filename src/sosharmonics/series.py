@@ -71,7 +71,7 @@ again, and its results keep their bits, since a kept part is the very
 array that `_family_part` returned; a first or one-shot call forms every
 part, as it would without the slot.  The slot holds the last batch's
 family cells, at most 65536 a block (as many as its rows): 4,448 (0.2 MB)
-after a quick `verify` at mu = 2, 20,288 (1.0 MB) at mu = 20 and 139,221
+after a quick `verify` at mu = 2, 20,064 (1.0 MB) at mu = 20 and 139,221
 (6.7 MB) at mu = 200.  A repeated quick `verify` takes about 17 % less
 time than the first at mu = 2, and about half at mu = 200.
 

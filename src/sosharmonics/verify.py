@@ -3,15 +3,14 @@
 Each suite samples one family of analytic identities of the SOS system
 (trigonometric-style relations, derivative formulas certified against
 central differences, recursion-vs-closed-form polynomial tables, ODE
-residuals, finite-difference harmonicity, transform round trips) and
-hands each check's residual arrays to `_check`, the one rule of a verdict:
-the largest entry, a NaN entry skipped and 0.0 where there is none, passes
-at most the check's tolerance; no suite reduces its residuals itself.
+residuals, the solid-harmonic identity of each kind, transform round trips)
+and hands each check's residual arrays to `_check`, the one rule of a
+verdict: the largest entry, a NaN entry skipped and 0.0 where there is
+none, passes at most the check's tolerance; no suite reduces its residuals
+itself.  Each check also counts its entries and the non-finite ones.
 `run_suite`, which the CLI `verify` command calls, drives them all at the
 sample sizes of its level (`quick` or `full`, one table `_SIZES`).  Each
 suite evaluates its sample set in one array pass of each kernel it checks.
-The harmonicity suite stacks the stencils of every pure mode and both
-steps into one array, summed by one `legendre.solid_values` pass per kind.
 
 Every suite is a generator body that yields its calls of a closed point
 kernel or the series witness (`eval_series_many`) as one list of requests,
@@ -49,7 +48,6 @@ import numpy as np
 
 from . import legendre
 from .coords import (
-    CartesianPoint,
     MetricBundle,
     SystemConfig,
     cartesian_closed,
@@ -61,15 +59,7 @@ from .coords import (
     compute_W,
     dW_dnu,
 )
-from .errors import PoleDivergenceError, StencilOutOfDomainError
-from .harmonic import (
-    HarmonicSolution,
-    fd_laplacian,
-    fit_boundary,
-    solid_V,
-    stencil_meridional,
-    sum_V,
-)
+from .harmonic import HarmonicSolution, fit_boundary, solid_V, sum_V
 from .series import (
     Region,
     SeriesKind,
@@ -93,17 +83,11 @@ from .trig import (
     w_from_s,
 )
 
-# FD harmonicity: sampling shell and the fine and coarse steps (units of R0,
-# in which the suite works),
-# the coarse-residual floor below which the O(h^2) decay is unresolvable
-# (exactly-polynomial low-degree modes difference to rounding noise, not
-# truncation error), and the seed of the points.
+# the harmonicity shell (units of R0), its cap on |s|/sqrt(1+mu), the seed
+# of its coefficients and points, and its count of points per kind
 HARMONICITY_SHELL = (4.0, 6.0)
-HARMONICITY_STEPS = (5e-3, 1e-2)
-HARMONICITY_RATIO_FLOOR = 1e-7
+HARMONICITY_S_CAP = 0.9
 HARMONICITY_SEED = 20240902
-# the solid-harmonic identity's top degree and count of points
-HARMONICITY_SOLID_DEGREE = 24
 HARMONICITY_SOLID_POINTS = 40
 # the seeds of the transform and fit samples, and the anchor's count of nu
 TRANSFORM_SEED = 20240901
@@ -121,22 +105,26 @@ class _Sizes(NamedTuple):
     reduction_n_max: int  # top degree, spherical reduction
     ode_n_max: int  # top degree, ODE residuals
     n_s: int  # s samples, ODE residuals
-    a_max: int  # top P_n degree, harmonicity
-    b_max: int  # top Q_n degree, harmonicity
-    points_per_mode: int  # points per mode, harmonicity
+    p_degree: int  # top P_n degree, solid-harmonic identity
+    q_degree: int  # top Q_n degree, solid-harmonic identity
 
 
 _SIZES = {
-    "quick": _Sizes(6, 3, 5, 40, 8, 6, 15, 3, 1, 4),
-    "full": _Sizes(12, 6, 11, 160, 12, 10, 50, 6, 3, 20),
+    "quick": _Sizes(6, 3, 5, 40, 8, 6, 15, 32, 12),
+    "full": _Sizes(12, 6, 11, 160, 12, 10, 50, 101, 26),
 }
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's largest residual entry against its tolerance, with the counts
+    of the entries it checked and of the non-finite ones among them."""
+
     name: str
     max_residual: float
     tolerance: float
+    entries: int = 0
+    non_finite: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "max_residual", float(self.max_residual))
@@ -149,10 +137,12 @@ class CheckResult:
 
 def _check(name: str, tolerance: float, *residuals) -> CheckResult:
     """The check `name`, whose residual is the largest entry of the residual
-    arrays (or scalars), and 0.0 if there is none; a NaN entry is skipped.
-    Every check of every suite is built here."""
-    worst = max((float(np.fmax.reduce(np.ravel(r), initial=0.0)) for r in residuals), default=0.0)
-    return CheckResult(name, worst, tolerance)
+    arrays (or scalars), and 0.0 if there is none; a NaN entry is skipped,
+    and counted with the infinite ones as non-finite.  Every check of every
+    suite is built here."""
+    flat = np.concatenate([np.zeros(0), *map(np.ravel, residuals)])
+    finite = int(np.count_nonzero(np.isfinite(flat)))
+    return CheckResult(name, float(np.fmax.reduce(flat, initial=0.0)), tolerance, flat.size, flat.size - finite)
 
 
 def _rel(x, ref) -> np.ndarray:
@@ -527,6 +517,15 @@ def _classical_p_coeffs(n_max: int) -> list[list[float]]:
     return out
 
 
+def _classical_q(x: np.ndarray, n_max: int) -> np.ndarray:
+    """Rows n = 0..n_max of the classical Q_n at the 1-D array x, |x| < 1, by
+    Christoffel's formula Q_n = P_n atanh x - sum_(k=1..n) P_(k-1) P_(n-k) / k
+    over numpy's classical P_n values (`legval`)."""
+    p = np.polynomial.legendre.legval(x, np.eye(n_max + 1))  # row n is P_n(x)
+    over_k = p / np.arange(1, n_max + 2)[:, None]  # row k - 1 is P_(k-1)/k
+    return p * np.arctanh(x) - np.array([np.sum(over_k[:n] * p[:n][::-1], axis=0) for n in range(n_max + 1)])
+
+
 def table_checks(mu: float) -> list[CheckResult]:
     """Recursion output against the closed reference forms for n <= 6."""
     pairs = ((legendre.p_poly, legendre.p_reference), (legendre.t_poly, legendre.t_reference))
@@ -540,12 +539,9 @@ def table_checks(mu: float) -> list[CheckResult]:
 
 
 def spherical_reduction_checks(level: str) -> list[CheckResult]:
-    """mu = 0 collapse onto classical Legendre functions.
-
-    The first kind is checked against the exact power basis
-    (`_classical_p_coeffs`).  The classical second kind is Christoffel's
-    formula Q_n = P_n Q_0 - sum_(k=1..n) P_(k-1) P_(n-k) / k with
-    Q_0 = atanh x, over numpy's classical P_n values."""
+    """mu = 0 collapse onto classical Legendre functions: the first kind
+    against the exact power basis (`_classical_p_coeffs`), the second
+    against Christoffel's sum (`_classical_q`)."""
     n_max = _SIZES[level].reduction_n_max
     classical = _classical_p_coeffs(n_max)
     r_p = [
@@ -554,13 +550,10 @@ def spherical_reduction_checks(level: str) -> list[CheckResult]:
         for cg, cr in zip(legendre.p_poly(n, 0.0), classical[n])
     ]
     x = np.array([-0.9, -0.5, 0.1, 0.5, 0.9])
-    p_cl = np.polynomial.legendre.legval(x, np.eye(n_max + 1))  # row n is P_n(x)
-    over_k = p_cl / np.arange(1, n_max + 2)[:, None]  # row k - 1 is P_(k-1)/k
-    christoffel = np.array([np.sum(over_k[:n] * p_cl[:n][::-1], axis=0) for n in range(n_max + 1)])
     q = np.array(legendre.values(n_max, x, 0.0, True)[1])
     return [
         _check("legendre.spherical_P", 1e-12, r_p),
-        _check("legendre.spherical_Q", 1e-10, np.abs(q - (p_cl * np.arctanh(x) - christoffel))),
+        _check("legendre.spherical_Q", 1e-10, np.abs(q - _classical_q(x, n_max))),
     ]
 
 
@@ -613,105 +606,55 @@ def structure_checks(mu: float) -> list[CheckResult]:
 # --- harmonicity -------------------------------------------------------------
 
 
-def _shell_point(
-    rng: random.Random, cfg: SystemConfig, s_cap: float | None
-) -> CartesianPoint:
-    """A point, in units of R0, drawn uniformly in direction and radius on the
-    harmonicity shell, redrawn until its |s| = (1+mu)|cos theta| /
-    sqrt(1 + mu cos^2 theta) is at most s_cap sqrt(1+mu)."""
-    mu, lim = cfg.mu, s_limit(cfg.mu)
-    while True:
-        r = rng.uniform(*HARMONICITY_SHELL)
-        cth = rng.uniform(-1.0, 1.0)
-        sth = math.sqrt(1.0 - cth * cth)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        if s_cap is None or (1.0 + mu) * abs(cth) / math.sqrt(1.0 + mu * cth * cth) <= s_cap * lim:
-            return CartesianPoint(r * sth * math.cos(phi), r * sth * math.sin(phi), r * cth)
-
-
-def _mode_stencils(c: CartesianPoint, degree, second_kind, steps) -> np.ndarray:
-    """V of the pure mode (R/R0)^n P_n(s), or (R/R0)^n Q_n(s) where
-    second_kind, n = degree[j], on the 7-arm stencil of point j of c, for
-    every step of steps, c and steps in units of R0: a (step, arm, point)
-    array from one `legendre.solid_values` pass per kind over every arm of
-    its points.  A stencil arm at the origin, or on the axis for Q_n, raises
-    StencilOutOfDomainError."""
-    z, rho = stencil_meridional(c, steps)
-    v = np.empty(z.shape)
-    for kind in (False, True):
-        at = second_kind == kind
-        if not at.any():
-            continue
-        try:
-            p, q = legendre.solid_values(int(degree[at].max()), z[..., at], rho[..., at], kind)
-        except PoleDivergenceError as exc:
-            raise StencilOutOfDomainError(str(exc)) from exc
-        basis = q if kind else p
-        v[..., at] = np.take_along_axis(np.stack(basis), degree[at][None, None, None], axis=0)[0]
-    return v
+def _shell(rng: random.Random, mu: float, n: int, s_cap: float | None):
+    """The x, y, z arrays of n points, in units of R0, uniform in direction
+    and radius on the harmonicity shell where |s| = (1+mu)|cos theta| /
+    sqrt(1 + mu cos^2 theta) is at most s_cap sqrt(1+mu), that is, where
+    cos^2 theta <= s_cap^2 / (1 + mu (1 - s_cap^2))."""
+    c_max = 1.0 if s_cap is None else s_cap / math.sqrt(1.0 + mu * (1.0 - s_cap * s_cap))
+    lo, hi = np.array([HARMONICITY_SHELL[0], -c_max, 0.0]), np.array([HARMONICITY_SHELL[1], c_max, 2.0 * math.pi])
+    r, cth, phi = (lo + (hi - lo) * np.array([rng.random() for _ in range(3 * n)]).reshape(n, 3)).T
+    sth = np.sqrt(1.0 - cth * cth)
+    return r * sth * np.cos(phi), r * sth * np.sin(phi), r * cth
 
 
 def harmonicity_checks(cfg: SystemConfig, level: str) -> list[CheckResult]:
-    """Cartesian FD Laplacian of each pure mode: O(h^2) decay to zero; and
-    the exact solid-harmonic identity (`_solid_identity`).
+    """The solid-harmonic identity of each kind, for every mu:
+    (R/R0)^n P_n(s) = (r/R0)^n P_n^cl(z/r) and (R/R0)^n Q_n(s) =
+    (r/R0)^n Q_n^cl(z/r), r = |(x, y, z)| (DLMF 14.10).  The classical solid
+    harmonics are harmonic, so this certifies harmonicity exactly, at every
+    degree up to the level's top ones (`_SIZES`).
 
-    The suite works in units of R0, so its FD residuals do not depend on R0.
-    Residuals are normalized by |grad V|, the central gradient of the fine
-    stencil.  The decay ratio is asserted only where the coarse residual
-    exceeds the resolvability floor; modes of degree <= 3 are polynomials
-    the 7-point stencil differentiates exactly, so their residuals sit at
-    rounding level for every h.  Each mode draws its own points; the
-    stencils of every mode and both steps are one array stencil
-    (`_mode_stencils`), and the Laplacians, the gradients and the ratios
-    are array operations over it.
+    Each kind sums seeded c_0..c_N at `_shell` points in units of R0 (the
+    sums take R0 = 1, so no residual depends on R0) against independent
+    code, relative to sum |c_n (r/R0)^n F_n^cl|.  The first kind is
+    `solid_V` at each point and at the point of its radius on the axis,
+    where a wrong step coefficient grows fastest, against numpy's `legval`
+    (|P_n^cl| <= 1 is left out of the scale).  The second kind is `sum_V`,
+    the s form, at the `cartesian_R_s` (R, s) of off-axis points (|s| at
+    most HARMONICITY_S_CAP sqrt(1+mu)), where the rounding of s costs few
+    digits at any mu and degree, against Christoffel's sum (`_classical_q`).
     """
-    size = _SIZES[level]
-    rng = random.Random(HARMONICITY_SEED)
-    modes = [(False, n) for n in range(size.a_max + 1)] + [(True, n) for n in range(size.b_max + 1)]
-    shell = [
-        _shell_point(rng, cfg, 0.9 if kind else None) for kind, _ in modes for _ in range(size.points_per_mode)
-    ]
-    c = CartesianPoint(*np.array([(p.x, p.y, p.z) for p in shell]).T)
-    second_kind = np.repeat([kind for kind, _ in modes], size.points_per_mode)
-    degree = np.repeat([n for _, n in modes], size.points_per_mode)
-    hf, hc = HARMONICITY_STEPS
-    v = _mode_stencils(c, degree, second_kind, np.array(HARMONICITY_STEPS))
-    lap_f = np.abs(fd_laplacian(v[0], hf))
-    lap_c = np.abs(fd_laplacian(v[1], hc))
-    grad = np.linalg.norm((v[0, 1::2] - v[0, 2::2]) / (2.0 * hf), axis=0)  # central, fine step
-    # a constant mode: the stencil cancels exactly
-    grad = np.where(grad == 0.0, np.abs(v[0, 0]), grad)
-    norm_c = lap_c / grad
-    norm_f = lap_f / grad
-    resolvable = norm_c > HARMONICITY_RATIO_FLOOR
-    ratios = norm_c[resolvable] / norm_f[resolvable]
-    return [
-        _check("harmonic.fd_magnitude", 1e-5, norm_f),
-        # inf where no mode's decay is resolvable
-        _check("harmonic.fd_decay_ratio", 0.5, np.abs(ratios - 4.0) if ratios.size else math.inf),
-        _solid_identity(cfg, rng),
-    ]
+    size, rng, unit = _SIZES[level], random.Random(HARMONICITY_SEED), SystemConfig(cfg.mu)
+    a = np.array([rng.uniform(-1.0, 1.0) for _ in range(size.p_degree + 1)])
+    x, y, z = _shell(rng, cfg.mu, HARMONICITY_SOLID_POINTS, None)
+    rho = np.hypot(x, y)
+    r = np.hypot(rho, z)
+    # each point, then the point of its radius on the axis
+    z, rho, r = np.concatenate([z, np.copysign(r, z)]), np.concatenate([rho, 0.0 * r]), np.tile(r, 2)
+    terms = a[:, None] * r ** np.arange(a.size)[:, None]
+    classical = np.polynomial.legendre.legval(z / r, terms, tensor=False)
+    V = solid_V(HarmonicSolution(a=tuple(a), b=(), cfg=unit), z, rho)
+    r_p = np.abs(V - classical) / np.abs(terms).sum(axis=0)
 
-
-def _solid_identity(cfg: SystemConfig, rng: random.Random) -> CheckResult:
-    """(R/R0)^n P_n(s) = (r/R0)^n P_n^cl(z/r) for every mu, r = |(x, y, z)|.
-
-    One array `sum_V` of seeded a_0..a_degree at shell points (in units of
-    R0, so `sum_V` takes R R0) against the classical solid harmonics summed
-    by numpy's `legval` (independent code), relative to sum |a_n| (r/R0)^n.
-    The classical solid harmonics are harmonic, so this certifies
-    harmonicity exactly where the FD checks only see an O(h^2) decay.
-    """
-    degree = HARMONICITY_SOLID_DEGREE
-    a = [rng.uniform(-1.0, 1.0) for _ in range(degree + 1)]
-    shell = [_shell_point(rng, cfg, None) for _ in range(HARMONICITY_SOLID_POINTS)]
-    x, y, z = np.array([(c.x, c.y, c.z) for c in shell]).T
+    b = np.array([rng.uniform(-1.0, 1.0) for _ in range(size.q_degree + 1)])
+    x, y, z = _shell(rng, cfg.mu, HARMONICITY_SOLID_POINTS, HARMONICITY_S_CAP)
     R, s = cartesian_R_s(x, y, z, cfg.mu)
     r = np.hypot(np.hypot(x, y), z)
-    terms = np.array(a)[:, None] * r ** np.arange(degree + 1)[:, None]
-    classical = np.polynomial.legendre.legval(z / r, terms, tensor=False)
-    V = sum_V(HarmonicSolution(a=tuple(a), b=(), cfg=cfg), R * cfg.R0, s)
-    return _check("harmonic.solid_identity", 1e-11, np.abs(V - classical) / np.abs(terms).sum(axis=0))
+    terms = b[:, None] * r ** np.arange(b.size)[:, None] * _classical_q(z / r, b.size - 1)
+    V = sum_V(HarmonicSolution(a=(), b=tuple(b), cfg=unit), R, s)
+    r_q = np.abs(V - terms.sum(axis=0)) / np.abs(terms).sum(axis=0)
+    return [_check("harmonic.solid_identity", 1e-11, r_p), _check("harmonic.solid_identity_Q", 1e-11, r_q)]
 
 
 def _fit_body(cfg: SystemConfig):

@@ -31,15 +31,13 @@ from sosharmonics.coords import (
     metrics_at,
     sos_to_cartesian,
 )
-from sosharmonics.errors import DegenerateOriginError, PoleDivergenceError, SosError, StencilOutOfDomainError
+from sosharmonics.errors import DegenerateOriginError, PoleDivergenceError, SosError
 from sosharmonics.harmonic import (
     HarmonicSolution,
     eval_V_at,
     eval_V_cartesian,
-    fd_laplacian,
     s_at_point,
     solid_V,
-    stencil_meridional,
 )
 from sosharmonics.trig import (
     closed_trig,
@@ -49,9 +47,10 @@ from sosharmonics.trig import (
     trig_from_W_robust,
     w_from_s,
 )
-from sosharmonics.verify import _mode_stencils, _shell_point, ode_checks, run_suite
+from sosharmonics.verify import _shell, ode_checks, run_suite
 
 from _oracles import mp_meridional
+from _stencil import laplacian, stencil_values
 from _witness import series_bundle
 
 MUS = (0.0, 0.5, 2.0, 20.0, 200.0, 1000.0)
@@ -284,73 +283,16 @@ def test_array_stencil_has_the_bits_of_float_calls(mu, kind, n):
     cfg = SystemConfig(mu=mu, R0=1.0)
     coeffs = tuple(1.0 if i == n else 0.0 for i in range(n + 1))
     sol = HarmonicSolution(a=coeffs if kind == "a" else (), b=coeffs if kind == "b" else (), cfg=cfg)
-    rng = random.Random(5)
-    shell = [_shell_point(rng, cfg, 0.9 if kind == "b" else None) for _ in range(40)]
-    c = CartesianPoint(*np.array([(p.x, p.y, p.z) for p in shell]).T)
+    c = CartesianPoint(*_shell(random.Random(5), mu, 40, 0.9 if kind == "b" else None))
+    shell = [CartesianPoint(*p) for p in zip(c.x.tolist(), c.y.tolist(), c.z.tolist())]
     for h in (1e-2, 5e-3):
-        v = solid_V(sol, *stencil_meridional(c, h))
-        lap = fd_laplacian(v, h)
+        v = stencil_values(sol, c, h)
+        lap = laplacian(v, h)
         central = (v[1::2] - v[2::2]) / (2.0 * h)
         for k, p in enumerate(shell):
             want_lap, want_grad = _float_stencil(sol, p, h)
-            assert lap[k] == want_lap == fd_laplacian(solid_V(sol, *stencil_meridional(p, h)), h)
+            assert lap[k] == want_lap == laplacian(stencil_values(sol, p, h), h)
             assert math.hypot(*central[:, k].tolist()) == want_grad
-
-
-@pytest.mark.parametrize("R0", [1.0, 6.957e8])
-@pytest.mark.parametrize("mu", [2.0, 200.0])
-def test_one_stencil_pass_matches_fd_stencil_for_every_mode(mu, R0):
-    """`_mode_stencils` sums each pure mode by the forward solid step in
-    units of R0, where `solid_V` sums it by Clenshaw's pass at the stencil
-    (`stencil_meridional`) of the point and step scaled by R0: both err by a few ulp of the size (r/R0)^n of the
-    mode's terms, |P_n^cl| <= 1 (4 ulp seen)."""
-    cfg = SystemConfig(mu=mu, R0=R0)
-    modes = [(False, n) for n in range(7)] + [(True, n) for n in range(4)]
-    rng = random.Random(9)
-    shell = [_shell_point(rng, cfg, 0.9 if kind else None) for kind, _ in modes for _ in range(5)]
-    c = CartesianPoint(*np.array([(p.x, p.y, p.z) for p in shell]).T)
-    second_kind, degree = (np.repeat(f, 5) for f in zip(*modes))
-    steps = np.array([5e-3, 1e-2])
-    v = _mode_stencils(c, degree, second_kind, steps)
-    assert v.shape == (2, 7, len(shell))
-    for m, (kind, n) in enumerate(modes):
-        at = slice(5 * m, 5 * m + 5)
-        coeffs = tuple(1.0 if i == n else 0.0 for i in range(n + 1))
-        sol = HarmonicSolution(a=() if kind else coeffs, b=coeffs if kind else (), cfg=cfg)
-        point = CartesianPoint(c.x[at] * R0, c.y[at] * R0, c.z[at] * R0)
-        r = np.sqrt(c.x[at] ** 2 + c.y[at] ** 2 + c.z[at] ** 2)
-        for got, h in zip(v, steps.tolist()):
-            size = np.max(r + h) ** n
-            want = solid_V(sol, *stencil_meridional(point, h * R0))
-            assert np.max(np.abs(got[:, at] - want)) <= 16.0 * np.spacing(size), (kind, n)
-
-
-def test_harmonicity_checks_take_one_basis_pass_per_kind_and_no_fd_stencil(monkeypatch):
-    passes = []
-    solid_values = legendre.solid_values
-
-    def counted(N, z, rho, second_kind=False):
-        passes.append((N, np.shape(z), second_kind))
-        return solid_values(N, z, rho, second_kind)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("harmonicity_checks summed a stencil by solid_V")
-
-    monkeypatch.setattr(legendre, "solid_values", counted)
-    for module in (harmonic, verify):
-        monkeypatch.setattr(module, "solid_V", forbidden)
-    checks = verify.harmonicity_checks(SystemConfig(mu=2.0), "quick")
-    assert all(c.passed for c in checks)
-    # both steps, every arm, the points of every mode of the kind
-    assert passes == [(3, (2, 7, 16), False), (1, (2, 7, 8), True)]
-
-
-def test_harmonicity_stencil_on_the_axis_is_out_of_domain():
-    """A Q_n stencil arm on the axis raises; a P_n one does not."""
-    c = CartesianPoint(np.array([1e-2, 1.0]), np.array([0.0, 0.5]), np.array([0.5, 0.5]))
-    _mode_stencils(c, np.array([1, 1]), np.array([False, False]), np.array([1e-2]))
-    with pytest.raises(StencilOutOfDomainError):
-        _mode_stencils(c, np.array([1, 1]), np.array([True, False]), np.array([1e-2]))
 
 
 @pytest.mark.parametrize("mu", [0.0, 2.0, 200.0])

@@ -562,15 +562,15 @@ class TestGrid:
 
 class TestVerify:
     def test_large_mu_quick_passes(self, capsys, tmp_path):
-        # the finite-difference harmonicity checks go through the closed-form
-        # Cartesian path; the nu round trip failed them at mu = 20
+        # the harmonicity suite's points once went through the nu round
+        # trip, which failed its finite-difference checks here
         rc, out, _ = run(capsys, ["verify", "--config", config(tmp_path, 20.0), "--level", "quick"])
         assert rc == 0
         assert "FAIL" not in out
 
     def test_large_mu_full_passes(self, capsys, tmp_path):
         # with P_n and Q_n evaluated from power-basis coefficients the full
-        # sweep failed harmonic.fd_decay_ratio here (0.82 > 0.5)
+        # sweep failed its finite-difference harmonicity check here
         rc, out, _ = run(capsys, ["verify", "--config", config(tmp_path, 20.0), "--level", "full"])
         assert rc == 0
         assert "FAIL" not in out
@@ -605,7 +605,21 @@ class TestVerify:
             "harmonicity_checks", "fit_checks", "closed_kernels", "series_witness",
         ]
         assert all(set(s) == {"name", "seconds"} and s["seconds"] >= 0.0 for s in payload["suites"])
-        assert all(set(c) == {"name", "max_residual", "tolerance", "passed"} for c in payload["checks"])
+        keys = {"name", "max_residual", "tolerance", "passed", "entries", "non_finite"}
+        assert all(set(c) == keys for c in payload["checks"])
+        assert all(c["entries"] > 0 and c["non_finite"] == 0 for c in payload["checks"])
+
+    def test_reports_write_the_entry_counts(self, capsys, cfg2, tmp_path, monkeypatch):
+        checks = [verify.CheckResult("some", 0.5, 1.0, 4, 2), verify.CheckResult("none", 0.5, 1.0, 4, 0)]
+        monkeypatch.setattr(verify, "run_suite", lambda cfg, level, timings: checks)
+        report = tmp_path / "report.json"
+        rc, out, _ = run(capsys, ["verify", "--config", cfg2, "--json", str(report)])
+        assert rc == 0
+        # the text report names a non-finite count only where it is nonzero
+        assert "PASS some max_residual=5.000e-01 tol=1.0e+00 non_finite=2\n" in out
+        assert "PASS none max_residual=5.000e-01 tol=1.0e+00\n" in out
+        payload = json.loads(report.read_text())
+        assert [(c["entries"], c["non_finite"]) for c in payload["checks"]] == [(4, 2), (4, 0)]
 
     def test_json_writes_a_non_finite_residual_as_null(self, capsys, cfg2, tmp_path, monkeypatch):
         checks = [verify.CheckResult("inf", math.inf, 1.0), verify.CheckResult("nan", math.nan, 1.0),
@@ -669,7 +683,7 @@ class TestCheckRule:
         check = verify._check("c", 1e-3, np.array([1e-4, 2e-4]), [[3e-3, math.nan], [0.0, 1e-5]], 5e-4)
         assert (check.name, check.max_residual, check.tolerance, check.passed) == ("c", 3e-3, 1e-3, False)
 
-    @pytest.mark.parametrize("mu, n_checks", [(0.0, 37), (2.0, 38)])
+    @pytest.mark.parametrize("mu, n_checks", [(0.0, 36), (2.0, 37)])
     @pytest.mark.parametrize("level", ["quick", "full"])
     def test_every_check_is_built_by_it(self, monkeypatch, mu, n_checks, level):
         built = []
@@ -678,6 +692,26 @@ class TestCheckRule:
         checks = verify.run_suite(SystemConfig(mu=mu, R0=1.0), level)
         assert len(checks) == n_checks
         assert built == [c.name for c in checks]
+
+    def test_counts_entries_and_non_finite_ones(self):
+        check = verify._check("c", 1.0, np.array([0.5, math.nan, math.inf]), [[0.25, math.nan]], 0.1)
+        assert (check.entries, check.non_finite) == (6, 3)
+        assert (verify._check("c", 1.0).entries, verify._check("c", 1.0).non_finite) == (0, 0)
+
+    @pytest.mark.parametrize("mu, R0, level, non_finite", [
+        (0.0, 1e160, "quick", 69), (0.0, 1e160, "full", 159), (2.0, 1e160, "quick", 60), (2.0, 1e160, "full", 130),
+        (200.0, 1e-163, "quick", 1), (200.0, 1.0, "quick", 1), (200.0, 6.957e8, "quick", 1),
+    ])
+    def test_non_finite_counts_are_the_skipped_entries(self, mu, R0, level, non_finite):
+        # the NaN entries that the metric suite's checks skip, counted by hand
+        # with `_check` wrapped; at R0 = 1e160 J overflows and they come from
+        # inf - inf, which numpy warns about (silenced here, not counted)
+        with np.errstate(invalid="ignore", over="ignore"):
+            checks = verify.run_suite(SystemConfig(mu=mu, R0=R0), level)
+        assert all(c.passed for c in checks)
+        assert sum(c.non_finite for c in checks) == non_finite
+        assert {c.name for c in checks if c.non_finite} <= {
+            "metric.jacobian_ratios", "metric.series_vs_closed", "metric.spherical_reduction", "metric.hR_hnu_link"}
 
     def test_unknown_level_raises(self):
         with pytest.raises(ValueError, match="level must be 'quick' or 'full'"):

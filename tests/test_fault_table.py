@@ -114,21 +114,21 @@ THRESHOLDS = {
     "_metrics J": (-12, -10, -10, -10, -12, -10, -10, -10),
     "_metrics J/h_R^2": (-10, -10, -10, -10, -10, -10, -10, -10),
     "compute_W": (-10, -10, -10, -10, -10, -10, -10, -10),
-    "solid_sum": (-10, -10, -10, -10, -10, -10, -10, -10),
-    "q0_meridional q": (-10, -10, -10, -10, -10, -10, -10, -10),
+    "solid_sum": (-11, -11, -11, -11, -11, -11, -11, -11),
+    "q0_meridional q": (-11, -11, -10, -10, -11, -10, -10, -10),
     "_forward Q_n, n >= 2": (-9, -9, -9, -9, -9, -9, -9, -9),
     "_forward P_n, n >= 2": (-12, -12, -11, -11, -12, -12, -11, -11),
     "cartesian_closed R": (-9, -9, -9, -9, -9, -9, -9, -9),
-    "step A from degree 2 on": (-13, -13, -13, -12, -13, -13, -13, -12),
-    "step B from degree 2 on": (-13, -13, -13, -13, -13, -13, -13, -13),
-    "step A from degree 10 on": (-12, -12, -12, -11, -12, -12, -12, -12),
-    "step B from degree 10 on": (-12, -12, -12, -11, -12, -12, -12, -12),
-    "step A from degree 25 on": (None, None, None, None, None, None, None, None),
-    "step B from degree 25 on": (None, None, None, None, None, None, None, None),
-    "step A from degree 60 on": (None, None, None, None, None, None, None, None),
-    "step B from degree 60 on": (None, None, None, None, None, None, None, None),
-    "step A from degree 100 on": (None, None, None, None, None, None, None, None),
-    "step B from degree 100 on": (None, None, None, None, None, None, None, None),
+    "step A from degree 2 on": (-13, -13, -13, -13, -14, -14, -14, -14),
+    "step B from degree 2 on": (-13, -13, -13, -13, -14, -14, -14, -14),
+    "step A from degree 10 on": (-13, -13, -13, -13, -14, -14, -14, -14),
+    "step B from degree 10 on": (-13, -13, -13, -13, -14, -14, -14, -14),
+    "step A from degree 25 on": (-12, -12, -12, -12, -14, -14, -14, -14),
+    "step B from degree 25 on": (-12, -12, -12, -12, -14, -14, -14, -14),
+    "step A from degree 60 on": (None, None, None, None, -14, -14, -14, -14),
+    "step B from degree 60 on": (None, None, None, None, -13, -13, -13, -13),
+    "step A from degree 100 on": (None, None, None, None, -11, -11, -11, -11),
+    "step B from degree 100 on": (None, None, None, None, -10, -10, -10, -10),
 }
 
 

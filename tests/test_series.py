@@ -466,7 +466,7 @@ class TestFamilyPartSlot:
         assert len(formed) == 4  # 25/23/11/3 families x 32/64/128/256 k
         again = verify.run_suite(cfg, "quick")
         assert len(formed) == 4
-        assert len(first) == 38
+        assert len(first) == 37
         assert [(c.name, c.max_residual.hex()) for c in again] == [(c.name, c.max_residual.hex()) for c in first]
 
     def test_a_batch_between_repeats_changes_no_result(self, monkeypatch):
@@ -582,7 +582,7 @@ def test_verify_returns_where_one_over_mu_overflows(monkeypatch, mu):
 
     _patch_every_binding(monkeypatch, many, recorded)
     checks = verify.run_suite(SystemConfig(mu=mu, R0=1.0), "quick")
-    assert len(checks) == 38 and witness
+    assert len(checks) == 37 and witness
     assert not any(math.isnan(W) for W in witness)
     # only the checks that lose digits as 1/mu at small mu may fail
     assert {c.name for c in checks if not c.passed} <= {"trig.scale_factor_relations", "trig.power_form"}
@@ -591,7 +591,7 @@ def test_verify_returns_where_one_over_mu_overflows(monkeypatch, mu):
 def _closed_kernel_calls(monkeypatch, level):
     """The array size of each closed-kernel call of a mu = 2 `run_suite` at
     level, by kernel, and its count of `solve_logit` calls; every check
-    passes, 38 of them at either level."""
+    passes, 37 of them at either level."""
     calls = []
 
     def counting(name, fn):
@@ -612,7 +612,7 @@ def _closed_kernel_calls(monkeypatch, level):
         _patch_every_binding(monkeypatch, getattr(module, name), counting(name, getattr(module, name)))
     checks = verify.run_suite(SystemConfig(mu=2.0, R0=1.0), level)
     assert all(c.passed for c in checks)
-    assert len(checks) == 38
+    assert len(checks) == 37
     names = ("closed_point", "closed_solve", "trig_from_W_robust", "cartesian_R_nu", "cartesian_closed", "compute_W",
              "dW_dnu", "w_from_s", "sos_to_cartesian")
     return {name: [n for k, n in calls if k == name] for name in names}, sum(k == "solve_logit" for k, _ in calls)
